@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use veltair_models::{ModelSpec, WorkloadClass};
-use veltair_sim::{execute, Interference, KernelProfile, MachineConfig};
+use veltair_sim::{execute, Interference, KernelProfile, LatencyModel, MachineConfig};
 use veltair_tensor::{fusion_cap_for_level, FusedUnit, GemmView};
 
 use crate::lower::{lower_gemm, lower_streaming};
@@ -312,10 +312,10 @@ fn min_cores_for(
     level: f64,
     machine: &MachineConfig,
 ) -> u32 {
-    let interference = Interference::level(level);
+    let sweep = LatencyModel::new(profile, Interference::level(level), machine);
     let mut best = (1u32, f64::INFINITY);
     for p in 1..=machine.cores {
-        let l = execute(profile, p, interference, machine).latency_s + machine.dispatch_overhead_s;
+        let l = sweep.latency_s(p) + machine.dispatch_overhead_s;
         if l <= target_s {
             return p;
         }

@@ -83,6 +83,18 @@ pub enum EngineError {
         /// The rejected value.
         value: f64,
     },
+    /// A registered model carries a kernel profile that fails
+    /// validation (see `SimError::InvalidProfile`).
+    InvalidProfile {
+        /// The model the layer belongs to.
+        model: String,
+        /// Index of the layer (scheduling unit) within the model.
+        layer: usize,
+        /// Index of the code version within the layer.
+        version: usize,
+        /// The violated invariant.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -131,6 +143,17 @@ impl std::fmt::Display for EngineError {
             EngineError::InvalidScalePolicy { field, value } => {
                 write!(f, "scale policy parameter {field} is out of range: {value}")
             }
+            EngineError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            } => {
+                write!(
+                    f,
+                    "model {model}, layer {layer}, version {version}: invalid kernel profile: {reason}"
+                )
+            }
         }
     }
 }
@@ -145,6 +168,17 @@ impl From<SimError> for EngineError {
             SimError::NonFiniteArrival { arrival_s } => {
                 EngineError::NonFiniteArrival { at_s: arrival_s }
             }
+            SimError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            } => EngineError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            },
         }
     }
 }
@@ -481,8 +515,9 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownModel`] if the workload references
-    /// unregistered models and [`EngineError::EmptyWorkload`] if it
-    /// generates no queries.
+    /// unregistered models, [`EngineError::InvalidProfile`] if a
+    /// registered model carries an invalid kernel profile, and
+    /// [`EngineError::EmptyWorkload`] if it generates no queries.
     pub fn try_run(
         &self,
         workload: &WorkloadSpec,
@@ -502,13 +537,16 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NoModels`] if no model is registered.
+    /// Returns [`EngineError::NoModels`] if no model is registered and
+    /// [`EngineError::InvalidProfile`] if a registered model carries an
+    /// invalid kernel profile.
     pub fn session(&self) -> Result<ServingSession<'_>, EngineError> {
         if self.models.is_empty() {
             return Err(EngineError::NoModels);
         }
+        let dispatcher = runtime::for_policy(self.policy);
         Ok(ServingSession {
-            driver: Driver::open(&self.models, self.sim_config()),
+            driver: Driver::with_dispatcher(&self.models, &[], self.sim_config(), dispatcher)?,
             poll_cursor: 0,
             telemetry: None,
             trace_scratch: Vec::new(),
@@ -892,6 +930,30 @@ mod tests {
             .try_run(&WorkloadSpec::single("tiny_yolo_v2", 30.0, 10), 1)
             .expect("valid");
         assert_eq!(ok.total_queries(), 10);
+    }
+
+    #[test]
+    fn invalid_kernel_profiles_surface_as_typed_errors() {
+        let machine = MachineConfig::threadripper_3990x();
+        let mut model = compile_model(
+            &veltair_models::tiny_yolo_v2(),
+            &machine,
+            &CompilerOptions::fast(),
+        );
+        model.layers[1].versions[0].profile.compute_efficiency = 0.0;
+        let mut e = ServingEngine::new(machine, Policy::VeltairFull);
+        e.register(model);
+        let expected = EngineError::InvalidProfile {
+            model: "tiny_yolo_v2".into(),
+            layer: 1,
+            version: 0,
+            reason: "compute efficiency must be in (0,1], got 0".into(),
+        };
+        assert_eq!(
+            e.try_run(&WorkloadSpec::single("tiny_yolo_v2", 30.0, 10), 1),
+            Err(expected.clone())
+        );
+        assert_eq!(e.session().err(), Some(expected));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! profile (paper Fig. 10a).
 
 use veltair_compiler::CompiledModel;
-use veltair_sim::{execute, Interference, MachineConfig};
+use veltair_sim::{Interference, KernelProfile, LatencyModel, MachineConfig};
 
 /// A formed layer block: the unit range, the per-unit code versions, and
 /// the core allocation that meets the block's summed QoS share.
@@ -56,6 +56,170 @@ pub fn find_first_pivot(
         .find(|&i| u64::from(model.layers[i].core_requirement(versions[i], level)) >= limit)
 }
 
+/// Flat latencies of the units `[start, end)` under one ambient pressure,
+/// prepared for sizing the block.
+///
+/// Each unit's [`LatencyModel`] is prepared once, and each allocation's
+/// flat block latency is rated at most once: Algorithm 2's QoS minimum
+/// ([`BlockSweep::core_requirement`]) and the boost above it
+/// ([`BlockSweep::boosted`]) share the ratings. Every allocation sums its
+/// units in block order, so each figure is bit-identical to rating the
+/// block from scratch at that core count.
+#[derive(Debug)]
+pub(crate) struct BlockSweep<'a> {
+    units: Vec<LatencyModel<'a>>,
+    machine: &'a MachineConfig,
+    /// The block's summed QoS share, with the planning margin.
+    budget_s: f64,
+    /// Flat block latency on 1, 2, … cores, as far as rated so far.
+    rated: Vec<f64>,
+}
+
+impl<'a> BlockSweep<'a> {
+    /// Prepares the block, validating every unit's profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid block range or kernel profile.
+    pub(crate) fn new(
+        model: &'a CompiledModel,
+        start: usize,
+        end: usize,
+        versions: &[usize],
+        pressure: Interference,
+        machine: &'a MachineConfig,
+    ) -> Self {
+        Self::prepare(
+            model,
+            start,
+            end,
+            versions,
+            pressure,
+            machine,
+            LatencyModel::new,
+        )
+    }
+
+    /// Prepares the block from profiles the caller has already validated
+    /// (the serving runtime checks every compiled profile once, when a
+    /// simulation is built).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid block range.
+    pub(crate) fn prevalidated(
+        model: &'a CompiledModel,
+        start: usize,
+        end: usize,
+        versions: &[usize],
+        pressure: Interference,
+        machine: &'a MachineConfig,
+    ) -> Self {
+        Self::prepare(
+            model,
+            start,
+            end,
+            versions,
+            pressure,
+            machine,
+            LatencyModel::prevalidated,
+        )
+    }
+
+    fn prepare(
+        model: &'a CompiledModel,
+        start: usize,
+        end: usize,
+        versions: &[usize],
+        pressure: Interference,
+        machine: &'a MachineConfig,
+        prepare_unit: fn(&'a KernelProfile, Interference, &'a MachineConfig) -> LatencyModel<'a>,
+    ) -> Self {
+        assert!(
+            start < end && end <= model.layers.len(),
+            "invalid block range"
+        );
+        let layers = &model.layers[start..end];
+        Self {
+            units: layers
+                .iter()
+                .zip(&versions[start..end])
+                .map(|(layer, &v)| prepare_unit(&layer.versions[v].profile, pressure, machine))
+                .collect(),
+            machine,
+            budget_s: layers.iter().map(|l| l.qos_share_s).sum::<f64>()
+                * veltair_compiler::QOS_PLAN_MARGIN,
+            rated: Vec::new(),
+        }
+    }
+
+    /// Rates every allocation up to `cores` not rated yet.
+    ///
+    /// The loop runs unit by unit over the allocations, so a unit's
+    /// invariants stay in registers and its rating is reused once it has
+    /// saturated; each allocation still adds its units in block order.
+    fn rate_through(&mut self, cores: u32) {
+        let first = self.rated.len();
+        if cores as usize <= first {
+            return;
+        }
+        self.rated.resize(cores as usize, 0.0);
+        let d = self.machine.dispatch_overhead_s;
+        for unit in &self.units {
+            let mut saturated = None;
+            for (sum, p) in self.rated[first..].iter_mut().zip(first as u32 + 1..) {
+                let latency_s = saturated.unwrap_or_else(|| unit.latency_s(p));
+                if saturated.is_none() && unit.is_saturated(p) {
+                    saturated = Some(latency_s);
+                }
+                *sum += latency_s + d;
+            }
+        }
+    }
+
+    /// Flat latency of the block on `cores` cores, including per-unit
+    /// dispatch overhead.
+    pub(crate) fn flat_latency_s(&mut self, cores: u32) -> f64 {
+        assert!(cores > 0, "cannot execute a kernel on zero cores");
+        self.rate_through(cores);
+        self.rated[cores as usize - 1]
+    }
+
+    /// Minimum cores under which the block finishes within its summed
+    /// QoS share (saturating at the machine size).
+    pub(crate) fn core_requirement(&mut self) -> u32 {
+        /// Allocations rated per step of the scan: the few past the
+        /// minimum are wasted unless the boost reads them.
+        const STEP: u32 = 8;
+        let cores = self.machine.cores;
+        let mut lo = 1;
+        while lo <= cores {
+            let hi = (lo + STEP - 1).min(cores);
+            self.rate_through(hi);
+            if let Some(p) = (lo..=hi).find(|&p| self.rated[p as usize - 1] <= self.budget_s) {
+                return p;
+            }
+            lo = hi + 1;
+        }
+        cores
+    }
+
+    /// The boosted allocation of [`boosted_block_cores`] over this
+    /// block's ratings.
+    pub(crate) fn boosted(&mut self, min_cores: u32, cap: u32) -> u32 {
+        let cap = cap.min(self.machine.cores);
+        if cap <= min_cores {
+            return min_cores;
+        }
+        self.rate_through(cap);
+        let flat = |p: u32| self.rated[p as usize - 1];
+        let best = (min_cores..=cap).map(flat).fold(f64::INFINITY, f64::min);
+        (min_cores..=cap)
+            .find(|&p| flat(p) <= best * (1.0 + BOOST_SLACK))
+            .unwrap_or(min_cores)
+    }
+}
+
 /// Minimum cores under which the units `[start, end)` finish within their
 /// summed QoS share under the given ambient pressure (saturating at the
 /// machine size).
@@ -73,33 +237,7 @@ pub fn block_core_requirement(
     pressure: Interference,
     machine: &MachineConfig,
 ) -> u32 {
-    assert!(
-        start < end && end <= model.layers.len(),
-        "invalid block range"
-    );
-    let budget: f64 = model.layers[start..end]
-        .iter()
-        .map(|l| l.qos_share_s)
-        .sum::<f64>()
-        * veltair_compiler::QOS_PLAN_MARGIN;
-    for p in 1..=machine.cores {
-        let total: f64 = (start..end)
-            .map(|i| {
-                execute(
-                    &model.layers[i].versions[versions[i]].profile,
-                    p,
-                    pressure,
-                    machine,
-                )
-                .latency_s
-                    + machine.dispatch_overhead_s
-            })
-            .sum();
-        if total <= budget {
-            return p;
-        }
-    }
-    machine.cores
+    BlockSweep::new(model, start, end, versions, pressure, machine).core_requirement()
 }
 
 /// Flat latency of the units `[start, end)` on `cores` cores under the
@@ -114,22 +252,7 @@ pub fn block_flat_latency_s(
     cores: u32,
     machine: &MachineConfig,
 ) -> f64 {
-    assert!(
-        start < end && end <= model.layers.len(),
-        "invalid block range"
-    );
-    (start..end)
-        .map(|i| {
-            execute(
-                &model.layers[i].versions[versions[i]].profile,
-                cores,
-                pressure,
-                machine,
-            )
-            .latency_s
-                + machine.dispatch_overhead_s
-        })
-        .sum()
+    BlockSweep::new(model, start, end, versions, pressure, machine).flat_latency_s(cores)
 }
 
 /// Relative latency slack accepted when boosting: the smallest allocation
@@ -155,56 +278,10 @@ pub fn boosted_block_cores(
     cap: u32,
     machine: &MachineConfig,
 ) -> u32 {
-    let cap = cap.min(machine.cores);
-    if cap <= min_cores {
+    if cap.min(machine.cores) <= min_cores {
         return min_cores;
     }
-    let latencies: Vec<(u32, f64)> = (min_cores..=cap)
-        .map(|p| {
-            (
-                p,
-                block_flat_latency_s(model, start, end, versions, pressure, p, machine),
-            )
-        })
-        .collect();
-    let best = latencies
-        .iter()
-        .map(|&(_, l)| l)
-        .fold(f64::INFINITY, f64::min);
-    latencies
-        .iter()
-        .find(|&&(_, l)| l <= best * (1.0 + BOOST_SLACK))
-        .map_or(min_cores, |&(p, _)| p)
-}
-
-/// Chooses the code version for every unit of the model at an interference
-/// level (`adaptive = false` pins the solo-optimal version, i.e. static
-/// compilation).
-#[deprecated(
-    since = "0.1.0",
-    note = "version choice is owned by the compilation layer now: use \
-            veltair_compiler::selector::select_at_level (or a VersionSelector)"
-)]
-#[must_use]
-pub fn versions_at_level(model: &CompiledModel, level: f64, adaptive: bool) -> Vec<usize> {
-    veltair_compiler::selector::select_at_level(model, level, adaptive)
-}
-
-/// Chooses the code version for every unit of the model against the *live*
-/// ambient pressure pair at the expected allocation.
-#[deprecated(
-    since = "0.1.0",
-    note = "version choice is owned by the compilation layer now: use \
-            veltair_compiler::selector::select_for_pressure (or a VersionSelector)"
-)]
-#[must_use]
-pub fn versions_for_pressure(
-    model: &CompiledModel,
-    pressure: Interference,
-    expected_cores: u32,
-    machine: &MachineConfig,
-) -> Vec<usize> {
-    veltair_compiler::selector::select_for_pressure(model, pressure, expected_cores, machine)
+    BlockSweep::new(model, start, end, versions, pressure, machine).boosted(min_cores, cap)
 }
 
 /// Forms the complete block partition of a model for analysis and for the
@@ -310,6 +387,34 @@ mod tests {
             assert!(m.layers[p].core_requirement(versions[p], 0.0) >= avg_c);
             for (layer, &version) in m.layers[1..p].iter().zip(&versions[1..p]) {
                 assert!(layer.core_requirement(version, 0.0) < avg_c);
+            }
+        }
+    }
+
+    #[test]
+    fn one_sweep_serves_the_minimum_and_the_boost() {
+        // plan_block sizes a block's QoS minimum and its boost from one
+        // sweep; the shared ratings must answer like fresh ones.
+        let (m, machine) = compiled();
+        let versions = veltair_compiler::selector::select_at_level(&m, 0.5, true);
+        let pressure = Interference {
+            cache_frac: 0.6,
+            bw_frac: 0.25,
+        };
+        for (start, end) in [(0, 1), (0, 9), (5, m.layers.len())] {
+            let mut sweep = BlockSweep::prevalidated(&m, start, end, &versions, pressure, &machine);
+            let min_cores = sweep.core_requirement();
+            assert_eq!(
+                min_cores,
+                block_core_requirement(&m, start, end, &versions, pressure, &machine)
+            );
+            for cap in [min_cores, 24, machine.cores] {
+                assert_eq!(
+                    sweep.boosted(min_cores, cap),
+                    boosted_block_cores(
+                        &m, start, end, &versions, pressure, min_cores, cap, &machine
+                    )
+                );
             }
         }
     }

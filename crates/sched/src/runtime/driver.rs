@@ -39,6 +39,21 @@ pub enum SimError {
         /// The rejected arrival time, seconds.
         arrival_s: f64,
     },
+    /// A compiled version's kernel profile failed
+    /// [`KernelProfile::validate`](veltair_sim::KernelProfile::validate)
+    /// (e.g. NaN FLOPs). Profiles are checked once, when the simulation
+    /// is built, instead of panicking inside the event loop at their
+    /// first rating.
+    InvalidProfile {
+        /// The model the layer belongs to.
+        model: String,
+        /// Index of the layer (scheduling unit) within the model.
+        layer: usize,
+        /// Index of the code version within the layer.
+        version: usize,
+        /// The violated invariant.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -52,6 +67,17 @@ impl std::fmt::Display for SimError {
             }
             SimError::NonFiniteArrival { arrival_s } => {
                 write!(f, "arrival times must be finite, got {arrival_s}")
+            }
+            SimError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            } => {
+                write!(
+                    f,
+                    "model {model}, layer {layer}, version {version}: invalid kernel profile: {reason}"
+                )
             }
         }
     }
@@ -79,9 +105,10 @@ impl<'a> Driver<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptyWorkload`] if `queries` is empty and
-    /// [`SimError::UnknownModel`] if any query targets a model absent from
-    /// `models`.
+    /// Returns [`SimError::EmptyWorkload`] if `queries` is empty,
+    /// [`SimError::InvalidProfile`] if a compiled kernel profile is
+    /// invalid, and [`SimError::UnknownModel`] if any query targets a
+    /// model absent from `models`.
     pub fn new(
         models: &'a [CompiledModel],
         queries: &[QuerySpec],
@@ -100,9 +127,10 @@ impl<'a> Driver<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownModel`] if any query targets a model
-    /// absent from `models`. An empty `queries` slice is accepted here —
-    /// this constructor also backs [`Driver::open`].
+    /// Returns [`SimError::InvalidProfile`] if a compiled kernel profile
+    /// is invalid and [`SimError::UnknownModel`] if any query targets a
+    /// model absent from `models`. An empty `queries` slice is accepted
+    /// here — this constructor also backs [`Driver::open`].
     pub fn with_dispatcher(
         models: &'a [CompiledModel],
         queries: &[QuerySpec],
@@ -121,11 +149,17 @@ impl<'a> Driver<'a> {
     /// arrives later through [`inject`](Driver::inject). This is the
     /// streaming-session entry point, so an empty event queue here is a
     /// valid idle state, not an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics at construction if a compiled kernel profile is invalid
+    /// (the one error an empty workload can still hit).
+    /// [`Driver::with_dispatcher`] over an empty query slice returns it
+    /// as [`SimError::InvalidProfile`] instead.
     #[must_use]
     pub fn open(models: &'a [CompiledModel], cfg: SimConfig) -> Self {
         let dispatcher = for_policy(cfg.policy);
-        let state = SimState::try_new(models, &[], cfg)
-            .expect("an empty workload has no model references to validate");
+        let state = SimState::try_new(models, &[], cfg).unwrap_or_else(|e| panic!("{e}"));
         Self {
             state,
             dispatcher,
@@ -346,7 +380,7 @@ impl<'a> Driver<'a> {
     /// Number of units currently holding cores.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.state.running.iter().filter(|r| r.active).count()
+        self.state.active_slots().len()
     }
 
     /// Number of queries waiting in the admission queues.

@@ -64,9 +64,9 @@ use veltair_compiler::CompiledModel;
 ///
 /// # Panics
 ///
-/// Panics if a query references a model that was not compiled, or if
-/// `queries` is empty; use [`try_run`] to handle invalid input
-/// gracefully.
+/// Panics if a query references a model that was not compiled, if a
+/// compiled kernel profile is invalid, or if `queries` is empty; use
+/// [`try_run`] to handle invalid input gracefully.
 #[must_use]
 pub fn run(
     models: &[CompiledModel],
@@ -83,7 +83,8 @@ pub fn run(
 /// # Errors
 ///
 /// Returns [`SimError::UnknownModel`] if a query references a model that
-/// was not compiled and [`SimError::EmptyWorkload`] if `queries` is
+/// was not compiled, [`SimError::InvalidProfile`] if a compiled kernel
+/// profile is invalid, and [`SimError::EmptyWorkload`] if `queries` is
 /// empty.
 pub fn try_run(
     models: &[CompiledModel],

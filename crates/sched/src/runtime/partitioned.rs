@@ -21,7 +21,7 @@ pub struct PartitionedDispatcher;
 fn partitions(state: &SimState<'_>) -> Vec<u32> {
     let n = state.models.len();
     let mut has_work = vec![false; n];
-    for r in state.running.iter().filter(|r| r.active) {
+    for r in state.active_units() {
         has_work[state.queries[r.query].model] = true;
     }
     for p in state.continuations.iter().chain(state.arrivals.iter()) {
@@ -75,7 +75,7 @@ impl Dispatcher for PartitionedDispatcher {
     fn dispatch(&mut self, state: &mut SimState<'_>) {
         let parts = partitions(state);
         let mut used = vec![0u32; state.models.len()];
-        for r in state.running.iter().filter(|r| r.active) {
+        for r in state.active_units() {
             used[state.queries[r.query].model] += r.granted;
         }
         let mut blocked = vec![false; state.models.len()];
@@ -96,11 +96,10 @@ impl Dispatcher for PartitionedDispatcher {
             let request = parts[m].max(1);
             if used[m] + request <= parts[m] && request <= state.free_cores {
                 let n_units = state.models[m].layers.len();
-                let versions = state.plan_versions(m, crate::runtime::PressureView::ZERO, request);
-                let begin = state.queries[query].next_unit;
+                state.plan_versions(m, crate::runtime::PressureView::ZERO, request);
                 state.free_cores -= request;
                 used[m] += request;
-                state.start_block(query, n_units, versions[begin..].to_vec(), request, request);
+                state.start_block(query, n_units, request, request);
             } else {
                 state.mark_conflicted(&mut p);
                 blocked[m] = true;

@@ -12,7 +12,7 @@
 
 use super::state::SimState;
 use super::Dispatcher;
-use crate::layer_block::{block_core_requirement, boosted_block_cores, find_first_pivot};
+use crate::layer_block::{find_first_pivot, BlockSweep};
 use crate::policy::{Granularity, Policy};
 
 /// Dispatcher for all spatially shared policies.
@@ -42,7 +42,7 @@ impl Dispatcher for SpatialDispatcher {
                 mark_head_conflicted(state, from_cont);
                 break;
             }
-            let (end, versions, requested) = plan_block(state, query);
+            let (end, requested) = plan_block(state, query);
 
             let fcfs_blocks = matches!(state.cfg.policy.granularity(), Granularity::Model);
             if fcfs_blocks && state.free_cores < requested {
@@ -63,7 +63,7 @@ impl Dispatcher for SpatialDispatcher {
                 state.report.conflicts += 1;
             }
             state.free_cores -= granted;
-            state.start_block(query, end, versions, requested, granted);
+            state.start_block(query, end, requested, granted);
         }
         scavenge_best_effort(state);
     }
@@ -99,23 +99,24 @@ pub(super) fn scavenge_best_effort(state: &mut SimState<'_>) {
     {
         let head = state.best_effort.pop_front().expect("checked non-empty");
         let query = head.query;
-        let (end, versions, requested) = plan_block(state, query);
+        let (end, requested) = plan_block(state, query);
         let granted = requested.min(state.free_cores);
         state.free_cores -= granted;
         // Cap the request at the grant so expansion never triggers.
-        state.start_block(query, end, versions, granted, granted);
+        state.start_block(query, end, granted, granted);
     }
 }
 
 // --- Block planning (Algorithm 2 + Algorithm 3 lines 11-13) ----------------
 
 /// Plans the next block for `query`: how many units, which code versions,
-/// and the core request. Returns `(end_unit, versions, cores)`.
+/// and the core request. Returns `(end_unit, cores)`; the versions stay
+/// on the state as the plan [`SimState::start_block`] runs.
 ///
 /// Takes the state mutably because version choice goes through the
 /// state's [`VersionSelector`](veltair_compiler::selector::VersionSelector)
 /// (via [`SimState::plan_versions`]), and selectors may be stateful.
-pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, Vec<usize>, u32) {
+pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32) {
     let model_index = state.queries[query].model;
     let begin = state.queries[query].next_unit;
     let models = state.models;
@@ -136,15 +137,13 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, Vec<
     // core-allocation decisions bit-identical to a replay run.
     let (pressure, level) = (view.pair, view.level);
     let expected = model.model_core_requirement(level).max(1);
-    let versions = state.plan_versions(model_index, view, expected);
+    state.plan_versions(model_index, view, expected);
+    let versions = state.planned_versions();
     let machine = &state.cfg.machine;
     let n = model.layers.len();
 
     match policy.granularity() {
-        Granularity::Model => {
-            let cores = model.model_core_requirement(level);
-            (n, versions[begin..n].to_vec(), cores)
-        }
+        Granularity::Model => (n, model.model_core_requirement(level)),
         Granularity::Layer => {
             let end = begin + 1;
             let mut cores = model.layers[begin].core_requirement(versions[begin], level);
@@ -157,18 +156,23 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, Vec<
                 let avg_c = model.model_core_requirement(level);
                 cores = cores.min(avg_c.saturating_add(thres).max(1));
             }
-            (end, versions[begin..end].to_vec(), cores)
+            (end, cores)
         }
         Granularity::FixedBlock(k) => {
             let end = (begin + k.max(1)).min(n);
-            let cores = block_core_requirement(model, begin, end, &versions, pressure, machine);
-            (end, versions[begin..end].to_vec(), cores)
+            let mut sweep =
+                BlockSweep::prevalidated(model, begin, end, versions, pressure, machine);
+            (end, sweep.core_requirement())
         }
         Granularity::DynamicBlock => {
             let thres = dynamic_threshold(state, query, level);
             let avg_c = model.model_core_requirement(level);
-            let end = find_first_pivot(model, begin, &versions, level, avg_c, thres).unwrap_or(n);
-            let min_cores = block_core_requirement(model, begin, end, &versions, pressure, machine);
+            let end = find_first_pivot(model, begin, versions, level, avg_c, thres).unwrap_or(n);
+            // One sweep rates each allocation once for both the QoS
+            // minimum and the boost above it.
+            let mut sweep =
+                BlockSweep::prevalidated(model, begin, end, versions, pressure, machine);
+            let min_cores = sweep.core_requirement();
             // Algorithm 2's contract: blocks use no more than
             // `Avg_C + thres` cores. Without this cap, a saturated
             // system feeds back on itself — high monitored interference
@@ -190,11 +194,9 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, Vec<
                 let cap = hard_cap
                     .min(state.free_cores.max(min_cores))
                     .min(machine.cores.saturating_sub(reserve).max(min_cores));
-                boosted_block_cores(
-                    model, begin, end, &versions, pressure, min_cores, cap, machine,
-                )
+                sweep.boosted(min_cores, cap)
             };
-            (end, versions[begin..end].to_vec(), cores)
+            (end, cores)
         }
     }
 }
@@ -226,7 +228,7 @@ fn co_tenant_reserve(state: &SimState<'_>, planning_model: usize) -> u32 {
 fn dynamic_threshold(state: &SimState<'_>, planning_query: usize, level: f64) -> u32 {
     let avg = |model: usize| state.models[model].model_core_requirement(level);
     let mut used: u64 = 0;
-    for r in state.running.iter().filter(|r| r.active) {
+    for r in state.active_units() {
         used += u64::from(avg(state.queries[r.query].model));
     }
     // The planning query itself still sits at the head of a queue;

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use veltair_compiler::selector::{solo_versions, SelectionContext, VersionSelector};
 use veltair_compiler::CompiledModel;
 use veltair_sim::{
-    execute, EventQueue, Execution, Interference, PerfCounters, PressureDemand, SimTime,
+    Execution, Interference, LatencyModel, PerfCounters, PressureDemand, SimTime, SplitEventQueue,
     UnitProgress,
 };
 use veltair_telemetry::{TraceEventKind, TraceSink};
@@ -22,13 +22,18 @@ use veltair_telemetry::{TraceEventKind, TraceSink};
 use super::driver::SimError;
 use super::monitor::{self, Monitor, PressureView, ProjectionInputs};
 use super::Dispatcher;
-use crate::report::ServingReport;
+use crate::report::{ModelStats, ServingReport};
 use crate::simulator::SimConfig;
 use crate::workload::QuerySpec;
 
 /// Maximum Jacobi sweeps when converging the demand<->latency fixed point
-/// after a co-location change. The coupling is a contraction in practice;
-/// the cap only guards against pathological oscillation.
+/// after a co-location change. The cap binds often: on the four-model
+/// overload mix it ends about 40 % of Planaria's refreshes, 30 % of
+/// Veltair-AS's and 18-19 % of AC's and FULL's, and 44-48 % of Planaria's
+/// capped refreshes are exact period-2 cycles (co-runners trading cache
+/// share back and forth), which no number of further sweeps would
+/// settle. Raising or removing the cap therefore changes results, not
+/// just speed.
 const MAX_REFRESH_SWEEPS: usize = 8;
 
 /// Relative latency change below which an in-flight unit is not re-rated.
@@ -114,10 +119,16 @@ pub struct SimState<'a> {
     pub queries: Vec<QueryState>,
     /// Slot-indexed in-flight units (slots are recycled via `free_slots`).
     pub running: Vec<Running>,
-    /// Recycled `running` slots.
+    /// Recycled `running` slots, reused last-in first-out.
     pub free_slots: Vec<usize>,
-    /// The deterministic event queue driving the simulation.
-    pub events: EventQueue<Event>,
+    /// The active slots of `running`, ascending: every per-unit pass
+    /// walks this instead of skipping recycled slots, in the same
+    /// ascending-slot order (so every sum over co-runners keeps its
+    /// association order).
+    active: Vec<usize>,
+    /// The deterministic event queue driving the simulation: arrivals in
+    /// its external heap, unit checks in its internal one.
+    pub events: SplitEventQueue<Event>,
     /// Current simulation time.
     pub now: SimTime,
     last_advance: SimTime,
@@ -153,6 +164,15 @@ pub struct SimState<'a> {
     /// stateful) at every block-planning decision of an
     /// adaptive-compilation policy via [`SimState::plan_versions`].
     pub selector: Box<dyn VersionSelector>,
+    /// The solo-optimal versions of every model, computed once: what
+    /// every non-adaptive plan runs.
+    solo_plans: Vec<Vec<usize>>,
+    /// The versions of the last [`SimState::plan_versions`] call, one per
+    /// unit of the planned model. [`SimState::start_block`] copies the
+    /// started block's slice into its slot.
+    plan: Vec<usize>,
+    /// The two most recent ratings of each slot, indexed like `running`.
+    recent_ratings: Vec<RecentRatings>,
     /// Scratch for [`SimState::refresh_conditions`]'s per-slot changed
     /// flags, reused across calls so the re-rating fixed point allocates
     /// nothing on the hot path (one refresh runs per material event).
@@ -196,9 +216,9 @@ impl<'a> SimState<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if a query references a model that was not compiled, or if
-    /// `queries` is empty. Use [`SimState::try_new`] to handle invalid
-    /// input gracefully.
+    /// Panics if a query references a model that was not compiled, if a
+    /// compiled kernel profile is invalid, or if `queries` is empty. Use
+    /// [`SimState::try_new`] to handle invalid input gracefully.
     #[must_use]
     pub fn new(models: &'a [CompiledModel], queries: &[QuerySpec], cfg: &SimConfig) -> Self {
         assert!(!queries.is_empty(), "cannot simulate an empty query stream");
@@ -206,7 +226,11 @@ impl<'a> SimState<'a> {
     }
 
     /// Builds the initial state and schedules every arrival, validating
-    /// that each query targets a compiled model.
+    /// every compiled kernel profile and that each query targets a
+    /// compiled model.
+    ///
+    /// Profiles are checked here, once, so the event loop rates through
+    /// [`LatencyModel::prevalidated`] and never re-checks them.
     ///
     /// An empty `queries` slice is accepted: a streaming
     /// [`Driver`](super::Driver) starts with no closed workload and feeds
@@ -215,13 +239,16 @@ impl<'a> SimState<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownModel`] if a query references a model
-    /// that is not in `models`.
+    /// Returns [`SimError::InvalidProfile`] if a compiled version's
+    /// profile fails [`KernelProfile::validate`](veltair_sim::KernelProfile::validate),
+    /// and [`SimError::UnknownModel`] if a query references a model that
+    /// is not in `models`.
     pub fn try_new(
         models: &'a [CompiledModel],
         queries: &[QuerySpec],
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
+        validate_profiles(models)?;
         let free_cores = cfg.machine.cores;
         let monitor = monitor::for_config(&cfg);
         let selector = cfg.selector.build();
@@ -231,7 +258,8 @@ impl<'a> SimState<'a> {
             queries: Vec::with_capacity(queries.len()),
             running: Vec::new(),
             free_slots: Vec::new(),
-            events: EventQueue::new(),
+            active: Vec::new(),
+            events: SplitEventQueue::new(),
             now: SimTime::ZERO,
             last_advance: SimTime::ZERO,
             busy_anchor: SimTime::ZERO,
@@ -246,6 +274,9 @@ impl<'a> SimState<'a> {
             removed: 0,
             monitor,
             selector,
+            solo_plans: models.iter().map(solo_versions).collect(),
+            plan: Vec::new(),
+            recent_ratings: Vec::new(),
             refresh_changed: Vec::new(),
             refresh_updates: Vec::new(),
             trace: None,
@@ -319,7 +350,7 @@ impl<'a> SimState<'a> {
             finish: None,
             removed: false,
         });
-        self.events.push(event_time, Event::Arrival(id));
+        self.events.push_external(event_time, Event::Arrival(id));
         Ok(id)
     }
 
@@ -342,10 +373,9 @@ impl<'a> SimState<'a> {
         }
         let dt = t.since(self.last_advance);
         if dt > 0.0 {
-            for r in &mut self.running {
-                if r.active {
-                    r.progress.advance(dt, r.exec.latency_s);
-                }
+            for &slot in &self.active {
+                let r = &mut self.running[slot];
+                r.progress.advance(dt, r.exec.latency_s);
             }
             self.last_advance = t;
         }
@@ -445,10 +475,24 @@ impl<'a> SimState<'a> {
     /// queue entry at a time and the sum counts each query once.
     #[must_use]
     pub fn in_system(&self) -> usize {
-        self.continuations.len()
-            + self.arrivals.len()
-            + self.best_effort.len()
-            + self.running.iter().filter(|r| r.active).count()
+        self.continuations.len() + self.arrivals.len() + self.best_effort.len() + self.active.len()
+    }
+
+    /// The slots of `running` that hold live work, ascending.
+    pub(crate) fn active_slots(&self) -> &[usize] {
+        &self.active
+    }
+
+    /// The units holding live work, in ascending slot order.
+    pub(crate) fn active_units(&self) -> impl Iterator<Item = &Running> + '_ {
+        self.active.iter().map(|&slot| &self.running[slot])
+    }
+
+    /// The co-runners the monitor observes: active units that are not
+    /// about to finish (the paper's soon-to-finish rule, §4.3).
+    fn monitored_units(&self) -> impl Iterator<Item = &Running> + '_ {
+        self.active_units()
+            .filter(|r| r.progress.remaining_frac >= self.cfg.soon_finish_frac)
     }
 
     /// Co-runner pressure from the perspective of a new or planning tenant:
@@ -456,12 +500,7 @@ impl<'a> SimState<'a> {
     /// soon-to-finish rule, §4.3), as estimated by the configured monitor.
     #[must_use]
     pub fn monitored(&self) -> (Interference, f64) {
-        let corunners: Vec<&Execution> = self
-            .running
-            .iter()
-            .filter(|r| r.active && r.progress.remaining_frac >= self.cfg.soon_finish_frac)
-            .map(|r| &r.exec)
-            .collect();
+        let corunners: Vec<&Execution> = self.monitored_units().map(|r| &r.exec).collect();
         self.monitor.observe(&corunners, &self.cfg.machine)
     }
 
@@ -493,40 +532,54 @@ impl<'a> SimState<'a> {
     /// the tenants cannot generate (see [`monitor::project`]).
     #[must_use]
     pub fn projected(&self) -> PressureView {
-        let (pair, level) = self.monitored();
         let machine = &self.cfg.machine;
         let total_cores = machine.cores;
-        let monitored =
-            |r: &&Running| r.active && r.progress.remaining_frac >= self.cfg.soon_finish_frac;
-        let occupied_cores: u32 = self
-            .running
+        let monitored: Vec<&Running> = self.monitored_units().collect();
+        // The snapshot's co-runners, later extended by the phantoms into
+        // the packed set the ceiling observes.
+        let mut packed_set: Vec<&Execution> = monitored.iter().map(|r| &r.exec).collect();
+        let (pair, level) = self.monitor.observe(&packed_set, machine);
+        let occupied_cores: u32 = monitored.iter().map(|r| r.granted).sum();
+        let backlog_cores: u64 = self
+            .continuations
             .iter()
-            .filter(monitored)
-            .map(|r| r.granted)
+            .chain(self.arrivals.iter())
+            .map(|p| {
+                let model = &self.models[self.queries[p.query].model];
+                u64::from(model.model_core_requirement(level).max(1))
+            })
             .sum();
-        let mut backlog_cores: u64 = 0;
-        // The phantom blueprint: queued units first (the real joiners),
-        // then the already-resident mix for cycling once the queue is
-        // exhausted before the machine is full.
-        let mut blueprint: Vec<(usize, usize)> = Vec::new();
-        for p in self.continuations.iter().chain(self.arrivals.iter()) {
-            let q = &self.queries[p.query];
-            let model = &self.models[q.model];
-            backlog_cores += u64::from(model.model_core_requirement(level).max(1));
-            blueprint.push((q.model, q.next_unit));
-        }
         if backlog_cores == 0 && occupied_cores == 0 || self.cfg.projection.saturation_weight <= 0.0
         {
             return PressureView::instantaneous(pair, level);
         }
-        for r in self.running.iter().filter(monitored) {
-            blueprint.push((self.queries[r.query].model, r.unit));
-        }
-        let mut phantoms: Vec<Execution> = Vec::new();
+        // The phantom blueprint: queued units first (the real joiners),
+        // then the already-resident mix for cycling once the queue is
+        // exhausted before the machine is full.
+        let queue_len = self.continuations.len() + self.arrivals.len();
+        let blueprint_len = queue_len + monitored.len();
+        let blueprint = |i: usize| {
+            if i < queue_len {
+                let p = if i < self.continuations.len() {
+                    &self.continuations[i]
+                } else {
+                    &self.arrivals[i - self.continuations.len()]
+                };
+                let q = &self.queries[p.query];
+                (q.model, q.next_unit)
+            } else {
+                let r = monitored[i - queue_len];
+                (self.queries[r.query].model, r.unit)
+            }
+        };
+        // The level and every model's core request are fixed within one
+        // call, so a phantom's rating depends only on its (model, unit):
+        // repeats copy the first rating.
+        let mut phantoms: Vec<((usize, usize), Execution)> = Vec::new();
         let mut packed = occupied_cores;
         let mut next = 0usize;
-        while !blueprint.is_empty() && packed < total_cores {
-            let (model_index, unit) = blueprint[next % blueprint.len()];
+        while blueprint_len > 0 && packed < total_cores {
+            let (model_index, unit) = blueprint(next % blueprint_len);
             let model = &self.models[model_index];
             let req = model
                 .model_core_requirement(level)
@@ -534,27 +587,28 @@ impl<'a> SimState<'a> {
             if packed + req > total_cores {
                 break;
             }
-            let layer = &model.layers[unit.min(model.layers.len() - 1)];
-            let version = layer.version_for(level, req);
-            phantoms.push(execute(
-                &layer.versions[version].profile,
-                req,
-                Interference::level(level),
-                machine,
-            ));
+            let key = (model_index, unit.min(model.layers.len() - 1));
+            let exec = match phantoms.iter().find(|(k, _)| *k == key) {
+                Some(&(_, exec)) => exec,
+                None => {
+                    let layer = &model.layers[key.1];
+                    let version = layer.version_for(level, req);
+                    LatencyModel::prevalidated(
+                        &layer.versions[version].profile,
+                        Interference::level(level),
+                        machine,
+                    )
+                    .execute(req)
+                }
+            };
+            phantoms.push((key, exec));
             packed += req;
             next += 1;
         }
         let (ceiling, ceiling_level) = if phantoms.is_empty() {
             (pair, level)
         } else {
-            let mut packed_set: Vec<&Execution> = self
-                .running
-                .iter()
-                .filter(monitored)
-                .map(|r| &r.exec)
-                .collect();
-            packed_set.extend(phantoms.iter());
+            packed_set.extend(phantoms.iter().map(|(_, exec)| exec));
             self.monitor.observe(&packed_set, machine)
         };
         monitor::project(
@@ -577,12 +631,48 @@ impl<'a> SimState<'a> {
     #[must_use]
     pub fn interference_for(&self, slot: usize) -> Interference {
         let demands = self
-            .running
+            .active
             .iter()
-            .enumerate()
-            .filter(|(i, r)| *i != slot && r.active)
-            .map(|(_, r)| &r.exec.demand);
+            .filter(|&&other| other != slot)
+            .map(|&other| &self.running[other].exec.demand);
         Interference::from_corunners(demands, &self.cfg.machine)
+    }
+
+    /// Rates `version` of layer `unit` of `model` on `cores` cores under
+    /// `interference`. Every profile passed validation in
+    /// [`SimState::try_new`], so this skips the per-rating check.
+    fn rate(
+        &self,
+        model: usize,
+        unit: usize,
+        version: usize,
+        cores: u32,
+        interference: Interference,
+    ) -> Execution {
+        let profile = &self.models[model].layers[unit].versions[version].profile;
+        LatencyModel::prevalidated(profile, interference, &self.cfg.machine).execute(cores)
+    }
+
+    /// Rates the current unit of `slot` on its grant under
+    /// `interference`, reusing the slot's recent rating of exactly these
+    /// inputs when there is one.
+    fn rate_slot(&mut self, slot: usize, interference: Interference) -> Execution {
+        let r = &self.running[slot];
+        let key = RatingKey {
+            query: r.query,
+            unit: r.unit,
+            version: r.versions[r.unit - r.start],
+            cores: r.granted,
+            cache_bits: interference.cache_frac.to_bits(),
+            bw_bits: interference.bw_frac.to_bits(),
+        };
+        if let Some(exec) = self.recent_ratings[slot].get(&key) {
+            return exec;
+        }
+        let model = self.queries[key.query].model;
+        let exec = self.rate(model, key.unit, key.version, key.cores, interference);
+        self.recent_ratings[slot].insert(key, exec);
+        exec
     }
 
     // --- Version selection --------------------------------------------------
@@ -602,13 +692,11 @@ impl<'a> SimState<'a> {
     /// the runtime — every dispatcher family plans through it, so
     /// swapping `cfg.selector` swaps the adaptive-compilation behaviour
     /// of the whole simulation.
-    #[must_use]
-    pub fn plan_versions(
-        &mut self,
-        model_index: usize,
-        view: PressureView,
-        expected_cores: u32,
-    ) -> Vec<usize> {
+    ///
+    /// The plan stays on the state: [`SimState::planned_versions`] reads
+    /// it, and [`SimState::start_block`] runs a block of it. Static plans
+    /// are computed once per model, so they cost a copy, not a selection.
+    pub fn plan_versions(&mut self, model_index: usize, view: PressureView, expected_cores: u32) {
         let models = self.models;
         let model = &models[model_index];
         self.last_plan_level = view.projected_level;
@@ -622,26 +710,38 @@ impl<'a> SimState<'a> {
                 now_s: self.now.0,
                 expected_cores,
             };
-            self.selector.select(model, &ctx, &self.cfg.machine)
+            self.plan = self.selector.select(model, &ctx, &self.cfg.machine);
         } else {
-            solo_versions(model)
+            self.plan.clear();
+            self.plan.extend_from_slice(&self.solo_plans[model_index]);
         }
+    }
+
+    /// The versions the last [`SimState::plan_versions`] call chose, one
+    /// per unit of the planned model.
+    #[must_use]
+    pub fn planned_versions(&self) -> &[usize] {
+        &self.plan
     }
 
     // --- Unit lifecycle -----------------------------------------------------
 
     /// Starts a block of units for `query` on `granted` cores, arming its
-    /// first completion check.
-    pub fn start_block(
-        &mut self,
-        query: usize,
-        end: usize,
-        versions: Vec<usize>,
-        requested: u32,
-        granted: u32,
-    ) {
+    /// first completion check. The block runs units `[next_unit, end)` of
+    /// the query's model at the versions of the last
+    /// [`SimState::plan_versions`] call, which must have planned that
+    /// model.
+    pub fn start_block(&mut self, query: usize, end: usize, requested: u32, granted: u32) {
         assert!(granted >= 1, "blocks always start with at least one core");
         let start = self.queries[query].next_unit;
+        let model_index = self.queries[query].model;
+        let models = self.models;
+        let model = &models[model_index];
+        assert_eq!(
+            self.plan.len(),
+            model.layers.len(),
+            "start_block runs the last plan, which must be for the query's model"
+        );
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.running.push(Running {
                 query: 0,
@@ -661,44 +761,33 @@ impl<'a> SimState<'a> {
                 active: false,
                 expansions: 0,
             });
+            self.recent_ratings.push(RecentRatings::default());
             self.running.len() - 1
         });
 
         self.report.dispatches += 1;
-        let machine = &self.cfg.machine;
-        let model = &self.models[self.queries[query].model];
-        let version = versions[0];
-        let interference = self.interference_for(slot);
-        let exec = execute(
-            &model.layers[start].versions[version].profile,
-            granted,
-            interference,
-            machine,
-        );
+        let r = &mut self.running[slot];
+        r.query = query;
+        r.end = end;
+        r.unit = start;
+        r.start = start;
+        r.versions.clear();
+        r.versions.extend_from_slice(&self.plan[start..end]);
+        r.requested = requested;
+        r.granted = granted;
+        let exec = self.rate_slot(slot, self.interference_for(slot));
         // Solo ratings for SLO attribution, recorded only while traced:
         // the same pure rating function under zero interference, for the
         // chosen version and for the best version of this layer — the
         // interference-excess and version-choice terms of
         // `TraceLog::explain` fall out of the difference.
-        let trace_solo = if self.trace_enabled {
-            let layer = &model.layers[start];
-            let solo_s = execute(
-                &layer.versions[version].profile,
-                granted,
-                Interference::NONE,
-                machine,
-            )
-            .latency_s;
-            let solo_best_s = layer
-                .versions
-                .iter()
-                .map(|v| execute(&v.profile, granted, Interference::NONE, machine).latency_s)
+        if self.trace_enabled {
+            let version = self.plan[start];
+            let solo = |v: usize| self.rate(model_index, start, v, granted, Interference::NONE);
+            let solo_s = solo(version).latency_s;
+            let solo_best_s = (0..model.layers[start].versions.len())
+                .map(|v| solo(v).latency_s)
                 .fold(f64::INFINITY, f64::min);
-            Some((solo_s, solo_best_s))
-        } else {
-            None
-        };
-        if let Some((solo_s, solo_best_s)) = trace_solo {
             self.trace_record(TraceEventKind::Dispatched {
                 query: query as u64,
                 unit: start as u32,
@@ -709,25 +798,18 @@ impl<'a> SimState<'a> {
                 solo_best_s,
             });
         }
-        // Re-borrow after the trace emission (which takes `&mut self`).
-        let machine = &self.cfg.machine;
         let r = &mut self.running[slot];
-        r.query = query;
-        r.end = end;
-        r.unit = start;
-        r.start = start;
-        r.versions = versions;
-        r.requested = requested;
-        r.granted = granted;
-        r.progress = UnitProgress::fresh(machine.unit_dispatch_overhead_s(granted));
+        r.progress = UnitProgress::fresh(self.cfg.machine.unit_dispatch_overhead_s(granted));
         r.exec = exec;
         r.gen += 1;
         r.active = true;
         r.expansions = 0;
         let gen = r.gen;
         let eta = r.progress.eta_s(r.exec.latency_s);
+        let at = self.active.partition_point(|&s| s < slot);
+        self.active.insert(at, slot);
         self.events
-            .push(self.now.after(eta), Event::UnitCheck { slot, gen });
+            .push_internal(self.now.after(eta), Event::UnitCheck { slot, gen });
     }
 
     /// Tile-wise expansion: grant freed cores to under-allocated units,
@@ -736,12 +818,12 @@ impl<'a> SimState<'a> {
         if self.free_cores == 0 {
             return;
         }
-        for slot in 0..self.running.len() {
+        for &slot in &self.active {
             if self.free_cores == 0 {
                 break;
             }
             let r = &mut self.running[slot];
-            if !r.active || r.granted >= r.requested {
+            if r.granted >= r.requested {
                 continue;
             }
             let added = (r.requested - r.granted).min(self.free_cores);
@@ -772,7 +854,7 @@ impl<'a> SimState<'a> {
             r.gen += 1;
             let eta = r.progress.eta_s(r.exec.latency_s);
             let (gen, t) = (r.gen, self.now.after(eta.max(1e-9)));
-            self.events.push(t, Event::UnitCheck { slot, gen });
+            self.events.push_internal(t, Event::UnitCheck { slot, gen });
             return false;
         }
 
@@ -801,23 +883,15 @@ impl<'a> SimState<'a> {
 
         if next_unit < block_end {
             // Next unit of the same block, same allocation.
-            let machine = &self.cfg.machine;
-            let model = &self.models[self.queries[query].model];
-            let interference = self.interference_for(slot);
+            let exec = self.rate_slot(slot, self.interference_for(slot));
             let r = &mut self.running[slot];
-            let version = r.versions[next_unit - r.start];
-            r.exec = execute(
-                &model.layers[next_unit].versions[version].profile,
-                r.granted,
-                interference,
-                machine,
-            );
+            r.exec = exec;
             r.progress
-                .restart(machine.unit_dispatch_overhead_s(r.granted));
+                .restart(self.cfg.machine.unit_dispatch_overhead_s(r.granted));
             r.gen += 1;
             let eta = r.progress.eta_s(r.exec.latency_s);
             let (gen, t) = (r.gen, self.now.after(eta));
-            self.events.push(t, Event::UnitCheck { slot, gen });
+            self.events.push_internal(t, Event::UnitCheck { slot, gen });
             return true;
         }
 
@@ -847,6 +921,9 @@ impl<'a> SimState<'a> {
         self.free_cores += r.granted;
         r.granted = 0;
         self.free_slots.push(slot);
+        let at = self.active.partition_point(|&s| s < slot);
+        debug_assert_eq!(self.active.get(at), Some(&slot), "released an idle slot");
+        self.active.remove(at);
     }
 
     /// Records a finished query in the report.
@@ -857,7 +934,17 @@ impl<'a> SimState<'a> {
         let model_index = st.model;
         let model = &self.models[model_index];
         let qos_s = model.qos_s;
-        let stats = self.report.per_model.entry(model.name.clone()).or_default();
+        // The name is cloned only for a model's first completion.
+        if !self.report.per_model.contains_key(&model.name) {
+            self.report
+                .per_model
+                .insert(model.name.clone(), ModelStats::default());
+        }
+        let stats = self
+            .report
+            .per_model
+            .get_mut(&model.name)
+            .expect("inserted above");
         stats.queries += 1;
         if latency <= model.qos_s {
             stats.satisfied += 1;
@@ -896,7 +983,6 @@ impl<'a> SimState<'a> {
     /// sweep per event — keeps the event queue from ping-ponging between
     /// coupled units, which livelocks the simulation under overload.
     pub fn refresh_conditions(&mut self) {
-        let machine = self.cfg.machine.clone();
         // Scratch reuse: refresh runs once per material event, so the
         // changed-flag and update buffers live on the state and are
         // cleared, never reallocated (allocation audit of `Driver::step`).
@@ -908,25 +994,13 @@ impl<'a> SimState<'a> {
             let mut max_rel = 0.0_f64;
             // Jacobi sweep: all new ratings computed from current demands.
             updates.clear();
-            updates.extend(
-                (0..self.running.len())
-                    .filter(|&slot| self.running[slot].active)
-                    .map(|slot| {
-                        let interference = self.interference_for(slot);
-                        let r = &self.running[slot];
-                        let model = &self.models[self.queries[r.query].model];
-                        let version = r.versions[r.unit - r.start];
-                        let exec = execute(
-                            &model.layers[r.unit].versions[version].profile,
-                            r.granted,
-                            interference,
-                            &machine,
-                        );
-                        let rel =
-                            (exec.latency_s - r.exec.latency_s).abs() / r.exec.latency_s.max(1e-12);
-                        (slot, exec, rel)
-                    }),
-            );
+            for i in 0..self.active.len() {
+                let slot = self.active[i];
+                let exec = self.rate_slot(slot, self.interference_for(slot));
+                let old = self.running[slot].exec.latency_s;
+                let rel = (exec.latency_s - old).abs() / old.max(1e-12);
+                updates.push((slot, exec, rel));
+            }
             for (slot, exec, rel) in updates.drain(..) {
                 if rel > REFRESH_TOL {
                     self.running[slot].exec = exec;
@@ -938,15 +1012,15 @@ impl<'a> SimState<'a> {
                 break;
             }
         }
-        for (slot, was_changed) in changed.iter().copied().enumerate() {
-            if !was_changed || !self.running[slot].active {
+        for &slot in &self.active {
+            if !changed[slot] {
                 continue;
             }
             let r = &mut self.running[slot];
             r.gen += 1;
             let eta = r.progress.eta_s(r.exec.latency_s);
             let (gen, t) = (r.gen, self.now.after(eta.max(1e-9)));
-            self.events.push(t, Event::UnitCheck { slot, gen });
+            self.events.push_internal(t, Event::UnitCheck { slot, gen });
         }
         self.refresh_changed = changed;
         self.refresh_updates = updates;
@@ -1050,14 +1124,14 @@ impl<'a> SimState<'a> {
     /// the query's driver-local index with its spec so identity survives
     /// the reroute.
     pub fn halt(&mut self) -> Vec<(usize, QuerySpec)> {
-        while self.events.pop().is_some() {}
+        self.events.clear();
         self.continuations.clear();
         self.arrivals.clear();
         self.best_effort.clear();
-        for slot in 0..self.running.len() {
-            if self.running[slot].active {
-                self.release_slot(slot);
-            }
+        // Ascending release order: `free_slots` then hands slots out in
+        // the same order it always has.
+        while let Some(&slot) = self.active.first() {
+            self.release_slot(slot);
         }
         let models = self.models;
         let mut specs = Vec::new();
@@ -1077,5 +1151,61 @@ impl<'a> SimState<'a> {
         }
         self.removed += newly_removed;
         specs
+    }
+}
+
+/// Checks every compiled version's kernel profile, so the event loop can
+/// rate without re-checking.
+fn validate_profiles(models: &[CompiledModel]) -> Result<(), SimError> {
+    for model in models {
+        for (layer_index, layer) in model.layers.iter().enumerate() {
+            for (version, v) in layer.versions.iter().enumerate() {
+                v.profile
+                    .validate()
+                    .map_err(|reason| SimError::InvalidProfile {
+                        model: model.name.clone(),
+                        layer: layer_index,
+                        version,
+                        reason,
+                    })?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Everything one rating of a slot reads besides the fixed registry and
+/// machine: the unit, its version and grant, and the interference, bit
+/// for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RatingKey {
+    query: usize,
+    unit: usize,
+    version: usize,
+    cores: u32,
+    cache_bits: u64,
+    bw_bits: u64,
+}
+
+/// A slot's two most recent ratings. The re-rating fixed point often ends
+/// in a period-2 cycle (two co-runners trading cache share), and its first
+/// sweep re-reads the rating a unit transition has just made; both find
+/// their rating here instead of evaluating the roofline again.
+#[derive(Debug, Clone, Copy, Default)]
+struct RecentRatings([Option<(RatingKey, Execution)>; 2]);
+
+impl RecentRatings {
+    fn get(&self, key: &RatingKey) -> Option<Execution> {
+        self.0
+            .iter()
+            .flatten()
+            .find(|(k, _)| k == key)
+            .map(|&(_, exec)| exec)
+    }
+
+    /// Records a rating, dropping the older of the two kept.
+    fn insert(&mut self, key: RatingKey, exec: Execution) {
+        self.0[1] = self.0[0];
+        self.0[0] = Some((key, exec));
     }
 }

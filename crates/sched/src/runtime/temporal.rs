@@ -69,7 +69,7 @@ impl Dispatcher for TemporalDispatcher {
     }
 
     fn dispatch(&mut self, state: &mut SimState<'_>) {
-        if state.running.iter().any(|r| r.active) {
+        if !state.active_slots().is_empty() {
             return;
         }
         // Merge continuations and arrivals; neither temporal baseline has
@@ -122,10 +122,10 @@ impl Dispatcher for TemporalDispatcher {
         // `Driver::with_dispatcher` pairing with an adaptive-compilation
         // policy consults the configured selector at zero observed
         // pressure instead, the uniform behaviour of the redesigned API.
-        let versions = state.plan_versions(model_index, crate::runtime::PressureView::ZERO, cores);
+        state.plan_versions(model_index, crate::runtime::PressureView::ZERO, cores);
         let end = if layer_granular { begin + 1 } else { n };
         state.free_cores = 0;
-        state.start_block(query, end, versions[begin..end].to_vec(), cores, cores);
+        state.start_block(query, end, cores, cores);
     }
 
     fn should_yield(&self, state: &SimState<'_>, slot: usize) -> bool {

@@ -110,9 +110,9 @@ impl SimConfig {
 ///
 /// # Panics
 ///
-/// Panics if a query references a model that was not compiled, or if
-/// `queries` is empty; use [`try_simulate`] to handle invalid input
-/// gracefully.
+/// Panics if a query references a model that was not compiled, if a
+/// compiled kernel profile is invalid, or if `queries` is empty; use
+/// [`try_simulate`] to handle invalid input gracefully.
 #[must_use]
 pub fn simulate(models: &[CompiledModel], queries: &[QuerySpec], cfg: &SimConfig) -> ServingReport {
     let dispatcher = runtime::for_policy(cfg.policy);
@@ -125,7 +125,8 @@ pub fn simulate(models: &[CompiledModel], queries: &[QuerySpec], cfg: &SimConfig
 /// # Errors
 ///
 /// Returns [`SimError::UnknownModel`] if a query references a model that
-/// was not compiled and [`SimError::EmptyWorkload`] if `queries` is
+/// was not compiled, [`SimError::InvalidProfile`] if a compiled kernel
+/// profile is invalid, and [`SimError::EmptyWorkload`] if `queries` is
 /// empty.
 pub fn try_simulate(
     models: &[CompiledModel],
@@ -144,8 +145,8 @@ pub fn try_simulate(
 ///
 /// # Panics
 ///
-/// Panics if a query references a model that was not compiled, or if
-/// `queries` is empty.
+/// Panics if a query references a model that was not compiled, if a
+/// compiled kernel profile is invalid, or if `queries` is empty.
 #[must_use]
 pub fn simulate_with_dispatcher(
     models: &[CompiledModel],

@@ -8,7 +8,7 @@
 //! open-loop `inject`/`set_policy` sequences must be deterministic.
 
 use veltair_compiler::{compile_model, CompiledModel, CompilerOptions};
-use veltair_sched::runtime::Driver;
+use veltair_sched::runtime::{for_policy, try_run, Driver};
 use veltair_sched::{
     simulate, try_simulate, Policy, QuerySpec, ServingReport, SimConfig, SimError, WorkloadSpec,
 };
@@ -237,6 +237,61 @@ fn driver_construction_reports_typed_errors() {
         }),
         Err(SimError::UnknownModel { .. })
     ));
+}
+
+/// The pair with one version of tiny_yolo_v2's third layer corrupted:
+/// NaN FLOPs. Nothing rates that version until a query reaches the layer
+/// under a plan that picks it, so only an up-front check catches it.
+fn pair_with_nan_flops() -> Vec<CompiledModel> {
+    let mut models = compiled_pair();
+    let layer = &mut models[1].layers[2];
+    let version = layer.versions.len() - 1;
+    layer.versions[version].profile.flops = f64::NAN;
+    models
+}
+
+#[test]
+fn invalid_kernel_profiles_are_typed_errors_at_construction() {
+    let models = pair_with_nan_flops();
+    let version = models[1].layers[2].versions.len() - 1;
+    let cfg = SimConfig::new(machine(), Policy::VeltairFull);
+    // The corrupt model never even receives a query: profiles are
+    // checked when the simulation is built, not when first rated.
+    let queries = WorkloadSpec::single("mobilenet_v2", 20.0, 5).generate(3);
+    let expected = SimError::InvalidProfile {
+        model: "tiny_yolo_v2".into(),
+        layer: 2,
+        version,
+        reason: "kernel profile fields must be finite and non-negative".into(),
+    };
+
+    assert_eq!(
+        Driver::new(&models, &queries, cfg.clone()).err(),
+        Some(expected.clone())
+    );
+    assert_eq!(
+        Driver::with_dispatcher(&models, &[], cfg.clone(), for_policy(cfg.policy)).err(),
+        Some(expected.clone())
+    );
+    assert_eq!(try_simulate(&models, &queries, &cfg), Err(expected.clone()));
+    assert_eq!(
+        try_run(&models, &queries, &cfg, for_policy(cfg.policy)).err(),
+        Some(expected.clone())
+    );
+    assert_eq!(
+        expected.to_string(),
+        format!(
+            "model tiny_yolo_v2, layer 2, version {version}: invalid kernel profile: \
+             kernel profile fields must be finite and non-negative"
+        )
+    );
+}
+
+#[test]
+#[should_panic(expected = "invalid kernel profile")]
+fn open_driver_panics_at_construction_on_an_invalid_profile() {
+    let models = pair_with_nan_flops();
+    let _ = Driver::open(&models, SimConfig::new(machine(), Policy::VeltairFull));
 }
 
 #[test]

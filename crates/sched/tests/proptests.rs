@@ -5,7 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use veltair_sched::WorkloadSpec;
+use veltair_compiler::selector::select_at_level;
+use veltair_compiler::{compile_model, CompiledModel, CompilerOptions, QOS_PLAN_MARGIN};
+use veltair_sched::layer_block::{block_flat_latency_s, boosted_block_cores};
+use veltair_sched::{block_core_requirement, WorkloadSpec};
+use veltair_sim::{execute, Interference, MachineConfig};
 
 const CASES: usize = 128;
 
@@ -73,5 +77,87 @@ fn uniform_streams_are_exactly_spaced() {
             let gap = pair[1].arrival.since(pair[0].arrival);
             assert!((gap - dt).abs() < 1e-9);
         }
+    }
+}
+
+/// The block's flat latency on `cores` cores, rated from scratch: the
+/// plain per-core-count scan Algorithm 2's sizing must reproduce.
+fn scan_flat_latency_s(
+    model: &CompiledModel,
+    (start, end): (usize, usize),
+    versions: &[usize],
+    pressure: Interference,
+    cores: u32,
+    machine: &MachineConfig,
+) -> f64 {
+    (start..end)
+        .map(|i| {
+            let profile = &model.layers[i].versions[versions[i]].profile;
+            execute(profile, cores, pressure, machine).latency_s + machine.dispatch_overhead_s
+        })
+        .sum()
+}
+
+#[test]
+fn one_sweep_block_sizing_matches_a_per_core_count_scan() {
+    let machine = MachineConfig::threadripper_3990x();
+    let model = compile_model(
+        &veltair_models::googlenet(),
+        &machine,
+        &CompilerOptions::fast(),
+    );
+    let n = model.layers.len();
+    let mut rng = StdRng::seed_from_u64(0x5c4ed05);
+    for _ in 0..CASES / 4 {
+        let start = rng.gen_range(0..n);
+        let block = (start, rng.gen_range(start + 1..n + 1));
+        let versions =
+            select_at_level(&model, rng.gen_range(0.0f64..1.0), rng.gen_range(0..2) == 0);
+        let pressure = Interference {
+            cache_frac: rng.gen_range(0.0f64..1.0),
+            bw_frac: rng.gen_range(0.0f64..1.0),
+        };
+        let flat: Vec<f64> = (1..=machine.cores)
+            .map(|p| scan_flat_latency_s(&model, block, &versions, pressure, p, &machine))
+            .collect();
+        let at = |p: u32| flat[p as usize - 1];
+
+        let budget = model.layers[block.0..block.1]
+            .iter()
+            .map(|l| l.qos_share_s)
+            .sum::<f64>()
+            * QOS_PLAN_MARGIN;
+        let min_cores = (1..=machine.cores)
+            .find(|&p| at(p) <= budget)
+            .unwrap_or(machine.cores);
+        assert_eq!(
+            block_core_requirement(&model, block.0, block.1, &versions, pressure, &machine),
+            min_cores
+        );
+
+        // The boost: smallest allocation in [min, cap] within 5 % of the
+        // best one.
+        let cap = rng.gen_range(1..machine.cores + 1);
+        let boosted = if cap <= min_cores {
+            min_cores
+        } else {
+            let best = (min_cores..=cap).map(at).fold(f64::INFINITY, f64::min);
+            (min_cores..=cap)
+                .find(|&p| at(p) <= best * 1.05)
+                .unwrap_or(min_cores)
+        };
+        assert_eq!(
+            boosted_block_cores(
+                &model, block.0, block.1, &versions, pressure, min_cores, cap, &machine
+            ),
+            boosted
+        );
+
+        let p = rng.gen_range(1..machine.cores + 1);
+        assert_eq!(
+            block_flat_latency_s(&model, block.0, block.1, &versions, pressure, p, &machine)
+                .to_bits(),
+            at(p).to_bits()
+        );
     }
 }

@@ -152,6 +152,95 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+/// An [`EventQueue`] split into two heaps that share one sequence
+/// counter: *external* events (arrivals, often scheduled far ahead in
+/// bulk) and *internal* ones (events the model arms and re-arms as it
+/// runs). Popping the earlier of the two heads delivers exactly the
+/// `(time, event)` sequence one `EventQueue` fed the same pushes would,
+/// ties included, while the frequently pushed internal events sift
+/// through a heap that holds only their own kind.
+#[derive(Debug)]
+pub struct SplitEventQueue<E> {
+    external: BinaryHeap<Entry<E>>,
+    internal: BinaryHeap<Entry<E>>,
+    seq: u64,
+}
+
+impl<E> SplitEventQueue<E> {
+    /// Creates an empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            external: BinaryHeap::new(),
+            internal: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    /// Schedules an external `event` at `time`.
+    pub fn push_external(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq();
+        self.external.push(Entry { time, seq, event });
+    }
+
+    /// Schedules an internal `event` at `time`.
+    pub fn push_internal(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq();
+        self.internal.push(Entry { time, seq, event });
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Removes and returns the earliest event of either kind.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        // `Entry` orders earliest-first as the *greatest* element.
+        let heap = match (self.external.peek(), self.internal.peek()) {
+            (Some(ext), Some(int)) if ext > int => &mut self.external,
+            (Some(_), None) => &mut self.external,
+            _ => &mut self.internal,
+        };
+        heap.pop().map(|e| (e.time, e.event))
+    }
+
+    /// Time of the earliest pending event.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        match (self.external.peek(), self.internal.peek()) {
+            (Some(ext), Some(int)) => Some(ext.time.min(int.time)),
+            (ext, int) => ext.or(int).map(|e| e.time),
+        }
+    }
+
+    /// Number of pending events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.external.len() + self.internal.len()
+    }
+
+    /// Whether no events are pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.external.is_empty() && self.internal.is_empty()
+    }
+
+    /// Drops every pending event. The sequence counter keeps counting, as
+    /// it would had each event been popped.
+    pub fn clear(&mut self) {
+        self.external.clear();
+        self.internal.clear();
+    }
+}
+
+impl<E> Default for SplitEventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +276,20 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_duration_panics() {
         let _ = SimTime::ZERO.after(-1.0);
+    }
+
+    #[test]
+    fn split_queue_breaks_ties_across_heaps_by_push_order() {
+        let mut q = SplitEventQueue::new();
+        q.push_external(SimTime(1.0), "a");
+        q.push_internal(SimTime(1.0), "b");
+        q.push_external(SimTime(1.0), "c");
+        q.push_internal(SimTime(0.5), "first");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(SimTime(0.5)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["first", "a", "b", "c"]);
+        assert!(q.is_empty());
     }
 
     #[test]

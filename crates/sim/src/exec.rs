@@ -122,6 +122,10 @@ impl UnitProgress {
 /// traffic divided by the bandwidth left over by co-runners. The two terms
 /// overlap imperfectly (`OVERLAP_RESIDUAL`).
 ///
+/// This is a one-shot [`LatencyModel`]; callers that rate one kernel at
+/// many core counts, or many times under one pressure, prepare the model
+/// once instead.
+///
 /// # Panics
 ///
 /// Panics if `cores == 0` or the profile fails [`KernelProfile::validate`];
@@ -133,69 +137,178 @@ pub fn execute(
     interference: Interference,
     machine: &MachineConfig,
 ) -> Execution {
-    assert!(cores > 0, "cannot execute a kernel on zero cores");
-    if let Err(e) = kernel.validate() {
-        panic!("invalid kernel profile: {e}");
+    LatencyModel::new(kernel, interference, machine).execute(cores)
+}
+
+/// One kernel's execution model under one fixed interference, prepared
+/// once and then rated at any core count.
+///
+/// Preparing validates the profile and evaluates the interference-only
+/// terms (the cache share and bandwidth co-runners leave). Each rating then
+/// evaluates only the core-dependent roofline. [`execute`] is exactly
+/// `LatencyModel::new(..).execute(cores)`, so there is one formula, and a
+/// prepared rating is bit-identical to the one-shot one.
+#[derive(Debug, Clone, Copy)]
+pub struct LatencyModel<'a> {
+    kernel: &'a KernelProfile,
+    machine: &'a MachineConfig,
+    /// Effective L3 bytes left to the kernel by its co-runners.
+    avail_cache: f64,
+    /// DRAM bandwidth left to the kernel by its co-runners, bytes/second.
+    avail_bw: f64,
+}
+
+/// The core-dependent quantities one rating shares between its latency
+/// and its counters and demand.
+struct Roofline {
+    p_eff: u32,
+    traffic: f64,
+    latency_s: f64,
+}
+
+impl<'a> LatencyModel<'a> {
+    /// Prepares `kernel` under `interference`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile fails [`KernelProfile::validate`].
+    #[must_use]
+    pub fn new(
+        kernel: &'a KernelProfile,
+        interference: Interference,
+        machine: &'a MachineConfig,
+    ) -> Self {
+        if let Err(e) = kernel.validate() {
+            panic!("invalid kernel profile: {e}");
+        }
+        Self::prevalidated(kernel, interference, machine)
     }
 
-    // --- Compute term ---------------------------------------------------
-    let p_eff = cores.min(kernel.parallel_chunks);
-    let chunks = f64::from(kernel.parallel_chunks);
-    // Wave quantization: 65 chunks on 64 cores take two full waves.
-    let waves = (chunks / f64::from(p_eff)).ceil();
-    let ideal_waves = chunks / f64::from(p_eff);
-    let imbalance = waves / ideal_waves;
-    let t_comp = kernel.flops
-        / (f64::from(p_eff) * machine.effective_flops_per_core(p_eff) * kernel.compute_efficiency)
-        * imbalance;
+    /// Prepares a profile the caller has already validated, skipping the
+    /// check: the serving runtime validates every compiled profile once
+    /// when a simulation is built and rates through this path afterwards.
+    /// An invalid profile rates to meaningless (possibly NaN) figures
+    /// instead of panicking.
+    #[must_use]
+    pub fn prevalidated(
+        kernel: &'a KernelProfile,
+        interference: Interference,
+        machine: &'a MachineConfig,
+    ) -> Self {
+        let avail_cache = (machine.l3_bytes
+            * (1.0 - interference.cache_frac).powi(CACHE_CONTENTION_EXP))
+        .max(machine.l3_bytes * CACHE_FLOOR_FRAC);
+        let avail_bw =
+            (machine.dram_bw * (1.0 - interference.bw_frac)).max(machine.dram_bw * BW_FLOOR_FRAC);
+        Self {
+            kernel,
+            machine,
+            avail_cache,
+            avail_bw,
+        }
+    }
 
-    // --- Memory terms -----------------------------------------------------
-    let avail_cache = (machine.l3_bytes
-        * (1.0 - interference.cache_frac).powi(CACHE_CONTENTION_EXP))
-    .max(machine.l3_bytes * CACHE_FLOOR_FRAC);
-    let traffic = kernel.traffic_bytes(cores, avail_cache);
-    let avail_bw =
-        (machine.dram_bw * (1.0 - interference.bw_frac)).max(machine.dram_bw * BW_FLOOR_FRAC);
-    let bw = avail_bw.min(f64::from(cores) * machine.per_core_bw);
-    let t_dram = traffic / bw;
-    // The cross-tile reuse stream (all L3-reaching references) is served at
-    // L3 bandwidth regardless of residency; fine tilings refetch more.
-    let t_l3 = kernel.spill_traffic_bytes / (f64::from(p_eff) * machine.l3_bw_per_core);
+    /// Kernel latency on `cores` cores: `self.execute(cores).latency_s`
+    /// without the counters and demand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
+    #[must_use]
+    pub fn latency_s(&self, cores: u32) -> f64 {
+        self.roofline(cores).latency_s
+    }
 
-    // --- Combine ----------------------------------------------------------
-    let serial = t_comp.max(t_dram).max(t_l3);
-    let latency_s = serial + OVERLAP_RESIDUAL * (t_comp + t_dram + t_l3 - serial);
+    /// Whether the rating has stopped depending on the core count at
+    /// `cores`: every parallel chunk has its own core, and co-runners,
+    /// not per-core bandwidth, cap the DRAM share. Every larger count then
+    /// rates bit-identically to `cores`.
+    #[must_use]
+    pub fn is_saturated(&self, cores: u32) -> bool {
+        cores >= self.kernel.parallel_chunks
+            && f64::from(cores) * self.machine.per_core_bw >= self.avail_bw
+    }
 
-    // --- Counters ---------------------------------------------------------
-    // All L3-reaching references are a schedule property (the reuse stream);
-    // how many of them miss depends on the cache share actually obtained.
-    let l3_accesses = (kernel.spill_traffic_bytes / LINE_BYTES).max(1.0);
-    let l3_misses = (traffic / LINE_BYTES).min(l3_accesses);
-    // SIMD compute instructions plus one instruction per line touched.
-    let instructions = kernel.flops / (machine.flops_per_cycle / 2.0) + l3_accesses;
-    let cycles = latency_s * machine.freq_ghz * 1e9 * f64::from(p_eff);
-    let counters = PerfCounters {
-        l3_accesses,
-        l3_misses,
-        instructions,
-        cycles,
-        flops: kernel.flops,
-    };
+    /// The full rating on `cores` cores: latency, counters and demand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
+    #[must_use]
+    pub fn execute(&self, cores: u32) -> Execution {
+        let (kernel, machine) = (self.kernel, self.machine);
+        let Roofline {
+            p_eff,
+            traffic,
+            latency_s,
+        } = self.roofline(cores);
 
-    // --- Demand on co-runners ----------------------------------------------
-    // Cache pressure = held working set + LRU pollution by the DRAM
-    // insertion stream over one cache-fill window (l3 / dram_bw seconds).
-    let bw_bytes_per_s = traffic / latency_s.max(1e-12);
-    let pollution = bw_bytes_per_s * (machine.l3_bytes / machine.dram_bw);
-    let demand = PressureDemand {
-        cache_bytes: (kernel.footprint_bytes(cores) + pollution).min(machine.l3_bytes),
-        bw_bytes_per_s,
-    };
+        // --- Counters -----------------------------------------------------
+        // All L3-reaching references are a schedule property (the reuse
+        // stream); how many of them miss depends on the cache share
+        // actually obtained.
+        let l3_accesses = (kernel.spill_traffic_bytes / LINE_BYTES).max(1.0);
+        let l3_misses = (traffic / LINE_BYTES).min(l3_accesses);
+        // SIMD compute instructions plus one instruction per line touched.
+        let instructions = kernel.flops / (machine.flops_per_cycle / 2.0) + l3_accesses;
+        let cycles = latency_s * machine.freq_ghz * 1e9 * f64::from(p_eff);
+        let counters = PerfCounters {
+            l3_accesses,
+            l3_misses,
+            instructions,
+            cycles,
+            flops: kernel.flops,
+        };
 
-    Execution {
-        latency_s,
-        counters,
-        demand,
+        // --- Demand on co-runners -------------------------------------------
+        // Cache pressure = held working set + LRU pollution by the DRAM
+        // insertion stream over one cache-fill window (l3 / dram_bw seconds).
+        let bw_bytes_per_s = traffic / latency_s.max(1e-12);
+        let pollution = bw_bytes_per_s * (machine.l3_bytes / machine.dram_bw);
+        let demand = PressureDemand {
+            cache_bytes: (kernel.footprint_bytes(cores) + pollution).min(machine.l3_bytes),
+            bw_bytes_per_s,
+        };
+
+        Execution {
+            latency_s,
+            counters,
+            demand,
+        }
+    }
+
+    fn roofline(&self, cores: u32) -> Roofline {
+        assert!(cores > 0, "cannot execute a kernel on zero cores");
+        let (kernel, machine) = (self.kernel, self.machine);
+
+        // --- Compute term -------------------------------------------------
+        let p_eff = cores.min(kernel.parallel_chunks);
+        let chunks = f64::from(kernel.parallel_chunks);
+        // Wave quantization: 65 chunks on 64 cores take two full waves.
+        let waves = (chunks / f64::from(p_eff)).ceil();
+        let ideal_waves = chunks / f64::from(p_eff);
+        let imbalance = waves / ideal_waves;
+        let t_comp = kernel.flops
+            / (f64::from(p_eff)
+                * machine.effective_flops_per_core(p_eff)
+                * kernel.compute_efficiency)
+            * imbalance;
+
+        // --- Memory terms ---------------------------------------------------
+        let traffic = kernel.traffic_bytes(cores, self.avail_cache);
+        let bw = self.avail_bw.min(f64::from(cores) * machine.per_core_bw);
+        let t_dram = traffic / bw;
+        // The cross-tile reuse stream (all L3-reaching references) is served
+        // at L3 bandwidth regardless of residency; fine tilings refetch more.
+        let t_l3 = kernel.spill_traffic_bytes / (f64::from(p_eff) * machine.l3_bw_per_core);
+
+        // --- Combine --------------------------------------------------------
+        let serial = t_comp.max(t_dram).max(t_l3);
+        Roofline {
+            p_eff,
+            traffic,
+            latency_s: serial + OVERLAP_RESIDUAL * (t_comp + t_dram + t_l3 - serial),
+        }
     }
 }
 

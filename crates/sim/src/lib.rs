@@ -47,7 +47,7 @@ pub mod machine;
 
 pub use contention::{Interference, PressureDemand};
 pub use counters::PerfCounters;
-pub use des::{EventQueue, SimTime};
-pub use exec::{execute, Execution, UnitProgress};
+pub use des::{EventQueue, SimTime, SplitEventQueue};
+pub use exec::{execute, Execution, LatencyModel, UnitProgress};
 pub use kernel::KernelProfile;
 pub use machine::MachineConfig;

@@ -98,6 +98,10 @@ impl MachineConfig {
     /// (accounts for the DVFS droop when enabled).
     #[must_use]
     pub fn effective_flops_per_core(&self, active: u32) -> f64 {
+        if self.dvfs_droop == 0.0 {
+            // Exactly the general formula's value: the scale is 1.0.
+            return self.peak_flops_per_core();
+        }
         let scale = if self.cores > 1 {
             1.0 - self.dvfs_droop * f64::from(active.saturating_sub(1)) / f64::from(self.cores - 1)
         } else {

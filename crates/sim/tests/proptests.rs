@@ -5,7 +5,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use veltair_sim::{execute, EventQueue, Interference, KernelProfile, MachineConfig, SimTime};
+use veltair_sim::{
+    execute, EventQueue, Execution, Interference, KernelProfile, LatencyModel, MachineConfig,
+    SimTime, SplitEventQueue,
+};
 
 const CASES: usize = 128;
 
@@ -107,5 +110,106 @@ fn corunner_pressure_is_clamped() {
         assert!((0.0..=1.0).contains(&i.cache_frac));
         assert!((0.0..=1.0).contains(&i.bw_frac));
         assert!((0.0..=1.0).contains(&i.scalar()));
+    }
+}
+
+/// Every float of an execution, as bits: "equal" here means bit-equal.
+fn bits(e: &Execution) -> [u64; 8] {
+    [
+        e.latency_s,
+        e.counters.l3_accesses,
+        e.counters.l3_misses,
+        e.counters.instructions,
+        e.counters.cycles,
+        e.counters.flops,
+        e.demand.cache_bytes,
+        e.demand.bw_bytes_per_s,
+    ]
+    .map(f64::to_bits)
+}
+
+#[test]
+fn prepared_latency_model_is_bit_identical_to_execute() {
+    let mut rng = StdRng::seed_from_u64(0x51b06);
+    for machine in [
+        MachineConfig::threadripper_3990x(),
+        MachineConfig::desktop_8core(),
+        MachineConfig::threadripper_3990x().with_dvfs(0.2),
+    ] {
+        for case in 0..CASES / 2 {
+            let p = arb_profile(&mut rng);
+            // Independent cache and bandwidth pressure, plus both edges.
+            let pressure = match case % 8 {
+                0 => Interference::NONE,
+                1 => Interference::level(1.0),
+                2 => Interference {
+                    cache_frac: 1.0,
+                    bw_frac: 0.0,
+                },
+                _ => Interference {
+                    cache_frac: rng.gen_range(0.0f64..1.0),
+                    bw_frac: rng.gen_range(0.0f64..1.0),
+                },
+            };
+            let model = LatencyModel::new(&p, pressure, &machine);
+            let unchecked = LatencyModel::prevalidated(&p, pressure, &machine);
+            for cores in 1..=machine.cores {
+                let reference = execute(&p, cores, pressure, &machine);
+                assert_eq!(
+                    model.latency_s(cores).to_bits(),
+                    reference.latency_s.to_bits(),
+                    "latency at {cores} cores"
+                );
+                assert_eq!(bits(&model.execute(cores)), bits(&reference));
+                assert_eq!(bits(&unchecked.execute(cores)), bits(&reference));
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "invalid kernel profile")]
+fn latency_model_validates_the_profile_once_up_front() {
+    let mut rng = StdRng::seed_from_u64(0x51b07);
+    let p = KernelProfile {
+        flops: f64::NAN,
+        ..arb_profile(&mut rng)
+    };
+    let _ = LatencyModel::new(&p, Interference::NONE, &MachineConfig::threadripper_3990x());
+}
+
+#[test]
+fn split_queue_delivers_the_single_queue_order() {
+    let mut rng = StdRng::seed_from_u64(0x51b08);
+    for _ in 0..CASES {
+        let mut one = EventQueue::new();
+        let mut split = SplitEventQueue::new();
+        let ops = rng.gen_range(1usize..400);
+        for id in 0..ops {
+            // Few distinct timestamps, so ties across the two heaps are
+            // common; both kinds interleave with pops at random.
+            match rng.gen_range(0u32..5) {
+                0 | 1 => {
+                    let t = SimTime(f64::from(rng.gen_range(0u32..6)) * 0.5);
+                    one.push(t, id);
+                    split.push_external(t, id);
+                }
+                2 | 3 => {
+                    let t = SimTime(f64::from(rng.gen_range(0u32..6)) * 0.5);
+                    one.push(t, id);
+                    split.push_internal(t, id);
+                }
+                _ => {
+                    assert_eq!(split.pop(), one.pop());
+                }
+            }
+            assert_eq!(split.len(), one.len());
+            assert_eq!(split.is_empty(), one.is_empty());
+            assert_eq!(split.peek_time(), one.peek_time());
+        }
+        while let Some(expected) = one.pop() {
+            assert_eq!(split.pop(), Some(expected));
+        }
+        assert_eq!(split.pop(), None);
     }
 }

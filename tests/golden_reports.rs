@@ -1,0 +1,153 @@
+//! Golden bit-identity pin: every field of the serving report, hashed,
+//! for every policy on the four-model overload mix.
+//!
+//! The equivalence suites compare one mode of the runtime with another
+//! (stepped against batch, indexed against scan, parallel against
+//! sequential), so a change that moves every mode the same way passes
+//! them all. This suite compares against recorded constants instead. The
+//! hash covers the same fields as the benchmark's `sim_digest`: per-model
+//! counts and the bit pattern of every latency sample, conflicts,
+//! dispatches, preemptions, core-seconds, makespan, peak and average
+//! cores.
+//!
+//! A speed-only change must leave every constant untouched. A change that
+//! is meant to move simulated results re-records them and says why.
+
+use veltair::prelude::*;
+
+/// All nine policies of the evaluation (Table 1 + §3.2 granularities).
+const POLICIES: [Policy; 9] = [
+    Policy::ModelFcfs,
+    Policy::Planaria,
+    Policy::Prema,
+    Policy::AiMt,
+    Policy::Parties,
+    Policy::FixedBlock(6),
+    Policy::VeltairAs,
+    Policy::VeltairAc,
+    Policy::VeltairFull,
+];
+
+const MIX: [&str; 4] = ["mobilenet_v2", "tiny_yolo_v2", "resnet50", "googlenet"];
+const QUERIES: usize = 300;
+const SEEDS: [u64; 2] = [3, 17];
+
+/// Recorded digests: the nine policies in `POLICIES` order, then
+/// Veltair-FULL under a trained counter-proxy monitor (the one monitor
+/// that reads the synthesized performance counters). Identical in debug
+/// and release builds.
+const GOLDEN: [u64; 10] = [
+    0xec49_76a4_6646_af4c,
+    0xbf25_2831_59ae_82cf,
+    0x4354_41ed_7be9_3917,
+    0xaa3c_d4ad_c2fc_23e1,
+    0xa019_afd9_31ac_3b6d,
+    0xd93c_dd2b_886d_f823,
+    0x9a2f_48a6_aca8_6501,
+    0x9d65_3843_af3c_21a7,
+    0x53eb_064b_685b_b182,
+    0x93a4_68d7_4b3c_bd01,
+];
+
+/// FNV-1a, 64 bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn report(&mut self, r: &ServingReport) {
+        self.u64(r.per_model.len() as u64);
+        for (name, m) in &r.per_model {
+            self.u64(name.len() as u64);
+            self.bytes(name.as_bytes());
+            self.u64(m.queries as u64);
+            self.u64(m.satisfied as u64);
+            self.f64(m.latency_sum_s);
+            self.f64(m.latency_max_s);
+            self.u64(m.latencies_s.len() as u64);
+            for &l in &m.latencies_s {
+                self.f64(l);
+            }
+        }
+        self.u64(r.conflicts);
+        self.u64(r.dispatches);
+        self.u64(r.preemptions);
+        self.f64(r.core_seconds);
+        self.f64(r.makespan_s);
+        self.u64(u64::from(r.peak_cores));
+        self.f64(r.avg_cores);
+    }
+}
+
+fn digest(models: &[CompiledModel], traces: &[Vec<QuerySpec>], cfg: &SimConfig) -> u64 {
+    let mut h = Fnv::new();
+    for queries in traces {
+        let report = veltair::sched::try_simulate(models, queries, cfg).expect("valid workload");
+        assert_eq!(
+            report.total_queries(),
+            queries.len(),
+            "every query completes"
+        );
+        h.report(&report);
+    }
+    h.0
+}
+
+#[test]
+fn every_policy_reproduces_its_recorded_report_digest() {
+    let machine = MachineConfig::threadripper_3990x();
+    let specs: Vec<ModelSpec> = MIX.iter().map(|n| by_name(n).expect("zoo model")).collect();
+    let models: Vec<CompiledModel> = specs
+        .iter()
+        .map(|s| compile_model(s, &machine, &CompilerOptions::fast()))
+        .collect();
+    let streams: Vec<(&str, f64)> = specs
+        .iter()
+        .map(|s| (s.graph.name.as_str(), 1.0 / s.qos_ms))
+        .collect();
+    let workload = WorkloadSpec::mix(&streams, QUERIES).scaled_to(200.0);
+    let traces: Vec<Vec<QuerySpec>> = SEEDS.iter().map(|&s| workload.generate(s)).collect();
+
+    let mut configs: Vec<(String, SimConfig)> = POLICIES
+        .iter()
+        .map(|&p| (p.name(), SimConfig::new(machine.clone(), p)))
+        .collect();
+    let proxy = train_proxy(&models, &machine, 384, 0xAB1B);
+    configs.push((
+        "Veltair-FULL + counter proxy".into(),
+        SimConfig::new(machine.clone(), Policy::VeltairFull).with_proxy(proxy),
+    ));
+
+    let measured: Vec<u64> = configs
+        .iter()
+        .map(|(_, cfg)| digest(&models, &traces, cfg))
+        .collect();
+    let drifted: Vec<String> = configs
+        .iter()
+        .zip(measured.iter().zip(GOLDEN))
+        .filter(|(_, (got, want))| **got != *want)
+        .map(|((name, _), (got, want))| format!("{name}: {got:#018x}, recorded {want:#018x}"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "simulated reports drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
+        drifted.join("\n")
+    );
+}

@@ -5,9 +5,9 @@
 //! all nine policies.
 //!
 //! The reference is a `VersionSelector` that replays the *pre-redesign
-//! inline logic verbatim* — the deprecated `layer_block` free functions
-//! that used to be hardwired into `plan_block` — injected through
-//! `Driver::set_selector`. If the replay path changed a single float
+//! inline logic verbatim* — the free function `plan_block` used to call
+//! inline, `veltair_compiler::selector::select_for_pressure` — injected
+//! through `Driver::set_selector`. If the replay path changed a single float
 //! operation (including anything the predictive projection touches: the
 //! ladder reads the raw snapshot, never the projected one), these
 //! reports diverge.
@@ -27,9 +27,9 @@ const POLICIES: [Policy; 9] = [
     Policy::VeltairFull,
 ];
 
-/// Replays the pre-redesign version choice: the exact deprecated free
-/// functions `plan_block` used to call inline, with the exact arguments
-/// it used to pass. (For non-adaptive policies the runtime never consults
+/// Replays the pre-redesign version choice: the exact free function
+/// `plan_block` used to call inline, with the exact arguments it used to
+/// pass. (For non-adaptive policies the runtime never consults
 /// the selector — also exactly as before, when the static branch was
 /// inlined.)
 #[derive(Debug)]
@@ -46,8 +46,7 @@ impl VersionSelector for LegacyInline {
         ctx: &SelectionContext,
         machine: &MachineConfig,
     ) -> Vec<usize> {
-        #[allow(deprecated)]
-        veltair::sched::layer_block::versions_for_pressure(
+        veltair::compiler::selector::select_for_pressure(
             model,
             ctx.pressure,
             ctx.expected_cores,
