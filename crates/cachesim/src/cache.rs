@@ -1,9 +1,7 @@
 //! A set-associative cache with true-LRU replacement.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a simulated cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
@@ -63,7 +61,7 @@ impl CacheConfig {
 }
 
 /// Whether an access hit or missed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// The line was resident.
     Hit,
@@ -72,7 +70,7 @@ pub enum AccessOutcome {
 }
 
 /// Running counters of a simulated cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,

@@ -7,12 +7,10 @@
 //! displacement — the ground truth the analytic `Interference` model
 //! approximates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{AccessOutcome, CacheConfig, SetAssociativeCache};
 
 /// Per-tenant outcome of an interleaved replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantStats {
     /// Accesses issued by this tenant.
     pub accesses: u64,

@@ -5,11 +5,10 @@
 //! tiled kernel issues, so the cache simulator can measure the *actual*
 //! DRAM traffic of a schedule and compare it with the analytic closed form.
 
-use serde::{Deserialize, Serialize};
 use veltair_compiler::Schedule;
 
 /// Problem dimensions of a (possibly scaled-down) GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmDims {
     /// Rows of A and C.
     pub m: usize,
@@ -63,7 +62,7 @@ impl GemmDims {
 /// loops by the cache-line granularity instead — one access per distinct
 /// line per tile pass — which preserves miss counts exactly for unit-stride
 /// loops (every element of a resident line hits anyway).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceScale {
     /// Cache line size assumed when striding, bytes.
     pub line_bytes: usize,

@@ -7,7 +7,6 @@
 //! GEMM schedules are replayed through a real set-associative LRU cache at
 //! a ladder of capacities, producing the measured counterpart.
 
-use serde::{Deserialize, Serialize};
 use veltair_compiler::{lower_gemm, Schedule};
 use veltair_sim::KernelProfile;
 use veltair_tensor::{FusedUnit, GemmView, Layer};
@@ -16,7 +15,7 @@ use crate::cache::{CacheConfig, SetAssociativeCache};
 use crate::trace::{GemmDims, GemmTrace, TraceScale};
 
 /// One (cache capacity, analytic traffic, measured traffic) observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationPoint {
     /// Cache capacity in bytes.
     pub cache_bytes: u64,
@@ -27,7 +26,7 @@ pub struct ValidationPoint {
 }
 
 /// The full validation result for one schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// The schedule validated.
     pub schedule: Schedule,

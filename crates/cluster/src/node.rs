@@ -1,6 +1,5 @@
 //! Fleet member configuration and the per-node load view routers consume.
 
-use serde::{Deserialize, Serialize};
 use veltair_compiler::SelectorKind;
 use veltair_proxy::InterferenceProxy;
 use veltair_sched::{Policy, ProjectionConfig, SimConfig};
@@ -101,7 +100,7 @@ impl NodeSpec {
 /// * `Dead` — gone. A killed node's incomplete queries (waiting *and*
 ///   in-flight) were re-routed at kill time; its completed work stays in
 ///   the report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Routable and serving.
     Live,
@@ -131,7 +130,7 @@ impl NodeState {
 /// routing decision. This is the whole routing interface: routers and
 /// admission controllers see nothing else, so any signal a policy needs
 /// must be exported here (and, transitively, from `Driver`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeLoad {
     /// Index of the node within the fleet.
     pub node: usize,

@@ -9,7 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use veltair_sched::ServingReport;
 use veltair_telemetry::TelemetrySnapshot;
 
@@ -112,7 +111,7 @@ pub fn merge_reports(reports: &[ServingReport]) -> ServingReport {
 /// The event counts live on the telemetry side precisely because they
 /// are mode-independent: unlike `nodes_examined`, they compare equal
 /// across `StepMode` *and* `RoutingMode`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoordinatorStats {
     /// Routing decisions made (one per offer, including deferral re-offers).
     pub routing_decisions: u64,
@@ -157,7 +156,7 @@ impl CoordinatorStats {
 }
 
 /// The final statistics of one fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// The pooled fleet-wide report (see [`merge_reports`]).
     pub merged: ServingReport,

@@ -21,7 +21,6 @@
 //! println!("{program}");
 //! ```
 
-use serde::{Deserialize, Serialize};
 use veltair_tensor::GemmView;
 
 use crate::schedule::Schedule;
@@ -33,7 +32,7 @@ pub const VECTOR_LANES: usize = 8;
 pub const VECTOR_REGISTERS: usize = 16;
 
 /// How a generated loop executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopAnnotation {
     /// Plain sequential loop.
     Serial,
@@ -46,7 +45,7 @@ pub enum LoopAnnotation {
 }
 
 /// One level of the generated loop nest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopLevel {
     /// Induction variable name.
     pub var: String,
@@ -74,7 +73,7 @@ impl LoopLevel {
 }
 
 /// The register-resident innermost computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroKernel {
     /// Output rows held in accumulators.
     pub acc_rows: usize,
@@ -102,7 +101,7 @@ impl MicroKernel {
 }
 
 /// Problems detected by [`LoopNestProgram::verify`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodegenIssue {
     /// The loop nest's iteration space does not multiply out to `m*n*k`.
     IterationSpaceMismatch {
@@ -136,7 +135,7 @@ impl std::fmt::Display for CodegenIssue {
 }
 
 /// A generated tiled loop-nest program for one GEMM-family unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopNestProgram {
     /// Kernel (unit) name.
     pub name: String,

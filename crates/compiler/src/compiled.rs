@@ -1,21 +1,20 @@
 //! Compiled artifacts: versioned layers and models with precomputed
 //! interference-indexed lookup tables for the runtime scheduler.
 
-use serde::{Deserialize, Serialize};
 use veltair_models::{ModelSpec, WorkloadClass};
 use veltair_sim::{execute, Interference, KernelProfile, LatencyModel, MachineConfig};
-use veltair_tensor::{fusion_cap_for_level, FusedUnit, GemmView};
+use veltair_tensor::GemmView;
 
-use crate::lower::{lower_gemm, lower_streaming};
+use crate::lower::lower_streaming;
 use crate::multiversion::select_versions;
 use crate::options::{
     bin_for_level, interference_bins, CompilerOptions, NUM_INTERFERENCE_BINS, QOS_PLAN_MARGIN,
 };
 use crate::schedule::Schedule;
-use crate::search::{search_with_stats, Sample, SearchStats};
+use crate::search::{search, Sample, SearchStats};
 
 /// One retained code version of a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompiledVersion {
     /// The schedule it was lowered from (`None` for fixed streaming
     /// kernels of non-GEMM operators).
@@ -26,12 +25,6 @@ pub struct CompiledVersion {
     pub parallelism: f64,
     /// The paper's locality metric (blocking size, bytes).
     pub locality_bytes: f64,
-    /// How many trailing epilogue layers this version leaves *unfused*
-    /// (compiled as separate streaming kernels whose traffic and launch
-    /// cost are folded into the profile). `0` for the fully fused default;
-    /// positive only for the coarse-granularity versions produced under
-    /// [`CompilerOptions::adaptive_fusion`].
-    pub unfused_epilogue: u32,
 }
 
 impl CompiledVersion {
@@ -43,91 +36,8 @@ impl CompiledVersion {
             profile: s.profile,
             parallelism: s.parallelism,
             locality_bytes: s.locality_bytes,
-            unfused_epilogue: 0,
         }
     }
-}
-
-/// Lowers a coarser-granularity sibling of a fused version: the same
-/// schedule applied to the unit with its last `unfused` epilogue layers
-/// split out as separate streaming kernels.
-///
-/// The composed profile is honest about what splitting costs on this
-/// machine model: the intermediate feature map round-trips to memory
-/// (min and spill traffic grow), each extra kernel is charged a dispatch
-/// as equivalent FLOPs, and the blended compute efficiency reflects the
-/// streaming tail. What splitting *buys* is scheduling granularity — the
-/// runtime re-decides allocation and version at every kernel boundary, so
-/// under pressure a long fused run stops being an uninterruptible block.
-fn split_variant(
-    base: &CompiledVersion,
-    unit: &FusedUnit,
-    g: &GemmView,
-    unfused: usize,
-    machine: &MachineConfig,
-    opts: &CompilerOptions,
-) -> Option<CompiledVersion> {
-    let schedule = base.schedule?;
-    let keep = unit.epilogue.len().checked_sub(unfused)?;
-    let head_unit = FusedUnit {
-        base: unit.base.clone(),
-        epilogue: unit.epilogue[..keep].to_vec(),
-    };
-    let head = lower_gemm(&head_unit, g, &schedule);
-    let tails: Vec<KernelProfile> = unit.epilogue[keep..]
-        .iter()
-        .map(|l| lower_streaming(&FusedUnit::solo(l.clone())))
-        .collect();
-
-    let real_flops = head.flops + tails.iter().map(|t| t.flops).sum::<f64>();
-    let inv_rate = head.flops / head.compute_efficiency
-        + tails
-            .iter()
-            .map(|t| t.flops / t.compute_efficiency)
-            .sum::<f64>();
-    let compute_efficiency = if inv_rate > 0.0 {
-        (real_flops / inv_rate).clamp(0.02, 0.95)
-    } else {
-        head.compute_efficiency
-    };
-    // One extra kernel launch per split-out epilogue, charged as the
-    // equivalent FLOPs at this version's sustained rate on the reference
-    // allocation.
-    let launch_flops = tails.len() as f64
-        * machine.dispatch_overhead_s
-        * f64::from(opts.reference_cores)
-        * machine.peak_flops_per_core()
-        * compute_efficiency;
-
-    Some(CompiledVersion {
-        schedule: Some(schedule),
-        profile: KernelProfile {
-            flops: real_flops + launch_flops,
-            compute_efficiency,
-            parallel_chunks: head.parallel_chunks,
-            footprint_base_bytes: head.footprint_base_bytes,
-            footprint_per_core_bytes: head.footprint_per_core_bytes,
-            min_traffic_bytes: head.min_traffic_bytes
-                + tails.iter().map(|t| t.min_traffic_bytes).sum::<f64>(),
-            spill_traffic_bytes: head.spill_traffic_bytes
-                + tails.iter().map(|t| t.spill_traffic_bytes).sum::<f64>(),
-        },
-        parallelism: base.parallelism,
-        locality_bytes: base.locality_bytes,
-        unfused_epilogue: unfused as u32,
-    })
-}
-
-/// The number of trailing epilogue layers a version targeting
-/// interference bin `bin` must leave unfused, for a unit whose epilogue
-/// run is `run_len` layers long (GACER-style granularity regulation:
-/// higher pressure, coarser splits).
-fn unfused_for_bin(run_len: u32, bin: usize) -> u32 {
-    if run_len == 0 {
-        return 0;
-    }
-    let cap = fusion_cap_for_level(bin, NUM_INTERFERENCE_BINS);
-    run_len - (run_len as usize).min(cap) as u32
 }
 
 /// Core-count classes at which the best-version lookup table is built.
@@ -148,7 +58,7 @@ fn class_for(cores: u32) -> usize {
 /// A compiled layer: its multi-version code library plus the lookup tables
 /// (best version and per-version core requirement per interference bin)
 /// that make runtime decisions O(1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledLayer {
     /// Scheduling-unit name (fused producer + epilogues).
     pub name: String,
@@ -188,44 +98,24 @@ impl CompiledLayer {
         );
         let bins = interference_bins();
 
-        // When adaptive fusion produced coarse-granularity siblings, each
-        // interference bin competes only among versions compiled at that
-        // bin's fusion granularity: the version swap under pressure changes
-        // the fusion structure, not just the schedule.
-        let run_len = versions
-            .iter()
-            .map(|v| v.unfused_epilogue)
-            .max()
-            .unwrap_or(0);
-
         let mut best_version = Vec::with_capacity(CORE_CLASSES.len());
         for &cores in &CORE_CLASSES {
             let mut row = [0usize; NUM_INTERFERENCE_BINS];
             for (bi, &level) in bins.iter().enumerate() {
-                let target = unfused_for_bin(run_len, bi);
-                let pick = |granularity: Option<u32>| -> Option<(usize, f64)> {
-                    let mut best: Option<(usize, f64)> = None;
-                    for (vi, v) in versions.iter().enumerate() {
-                        if granularity.is_some_and(|t| v.unfused_epilogue != t) {
-                            continue;
-                        }
-                        let l = execute(
-                            &v.profile,
-                            cores.min(machine.cores),
-                            Interference::level(level),
-                            machine,
-                        )
-                        .latency_s;
-                        if best.is_none_or(|(_, b)| l < b) {
-                            best = Some((vi, l));
-                        }
+                let mut best: Option<(usize, f64)> = None;
+                for (vi, v) in versions.iter().enumerate() {
+                    let l = execute(
+                        &v.profile,
+                        cores.min(machine.cores),
+                        Interference::level(level),
+                        machine,
+                    )
+                    .latency_s;
+                    if best.is_none_or(|(_, b)| l < b) {
+                        best = Some((vi, l));
                     }
-                    best
-                };
-                row[bi] = pick(Some(target))
-                    .or_else(|| pick(None))
-                    .expect("at least one version")
-                    .0;
+                }
+                row[bi] = best.expect("at least one version").0;
             }
             best_version.push(row);
         }
@@ -328,7 +218,7 @@ fn min_cores_for(
 
 /// A fully compiled model: versioned layers plus model-granularity core
 /// requirements per interference bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
     /// Model name.
     pub name: String,
@@ -344,8 +234,7 @@ pub struct CompiledModel {
     /// under which the whole model meets QoS.
     pub model_cores: [u32; NUM_INTERFERENCE_BINS],
     /// Aggregate auto-scheduler counters across every unit's search: how
-    /// many candidates were generated, model-scored, lowered, and pruned
-    /// (full mode lowers everything it generates).
+    /// many candidates were generated and lowered.
     pub search_stats: SearchStats,
 }
 
@@ -445,26 +334,12 @@ pub fn compile_model(
 
         let versions = match GemmView::of(&unit.base) {
             Some(g) => {
-                let (samples, stats) = search_with_stats(unit, &g, machine, opts, i as u64);
-                search_stats.accumulate(&stats);
-                let mut versions = select_versions(&samples, qos_share, machine, opts);
-                if opts.adaptive_fusion && !unit.epilogue.is_empty() {
-                    // Coarse-granularity siblings for every distinct split
-                    // the interference bins demand; the best-version table
-                    // assigns each bin its matching granularity.
-                    let run = unit.epilogue.len() as u32;
-                    let splits: std::collections::BTreeSet<u32> = (0..NUM_INTERFERENCE_BINS)
-                        .map(|bi| unfused_for_bin(run, bi))
-                        .filter(|&u| u > 0)
-                        .collect();
-                    let fused: Vec<CompiledVersion> = versions.clone();
-                    for &u in &splits {
-                        for v in &fused {
-                            versions.extend(split_variant(v, unit, &g, u as usize, machine, opts));
-                        }
-                    }
-                }
-                versions
+                let samples = search(unit, &g, machine, opts, i as u64);
+                search_stats.accumulate(&SearchStats {
+                    generated: samples.len(),
+                    lowered: samples.len(),
+                });
+                select_versions(&samples, qos_share, machine, opts)
             }
             None => {
                 let profile = lower_streaming(unit);
@@ -473,7 +348,6 @@ pub fn compile_model(
                     profile,
                     parallelism: f64::from(profile.parallel_chunks),
                     locality_bytes: profile.footprint_per_core_bytes,
-                    unfused_epilogue: 0,
                 }]
             }
         };
@@ -623,61 +497,9 @@ mod tests {
     #[test]
     fn search_stats_cover_every_gemm_unit() {
         let (m, _) = compiled();
-        // Full mode: everything generated was lowered, nothing model-scored.
+        // Everything generated was lowered.
         assert_eq!(m.search_stats.generated, m.search_stats.lowered);
-        assert_eq!(m.search_stats.predicted, 0);
-        assert_eq!(m.search_stats.pruned, 0);
         assert!(m.search_stats.generated > 1_000);
-        assert_eq!(m.search_stats.lowered_fraction(), 1.0);
-    }
-
-    #[test]
-    fn adaptive_fusion_swaps_granularity_under_pressure() {
-        let machine = MachineConfig::threadripper_3990x();
-        let spec = veltair_models::resnet50();
-        let opts = CompilerOptions::fast().with_adaptive_fusion(true);
-        let m = compile_model(&spec, &machine, &opts);
-
-        let mut split_layers = 0;
-        for l in &m.layers {
-            let run = l.versions.iter().map(|v| v.unfused_epilogue).max().unwrap();
-            if run == 0 {
-                continue;
-            }
-            split_layers += 1;
-            for v in &l.versions {
-                assert!(v.profile.validate().is_ok());
-            }
-            // Low pressure runs fully fused; saturation runs fully split.
-            assert_eq!(l.versions[l.version_for_level(0.0)].unfused_epilogue, 0);
-            assert_eq!(l.versions[l.version_for_level(1.0)].unfused_epilogue, run);
-            // Splitting pays its memory cost honestly: the coarse sibling
-            // never claims less DRAM traffic than its fused original.
-            let fused_min = l
-                .versions
-                .iter()
-                .filter(|v| v.unfused_epilogue == 0 && v.schedule.is_some())
-                .map(|v| v.profile.min_traffic_bytes)
-                .fold(f64::INFINITY, f64::min);
-            let split_min = l
-                .versions
-                .iter()
-                .filter(|v| v.unfused_epilogue > 0)
-                .map(|v| v.profile.min_traffic_bytes)
-                .fold(f64::INFINITY, f64::min);
-            assert!(split_min >= fused_min);
-        }
-        assert!(
-            split_layers >= 10,
-            "only {split_layers} layers gained split versions"
-        );
-
-        // Off by default: no split versions anywhere.
-        let base = compile_model(&spec, &machine, &CompilerOptions::fast());
-        assert!(base
-            .layers
-            .iter()
-            .all(|l| l.versions.iter().all(|v| v.unfused_epilogue == 0)));
     }
 
     #[test]

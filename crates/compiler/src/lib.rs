@@ -61,11 +61,11 @@ pub use compiled::{compile_model, CompiledLayer, CompiledModel, CompiledVersion,
 pub use lower::{lower_gemm, lower_streaming};
 pub use multiversion::{extract_dominant, select_versions};
 pub use options::{
-    bin_for_level, interference_bins, CompilerError, CompilerOptions, SearchMode,
-    NUM_INTERFERENCE_BINS, QOS_PLAN_MARGIN,
+    bin_for_level, interference_bins, CompilerError, CompilerOptions, NUM_INTERFERENCE_BINS,
+    QOS_PLAN_MARGIN,
 };
 pub use schedule::{tile_ladder, Schedule};
-pub use search::{search, search_with_stats, Sample, SearchStats};
+pub use search::{search, Sample, SearchStats};
 pub use selector::{
     EwmaSmoother, HysteresisConfig, HysteresisLadder, PressureLadder, SelectionContext,
     SelectorKind, StaticLevel, VersionSelector,

@@ -1,7 +1,5 @@
 //! Compiler configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of discretized interference levels used for version pruning and
 /// the runtime's version/core-requirement lookup tables (0.0, 0.1, ... 1.0).
 pub const NUM_INTERFERENCE_BINS: usize = 11;
@@ -56,11 +54,6 @@ pub enum CompilerError {
         /// The rejected weight.
         alpha: f64,
     },
-    /// An anticipatory pressure gain was not finite or not positive.
-    InvalidGain {
-        /// The rejected gain.
-        gain: f64,
-    },
     /// A switch-hysteresis margin was negative or not finite.
     InvalidHysteresis {
         /// The rejected margin.
@@ -70,13 +63,6 @@ pub enum CompilerError {
     InvalidStaticLevel {
         /// The rejected level.
         level: f64,
-    },
-    /// A learned-search evaluation fraction was not finite or outside
-    /// `(0, 1]` (it is the share of full-mode candidates the learned
-    /// search may lower and measure).
-    InvalidEvalFraction {
-        /// The rejected fraction.
-        fraction: f64,
     },
 }
 
@@ -104,9 +90,6 @@ impl std::fmt::Display for CompilerError {
             CompilerError::InvalidEwmaAlpha { alpha } => {
                 write!(f, "EWMA alpha must be finite and in (0, 1], got {alpha}")
             }
-            CompilerError::InvalidGain { gain } => {
-                write!(f, "pressure gain must be finite and positive, got {gain}")
-            }
             CompilerError::InvalidHysteresis { hysteresis } => {
                 write!(
                     f,
@@ -119,47 +102,6 @@ impl std::fmt::Display for CompilerError {
                     "pinned interference level must be finite and in [0, 1], got {level}"
                 )
             }
-            CompilerError::InvalidEvalFraction { fraction } => {
-                write!(
-                    f,
-                    "learned-search eval fraction must be finite and in (0, 1], got {fraction}"
-                )
-            }
-        }
-    }
-}
-
-/// How the auto-scheduler evaluates schedule candidates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub enum SearchMode {
-    /// Lower and "measure" every generated candidate on the machine model
-    /// (the seed behavior; bit-identical default).
-    #[default]
-    Full,
-    /// Train a [`veltair_costmodel::CostModel`] on the uniform-sampling
-    /// phase's measured latencies, rank the evolutionary phase's
-    /// candidates with it, and lower only the top `eval_fraction` of the
-    /// candidates full mode would have measured (Pareto-frontier
-    /// candidates in the parallelism/locality plane are lowered first, so
-    /// the multi-version selection keeps its tradeoff coverage).
-    Learned {
-        /// Share of full-mode lowering budget the learned search may
-        /// spend, in `(0, 1]`.
-        eval_fraction: f64,
-    },
-}
-
-impl SearchMode {
-    /// Default evaluation fraction of [`SearchMode::learned`], calibrated
-    /// by `examples/search_efficiency.rs` (retention holds well below the
-    /// 40 % pin; 25 % keeps headroom on small layers).
-    pub const DEFAULT_EVAL_FRACTION: f64 = 0.25;
-
-    /// Learned mode at the calibrated default fraction.
-    #[must_use]
-    pub fn learned() -> Self {
-        Self::Learned {
-            eval_fraction: Self::DEFAULT_EVAL_FRACTION,
         }
     }
 }
@@ -167,7 +109,7 @@ impl SearchMode {
 impl std::error::Error for CompilerError {}
 
 /// Options controlling the auto-scheduler and the multi-version selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompilerOptions {
     /// Auto-scheduler trials per layer (the paper uses 1024 Ansor
     /// iterations).
@@ -181,17 +123,6 @@ pub struct CompilerOptions {
     pub reference_cores: u32,
     /// RNG seed for the schedule sampler.
     pub seed: u64,
-    /// How schedule candidates are evaluated ([`SearchMode::Full`]
-    /// measures everything and is the bit-identical default;
-    /// [`SearchMode::Learned`] prunes lowering with an online cost model).
-    pub search_mode: SearchMode,
-    /// Compile high-interference versions at a coarser fusion granularity:
-    /// long fused epilogue runs are split per interference level
-    /// (GACER-style granularity regulation), so the runtime's
-    /// version-for-level lookup swaps both the schedule *and* the fusion
-    /// structure under pressure. Off by default; the fused-only artifact
-    /// is unchanged.
-    pub adaptive_fusion: bool,
 }
 
 impl CompilerOptions {
@@ -204,18 +135,6 @@ impl CompilerOptions {
             prune_tolerance: 1.10,
             reference_cores: 16,
             seed: 0x7E17_A1B2,
-            search_mode: SearchMode::Full,
-            adaptive_fusion: false,
-        }
-    }
-
-    /// Paper-fidelity effort with the learned cost-model search enabled at
-    /// the calibrated default fraction.
-    #[must_use]
-    pub fn learned() -> Self {
-        Self {
-            search_mode: SearchMode::learned(),
-            ..Self::thorough()
         }
     }
 
@@ -261,43 +180,6 @@ impl CompilerOptions {
         Ok(self)
     }
 
-    /// Same options with a different [`SearchMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when a learned mode's `eval_fraction` is not finite or
-    /// outside `(0, 1]`.
-    #[must_use]
-    pub fn with_search_mode(self, mode: SearchMode) -> Self {
-        self.try_with_search_mode(mode)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`with_search_mode`](Self::with_search_mode).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompilerError::InvalidEvalFraction`] when a learned
-    /// mode's `eval_fraction` is not finite or outside `(0, 1]`.
-    pub fn try_with_search_mode(mut self, mode: SearchMode) -> Result<Self, CompilerError> {
-        if let SearchMode::Learned { eval_fraction } = mode {
-            if !eval_fraction.is_finite() || eval_fraction <= 0.0 || eval_fraction > 1.0 {
-                return Err(CompilerError::InvalidEvalFraction {
-                    fraction: eval_fraction,
-                });
-            }
-        }
-        self.search_mode = mode;
-        Ok(self)
-    }
-
-    /// Same options with pressure-adaptive fusion granularity toggled.
-    #[must_use]
-    pub fn with_adaptive_fusion(mut self, on: bool) -> Self {
-        self.adaptive_fusion = on;
-        self
-    }
-
     /// Fully validated construction from raw parameters, matching the
     /// `WorkloadSpec::try_*` convention.
     ///
@@ -337,8 +219,6 @@ impl CompilerOptions {
             prune_tolerance,
             reference_cores,
             seed,
-            search_mode: SearchMode::Full,
-            adaptive_fusion: false,
         })
     }
 }
@@ -383,38 +263,6 @@ mod tests {
         assert!(CompilerOptions::thorough().search_iterations >= 1024);
         assert_eq!(CompilerOptions::single_version().max_versions, 1);
         assert_eq!(CompilerOptions::fast().max_versions, 5);
-        assert_eq!(CompilerOptions::thorough().search_mode, SearchMode::Full);
-        assert!(!CompilerOptions::thorough().adaptive_fusion);
-        assert_eq!(
-            CompilerOptions::learned().search_mode,
-            SearchMode::Learned {
-                eval_fraction: SearchMode::DEFAULT_EVAL_FRACTION
-            }
-        );
-    }
-
-    #[test]
-    fn search_mode_validation() {
-        let ok = CompilerOptions::fast()
-            .try_with_search_mode(SearchMode::Learned { eval_fraction: 0.4 })
-            .expect("valid fraction");
-        assert_eq!(ok.search_mode, SearchMode::Learned { eval_fraction: 0.4 });
-        for bad in [0.0, -0.1, 1.5, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                CompilerOptions::fast()
-                    .try_with_search_mode(SearchMode::Learned { eval_fraction: bad }),
-                Err(CompilerError::InvalidEvalFraction { .. })
-            ));
-        }
-        // Full mode carries nothing to validate.
-        assert!(CompilerOptions::fast()
-            .try_with_search_mode(SearchMode::Full)
-            .is_ok());
-        assert!(
-            CompilerOptions::fast()
-                .with_adaptive_fusion(true)
-                .adaptive_fusion
-        );
     }
 
     #[test]

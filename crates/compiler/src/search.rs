@@ -1,32 +1,22 @@
 //! The Ansor-style auto-scheduler: schedule-space sampling plus
 //! evolutionary refinement, "measured" on the analytic machine model.
 //!
-//! Two evaluation modes exist (see [`SearchMode`]):
-//!
-//! * **Full** — every generated candidate is lowered and measured, the
-//!   paper's behavior and the bit-identical default. The elite set that
-//!   seeds evolutionary mutations is maintained incrementally (a bounded
-//!   insertion per evaluation) instead of re-sorting the whole sample
-//!   vector each iteration; the sampled sequence is pinned unchanged by
-//!   golden-fingerprint tests.
-//! * **Learned** — a [`CostModel`] is trained on the uniform-sampling
-//!   phase's measured latencies and ranks the evolutionary phase's
-//!   candidates; only a budgeted fraction is lowered (parallelism/locality
-//!   Pareto-frontier candidates first, then the best-predicted per head —
-//!   solo and stressed — so every interference regime keeps its version).
+//! Every generated candidate is lowered and measured, as in the paper.
+//! The elite set that seeds evolutionary mutations is maintained
+//! incrementally (a bounded insertion per evaluation) instead of
+//! re-sorting the whole sample vector each iteration; the sampled
+//! sequence is pinned unchanged by golden-fingerprint tests.
 
 use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use veltair_costmodel::{CostModel, ScheduleFeatures};
 use veltair_sim::{execute, Interference, KernelProfile, MachineConfig};
 use veltair_tensor::{FusedUnit, GemmView};
 
 use crate::lower::lower_gemm;
-use crate::options::{CompilerOptions, SearchMode};
+use crate::options::CompilerOptions;
 use crate::schedule::{tile_ladder, Schedule};
 
 /// One evaluated point of the schedule space.
@@ -50,46 +40,23 @@ const UNROLLS: [usize; 5] = [1, 2, 4, 8, 16];
 /// Evolutionary elite size (parents are drawn from the current best 16).
 const ELITE: usize = 16;
 
-/// Interference levels the learned search trains extra cost-model heads
-/// at, so its lowering budget also covers the high-contention end of the
-/// multi-version envelope.
-const STRESS_LEVELS: [f64; 2] = [0.5, 1.0];
-
-/// What one search (or a whole model compilation) generated, scored, and
-/// actually lowered. `generated = lowered + pruned` always holds; in full
-/// mode `predicted` and `pruned` are zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// How many schedule candidates a search (or a whole model compilation)
+/// generated and lowered. The search lowers every candidate it generates,
+/// so the two counts are equal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Distinct schedule candidates produced by sampling and mutation.
     pub generated: usize,
-    /// Candidates scored by the learned cost model instead of being
-    /// measured outright.
-    pub predicted: usize,
     /// Candidates lowered to a [`KernelProfile`] and measured on the
     /// machine model.
     pub lowered: usize,
-    /// Candidates discarded on the model's say-so without being lowered.
-    pub pruned: usize,
 }
 
 impl SearchStats {
     /// Folds another search's counters into this one (per-model totals).
     pub fn accumulate(&mut self, other: &SearchStats) {
         self.generated += other.generated;
-        self.predicted += other.predicted;
         self.lowered += other.lowered;
-        self.pruned += other.pruned;
-    }
-
-    /// Share of generated candidates that were lowered (1.0 when nothing
-    /// was generated, matching full mode's "measure everything").
-    #[must_use]
-    pub fn lowered_fraction(&self) -> f64 {
-        if self.generated == 0 {
-            1.0
-        } else {
-            self.lowered as f64 / self.generated as f64
-        }
     }
 }
 
@@ -100,7 +67,9 @@ impl SearchStats {
 /// The search runs half its budget as uniform random sampling and half as
 /// evolutionary mutation of the current best schedules, mirroring Ansor's
 /// sketch-then-evolve structure. If the whole space is smaller than the
-/// budget it is enumerated exhaustively.
+/// budget it is enumerated exhaustively. The returned sequence is pinned
+/// by golden fingerprints, so any change here must keep both the RNG call
+/// order and the stable-sort tie semantics intact.
 #[must_use]
 pub fn search(
     unit: &FusedUnit,
@@ -109,52 +78,7 @@ pub fn search(
     opts: &CompilerOptions,
     seed: u64,
 ) -> Vec<Sample> {
-    search_with_stats(unit, g, machine, opts, seed).0
-}
-
-/// [`search`] plus the generated/predicted/lowered/pruned counters.
-#[must_use]
-pub fn search_with_stats(
-    unit: &FusedUnit,
-    g: &GemmView,
-    machine: &MachineConfig,
-    opts: &CompilerOptions,
-    seed: u64,
-) -> (Vec<Sample>, SearchStats) {
-    let rng = StdRng::seed_from_u64(seed ^ opts.seed);
-    match opts.search_mode {
-        SearchMode::Full => search_full(unit, g, machine, opts, rng),
-        SearchMode::Learned { eval_fraction } => {
-            search_learned(unit, g, machine, opts, eval_fraction, rng)
-        }
-    }
-}
-
-/// Inserts a `(score, schedule)` pair into a bounded, score-sorted elite
-/// list. Insertion lands *after* equal scores, which reproduces the
-/// stable-sort tie order of the historical "re-sort everything per
-/// iteration" implementation bit for bit.
-fn note_elite(elite: &mut Vec<(f64, Schedule)>, score: f64, s: Schedule) {
-    let pos = elite.partition_point(|&(l, _)| l <= score);
-    if pos < ELITE {
-        elite.insert(pos, (score, s));
-        elite.truncate(ELITE);
-    } else if elite.len() < ELITE {
-        elite.push((score, s));
-    }
-}
-
-/// Full-evaluation search: the seed behavior. Every candidate is lowered;
-/// the returned sequence is pinned by golden fingerprints, so any change
-/// here must keep both the RNG call order and the stable-sort tie
-/// semantics intact.
-fn search_full(
-    unit: &FusedUnit,
-    g: &GemmView,
-    machine: &MachineConfig,
-    opts: &CompilerOptions,
-    mut rng: StdRng,
-) -> (Vec<Sample>, SearchStats) {
+    let mut rng = StdRng::seed_from_u64(seed ^ opts.seed);
     let lm = tile_ladder(g.m);
     let ln = tile_ladder(g.n);
     let lk = tile_ladder(g.k);
@@ -206,12 +130,7 @@ fn search_full(
                 }
             }
         }
-        let stats = SearchStats {
-            generated: seen.len(),
-            lowered: samples.len(),
-            ..SearchStats::default()
-        };
-        return (samples, stats);
+        return samples;
     }
 
     // Phase 1: uniform random sampling.
@@ -254,329 +173,21 @@ fn search_full(
         }
     }
     samples[..sorted_prefix].sort_by(|a, b| a.solo_latency_s.total_cmp(&b.solo_latency_s));
-    let stats = SearchStats {
-        generated: seen.len(),
-        lowered: samples.len(),
-        ..SearchStats::default()
-    };
-    (samples, stats)
+    samples
 }
 
-/// Learned-evaluation search: train a cost model (one head per
-/// interference regime) on the uniform phase, generate the evolutionary
-/// phase *without lowering*, and spend the lowering budget on the
-/// parallelism/locality Pareto frontier plus each head's best-predicted
-/// remainder.
-fn search_learned(
-    unit: &FusedUnit,
-    g: &GemmView,
-    machine: &MachineConfig,
-    opts: &CompilerOptions,
-    eval_fraction: f64,
-    mut rng: StdRng,
-) -> (Vec<Sample>, SearchStats) {
-    let lm = tile_ladder(g.m);
-    let ln = tile_ladder(g.n);
-    let lk = tile_ladder(g.k);
-    let space = lm.len() * ln.len() * lk.len() * UNROLLS.len();
-
-    // What full mode would have measured, and the slice of it we may.
-    let effort = space.min(opts.search_iterations);
-    let budget = ((effort as f64 * eval_fraction).ceil() as usize)
-        .max(4)
-        .min(effort);
-    let train_target = (budget / 2).max(2).min(budget);
-
-    let mut seen: HashSet<Schedule> = HashSet::new();
-    let mut samples: Vec<Sample> = Vec::new();
-
-    let measure = |s: Schedule| -> Sample {
-        let profile = lower_gemm(unit, g, &s);
-        let exec = execute(&profile, opts.reference_cores, Interference::NONE, machine);
-        Sample {
-            schedule: s,
-            parallelism: s.parallelism(g),
-            locality_bytes: s.locality_bytes(g),
-            solo_latency_s: exec.latency_s + machine.dispatch_overhead_s,
-            profile,
-        }
-    };
-    let latency_at = |profile: &KernelProfile, level: f64| -> f64 {
-        execute(
-            profile,
-            opts.reference_cores,
-            Interference::level(level),
-            machine,
-        )
-        .latency_s
-            + machine.dispatch_overhead_s
-    };
-    let random_schedule = |rng: &mut StdRng| -> Schedule {
-        Schedule::new(
-            g,
-            *lm.choose(rng).expect("ladder never empty"),
-            *ln.choose(rng).expect("ladder never empty"),
-            *lk.choose(rng).expect("ladder never empty"),
-            UNROLLS[rng.gen_range(0..UNROLLS.len())],
-        )
-    };
-
-    // Phase 1: uniform random sampling — these are lowered and measured,
-    // and become the cost model's training set.
-    while samples.len() < train_target && seen.len() < space {
-        let s = random_schedule(&mut rng);
-        if seen.insert(s) {
-            samples.push(measure(s));
-        }
+/// Inserts a `(score, schedule)` pair into a bounded, score-sorted elite
+/// list. Insertion lands *after* equal scores, which reproduces the
+/// stable-sort tie order of the historical "re-sort everything per
+/// iteration" implementation bit for bit.
+fn note_elite(elite: &mut Vec<(f64, Schedule)>, score: f64, s: Schedule) {
+    let pos = elite.partition_point(|&(l, _)| l <= score);
+    if pos < ELITE {
+        elite.insert(pos, (score, s));
+        elite.truncate(ELITE);
+    } else if elite.len() < ELITE {
+        elite.push((score, s));
     }
-
-    let feats: Vec<ScheduleFeatures> = samples
-        .iter()
-        .map(|s| ScheduleFeatures::of(&s.schedule, g, machine))
-        .collect();
-    let lats: Vec<f64> = samples.iter().map(|s| s.solo_latency_s).collect();
-    let model = CostModel::fit(&feats, &lats);
-    // Stressed heads: reading a lowered profile at another interference
-    // level is free, so the same training set also teaches the model the
-    // high-contention end of the envelope. The winners there (small
-    // footprints that dodge spill traffic) are neither solo-fast nor on
-    // the parallelism/locality frontier, so nothing else in the budget
-    // would lower them.
-    let stress_models: Vec<CostModel> = STRESS_LEVELS
-        .iter()
-        .map(|&lvl| {
-            let l: Vec<f64> = samples
-                .iter()
-                .map(|s| latency_at(&s.profile, lvl))
-                .collect();
-            CostModel::fit(&feats, &l)
-        })
-        .collect();
-
-    // Phase 2: evolutionary generation ranked by *predicted* latency. The
-    // elite parents mix measured and predicted-only candidates on the
-    // model's common scale.
-    let mut elite: Vec<(f64, Schedule)> = Vec::new();
-    for s in &samples {
-        let f = ScheduleFeatures::of(&s.schedule, g, machine);
-        note_elite(&mut elite, model.predict_latency_s(&f), s.schedule);
-    }
-
-    struct Candidate {
-        schedule: Schedule,
-        predicted: f64,
-        stressed: Vec<f64>,
-        parallelism: f64,
-        locality_bytes: f64,
-    }
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut stall = 0usize;
-    while seen.len() < effort {
-        let s = if elite.is_empty() {
-            random_schedule(&mut rng)
-        } else {
-            let parent = elite[rng.gen_range(0..elite.len())].1;
-            mutate(parent, g, &lm, &ln, &lk, &mut rng)
-        };
-        let s = if seen.contains(&s) {
-            random_schedule(&mut rng)
-        } else {
-            s
-        };
-        if seen.insert(s) {
-            stall = 0;
-            let f = ScheduleFeatures::of(&s, g, machine);
-            let predicted = model.predict_latency_s(&f);
-            note_elite(&mut elite, predicted, s);
-            candidates.push(Candidate {
-                schedule: s,
-                predicted,
-                stressed: stress_models
-                    .iter()
-                    .map(|m| m.predict_latency_s(&f))
-                    .collect(),
-                parallelism: s.parallelism(g),
-                locality_bytes: s.locality_bytes(g),
-            });
-        } else {
-            stall += 1;
-            if stall > 4 * effort.max(1) {
-                break; // Mutation keeps rediscovering known points.
-            }
-        }
-    }
-
-    // Phase 3: spend the remaining lowering budget. Candidates on the
-    // exact Pareto frontier of the parallelism/locality plane go first —
-    // both metrics are closed-form, and the multi-version selection
-    // consumes exactly that frontier — then the best-predicted fill in.
-    let mut lowered: HashSet<Schedule> = samples.iter().map(|s| s.schedule).collect();
-    let mut remaining = budget.saturating_sub(samples.len());
-
-    let mut points: Vec<(f64, f64, Schedule)> = samples
-        .iter()
-        .map(|s| (s.parallelism, s.locality_bytes, s.schedule))
-        .collect();
-    points.extend(
-        candidates
-            .iter()
-            .map(|c| (c.parallelism, c.locality_bytes, c.schedule)),
-    );
-    // The frontier can be wide enough to swallow the whole budget, so it
-    // only gets half — the rest is reserved for the per-head fill below,
-    // which covers the regimes the frontier systematically misses.
-    let mut frontier_budget = remaining.div_ceil(2);
-    for i in pareto_indices(&points) {
-        if frontier_budget == 0 {
-            break;
-        }
-        let s = points[i].2;
-        if lowered.insert(s) {
-            samples.push(measure(s));
-            remaining -= 1;
-            frontier_budget -= 1;
-        }
-    }
-
-    // One round of active learning for the *solo* head: the frontier
-    // lowerings just probed corners of the space that uniform sampling
-    // underrepresents (the big-tile schedules whose hairline solo wins
-    // full mode finds by brute force). Refit it on all measurements so
-    // far, or those corners stay invisible and the solo fill ships a
-    // different "impl. 1" than full mode would. The stressed heads stay
-    // on the uniform set: the corner measurements are extreme-locality
-    // outliers that wreck a linear model's ranking of the moderate
-    // region where the contention winners live.
-    if remaining > 0 && !candidates.is_empty() {
-        let feats: Vec<ScheduleFeatures> = samples
-            .iter()
-            .map(|s| ScheduleFeatures::of(&s.schedule, g, machine))
-            .collect();
-        let lats: Vec<f64> = samples.iter().map(|s| s.solo_latency_s).collect();
-        let model = CostModel::fit(&feats, &lats);
-        for c in &mut candidates {
-            let f = ScheduleFeatures::of(&c.schedule, g, machine);
-            c.predicted = model.predict_latency_s(&f);
-        }
-    }
-
-    // The remaining budget fills in round-robin across the model's heads:
-    // one ranking per predicted regime (solo plus each stressed level).
-    // A pure solo-best fill clusters at the low-interference end and
-    // leaves the high-contention bins of the envelope uncovered.
-    if remaining > 0 && !candidates.is_empty() {
-        // Best-predicted last, so `pop` hands them out first.
-        let descending = |key: &dyn Fn(usize) -> f64| -> Vec<usize> {
-            let mut o: Vec<usize> = (0..candidates.len()).collect();
-            o.sort_by(|&a, &b| key(b).total_cmp(&key(a)).then(b.cmp(&a)));
-            o
-        };
-        let mut orders: Vec<Vec<usize>> = vec![descending(&|i| candidates[i].predicted)];
-        for k in 0..STRESS_LEVELS.len() {
-            orders.push(descending(&|i| candidates[i].stressed[k]));
-        }
-        'fill: loop {
-            let mut progressed = false;
-            for order in &mut orders {
-                if remaining == 0 {
-                    break 'fill;
-                }
-                while let Some(i) = order.pop() {
-                    let s = candidates[i].schedule;
-                    if lowered.insert(s) {
-                        samples.push(measure(s));
-                        remaining -= 1;
-                        progressed = true;
-                        break;
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    // Measured-envelope veto. The (parallelism, locality) frontier that
-    // Algorithm 1 walks is a proxy, and a budgeted population is sparse
-    // enough for one impostor — a point that dominates the proxy plane yet
-    // measures far worse under contention — to shadow the real winner
-    // behind it. The stressed measurements are already paid for, so a
-    // sample that proxy-dominates another while being no faster solo and
-    // clearly slower at some stressed level is withheld from the returned
-    // population. Full mode hands the whole cloud over: its density keeps
-    // impostors harmless.
-    let measured = samples.len();
-    let stressed: Vec<Vec<f64>> = samples
-        .iter()
-        .map(|s| {
-            STRESS_LEVELS
-                .iter()
-                .map(|&l| latency_at(&s.profile, l))
-                .collect()
-        })
-        .collect();
-    // The solo-fastest sample is exempt: it is the population's "impl. 1"
-    // (what static compilation would ship), and replacing it with a
-    // hardier near-tie would quietly change what the non-adaptive
-    // baselines serve.
-    let solo_best = (0..samples.len()).min_by(|&a, &b| {
-        samples[a]
-            .solo_latency_s
-            .total_cmp(&samples[b].solo_latency_s)
-            .then(a.cmp(&b))
-    });
-    let keep: Vec<bool> = (0..samples.len())
-        .map(|xi| {
-            let x = &samples[xi];
-            Some(xi) == solo_best
-                || !(0..samples.len()).any(|yi| {
-                    let y = &samples[yi];
-                    let proxy_dominates = (x.parallelism >= y.parallelism
-                        && x.locality_bytes > y.locality_bytes)
-                        || (x.parallelism > y.parallelism && x.locality_bytes >= y.locality_bytes);
-                    proxy_dominates
-                        && y.solo_latency_s <= x.solo_latency_s
-                        && stressed[yi].iter().zip(&stressed[xi]).all(|(a, b)| a <= b)
-                        && stressed[yi]
-                            .iter()
-                            .zip(&stressed[xi])
-                            .any(|(a, b)| *a <= b * 0.8)
-                })
-        })
-        .collect();
-    let mut keep_iter = keep.iter();
-    samples.retain(|_| *keep_iter.next().expect("one flag per sample"));
-
-    let stats = SearchStats {
-        generated: seen.len(),
-        predicted: candidates.len(),
-        lowered: measured,
-        pruned: seen.len() - measured,
-    };
-    (samples, stats)
-}
-
-/// Indices of the Pareto frontier of `(parallelism, locality)` points,
-/// maximizing both (the staircase the multi-version selection walks).
-fn pareto_indices(points: &[(f64, f64, Schedule)]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..points.len()).collect();
-    idx.sort_by(|&a, &b| {
-        points[b]
-            .0
-            .total_cmp(&points[a].0)
-            .then(points[b].1.total_cmp(&points[a].1))
-            .then(a.cmp(&b))
-    });
-    let mut keep = Vec::new();
-    let mut best_locality = f64::NEG_INFINITY;
-    for i in idx {
-        if points[i].1 > best_locality {
-            best_locality = points[i].1;
-            keep.push(i);
-        }
-    }
-    keep
 }
 
 /// Moves one schedule parameter a step along its ladder.
@@ -700,8 +311,8 @@ mod tests {
 
     /// Cross-version golden pin: these fingerprints were harvested from the
     /// historical implementation (per-iteration full re-sort) before the
-    /// incremental-elite rework. Full mode must reproduce the exact sample
-    /// sequence, bit for bit, seed by seed.
+    /// incremental-elite rework. The search must reproduce the exact
+    /// sample sequence, bit for bit, seed by seed.
     #[test]
     fn full_search_sequence_matches_golden_fingerprints() {
         let machine = MachineConfig::threadripper_3990x();
@@ -798,67 +409,5 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         let max_par = samples.iter().map(|s| s.parallelism).fold(0.0, f64::max);
         assert!(max_par > 16.0 * min_par, "parallelism range too narrow");
-    }
-
-    #[test]
-    fn learned_search_lowers_a_bounded_fraction() {
-        let (u, g) = unit();
-        let machine = MachineConfig::threadripper_3990x();
-        let full_opts = CompilerOptions::fast();
-        let learned_opts = full_opts.clone().with_search_mode(SearchMode::learned());
-        let (full, fs) = search_with_stats(&u, &g, &machine, &full_opts, 7);
-        let (lrn, ls) = search_with_stats(&u, &g, &machine, &learned_opts, 7);
-
-        assert_eq!(fs.lowered, full.len());
-        assert_eq!(fs.pruned, 0);
-        assert!(ls.lowered >= lrn.len());
-        assert_eq!(ls.generated, ls.lowered + ls.pruned);
-        assert!(ls.predicted > 0);
-        assert!(
-            ls.lowered * 5 <= fs.lowered * 2,
-            "learned lowered {} vs full {}",
-            ls.lowered,
-            fs.lowered
-        );
-        let mut distinct = HashSet::new();
-        for s in &lrn {
-            assert!(distinct.insert(s.schedule));
-            assert!(s.profile.validate().is_ok());
-        }
-    }
-
-    #[test]
-    fn learned_search_is_deterministic_per_seed() {
-        let (u, g) = unit();
-        let machine = MachineConfig::threadripper_3990x();
-        let opts = CompilerOptions::fast().with_search_mode(SearchMode::learned());
-        let (a, sa) = search_with_stats(&u, &g, &machine, &opts, 9);
-        let (b, sb) = search_with_stats(&u, &g, &machine, &opts, 9);
-        assert_eq!(sa, sb);
-        assert_eq!(a.len(), b.len());
-        assert!(a.iter().zip(&b).all(|(x, y)| x.schedule == y.schedule
-            && x.solo_latency_s.to_bits() == y.solo_latency_s.to_bits()));
-    }
-
-    #[test]
-    fn learned_search_keeps_good_schedules() {
-        let (u, g) = unit();
-        let machine = MachineConfig::threadripper_3990x();
-        let full_opts = CompilerOptions::fast();
-        let learned_opts = full_opts.clone().with_search_mode(SearchMode::learned());
-        let (full, _) = search_with_stats(&u, &g, &machine, &full_opts, 7);
-        let (lrn, _) = search_with_stats(&u, &g, &machine, &learned_opts, 7);
-        let best_full = full
-            .iter()
-            .map(|s| s.solo_latency_s)
-            .fold(f64::INFINITY, f64::min);
-        let best_lrn = lrn
-            .iter()
-            .map(|s| s.solo_latency_s)
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            best_lrn <= 1.5 * best_full,
-            "learned best {best_lrn} vs full best {best_full}"
-        );
     }
 }

@@ -23,9 +23,8 @@
 //!   pre-redesign runs bit for bit;
 //! * [`HysteresisLadder`] — the calibrated Veltair-AC selector and the
 //!   default: EWMA-smoothed *projected* pressure (the runtime's
-//!   predictive monitor closes the planning-instant lag, so the ladder
-//!   runs at unit anticipatory gain) plus switch hysteresis against
-//!   version flapping;
+//!   predictive monitor closes the planning-instant lag) plus switch
+//!   hysteresis against version flapping;
 //! * [`EwmaSmoother`] — the shared smoothing primitive (also used by the
 //!   fleet's interference-aware router).
 
@@ -179,20 +178,9 @@ pub struct HysteresisConfig {
     /// EWMA weight of the newest pressure observation, in `(0, 1]`.
     /// `1.0` disables smoothing (the ladder sees the raw signal).
     pub alpha: f64,
-    /// Anticipatory gain applied to the smoothed level before the table
-    /// lookup (clamped to `[0, 1]` after boosting). `1.0` — the default —
-    /// disables anticipation: the ladder consults the *projected* level,
-    /// and the runtime's predictive monitor already closes the
-    /// planning-instant lag (under sustained overload the raw snapshot
-    /// reads ≈ 0.32 while versions ranked for 0.55–0.7 serve best; the
-    /// projection lifts the lookup level into that band — see
-    /// `tests/policy_ordering.rs`). The historical 2.5× setting papered
-    /// over that lag before the monitor could project; it remains
-    /// available for replaying old configurations.
-    pub gain: f64,
-    /// Minimum movement of the boosted, smoothed level (absolute, in
-    /// pressure units) before a model's committed version plan is
-    /// re-selected. `0.0` disables hysteresis.
+    /// Minimum movement of the smoothed level (absolute, in pressure
+    /// units) before a model's committed version plan is re-selected.
+    /// `0.0` disables hysteresis.
     pub hysteresis: f64,
 }
 
@@ -203,41 +191,30 @@ impl HysteresisConfig {
     /// # Errors
     ///
     /// Returns [`CompilerError::InvalidEwmaAlpha`] unless `alpha` is
-    /// finite and in `(0, 1]`, [`CompilerError::InvalidGain`] unless
-    /// `gain` is finite and positive, and
-    /// [`CompilerError::InvalidHysteresis`] unless `hysteresis` is
-    /// finite and non-negative.
-    pub fn try_new(alpha: f64, gain: f64, hysteresis: f64) -> Result<Self, CompilerError> {
+    /// finite and in `(0, 1]`, and [`CompilerError::InvalidHysteresis`]
+    /// unless `hysteresis` is finite and non-negative.
+    pub fn try_new(alpha: f64, hysteresis: f64) -> Result<Self, CompilerError> {
         if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) || alpha == 0.0 {
             return Err(CompilerError::InvalidEwmaAlpha { alpha });
-        }
-        if !gain.is_finite() || gain <= 0.0 {
-            return Err(CompilerError::InvalidGain { gain });
         }
         if !hysteresis.is_finite() || hysteresis < 0.0 {
             return Err(CompilerError::InvalidHysteresis { hysteresis });
         }
-        Ok(Self {
-            alpha,
-            gain,
-            hysteresis,
-        })
+        Ok(Self { alpha, hysteresis })
     }
 }
 
 impl Default for HysteresisConfig {
     /// The AC tuning pass's operating point on the four-model overload
     /// mix (measured sweep in `tests/policy_ordering.rs`): moderate
-    /// smoothing, *unit* anticipatory gain — the predictive monitor's
-    /// projection supplies the anticipation the retired 2.5× boost used
-    /// to fake — and a one-bin switching margin. Holds Veltair-AC's
+    /// smoothing — the predictive monitor's projection supplies the
+    /// anticipation — and a one-bin switching margin. Holds Veltair-AC's
     /// seed-averaged satisfaction at ≥ 0.807 — between adaptive
     /// scheduling (≈ 0.821) and the layer-wise static baseline (≈ 0.626),
     /// where the paper's Fig. 12 puts it.
     fn default() -> Self {
         Self {
             alpha: 0.25,
-            gain: 1.0,
             hysteresis: 0.1,
         }
     }
@@ -437,14 +414,14 @@ impl EwmaSmoother {
 /// re-selection.
 #[derive(Debug, Clone)]
 struct CommittedPlan {
-    /// Boosted, smoothed level at which the plan was selected.
+    /// Smoothed level at which the plan was selected.
     level: f64,
     /// The chosen version per unit.
     versions: Vec<usize>,
 }
 
-/// EWMA-smoothed, anticipation-boosted pressure with switch hysteresis —
-/// the calibrated Veltair-AC selector.
+/// EWMA-smoothed projected pressure with switch hysteresis — the
+/// calibrated Veltair-AC selector.
 ///
 /// Three pathologies of the raw [`PressureLadder`] under overload
 /// motivate this selector; all three were measured on the four-model
@@ -464,14 +441,11 @@ struct CommittedPlan {
 ///    compiled for levels 0.55–0.7. The ladder consults the *projected*
 ///    level ([`SelectionContext::projected_level`]): the runtime's
 ///    predictive monitor lifts the snapshot toward saturation by the
-///    backlog that free cores plus the imminent drain cannot absorb, so
-///    the default anticipatory `gain` is 1.0 (the historical 2.5× boost
-///    approximated the same correction before the monitor could
-///    project).
+///    backlog that free cores plus the imminent drain cannot absorb.
 /// 3. **Flapping.** Near a version crossover, selection alternates
 ///    between two versions on successive decisions, so neither
 ///    version's locality assumptions ever hold. The ladder keeps a
-///    model's committed plan until the boosted level has moved at least
+///    model's committed plan until the smoothed level has moved at least
 ///    the `hysteresis` margin from the level it was selected at.
 ///
 /// Selection reads the compiled per-level best-version tables at the
@@ -505,10 +479,8 @@ impl HysteresisLadder {
     /// # Errors
     ///
     /// Same conditions as [`HysteresisConfig::try_new`].
-    pub fn try_new(alpha: f64, gain: f64, hysteresis: f64) -> Result<Self, CompilerError> {
-        Ok(Self::new(HysteresisConfig::try_new(
-            alpha, gain, hysteresis,
-        )?))
+    pub fn try_new(alpha: f64, hysteresis: f64) -> Result<Self, CompilerError> {
+        Ok(Self::new(HysteresisConfig::try_new(alpha, hysteresis)?))
     }
 
     /// The ladder's parameters.
@@ -536,7 +508,7 @@ impl VersionSelector for HysteresisLadder {
         _machine: &MachineConfig,
     ) -> Vec<usize> {
         let smoothed = self.smoother.observe(ctx.projected_level);
-        let level = (self.cfg.gain * smoothed).clamp(0.0, 1.0);
+        let level = smoothed.clamp(0.0, 1.0);
 
         if self.committed.len() <= ctx.model_index {
             self.committed.resize_with(ctx.model_index + 1, || None);
@@ -604,8 +576,8 @@ mod tests {
     #[test]
     fn hysteresis_holds_the_plan_through_noise() {
         let (m, machine) = compiled();
-        // No smoothing, no anticipation: isolate the hysteresis rule.
-        let mut sel = HysteresisLadder::try_new(1.0, 1.0, 0.2).expect("valid params");
+        // No smoothing: isolate the hysteresis rule.
+        let mut sel = HysteresisLadder::try_new(1.0, 0.2).expect("valid params");
         let base = sel.select(&m, &ctx(0.5, 8), &machine);
         // Within the margin: the committed plan survives even though the
         // table may answer differently at 0.6.
@@ -615,21 +587,6 @@ mod tests {
         let moved = sel.select(&m, &ctx(0.9, 8), &machine);
         let expected: Vec<usize> = m.layers.iter().map(|l| l.version_for_level(0.9)).collect();
         assert_eq!(moved, expected);
-    }
-
-    #[test]
-    fn anticipatory_gain_boosts_the_lookup_level() {
-        let (m, machine) = compiled();
-        // gain 2.0, no smoothing, no hysteresis: an observed 0.3 selects
-        // the versions compiled for 0.6.
-        let mut sel = HysteresisLadder::try_new(1.0, 2.0, 0.0).expect("valid params");
-        let got = sel.select(&m, &ctx(0.3, 8), &machine);
-        let expected: Vec<usize> = m.layers.iter().map(|l| l.version_for_level(0.6)).collect();
-        assert_eq!(got, expected);
-        // The boost saturates at full pressure.
-        let saturated = sel.select(&m, &ctx(0.9, 8), &machine);
-        let full: Vec<usize> = m.layers.iter().map(|l| l.version_for_level(1.0)).collect();
-        assert_eq!(saturated, full);
     }
 
     #[test]
@@ -644,34 +601,26 @@ mod tests {
     #[test]
     fn hysteresis_config_rejects_bad_parameters() {
         assert!(matches!(
-            HysteresisConfig::try_new(f64::NAN, 1.0, 0.1),
+            HysteresisConfig::try_new(f64::NAN, 0.1),
             Err(CompilerError::InvalidEwmaAlpha { .. })
         ));
         assert!(matches!(
-            HysteresisConfig::try_new(0.0, 1.0, 0.1),
+            HysteresisConfig::try_new(0.0, 0.1),
             Err(CompilerError::InvalidEwmaAlpha { .. })
         ));
         assert!(matches!(
-            HysteresisConfig::try_new(1.5, 1.0, 0.1),
+            HysteresisConfig::try_new(1.5, 0.1),
             Err(CompilerError::InvalidEwmaAlpha { .. })
         ));
         assert!(matches!(
-            HysteresisConfig::try_new(0.5, 0.0, 0.1),
-            Err(CompilerError::InvalidGain { .. })
-        ));
-        assert!(matches!(
-            HysteresisConfig::try_new(0.5, f64::NAN, 0.1),
-            Err(CompilerError::InvalidGain { .. })
-        ));
-        assert!(matches!(
-            HysteresisConfig::try_new(0.5, 1.0, -0.01),
+            HysteresisConfig::try_new(0.5, -0.01),
             Err(CompilerError::InvalidHysteresis { .. })
         ));
         assert!(matches!(
-            HysteresisConfig::try_new(0.5, 1.0, f64::INFINITY),
+            HysteresisConfig::try_new(0.5, f64::INFINITY),
             Err(CompilerError::InvalidHysteresis { .. })
         ));
-        assert!(HysteresisConfig::try_new(1.0, 1.0, 0.0).is_ok());
+        assert!(HysteresisConfig::try_new(1.0, 0.0).is_ok());
     }
 
     #[test]
@@ -692,19 +641,14 @@ mod tests {
             SelectorKind::Hysteresis(HysteresisConfig::default()),
             "the calibrated ladder is the default selector"
         );
-        assert_eq!(
-            HysteresisConfig::default().gain,
-            1.0,
-            "the predictive monitor retired the anticipatory-gain hack"
-        );
     }
 
     #[test]
     fn hysteresis_ladder_consults_the_projected_level() {
         let (m, machine) = compiled();
-        // No smoothing, unit gain, no hysteresis: selection is a pure
-        // table walk at the context's projected level, not the raw one.
-        let mut sel = HysteresisLadder::try_new(1.0, 1.0, 0.0).expect("valid params");
+        // No smoothing, no hysteresis: selection is a pure table walk at
+        // the context's projected level, not the raw one.
+        let mut sel = HysteresisLadder::try_new(1.0, 0.0).expect("valid params");
         let mut c = ctx(0.2, 8);
         c.projected = Interference::level(0.7);
         c.projected_level = 0.7;

@@ -49,9 +49,8 @@ fn spec_fingerprint(spec: &ModelSpec) -> u64 {
 /// compiled artifact, used as the options half of the service's cache
 /// key. Two services (or one service reconfigured via
 /// [`CompilerService::set_options`]) can only share cached artifacts when
-/// every artifact-affecting knob — search effort and mode, version
-/// budget, pruning, reference cores, seed, and the adaptive-fusion flag —
-/// matches.
+/// every artifact-affecting knob — search effort, version budget,
+/// pruning, reference cores and seed — matches.
 #[must_use]
 pub fn options_key(options: &CompilerOptions) -> String {
     format!("{options:?}")
@@ -180,9 +179,8 @@ pub struct CompilerService {
     /// `(machine fingerprint, model name, spec content fingerprint,
     /// options fingerprint) → artifact`. A `BTreeMap` keeps iteration
     /// (and `Debug` output) deterministic. The options fingerprint covers
-    /// the search mode and the adaptive-fusion flag, so reconfiguring the
-    /// service can never serve an artifact compiled under different
-    /// options.
+    /// every compiler option, so reconfiguring the service can never serve
+    /// an artifact compiled under different options.
     cache: BTreeMap<(String, String, u64, String), CompiledModel>,
     hits: u64,
     misses: u64,
@@ -210,7 +208,7 @@ impl CompilerService {
 
     /// Reconfigures the options used for *future* compilations. Cached
     /// artifacts stay keyed by the options they were compiled under, so
-    /// switching (say) from full to learned search recompiles instead of
+    /// switching (say) to a smaller version budget recompiles instead of
     /// aliasing onto a stale artifact — and switching back hits the
     /// original cache entries again.
     pub fn set_options(&mut self, options: CompilerOptions) {

@@ -301,8 +301,7 @@ impl EngineBuilder {
 
     /// Sets the compiler options used for specs registered via
     /// [`compile`](EngineBuilder::compile) (default:
-    /// [`CompilerOptions::thorough`]) — the place to opt into
-    /// `SearchMode::learned()` or adaptive fusion for a whole engine.
+    /// [`CompilerOptions::thorough`]).
     #[must_use]
     pub fn compiler_options(mut self, options: CompilerOptions) -> Self {
         self.compiler = options;
@@ -872,8 +871,7 @@ mod tests {
         // The deferred-compile path equals compiling by hand with the same
         // options, regardless of the order machine/options/spec were set.
         let machine = MachineConfig::threadripper_3990x();
-        let opts =
-            CompilerOptions::fast().with_search_mode(veltair_compiler::SearchMode::learned());
+        let opts = CompilerOptions::fast().with_max_versions(2);
         let e = ServingEngine::builder()
             .compile(veltair_models::tiny_yolo_v2())
             .compiler_options(opts.clone())
@@ -883,7 +881,7 @@ mod tests {
         let direct = compile_model(&veltair_models::tiny_yolo_v2(), &machine, &opts);
         assert_eq!(e.models().len(), 1);
         assert_eq!(e.models()[0], direct);
-        assert!(e.models()[0].search_stats.pruned > 0);
+        assert!(e.models()[0].layers.iter().all(|l| l.versions.len() <= 2));
 
         // compile() replaces a same-name model() registration and vice versa.
         let replaced = ServingEngine::builder()

@@ -1,13 +1,12 @@
 //! The paper's evaluation metrics (§5.1), chiefly "QPS with 95 % of tasks
 //! QoS-satisfied" via bisection over the arrival rate.
 
-use serde::{Deserialize, Serialize};
 use veltair_sched::{ServingReport, WorkloadSpec};
 
 use crate::engine::ServingEngine;
 
 /// Max-QPS search configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QpsSearchConfig {
     /// Required QoS satisfaction (paper: 0.95).
     pub satisfaction_target: f64,
@@ -53,7 +52,7 @@ impl QpsSearchConfig {
 }
 
 /// Result of a max-QPS search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QpsResult {
     /// Highest aggregate QPS sustaining the satisfaction target.
     pub qps: f64,

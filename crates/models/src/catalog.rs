@@ -1,10 +1,9 @@
 //! The evaluated model catalog (paper Table 2).
 
-use serde::{Deserialize, Serialize};
 use veltair_tensor::ModelGraph;
 
 /// Workload weight class from the paper's Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Small models with a 10 ms QoS target.
     Light,
@@ -26,7 +25,7 @@ impl std::fmt::Display for WorkloadClass {
 }
 
 /// A model plus its serving contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// The layer graph.
     pub graph: ModelGraph,

@@ -1,11 +1,9 @@
 //! Ordinary least squares regression.
 
-use serde::{Deserialize, Serialize};
-
 use crate::linalg::{solve, SquareMatrix};
 
 /// A fitted linear model `y = w . x + b`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearModel {
     /// Feature weights.
     pub weights: Vec<f64>,

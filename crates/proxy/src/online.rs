@@ -8,12 +8,10 @@
 //! experienced), the residual updates a bias and gain correction applied
 //! on top of the static prediction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::proxy::{CounterWindow, InterferenceProxy};
 
 /// An interference proxy with EWMA residual correction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineProxy {
     base: InterferenceProxy,
     /// EWMA smoothing factor in `(0, 1]`; higher adapts faster.

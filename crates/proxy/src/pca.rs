@@ -1,11 +1,9 @@
 //! Principal component analysis over counter features.
 
-use serde::{Deserialize, Serialize};
-
 use crate::linalg::{symmetric_eigen, SquareMatrix};
 
 /// A fitted PCA: components sorted by explained variance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
     /// Eigenvalues of the covariance matrix, descending.
     pub eigenvalues: Vec<f64>,
@@ -71,47 +69,6 @@ impl Pca {
             return vec![0.0; self.eigenvalues.len()];
         }
         self.eigenvalues.iter().map(|l| l / total).collect()
-    }
-
-    /// Projects one observation onto the first `k` principal components
-    /// (mean-centered, then dotted with each direction). This is the
-    /// dimensionality-reduction half of the PCA → ridge pipeline the
-    /// schedule cost model runs; `k` is clamped to the fitted component
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `row` has a different dimension than the training data.
-    #[must_use]
-    pub fn project(&self, row: &[f64], k: usize) -> Vec<f64> {
-        assert_eq!(row.len(), self.means.len(), "projection dimension mismatch");
-        self.components
-            .iter()
-            .take(k.min(self.components.len()))
-            .map(|c| {
-                row.iter()
-                    .zip(&self.means)
-                    .zip(c)
-                    .map(|((v, m), w)| (v - m) * w)
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Smallest component count whose cumulative explained-variance ratio
-    /// reaches `target` (e.g. `0.99`); at least 1, at most the component
-    /// count. Degenerate fits (zero total variance) keep one component.
-    #[must_use]
-    pub fn components_for_ratio(&self, target: f64) -> usize {
-        let ratios = self.explained_ratio();
-        let mut acc = 0.0;
-        for (i, r) in ratios.iter().enumerate() {
-            acc += r;
-            if acc >= target {
-                return i + 1;
-            }
-        }
-        ratios.len().max(1)
     }
 
     /// Per-feature importance: the share of total variance each *original
@@ -189,28 +146,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_matrix_panics() {
         let _ = Pca::fit(&[]);
-    }
-
-    #[test]
-    fn projection_centers_and_tracks_the_dominant_direction() {
-        let rows: Vec<Vec<f64>> = (0..100)
-            .map(|i| {
-                let t = f64::from(i) / 10.0;
-                vec![2.0 * t, t]
-            })
-            .collect();
-        let pca = Pca::fit(&rows);
-        // The mean projects to the origin.
-        let at_mean = pca.project(&pca.means.clone(), 2);
-        assert!(at_mean.iter().all(|v| v.abs() < 1e-9));
-        // Scores along the dominant direction are monotone in t.
-        let scores: Vec<f64> = rows.iter().map(|r| pca.project(r, 1)[0]).collect();
-        let increasing = scores.windows(2).all(|w| w[1] > w[0]);
-        let decreasing = scores.windows(2).all(|w| w[1] < w[0]);
-        assert!(increasing || decreasing, "scores not monotone");
-        // One component explains this line.
-        assert_eq!(pca.components_for_ratio(0.99), 1);
-        // `k` is clamped to the fitted component count.
-        assert_eq!(pca.project(&rows[3], 99).len(), 2);
     }
 }

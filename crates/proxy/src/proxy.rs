@@ -1,13 +1,12 @@
 //! The end product: a linear interference-pressure predictor over the two
 //! L3 counters (miss rate and access rate), as selected by PCA in §4.3.
 
-use serde::{Deserialize, Serialize};
 use veltair_sim::PerfCounters;
 
 use crate::linreg::LinearModel;
 
 /// Rate-normalized counter features observed over a monitoring window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CounterWindow {
     /// L3 miss rate (misses / accesses) over the window, in `[0, 1]`.
     pub miss_rate: f64,
@@ -57,7 +56,7 @@ const ACCESS_RATE_SCALE: f64 = 1.0e-10;
 
 /// A fitted linear interference proxy (miss rate + access rate -> pressure
 /// level in `[0, 1]`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceProxy {
     model: LinearModel,
     /// Training R² (Fig. 11b's fit quality).

@@ -6,12 +6,10 @@
 //! features, so the ridge penalty is scale-free, and (c) a cross-validated
 //! estimate of generalization instead of the optimistic training R².
 
-use serde::{Deserialize, Serialize};
-
 use crate::linalg::{solve, SquareMatrix};
 
 /// Per-feature affine standardization (z-scores).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
     /// Feature means.
     pub means: Vec<f64>,
@@ -64,7 +62,7 @@ impl Standardizer {
 }
 
 /// A ridge-regularized linear model over standardized features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RidgeModel {
     /// Weights in standardized feature space.
     pub weights: Vec<f64>,

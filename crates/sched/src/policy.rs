@@ -1,9 +1,7 @@
 //! The evaluated scheduling/compilation policies (paper Table 1 + §5.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Spatial scheduling granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Granularity {
     /// Whole model per allocation (PREMA-style static unit / FCFS).
     Model,
@@ -17,7 +15,7 @@ pub enum Granularity {
 
 /// An end-to-end serving policy: who schedules, at what granularity, with
 /// which compiled code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Model-wise First-Come-First-Serve spatial sharing, static code.
     ModelFcfs,

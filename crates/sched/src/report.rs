@@ -2,10 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-model serving statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelStats {
     /// Completed queries.
     pub queries: usize,
@@ -79,7 +77,7 @@ impl ModelStats {
 }
 
 /// Full report of one serving simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServingReport {
     /// Stats per model name.
     pub per_model: BTreeMap<String, ModelStats>,

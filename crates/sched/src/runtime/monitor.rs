@@ -182,12 +182,12 @@ impl ProjectionConfig {
 impl Default for ProjectionConfig {
     /// The calibration pass's operating point on the four-model overload
     /// mix (measured sweep in `examples/projection_sweep.rs`, pinned in
-    /// `tests/policy_ordering.rs`): with the selector at 1.0x gain the
-    /// seed-averaged AC satisfaction reads 0.810-0.827 across weights
-    /// 0.66-0.76 — all above the 0.807 the retired 2.5x anticipatory
-    /// gain needed — because a sustained-overload plan instant
-    /// (instantaneous ~0.32, heavy mix ceiling) now projects into the
-    /// band the winning versions are ranked for. 0.71 measures 0.814,
+    /// `tests/policy_ordering.rs`): the seed-averaged AC satisfaction
+    /// reads 0.810-0.827 across weights 0.66-0.76 — all above the 0.807
+    /// the retired 2.5x anticipatory gain needed — because a
+    /// sustained-overload plan instant (instantaneous ~0.32, heavy mix
+    /// ceiling) now projects into the band the winning versions are
+    /// ranked for. 0.71 measures 0.814,
     /// balanced midway between that floor and Veltair-AS's 0.821 (the
     /// paper's Fig. 12 keeps AC *under* AS, an ordering
     /// `tests/policy_ordering.rs` pins; weights >= 0.8 would breach

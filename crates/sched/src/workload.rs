@@ -2,11 +2,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use veltair_sim::SimTime;
 
 /// One inference request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// Target model name.
     pub model: String,
@@ -15,7 +14,7 @@ pub struct QuerySpec {
 }
 
 /// Arrival process shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Exponential inter-arrival times (MLPerf server default; Alg. 3's
     /// dispatcher "sends tasks following Poisson distribution").
@@ -138,7 +137,7 @@ impl std::fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 /// A workload: per-model arrival rates plus the total query budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// `(model name, queries-per-second)` for every tenant stream.
     pub streams: Vec<(String, f64)>,

@@ -1,7 +1,5 @@
 //! Shared-resource interference: what co-runners take, what a kernel feels.
 
-use serde::{Deserialize, Serialize};
-
 use crate::machine::MachineConfig;
 
 /// Interference experienced by a kernel: the fraction of each shared
@@ -11,7 +9,7 @@ use crate::machine::MachineConfig;
 /// slowdown co-runners induce; [`Interference::level`] builds the canonical
 /// pressure point where both shared resources are equally loaded, which is
 /// what the extended auto-scheduler's background layers produce (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Interference {
     /// Fraction of L3 capacity held by co-runners, in `[0, 1]`.
     pub cache_frac: f64,
@@ -71,7 +69,7 @@ impl Interference {
 }
 
 /// The pressure a running kernel itself exerts on the shared resources.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PressureDemand {
     /// L3 bytes the kernel tries to keep resident.
     pub cache_bytes: f64,

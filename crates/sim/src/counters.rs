@@ -1,11 +1,9 @@
 //! Simulated hardware performance counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counter totals produced by one kernel execution, mirroring the PMU events
 /// the paper samples for its interference proxy (§4.3): L3 accesses, L3
 /// misses, retired instructions, core cycles, and FP operations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PerfCounters {
     /// References reaching the shared L3.
     pub l3_accesses: f64,

@@ -8,13 +8,11 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 /// Simulation timestamp in seconds.
 ///
 /// A newtype so that times, durations, and rates cannot be accidentally
 /// mixed; ordering treats `NaN` as a programming error (it panics).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(pub f64);
 
 impl SimTime {

@@ -1,7 +1,5 @@
 //! The kernel execution model: a contention-aware roofline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::contention::{Interference, PressureDemand};
 use crate::counters::PerfCounters;
 use crate::kernel::KernelProfile;
@@ -32,7 +30,7 @@ const CACHE_CONTENTION_EXP: i32 = 3;
 const LINE_BYTES: f64 = 64.0;
 
 /// Result of simulating one kernel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Execution {
     /// Wall-clock latency in seconds (kernel only; scheduler dispatch and
     /// team-expansion overheads are charged separately).
@@ -50,7 +48,7 @@ pub struct Execution {
 /// [`Execution::latency_s`] — which co-location changes re-rate, so
 /// progress is tracked as a *fraction* of work remaining rather than a
 /// completion timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitProgress {
     /// Fraction of the unit's kernel work still outstanding, in `[0, 1]`.
     pub remaining_frac: f64,

@@ -1,7 +1,5 @@
 //! The execution profile of a compiled kernel (one code version of a layer).
 
-use serde::{Deserialize, Serialize};
-
 /// Architectural profile of one compiled implementation of a layer.
 ///
 /// Produced by the compiler crate from a concrete schedule; consumed by
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// penalty it *will* pay under contention; a high-parallelism small-tile
 /// schedule has a tiny footprint that fits even a sliver of cache, so its
 /// (nominally enormous) spill traffic never materializes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelProfile {
     /// Floating point operations executed.
     pub flops: f64,

@@ -1,14 +1,12 @@
 //! Machine configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of the simulated CPU.
 ///
 /// Defaults model the paper's testbed: an AMD Ryzen Threadripper 3990X with
 /// 64 physical cores at 2.9 GHz (SMT and DVFS disabled, as in §5.1), AVX2
 /// FMA units (32 FP32 FLOPs per cycle per core), a 256 MB shared L3, and
 /// quad-channel DDR4-3200 (~100 GB/s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Physical core count.
     pub cores: u32,

@@ -1,13 +1,11 @@
 //! The typed event vocabulary of the flight recorder.
 
-use serde::{Deserialize, Serialize};
-
 /// One recorded lifecycle event: a virtual-time instant on a track.
 ///
 /// Track `0` is the fleet coordinator; track `i + 1` is node `i` in
 /// roster order. Timestamps are seconds of *virtual* (simulation) time,
 /// never wall clock, which is what makes traces reproducible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Virtual-time instant, seconds.
     pub at_s: f64,
@@ -32,7 +30,7 @@ pub struct TraceEvent {
 /// (see [`TraceLog`](crate::TraceLog)).
 ///
 /// [`Collector`]: crate::Collector
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEventKind {
     /// A query entered the fleet front door (timestamped at its clamped
     /// arrival — the latency baseline).

@@ -1,8 +1,6 @@
 //! Log-bucketed latency histograms: constant-size, mergeable, and
 //! accurate to one bucket width at every percentile.
 
-use serde::{Deserialize, Serialize};
-
 /// Lower edge of the first log bucket, seconds (10 µs — well under any
 /// layer's execution time).
 const LO_S: f64 = 1e-5;
@@ -28,7 +26,7 @@ const BUCKETS: usize = 96;
 /// `f64` accumulators updated in the collector's deterministic absorb
 /// order, so snapshots compare bit-identical across fleet step and
 /// routing modes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,

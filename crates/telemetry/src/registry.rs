@@ -4,8 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::histogram::LatencyHistogram;
 
 /// Pseudo node-class under which front-door sheds are tabulated in the
@@ -18,7 +16,7 @@ pub const FRONT_DOOR_CLASS: &str = "front-door";
 /// These are pure event counts — no routing-path op counts — so they are
 /// identical across `StepMode` and `RoutingMode` and safe to compare in
 /// whole-snapshot equality asserts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// `Submitted` events (== front-door submissions).
     pub submitted: u64,
@@ -59,7 +57,7 @@ pub struct EventCounts {
 
 /// One cell of the violation-frequency table: outcomes of every query of
 /// one model on one node class (or shed at the [`FRONT_DOOR_CLASS`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ViolationCell {
     /// Queries of this model completed on this node class.
     pub completed: u64,
@@ -91,7 +89,7 @@ impl ViolationCell {
 /// histograms, the violation table) — never coordinator op counts — so a
 /// snapshot taken under any `StepMode` × `RoutingMode` combination
 /// compares equal to one taken under any other.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Counters over every absorbed event kind.
     pub counts: EventCounts,

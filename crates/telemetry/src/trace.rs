@@ -3,12 +3,10 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{TraceEvent, TraceEventKind};
 
 /// How a query's span chain ended.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueryTerminal {
     /// The query completed (deadline met or missed).
     Completed,
@@ -23,7 +21,7 @@ pub enum QueryTerminal {
 /// The merged, deterministically ordered event stream of one run, with
 /// the name tables needed to render it. Built by
 /// [`Collector::log`](crate::Collector::log).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceLog {
     /// Events sorted by `(at_s, track)` with stable emission-order
     /// tie-break.
@@ -364,7 +362,7 @@ fn escape(s: &str) -> String {
 /// residual`, where the residual carries everything the per-block solo
 /// ratings cannot see (later units of multi-layer blocks, mid-block
 /// re-rating drift, inter-block gaps).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloAttribution {
     /// The trace id this attribution explains.
     pub query: u64,

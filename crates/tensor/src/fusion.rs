@@ -7,13 +7,11 @@
 //! epilogues that follows it, eliminating the intermediate feature-map
 //! round-trips to memory.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::Layer;
 
 /// A fused scheduling unit: one producer layer plus zero or more element-wise
 /// epilogue layers computed in-register before the output is stored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedUnit {
     /// The producer (conv / dense / matmul, or a standalone cheap operator
     /// that had no producer to fuse into).
@@ -109,43 +107,6 @@ impl FusedUnit {
 /// [`FusedUnit::solo`] units.
 #[must_use]
 pub fn fuse_layers(layers: &[Layer]) -> Vec<FusedUnit> {
-    fuse_with_cap(layers, usize::MAX)
-}
-
-/// Maximum epilogue-run length a producer may absorb at a given interference
-/// level, out of `max_levels` discretized levels (GACER-style granularity
-/// regulation).
-///
-/// Level 0 (no contention) keeps maximal fusion; the cap then steps down as
-/// the targeted pressure rises, reaching zero (no fusion, every layer its
-/// own unit) at the highest level. With a single level (`max_levels <= 1`)
-/// fusion is always maximal.
-#[must_use]
-pub fn fusion_cap_for_level(level: usize, max_levels: usize) -> usize {
-    if max_levels <= 1 || level == 0 {
-        return usize::MAX;
-    }
-    let ratio = (level.min(max_levels - 1)) as f64 / (max_levels - 1) as f64;
-    // ratio in (0, 1]: 4 epilogues just above zero pressure, none at full
-    // pressure. The interior plateaus (cap 2 over mid pressure) keep the
-    // common conv+bn+relu unit intact until contention is severe.
-    ((1.0 - ratio) * 4.0).floor() as usize
-}
-
-/// Granularity-aware fusion: like [`fuse_layers`], but the epilogue run a
-/// producer may absorb is capped by [`fusion_cap_for_level`] — long fused
-/// runs are split at high interference levels (smaller units → finer
-/// preemption/concurrency granularity under contention, per GACER), while
-/// low levels keep the maximal fusion of the paper's §4.1 pipeline.
-///
-/// Epilogue layers beyond the cap become standalone units, so FLOPs and
-/// program order are conserved at every level.
-#[must_use]
-pub fn fuse_layers_at_level(layers: &[Layer], level: usize, max_levels: usize) -> Vec<FusedUnit> {
-    fuse_with_cap(layers, fusion_cap_for_level(level, max_levels))
-}
-
-fn fuse_with_cap(layers: &[Layer], cap: usize) -> Vec<FusedUnit> {
     let mut units = Vec::new();
     let mut i = 0;
     while i < layers.len() {
@@ -153,7 +114,7 @@ fn fuse_with_cap(layers: &[Layer], cap: usize) -> Vec<FusedUnit> {
         i += 1;
         if base.op.is_compute_intensive() {
             let mut epilogue = Vec::new();
-            while i < layers.len() && layers[i].op.is_fusable_epilogue() && epilogue.len() < cap {
+            while i < layers.len() && layers[i].op.is_fusable_epilogue() {
                 epilogue.push(layers[i].clone());
                 i += 1;
             }
@@ -249,44 +210,5 @@ mod tests {
     #[test]
     fn empty_sequence_yields_no_units() {
         assert!(fuse_layers(&[]).is_empty());
-    }
-
-    #[test]
-    fn level_zero_matches_maximal_fusion() {
-        let layers = conv_bn_relu();
-        assert_eq!(
-            fuse_layers_at_level(&layers, 0, 11),
-            fuse_layers(&layers),
-            "level 0 must keep the paper's maximal fusion"
-        );
-        assert_eq!(fuse_layers_at_level(&layers, 10, 1), fuse_layers(&layers));
-    }
-
-    #[test]
-    fn cap_is_monotone_in_level() {
-        let caps: Vec<usize> = (0..11).map(|l| fusion_cap_for_level(l, 11)).collect();
-        assert!(caps.windows(2).all(|w| w[0] >= w[1]), "caps not monotone");
-        assert_eq!(caps[0], usize::MAX);
-        assert_eq!(caps[10], 0, "full pressure must unfuse everything");
-    }
-
-    #[test]
-    fn high_levels_split_long_runs_and_conserve_flops() {
-        let layers = conv_bn_relu();
-        let total: f64 = layers.iter().map(Layer::flops).sum();
-        for level in 0..11 {
-            let units = fuse_layers_at_level(&layers, level, 11);
-            let fused: f64 = units.iter().map(FusedUnit::flops).sum();
-            assert!((total - fused).abs() < 1e-6, "level {level} lost FLOPs");
-            let n_layers: usize = units.iter().map(|u| 1 + u.epilogue.len()).sum();
-            assert_eq!(n_layers, layers.len(), "level {level} lost layers");
-        }
-        // At full pressure every layer stands alone.
-        let top = fuse_layers_at_level(&layers, 10, 11);
-        assert_eq!(top.len(), layers.len());
-        assert!(top.iter().all(|u| u.epilogue.is_empty()));
-        // Mid pressure keeps conv+bn fused but sheds the tail of long runs.
-        let mid = fuse_layers_at_level(&layers, 7, 11);
-        assert!(mid.len() > 1 && mid.len() < layers.len());
     }
 }

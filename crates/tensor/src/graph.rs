@@ -5,13 +5,11 @@
 //! topological order, which is how a single-query execution engine runs them
 //! anyway). [`ModelGraph`] is that sequence plus aggregate accounting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fusion::{fuse_layers, FusedUnit};
 use crate::layer::Layer;
 
 /// An inference model: a named, ordered sequence of layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelGraph {
     /// Model name (e.g. `resnet50`).
     pub name: String,

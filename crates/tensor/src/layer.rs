@@ -1,7 +1,5 @@
 //! A layer: an operator instance bound to a concrete input shape.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ops::{ActKind, OpKind, PoolKind};
 use crate::shape::{DType, FeatureMap};
 
@@ -11,7 +9,7 @@ use crate::shape::{DType, FeatureMap};
 /// Layers expose the architectural profile (FLOPs, weight / activation bytes)
 /// that both the compiler's cost model and the scheduler's core-requirement
 /// estimation consume. All byte accounting assumes the layer's [`DType`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Human-readable unique-ish name (e.g. `res3a_branch2b`).
     pub name: String,

@@ -26,7 +26,7 @@ pub mod ops;
 pub mod schedule;
 pub mod shape;
 
-pub use fusion::{fuse_layers, fuse_layers_at_level, fusion_cap_for_level, FusedUnit};
+pub use fusion::{fuse_layers, FusedUnit};
 pub use graph::ModelGraph;
 pub use layer::Layer;
 pub use loopnest::{loop_nest, GemmView, LoopDim, LoopKind, LoopNest};

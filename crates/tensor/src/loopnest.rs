@@ -8,14 +8,12 @@
 //! evaluated networks, mirroring how Ansor derives its sketch from the
 //! operator's loop nest.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::Layer;
 use crate::ops::OpKind;
 use crate::shape::DType;
 
 /// Role of one loop in a nest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopKind {
     /// Iterations are independent; the loop may be parallelized and tiled.
     Parallel,
@@ -74,7 +72,7 @@ impl LoopNest {
 /// `batch` independent contractions of an `m x k` operand A (activations)
 /// with a `k x n` operand B (weights, or the second activation for attention
 /// matmuls), producing an `m x n` output C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmView {
     /// Independent contraction count (conv groups / attention heads).
     pub batch: usize,

@@ -1,9 +1,7 @@
 //! Operator kinds and their parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Pooling flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Sliding-window maximum.
     Max,
@@ -14,7 +12,7 @@ pub enum PoolKind {
 }
 
 /// Element-wise activation flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActKind {
     /// Rectified linear unit.
     Relu,
@@ -34,7 +32,7 @@ pub enum ActKind {
 /// own a tunable loop nest; the remaining operators are light element-wise or
 /// reduction epilogues that the compiler fuses into their producer whenever a
 /// fusion pattern applies (see [`crate::fusion`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// 2-D convolution over NCHW input.
     Conv2d {

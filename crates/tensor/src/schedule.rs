@@ -2,11 +2,7 @@
 //!
 //! Schedules live in the tensor IR crate (not the compiler) because they
 //! are a pure function of the loop nest: tile extents and an unroll factor
-//! over a [`GemmView`]. The compiler's auto-scheduler searches this space
-//! and `veltair-costmodel` extracts learned-cost-model features from it;
-//! neither needs the other to describe *what* a schedule is.
-
-use serde::{Deserialize, Serialize};
+//! over a [`GemmView`]. The compiler's auto-scheduler searches this space.
 
 use crate::loopnest::GemmView;
 
@@ -21,7 +17,7 @@ const VEC_LANES: usize = 8;
 /// "multiplying the loop unrolling factor and parallelization factor"),
 /// and *locality* ("blocking size") = bytes of one worker's tile working
 /// set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Schedule {
     /// Tile extent along `m` (rows of A / C).
     pub tm: usize,

@@ -1,13 +1,11 @@
 //! Tensor shapes and element types.
 
-use serde::{Deserialize, Serialize};
-
 /// Element type of a tensor.
 ///
 /// The reproduction runs everything in `F32` (the paper evaluates FP32 AVX2
 /// kernels), but the byte accounting is generic so INT8/BF16 studies remain
 /// possible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DType {
     /// 32-bit IEEE-754 float (default; matches the paper's AVX2 FP32 setup).
     #[default]
@@ -42,7 +40,7 @@ impl DType {
 /// the paper), `c` the channel count, and `h`/`w` the spatial extents.
 /// Sequence tensors (BERT) are encoded as `n = 1, c = hidden, h = seq_len,
 /// w = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FeatureMap {
     /// Batch size.
     pub n: usize,

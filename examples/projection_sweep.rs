@@ -65,7 +65,7 @@ fn main() {
     );
 
     ac.set_selector(SelectorKind::Hysteresis(HysteresisConfig::default()));
-    println!("\nAC, hysteresis ladder (gain 1.0) x projection weight:");
+    println!("\nAC, hysteresis ladder x projection weight:");
     for weight in [0.0, 0.65, 0.68, 0.71, 0.74, 0.8, 0.88, 1.0] {
         ac.set_projection(ProjectionConfig::try_new(weight).expect("valid weight"));
         let sat = seed_averaged(&ac, &workload);

@@ -13,9 +13,6 @@
 //! * [`models`] — the seven MLPerf-style networks of the paper's Table 2;
 //! * [`compiler`] — the Ansor-style auto-scheduler and the single-pass
 //!   static multi-version compiler (Algorithm 1);
-//! * [`costmodel`] — the learned schedule cost model (deterministic
-//!   feature extraction + standardize/PCA/ridge pipeline) behind the
-//!   compiler's `SearchMode::Learned` lowering pruner;
 //! * [`proxy`] — the PCA-selected, linear performance-counter interference
 //!   proxy;
 //! * [`sched`] — layer-block formation (Algorithm 2), the scheduler-core
@@ -62,7 +59,6 @@
 pub use veltair_cluster as cluster;
 pub use veltair_compiler as compiler;
 pub use veltair_core as core;
-pub use veltair_costmodel as costmodel;
 pub use veltair_models as models;
 pub use veltair_proxy as proxy;
 pub use veltair_sched as sched;
@@ -81,7 +77,7 @@ pub mod prelude {
     pub use veltair_compiler::{
         compile_model, CompiledModel, CompilerError, CompilerOptions, CompilerService,
         EwmaSmoother, HysteresisConfig, HysteresisLadder, ModelRegistry, PressureLadder,
-        SearchMode, SearchStats, SelectionContext, SelectorKind, StaticLevel, VersionSelector,
+        SearchStats, SelectionContext, SelectorKind, StaticLevel, VersionSelector,
     };
     pub use veltair_core::{
         all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, ClusterSession,
@@ -89,7 +85,6 @@ pub mod prelude {
         Scenario, ServingEngine, ServingReport, ServingSession, SimError, SloExpectation,
         WorkloadError, WorkloadSpec,
     };
-    pub use veltair_costmodel::{rank_correlation, CostModel, ScheduleFeatures};
     pub use veltair_models::{all_models, by_name, ModelSpec, WorkloadClass};
     pub use veltair_sched::runtime::{Dispatcher, Driver};
     pub use veltair_sched::{PressureView, ProjectionConfig, QuerySpec, SimConfig};

@@ -41,33 +41,30 @@ fn cache_hits_are_bit_identical_to_recompiles() {
 }
 
 #[test]
-fn cache_is_keyed_by_search_mode_and_fusion_flag() {
+fn cache_is_keyed_by_compiler_options() {
     let machine = MachineConfig::threadripper_3990x();
     let spec = by_name("mobilenet_v2").expect("zoo model");
     let mut svc = service();
     let full = svc.compile(&spec, &machine);
     assert_eq!(svc.cache_stats(), (0, 1));
 
-    // Switching to learned search must recompile — the options are part of
-    // the cache fingerprint, so the stale full-mode artifact cannot alias.
-    svc.set_options(CompilerOptions::fast().with_search_mode(SearchMode::learned()));
-    let learned = svc.compile(&spec, &machine);
+    // A smaller version budget must recompile — the options are part of
+    // the cache fingerprint, so the stale artifact cannot alias.
+    svc.set_options(CompilerOptions::fast().with_max_versions(3));
+    let fewer = svc.compile(&spec, &machine);
     assert_eq!(
         svc.cache_stats(),
         (0, 2),
-        "a changed search mode must miss the cache"
+        "a changed version budget must miss the cache"
     );
-    assert!(learned.search_stats.pruned > 0, "learned mode never pruned");
-    assert!(
-        learned.search_stats.lowered < full.search_stats.lowered,
-        "learned mode lowered as much as full mode"
-    );
+    assert!(fewer.layers.iter().all(|l| l.versions.len() <= 3));
+    assert_ne!(full, fewer);
 
-    // Toggling adaptive fusion is a third distinct artifact...
-    svc.set_options(CompilerOptions::fast().with_adaptive_fusion(true));
-    let fused = svc.compile(&spec, &machine);
+    // The single-version preset is a third distinct artifact...
+    svc.set_options(CompilerOptions::single_version());
+    let single = svc.compile(&spec, &machine);
     assert_eq!(svc.cache_stats(), (0, 3));
-    assert_ne!(full, fused);
+    assert_ne!(full, single);
 
     // ...and returning to the original options hits the original entry.
     svc.set_options(CompilerOptions::fast());
@@ -76,13 +73,13 @@ fn cache_is_keyed_by_search_mode_and_fusion_flag() {
     assert_eq!(full, again);
 
     // The service's aggregate counters cover exactly the three real
-    // compilations.
+    // compilations, each of which lowered everything it generated.
     let total = svc.search_stats();
     assert_eq!(
         total.generated,
-        full.search_stats.generated + learned.search_stats.generated + fused.search_stats.generated
+        full.search_stats.generated + fewer.search_stats.generated + single.search_stats.generated
     );
-    assert_eq!(total.lowered + total.pruned, total.generated);
+    assert_eq!(total.generated, total.lowered);
 }
 
 #[test]

@@ -10,9 +10,14 @@
 //! dispatches, preemptions, core-seconds, makespan, peak and average
 //! cores.
 //!
+//! A second pin covers the compiled artifacts themselves: every zoo model
+//! compiled on two machines, hashed down to each retained version's
+//! schedule, kernel profile and lookup-table entries.
+//!
 //! A speed-only change must leave every constant untouched. A change that
 //! is meant to move simulated results re-records them and says why.
 
+use veltair::compiler::{interference_bins, CompiledLayer, CORE_CLASSES};
 use veltair::prelude::*;
 
 /// All nine policies of the evaluation (Table 1 + §3.2 granularities).
@@ -72,11 +77,15 @@ impl Fnv {
         self.u64(v.to_bits());
     }
 
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
     fn report(&mut self, r: &ServingReport) {
         self.u64(r.per_model.len() as u64);
         for (name, m) in &r.per_model {
-            self.u64(name.len() as u64);
-            self.bytes(name.as_bytes());
+            self.str(name);
             self.u64(m.queries as u64);
             self.u64(m.satisfied as u64);
             self.f64(m.latency_sum_s);
@@ -93,6 +102,57 @@ impl Fnv {
         self.f64(r.makespan_s);
         self.u64(u64::from(r.peak_cores));
         self.f64(r.avg_cores);
+    }
+
+    fn layer(&mut self, l: &CompiledLayer) {
+        self.str(&l.name);
+        self.f64(l.flops);
+        self.f64(l.bytes);
+        self.f64(l.qos_share_s);
+        self.u64(u64::from(l.qos_feasible));
+        self.u64(l.versions.len() as u64);
+        for v in &l.versions {
+            match v.schedule {
+                Some(s) => {
+                    self.u64(1);
+                    for x in [s.tm, s.tn, s.tk, s.unroll] {
+                        self.u64(x as u64);
+                    }
+                }
+                None => self.u64(0),
+            }
+            let p = &v.profile;
+            self.f64(p.flops);
+            self.f64(p.compute_efficiency);
+            self.u64(u64::from(p.parallel_chunks));
+            self.f64(p.footprint_base_bytes);
+            self.f64(p.footprint_per_core_bytes);
+            self.f64(p.min_traffic_bytes);
+            self.f64(p.spill_traffic_bytes);
+            self.f64(v.parallelism);
+            self.f64(v.locality_bytes);
+        }
+        for cores in CORE_CLASSES {
+            for level in interference_bins() {
+                self.u64(l.version_for(level, cores) as u64);
+            }
+        }
+        for v in 0..l.versions.len() {
+            for level in interference_bins() {
+                self.u64(u64::from(l.core_requirement(v, level)));
+            }
+        }
+    }
+
+    fn model(&mut self, m: &CompiledModel) {
+        self.str(&m.name);
+        self.u64(m.layers.len() as u64);
+        for l in &m.layers {
+            self.layer(l);
+        }
+        for c in m.model_cores {
+            self.u64(u64::from(c));
+        }
     }
 }
 
@@ -148,6 +208,55 @@ fn every_policy_reproduces_its_recorded_report_digest() {
     assert!(
         drifted.is_empty(),
         "simulated reports drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
+        drifted.join("\n")
+    );
+}
+
+/// Recorded artifact digests: every model of `all_models()` in catalog
+/// order, compiled with `CompilerOptions::fast()` on the 3990X and then on
+/// the 8-core desktop. Identical in debug and release builds.
+const ARTIFACT_GOLDEN: [u64; 14] = [
+    0x0d98_dc7e_1934_645c,
+    0x7654_a785_8b35_c4cb,
+    0x6d4a_ebca_805f_ddd4,
+    0xdb1d_90c8_a342_f279,
+    0x099e_f186_c29b_197a,
+    0x5f8b_ea4a_2884_e5ff,
+    0xdb0b_ba1b_cb1e_2c10,
+    0xc874_e8a7_4723_f2f2,
+    0x3dbe_786c_75c1_2026,
+    0xa8d6_a11a_b84e_cdef,
+    0x8e54_4580_8dc8_061a,
+    0x1eaf_24f4_803b_7f7a,
+    0x81f6_7a53_f5b1_cf3a,
+    0x9735_38f5_0280_759c,
+];
+
+#[test]
+fn every_zoo_artifact_reproduces_its_recorded_digest() {
+    let machines = [
+        MachineConfig::threadripper_3990x(),
+        MachineConfig::desktop_8core(),
+    ];
+    let mut measured = Vec::new();
+    let mut drifted = Vec::new();
+    for machine in &machines {
+        for spec in all_models() {
+            let mut h = Fnv::new();
+            h.model(&compile_model(&spec, machine, &CompilerOptions::fast()));
+            let want = ARTIFACT_GOLDEN[measured.len()];
+            if h.0 != want {
+                drifted.push(format!(
+                    "{} on {} cores: {:#018x}, recorded {want:#018x}",
+                    spec.graph.name, machine.cores, h.0
+                ));
+            }
+            measured.push(h.0);
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "compiled artifacts drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
         drifted.join("\n")
     );
 }

@@ -182,8 +182,8 @@ fn ac_raw_overload_sat() -> f64 {
         overload_mix_satisfaction_with(Policy::VeltairAc, Some(SelectorKind::PressureLadder))
     })
 }
-/// AC under the engine default: `HysteresisLadder` at 1.0x gain planning
-/// on the projected pressure (`ProjectionConfig::default`).
+/// AC under the engine default: `HysteresisLadder` planning on the
+/// projected pressure (`ProjectionConfig::default`).
 fn ac_default_overload_sat() -> f64 {
     *AC_DEFAULT_SAT.get_or_init(|| overload_mix_satisfaction(Policy::VeltairAc))
 }
@@ -237,8 +237,8 @@ fn veltair_ac_should_sit_well_clear_of_planaria() {
 #[test]
 fn hysteresis_ladder_closes_the_ac_calibration_gap() {
     // The AC calibration, after the predictive-monitor fix: EWMA
-    // smoothing (alpha = 0.25), *1.0x* gain, one-bin switch hysteresis,
-    // planning on the projected pressure (saturation weight 0.71).
+    // smoothing (alpha = 0.25), one-bin switch hysteresis, planning on
+    // the projected pressure (saturation weight 0.71).
     //
     // Measured on this mix (seed-averaged, release, fast-compile), from
     // the sweep that chose the defaults (examples/projection_sweep.rs):

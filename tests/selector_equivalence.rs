@@ -95,8 +95,8 @@ fn pressure_ladder_reproduces_pre_redesign_output_across_all_policies() {
 #[test]
 fn calibrated_hysteresis_ladder_is_the_default() {
     // The promotion pin: an engine or sim config that names no selector
-    // runs the calibrated `HysteresisLadder` (1.0x gain, planning on the
-    // projected pressure) — bit-identical to asking for it explicitly.
+    // runs the calibrated `HysteresisLadder` (planning on the projected
+    // pressure) — bit-identical to asking for it explicitly.
     assert_eq!(
         SelectorKind::default(),
         SelectorKind::Hysteresis(HysteresisConfig::default())
