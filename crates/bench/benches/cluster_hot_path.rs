@@ -4,9 +4,7 @@
 //! how much virtual traffic a fleet simulation can push per wall-second.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use veltair_cluster::{
-    AdmissionKind, Fleet, NodeLoad, NodeSpec, RouterKind, RoutingMode, StepMode,
-};
+use veltair_cluster::{AdmissionKind, Fleet, LoadIndex, NodeLoad, NodeSpec, RouterKind, StepMode};
 use veltair_compiler::{
     compile_model, search, CompiledModel, CompilerOptions, HysteresisConfig, SelectionContext,
     SelectorKind,
@@ -45,8 +43,8 @@ fn bench_driver_step(c: &mut Criterion) {
     });
 }
 
-/// The per-query routing decision against a 16-node load table (pure
-/// computation; the load views are fixed).
+/// The per-query routing decision off a 16-node load index keyed from a
+/// fixed load table (pure computation; the keys do not move).
 fn bench_router_decisions(c: &mut Criterion) {
     let models = compiled_mobilenet();
     let loads: Vec<NodeLoad> = (0..16)
@@ -72,8 +70,12 @@ fn bench_router_decisions(c: &mut Criterion) {
         RouterKind::InterferenceAware,
     ] {
         let mut router = kind.build();
+        let mut index = LoadIndex::new(loads.iter().map(|l| u64::from(l.total_cores)).collect());
+        for l in &loads {
+            index.update(l.node, router.rank(l));
+        }
         c.bench_function(&format!("route_16_nodes/{}", kind.name()), |b| {
-            b.iter(|| router.route(std::hint::black_box(&loads), &models[0], &query))
+            b.iter(|| router.route(std::hint::black_box(&index), &models[0], &query))
         });
     }
 }
@@ -157,14 +159,12 @@ fn bench_fleet_stepper_scaling(c: &mut Criterion) {
     }
 }
 
-/// The coordinator decision path head to head: the same fleet and
-/// workload routed through the O(n) scan and the O(log n) incremental
-/// index, at two fleet sizes. Results are bit-identical (pinned by
-/// `tests/index_equivalence.rs`); this measures the coordinator
-/// overhead, and the printed `CoordinatorStats` line per variant shows
-/// the op-count gap (examined loads per decision) that wall clock on a
-/// small host cannot resolve.
-fn bench_scan_vs_indexed_routing(c: &mut Criterion) {
+/// The coordinator decision path at two fleet sizes: the same workload
+/// routed through the O(log n) incremental index on 64 and 512 nodes.
+/// The printed `CoordinatorStats` line per size shows the op count
+/// (examined keys per decision) that wall clock on a small host cannot
+/// resolve; it should stay flat as the fleet grows.
+fn bench_indexed_routing(c: &mut Criterion) {
     let models = compiled_mobilenet();
     let edge = MachineConfig::desktop_8core();
     for node_count in [64usize, 512] {
@@ -172,32 +172,27 @@ fn bench_scan_vs_indexed_routing(c: &mut Criterion) {
             .map(|i| NodeSpec::new(&format!("n{i}"), edge.clone(), Policy::VeltairFull))
             .collect();
         let workload = WorkloadSpec::single("mobilenet_v2", 500.0, 64);
-        let run = |mode: RoutingMode| {
+        let run = || {
             let mut fleet = Fleet::new(
                 &models,
                 &nodes,
                 RouterKind::LeastOutstanding.build(),
                 AdmissionKind::AdmitAll.build(),
             )
-            .expect("valid fleet")
-            .with_routing_mode(mode);
+            .expect("valid fleet");
             fleet.submit_stream(&workload, 5).expect("registered");
             fleet.finish()
         };
-        for mode in [RoutingMode::Scan, RoutingMode::Indexed] {
-            let stats = run(mode).coordinator;
-            println!(
-                "fleet_routing_{node_count}_nodes/{}: {:.1} examined/decision, \
-                 {} index updates",
-                mode.name(),
-                stats.examined_per_decision(),
-                stats.index_updates
-            );
-            c.bench_function(
-                &format!("fleet_routing_{node_count}_nodes/{}", mode.name()),
-                |b| b.iter(|| run(mode)),
-            );
-        }
+        let stats = run().coordinator;
+        println!(
+            "fleet_routing_{node_count}_nodes/indexed: {:.1} examined/decision, \
+             {} index updates",
+            stats.examined_per_decision(),
+            stats.index_updates
+        );
+        c.bench_function(&format!("fleet_routing_{node_count}_nodes/indexed"), |b| {
+            b.iter(run)
+        });
     }
 }
 
@@ -225,12 +220,12 @@ fn bench_fleet_churn(c: &mut Criterion) {
                 )
                 .expect("valid fleet");
                 fleet.submit_stream(&workload, 5).expect("registered");
-                fleet.run_until(0.02);
+                fleet.run_until(0.02).expect("finite target");
                 let joiner =
                     fleet.add_node(&NodeSpec::new("joiner", edge.clone(), Policy::VeltairFull));
-                fleet.run_until(0.04);
+                fleet.run_until(0.04).expect("finite target");
                 fleet.drain_node(0).expect("survivors remain");
-                fleet.run_until(0.06);
+                fleet.run_until(0.06).expect("finite target");
                 fleet.kill_node(joiner).expect("survivors remain");
                 fleet.finish()
             })
@@ -377,7 +372,7 @@ criterion_group! {
     name = cluster_hot_path;
     config = Criterion::default().sample_size(10);
     targets = bench_driver_step, bench_router_decisions, bench_fleet_run,
-        bench_fleet_stepper_scaling, bench_scan_vs_indexed_routing,
+        bench_fleet_stepper_scaling, bench_indexed_routing,
         bench_fleet_churn, bench_trace_overhead, bench_selector_hot_path,
         bench_schedule_search
 }

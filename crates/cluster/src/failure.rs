@@ -4,8 +4,7 @@
 //! stalls, drains — applied by the fleet at exact virtual instants.
 //! Plans are data, not callbacks: the same plan against the same seed
 //! and workload produces a bit-identical [`FleetReport`](crate::FleetReport)
-//! under every [`StepMode`](crate::StepMode) and
-//! [`RoutingMode`](crate::RoutingMode), which is what makes failure
+//! under every [`StepMode`](crate::StepMode), which is what makes failure
 //! scenarios pinnable in tests.
 //!
 //! Events can be authored explicitly (the `try_` builder methods,

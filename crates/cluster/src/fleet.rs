@@ -33,29 +33,25 @@
 //! masked out of the index, never compacted — so node indices stay
 //! stable and elastic runs keep the full bit-determinism contract.
 //!
-//! Neither are the coordinator's two performance knobs. The
-//! [`RoutingMode`] selects between the O(log n) incrementally maintained
-//! [`LoadIndex`] and the O(n) reference scan — bit-identical by contract
-//! (same rank keys, ties to the lowest node index, identical sampler
-//! draw sequences), differing only in the
-//! [`CoordinatorStats`] op counts. The micro-batching
-//! epsilon ([`Fleet::set_batch_epsilon`]) absorbs routing instants whose
-//! inter-arrival gap is below it into an inline coordinator advance —
-//! the same `run_until` calls on another thread — saving stepper round
-//! trips without touching the simulation.
+//! **One decision path.** Every routing decision reads the incrementally
+//! maintained [`LoadIndex`]: nodes are re-keyed through
+//! [`Router::rank`] only when their driver state changes, and the router
+//! decides off the tournament tree (O(1) minimum) or the Fenwick sampler
+//! (O(log n) weighted draws). The [`CoordinatorStats`] op counts make
+//! that cost visible.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use veltair_compiler::CompiledModel;
-use veltair_sched::runtime::Driver;
+use veltair_sched::runtime::{for_policy, Driver, SimError};
 use veltair_sched::{QuerySpec, WorkloadSpec};
 use veltair_sim::SimTime;
 use veltair_telemetry::{Collector, TelemetrySnapshot, TraceConfig, TraceEventKind, TraceLog};
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::failure::{FailureEvent, FailureKind, FailurePlan};
-use crate::index::{LoadIndex, RoutingMode};
+use crate::index::LoadIndex;
 use crate::node::{NodeLoad, NodeSpec, NodeState};
 use crate::parallel::{StepMode, StepperPool};
 use crate::report::{merge_reports, CoordinatorStats, FleetReport};
@@ -87,6 +83,14 @@ pub enum ClusterError {
         /// The rejected duration, seconds.
         dt_s: f64,
     },
+    /// [`Fleet::run_until`] was asked to advance to a NaN or infinite
+    /// instant. The fleet clock can never reach one: NaN breaks the
+    /// virtual-time order and infinity would strand every later
+    /// submission behind the clock.
+    NonFiniteTarget {
+        /// The rejected target instant, seconds.
+        t_s: f64,
+    },
     /// [`Fleet::with_node_registries`] was handed a registry list whose
     /// length does not match the node list.
     RegistryMismatch {
@@ -116,6 +120,20 @@ pub enum ClusterError {
         /// The rejected value (integer fields are reported as `f64`).
         value: f64,
     },
+    /// A node registry or the catalog carries a compiled kernel profile
+    /// that fails validation (see `SimError::InvalidProfile`). Checked
+    /// when the fleet is built, so no node — seed or later join — can
+    /// hit it mid-run.
+    InvalidProfile {
+        /// The model the layer belongs to.
+        model: String,
+        /// Index of the layer (scheduling unit) within the model.
+        layer: usize,
+        /// Index of the code version within the layer.
+        version: usize,
+        /// The violated invariant.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -131,6 +149,9 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::InvalidDuration { dt_s } => {
                 write!(f, "run durations must be positive and finite, got {dt_s}")
+            }
+            ClusterError::NonFiniteTarget { t_s } => {
+                write!(f, "run targets must be finite, got {t_s}")
             }
             ClusterError::RegistryMismatch { nodes, registries } => {
                 write!(
@@ -150,6 +171,17 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::InvalidScalePolicy { field, value } => {
                 write!(f, "scale policy parameter {field} is out of range: {value}")
+            }
+            ClusterError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            } => {
+                write!(
+                    f,
+                    "model {model}, layer {layer}, version {version}: invalid kernel profile: {reason}"
+                )
             }
         }
     }
@@ -280,8 +312,7 @@ impl FleetSnapshot {
     }
 }
 
-/// Builds the live load view of one node — the single-node equivalent of
-/// the batch the scan path materializes. Reading `pressure` costs a
+/// Builds the live load view of one node. Reading `pressure` costs a
 /// monitor pass over the node's running units, so it is gated on
 /// `want_pressure`.
 fn load_of(driver: &Driver<'_>, node: usize, want_pressure: bool) -> NodeLoad {
@@ -299,6 +330,28 @@ fn load_of(driver: &Driver<'_>, node: usize, want_pressure: bool) -> NodeLoad {
             0.0
         },
     }
+}
+
+/// Opens an idle driver for `spec` over `models`, surfacing an invalid
+/// compiled kernel profile as [`ClusterError::InvalidProfile`] instead of
+/// the panic of [`Driver::open`].
+fn open_node<'a>(models: &'a [CompiledModel], spec: &NodeSpec) -> Result<Driver<'a>, ClusterError> {
+    let cfg = spec.sim_config();
+    let dispatcher = for_policy(cfg.policy);
+    Driver::with_dispatcher(models, &[], cfg, dispatcher).map_err(|e| match e {
+        SimError::InvalidProfile {
+            model,
+            layer,
+            version,
+            reason,
+        } => ClusterError::InvalidProfile {
+            model,
+            layer,
+            version,
+            reason,
+        },
+        other => unreachable!("an empty workload only fails profile validation: {other}"),
+    })
 }
 
 /// The autoscaling attachment: the policy, its built scaler, and the
@@ -336,29 +389,18 @@ pub struct Fleet<'a> {
     /// Lazily built when the mode switches to parallel; dropped (workers
     /// joined) when it switches back.
     pool: Option<StepperPool>,
-    /// Whether the active router takes the O(log n) indexed decision
-    /// path, the legacy scan, or neither (round-robin). Captured from
-    /// [`Router::index_support`] at construction.
+    /// Whether the active router keeps rank keys in the index or ignores
+    /// load (round-robin). Captured from [`Router::index_support`] at
+    /// construction.
     support: IndexSupport,
-    /// Decision-path selector for index-capable routers (see
-    /// [`RoutingMode`]); ignored by [`IndexSupport::Scan`] routers.
-    routing: RoutingMode,
-    /// Micro-batching epsilon, seconds: a routing instant whose gap from
-    /// the fleet clock is below this advances inline on the coordinator
-    /// instead of paying a stepper round trip. `0.0` disables batching.
-    batch_eps_s: f64,
-    /// The incrementally maintained rank index (see [`LoadIndex`]).
-    /// Kept fresh for `IndexSupport::Indexed` routers in *both* routing
-    /// modes, so mode switches mid-run are safe and `index_updates` is
-    /// mode-independent.
+    /// The incrementally maintained rank index (see [`LoadIndex`]):
+    /// keyed for `IndexSupport::Indexed` routers, and the routability
+    /// mask for every router.
     index: LoadIndex,
     /// Last [`Driver::version`] folded into the index, per node.
     /// Initialized to a sentinel that matches no real version so the
     /// first refresh keys every node.
     node_version: Vec<u64>,
-    /// Scratch buffer for the scan path's load batch, reused across
-    /// routing instants so the hot path allocates nothing.
-    scratch_loads: Vec<NodeLoad>,
     /// Coordinator work counters for the run so far.
     stats: CoordinatorStats,
     /// Per-node lifecycle state, parallel to `drivers`. Departed nodes
@@ -443,7 +485,9 @@ impl<'a> Fleet<'a> {
     /// `node_models` and `specs` differ in length, and
     /// [`ClusterError::UnknownModel`] when some node's registry is
     /// missing a catalog model (every node must be able to serve every
-    /// model the front door accepts).
+    /// model the front door accepts), and [`ClusterError::InvalidProfile`]
+    /// when a node registry or the catalog carries an invalid compiled
+    /// kernel profile (later joins open their drivers on the catalog).
     pub fn with_node_registries(
         catalog: &'a [CompiledModel],
         node_models: Vec<&'a [CompiledModel]>,
@@ -473,11 +517,14 @@ impl<'a> Fleet<'a> {
                 });
             }
         }
-        let drivers: Vec<Driver<'a>> = node_models
+        let drivers = node_models
             .iter()
             .zip(specs)
-            .map(|(models, s)| Driver::open(models, s.sim_config()))
-            .collect();
+            .map(|(models, s)| open_node(models, s))
+            .collect::<Result<Vec<Driver<'a>>, _>>()?;
+        // Later joins (`add_node`, autoscaler scale-out) open their
+        // drivers on the catalog, so it must be valid too.
+        open_node(catalog, &specs[0])?;
         let support = router.index_support();
         let index = LoadIndex::new(
             drivers
@@ -505,10 +552,7 @@ impl<'a> Fleet<'a> {
             step_mode: StepMode::Sequential,
             pool: None,
             support,
-            routing: RoutingMode::default(),
-            batch_eps_s: 0.0,
             index,
-            scratch_loads: Vec::new(),
             stats: CoordinatorStats::default(),
             draining_count: 0,
             failure_events: Vec::new(),
@@ -553,64 +597,6 @@ impl<'a> Fleet<'a> {
     #[must_use]
     pub fn step_mode(&self) -> StepMode {
         self.step_mode
-    }
-
-    /// Sets the routing decision path at construction time:
-    /// `Fleet::new(..)?.with_routing_mode(RoutingMode::Scan)`.
-    #[must_use]
-    pub fn with_routing_mode(mut self, mode: RoutingMode) -> Self {
-        self.set_routing_mode(mode);
-        self
-    }
-
-    /// Switches between the O(log n) indexed decision path and the O(n)
-    /// scan reference path. Safe at any point in a run: the index is
-    /// maintained in both modes from the same update stream, and both
-    /// paths are bit-identical by contract (ties to the lowest node
-    /// index, identical sampler draw sequences), so only the
-    /// `nodes_examined` counter changes. Routers that do not support the
-    /// index ([`IndexSupport::Scan`]) ignore this entirely.
-    pub fn set_routing_mode(&mut self, mode: RoutingMode) {
-        self.routing = mode;
-    }
-
-    /// The active routing decision path.
-    #[must_use]
-    pub fn routing_mode(&self) -> RoutingMode {
-        self.routing
-    }
-
-    /// Sets the micro-batching epsilon at construction time:
-    /// `Fleet::new(..)?.with_batch_epsilon(50e-6)`.
-    #[must_use]
-    pub fn with_batch_epsilon(mut self, eps_s: f64) -> Self {
-        self.set_batch_epsilon(eps_s);
-        self
-    }
-
-    /// Sets the micro-batching epsilon, seconds. A routing instant whose
-    /// gap from the fleet clock is strictly below the epsilon is advanced
-    /// inline on the coordinator — one `run_until` per node, the same
-    /// calls the sequential stepper would make — instead of paying a
-    /// stepper-pool round trip, and is tallied in
-    /// [`CoordinatorStats::batched_instants`].
-    ///
-    /// Determinism contract: the epsilon changes *which thread* advances
-    /// the nodes, never what they compute, so any epsilon produces
-    /// results bit-identical to `0.0` (batching disabled, the default).
-    /// Non-finite or negative values are clamped to `0.0`.
-    pub fn set_batch_epsilon(&mut self, eps_s: f64) {
-        self.batch_eps_s = if eps_s.is_finite() && eps_s > 0.0 {
-            eps_s
-        } else {
-            0.0
-        };
-    }
-
-    /// The active micro-batching epsilon, seconds.
-    #[must_use]
-    pub fn batch_epsilon(&self) -> f64 {
-        self.batch_eps_s
     }
 
     /// Coordinator work counters accumulated so far (also on
@@ -672,7 +658,7 @@ impl<'a> Fleet<'a> {
     /// Determinism contract: enabling telemetry never perturbs the
     /// simulation — reports stay bit-identical to an untraced run — and
     /// the merged trace itself is bit-identical across
-    /// [`StepMode`] and [`RoutingMode`], because every
+    /// [`StepMode`]s, because every
     /// coordinator event fires on the routing thread at a virtual-time
     /// instant and node sinks are pulled in roster order at fixed points
     /// (the end of every [`Fleet::run_until`] /
@@ -808,8 +794,8 @@ impl<'a> Fleet<'a> {
     /// Live load views for every node, in fleet order — what the router
     /// is shown at a routing decision (with the pressure field populated;
     /// routing skips it when nothing consumes it). Allocates a fresh
-    /// `Vec` for the caller; the routing hot path itself reuses an
-    /// internal scratch buffer and never goes through here.
+    /// `Vec` for the caller; routing reads one node's load at a time and
+    /// never goes through here.
     #[must_use]
     pub fn loads(&self) -> Vec<NodeLoad> {
         self.drivers
@@ -950,7 +936,8 @@ impl<'a> Fleet<'a> {
     /// node's index.
     pub fn add_node(&mut self, spec: &NodeSpec) -> usize {
         let node = self.drivers.len();
-        let mut driver = Driver::open(self.models, spec.sim_config());
+        let mut driver =
+            open_node(self.models, spec).expect("catalog profiles are validated at construction");
         driver.run_until(self.now);
         if let Some(tm) = self.telemetry.as_mut() {
             let class = format!("{}c/{}", driver.total_cores(), driver.policy().name());
@@ -1341,34 +1328,15 @@ impl<'a> Fleet<'a> {
         self.now = t;
     }
 
-    /// Advances the fleet to the routing instant `due`, micro-batching
-    /// when the gap from the fleet clock is strictly below the epsilon:
-    /// the nodes are advanced inline on the coordinator — the exact
-    /// `run_until` calls the sequential stepper would make, so results
-    /// are bit-identical — and no stepper round trip is paid.
-    fn advance_for_routing(&mut self, due: SimTime) {
-        if due > self.now && due.0 - self.now.0 < self.batch_eps_s {
-            for d in &mut self.drivers {
-                d.run_until(due);
-            }
-            self.stats.batched_instants += 1;
-            self.now = due;
-        } else {
-            self.advance_nodes_to(due);
-        }
-    }
-
     /// Folds every node whose [`Driver::version`] moved since the last
     /// refresh back into the rank index. Only `IndexSupport::Indexed`
-    /// routers maintain keys; the refresh runs in *both* routing modes so
-    /// `index_updates` is mode-independent and mode switches are safe.
+    /// routers maintain keys.
     ///
     /// The version compare itself is O(nodes) per routing instant — the
     /// same order as the event-queue peek `advance_nodes_to` already does
     /// — and is deliberately *not* tallied as examined nodes: the
     /// counters measure decision work (loads read, keys compared), and
-    /// under steady load almost all compares are cheap no-ops while the
-    /// scan path would have materialized every load in full.
+    /// under steady load almost all compares are cheap no-ops.
     fn refresh_index(&mut self) {
         let want_pressure = self.router.needs_pressure();
         for (i, d) in self.drivers.iter().enumerate() {
@@ -1395,17 +1363,12 @@ impl<'a> Fleet<'a> {
     /// action must be observed by queries due exactly then), advancing
     /// the fleet to each routing instant so routing sees live load.
     fn route_due_upto(&mut self, t: SimTime, strict: bool) {
-        // Pressure is the one load signal that costs real work to read
-        // (a monitor pass over every running unit, per node); skip it
-        // when neither the router nor the admission controller consumes
-        // it.
-        let want_pressure = self.router.needs_pressure() || self.admission.needs_pressure();
         while let Some(p) = self.pending.peek() {
             if p.due > t || (strict && p.due == t) {
                 break;
             }
             let p = self.pending.pop().expect("peeked entry exists");
-            self.advance_for_routing(p.due);
+            self.advance_nodes_to(p.due);
             let model = &self.models[p.model];
             // The spec carries the *submitted* arrival: after a deferral
             // it lies in the past, and `inject_held` keeps it as the
@@ -1415,49 +1378,17 @@ impl<'a> Fleet<'a> {
                 arrival: p.arrival,
             };
             self.stats.routing_decisions += 1;
-            let node_count = self.drivers.len();
-            let (node, load) = match self.support {
-                IndexSupport::Scan => {
-                    // Legacy path for custom routers: materialize the
-                    // load batch (into the reused scratch buffer) and
-                    // let the router scan it. Only routable nodes are
-                    // materialized — scan routers pick a *position* in
-                    // the batch, mapped back through `NodeLoad::node`.
-                    let mut loads = std::mem::take(&mut self.scratch_loads);
-                    loads.clear();
-                    let states = &self.node_state;
-                    loads.extend(
-                        self.drivers
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| states[*i] == NodeState::Live)
-                            .map(|(i, d)| load_of(d, i, want_pressure)),
-                    );
-                    let pos = self
-                        .router
-                        .route(&loads, model, &query)
-                        .min(loads.len() - 1);
-                    let node = loads[pos].node;
-                    self.stats.nodes_examined += loads.len() as u64;
-                    let load = loads[pos];
-                    self.scratch_loads = loads;
-                    (node, load)
-                }
-                IndexSupport::Indexed | IndexSupport::Oblivious => {
-                    if self.support == IndexSupport::Indexed {
-                        self.refresh_index();
-                    }
-                    let node = self
-                        .router
-                        .route_indexed(&self.index, self.routing, model, &query)
-                        .min(node_count - 1);
-                    self.stats.nodes_examined += self.index.take_examined();
-                    // Admission reads one node's load, not the batch.
-                    let load = load_of(&self.drivers[node], node, self.admission.needs_pressure());
-                    self.stats.nodes_examined += 1;
-                    (node, load)
-                }
-            };
+            if self.support == IndexSupport::Indexed {
+                self.refresh_index();
+            }
+            let node = self
+                .router
+                .route(&self.index, model, &query)
+                .min(self.drivers.len() - 1);
+            self.stats.nodes_examined += self.index.take_examined();
+            // Admission reads the chosen node's load: one examination.
+            let load = load_of(&self.drivers[node], node, self.admission.needs_pressure());
+            self.stats.nodes_examined += 1;
             // One `Routed` event per routing decision — the pinned
             // equality `counts.routed == stats.routing_decisions` — then
             // exactly one of `Admitted`/`Deferred`/`Shed` for the offer.
@@ -1534,14 +1465,27 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Runs the fleet up to `t` seconds: routes every due arrival at its
-    /// own instant, fires every control action (failures, recoveries,
+    /// Runs the fleet up to `t_s` seconds: routes every due arrival at
+    /// its own instant, fires every control action (failures, recoveries,
     /// provisioned joins, autoscaler ticks) at its own instant, then
-    /// advances all nodes to exactly `t`. Queries due exactly at a
-    /// control instant route *after* it — a crash at `t` is observed by
-    /// arrivals at `t`, never the other way around.
-    pub fn run_until(&mut self, t_s: f64) {
-        let t = SimTime(t_s);
+    /// advances all nodes to exactly `t_s`. Queries due exactly at a
+    /// control instant route *after* it — a crash at `t_s` is observed by
+    /// arrivals at `t_s`, never the other way around.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::NonFiniteTarget`] if `t_s` is NaN or
+    /// infinite; the fleet is left untouched.
+    pub fn run_until(&mut self, t_s: f64) -> Result<(), ClusterError> {
+        if !t_s.is_finite() {
+            return Err(ClusterError::NonFiniteTarget { t_s });
+        }
+        self.advance_until(SimTime(t_s));
+        Ok(())
+    }
+
+    /// [`Fleet::run_until`] for a finite target.
+    fn advance_until(&mut self, t: SimTime) {
         while let Some(ct) = self.next_control_time() {
             if ct > t {
                 break;
@@ -1574,7 +1518,7 @@ impl<'a> Fleet<'a> {
         if !dt_s.is_finite() || dt_s <= 0.0 {
             return Err(ClusterError::InvalidDuration { dt_s });
         }
-        self.run_until(self.now.after(dt_s).0);
+        self.advance_until(self.now.after(dt_s));
         Ok(())
     }
 
@@ -1590,7 +1534,7 @@ impl<'a> Fleet<'a> {
     pub fn run_to_completion(&mut self) {
         while let Some(p) = self.pending.peek() {
             let t = p.due;
-            self.run_until(t.0);
+            self.advance_until(t);
         }
         match &self.pool {
             Some(pool) => pool.drain(&mut self.drivers),

@@ -29,12 +29,12 @@
 //!
 //! **Bit-identity.** Ties break toward the lowest node index at every
 //! tree comparison (`right wins only if strictly smaller`), which is
-//! exactly the `pick_min_by` scan's "keep the earlier index unless
-//! strictly beaten" rule — so for identical keys the tree's winner *is*
-//! the scan's winner, and [`RoutingMode::Indexed`] runs are bit-identical
-//! to [`RoutingMode::Scan`] runs (pinned by `tests/index_equivalence.rs`).
-//! Keys must never be NaN; every built-in rank is a finite arithmetic
-//! combination of finite load signals.
+//! exactly a linear argmin's "keep the earlier index unless strictly
+//! beaten" rule — so for identical keys the tree's winner *is* the
+//! argmin, and indexed fleet runs are bit-identical to an O(n) scan over
+//! the same keys (pinned against a scan oracle by
+//! `tests/index_equivalence.rs`). Keys must never be NaN; every built-in
+//! rank is a finite arithmetic combination of finite load signals.
 //!
 //! **Op counting.** The index tallies every key/load inspection in an
 //! internal counter the fleet drains into
@@ -43,36 +43,6 @@
 //! (wall clock on a single core measures mostly noise).
 
 use std::cell::Cell;
-
-/// How the fleet coordinator turns the router's rank keys into a pick.
-///
-/// Both modes maintain the same keys from the same update stream and
-/// break ties identically, so they produce **bit-identical** fleet runs;
-/// only the per-decision op count differs. `Scan` exists as the measured
-/// baseline for the complexity comparison (and as a belt-and-braces
-/// fallback if the tree were ever suspected of a bug in production use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingMode {
-    /// Tournament-tree decisions: O(1) winner reads, O(log n) weighted
-    /// sampling, after O(log n) per-change key updates.
-    #[default]
-    Indexed,
-    /// Flat decisions over the same keys: O(n) argmin scans and O(n)
-    /// weighted-sampling walks per decision (the legacy coordinator's op
-    /// profile).
-    Scan,
-}
-
-impl RoutingMode {
-    /// Display name used in tables and bench output.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            RoutingMode::Indexed => "indexed",
-            RoutingMode::Scan => "scan",
-        }
-    }
-}
 
 /// Sentinel for empty tournament-tree slots (fleets are rarely exact
 /// powers of two).
@@ -196,8 +166,8 @@ impl LoadIndex {
     }
 
     /// The winner of two leaf/subtree entries: the right entry only if
-    /// its key is *strictly* smaller — the tie-to-lowest-index rule the
-    /// linear scan uses, since the left subtree always holds the lower
+    /// its key is *strictly* smaller — the tie-to-lowest-index rule a
+    /// linear argmin uses, since the left subtree always holds the lower
     /// node indices.
     fn winner(&self, a: u32, b: u32) -> u32 {
         match (a, b) {
@@ -292,31 +262,13 @@ impl LoadIndex {
     }
 
     /// The routable node index with the smallest key (ties to the lowest
-    /// index): an O(1) root read in [`RoutingMode::Indexed`] (1
-    /// examination), a full argmin scan in [`RoutingMode::Scan`] (n
-    /// examinations). With zero routable nodes the result is meaningless
-    /// (the fleet never routes against an empty roster).
+    /// index): an O(1) root read (1 examination). With zero routable
+    /// nodes the result is meaningless (the fleet never routes against an
+    /// empty roster).
     #[must_use]
-    pub fn min(&self, mode: RoutingMode) -> usize {
-        match mode {
-            RoutingMode::Indexed => {
-                self.tally(1);
-                self.tree[1] as usize
-            }
-            RoutingMode::Scan => {
-                self.tally(self.keys.len() as u64);
-                let mut best = 0;
-                let mut best_key = self.eff_key(0);
-                for i in 1..self.keys.len() {
-                    let k = self.eff_key(i);
-                    if k < best_key {
-                        best = i;
-                        best_key = k;
-                    }
-                }
-                best
-            }
-        }
+    pub fn min(&self) -> usize {
+        self.tally(1);
+        self.tree[1] as usize
     }
 
     /// Node `i`'s current key (1 examination) — how power-of-two-choices
@@ -330,72 +282,48 @@ impl LoadIndex {
     }
 
     /// Total sampling weight excluding `skip` (and every unroutable
-    /// node): O(log n) off the Fenwick tree in indexed mode, an O(n)
-    /// summing walk in scan mode (the legacy sampler recomputed the
-    /// total per draw).
+    /// node), in O(log n) off the Fenwick tree. Not tallied: it reads
+    /// weights, never keys.
     #[must_use]
-    pub fn total_weight(&self, skip: Option<usize>, mode: RoutingMode) -> u64 {
+    pub fn total_weight(&self, skip: Option<usize>) -> u64 {
         let total = self.fen_prefix(self.keys.len());
         let skipped = skip.map_or(0, |s| self.eff_weight(s));
-        if mode == RoutingMode::Scan {
-            self.tally(self.weights.len() as u64);
-        }
         total - skipped
     }
 
-    /// Maps a sampling ticket in `[0, total_weight(skip, ..))` to a
-    /// routable node index with probability proportional to core count,
-    /// excluding `skip`.
+    /// Maps a sampling ticket in `[0, total_weight(skip))` to a routable
+    /// node index with probability proportional to core count, excluding
+    /// `skip`.
     ///
-    /// Scan mode is the legacy linear walk (subtract weights until the
-    /// ticket lands; each stepped entry is one examination; zero-weight
-    /// — unroutable — entries can never absorb the ticket). Indexed mode
-    /// descends the Fenwick tree to the last position whose cumulative
+    /// Descends the Fenwick tree to the last position whose cumulative
     /// effective weight is ≤ the ticket (exactly the
-    /// `partition_point(|&c| c <= ticket)` rule the prefix-sum search
-    /// used) and, when the hit lands at or past the skipped node,
-    /// re-descends with the ticket shifted by the skipped weight —
-    /// equivalent because for `i ≥ skip` the skip-excluded cumulative
-    /// weight is the full cumulative minus `weights[skip]`, and the
-    /// shifted hit can never land back on `skip` (the shifted ticket is
-    /// at least the cumulative weight *through* `skip`). Both modes
-    /// return the identical node for the same ticket (pinned by the
-    /// randomized unit tests below, with and without masked nodes).
+    /// `partition_point(|&c| c <= ticket)` rule over prefix sums) and,
+    /// when the hit lands at or past the skipped node, re-descends with
+    /// the ticket shifted by the skipped weight — equivalent because for
+    /// `i ≥ skip` the skip-excluded cumulative weight is the full
+    /// cumulative minus `weights[skip]`, and the shifted hit can never
+    /// land back on `skip` (the shifted ticket is at least the cumulative
+    /// weight *through* `skip`). The result is the node the linear
+    /// subtract-and-step walk over the weights would pick for the same
+    /// ticket (pinned by the randomized unit tests below, with and
+    /// without masked nodes). Each descent is `⌊log2 n⌋ + 1`
+    /// examinations.
     #[must_use]
-    pub fn sample(&self, ticket: u64, skip: Option<usize>, mode: RoutingMode) -> usize {
-        match mode {
-            RoutingMode::Scan => {
-                let mut remaining = ticket;
-                for i in 0..self.weights.len() {
-                    if Some(i) == skip {
-                        continue;
-                    }
-                    let w = self.eff_weight(i);
-                    self.tally(1);
-                    if remaining < w {
-                        return i;
-                    }
-                    remaining -= w;
-                }
-                unreachable!("ticket was drawn below the total weight")
-            }
-            RoutingMode::Indexed => {
-                let probes = u64::from(self.keys.len().max(1).ilog2()) + 1;
+    pub fn sample(&self, ticket: u64, skip: Option<usize>) -> usize {
+        let probes = u64::from(self.keys.len().max(1).ilog2()) + 1;
+        self.tally(probes);
+        let first = self.fen_search(ticket);
+        match skip {
+            Some(s) if first >= s => {
                 self.tally(probes);
-                let first = self.fen_search(ticket);
-                match skip {
-                    Some(s) if first >= s => {
-                        self.tally(probes);
-                        self.fen_search(ticket + self.eff_weight(s))
-                    }
-                    _ => first,
-                }
+                self.fen_search(ticket + self.eff_weight(s))
             }
+            _ => first,
         }
     }
 
-    /// Drains the examination tally (keys/loads inspected by `min`,
-    /// `key`, `total_weight`, and `sample` since the last drain). The
+    /// Drains the examination tally (keys inspected by `min`, `key` and
+    /// `sample` since the last drain). The
     /// fleet calls this once per routing decision and accumulates into
     /// [`CoordinatorStats::nodes_examined`](crate::CoordinatorStats).
     pub fn take_examined(&self) -> u64 {
@@ -454,8 +382,38 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The O(n) reference argmin over the keys decisions see: keep the
+    /// earlier index unless strictly beaten.
     fn scan_min(index: &LoadIndex) -> usize {
-        index.min(RoutingMode::Scan)
+        let mut best = 0;
+        for i in 1..index.len() {
+            if index.eff_key(i) < index.eff_key(best) {
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// The O(n) reference total: effective weights summed linearly.
+    fn scan_total(index: &LoadIndex, skip: Option<usize>) -> u64 {
+        (0..index.len())
+            .filter(|&i| Some(i) != skip)
+            .map(|i| index.eff_weight(i))
+            .sum()
+    }
+
+    /// The O(n) reference sampler: subtract weights until the ticket
+    /// lands (zero-weight — unroutable — entries never absorb it).
+    fn scan_sample(index: &LoadIndex, ticket: u64, skip: Option<usize>) -> usize {
+        let mut remaining = ticket;
+        for i in (0..index.len()).filter(|&i| Some(i) != skip) {
+            let w = index.eff_weight(i);
+            if remaining < w {
+                return i;
+            }
+            remaining -= w;
+        }
+        unreachable!("ticket was drawn below the total weight")
     }
 
     #[test]
@@ -464,24 +422,24 @@ mod tests {
         for i in 0..5 {
             index.update(i, 0.5);
         }
-        assert_eq!(index.min(RoutingMode::Indexed), 0);
-        assert_eq!(index.min(RoutingMode::Scan), 0);
+        assert_eq!(index.min(), 0);
+        assert_eq!(scan_min(&index), 0);
         index.update(3, 0.25);
         index.update(1, 0.25);
-        assert_eq!(index.min(RoutingMode::Indexed), 1);
-        assert_eq!(index.min(RoutingMode::Scan), 1);
+        assert_eq!(index.min(), 1);
+        assert_eq!(scan_min(&index), 1);
     }
 
     #[test]
     fn signed_zero_ties_match_the_scan() {
-        // -0.0 < 0.0 is false in IEEE comparison, so both modes must
-        // treat them as a tie and keep the lower index.
+        // -0.0 < 0.0 is false in IEEE comparison, so the tree must treat
+        // them as a tie and keep the lower index, like the scan.
         let mut index = LoadIndex::new(vec![1; 3]);
         index.update(0, 0.0);
         index.update(1, -0.0);
         index.update(2, 1.0);
-        assert_eq!(index.min(RoutingMode::Scan), 0);
-        assert_eq!(index.min(RoutingMode::Indexed), 0);
+        assert_eq!(scan_min(&index), 0);
+        assert_eq!(index.min(), 0);
     }
 
     #[test]
@@ -498,7 +456,7 @@ mod tests {
                 let key = f64::from(u32::try_from(rng.gen_range(0..16u64)).unwrap()) / 8.0;
                 index.update(node, key);
                 assert_eq!(
-                    index.min(RoutingMode::Indexed),
+                    index.min(),
                     scan_min(&index),
                     "tree diverged from scan at n={n}"
                 );
@@ -516,11 +474,11 @@ mod tests {
         let mut skips: Vec<Option<usize>> = (0..weights.len()).map(Some).collect();
         skips.push(None);
         for skip in skips {
-            let total = index.total_weight(skip, RoutingMode::Indexed);
-            assert_eq!(total, index.total_weight(skip, RoutingMode::Scan));
+            let total = index.total_weight(skip);
+            assert_eq!(total, scan_total(&index, skip));
             for ticket in 0..total {
-                let walk = index.sample(ticket, skip, RoutingMode::Scan);
-                let search = index.sample(ticket, skip, RoutingMode::Indexed);
+                let walk = scan_sample(&index, ticket, skip);
+                let search = index.sample(ticket, skip);
                 assert_eq!(walk, search, "ticket {ticket} skip {skip:?} diverged");
                 assert_ne!(Some(search), skip, "sampled the excluded node");
             }
@@ -529,9 +487,9 @@ mod tests {
 
     #[test]
     fn masked_nodes_never_win_and_never_sample() {
-        // Drain two of five nodes: the argmin must skip them in both
-        // modes, and every sampling ticket must land on a live node,
-        // with scan and indexed still agreeing ticket-for-ticket.
+        // Drain two of five nodes: the argmin must skip them, and every
+        // sampling ticket must land on a live node, with the scan and the
+        // index still agreeing ticket-for-ticket.
         let weights = vec![16u64, 4, 32, 4, 8];
         let mut index = LoadIndex::new(weights);
         for i in 0..5 {
@@ -543,14 +501,14 @@ mod tests {
         index.set_routable(2, false);
         assert_eq!(index.live_len(), 3);
         assert!(!index.routable(0));
-        assert_eq!(index.min(RoutingMode::Indexed), 1);
-        assert_eq!(index.min(RoutingMode::Scan), 1);
+        assert_eq!(index.min(), 1);
+        assert_eq!(scan_min(&index), 1);
         for skip in [None, Some(1), Some(3), Some(4)] {
-            let total = index.total_weight(skip, RoutingMode::Indexed);
-            assert_eq!(total, index.total_weight(skip, RoutingMode::Scan));
+            let total = index.total_weight(skip);
+            assert_eq!(total, scan_total(&index, skip));
             for ticket in 0..total {
-                let walk = index.sample(ticket, skip, RoutingMode::Scan);
-                let search = index.sample(ticket, skip, RoutingMode::Indexed);
+                let walk = scan_sample(&index, ticket, skip);
+                let search = index.sample(ticket, skip);
                 assert_eq!(walk, search, "ticket {ticket} skip {skip:?} diverged");
                 assert!(index.routable(search), "sampled a masked node");
                 assert_ne!(Some(search), skip);
@@ -559,11 +517,8 @@ mod tests {
         // Restoring the best node restores its wins and its weight.
         index.set_routable(0, true);
         assert_eq!(index.live_len(), 4);
-        assert_eq!(index.min(RoutingMode::Indexed), 0);
-        assert_eq!(
-            index.total_weight(None, RoutingMode::Indexed),
-            16 + 4 + 4 + 8
-        );
+        assert_eq!(index.min(), 0);
+        assert_eq!(index.total_weight(None), 16 + 4 + 4 + 8);
     }
 
     #[test]
@@ -586,16 +541,16 @@ mod tests {
             }
             assert_eq!(grown.len(), weights.len());
             assert_eq!(
-                grown.min(RoutingMode::Indexed),
-                fresh.min(RoutingMode::Indexed),
+                grown.min(),
+                fresh.min(),
                 "winner diverged after push {step}"
             );
-            let total = fresh.total_weight(None, RoutingMode::Indexed);
-            assert_eq!(total, grown.total_weight(None, RoutingMode::Indexed));
+            let total = fresh.total_weight(None);
+            assert_eq!(total, grown.total_weight(None));
             for ticket in 0..total {
                 assert_eq!(
-                    grown.sample(ticket, None, RoutingMode::Indexed),
-                    fresh.sample(ticket, None, RoutingMode::Indexed),
+                    grown.sample(ticket, None),
+                    fresh.sample(ticket, None),
                     "sampling diverged after push {step} at ticket {ticket}"
                 );
             }
@@ -628,14 +583,14 @@ mod tests {
                     index.update(i, key);
                 }
             }
-            assert_eq!(index.min(RoutingMode::Indexed), scan_min(&index));
-            let total = index.total_weight(None, RoutingMode::Indexed);
-            assert_eq!(total, index.total_weight(None, RoutingMode::Scan));
+            assert_eq!(index.min(), scan_min(&index));
+            let total = index.total_weight(None);
+            assert_eq!(total, scan_total(&index, None));
             if total > 0 {
                 let ticket = rng.gen_range(0..total);
                 assert_eq!(
-                    index.sample(ticket, None, RoutingMode::Indexed),
-                    index.sample(ticket, None, RoutingMode::Scan)
+                    index.sample(ticket, None),
+                    scan_sample(&index, ticket, None)
                 );
             }
         }
@@ -643,14 +598,18 @@ mod tests {
 
     #[test]
     fn examined_counts_scale_as_n_vs_log_n() {
+        // A scan decision reads all n keys; the index reads the root for
+        // the minimum and one Fenwick path per sample.
         let n = 1024;
         let index = LoadIndex::new(vec![1; n]);
         index.take_examined();
-        let _ = index.min(RoutingMode::Scan);
-        assert_eq!(index.take_examined(), n as u64);
-        let _ = index.min(RoutingMode::Indexed);
+        let _ = index.min();
         assert_eq!(index.take_examined(), 1);
-        let _ = index.sample(17, None, RoutingMode::Indexed);
-        assert!(index.take_examined() <= 1 + u64::from(n.ilog2()));
+        let _ = index.total_weight(Some(3));
+        assert_eq!(index.take_examined(), 0, "totals read weights, not keys");
+        let _ = index.sample(17, None);
+        assert_eq!(index.take_examined(), 1 + u64::from(n.ilog2()));
+        let _ = index.sample(17, Some(0));
+        assert!(index.take_examined() <= 2 * (1 + u64::from(n.ilog2())));
     }
 }

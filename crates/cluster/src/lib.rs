@@ -17,16 +17,14 @@
 //! * [`router`] — the [`Router`] trait with round-robin,
 //!   least-outstanding, power-of-two-choices, and interference-aware
 //!   routing (the fleet-level consumer of each node's monitor/proxy
-//!   pressure signal);
+//!   pressure signal), each deciding off the load index;
 //! * [`admission`] — the [`AdmissionController`] trait, the no-op
 //!   [`AdmitAll`], and the SLO-projection [`SloAdmission`];
 //! * [`index`] — [`LoadIndex`], the incrementally maintained tournament
-//!   tree the coordinator keeps keyed on the active router's rank signal,
-//!   and [`RoutingMode`], which selects the O(log n) indexed decision
-//!   path or the O(n) scan reference path (bit-identical by contract);
+//!   tree and Fenwick sampler the coordinator keeps keyed on the active
+//!   router's rank signal, so every routing decision is O(log n);
 //! * [`fleet`] — the [`Fleet`] runtime: lockstep virtual time across
-//!   nodes, arrival-instant routing with optional micro-batching of
-//!   near-coincident arrivals, streaming submission, snapshots;
+//!   nodes, arrival-instant routing, streaming submission, snapshots;
 //! * [`parallel`] — the work-stealing fleet stepper: [`StepMode`] selects
 //!   sequential or parallel node advancement between routing instants,
 //!   with bit-identical results either way;
@@ -69,7 +67,7 @@
 //!     AdmissionKind::AdmitAll.build(),
 //! )?;
 //! fleet.submit_stream(&WorkloadSpec::single("mobilenet_v2", 60.0, 40), 7)?;
-//! fleet.run_until(0.25);
+//! fleet.run_until(0.25)?;
 //! let live = fleet.snapshot();
 //! assert_eq!(live.nodes.len(), 2);
 //! let report = fleet.finish();
@@ -93,7 +91,7 @@ pub use admission::{
 };
 pub use failure::{FailureEvent, FailureKind, FailurePlan};
 pub use fleet::{ClusterError, Fleet, FleetSnapshot, NodeSnapshot, DEFER_HARD_CAP};
-pub use index::{LoadIndex, RoutingMode};
+pub use index::LoadIndex;
 pub use node::{NodeLoad, NodeSpec, NodeState};
 pub use parallel::StepMode;
 pub use report::{merge_reports, CoordinatorStats, FleetReport};

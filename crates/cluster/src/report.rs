@@ -64,24 +64,17 @@ pub fn merge_reports(reports: &[ServingReport]) -> ServingReport {
 /// * `routing_decisions` — one per query offered to the router,
 ///   *including* re-offers of deferred queries.
 /// * `nodes_examined` — load entries / index keys inspected to make
-///   those decisions. A full scan argmin examines `n` nodes; a tournament
-///   tree minimum examines 1 (the cached root); each binary search over
-///   the weight prefix examines `⌊log2 n⌋ + 1` keys. The admission
-///   controller's load read counts as 1 on the indexed path (on the scan
-///   path the load is already part of the scanned batch). Version
-///   compares and same-instant event peeks are cheap coordinator work,
-///   not examinations.
+///   those decisions. A tournament-tree minimum examines 1 (the cached
+///   root); each Fenwick descent for a weighted draw examines
+///   `⌊log2 n⌋ + 1` keys; comparing a sampled pair reads 2 keys. The
+///   admission controller's load read counts as 1. (A linear argmin
+///   would examine every node.) Version compares and same-instant event
+///   peeks are cheap coordinator work, not examinations.
 /// * `index_updates` — rank re-computations triggered by node state
-///   changes. The index is maintained in both routing modes from the
-///   same update stream, so this is identical for `Scan` and `Indexed`
-///   runs of the same workload — only `nodes_examined` differs.
+///   changes.
 /// * `pool_round_trips` — time-advancing sweeps handed to the node
 ///   stepper (pool dispatch in `Parallel`, in-place loop in
-///   `Sequential`; counted identically either way). Micro-batched
-///   instants advance inline on the coordinator and do *not* count.
-/// * `batched_instants` — routing instants absorbed by micro-batching
-///   (inter-arrival gap below the configured epsilon), i.e. round trips
-///   avoided.
+///   `Sequential`; counted identically either way).
 /// * `nodes_added` / `nodes_drained` / `nodes_killed` — roster churn:
 ///   one per lifecycle transition applied (manual calls, failure-plan
 ///   events, and autoscaler actions all count; skipped plan events do
@@ -109,8 +102,8 @@ pub fn merge_reports(reports: &[ServingReport]) -> ServingReport {
 ///   `FleetReport::rerouted == counts.requeued`.
 ///
 /// The event counts live on the telemetry side precisely because they
-/// are mode-independent: unlike `nodes_examined`, they compare equal
-/// across `StepMode` *and* `RoutingMode`.
+/// describe the simulated run, not the coordinator's bookkeeping: they
+/// compare equal across `StepMode`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoordinatorStats {
     /// Routing decisions made (one per offer, including deferral re-offers).
@@ -121,8 +114,6 @@ pub struct CoordinatorStats {
     pub index_updates: u64,
     /// Time-advancing sweeps handed to the node stepper.
     pub pool_round_trips: u64,
-    /// Routing instants absorbed by micro-batching (round trips avoided).
-    pub batched_instants: u64,
     /// Nodes added to the roster (manual or autoscaled joins).
     pub nodes_added: u64,
     /// Graceful drains initiated (manual, planned, or scale-in).
@@ -132,8 +123,9 @@ pub struct CoordinatorStats {
 }
 
 impl CoordinatorStats {
-    /// Mean load entries examined per routing decision — ≈ `n` for the
-    /// scan path, ≤ `2·log2(n)` for indexed routers.
+    /// Mean load entries examined per routing decision — ≤ `2·log2(n)`
+    /// for the min-routers and ≤ `4·log2(n)` for power-of-two, against
+    /// `n` for a linear scan.
     #[must_use]
     pub fn examined_per_decision(&self) -> f64 {
         if self.routing_decisions == 0 {
@@ -143,8 +135,8 @@ impl CoordinatorStats {
         }
     }
 
-    /// Stepper round trips per 1000 routing decisions — micro-batching
-    /// pushes this below 1000 by absorbing near-coincident arrivals.
+    /// Stepper round trips per 1000 routing decisions — below 1000 when
+    /// several queries route at one instant.
     #[must_use]
     pub fn round_trips_per_1k_decisions(&self) -> f64 {
         if self.routing_decisions == 0 {
@@ -328,7 +320,6 @@ mod tests {
             nodes_examined: 17_000,
             index_updates: 3,
             pool_round_trips: 250,
-            batched_instants: 750,
             nodes_added: 0,
             nodes_drained: 0,
             nodes_killed: 0,

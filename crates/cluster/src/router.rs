@@ -13,46 +13,30 @@ use rand::{Rng, SeedableRng};
 use veltair_compiler::{CompiledModel, EwmaSmoother};
 use veltair_sched::QuerySpec;
 
-use crate::index::{LoadIndex, RoutingMode};
+use crate::index::LoadIndex;
 use crate::node::NodeLoad;
 
 /// How a router participates in the fleet's incremental load index (see
 /// [`LoadIndex`] and [`Router::index_support`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexSupport {
-    /// No indexed fast path: the fleet materializes every node's
-    /// [`NodeLoad`] and calls [`Router::route`] per decision — the
-    /// compatibility fallback for arbitrary custom routers (O(nodes) per
-    /// decision).
-    Scan,
     /// The router defines a scalar [`Router::rank`] over node loads and
-    /// routes through [`Router::route_indexed`]; the fleet maintains the
-    /// rank keys incrementally and only re-keys nodes whose driver state
-    /// changed.
+    /// decides off the index in [`Router::route`]; the fleet maintains
+    /// the rank keys incrementally and only re-keys nodes whose driver
+    /// state changed. The default.
     Indexed,
     /// The router ignores load entirely (round-robin): the fleet skips
-    /// rank maintenance altogether and routes through
-    /// [`Router::route_indexed`] in O(1).
+    /// rank maintenance altogether and [`Router::route`] reads only the
+    /// index's routability mask, in O(1).
     Oblivious,
 }
 
-/// A fleet routing policy. `route` picks the node index a query is
-/// offered to; the admission controller then decides whether that node
-/// may actually take it.
+/// A fleet routing policy. [`route`](Router::route) picks the node index
+/// a query is offered to, off the fleet's [`LoadIndex`]; the admission
+/// controller then decides whether that node may actually take it.
 pub trait Router: std::fmt::Debug + Send {
     /// Display name used in snapshots and comparison tables.
     fn name(&self) -> &'static str;
-
-    /// Picks a node for `query` (targeting the compiled `model`) given
-    /// every node's live load. `loads` is never empty and is indexed by
-    /// fleet node order.
-    ///
-    /// This is the full-scan entry point: the fleet only calls it for
-    /// routers whose [`index_support`](Router::index_support) is
-    /// [`IndexSupport::Scan`] (and it remains the convenient way to
-    /// exercise a policy directly against hand-built load tables, as the
-    /// unit tests below do).
-    fn route(&mut self, loads: &[NodeLoad], model: &CompiledModel, query: &QuerySpec) -> usize;
 
     /// Whether this router reads [`NodeLoad::pressure`]. The pressure
     /// estimate is the one load signal that costs real work (a monitor
@@ -65,41 +49,22 @@ pub trait Router: std::fmt::Debug + Send {
     }
 
     /// How this router participates in the fleet's incremental load
-    /// index. Defaults to [`IndexSupport::Scan`] so custom routers keep
-    /// today's full-materialization semantics unless they opt in.
+    /// index. Defaults to [`IndexSupport::Indexed`].
     fn index_support(&self) -> IndexSupport {
-        IndexSupport::Scan
+        IndexSupport::Indexed
     }
 
     /// The scalar rank key for one node's load — **lower is better**, and
     /// the value must never be NaN. The fleet calls this exactly once per
     /// *node state change* (not per decision), so a stateful rank (the
     /// interference-aware router's EWMA) advances on the node's update
-    /// stream. Only consulted when
-    /// [`index_support`](Router::index_support) returns
-    /// [`IndexSupport::Indexed`].
-    fn rank(&mut self, load: &NodeLoad) -> f64 {
-        let _ = load;
-        panic!("rank() is only defined for IndexSupport::Indexed routers")
-    }
+    /// stream. Never consulted for [`IndexSupport::Oblivious`] routers.
+    fn rank(&mut self, load: &NodeLoad) -> f64;
 
-    /// Picks a node off the maintained index (rank keys current as of the
-    /// last node state changes). Only consulted when
-    /// [`index_support`](Router::index_support) is *not*
-    /// [`IndexSupport::Scan`]. `mode` selects the tree fast path or the
-    /// flat-scan baseline over the same keys; implementations must return
-    /// the identical node either way (the bit-identity contract of
-    /// [`RoutingMode`]).
-    fn route_indexed(
-        &mut self,
-        index: &LoadIndex,
-        mode: RoutingMode,
-        model: &CompiledModel,
-        query: &QuerySpec,
-    ) -> usize {
-        let _ = (index, mode, model, query);
-        panic!("route_indexed() is only defined for indexed/oblivious routers")
-    }
+    /// Picks a routable node for `query` (targeting the compiled `model`)
+    /// off the maintained index, whose rank keys are current as of the
+    /// last node state changes.
+    fn route(&mut self, index: &LoadIndex, model: &CompiledModel, query: &QuerySpec) -> usize;
 }
 
 /// Declarative router selection, used by cluster builders so a fleet
@@ -158,12 +123,6 @@ impl Router for RoundRobin {
         "round-robin"
     }
 
-    fn route(&mut self, loads: &[NodeLoad], _model: &CompiledModel, _query: &QuerySpec) -> usize {
-        let pick = self.next % loads.len();
-        self.next = (self.next + 1) % loads.len();
-        pick
-    }
-
     fn needs_pressure(&self) -> bool {
         false
     }
@@ -172,16 +131,15 @@ impl Router for RoundRobin {
         IndexSupport::Oblivious
     }
 
-    fn route_indexed(
-        &mut self,
-        index: &LoadIndex,
-        _mode: RoutingMode,
-        _model: &CompiledModel,
-        _query: &QuerySpec,
-    ) -> usize {
+    /// Load-blind: every node ranks the same (and the fleet never asks,
+    /// since the router is oblivious).
+    fn rank(&mut self, _load: &NodeLoad) -> f64 {
+        0.0
+    }
+
+    fn route(&mut self, index: &LoadIndex, _model: &CompiledModel, _query: &QuerySpec) -> usize {
         // Probe forward past masked (stalled/draining/dead) slots; with
-        // a churn-free roster this is the single-step rotation it always
-        // was, so the pick sequence is unchanged.
+        // a churn-free roster this is a single-step rotation.
         for _ in 0..index.len() {
             let pick = self.next % index.len();
             self.next = (self.next + 1) % index.len();
@@ -204,30 +162,16 @@ impl Router for LeastOutstanding {
         "least-outstanding"
     }
 
-    fn route(&mut self, loads: &[NodeLoad], _model: &CompiledModel, _query: &QuerySpec) -> usize {
-        pick_min_by(loads, NodeLoad::outstanding_per_core)
-    }
-
     fn needs_pressure(&self) -> bool {
         false
-    }
-
-    fn index_support(&self) -> IndexSupport {
-        IndexSupport::Indexed
     }
 
     fn rank(&mut self, load: &NodeLoad) -> f64 {
         load.outstanding_per_core()
     }
 
-    fn route_indexed(
-        &mut self,
-        index: &LoadIndex,
-        mode: RoutingMode,
-        _model: &CompiledModel,
-        _query: &QuerySpec,
-    ) -> usize {
-        index.min(mode)
+    fn route(&mut self, index: &LoadIndex, _model: &CompiledModel, _query: &QuerySpec) -> usize {
+        index.min()
     }
 }
 
@@ -251,29 +195,6 @@ impl PowerOfTwoChoices {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    /// Samples a node index with probability proportional to core count,
-    /// excluding `skip` (pass `usize::MAX` to exclude nothing).
-    fn sample_weighted(&mut self, loads: &[NodeLoad], skip: usize) -> usize {
-        let total: u64 = loads
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != skip)
-            .map(|(_, l)| u64::from(l.total_cores.max(1)))
-            .sum();
-        let mut ticket = self.rng.gen_range(0..total);
-        for (i, l) in loads.iter().enumerate() {
-            if i == skip {
-                continue;
-            }
-            let w = u64::from(l.total_cores.max(1));
-            if ticket < w {
-                return i;
-            }
-            ticket -= w;
-        }
-        unreachable!("ticket was drawn below the total weight")
-    }
 }
 
 impl Router for PowerOfTwoChoices {
@@ -281,58 +202,36 @@ impl Router for PowerOfTwoChoices {
         "power-of-two"
     }
 
-    fn route(&mut self, loads: &[NodeLoad], _model: &CompiledModel, _query: &QuerySpec) -> usize {
-        if loads.len() == 1 {
-            return 0;
-        }
-        let a = self.sample_weighted(loads, usize::MAX);
-        let b = self.sample_weighted(loads, a);
-        if loads[b].outstanding_per_core() < loads[a].outstanding_per_core() {
-            b
-        } else {
-            a
-        }
-    }
-
     fn needs_pressure(&self) -> bool {
         false
-    }
-
-    fn index_support(&self) -> IndexSupport {
-        IndexSupport::Indexed
     }
 
     fn rank(&mut self, load: &NodeLoad) -> f64 {
         load.outstanding_per_core()
     }
 
-    /// The indexed pair-sampling path. The generator draw sequence is
-    /// *identical* to [`PowerOfTwoChoices::route`] — one
-    /// `gen_range(0..total)` per sample with the same totals — and the
-    /// index's prefix-sum sampler returns the same node per ticket as the
-    /// legacy linear walk (pinned in `index::tests`), so indexed and
-    /// full-scan fleets make bit-identical choices from the same seed.
-    fn route_indexed(
-        &mut self,
-        index: &LoadIndex,
-        mode: RoutingMode,
-        _model: &CompiledModel,
-        _query: &QuerySpec,
-    ) -> usize {
+    /// Two core-weighted draws off the index's Fenwick sampler — one
+    /// `gen_range(0..total)` per candidate, the second excluding the
+    /// first — then the lower key of the pair wins (ties to the first
+    /// draw). The sampler maps each ticket to the node a linear walk over
+    /// the core counts would pick, so the draw sequence is the classic
+    /// linear-walk router's, draw for draw.
+    fn route(&mut self, index: &LoadIndex, _model: &CompiledModel, _query: &QuerySpec) -> usize {
         if index.live_len() == 1 {
-            // Zero-draw early return, exactly the legacy single-node
-            // behavior (the generator must not advance); under churn the
-            // one routable node need not be index 0.
+            // Zero-draw early return: one candidate leaves no pair to
+            // sample (the second draw's total would be zero), so the
+            // generator does not advance. Under churn the one routable
+            // node need not be index 0.
             for i in 0..index.len() {
                 if index.routable(i) {
                     return i;
                 }
             }
         }
-        let total = index.total_weight(None, mode);
-        let a = index.sample(self.rng.gen_range(0..total), None, mode);
-        let total_b = index.total_weight(Some(a), mode);
-        let b = index.sample(self.rng.gen_range(0..total_b), Some(a), mode);
+        let total = index.total_weight(None);
+        let a = index.sample(self.rng.gen_range(0..total), None);
+        let total_b = index.total_weight(Some(a));
+        let b = index.sample(self.rng.gen_range(0..total_b), Some(a));
         if index.key(b) < index.key(a) {
             b
         } else {
@@ -375,14 +274,11 @@ impl Router for PowerOfTwoChoices {
 /// least-outstanding on both SLO violations and goodput
 /// (`tests/cluster_fleet.rs` pins the win).
 ///
-/// **Smoothing cadence.** Fleet-level routing feeds each node's smoother
-/// through [`Router::rank`], which the coordinator calls once per *node
-/// state change* — the update stream of the incremental load index — so
-/// the EWMA advances when a node's load actually moves, identically in
-/// indexed and scan routing modes (the bit-identity contract). The
-/// direct [`Router::route`] entry point keeps the original
-/// observe-every-node-per-decision cadence for callers driving the
-/// policy against hand-built load tables.
+/// **Smoothing cadence.** Each node's smoother is fed through
+/// [`Router::rank`], which the coordinator calls once per *node state
+/// change* — the update stream of the incremental load index — so the
+/// EWMA advances when a node's load actually moves, not once per routing
+/// decision.
 #[derive(Debug, Clone, Default)]
 pub struct InterferenceAware {
     /// One smoother per fleet node, grown on first sight.
@@ -416,28 +312,12 @@ impl InterferenceAware {
 const PRESSURE_WEIGHT: f64 = 1.0;
 
 /// EWMA weight of the newest pressure sample in the router's per-node
-/// smoothing (samples arrive once per routing decision).
+/// smoothing (samples arrive once per node state change).
 const PRESSURE_EWMA_ALPHA: f64 = 0.3;
 
 impl Router for InterferenceAware {
     fn name(&self) -> &'static str {
         "interference-aware"
-    }
-
-    fn route(&mut self, loads: &[NodeLoad], _model: &CompiledModel, _query: &QuerySpec) -> usize {
-        if self.smoothers.len() < loads.len() {
-            self.smoothers
-                .resize(loads.len(), EwmaSmoother::new(PRESSURE_EWMA_ALPHA));
-        }
-        let smoothed: Vec<f64> = loads
-            .iter()
-            .map(|l| self.smoothers[l.node].observe(l.pressure))
-            .collect();
-        pick_min_by(loads, |l| Self::score(l, smoothed[l.node]))
-    }
-
-    fn index_support(&self) -> IndexSupport {
-        IndexSupport::Indexed
     }
 
     /// Re-keys one changed node: its smoother observes the node's fresh
@@ -450,29 +330,9 @@ impl Router for InterferenceAware {
         Self::score(load, smoothed)
     }
 
-    fn route_indexed(
-        &mut self,
-        index: &LoadIndex,
-        mode: RoutingMode,
-        _model: &CompiledModel,
-        _query: &QuerySpec,
-    ) -> usize {
-        index.min(mode)
+    fn route(&mut self, index: &LoadIndex, _model: &CompiledModel, _query: &QuerySpec) -> usize {
+        index.min()
     }
-}
-
-/// Index of the minimum-scoring node, ties toward the lower index.
-fn pick_min_by(loads: &[NodeLoad], score: impl Fn(&NodeLoad) -> f64) -> usize {
-    let mut best = 0;
-    let mut best_score = score(&loads[0]);
-    for (i, l) in loads.iter().enumerate().skip(1) {
-        let s = score(l);
-        if s < best_score {
-            best = i;
-            best_score = s;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -510,6 +370,64 @@ mod tests {
         }
     }
 
+    /// Builds an index keyed by the given router's rank over `loads`.
+    fn keyed_index(router: &mut dyn Router, loads: &[NodeLoad]) -> LoadIndex {
+        let mut index = LoadIndex::new(loads.iter().map(|l| u64::from(l.total_cores)).collect());
+        for (i, l) in loads.iter().enumerate() {
+            let key = router.rank(l);
+            index.update(i, key);
+        }
+        index
+    }
+
+    /// Keys a fresh index over `loads` and makes one routing decision.
+    fn route_once(router: &mut dyn Router, loads: &[NodeLoad]) -> usize {
+        let index = keyed_index(router, loads);
+        router.route(&index, &model(), &query())
+    }
+
+    /// The O(n) reference pick: the lowest score, ties to the lower index.
+    fn argmin(loads: &[NodeLoad], score: impl Fn(&NodeLoad) -> f64) -> usize {
+        let mut best = 0;
+        for (i, l) in loads.iter().enumerate().skip(1) {
+            if score(l) < score(&loads[best]) {
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// The classic power-of-two router over a load table: two draws, each
+    /// one `gen_range` over the summed core counts walked linearly, the
+    /// second excluding the first; the lighter per-core queue wins.
+    struct LinearWalkPowerOfTwo(StdRng);
+
+    impl LinearWalkPowerOfTwo {
+        fn sample(&mut self, loads: &[NodeLoad], skip: Option<usize>) -> usize {
+            let weight = |l: &NodeLoad| u64::from(l.total_cores.max(1));
+            let candidates = || loads.iter().enumerate().filter(|(i, _)| Some(*i) != skip);
+            let total: u64 = candidates().map(|(_, l)| weight(l)).sum();
+            let mut ticket = self.0.gen_range(0..total);
+            for (i, l) in candidates() {
+                if ticket < weight(l) {
+                    return i;
+                }
+                ticket -= weight(l);
+            }
+            unreachable!("ticket was drawn below the total weight")
+        }
+
+        fn route(&mut self, loads: &[NodeLoad]) -> usize {
+            let a = self.sample(loads, None);
+            let b = self.sample(loads, Some(a));
+            if loads[b].outstanding_per_core() < loads[a].outstanding_per_core() {
+                b
+            } else {
+                a
+            }
+        }
+    }
+
     #[test]
     fn round_robin_cycles() {
         let loads = [
@@ -519,7 +437,8 @@ mod tests {
         ];
         let m = model();
         let mut r = RoundRobin::default();
-        let picks: Vec<usize> = (0..6).map(|_| r.route(&loads, &m, &query())).collect();
+        let index = keyed_index(&mut r, &loads);
+        let picks: Vec<usize> = (0..6).map(|_| r.route(&index, &m, &query())).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -527,18 +446,14 @@ mod tests {
     fn least_outstanding_normalizes_by_cores() {
         // 4 outstanding on 64 cores is lighter than 2 on 8 cores.
         let loads = [load(0, 4, 64, 0.0), load(1, 2, 8, 0.0)];
-        let m = model();
-        let mut r = LeastOutstanding;
-        assert_eq!(r.route(&loads, &m, &query()), 0);
+        assert_eq!(route_once(&mut LeastOutstanding, &loads), 0);
     }
 
     #[test]
     fn interference_aware_prefers_quiet_nodes() {
         // Equal queue depth and size: the monitored pressure decides.
         let loads = [load(0, 3, 64, 0.9), load(1, 3, 64, 0.0)];
-        let m = model();
-        let mut r = InterferenceAware::default();
-        assert_eq!(r.route(&loads, &m, &query()), 1);
+        assert_eq!(route_once(&mut InterferenceAware::default(), &loads), 1);
     }
 
     #[test]
@@ -547,9 +462,7 @@ mod tests {
         // calm node drowning in queued work loses to a loud but shallow
         // one.
         let loads = [load(0, 32, 64, 0.0), load(1, 2, 64, 1.0)];
-        let m = model();
-        let mut r = InterferenceAware::default();
-        assert_eq!(r.route(&loads, &m, &query()), 1);
+        assert_eq!(route_once(&mut InterferenceAware::default(), &loads), 1);
     }
 
     #[test]
@@ -558,9 +471,7 @@ mod tests {
         // work: among idle nodes the biggest machine wins regardless of
         // it, and any idle node beats any loaded one.
         let loads = [load(0, 0, 8, 0.0), load(1, 0, 64, 0.9), load(2, 1, 64, 0.0)];
-        let m = model();
-        let mut r = InterferenceAware::default();
-        assert_eq!(r.route(&loads, &m, &query()), 1);
+        assert_eq!(route_once(&mut InterferenceAware::default(), &loads), 1);
     }
 
     #[test]
@@ -569,10 +480,8 @@ mod tests {
         // not penalize the big machine more than the small one — the
         // smaller node absorbs the same pressure worse.
         let loads = [load(0, 8, 64, 0.8), load(1, 1, 8, 0.8)];
-        let m = model();
-        let mut r = InterferenceAware::default();
         // (8 + 0.8)/64 = 0.1375 < (1 + 0.8)/8 = 0.225
-        assert_eq!(r.route(&loads, &m, &query()), 0);
+        assert_eq!(route_once(&mut InterferenceAware::default(), &loads), 0);
     }
 
     #[test]
@@ -586,7 +495,8 @@ mod tests {
         let m = model();
         let picks = |seed: u64| -> Vec<usize> {
             let mut r = PowerOfTwoChoices::new(seed);
-            (0..32).map(|_| r.route(&loads, &m, &query())).collect()
+            let index = keyed_index(&mut r, &loads);
+            (0..32).map(|_| r.route(&index, &m, &query())).collect()
         };
         assert_eq!(picks(7), picks(7));
         assert_ne!(picks(7), picks(8));
@@ -599,31 +509,19 @@ mod tests {
         let loads = [load(0, 50, 64, 0.0), load(1, 0, 64, 0.0)];
         let m = model();
         let mut r = PowerOfTwoChoices::new(3);
+        let index = keyed_index(&mut r, &loads);
         for _ in 0..16 {
-            assert_eq!(r.route(&loads, &m, &query()), 1);
+            assert_eq!(r.route(&index, &m, &query()), 1);
         }
-    }
-
-    /// Builds an index keyed by the given router's rank over `loads`.
-    fn keyed_index(router: &mut dyn Router, loads: &[NodeLoad]) -> LoadIndex {
-        let mut index = LoadIndex::new(loads.iter().map(|l| u64::from(l.total_cores)).collect());
-        for (i, l) in loads.iter().enumerate() {
-            let key = router.rank(l);
-            index.update(i, key);
-        }
-        index
     }
 
     #[test]
     fn indexed_least_outstanding_matches_the_scan() {
         let loads = [load(0, 4, 64, 0.0), load(1, 2, 8, 0.0), load(2, 1, 64, 0.0)];
-        let m = model();
-        let mut r = LeastOutstanding;
-        let index = keyed_index(&mut r, &loads);
-        let scan_pick = r.route(&loads, &m, &query());
-        for mode in [RoutingMode::Indexed, RoutingMode::Scan] {
-            assert_eq!(r.route_indexed(&index, mode, &m, &query()), scan_pick);
-        }
+        assert_eq!(
+            route_once(&mut LeastOutstanding, &loads),
+            argmin(&loads, NodeLoad::outstanding_per_core)
+        );
     }
 
     #[test]
@@ -631,16 +529,14 @@ mod tests {
         let index = LoadIndex::new(vec![1; 3]);
         let m = model();
         let mut r = RoundRobin::default();
-        let picks: Vec<usize> = (0..6)
-            .map(|_| r.route_indexed(&index, RoutingMode::Indexed, &m, &query()))
-            .collect();
+        let picks: Vec<usize> = (0..6).map(|_| r.route(&index, &m, &query())).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn indexed_power_of_two_matches_the_scan_router_draw_for_draw() {
         // Same seed, same loads: the indexed sampler must reproduce the
-        // legacy router's picks exactly (identical generator draw
+        // linear-walk router's picks exactly (identical generator draw
         // sequence and identical ticket→node mapping).
         let loads = [
             load(0, 5, 64, 0.0),
@@ -649,33 +545,26 @@ mod tests {
             load(3, 0, 64, 0.0),
         ];
         let m = model();
-        for mode in [RoutingMode::Indexed, RoutingMode::Scan] {
-            let mut legacy = PowerOfTwoChoices::new(11);
-            let mut indexed = PowerOfTwoChoices::new(11);
-            let index = keyed_index(&mut indexed, &loads);
-            for _ in 0..64 {
-                assert_eq!(
-                    indexed.route_indexed(&index, mode, &m, &query()),
-                    legacy.route(&loads, &m, &query()),
-                    "{} mode diverged from the legacy sampler",
-                    mode.name()
-                );
-            }
+        let mut walk = LinearWalkPowerOfTwo(StdRng::seed_from_u64(11));
+        let mut indexed = PowerOfTwoChoices::new(11);
+        let index = keyed_index(&mut indexed, &loads);
+        for _ in 0..64 {
+            assert_eq!(
+                indexed.route(&index, &m, &query()),
+                walk.route(&loads),
+                "the index diverged from the linear-walk sampler"
+            );
         }
     }
 
     #[test]
     fn interference_aware_rank_matches_first_decision_scoring() {
         // On the first observation the EWMA passes the sample through, so
-        // a freshly keyed index must agree with a fresh scan router.
+        // a freshly keyed index must pick the argmin of the raw scores.
         let loads = [load(0, 3, 64, 0.9), load(1, 3, 64, 0.0), load(2, 0, 8, 0.5)];
-        let m = model();
-        let mut scan_router = InterferenceAware::default();
-        let mut idx_router = InterferenceAware::default();
-        let index = keyed_index(&mut idx_router, &loads);
         assert_eq!(
-            idx_router.route_indexed(&index, RoutingMode::Indexed, &m, &query()),
-            scan_router.route(&loads, &m, &query())
+            route_once(&mut InterferenceAware::default(), &loads),
+            argmin(&loads, |l| InterferenceAware::score(l, l.pressure))
         );
     }
 

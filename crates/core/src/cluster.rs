@@ -19,8 +19,7 @@
 
 use veltair_cluster::{
     AdmissionKind, ClusterError, FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeSpec,
-    NodeState, RouterKind, RoutingMode, ScalePolicy, StepMode, TelemetrySnapshot, TraceConfig,
-    TraceLog,
+    NodeState, RouterKind, ScalePolicy, StepMode, TelemetrySnapshot, TraceConfig, TraceLog,
 };
 use veltair_compiler::{machine_key, CompiledModel, CompilerOptions, CompilerService};
 use veltair_models::ModelSpec;
@@ -39,6 +38,7 @@ impl From<ClusterError> for EngineError {
                 EngineError::NonFiniteArrival { at_s: arrival_s }
             }
             ClusterError::InvalidDuration { dt_s } => EngineError::InvalidDuration { dt_s },
+            ClusterError::NonFiniteTarget { t_s } => EngineError::NonFiniteTarget { t_s },
             ClusterError::RegistryMismatch { nodes, registries } => {
                 EngineError::RegistryMismatch { nodes, registries }
             }
@@ -47,6 +47,17 @@ impl From<ClusterError> for EngineError {
             ClusterError::InvalidScalePolicy { field, value } => {
                 EngineError::InvalidScalePolicy { field, value }
             }
+            ClusterError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            } => EngineError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            },
         }
     }
 }
@@ -81,8 +92,6 @@ pub struct ClusterBuilder {
     router: RouterKind,
     admission: AdmissionKind,
     step_mode: StepMode,
-    routing_mode: RoutingMode,
-    batch_eps_s: f64,
     slo_overrides: Vec<(String, f64)>,
     scale_policy: Option<ScalePolicy>,
     failure_plan: Option<FailurePlan>,
@@ -99,8 +108,6 @@ impl Default for ClusterBuilder {
             router: RouterKind::InterferenceAware,
             admission: AdmissionKind::AdmitAll,
             step_mode: StepMode::Sequential,
-            routing_mode: RoutingMode::Indexed,
-            batch_eps_s: 0.0,
             slo_overrides: Vec::new(),
             scale_policy: None,
             failure_plan: None,
@@ -177,29 +184,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the coordinator's routing decision path (default:
-    /// [`RoutingMode::Indexed`], the O(log n) incrementally maintained
-    /// load index). [`RoutingMode::Scan`] forces the O(n) reference scan
-    /// — **bit-identical results**, it only changes the
-    /// `nodes_examined` op count.
-    #[must_use]
-    pub fn routing_mode(mut self, mode: RoutingMode) -> Self {
-        self.routing_mode = mode;
-        self
-    }
-
-    /// Sets the routing-instant micro-batching epsilon, seconds (default
-    /// `0.0`, disabled): arrivals whose inter-arrival gap is below the
-    /// epsilon are advanced inline on the coordinator instead of paying a
-    /// stepper-pool round trip. **Bit-identical results** for any
-    /// epsilon — it changes which thread advances the nodes, never what
-    /// they compute.
-    #[must_use]
-    pub fn batch_epsilon(mut self, eps_s: f64) -> Self {
-        self.batch_eps_s = eps_s;
-        self
-    }
-
     /// Overrides a registered model's end-to-end SLO (QoS latency target,
     /// seconds), applied at [`build`](ClusterBuilder::build) time — the
     /// same semantics as
@@ -260,8 +244,6 @@ impl ClusterBuilder {
             router,
             admission,
             step_mode,
-            routing_mode,
-            batch_eps_s,
             slo_overrides,
             scale_policy,
             failure_plan,
@@ -315,8 +297,6 @@ impl ClusterBuilder {
             router,
             admission,
             step_mode,
-            routing_mode,
-            batch_eps_s,
             scale_policy,
             failure_plan,
             telemetry,
@@ -345,8 +325,6 @@ pub struct ClusterEngine {
     router: RouterKind,
     admission: AdmissionKind,
     step_mode: StepMode,
-    routing_mode: RoutingMode,
-    batch_eps_s: f64,
     scale_policy: Option<ScalePolicy>,
     failure_plan: Option<FailurePlan>,
     telemetry: Option<TraceConfig>,
@@ -418,18 +396,6 @@ impl ClusterEngine {
         self.step_mode
     }
 
-    /// The configured routing decision path.
-    #[must_use]
-    pub fn routing_mode(&self) -> RoutingMode {
-        self.routing_mode
-    }
-
-    /// The configured micro-batching epsilon, seconds (`0.0` = disabled).
-    #[must_use]
-    pub fn batch_epsilon(&self) -> f64 {
-        self.batch_eps_s
-    }
-
     /// The attached autoscaling policy, if any.
     #[must_use]
     pub fn scale_policy(&self) -> Option<&ScalePolicy> {
@@ -458,7 +424,8 @@ impl ClusterEngine {
     ///
     /// Returns [`EngineError::NoModels`] / [`EngineError::NoNodes`] if
     /// the engine was constructed without validation (both are unreachable
-    /// through [`ClusterBuilder::build`]).
+    /// through [`ClusterBuilder::build`]) and [`EngineError::InvalidProfile`]
+    /// if a registered model carries an invalid kernel profile.
     pub fn session(&self) -> Result<ClusterSession<'_>, EngineError> {
         let node_models: Vec<&[CompiledModel]> = self
             .node_registry
@@ -472,9 +439,7 @@ impl ClusterEngine {
             self.router.build(),
             self.admission.build(),
         )?
-        .with_step_mode(self.step_mode)
-        .with_routing_mode(self.routing_mode)
-        .with_batch_epsilon(self.batch_eps_s);
+        .with_step_mode(self.step_mode);
         if let Some(policy) = &self.scale_policy {
             fleet.set_scale_policy(policy.clone());
         }
@@ -492,7 +457,8 @@ impl ClusterEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the workload references unregistered models; use
+    /// Panics if the workload references unregistered models or a
+    /// registered model carries an invalid kernel profile; use
     /// [`ClusterEngine::try_run`] to handle invalid input gracefully.
     #[must_use]
     pub fn run(&self, workload: &WorkloadSpec, seed: u64) -> FleetReport {
@@ -506,7 +472,8 @@ impl ClusterEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownModel`] if the workload references
-    /// unregistered models.
+    /// unregistered models and [`EngineError::InvalidProfile`] if a
+    /// registered model carries an invalid kernel profile.
     pub fn try_run(&self, workload: &WorkloadSpec, seed: u64) -> Result<FleetReport, EngineError> {
         let mut session = self.session()?;
         session.submit_stream(workload, seed)?;
@@ -570,8 +537,13 @@ impl ClusterSession<'_> {
     /// Runs the fleet up to `t_s` seconds of fleet clock: every due
     /// arrival is routed at its own instant, then all nodes advance to
     /// exactly `t_s` in lockstep.
-    pub fn run_until(&mut self, t_s: f64) {
-        self.fleet.run_until(t_s);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::NonFiniteTarget`] if `t_s` is NaN or
+    /// infinite (mirroring [`run_for`](ClusterSession::run_for)).
+    pub fn run_until(&mut self, t_s: f64) -> Result<(), EngineError> {
+        Ok(self.fleet.run_until(t_s)?)
     }
 
     /// Runs the fleet for another `dt_s` seconds of fleet clock.
@@ -595,32 +567,6 @@ impl ClusterSession<'_> {
     #[must_use]
     pub fn step_mode(&self) -> StepMode {
         self.fleet.step_mode()
-    }
-
-    /// Switches this session's fleet between the O(log n) indexed routing
-    /// path and the O(n) reference scan, at any point in the run. Both
-    /// are bit-identical (see [`RoutingMode`]); only op counts change.
-    pub fn set_routing_mode(&mut self, mode: RoutingMode) {
-        self.fleet.set_routing_mode(mode);
-    }
-
-    /// The session's active routing decision path.
-    #[must_use]
-    pub fn routing_mode(&self) -> RoutingMode {
-        self.fleet.routing_mode()
-    }
-
-    /// Sets this session's micro-batching epsilon, seconds (non-finite or
-    /// negative values clamp to `0.0` = disabled). Bit-identical for any
-    /// value; only stepper round-trip counts change.
-    pub fn set_batch_epsilon(&mut self, eps_s: f64) {
-        self.fleet.set_batch_epsilon(eps_s);
-    }
-
-    /// The session's active micro-batching epsilon, seconds.
-    #[must_use]
-    pub fn batch_epsilon(&self) -> f64 {
-        self.fleet.batch_epsilon()
     }
 
     /// Attaches a fresh node to the fleet at the current instant and
@@ -845,10 +791,10 @@ mod tests {
         // batch run's; the simulation outcome must not.
         let mut s = e.session().expect("valid");
         s.submit_stream(&w, 9).expect("registered");
-        s.run_until(0.05);
+        s.run_until(0.05).expect("finite target");
         s.set_step_mode(StepMode::Parallel { threads: 2 });
         assert_eq!(s.step_mode(), StepMode::Parallel { threads: 2 });
-        s.run_until(0.1);
+        s.run_until(0.1).expect("finite target");
         s.set_step_mode(StepMode::Sequential);
         let mut stepped = s.finish();
         assert!(stepped.coordinator.pool_round_trips >= sequential.coordinator.pool_round_trips);
@@ -868,12 +814,56 @@ mod tests {
                 "duration {bad} was accepted"
             );
         }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    s.run_until(bad),
+                    Err(EngineError::NonFiniteTarget { t_s }) if t_s.to_bits() == bad.to_bits()
+                ),
+                "target {bad} was accepted"
+            );
+        }
         assert!(
             (s.now_s() - 0.0).abs() < 1e-12,
             "rejected run moved the clock"
         );
         s.run_for(0.25).expect("positive finite duration");
         assert!((s.now_s() - 0.25).abs() < 1e-12);
+        // The session stays usable after the rejections.
+        s.submit("mobilenet_v2", 0.3).expect("registered");
+        assert_eq!(s.finish().merged.total_queries(), 11);
+    }
+
+    #[test]
+    fn invalid_kernel_profiles_surface_as_typed_errors() {
+        let machine = MachineConfig::threadripper_3990x();
+        let mut model = compile_model(
+            &veltair_models::tiny_yolo_v2(),
+            &machine,
+            &CompilerOptions::fast(),
+        );
+        model.layers[1].versions[0].profile.compute_efficiency = 0.0;
+        let e = ClusterEngine::builder()
+            .model(model)
+            .node(NodeSpec::new("big-0", machine, Policy::VeltairFull))
+            .node(NodeSpec::new(
+                "edge-0",
+                MachineConfig::desktop_8core(),
+                Policy::Prema,
+            ))
+            .build()
+            .expect("profiles are checked when a fleet opens");
+        let expected = EngineError::InvalidProfile {
+            model: "tiny_yolo_v2".into(),
+            layer: 1,
+            version: 0,
+            reason: "compute efficiency must be in (0,1], got 0".into(),
+        };
+        assert_eq!(
+            e.try_run(&WorkloadSpec::single("tiny_yolo_v2", 30.0, 10), 1),
+            Err(expected.clone())
+        );
+        assert_eq!(e.session().err(), Some(expected));
     }
 
     #[test]
@@ -882,7 +872,7 @@ mod tests {
         let mut s = e.session().expect("valid");
         s.submit_stream(&WorkloadSpec::single("mobilenet_v2", 200.0, 50), 5)
             .expect("registered");
-        s.run_until(0.1);
+        s.run_until(0.1).expect("finite target");
         let snap = s.snapshot();
         assert!((snap.now_s - 0.1).abs() < 1e-12);
         assert_eq!(snap.nodes.len(), 2);

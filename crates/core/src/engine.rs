@@ -59,6 +59,11 @@ pub enum EngineError {
         /// The rejected duration, seconds.
         dt_s: f64,
     },
+    /// A session was asked to run until a NaN or infinite instant.
+    NonFiniteTarget {
+        /// The rejected target instant, seconds of session clock.
+        t_s: f64,
+    },
     /// A fleet was handed per-node registries that do not match its node
     /// list (unreachable through [`ClusterBuilder::build`](crate::ClusterBuilder::build),
     /// which constructs matching registries).
@@ -123,6 +128,9 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::InvalidDuration { dt_s } => {
                 write!(f, "run durations must be positive and finite, got {dt_s}")
+            }
+            EngineError::NonFiniteTarget { t_s } => {
+                write!(f, "run targets must be finite, got {t_s}")
             }
             EngineError::RegistryMismatch { nodes, registries } => {
                 write!(
@@ -692,8 +700,18 @@ impl ServingSession<'_> {
     }
 
     /// Runs the session up to `t_s` seconds of session clock.
-    pub fn run_until(&mut self, t_s: f64) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::NonFiniteTarget`] if `t_s` is NaN or
+    /// infinite (mirroring [`run_for`](ServingSession::run_for)); the
+    /// session is left untouched.
+    pub fn run_until(&mut self, t_s: f64) -> Result<(), EngineError> {
+        if !t_s.is_finite() {
+            return Err(EngineError::NonFiniteTarget { t_s });
+        }
         self.driver.run_until(SimTime(t_s));
+        Ok(())
     }
 
     /// Runs the session for another `dt_s` seconds of session clock.
@@ -1011,7 +1029,7 @@ mod tests {
             Err(EngineError::UnknownModel { .. })
         ));
 
-        s.run_until(0.1);
+        s.run_until(0.1).expect("finite target");
         let snap = s.snapshot();
         assert_eq!(snap.submitted, 20);
         assert!(snap.completed <= 20);
@@ -1044,12 +1062,24 @@ mod tests {
                 "duration {bad} was accepted"
             );
         }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    s.run_until(bad),
+                    Err(EngineError::NonFiniteTarget { t_s }) if t_s.to_bits() == bad.to_bits()
+                ),
+                "target {bad} was accepted"
+            );
+        }
         assert!(
             (s.now_s() - 0.0).abs() < 1e-12,
             "rejected run moved the clock"
         );
         s.run_for(0.2).expect("positive finite duration");
         assert!((s.now_s() - 0.2).abs() < 1e-12);
+        // The session stays usable after the rejections.
+        s.submit("tiny_yolo_v2", 0.3).expect("registered");
+        assert_eq!(s.finish().total_queries(), 2);
     }
 
     #[test]
@@ -1106,7 +1136,7 @@ mod tests {
         let mut s = e.session().expect("has models");
         s.submit_stream(&WorkloadSpec::single("tiny_yolo_v2", 500.0, 40), 8)
             .expect("valid");
-        s.run_until(0.05);
+        s.run_until(0.05).expect("finite target");
         s.set_policy(Policy::Prema);
         assert_eq!(s.policy(), Policy::Prema);
         s.submit_stream(&WorkloadSpec::single("tiny_yolo_v2", 500.0, 20), 9)

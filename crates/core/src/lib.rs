@@ -43,7 +43,7 @@
 //! // Open-loop serving: submit while the clock runs, read stats mid-run.
 //! let mut session = engine.session()?;
 //! session.submit_stream(&WorkloadSpec::single("mobilenet_v2", 40.0, 60), 7)?;
-//! session.run_until(0.5);
+//! session.run_until(0.5)?;
 //! let snapshot = session.snapshot();
 //! assert!(snapshot.completed <= 60);
 //! let report = session.finish();
@@ -75,6 +75,6 @@ pub use scenarios::{all_scenarios, Scenario, SloExpectation};
 pub use veltair_cluster::{
     AdmissionKind, AutoscalerConfig, AutoscalerKind, ClusterError, CoordinatorStats, FailureKind,
     FailurePlan, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState, RouterKind,
-    RoutingMode, ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
+    ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
 };
 pub use veltair_sched::{Policy, ServingReport, SimError, WorkloadError, WorkloadSpec};

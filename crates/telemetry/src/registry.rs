@@ -13,9 +13,9 @@ pub const FRONT_DOOR_CLASS: &str = "front-door";
 
 /// Monotone counters over every event kind the recorder has absorbed.
 ///
-/// These are pure event counts — no routing-path op counts — so they are
-/// identical across `StepMode` and `RoutingMode` and safe to compare in
-/// whole-snapshot equality asserts.
+/// These are pure event counts — no coordinator op counts — so they are
+/// identical across `StepMode`s and safe to compare in whole-snapshot
+/// equality asserts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// `Submitted` events (== front-door submissions).
@@ -87,8 +87,8 @@ impl ViolationCell {
 ///
 /// Deliberately contains *only* mode-independent data (event counts,
 /// histograms, the violation table) — never coordinator op counts — so a
-/// snapshot taken under any `StepMode` × `RoutingMode` combination
-/// compares equal to one taken under any other.
+/// snapshot taken under any `StepMode` compares equal to one taken under
+/// any other.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Counters over every absorbed event kind.

@@ -153,7 +153,7 @@ fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload
 
     println!("\nflight recorder (interference-aware, same fleet and workload):");
     for t_ms in [250.0, 500.0, 1000.0] {
-        session.run_until(t_ms / 1e3);
+        session.run_until(t_ms / 1e3).expect("finite target");
         let tm = session.telemetry_snapshot().expect("telemetry enabled");
         println!(
             "  t={t_ms:>5.0}ms  {:>5} events  routed {:>4}  deferred {:>3}  shed {:>3}  \
@@ -171,7 +171,7 @@ fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload
     let mut t_s = 1.0;
     while !session.is_idle() && t_s < 60.0 {
         t_s += 0.5;
-        session.run_until(t_s);
+        session.run_until(t_s).expect("finite target");
     }
 
     let tm = session.telemetry_snapshot().expect("telemetry enabled");
@@ -383,21 +383,16 @@ fn scale_demo(compiled: &[CompiledModel]) {
 }
 
 /// The coordinator-complexity scale demo: a 100k-node fleet under
-/// Poisson arrivals, comparing the O(n) scan decision path against the
-/// O(log n) incrementally maintained load index — in *op counts*, the
-/// honest currency on a single-CPU host where wall clock cannot resolve
-/// the difference. The scan baseline examines ≈ n loads per routing
-/// decision; the indexed routers must come in at or under 2·log2(n)
-/// (asserted), with power-of-two-choices allowed its two prefix binary
-/// searches (still O(log n), asserted at twice the min-router bound).
-/// Micro-batching is on, so near-coincident arrivals skip the stepper
-/// round trip; the round-trips-per-1k-decisions column shows the saving.
+/// Poisson arrivals, routed through the O(log n) incrementally maintained
+/// load index — measured in *op counts*, the honest currency on a small
+/// host where wall clock cannot resolve the difference. A linear scan
+/// would examine every node per routing decision; the min-routers must
+/// come in at or under 2·log2(n) (asserted), with power-of-two-choices
+/// allowed its two Fenwick descents (still O(log n), asserted at twice
+/// the min-router bound).
 ///
-/// Size knobs (env): `VELTAIR_INDEX_NODES` (default 100 000),
-/// `VELTAIR_INDEX_QUERIES` (default 1000, the indexed runs),
-/// `VELTAIR_INDEX_SCAN_QUERIES` (default 100 — a full scan per decision
-/// at 100k nodes is exactly the cost this PR removes, so the baseline
-/// gets fewer queries).
+/// Size knobs (env): `VELTAIR_INDEX_NODES` (default 100 000) and
+/// `VELTAIR_INDEX_QUERIES` (default 1000).
 fn index_scale_demo(compiled: &[CompiledModel]) {
     let env_or = |key: &str, default: usize| -> usize {
         std::env::var(key)
@@ -408,33 +403,24 @@ fn index_scale_demo(compiled: &[CompiledModel]) {
     };
     let node_count = env_or("VELTAIR_INDEX_NODES", 100_000);
     let queries = env_or("VELTAIR_INDEX_QUERIES", 1_000);
-    let scan_queries = env_or("VELTAIR_INDEX_SCAN_QUERIES", 100);
 
     let edge = MachineConfig::desktop_8core();
     let specs: Vec<NodeSpec> = (0..node_count)
         .map(|i| NodeSpec::new(&format!("n{i}"), edge.clone(), Policy::VeltairFull))
         .collect();
 
-    println!(
-        "\nindex scale demo: {node_count}-node fleet, Poisson arrivals, \
-         batching eps 2 ms\n  scan baseline: {scan_queries} queries; indexed runs: \
-         {queries} queries"
-    );
+    println!("\nindex scale demo: {node_count}-node fleet, Poisson arrivals, {queries} queries");
 
-    let run = |router: RouterKind, mode: RoutingMode, n_queries: usize| -> (FleetReport, f64) {
-        let workload = WorkloadSpec::mix(
-            &[("mobilenet_v2", 600.0), ("tiny_yolo_v2", 400.0)],
-            n_queries,
-        );
+    let run = |router: RouterKind| -> (FleetReport, f64) {
+        let workload =
+            WorkloadSpec::mix(&[("mobilenet_v2", 600.0), ("tiny_yolo_v2", 400.0)], queries);
         let mut fleet = Fleet::new(
             compiled,
             &specs,
             router.build(),
             AdmissionKind::AdmitAll.build(),
         )
-        .expect("valid fleet")
-        .with_routing_mode(mode)
-        .with_batch_epsilon(2e-3);
+        .expect("valid fleet");
         fleet.submit_stream(&workload, 42).expect("registered");
         let start = std::time::Instant::now();
         fleet.run_to_completion();
@@ -443,67 +429,37 @@ fn index_scale_demo(compiled: &[CompiledModel]) {
 
     let log2n = (node_count as f64).log2();
     println!(
-        "{:<28} {:>10} {:>16} {:>12} {:>14} {:>10}",
-        "decision path", "queries", "examined/decis.", "idx updates", "rtrips/1k dec", "wall(s)"
+        "{:<20} {:>10} {:>16} {:>12} {:>14} {:>10}",
+        "router", "queries", "examined/decis.", "idx updates", "rtrips/1k dec", "wall(s)"
     );
-    let print_row = |label: &str, r: &FleetReport, wall: f64| {
+    for (router, bound) in [
+        (RouterKind::LeastOutstanding, 2.0 * log2n),
+        (RouterKind::InterferenceAware, 2.0 * log2n),
+        // Two Fenwick descents per decision: O(log n), but a larger
+        // constant than the tree-root min routers.
+        (RouterKind::PowerOfTwoChoices { seed: 1 }, 4.0 * log2n),
+    ] {
+        let (r, wall) = run(router);
         let c = r.coordinator;
         println!(
-            "{:<28} {:>10} {:>16.1} {:>12} {:>14.1} {:>10.2}",
-            label,
+            "{:<20} {:>10} {:>16.1} {:>12} {:>14.1} {:>10.2}",
+            router.name(),
             c.routing_decisions,
             c.examined_per_decision(),
             c.index_updates,
             c.round_trips_per_1k_decisions(),
             wall
         );
-    };
-
-    let (scan, scan_wall) = run(
-        RouterKind::LeastOutstanding,
-        RoutingMode::Scan,
-        scan_queries,
-    );
-    print_row("least-outstanding (scan)", &scan, scan_wall);
-    assert!(
-        scan.coordinator.examined_per_decision() >= node_count as f64,
-        "the scan baseline should examine every node per decision"
-    );
-
-    for (router, bound, label) in [
-        (
-            RouterKind::LeastOutstanding,
-            2.0 * log2n,
-            "least-outstanding (index)",
-        ),
-        (
-            RouterKind::InterferenceAware,
-            2.0 * log2n,
-            "interference-aware (index)",
-        ),
-        (
-            // Two prefix binary searches per decision: O(log n), but a
-            // larger constant than the tree-root min routers.
-            RouterKind::PowerOfTwoChoices { seed: 1 },
-            4.0 * log2n,
-            "power-of-two (index)",
-        ),
-    ] {
-        let (r, wall) = run(router, RoutingMode::Indexed, queries);
-        print_row(label, &r, wall);
-        let per = r.coordinator.examined_per_decision();
+        let per = c.examined_per_decision();
         assert!(
             per <= bound,
-            "{label}: {per:.1} examined per decision exceeds the {bound:.1} budget"
-        );
-        assert!(
-            r.coordinator.batched_instants > 0,
-            "{label}: micro-batching absorbed nothing"
+            "{}: {per:.1} examined per decision exceeds the {bound:.1} budget",
+            router.name()
         );
     }
     println!(
-        "op-count budget holds: indexed decisions examine <= 2*log2({node_count}) = {:.1} \
-         loads (4*log2 for the two-draw sampler) vs ~{node_count} on the scan path",
+        "op-count budget holds: decisions examine <= 2*log2({node_count}) = {:.1} \
+         loads (4*log2 for the two-draw sampler) vs {node_count} for a linear scan",
         2.0 * log2n
     );
 }

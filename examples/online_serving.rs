@@ -83,7 +83,7 @@ fn main() -> Result<(), EngineError> {
         session.submit("mobilenet_v2", f64::from(i) * 0.0005)?;
     }
     for t_ms in [50.0, 100.0] {
-        session.run_until(t_ms / 1e3);
+        session.run_until(t_ms / 1e3).expect("finite target");
         print_snapshot(&session.policy().name(), &session.snapshot());
         println!("    poll: +{} completions", session.poll().len());
         if let Some(tm) = session.telemetry_snapshot() {
@@ -103,7 +103,7 @@ fn main() -> Result<(), EngineError> {
         11,
     )?;
     for t_ms in [150.0, 250.0, 400.0] {
-        session.run_until(t_ms / 1e3);
+        session.run_until(t_ms / 1e3).expect("finite target");
         print_snapshot(&session.policy().name(), &session.snapshot());
         println!("    poll: +{} completions", session.poll().len());
         if let Some(tm) = session.telemetry_snapshot() {

@@ -48,7 +48,7 @@
 //! // while the clock runs, per-model stats come out mid-run.
 //! let mut session = engine.session()?;
 //! session.submit_stream(&WorkloadSpec::single("mobilenet_v2", 50.0, 50), 42)?;
-//! session.run_until(0.25);
+//! session.run_until(0.25)?;
 //! let live = session.snapshot();
 //! assert!(live.completed <= 50);
 //! let report = session.finish();
@@ -72,7 +72,7 @@ pub mod prelude {
         AdmissionKind, Autoscaler, AutoscalerConfig, AutoscalerKind, ClusterError,
         CoordinatorStats, FailureEvent, FailureKind, FailurePlan, Fleet, FleetReport,
         FleetSnapshot, IndexSupport, LoadIndex, NodeLoad, NodeSpec, NodeState, Router, RouterKind,
-        RoutingMode, ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
+        ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
     };
     pub use veltair_compiler::{
         compile_model, CompiledModel, CompilerError, CompilerOptions, CompilerService,

@@ -140,10 +140,10 @@ fn stalled_nodes_recover_on_schedule() {
     session
         .submit_stream(&fleet_workload(90), 5)
         .expect("registered");
-    session.run_until(0.08); // mid-stall
+    session.run_until(0.08).expect("finite target"); // mid-stall
     assert_eq!(session.node_states()[1], NodeState::Stalled);
     assert_eq!(session.live_nodes(), 1);
-    session.run_until(0.3); // past recovery at 0.15
+    session.run_until(0.3).expect("finite target"); // past recovery at 0.15
     assert_eq!(session.node_states()[1], NodeState::Live);
     assert_eq!(session.live_nodes(), 2);
     let report = session.finish();
@@ -163,14 +163,14 @@ fn lifecycle_counters_reconcile_with_terminal_states() {
     session
         .submit_stream(&fleet_workload(120), 13)
         .expect("registered");
-    session.run_until(0.02);
+    session.run_until(0.02).expect("finite target");
     let joiner = session.add_node(&NodeSpec::new(
         "joiner",
         MachineConfig::desktop_8core(),
         Policy::VeltairFull,
     ));
     assert_eq!(joiner, 3, "the joiner takes the next roster slot");
-    session.run_until(0.05);
+    session.run_until(0.05).expect("finite target");
     session.drain_node(0).expect("survivors remain");
     session.kill_node(1).expect("survivors remain");
     // Repeating either operation on a departed node is a counted no-op.

@@ -125,7 +125,7 @@ fn session_lifecycle_through_the_facade() {
         .expect("valid stream");
     // Drive in slices, swapping policy mid-run; the relaxed yolo SLO
     // keeps its satisfaction high even under PREMA serialization.
-    session.run_until(0.05);
+    session.run_until(0.05).expect("finite target");
     session.set_policy(Policy::Prema);
     let mid = session.snapshot();
     assert_eq!(mid.submitted, 80);

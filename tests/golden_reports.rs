@@ -14,6 +14,10 @@
 //! compiled on two machines, hashed down to each retained version's
 //! schedule, kernel profile and lookup-table entries.
 //!
+//! A third pin covers fleet runs: the merged and per-node reports plus the
+//! front-door and lifecycle outcomes, for every router under both
+//! admission controllers and through a scripted churn run.
+//!
 //! A speed-only change must leave every constant untouched. A change that
 //! is meant to move simulated results re-records them and says why.
 
@@ -144,6 +148,41 @@ impl Fnv {
         }
     }
 
+    /// A fleet run, as the benchmark's fleet digest hashes it: every
+    /// report, routed counts, node states, the front-door totals, and of
+    /// the coordinator counters only the decision and lifecycle counts.
+    /// Examined keys, index updates and round trips measure how the
+    /// coordinator found its answer, not the answer.
+    fn fleet(&mut self, r: &FleetReport) {
+        self.report(&r.merged);
+        for node in &r.per_node {
+            self.report(node);
+        }
+        for &n in &r.routed_per_node {
+            self.u64(n);
+        }
+        for s in &r.node_states {
+            self.str(s.name());
+        }
+        self.u64(r.submitted);
+        self.u64(r.rerouted);
+        self.u64(r.shed);
+        for (model, n) in &r.shed_per_model {
+            self.str(model);
+            self.u64(*n);
+        }
+        self.u64(r.deferrals);
+        let c = &r.coordinator;
+        for v in [
+            c.routing_decisions,
+            c.nodes_added,
+            c.nodes_drained,
+            c.nodes_killed,
+        ] {
+            self.u64(v);
+        }
+    }
+
     fn model(&mut self, m: &CompiledModel) {
         self.str(&m.name);
         self.u64(m.layers.len() as u64);
@@ -257,6 +296,201 @@ fn every_zoo_artifact_reproduces_its_recorded_digest() {
     assert!(
         drifted.is_empty(),
         "compiled artifacts drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
+        drifted.join("\n")
+    );
+}
+
+/// The fleet models: three of the mix, compiled once for the 3990X.
+fn fleet_models() -> Vec<CompiledModel> {
+    let machine = MachineConfig::threadripper_3990x();
+    ["mobilenet_v2", "tiny_yolo_v2", "resnet50"]
+        .iter()
+        .map(|n| {
+            compile_model(
+                &by_name(n).expect("zoo model"),
+                &machine,
+                &CompilerOptions::fast(),
+            )
+        })
+        .collect()
+}
+
+/// A heterogeneous four-node fleet: two 3990X (FULL, PREMA) and two 8-core
+/// desktops (FULL, Planaria).
+fn fleet_nodes() -> Vec<NodeSpec> {
+    let big = MachineConfig::threadripper_3990x();
+    let edge = MachineConfig::desktop_8core();
+    vec![
+        NodeSpec::new("big-0", big.clone(), Policy::VeltairFull),
+        NodeSpec::new("legacy-0", big, Policy::Prema),
+        NodeSpec::new("edge-0", edge.clone(), Policy::VeltairFull),
+        NodeSpec::new("edge-1", edge, Policy::Planaria),
+    ]
+}
+
+fn bursty_fleet_workload(queries: usize) -> WorkloadSpec {
+    let streams: Vec<(&str, f64)> = ["mobilenet_v2", "tiny_yolo_v2", "resnet50"]
+        .iter()
+        .map(|n| (*n, 40.0))
+        .collect();
+    WorkloadSpec::try_bursty_mix(&streams, queries, 0.3, 0.7)
+        .expect("valid bursty mix")
+        .scaled_to(250.0)
+}
+
+fn steady_fleet_workload(queries: usize) -> WorkloadSpec {
+    WorkloadSpec::mix(&[("mobilenet_v2", 120.0), ("tiny_yolo_v2", 80.0)], queries)
+}
+
+const FLEET_ROUTERS: [RouterKind; 4] = [
+    RouterKind::RoundRobin,
+    RouterKind::LeastOutstanding,
+    RouterKind::PowerOfTwoChoices { seed: 5 },
+    RouterKind::InterferenceAware,
+];
+
+const SLO_AWARE: AdmissionKind = AdmissionKind::SloAware(SloAdmissionConfig {
+    shed_threshold: 0.9,
+    defer_threshold: 0.6,
+    defer_s: 0.05,
+    max_defers: 2,
+});
+
+const FLEET_ADMISSIONS: [AdmissionKind; 2] = [AdmissionKind::AdmitAll, SLO_AWARE];
+
+fn fleet_builder(router: RouterKind, admission: AdmissionKind) -> ClusterBuilder {
+    let mut builder = ClusterEngine::builder()
+        .router(router)
+        .admission(admission)
+        .step_mode(StepMode::Sequential);
+    for m in fleet_models() {
+        builder = builder.model(m);
+    }
+    for n in fleet_nodes() {
+        builder = builder.node(n);
+    }
+    builder
+}
+
+/// Recorded fleet digests: `FLEET_ROUTERS` × `FLEET_ADMISSIONS` (admission
+/// varying fastest), each over a bursty and a steady 60-query stream on
+/// seeds 11, 42 and 97. Identical in debug and release builds.
+const FLEET_GOLDEN: [u64; 8] = [
+    0xdba2_4d2d_44d8_c715,
+    0x9d13_8bbb_50e2_7dda,
+    0x28c9_e883_7adb_4edc,
+    0x968e_57e4_dda7_0652,
+    0x8ec2_e139_61b5_f188,
+    0x94ab_8d4e_b5ff_2f5a,
+    0x978a_9b35_266a_4887,
+    0xb754_26d9_2478_24a6,
+];
+
+#[test]
+fn every_router_and_admission_reproduces_its_recorded_fleet_digest() {
+    let workloads = [bursty_fleet_workload(60), steady_fleet_workload(60)];
+    let mut measured = Vec::new();
+    let mut drifted = Vec::new();
+    for router in FLEET_ROUTERS {
+        for admission in FLEET_ADMISSIONS {
+            let engine = fleet_builder(router, admission)
+                .build()
+                .expect("valid cluster");
+            let mut h = Fnv::new();
+            for workload in &workloads {
+                for seed in [11, 42, 97] {
+                    h.fleet(&engine.run(workload, seed));
+                }
+            }
+            let want = FLEET_GOLDEN[measured.len()];
+            if h.0 != want {
+                drifted.push(format!(
+                    "{} / {admission:?}: {:#018x}, recorded {want:#018x}",
+                    router.name(),
+                    h.0
+                ));
+            }
+            measured.push(h.0);
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "fleet reports drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
+        drifted.join("\n")
+    );
+}
+
+/// A scripted churn run on the four-node fleet: a stall and a crash from
+/// a failure plan, a fast-ticking autoscaler whose floor sits above the
+/// seed roster, and a manual join, drain and kill mid-stream.
+fn churn_report(router: RouterKind, seed: u64) -> FleetReport {
+    let plan = FailurePlan::new()
+        .try_stall(0.06, 0, 0.05)
+        .and_then(|p| p.try_crash(0.18, 3))
+        .expect("valid plan");
+    let policy = ScalePolicy::try_new(
+        AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
+        NodeSpec::new(
+            "elastic",
+            MachineConfig::desktop_8core(),
+            Policy::VeltairFull,
+        ),
+        6,
+        8,
+        0.05,
+        0.02,
+    )
+    .expect("valid policy");
+    let engine = fleet_builder(router, SLO_AWARE)
+        .failure_plan(plan)
+        .autoscale(policy)
+        .build()
+        .expect("valid cluster");
+    let mut session = engine.session().expect("valid");
+    session
+        .submit_stream(&bursty_fleet_workload(80), seed)
+        .expect("registered");
+    session.run_until(0.05).expect("finite target");
+    let joiner = session.add_node(&NodeSpec::new(
+        "joiner-0",
+        MachineConfig::desktop_8core(),
+        Policy::VeltairFull,
+    ));
+    session.run_until(0.12).expect("finite target");
+    session.drain_node(1).expect("drainable");
+    session.run_until(0.2).expect("finite target");
+    session.kill_node(joiner).expect("known node");
+    session.finish()
+}
+
+/// Recorded churn digests: least-outstanding, then interference-aware,
+/// each over seeds 13 and 59. Identical in debug and release builds.
+const CHURN_GOLDEN: [u64; 2] = [0x45fe_73b8_b094_d3cd, 0x3adc_0dc6_8f23_b68d];
+
+#[test]
+fn scripted_churn_reproduces_its_recorded_fleet_digest() {
+    let mut measured = Vec::new();
+    let mut drifted = Vec::new();
+    for router in [RouterKind::LeastOutstanding, RouterKind::InterferenceAware] {
+        let mut h = Fnv::new();
+        for seed in [13, 59] {
+            let report = churn_report(router, seed);
+            assert_eq!(report.coordinator.nodes_killed, 2, "the script lost a kill");
+            h.fleet(&report);
+        }
+        let want = CHURN_GOLDEN[measured.len()];
+        if h.0 != want {
+            drifted.push(format!(
+                "{}: {:#018x}, recorded {want:#018x}",
+                router.name(),
+                h.0
+            ));
+        }
+        measured.push(h.0);
+    }
+    assert!(
+        drifted.is_empty(),
+        "churn reports drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
         drifted.join("\n")
     );
 }

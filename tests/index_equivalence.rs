@@ -1,20 +1,20 @@
-//! The correctness artifact for the O(log n) routing index: indexed
-//! fleet runs must be **bit-identical** to the O(n) scan reference path —
-//! the same `FleetReport` (including pooled p95/p99 latencies), across
-//! every router, admission on and off, bursty and steady arrivals,
-//! multiple seeds, and both step modes. The only permitted difference is
-//! the coordinator op counters themselves: a scan decision examines every
-//! node, an indexed decision examines O(log n) keys, and the
-//! `nodes_examined` counter exists precisely to make that visible. So the
-//! comparison here zeroes the `coordinator` field before the whole-report
-//! `assert_eq!` and then pins the counter *relationships* separately
-//! (identical decision and update counts, scan examines at least as much
-//! as indexed).
+//! The correctness artifact for the O(log n) routing index: fleet runs
+//! that decide off the tournament tree and the Fenwick sampler must be
+//! **bit-identical** to runs that decide by an O(n) scan over the same
+//! keys — the same `FleetReport` (including pooled p95/p99 latencies),
+//! across every router, admission on and off, bursty and steady
+//! arrivals, multiple seeds, and both step modes.
 //!
-//! Micro-batching gets the same treatment: any batching epsilon must
-//! reproduce the unbatched run bit for bit — it only moves node
-//! advancement onto the coordinator thread — while strictly reducing
-//! stepper round trips on bursty arrivals.
+//! The scan lives here, as a test-only oracle. [`ScanOracle`] wraps a
+//! built-in router and delegates `rank` to it, so the fleet keys the
+//! index — and the interference-aware EWMA advances — exactly as for the
+//! built-in. It decides without the index's fast paths: by a linear
+//! argmin over `LoadIndex::key` for the min-routers, and by the classic
+//! two-draw linear walk over the nodes' core counts for power-of-two.
+//! The only permitted difference is the `nodes_examined` counter, so the
+//! comparison zeroes the `coordinator` field before the whole-report
+//! `assert_eq!` and pins the other counters separately (identical
+//! decision, update and round-trip counts).
 //!
 //! Thread counts for the parallel legs come from `VELTAIR_STEP_THREADS`
 //! (comma-separated) like `tests/parallel_equivalence.rs`, defaulting to
@@ -22,6 +22,8 @@
 
 use std::sync::OnceLock;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use veltair::prelude::*;
 
 /// Worker-thread counts under test: `VELTAIR_STEP_THREADS` (comma
@@ -81,24 +83,154 @@ fn steady_workload(queries: usize) -> WorkloadSpec {
     WorkloadSpec::mix(&[("mobilenet_v2", 120.0), ("tiny_yolo_v2", 80.0)], queries)
 }
 
-fn engine(
-    router: RouterKind,
+/// The O(n) reference router. The wrapped built-in ranks nodes (so keys
+/// and smoothing are the built-in's); the oracle decides by scanning
+/// the keys, or, for power-of-two, by the classic sampler: one
+/// `gen_range` over the summed core counts of the routable nodes, walked
+/// linearly, then a second draw excluding the first, the lower key
+/// winning ties to the first draw.
+#[derive(Debug)]
+struct ScanOracle {
+    kind: RouterKind,
+    inner: Box<dyn Router>,
+    /// The power-of-two sampler's generator, seeded like the built-in's.
+    rng: StdRng,
+    /// Sampling weight per roster slot: the node's core count.
+    cores: Vec<u64>,
+}
+
+impl ScanOracle {
+    fn new(kind: RouterKind, roster: &[NodeSpec]) -> Self {
+        let seed = match kind {
+            RouterKind::PowerOfTwoChoices { seed } => seed,
+            _ => 0,
+        };
+        Self {
+            kind,
+            inner: kind.build(),
+            rng: StdRng::seed_from_u64(seed),
+            cores: roster
+                .iter()
+                .map(|n| u64::from(n.machine.cores.max(1)))
+                .collect(),
+        }
+    }
+
+    /// Linear argmin over the keys the index holds (unroutable nodes read
+    /// `+inf`), ties to the lowest index.
+    fn scan_min(index: &LoadIndex) -> usize {
+        let mut best = 0;
+        for i in 1..index.len() {
+            if index.key(i) < index.key(best) {
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// One core-weighted draw by linear walk over the routable nodes,
+    /// excluding `skip`.
+    fn walk(&mut self, index: &LoadIndex, skip: Option<usize>) -> usize {
+        let weight = |i: usize| {
+            if index.routable(i) && Some(i) != skip {
+                self.cores[i]
+            } else {
+                0
+            }
+        };
+        let total: u64 = (0..index.len()).map(weight).sum();
+        let mut ticket = self.rng.gen_range(0..total);
+        for i in 0..index.len() {
+            if ticket < weight(i) {
+                return i;
+            }
+            ticket -= weight(i);
+        }
+        unreachable!("ticket was drawn below the total weight")
+    }
+}
+
+impl Router for ScanOracle {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn needs_pressure(&self) -> bool {
+        self.inner.needs_pressure()
+    }
+
+    fn index_support(&self) -> IndexSupport {
+        self.inner.index_support()
+    }
+
+    fn rank(&mut self, load: &NodeLoad) -> f64 {
+        self.inner.rank(load)
+    }
+
+    fn route(&mut self, index: &LoadIndex, model: &CompiledModel, query: &QuerySpec) -> usize {
+        match self.kind {
+            // Round-robin never reads keys: nothing to scan.
+            RouterKind::RoundRobin => self.inner.route(index, model, query),
+            RouterKind::LeastOutstanding | RouterKind::InterferenceAware => Self::scan_min(index),
+            RouterKind::PowerOfTwoChoices { .. } => {
+                assert_eq!(
+                    self.cores.len(),
+                    index.len(),
+                    "the oracle covers the roster"
+                );
+                if index.live_len() == 1 {
+                    return (0..index.len())
+                        .find(|&i| index.routable(i))
+                        .expect("one routable node");
+                }
+                let a = self.walk(index, None);
+                let b = self.walk(index, Some(a));
+                if index.key(b) < index.key(a) {
+                    b
+                } else {
+                    a
+                }
+            }
+        }
+    }
+}
+
+/// The built-in router, or its scan oracle over the same roster.
+fn router(kind: RouterKind, oracle: bool) -> Box<dyn Router> {
+    if oracle {
+        Box::new(ScanOracle::new(kind, &nodes()))
+    } else {
+        kind.build()
+    }
+}
+
+fn fleet(
+    kind: RouterKind,
+    oracle: bool,
     admission: AdmissionKind,
     step: StepMode,
-    routing: RoutingMode,
-) -> ClusterEngine {
-    let mut builder = ClusterEngine::builder()
-        .router(router)
-        .admission(admission)
-        .step_mode(step)
-        .routing_mode(routing);
-    for m in compiled_mix() {
-        builder = builder.model(m.clone());
-    }
-    for n in nodes() {
-        builder = builder.node(n);
-    }
-    builder.build().expect("valid cluster")
+) -> Fleet<'static> {
+    Fleet::new(
+        compiled_mix(),
+        &nodes(),
+        router(kind, oracle),
+        admission.build(),
+    )
+    .expect("valid fleet")
+    .with_step_mode(step)
+}
+
+fn run(
+    kind: RouterKind,
+    oracle: bool,
+    admission: AdmissionKind,
+    step: StepMode,
+    workload: &WorkloadSpec,
+    seed: u64,
+) -> FleetReport {
+    let mut fleet = fleet(kind, oracle, admission, step);
+    fleet.submit_stream(workload, seed).expect("registered");
+    fleet.finish()
 }
 
 const ROUTERS: [RouterKind; 4] = [
@@ -126,10 +258,9 @@ fn outcome(mut report: FleetReport) -> FleetReport {
 }
 
 /// The headline matrix: indexed routing is bit-identical to the scan
-/// reference across all 4 routers × admission on/off × bursty + steady
-/// arrivals × 3 seeds × both step modes. Counter relationships are
-/// pinned alongside: same decisions, same index updates, and the scan
-/// path examines at least as many loads per decision.
+/// oracle across all 4 routers × admission on/off × bursty + steady
+/// arrivals × 3 seeds × both step modes, with the same decision, index
+/// update and round-trip counts.
 #[test]
 fn indexed_routing_equals_the_scan_across_the_matrix() {
     let workloads = [bursty_workload(60), steady_workload(60)];
@@ -138,13 +269,11 @@ fn indexed_routing_equals_the_scan_across_the_matrix() {
             for workload in &workloads {
                 for seed in [11, 42, 97] {
                     for step in [StepMode::Sequential, StepMode::Parallel { threads: 2 }] {
-                        let scan =
-                            engine(router, admission, step, RoutingMode::Scan).run(workload, seed);
-                        let indexed = engine(router, admission, step, RoutingMode::Indexed)
-                            .run(workload, seed);
+                        let scan = run(router, true, admission, step, workload, seed);
+                        let indexed = run(router, false, admission, step, workload, seed);
                         assert!(
                             scan.merged.total_queries() > 0,
-                            "{}: the scan baseline served nothing",
+                            "{}: the scan oracle served nothing",
                             router.name()
                         );
                         assert_eq!(
@@ -157,13 +286,6 @@ fn indexed_routing_equals_the_scan_across_the_matrix() {
                         assert_eq!(s.routing_decisions, i.routing_decisions);
                         assert_eq!(s.index_updates, i.index_updates);
                         assert_eq!(s.pool_round_trips, i.pool_round_trips);
-                        assert!(
-                            s.nodes_examined >= i.nodes_examined,
-                            "router={}: scan examined {} < indexed {}",
-                            router.name(),
-                            s.nodes_examined,
-                            i.nodes_examined
-                        );
                     }
                 }
             }
@@ -172,28 +294,30 @@ fn indexed_routing_equals_the_scan_across_the_matrix() {
 }
 
 /// The parallel legs of the matrix at every thread count under test:
-/// indexed + parallel must equal scan + sequential, the strongest cross
-/// pairing (two knobs flipped at once).
+/// indexed + parallel must equal the scan oracle + sequential, the
+/// strongest cross pairing (decision path and stepper both differ).
 #[test]
 fn indexed_parallel_equals_scan_sequential_at_every_thread_count() {
     let workload = bursty_workload(50);
     for router in ROUTERS {
         for seed in [11, 42, 97] {
-            let reference = engine(
+            let reference = run(
                 router,
+                true,
                 ADMISSIONS[1],
                 StepMode::Sequential,
-                RoutingMode::Scan,
-            )
-            .run(&workload, seed);
+                &workload,
+                seed,
+            );
             for &t in &thread_counts() {
-                let crossed = engine(
+                let crossed = run(
                     router,
+                    false,
                     ADMISSIONS[1],
                     StepMode::Parallel { threads: t },
-                    RoutingMode::Indexed,
-                )
-                .run(&workload, seed);
+                    &workload,
+                    seed,
+                );
                 assert_eq!(
                     outcome(crossed),
                     outcome(reference.clone()),
@@ -205,109 +329,10 @@ fn indexed_parallel_equals_scan_sequential_at_every_thread_count() {
     }
 }
 
-/// Switching the routing mode *mid-run* changes nothing: the index is
-/// maintained in both modes from the same update stream, so a session
-/// that flips between scan and indexed at every checkpoint finishes with
-/// the same report as either pure run.
-#[test]
-fn mid_run_mode_switches_change_nothing() {
-    let workload = bursty_workload(50);
-    for router in ROUTERS {
-        let reference = engine(
-            router,
-            ADMISSIONS[1],
-            StepMode::Sequential,
-            RoutingMode::Indexed,
-        )
-        .run(&workload, 23);
-        let flipping = engine(
-            router,
-            ADMISSIONS[1],
-            StepMode::Sequential,
-            RoutingMode::Indexed,
-        );
-        let mut session = flipping.session().expect("valid");
-        session.submit_stream(&workload, 23).expect("registered");
-        for (i, checkpoint) in [0.02, 0.05, 0.1, 0.25, 0.6].iter().enumerate() {
-            session.run_until(*checkpoint);
-            session.set_routing_mode(if i % 2 == 0 {
-                RoutingMode::Scan
-            } else {
-                RoutingMode::Indexed
-            });
-        }
-        let flipped = session.finish();
-        // The checkpointed run makes extra clock-advance sweeps and its
-        // scan checkpoints examine more nodes; the outcome must match.
-        assert_eq!(
-            outcome(flipped),
-            outcome(reference),
-            "router={} diverged under mid-run mode flips",
-            router.name()
-        );
-    }
-}
-
-/// Micro-batching determinism: any epsilon reproduces the unbatched run
-/// bit for bit (outcome-wise), and on bursty arrivals a generous epsilon
-/// strictly reduces stepper round trips by absorbing near-coincident
-/// routing instants.
-#[test]
-fn batching_epsilon_is_bit_identical_and_saves_round_trips() {
-    let workload = bursty_workload(60);
-    for router in [RouterKind::LeastOutstanding, RouterKind::InterferenceAware] {
-        for step in [StepMode::Sequential, StepMode::Parallel { threads: 2 }] {
-            let mut builder = ClusterEngine::builder()
-                .router(router)
-                .step_mode(step)
-                .routing_mode(RoutingMode::Indexed);
-            for m in compiled_mix() {
-                builder = builder.model(m.clone());
-            }
-            for n in nodes() {
-                builder = builder.node(n);
-            }
-            let unbatched = builder.clone().build().expect("valid").run(&workload, 42);
-            for eps in [1e-6, 1e-3, 0.05] {
-                let batched = builder
-                    .clone()
-                    .batch_epsilon(eps)
-                    .build()
-                    .expect("valid")
-                    .run(&workload, 42);
-                assert_eq!(
-                    outcome(batched.clone()),
-                    outcome(unbatched.clone()),
-                    "router={} step={step:?} eps={eps} changed the simulation",
-                    router.name()
-                );
-                let (b, u) = (batched.coordinator, unbatched.coordinator);
-                assert_eq!(
-                    b.pool_round_trips + b.batched_instants,
-                    u.pool_round_trips,
-                    "round-trip accounting broke at eps={eps}"
-                );
-            }
-            // A generous epsilon on bursty arrivals must actually batch.
-            let generous = builder
-                .clone()
-                .batch_epsilon(0.05)
-                .build()
-                .expect("valid")
-                .run(&workload, 42);
-            assert!(
-                generous.coordinator.batched_instants > 0,
-                "router={} step={step:?}: a 50 ms epsilon batched nothing on bursty arrivals",
-                router.name()
-            );
-        }
-    }
-}
-
-/// An elastic churn engine: the four-node fleet plus a failure plan (a
+/// An elastic churn fleet: the four-node fleet plus a failure plan (a
 /// stall and a crash) and a fast-ticking autoscaler, so the index sees
 /// every lifecycle transition the runtime supports.
-fn churn_engine(router: RouterKind, step: StepMode, routing: RoutingMode) -> ClusterEngine {
+fn churn_fleet(router: RouterKind, oracle: bool, step: StepMode) -> Fleet<'static> {
     let plan = FailurePlan::new()
         .try_stall(0.06, 0, 0.05)
         .and_then(|p| p.try_crash(0.18, 3))
@@ -328,58 +353,44 @@ fn churn_engine(router: RouterKind, step: StepMode, routing: RoutingMode) -> Clu
         0.02,
     )
     .expect("valid policy");
-    let mut builder = ClusterEngine::builder()
-        .router(router)
-        .admission(ADMISSIONS[1])
-        .step_mode(step)
-        .routing_mode(routing)
-        .failure_plan(plan)
-        .autoscale(policy);
-    for m in compiled_mix() {
-        builder = builder.model(m.clone());
-    }
-    for n in nodes() {
-        builder = builder.node(n);
-    }
-    builder.build().expect("valid cluster")
+    fleet(router, oracle, ADMISSIONS[1], step)
+        .with_failure_plan(plan)
+        .with_scale_policy(policy)
 }
 
 /// The shared churn script: every run submits the same stream, then
 /// performs the same manual add/drain/kill at the same virtual instants,
-/// on top of the engine's failure plan and autoscaler. Identical scripts
-/// must produce identical reports regardless of routing or step mode.
-fn churn_run(engine: &ClusterEngine, seed: u64) -> FleetReport {
-    let mut session = engine.session().expect("valid");
-    session
+/// on top of the fleet's failure plan and autoscaler. Identical scripts
+/// must produce identical reports regardless of decision path or step
+/// mode.
+fn churn_run(mut fleet: Fleet<'static>, seed: u64) -> FleetReport {
+    fleet
         .submit_stream(&bursty_workload(80), seed)
         .expect("registered");
-    session.run_until(0.05);
-    let joiner = session.add_node(&NodeSpec::new(
+    fleet.run_until(0.05).expect("finite target");
+    let joiner = fleet.add_node(&NodeSpec::new(
         "joiner-0",
         MachineConfig::desktop_8core(),
         Policy::VeltairFull,
     ));
-    session.run_until(0.12);
-    session.drain_node(1).expect("drainable");
-    session.run_until(0.2);
-    session.kill_node(joiner).expect("known node");
-    session.finish()
+    fleet.run_until(0.12).expect("finite target");
+    fleet.drain_node(1).expect("drainable");
+    fleet.run_until(0.2).expect("finite target");
+    fleet.kill_node(joiner).expect("known node");
+    fleet.finish()
 }
 
 /// The elastic leg of the matrix: a scripted churn run — a stall, a
 /// crash, a graceful drain, a manual join + kill, and an autoscaler all
-/// mid-stream — is bit-identical across both routing modes and every
-/// step-mode thread count. Same routing compares whole reports (the
-/// coordinator counters included); cross-routing strips the counters
-/// like the rest of this suite.
+/// mid-stream — is bit-identical between the index and the scan oracle
+/// and across every step-mode thread count. Indexed runs compare whole
+/// reports (the coordinator counters included); oracle runs strip the
+/// counters like the rest of this suite.
 #[test]
 fn elastic_churn_is_bit_identical_across_routing_and_step_modes() {
     for router in [RouterKind::LeastOutstanding, RouterKind::InterferenceAware] {
         for seed in [13, 59] {
-            let reference = churn_run(
-                &churn_engine(router, StepMode::Sequential, RoutingMode::Indexed),
-                seed,
-            );
+            let reference = churn_run(churn_fleet(router, false, StepMode::Sequential), seed);
             // The script must actually exercise the lifecycle: exactly
             // the manual drain (the floor blocks autoscaler scale-in),
             // exactly the crash plus the manual kill, and at least the
@@ -395,11 +406,7 @@ fn elastic_churn_is_bit_identical_across_routing_and_step_modes() {
             );
             for &t in &thread_counts() {
                 let parallel = churn_run(
-                    &churn_engine(
-                        router,
-                        StepMode::Parallel { threads: t },
-                        RoutingMode::Indexed,
-                    ),
+                    churn_fleet(router, false, StepMode::Parallel { threads: t }),
                     seed,
                 );
                 assert_eq!(
@@ -409,10 +416,7 @@ fn elastic_churn_is_bit_identical_across_routing_and_step_modes() {
                     router.name()
                 );
             }
-            let scan = churn_run(
-                &churn_engine(router, StepMode::Sequential, RoutingMode::Scan),
-                seed,
-            );
+            let scan = churn_run(churn_fleet(router, true, StepMode::Sequential), seed);
             assert_eq!(
                 outcome(scan),
                 outcome(reference.clone()),
@@ -420,7 +424,7 @@ fn elastic_churn_is_bit_identical_across_routing_and_step_modes() {
                 router.name()
             );
             let crossed = churn_run(
-                &churn_engine(router, StepMode::Parallel { threads: 2 }, RoutingMode::Scan),
+                churn_fleet(router, true, StepMode::Parallel { threads: 2 }),
                 seed,
             );
             assert_eq!(
@@ -433,37 +437,32 @@ fn elastic_churn_is_bit_identical_across_routing_and_step_modes() {
     }
 }
 
-/// A seeded randomized churn run: after every routed query the fleet's
+/// A seeded randomized churn run: after every checkpoint the fleet's
 /// incremental index must agree with a from-scratch scan of the live
-/// loads. Checked indirectly and strongly — the scan-mode twin run *is* a
-/// fresh scan at every decision, so per-checkpoint snapshot equality (per
+/// keys. Checked indirectly and strongly — the oracle twin *is* a fresh
+/// scan at every decision, so per-checkpoint snapshot equality (per
 /// node: routed counts, loads, completions) after interleaved bursts of
 /// submissions pins the index against drift event by event.
 #[test]
 fn churning_index_agrees_with_a_fresh_scan_at_every_checkpoint() {
     for seed in [3, 17, 71] {
-        let scan_engine = engine(
-            RouterKind::LeastOutstanding,
-            ADMISSIONS[1],
-            StepMode::Sequential,
-            RoutingMode::Scan,
-        );
-        let idx_engine = engine(
-            RouterKind::LeastOutstanding,
-            ADMISSIONS[1],
-            StepMode::Sequential,
-            RoutingMode::Indexed,
-        );
-        let mut scan = scan_engine.session().expect("valid");
-        let mut idx = idx_engine.session().expect("valid");
+        let twin = |oracle| {
+            fleet(
+                RouterKind::LeastOutstanding,
+                oracle,
+                ADMISSIONS[1],
+                StepMode::Sequential,
+            )
+        };
+        let (mut scan, mut idx) = (twin(true), twin(false));
         // Interleave stream submissions with stepping so the index sees
         // injects, completions, and deferral re-offers between compares.
         for (round, checkpoint) in [0.03, 0.08, 0.15, 0.3, 0.7].iter().enumerate() {
             let burst = bursty_workload(15 + round * 5);
             scan.submit_stream(&burst, seed + round as u64).expect("ok");
             idx.submit_stream(&burst, seed + round as u64).expect("ok");
-            scan.run_until(*checkpoint);
-            idx.run_until(*checkpoint);
+            scan.run_until(*checkpoint).expect("finite target");
+            idx.run_until(*checkpoint).expect("finite target");
             let (mut s, mut i) = (scan.snapshot(), idx.snapshot());
             s.coordinator = CoordinatorStats::default();
             i.coordinator = CoordinatorStats::default();

@@ -202,8 +202,8 @@ fn mid_run_snapshots_match_checkpoint_for_checkpoint() {
         seq.submit_stream(&workload, 23).expect("registered");
         par.submit_stream(&workload, 23).expect("registered");
         for (i, checkpoint) in [0.02, 0.05, 0.1, 0.25, 0.6, 1.5].iter().enumerate() {
-            seq.run_until(*checkpoint);
-            par.run_until(*checkpoint);
+            seq.run_until(*checkpoint).expect("finite target");
+            par.run_until(*checkpoint).expect("finite target");
             assert_eq!(
                 par.snapshot(),
                 seq.snapshot(),

@@ -2,10 +2,9 @@
 //! stream — rendered to Chrome trace-event JSON, so the comparison is
 //! **byte-identical strings**, not approximate equality — must not
 //! depend on how the fleet was stepped (`StepMode::Sequential` vs the
-//! work-stealing `StepMode::Parallel`) or how routing decisions were
-//! made (`RoutingMode::Indexed` O(log n) vs `RoutingMode::Scan` O(n)).
-//! The registry snapshot (event counts, latency histogram, the
-//! violation-frequency table) must match exactly too.
+//! work-stealing `StepMode::Parallel`). The registry snapshot (event
+//! counts, latency histogram, the violation-frequency table) must match
+//! exactly too.
 //!
 //! A second invariant rides along: attaching the recorder must not
 //! perturb the simulation. A traced run's `FleetReport` equals the
@@ -80,11 +79,7 @@ const ADMISSION: AdmissionKind = AdmissionKind::SloAware(SloAdmissionConfig {
 /// lifecycle and requeue events are in the stream), returning the
 /// Chrome-JSON rendering of the merged trace, the registry snapshot,
 /// and the final report.
-fn traced_run(
-    mode: StepMode,
-    routing: RoutingMode,
-    seed: u64,
-) -> (String, TelemetrySnapshot, FleetReport) {
+fn traced_run(mode: StepMode, seed: u64) -> (String, TelemetrySnapshot, FleetReport) {
     let specs = nodes();
     let mut fleet = Fleet::new(
         compiled_mix(),
@@ -94,16 +89,15 @@ fn traced_run(
     )
     .expect("valid fleet")
     .with_step_mode(mode)
-    .with_routing_mode(routing)
     .with_telemetry(TraceConfig::unbounded());
     fleet
         .submit_stream(&bursty_workload(60), seed)
         .expect("registered models");
-    fleet.run_until(0.03);
+    fleet.run_until(0.03).expect("finite target");
     fleet.kill_node(0).expect("live node");
-    fleet.run_until(0.08);
+    fleet.run_until(0.08).expect("finite target");
     fleet.drain_node(1).expect("live node");
-    fleet.run_until(0.15);
+    fleet.run_until(0.15).expect("finite target");
     let edge = MachineConfig::desktop_8core();
     fleet.add_node(&NodeSpec::new("late-0", edge, Policy::VeltairFull));
     fleet.run_to_completion();
@@ -115,54 +109,33 @@ fn traced_run(
     (json, tm, fleet.finish())
 }
 
-/// The headline pin: byte-identical merged traces and equal registry
-/// snapshots across `StepMode::{Sequential, Parallel{2, 8}}` ×
-/// `RoutingMode::{Indexed, Scan}` on three seeds.
+/// The headline pin: byte-identical merged traces, equal registry
+/// snapshots and equal reports across `StepMode::{Sequential,
+/// Parallel{2, 8}}` on three seeds.
 #[test]
-fn merged_trace_is_byte_identical_across_step_and_routing_modes() {
+fn merged_trace_is_byte_identical_across_step_modes() {
     for seed in [11, 42, 97] {
-        let (base_json, base_tm, base_report) =
-            traced_run(StepMode::Sequential, RoutingMode::Indexed, seed);
+        let (base_json, base_tm, base_report) = traced_run(StepMode::Sequential, seed);
         assert!(
             base_report.merged.total_queries() > 0,
             "seed {seed}: the baseline served nothing"
         );
         assert!(base_tm.counts.submitted > 0 && base_tm.counts.requeued > 0);
-        let mut modes: Vec<StepMode> = vec![StepMode::Sequential];
-        modes.extend(
-            thread_counts()
-                .into_iter()
-                .map(|threads| StepMode::Parallel { threads }),
-        );
-        for mode in modes {
-            for routing in [RoutingMode::Indexed, RoutingMode::Scan] {
-                let (json, tm, mut report) = traced_run(mode, routing, seed);
-                assert!(
-                    json == base_json,
-                    "seed={seed} mode={mode:?} routing={routing:?}: \
-                     merged trace JSON diverged from the sequential/indexed baseline"
-                );
-                assert_eq!(
-                    tm, base_tm,
-                    "seed={seed} mode={mode:?} routing={routing:?}: registry snapshot diverged"
-                );
-                // Coordinator op counters (nodes examined per decision)
-                // legitimately differ between the scan and indexed
-                // decision paths — that asymmetry is the point of the
-                // index. Everything else must match bit for bit, the
-                // same normalization the `index_equivalence` suite uses.
-                if routing == RoutingMode::Indexed {
-                    assert_eq!(
-                        report.coordinator, base_report.coordinator,
-                        "seed={seed} mode={mode:?}: op counters diverged within a routing mode"
-                    );
-                }
-                report.coordinator = base_report.coordinator;
-                assert_eq!(
-                    report, base_report,
-                    "seed={seed} mode={mode:?} routing={routing:?}: report diverged"
-                );
-            }
+        for threads in thread_counts() {
+            let mode = StepMode::Parallel { threads };
+            let (json, tm, report) = traced_run(mode, seed);
+            assert!(
+                json == base_json,
+                "seed={seed} mode={mode:?}: merged trace JSON diverged from the sequential baseline"
+            );
+            assert_eq!(
+                tm, base_tm,
+                "seed={seed} mode={mode:?}: registry snapshot diverged"
+            );
+            assert_eq!(
+                report, base_report,
+                "seed={seed} mode={mode:?}: report diverged"
+            );
         }
     }
 }
@@ -187,7 +160,7 @@ fn tracing_does_not_perturb_the_run() {
             fleet
                 .submit_stream(&bursty_workload(50), seed)
                 .expect("registered models");
-            fleet.run_until(0.05);
+            fleet.run_until(0.05).expect("finite target");
             fleet.kill_node(3).expect("live node");
             fleet.run_to_completion();
             fleet.finish()
