@@ -323,7 +323,6 @@ fn bench_selector_hot_path(c: &mut Criterion) {
     let model = &compiled_mobilenet()[0];
     for kind in [
         SelectorKind::StaticLevel { level: 0.0 },
-        SelectorKind::PressureLadder,
         SelectorKind::Hysteresis(HysteresisConfig::default()),
     ] {
         let mut selector = kind.build();

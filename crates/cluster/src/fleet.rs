@@ -44,7 +44,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use veltair_compiler::CompiledModel;
-use veltair_sched::runtime::{for_policy, Driver, SimError};
+use veltair_sched::runtime::{Driver, SimError};
 use veltair_sched::{QuerySpec, WorkloadSpec};
 use veltair_sim::SimTime;
 use veltair_telemetry::{Collector, TelemetrySnapshot, TraceConfig, TraceEventKind, TraceLog};
@@ -333,12 +333,9 @@ fn load_of(driver: &Driver<'_>, node: usize, want_pressure: bool) -> NodeLoad {
 }
 
 /// Opens an idle driver for `spec` over `models`, surfacing an invalid
-/// compiled kernel profile as [`ClusterError::InvalidProfile`] instead of
-/// the panic of [`Driver::open`].
+/// compiled kernel profile as [`ClusterError::InvalidProfile`].
 fn open_node<'a>(models: &'a [CompiledModel], spec: &NodeSpec) -> Result<Driver<'a>, ClusterError> {
-    let cfg = spec.sim_config();
-    let dispatcher = for_policy(cfg.policy);
-    Driver::with_dispatcher(models, &[], cfg, dispatcher).map_err(|e| match e {
+    Driver::open(models, spec.sim_config()).map_err(|e| match e {
         SimError::InvalidProfile {
             model,
             layer,

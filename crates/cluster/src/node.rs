@@ -23,9 +23,8 @@ pub struct NodeSpec {
     /// is the oracle).
     pub proxy: Option<InterferenceProxy>,
     /// The node's runtime version-selection policy (default: the
-    /// calibrated hysteresis ladder; [`SelectorKind::PressureLadder`]
-    /// replays pre-redesign runs bit for bit). Per-node, so a fleet can
-    /// run calibration candidates side by side with the incumbent — only
+    /// calibrated hysteresis ladder). Per-node, so a fleet can run
+    /// calibration candidates side by side with the incumbent — only
     /// consulted when `policy` has adaptive compilation.
     pub selector: SelectorKind,
     /// The node's predictive pressure projection

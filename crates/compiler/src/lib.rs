@@ -28,8 +28,8 @@
 //!   hardware;
 //! * [`selector`] — [`VersionSelector`], the pluggable runtime policy
 //!   that picks which retained version each unit runs under live
-//!   interference ([`PressureLadder`] raw re-ranking, [`StaticLevel`]
-//!   pinning, [`HysteresisLadder`] EWMA smoothing + switch hysteresis).
+//!   interference ([`StaticLevel`] pinning, [`HysteresisLadder`] EWMA
+//!   smoothing + switch hysteresis).
 //!
 //! # Example
 //!
@@ -67,8 +67,8 @@ pub use options::{
 pub use schedule::{tile_ladder, Schedule};
 pub use search::{search, Sample, SearchStats};
 pub use selector::{
-    EwmaSmoother, HysteresisConfig, HysteresisLadder, PressureLadder, SelectionContext,
-    SelectorKind, StaticLevel, VersionSelector,
+    EwmaSmoother, HysteresisConfig, HysteresisLadder, SelectionContext, SelectorKind, StaticLevel,
+    VersionSelector,
 };
 pub use service::{
     machine_key, options_key, CompilerService, CompilerServiceBuilder, ModelRegistry,

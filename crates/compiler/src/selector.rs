@@ -16,11 +16,6 @@
 //! * [`StaticLevel`] — pins every layer to its best version for one
 //!   assumed interference level (level `0.0` is exactly the
 //!   static-compilation baseline);
-//! * [`PressureLadder`] — re-ranks the retained versions under the raw
-//!   monitored pressure pair at every decision. This is the historical
-//!   behaviour, kept as an opt-in bit-compatible replay path: a
-//!   [`SelectorKind::PressureLadder`] configuration reproduces
-//!   pre-redesign runs bit for bit;
 //! * [`HysteresisLadder`] — the calibrated Veltair-AC selector and the
 //!   default: EWMA-smoothed *projected* pressure (the runtime's
 //!   predictive monitor closes the planning-instant lag) plus switch
@@ -30,7 +25,7 @@
 
 use crate::compiled::CompiledModel;
 use crate::options::CompilerError;
-use veltair_sim::{execute, Interference, MachineConfig};
+use veltair_sim::{Interference, MachineConfig};
 
 /// Chooses the code version for every unit of the model at an assumed
 /// interference level (`adaptive = false` pins the solo-optimal version,
@@ -64,40 +59,6 @@ pub fn solo_versions(model: &CompiledModel) -> Vec<usize> {
         .collect()
 }
 
-/// Chooses the code version for every unit of the model against the *live*
-/// ambient pressure pair at the expected allocation.
-///
-/// The compiled per-bin tables assume symmetric cache/bandwidth pressure
-/// (that is how the offline profiling ran); a real co-location can pin the
-/// whole L3 while using half the bandwidth, and collapsing that to a
-/// scalar mis-ranks versions near the crossover. The runtime therefore
-/// re-ranks the handful of retained versions under the monitored pair —
-/// a few dozen closed-form evaluations per plan.
-#[must_use]
-pub fn select_for_pressure(
-    model: &CompiledModel,
-    pressure: Interference,
-    expected_cores: u32,
-    machine: &MachineConfig,
-) -> Vec<usize> {
-    let cores = expected_cores.max(1);
-    model
-        .layers
-        .iter()
-        .map(|layer| {
-            (0..layer.versions.len())
-                .min_by(|&a, &b| {
-                    let la =
-                        execute(&layer.versions[a].profile, cores, pressure, machine).latency_s;
-                    let lb =
-                        execute(&layer.versions[b].profile, cores, pressure, machine).latency_s;
-                    la.total_cmp(&lb)
-                })
-                .unwrap_or(0)
-        })
-        .collect()
-}
-
 /// Everything the runtime knows at one version-selection decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectionContext {
@@ -115,9 +76,8 @@ pub struct SelectionContext {
     /// on an unbacklogged machine or when projection is disabled.
     pub projected: Interference,
     /// The projected scalar level. Predictive selectors (the default
-    /// [`HysteresisLadder`]) consult this; replay selectors
-    /// ([`PressureLadder`]) keep consuming the raw
-    /// [`level`](Self::level) for bit compatibility.
+    /// [`HysteresisLadder`]) consult this instead of the raw
+    /// [`level`](Self::level).
     pub projected_level: f64,
     /// Simulation clock, seconds, for time-aware smoothing.
     pub now_s: f64,
@@ -230,10 +190,6 @@ pub enum SelectorKind {
         /// The assumed interference level, in `[0, 1]`.
         level: f64,
     },
-    /// Re-rank versions under the raw monitored pressure pair at every
-    /// decision — the historical behaviour, kept as an opt-in
-    /// bit-compatible replay path for pre-redesign runs.
-    PressureLadder,
     /// EWMA-smoothed projected pressure with switch hysteresis — the
     /// calibrated Veltair-AC selector, and the default.
     Hysteresis(HysteresisConfig),
@@ -241,8 +197,6 @@ pub enum SelectorKind {
 
 impl Default for SelectorKind {
     /// The calibrated [`HysteresisLadder`] at its tuned operating point.
-    /// Configurations that must reproduce pre-redesign runs bit for bit
-    /// opt back into [`SelectorKind::PressureLadder`] explicitly.
     fn default() -> Self {
         SelectorKind::Hysteresis(HysteresisConfig::default())
     }
@@ -254,7 +208,6 @@ impl SelectorKind {
     pub fn build(self) -> Box<dyn VersionSelector> {
         match self {
             SelectorKind::StaticLevel { level } => Box::new(StaticLevel::new(level)),
-            SelectorKind::PressureLadder => Box::new(PressureLadder),
             SelectorKind::Hysteresis(cfg) => Box::new(HysteresisLadder::new(cfg)),
         }
     }
@@ -265,7 +218,6 @@ impl SelectorKind {
     pub fn name(self) -> &'static str {
         match self {
             SelectorKind::StaticLevel { .. } => "static-level",
-            SelectorKind::PressureLadder => "pressure-ladder",
             SelectorKind::Hysteresis(_) => "hysteresis-ladder",
         }
     }
@@ -338,28 +290,6 @@ impl VersionSelector for StaticLevel {
     }
 }
 
-/// The historical adaptive behaviour, and the default: re-rank the
-/// retained versions under the raw monitored pressure pair at the
-/// expected allocation, at every decision. Stateless, so it reproduces
-/// pre-redesign runs bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PressureLadder;
-
-impl VersionSelector for PressureLadder {
-    fn name(&self) -> &'static str {
-        "pressure-ladder"
-    }
-
-    fn select(
-        &mut self,
-        model: &CompiledModel,
-        ctx: &SelectionContext,
-        machine: &MachineConfig,
-    ) -> Vec<usize> {
-        select_for_pressure(model, ctx.pressure, ctx.expected_cores, machine)
-    }
-}
-
 /// Deterministic exponentially weighted moving average over a scalar
 /// signal: `s ← α·x + (1-α)·s`, seeded by the first observation.
 ///
@@ -423,11 +353,12 @@ struct CommittedPlan {
 /// EWMA-smoothed projected pressure with switch hysteresis — the
 /// calibrated Veltair-AC selector.
 ///
-/// Three pathologies of the raw [`PressureLadder`] under overload
-/// motivate this selector; all three were measured on the four-model
-/// overload mix of `tests/policy_ordering.rs`, where raw re-ranking
-/// leaves AC's satisfaction near the layer-wise static baseline instead
-/// of near adaptive scheduling (the ROADMAP calibration gap):
+/// Three pathologies of re-ranking versions under the raw monitored
+/// pressure at every decision motivate this selector; all three were
+/// measured on the four-model overload mix of `tests/policy_ordering.rs`,
+/// where raw re-ranking left AC's satisfaction at 0.681, near the
+/// layer-wise static baseline (0.626) instead of near adaptive
+/// scheduling (0.821):
 ///
 /// 1. **Noise.** The monitored level whipsaws as blocks start and
 ///    finish, and every spike re-ranks versions against conditions that
@@ -553,19 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn pressure_ladder_matches_free_function() {
-        let (m, machine) = compiled();
-        let mut sel = PressureLadder;
-        for level in [0.0, 0.3, 0.8] {
-            let expected = m.model_core_requirement(level).max(1);
-            assert_eq!(
-                sel.select(&m, &ctx(level, expected), &machine),
-                select_for_pressure(&m, Interference::level(level), expected, &machine)
-            );
-        }
-    }
-
-    #[test]
     fn static_level_zero_is_the_solo_baseline() {
         let (m, machine) = compiled();
         let mut sel = StaticLevel::solo();
@@ -627,7 +545,6 @@ mod tests {
     fn selector_kinds_build_matching_names() {
         for kind in [
             SelectorKind::StaticLevel { level: 0.0 },
-            SelectorKind::PressureLadder,
             SelectorKind::Hysteresis(HysteresisConfig::default()),
         ] {
             assert_eq!(kind.build().name(), kind.name());

@@ -897,6 +897,16 @@ mod tests {
             Err(EngineError::UnknownModel { .. })
         ));
         assert_eq!(s.snapshot().submitted, 0);
+        let nan_rate = WorkloadSpec::single("mobilenet_v2", 10.0, 10).scaled_to(f64::NAN);
+        assert!(matches!(
+            s.submit_stream(&nan_rate, 1),
+            Err(EngineError::NonFiniteArrival { .. })
+        ));
+        assert!(matches!(
+            e.try_run(&nan_rate, 1),
+            Err(EngineError::NonFiniteArrival { .. })
+        ));
+        assert_eq!(s.snapshot().submitted, 0);
     }
 
     #[test]

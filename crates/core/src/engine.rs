@@ -18,9 +18,9 @@
 use veltair_compiler::{compile_model, CompiledModel, CompilerOptions, SelectorKind};
 use veltair_models::ModelSpec;
 use veltair_proxy::InterferenceProxy;
-use veltair_sched::runtime::{self, Driver};
+use veltair_sched::runtime::Driver;
 use veltair_sched::{
-    Policy, ProjectionConfig, QuerySpec, ServingReport, SimConfig, SimError, WorkloadSpec,
+    simulate, Policy, ProjectionConfig, QuerySpec, ServingReport, SimConfig, SimError, WorkloadSpec,
 };
 use veltair_sim::{MachineConfig, SimTime};
 use veltair_telemetry::{Collector, TelemetrySnapshot, TraceConfig, TraceEventKind, TraceLog};
@@ -326,8 +326,7 @@ impl EngineBuilder {
 
     /// Sets the runtime version-selection policy consulted by
     /// adaptive-compilation policies (default: the calibrated hysteresis
-    /// ladder; [`SelectorKind::PressureLadder`] replays pre-redesign runs
-    /// bit for bit).
+    /// ladder).
     #[must_use]
     pub fn selector(mut self, selector: SelectorKind) -> Self {
         self.selector = selector;
@@ -511,30 +510,24 @@ impl ServingEngine {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Serves a workload's query stream, surfacing invalid input as a
-    /// typed [`EngineError`].
-    ///
-    /// The engine constructs the scheduler-core dispatcher for its policy
-    /// explicitly (via [`runtime::for_policy`]) and hands it to the
-    /// driver-backed batch loop, so embedders can follow the same path
-    /// with a custom [`runtime::Dispatcher`] implementation.
+    /// Serves a workload's query stream through [`simulate`], surfacing
+    /// invalid input as a typed [`EngineError`].
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownModel`] if the workload references
     /// unregistered models, [`EngineError::InvalidProfile`] if a
-    /// registered model carries an invalid kernel profile, and
-    /// [`EngineError::EmptyWorkload`] if it generates no queries.
+    /// registered model carries an invalid kernel profile,
+    /// [`EngineError::NonFiniteArrival`] if a stream rate makes an
+    /// arrival time NaN or infinite, and [`EngineError::EmptyWorkload`]
+    /// if it generates no queries.
     pub fn try_run(
         &self,
         workload: &WorkloadSpec,
         seed: u64,
     ) -> Result<ServingReport, EngineError> {
         let queries = workload.generate(seed);
-        let dispatcher = runtime::for_policy(self.policy);
-        let (report, _trace) =
-            runtime::try_run(&self.models, &queries, &self.sim_config(), dispatcher)?;
-        Ok(report)
+        Ok(simulate(&self.models, &queries, &self.sim_config())?)
     }
 
     /// Opens a resumable serving session: an open-loop simulation over
@@ -551,9 +544,8 @@ impl ServingEngine {
         if self.models.is_empty() {
             return Err(EngineError::NoModels);
         }
-        let dispatcher = runtime::for_policy(self.policy);
         Ok(ServingSession {
-            driver: Driver::with_dispatcher(&self.models, &[], self.sim_config(), dispatcher)?,
+            driver: Driver::open(&self.models, self.sim_config())?,
             poll_cursor: 0,
             telemetry: None,
             trace_scratch: Vec::new(),
@@ -942,6 +934,12 @@ mod tests {
                 model: "resnet50".into()
             })
         );
+        // A NaN rate yields NaN arrivals: a typed error, not a panic.
+        let nan_rate = WorkloadSpec::single("tiny_yolo_v2", 10.0, 5).scaled_to(f64::NAN);
+        assert!(matches!(
+            e.try_run(&nan_rate, 1),
+            Err(EngineError::NonFiniteArrival { .. })
+        ));
         let ok = e
             .try_run(&WorkloadSpec::single("tiny_yolo_v2", 30.0, 10), 1)
             .expect("valid");
@@ -1112,6 +1110,12 @@ mod tests {
             })
         );
         // Nothing leaked in: a corrected resubmission starts clean.
+        assert_eq!(s.snapshot().submitted, 0);
+        let nan_rate = WorkloadSpec::single("tiny_yolo_v2", 50.0, 20).scaled_to(f64::NAN);
+        assert!(matches!(
+            s.submit_stream(&nan_rate, 1),
+            Err(EngineError::NonFiniteArrival { .. })
+        ));
         assert_eq!(s.snapshot().submitted, 0);
         s.submit_stream(&WorkloadSpec::single("tiny_yolo_v2", 50.0, 20), 1)
             .expect("valid");

@@ -45,14 +45,15 @@ pub fn run(ctx: &ExpContext) -> Ablations {
     let mut threshold_sweep = Vec::new();
     for k in [1usize, 3, 6, 11, 22, 56] {
         let cfg = SimConfig::new(ctx.machine.clone(), Policy::FixedBlock(k));
-        let r = simulate(&compiled, &queries, &cfg);
+        let r = simulate(&compiled, &queries, &cfg).expect("valid workload");
         threshold_sweep.push((k, r.overall_satisfaction(), r.conflict_rate()));
     }
     let dynamic = simulate(
         &compiled,
         &queries,
         &SimConfig::new(ctx.machine.clone(), Policy::VeltairAs),
-    );
+    )
+    .expect("valid workload");
     threshold_sweep.push((0, dynamic.overall_satisfaction(), dynamic.conflict_rate()));
 
     // --- Monitor ablation under adaptive compilation --------------------
@@ -68,7 +69,7 @@ pub fn run(ctx: &ExpContext) -> Ablations {
         if let Some(p) = proxy {
             cfg = cfg.with_proxy(p);
         }
-        let r = simulate(&compiled, &queries, &cfg);
+        let r = simulate(&compiled, &queries, &cfg).expect("valid workload");
         monitor_ablation.push((
             label,
             r.overall_satisfaction(),
@@ -94,7 +95,7 @@ pub fn run(ctx: &ExpContext) -> Ablations {
     let mut extended_baselines = Vec::new();
     for policy in Policy::extended_set() {
         let cfg = SimConfig::new(ctx.machine.clone(), policy);
-        let r = simulate(&mix_models, &mix, &cfg);
+        let r = simulate(&mix_models, &mix, &cfg).expect("valid workload");
         extended_baselines.push((
             policy.name(),
             r.overall_satisfaction(),
@@ -115,7 +116,7 @@ pub fn run(ctx: &ExpContext) -> Ablations {
         let spec = veltair_models::by_name("resnet50").expect("zoo model");
         let compiled = vec![veltair_compiler::compile_model(&spec, &machine, &ctx.opts)];
         let cfg = SimConfig::new(machine, Policy::VeltairFull);
-        let r = simulate(&compiled, &queries, &cfg);
+        let r = simulate(&compiled, &queries, &cfg).expect("valid workload");
         platform_sensitivity.push((
             label,
             r.overall_satisfaction(),

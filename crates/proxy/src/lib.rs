@@ -14,11 +14,7 @@
 //! * [`pca`] — principal component analysis with per-feature importance;
 //! * [`linreg`] — ordinary least squares with R²;
 //! * [`proxy`] — the end product: [`InterferenceProxy::fit`] /
-//!   [`InterferenceProxy::predict`];
-//! * [`ridge`] — regularized regression, feature standardization, and
-//!   k-fold cross-validation for deployment-grade fitting;
-//! * [`online`] — EWMA residual correction that recalibrates a deployed
-//!   proxy as ground-truth slowdowns are observed.
+//!   [`InterferenceProxy::predict`].
 //!
 //! # Example
 //!
@@ -45,13 +41,9 @@
 
 pub mod linalg;
 pub mod linreg;
-pub mod online;
 pub mod pca;
 pub mod proxy;
-pub mod ridge;
 
 pub use linreg::LinearModel;
-pub use online::OnlineProxy;
 pub use pca::Pca;
 pub use proxy::{CounterWindow, InterferenceProxy};
-pub use ridge::{cross_validate, select_lambda, RidgeModel, Standardizer};

@@ -11,16 +11,15 @@
 //! * [`layer_block`] — Algorithm 2: dynamic-threshold layer-block
 //!   formation and block core-requirement calculation;
 //! * [`runtime`] — the scheduler-core runtime: a policy-agnostic
-//!   progress-based discrete-event loop over pluggable
-//!   [`runtime::Dispatcher`] families (spatial layer-block, temporal
-//!   PREMA/AI-MT, partitioned Parties), with the oracle and counter-proxy
+//!   progress-based discrete-event loop over one [`runtime::Dispatcher`]
+//!   per policy family (spatial layer-block, temporal PREMA/AI-MT,
+//!   partitioned Parties), with the oracle and counter-proxy
 //!   interference paths unified behind [`runtime::Monitor`]. Its heart is
 //!   the resumable [`runtime::Driver`]: the event loop inverted into a
 //!   stepper with open-loop arrival injection, mid-run policy hot-swap,
 //!   and incremental report snapshots;
-//! * [`simulator`] — the batch entry points, all thin wrappers over the
-//!   driver: [`SimConfig`] and [`simulate`] / [`try_simulate`] /
-//!   [`simulate_with_trace`] / [`simulate_with_dispatcher`];
+//! * [`simulator`] — [`SimConfig`] and the batch entry point
+//!   [`simulate`], which runs a [`runtime::Driver`] to completion;
 //! * [`report`] — per-model QoS satisfaction, latency (mean and p95/p99
 //!   tails), conflict and CPU usage statistics.
 //!
@@ -38,8 +37,9 @@
 //!     &CompilerOptions::fast(),
 //! )];
 //! let queries = WorkloadSpec::single("mobilenet_v2", 50.0, 100).generate(7);
-//! let report = simulate(&compiled, &queries, &SimConfig::new(machine, Policy::VeltairFull));
+//! let report = simulate(&compiled, &queries, &SimConfig::new(machine, Policy::VeltairFull))?;
 //! assert_eq!(report.total_queries(), 100);
+//! # Ok::<(), veltair_sched::SimError>(())
 //! ```
 //!
 //! # Streaming example
@@ -61,7 +61,7 @@
 //!     &machine,
 //!     &CompilerOptions::fast(),
 //! )];
-//! let mut driver = Driver::open(&compiled, SimConfig::new(machine, Policy::VeltairFull));
+//! let mut driver = Driver::open(&compiled, SimConfig::new(machine, Policy::VeltairFull))?;
 //! for i in 0..10 {
 //!     driver.inject(&QuerySpec {
 //!         model: "mobilenet_v2".into(),
@@ -89,11 +89,9 @@ pub use report::{ModelStats, ServingReport};
 pub use runtime::{
     Dispatcher, Driver, Monitor, PressureView, ProjectionConfig, ProjectionError, SimError,
 };
+pub use simulator::{simulate, SimConfig};
 // Version choice is owned by the compilation layer; re-exported here
 // because `SimConfig::selector` is part of this crate's configuration
 // surface.
-pub use simulator::{
-    simulate, simulate_with_dispatcher, simulate_with_trace, try_simulate, SimConfig,
-};
 pub use veltair_compiler::{SelectionContext, SelectorKind, VersionSelector};
 pub use workload::{QuerySpec, WorkloadError, WorkloadSpec};

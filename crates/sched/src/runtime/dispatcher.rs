@@ -1,12 +1,12 @@
 //! The [`Dispatcher`] trait: the single extension point through which a
 //! scheduling policy family plugs into the policy-agnostic event loop.
 //!
-//! The event loop ([`runtime::run`](super::run)) owns time, arrivals, unit
-//! progress, re-rating, and reporting; a dispatcher owns exactly two
-//! decisions — *who gets cores after a material event* and *whether a
-//! running unit yields at a block-internal boundary*. Adding a new
-//! scheduling discipline therefore means writing one `Dispatcher` impl
-//! and mapping it in [`for_policy`]; the event loop never changes.
+//! The event loop ([`Driver::step`](super::Driver::step)) owns time,
+//! arrivals, unit progress, re-rating, and reporting; a dispatcher owns
+//! exactly two decisions — *who gets cores after a material event* and
+//! *whether a running unit yields at a block-internal boundary*. Adding
+//! a new scheduling discipline therefore means writing one `Dispatcher`
+//! impl and mapping it in [`for_policy`]; the event loop never changes.
 
 use super::partitioned::PartitionedDispatcher;
 use super::spatial::SpatialDispatcher;

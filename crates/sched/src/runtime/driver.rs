@@ -1,15 +1,13 @@
-//! The resumable simulation driver: the closed `while let Some(ev) = pop`
-//! loop of [`runtime::run`](super::run) inverted into a stepper that the
-//! caller owns.
+//! The resumable simulation driver: the serving event loop as a stepper
+//! that the caller owns.
 //!
 //! A [`Driver`] holds the complete simulation — [`SimState`] plus the
 //! policy's [`Dispatcher`] — and exposes the event loop one event at a
 //! time. Between steps the caller may [`inject`](Driver::inject) open-loop
 //! arrivals, [hot-swap the policy](Driver::set_policy) at a dispatch
 //! boundary, or take an incremental [`snapshot`](Driver::snapshot) of the
-//! accumulating report. Stepping a driver to exhaustion reproduces
-//! [`simulate`](crate::simulate) bit for bit: both run the exact same loop
-//! body, so the batch entry points are thin wrappers over this type.
+//! accumulating report. [`simulate`](crate::simulate) is a driver run to
+//! exhaustion, so stepping one by hand reproduces it bit for bit.
 
 use veltair_compiler::CompiledModel;
 use veltair_sim::SimTime;
@@ -29,8 +27,9 @@ pub enum SimError {
         /// The model name the query asked for.
         model: String,
     },
-    /// A batch entry point was handed an empty query stream. (Streaming
-    /// drivers may start empty — see [`Driver::open`].)
+    /// [`Driver::new`] or [`simulate`](crate::simulate) was handed an
+    /// empty query stream. (Streaming drivers may start empty — see
+    /// [`Driver::open`].)
     EmptyWorkload,
     /// A query's arrival time was not finite. (`SimTime` arithmetic
     /// treats non-finite times as programming errors and panics, so the
@@ -117,32 +116,7 @@ impl<'a> Driver<'a> {
         if queries.is_empty() {
             return Err(SimError::EmptyWorkload);
         }
-        let dispatcher = for_policy(cfg.policy);
-        Self::with_dispatcher(models, queries, cfg, dispatcher)
-    }
-
-    /// Builds a driver over a closed initial workload with an explicitly
-    /// constructed dispatcher (the hook for custom scheduling disciplines
-    /// outside the [`Policy`] table).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidProfile`] if a compiled kernel profile
-    /// is invalid and [`SimError::UnknownModel`] if any query targets a
-    /// model absent from `models`. An empty `queries` slice is accepted
-    /// here — this constructor also backs [`Driver::open`].
-    pub fn with_dispatcher(
-        models: &'a [CompiledModel],
-        queries: &[QuerySpec],
-        cfg: SimConfig,
-        dispatcher: Box<dyn Dispatcher>,
-    ) -> Result<Self, SimError> {
-        let state = SimState::try_new(models, queries, cfg)?;
-        Ok(Self {
-            state,
-            dispatcher,
-            version: 0,
-        })
+        Self::start(models, queries, cfg)
     }
 
     /// Builds an *open-loop* driver with no initial workload: every query
@@ -150,21 +124,26 @@ impl<'a> Driver<'a> {
     /// streaming-session entry point, so an empty event queue here is a
     /// valid idle state, not an error.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics at construction if a compiled kernel profile is invalid
-    /// (the one error an empty workload can still hit).
-    /// [`Driver::with_dispatcher`] over an empty query slice returns it
-    /// as [`SimError::InvalidProfile`] instead.
-    #[must_use]
-    pub fn open(models: &'a [CompiledModel], cfg: SimConfig) -> Self {
+    /// Returns [`SimError::InvalidProfile`] if a compiled kernel profile
+    /// is invalid (the one error an empty workload can still hit).
+    pub fn open(models: &'a [CompiledModel], cfg: SimConfig) -> Result<Self, SimError> {
+        Self::start(models, &[], cfg)
+    }
+
+    fn start(
+        models: &'a [CompiledModel],
+        queries: &[QuerySpec],
+        cfg: SimConfig,
+    ) -> Result<Self, SimError> {
         let dispatcher = for_policy(cfg.policy);
-        let state = SimState::try_new(models, &[], cfg).unwrap_or_else(|e| panic!("{e}"));
-        Self {
+        let state = SimState::try_new(models, queries, cfg)?;
+        Ok(Self {
             state,
             dispatcher,
             version: 0,
-        }
+        })
     }
 
     // --- Streaming input --------------------------------------------------
@@ -276,11 +255,10 @@ impl<'a> Driver<'a> {
     /// `cfg.selector` — the injection point for
     /// [`VersionSelector`](veltair_compiler::selector::VersionSelector)
     /// implementations outside the
-    /// [`SelectorKind`](veltair_compiler::SelectorKind) table (mirroring
-    /// [`with_dispatcher`](Driver::with_dispatcher) for custom scheduling
-    /// disciplines). Takes effect at the next planning decision; any
-    /// state accumulated by the previous selector is dropped. Only
-    /// adaptive-compilation policies consult it.
+    /// [`SelectorKind`](veltair_compiler::SelectorKind) table. Takes
+    /// effect at the next planning decision; any state accumulated by the
+    /// previous selector is dropped. Only adaptive-compilation policies
+    /// consult it.
     pub fn set_selector(&mut self, selector: Box<dyn veltair_compiler::selector::VersionSelector>) {
         self.state.selector = selector;
     }
@@ -291,7 +269,7 @@ impl<'a> Driver<'a> {
     /// `None` when the event queue is exhausted (the simulation is idle:
     /// every admitted query has completed).
     ///
-    /// This is the loop body of [`runtime::run`](super::run), verbatim:
+    /// This is the whole loop body of [`simulate`](crate::simulate):
     /// stale unit checks (superseded by a re-rate) are consumed without
     /// side effects, and only material events — arrivals and block
     /// transitions — trigger expansion, dispatch, and re-rating.
@@ -344,7 +322,8 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Runs the event loop to exhaustion (the batch path).
+    /// Runs the event loop to exhaustion (what
+    /// [`simulate`](crate::simulate) does).
     pub fn run_to_completion(&mut self) {
         while self.step().is_some() {}
     }
@@ -361,13 +340,6 @@ impl<'a> Driver<'a> {
     #[must_use]
     pub fn policy(&self) -> Policy {
         self.state.cfg.policy
-    }
-
-    /// Display name of the active version selector (only consulted while
-    /// the policy has adaptive compilation).
-    #[must_use]
-    pub fn selector_name(&self) -> &'static str {
-        self.state.selector.name()
     }
 
     /// Whether the event queue is exhausted (no arrivals pending, nothing
@@ -455,13 +427,6 @@ impl<'a> Driver<'a> {
         } else {
             self.state.projected().projected_level
         }
-    }
-
-    /// Timestamp of the next pending event, if any — the fleet clock uses
-    /// this to advance member nodes in lockstep without overshooting.
-    #[must_use]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.state.events.peek_time()
     }
 
     /// Monotone change counter over this driver's externally visible load

@@ -19,7 +19,7 @@
 //! ≈ 0.32 on the four-model overload mix while versions compiled for
 //! 0.55–0.7 serve best). [`project`] closes the lag deterministically —
 //! see [`ProjectionConfig`] — and [`PressureView`] carries both readings
-//! to the selector seam so bit-compatible replay selectors can keep
+//! to the selector seam, while block planning's core math keeps
 //! consuming the raw snapshot.
 
 use veltair_proxy::{CounterWindow, InterferenceProxy};
@@ -139,11 +139,6 @@ impl Monitor for CounterProxyMonitor {
 /// The weight is a calibrated constant, not a live-fitted parameter —
 /// `examples/projection_sweep.rs` is the harness that swept it on the
 /// seed-averaged overload mix (see [`ProjectionConfig::default`]).
-/// Deployments whose tenant mix drifts can recalibrate it the same way
-/// the counter proxy is recalibrated: `veltair_proxy::OnlineProxy`
-/// already maintains an online bias/gain correction from observed
-/// slowdowns, and the projected level is one more scalar signal that
-/// correction machinery applies to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjectionConfig {
     /// How far the projected level moves from the instantaneous level
@@ -254,10 +249,8 @@ pub struct ProjectionInputs {
 /// [`SelectionContext`](veltair_compiler::selector::SelectionContext):
 /// predictive
 /// selectors (the calibrated `HysteresisLadder`) read the projected pair,
-/// while the bit-compatible replay path (`PressureLadder`) keeps reading
-/// the raw snapshot — which is also what the scheduling-side core math
-/// (block formation, dynamic thresholds) consumes, so enabling the
-/// projection never perturbs a replay run.
+/// while the scheduling-side core math (block formation, dynamic
+/// thresholds) consumes the raw snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PressureView {
     /// The raw monitored co-runner pressure pair.

@@ -133,8 +133,8 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
     // Version *selection* sees both readings of the view (the default
     // selector plans on the projection); every scheduling-side quantity
     // below — core requirements, granularity pivots, dynamic thresholds —
-    // stays on the raw snapshot, so enabling the projection leaves
-    // core-allocation decisions bit-identical to a replay run.
+    // stays on the raw snapshot, so the projection reaches core
+    // allocation only through the versions it selects.
     let (pressure, level) = (view.pair, view.level);
     let expected = model.model_core_requirement(level).max(1);
     state.plan_versions(model_index, view, expected);

@@ -36,6 +36,10 @@ use crate::workload::QuerySpec;
 /// just speed.
 const MAX_REFRESH_SWEEPS: usize = 8;
 
+/// Units with less than this fraction of their work remaining are ignored
+/// by the monitor: the paper's soon-to-finish rule (§4.3).
+const SOON_FINISH_FRAC: f64 = 0.1;
+
 /// Relative latency change below which an in-flight unit is not re-rated.
 /// A picosecond-level threshold would let demand<->latency feedback
 /// oscillation flood the event queue with near-zero-step re-arms.
@@ -212,19 +216,6 @@ impl std::fmt::Debug for SimState<'_> {
 }
 
 impl<'a> SimState<'a> {
-    /// Builds the initial state and schedules every arrival.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a query references a model that was not compiled, if a
-    /// compiled kernel profile is invalid, or if `queries` is empty. Use
-    /// [`SimState::try_new`] to handle invalid input gracefully.
-    #[must_use]
-    pub fn new(models: &'a [CompiledModel], queries: &[QuerySpec], cfg: &SimConfig) -> Self {
-        assert!(!queries.is_empty(), "cannot simulate an empty query stream");
-        Self::try_new(models, queries, cfg.clone()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Builds the initial state and schedules every arrival, validating
     /// every compiled kernel profile and that each query targets a
     /// compiled model.
@@ -235,7 +226,8 @@ impl<'a> SimState<'a> {
     /// An empty `queries` slice is accepted: a streaming
     /// [`Driver`](super::Driver) starts with no closed workload and feeds
     /// arrivals through [`SimState::admit_query`] while the clock runs.
-    /// Batch entry points reject empty streams before calling this.
+    /// [`Driver::new`](super::Driver::new) rejects empty streams before
+    /// calling this.
     ///
     /// # Errors
     ///
@@ -243,7 +235,7 @@ impl<'a> SimState<'a> {
     /// profile fails [`KernelProfile::validate`](veltair_sim::KernelProfile::validate),
     /// and [`SimError::UnknownModel`] if a query references a model that
     /// is not in `models`.
-    pub fn try_new(
+    pub(crate) fn try_new(
         models: &'a [CompiledModel],
         queries: &[QuerySpec],
         cfg: SimConfig,
@@ -492,7 +484,7 @@ impl<'a> SimState<'a> {
     /// about to finish (the paper's soon-to-finish rule, §4.3).
     fn monitored_units(&self) -> impl Iterator<Item = &Running> + '_ {
         self.active_units()
-            .filter(|r| r.progress.remaining_frac >= self.cfg.soon_finish_frac)
+            .filter(|r| r.progress.remaining_frac >= SOON_FINISH_FRAC)
     }
 
     /// Co-runner pressure from the perspective of a new or planning tenant:
@@ -685,8 +677,7 @@ impl<'a> SimState<'a> {
     /// `view` carries both the raw monitored snapshot and its predictive
     /// projection (usually from [`SimState::projected`]); which reading a
     /// selector consumes is its own affair — the default
-    /// `HysteresisLadder` plans on the projection, the bit-compatible
-    /// `PressureLadder` replay on the raw snapshot.
+    /// `HysteresisLadder` plans on the projection.
     ///
     /// This is the single seam through which compiled-code choice enters
     /// the runtime — every dispatcher family plans through it, so

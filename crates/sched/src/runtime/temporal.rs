@@ -116,12 +116,8 @@ impl Dispatcher for TemporalDispatcher {
         let n = state.models[model_index].layers.len();
         let cores = state.cfg.machine.cores;
         // Planning goes through the shared selector seam like every
-        // dispatcher family. Under the stock temporal policies (PREMA,
-        // AI-MT — not adaptive-compilation) this yields the static solo
-        // versions, exactly as before the seam existed; an explicit
-        // `Driver::with_dispatcher` pairing with an adaptive-compilation
-        // policy consults the configured selector at zero observed
-        // pressure instead, the uniform behaviour of the redesigned API.
+        // dispatcher family. The temporal policies (PREMA, AI-MT) do not
+        // compile adaptively, so this yields the static solo versions.
         state.plan_versions(model_index, crate::runtime::PressureView::ZERO, cores);
         let end = if layer_granular { begin + 1 } else { n };
         state.free_cores = 0;

@@ -1,14 +1,14 @@
-//! The serving simulator's stable entry points (Algorithm 3).
+//! The serving simulator's configuration and batch entry point
+//! (Algorithm 3).
 //!
-//! The actual machinery lives in the [`runtime`] module
-//! family: a policy-agnostic discrete-event loop over pluggable
-//! [`Dispatcher`] implementations — spatial
+//! The actual machinery lives in the [`runtime`](crate::runtime) module
+//! family: a policy-agnostic discrete-event loop over one
+//! [`Dispatcher`](crate::runtime::Dispatcher) per policy family — spatial
 //! layer-block sharing, temporal PREMA/AI-MT multiplexing, and Parties
 //! partitioning — with the oracle/proxy interference paths unified behind
-//! [`Monitor`](crate::runtime::Monitor). This module keeps the public
-//! surface the experiment harness, benches, and examples program against:
-//! [`SimConfig`] plus [`simulate`] / [`simulate_with_trace`] /
-//! [`simulate_with_dispatcher`].
+//! [`Monitor`](crate::runtime::Monitor). This module holds [`SimConfig`]
+//! and [`simulate`], which runs a closed workload on a [`Driver`] to
+//! completion.
 
 use veltair_compiler::{CompiledModel, SelectorKind};
 use veltair_proxy::InterferenceProxy;
@@ -16,7 +16,7 @@ use veltair_sim::MachineConfig;
 
 use crate::policy::Policy;
 use crate::report::ServingReport;
-use crate::runtime::{self, Dispatcher, ProjectionConfig, SimError};
+use crate::runtime::{Driver, ProjectionConfig, SimError};
 use crate::workload::QuerySpec;
 
 /// Simulation configuration.
@@ -29,10 +29,10 @@ pub struct SimConfig {
     /// The interference monitor. `None` uses the oracle (true co-runner
     /// pressure); `Some` uses the trained counter proxy, as deployed.
     pub proxy: Option<InterferenceProxy>,
-    /// Units with less than this fraction of their work remaining are
-    /// ignored by the monitor (the paper's soon-to-finish rule, §4.3).
-    pub soon_finish_frac: f64,
-    /// Record `(time, busy cores)` samples for allocation-trace figures.
+    /// Record `(time, busy cores)` samples, returned by
+    /// [`Driver::finish`]. No figure reads them: Fig. 10 reports the
+    /// report's `avg_cores` and `peak_cores`, which accumulate either
+    /// way.
     pub record_alloc_trace: bool,
     /// Models served as best-effort tenants (§2.1 extension): their
     /// queries only receive cores when no latency-critical work is
@@ -41,10 +41,7 @@ pub struct SimConfig {
     /// The runtime version-selection policy consulted by
     /// adaptive-compilation policies (`VeltairAc` / `VeltairFull`). The
     /// default is the calibrated hysteresis ladder planning on the
-    /// *projected* pressure ([`SelectorKind::default`]); configurations
-    /// that must reproduce pre-redesign runs bit for bit opt back into
-    /// [`SelectorKind::PressureLadder`], which re-ranks versions under
-    /// the raw monitored snapshot at every decision. Non-adaptive
+    /// *projected* pressure ([`SelectorKind::default`]). Non-adaptive
     /// policies always run solo-optimal code and ignore this field.
     pub selector: SelectorKind,
     /// The predictive pressure projection applied at every planning
@@ -64,7 +61,6 @@ impl SimConfig {
             machine,
             policy,
             proxy: None,
-            soon_finish_frac: 0.1,
             record_alloc_trace: false,
             best_effort_models: Vec::new(),
             selector: SelectorKind::default(),
@@ -80,8 +76,7 @@ impl SimConfig {
     }
 
     /// Installs a runtime version-selection policy (default: the
-    /// calibrated hysteresis ladder; [`SelectorKind::PressureLadder`]
-    /// replays pre-redesign runs bit for bit). Only consulted by
+    /// calibrated hysteresis ladder). Only consulted by
     /// adaptive-compilation policies.
     #[must_use]
     pub fn with_selector(mut self, selector: SelectorKind) -> Self {
@@ -106,69 +101,26 @@ impl SimConfig {
     }
 }
 
-/// Runs the serving simulation to completion.
-///
-/// # Panics
-///
-/// Panics if a query references a model that was not compiled, if a
-/// compiled kernel profile is invalid, or if `queries` is empty; use
-/// [`try_simulate`] to handle invalid input gracefully.
-#[must_use]
-pub fn simulate(models: &[CompiledModel], queries: &[QuerySpec], cfg: &SimConfig) -> ServingReport {
-    let dispatcher = runtime::for_policy(cfg.policy);
-    simulate_with_dispatcher(models, queries, cfg, dispatcher)
-}
-
-/// Fallible variant of [`simulate`], surfacing invalid input as a typed
-/// [`SimError`] instead of panicking (mirroring `WorkloadSpec::try_*`).
+/// Runs the serving simulation to completion: [`Driver::new`], then
+/// [`Driver::run_to_completion`], then the report of
+/// [`Driver::finish`]. Stepping a driver by hand gives a bit-identical
+/// report.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::UnknownModel`] if a query references a model that
-/// was not compiled, [`SimError::InvalidProfile`] if a compiled kernel
-/// profile is invalid, and [`SimError::EmptyWorkload`] if `queries` is
-/// empty.
-pub fn try_simulate(
+/// Returns [`SimError::EmptyWorkload`] if `queries` is empty,
+/// [`SimError::InvalidProfile`] if a compiled kernel profile is invalid,
+/// [`SimError::UnknownModel`] if a query references a model that was not
+/// compiled, and [`SimError::NonFiniteArrival`] if a query's arrival time
+/// is NaN or infinite.
+pub fn simulate(
     models: &[CompiledModel],
     queries: &[QuerySpec],
     cfg: &SimConfig,
 ) -> Result<ServingReport, SimError> {
-    let dispatcher = runtime::for_policy(cfg.policy);
-    runtime::try_run(models, queries, cfg, dispatcher).map(|(report, _)| report)
-}
-
-/// Runs the serving simulation under an explicitly constructed dispatcher
-/// (the default is [`runtime::for_policy`] on `cfg.policy`). This is the
-/// hook for callers — like `ServingEngine` — that build or customize the
-/// dispatcher themselves, and for new scheduling disciplines that are not
-/// (yet) in the [`Policy`] table.
-///
-/// # Panics
-///
-/// Panics if a query references a model that was not compiled, if a
-/// compiled kernel profile is invalid, or if `queries` is empty.
-#[must_use]
-pub fn simulate_with_dispatcher(
-    models: &[CompiledModel],
-    queries: &[QuerySpec],
-    cfg: &SimConfig,
-    dispatcher: Box<dyn Dispatcher>,
-) -> ServingReport {
-    runtime::run(models, queries, cfg, dispatcher).0
-}
-
-/// Runs the simulation and additionally returns the `(time, busy cores)`
-/// allocation trace (used by the Fig. 10b experiment).
-#[must_use]
-pub fn simulate_with_trace(
-    models: &[CompiledModel],
-    queries: &[QuerySpec],
-    cfg: &SimConfig,
-) -> (ServingReport, Vec<(f64, u32)>) {
-    let mut cfg = cfg.clone();
-    cfg.record_alloc_trace = true;
-    let dispatcher = runtime::for_policy(cfg.policy);
-    runtime::run(models, queries, &cfg, dispatcher)
+    let mut driver = Driver::new(models, queries, cfg.clone())?;
+    driver.run_to_completion();
+    Ok(driver.finish().0)
 }
 
 #[cfg(test)]
@@ -195,6 +147,7 @@ mod tests {
             &queries,
             &SimConfig::new(MachineConfig::threadripper_3990x(), policy),
         )
+        .expect("valid workload")
     }
 
     #[test]
@@ -234,21 +187,6 @@ mod tests {
         let a = run(Policy::VeltairFull, 120.0, 60);
         let b = run(Policy::VeltairFull, 120.0, 60);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn explicit_dispatcher_matches_policy_default() {
-        let models = compiled_mobilenet();
-        let queries = WorkloadSpec::single("mobilenet_v2", 120.0, 60).generate(42);
-        let cfg = SimConfig::new(MachineConfig::threadripper_3990x(), Policy::VeltairFull);
-        let by_policy = simulate(&models, &queries, &cfg);
-        let by_dispatcher = simulate_with_dispatcher(
-            &models,
-            &queries,
-            &cfg,
-            crate::runtime::for_policy(Policy::VeltairFull),
-        );
-        assert_eq!(by_policy, by_dispatcher);
     }
 
     #[test]
@@ -305,12 +243,14 @@ mod tests {
             &models,
             &queries,
             &SimConfig::new(machine.clone(), Policy::VeltairFull),
-        );
+        )
+        .expect("valid workload");
         let with_be = simulate(
             &models,
             &queries,
             &SimConfig::new(machine, Policy::VeltairFull).with_best_effort("tiny_yolo_v2"),
-        );
+        )
+        .expect("valid workload");
         // The latency-critical model keeps (almost) its satisfaction when
         // the other tenant is demoted to best-effort.
         assert!(
@@ -360,7 +300,8 @@ mod tests {
             &models,
             &queries,
             &SimConfig::new(MachineConfig::threadripper_3990x(), Policy::AiMt),
-        );
+        )
+        .expect("valid workload");
         let stats = &r.per_model["mobilenet_v2"];
         let avg = stats.avg_latency_s();
         assert!(
@@ -393,7 +334,8 @@ mod tests {
             crate::workload::WorkloadSpec::single("resnet50", 2000.0, 120).generate(3);
         queries.extend(crate::workload::WorkloadSpec::single("mobilenet_v2", 40.0, 40).generate(4));
         queries.sort_by_key(|a| a.arrival);
-        let r = simulate(&models, &queries, &SimConfig::new(machine, Policy::Parties));
+        let r = simulate(&models, &queries, &SimConfig::new(machine, Policy::Parties))
+            .expect("valid workload");
         assert_eq!(r.total_queries(), 160);
         assert!(
             r.qos_satisfaction("mobilenet_v2") > 0.9,
@@ -411,17 +353,5 @@ mod tests {
         let r = run(Policy::Parties, 400.0, 60);
         assert!(r.peak_cores <= 64);
         assert_eq!(r.total_queries(), 60);
-    }
-
-    #[test]
-    #[should_panic(expected = "was not compiled")]
-    fn unknown_model_panics() {
-        let models = compiled_mobilenet();
-        let queries = WorkloadSpec::single("resnet50", 10.0, 5).generate(1);
-        let _ = simulate(
-            &models,
-            &queries,
-            &SimConfig::new(MachineConfig::threadripper_3990x(), Policy::VeltairFull),
-        );
     }
 }

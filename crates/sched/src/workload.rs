@@ -506,7 +506,11 @@ impl WorkloadSpec {
                 });
             }
         }
-        queries.sort_by_key(|a| a.arrival);
+        // `total_cmp`, not `SimTime`'s order, which panics on NaN: a NaN
+        // rate yields NaN arrivals, which the simulation's entry points
+        // reject as typed errors. No arrival here is -0.0, so finite
+        // arrivals keep their order.
+        queries.sort_by(|a, b| a.arrival.0.total_cmp(&b.arrival.0));
         queries
     }
 }

@@ -4,7 +4,7 @@
 //! queries, and deliver non-trivial QoS satisfaction at a moderate load.
 
 use veltair_compiler::{compile_model, CompilerOptions};
-use veltair_sched::{runtime, simulate_with_dispatcher, Policy, SimConfig, WorkloadSpec};
+use veltair_sched::{runtime, simulate, Policy, SimConfig, WorkloadSpec};
 use veltair_sim::MachineConfig;
 
 /// Every policy in the table, covering all three dispatcher families.
@@ -42,7 +42,7 @@ fn every_policy_is_deterministic_and_satisfies_qos_through_the_runtime() {
     let queries = workload.generate(42);
     for policy in ALL_POLICIES {
         let cfg = SimConfig::new(machine.clone(), policy);
-        let run = || simulate_with_dispatcher(&models, &queries, &cfg, runtime::for_policy(policy));
+        let run = || simulate(&models, &queries, &cfg).expect("valid workload");
         let a = run();
         let b = run();
         assert_eq!(
@@ -91,7 +91,7 @@ fn preemptions_only_occur_under_temporal_dispatchers() {
     let queries = WorkloadSpec::mix(&[("resnet50", 60.0), ("mobilenet_v2", 120.0)], 80).generate(7);
     for policy in ALL_POLICIES {
         let cfg = SimConfig::new(machine.clone(), policy);
-        let r = simulate_with_dispatcher(&models, &queries, &cfg, runtime::for_policy(policy));
+        let r = simulate(&models, &queries, &cfg).expect("valid workload");
         if !policy.is_temporal() {
             assert_eq!(r.preemptions, 0, "{} must never preempt", policy.name());
         }

@@ -1,16 +1,18 @@
-//! Batch-vs-stepped equivalence and streaming determinism for the
-//! resumable [`Driver`].
+//! Batch-vs-stepped equivalence, streaming determinism and per-step
+//! invariants for the resumable [`Driver`].
 //!
-//! The API-redesign contract: the batch entry points are thin wrappers
-//! over the driver, so stepping a driver one event at a time to
-//! exhaustion must produce a *bit-identical* `ServingReport` to
-//! `simulate()` on the same inputs — for every policy family — and
-//! open-loop `inject`/`set_policy` sequences must be deterministic.
+//! `simulate()` is a driver run to exhaustion, so stepping a driver one
+//! event at a time must produce a *bit-identical* `ServingReport` on the
+//! same inputs — for every policy family — and open-loop
+//! `inject`/`set_policy` sequences must be deterministic. The runtime's
+//! bookkeeping invariants are checked after every step of both.
+
+use std::collections::HashSet;
 
 use veltair_compiler::{compile_model, CompiledModel, CompilerOptions};
-use veltair_sched::runtime::{for_policy, try_run, Driver};
+use veltair_sched::runtime::Driver;
 use veltair_sched::{
-    simulate, try_simulate, Policy, QuerySpec, ServingReport, SimConfig, SimError, WorkloadSpec,
+    simulate, Policy, QuerySpec, ServingReport, SimConfig, SimError, WorkloadSpec,
 };
 use veltair_sim::{MachineConfig, SimTime};
 
@@ -25,6 +27,74 @@ fn compiled_pair() -> Vec<CompiledModel> {
         compile_model(&veltair_models::mobilenet_v2(), &machine, &opts),
         compile_model(&veltair_models::tiny_yolo_v2(), &machine, &opts),
     ]
+}
+
+/// Checks the runtime's bookkeeping through the driver's public state, and
+/// that the clock never runs backwards from `last_now`, which it then
+/// advances.
+fn check_invariants(driver: &Driver<'_>, last_now: &mut SimTime) {
+    let state = driver.state();
+    let active: Vec<_> = state.running.iter().filter(|r| r.active).collect();
+
+    let granted: u32 = active.iter().map(|r| r.granted).sum();
+    assert_eq!(
+        state.free_cores + granted,
+        state.cfg.machine.cores,
+        "free plus granted cores must cover the machine exactly"
+    );
+
+    let waiting = state
+        .continuations
+        .iter()
+        .chain(&state.arrivals)
+        .chain(&state.best_effort)
+        .map(|p| p.query);
+    let mut seen = HashSet::new();
+    for q in waiting.chain(active.iter().map(|r| r.query)) {
+        assert!(seen.insert(q), "query {q} is queued or running twice");
+        let query = &state.queries[q];
+        assert!(
+            query.finish.is_none(),
+            "finished query {q} still holds work"
+        );
+        assert!(!query.removed, "withdrawn query {q} still holds work");
+    }
+
+    let finished = state.queries.iter().filter(|q| q.finish.is_some()).count();
+    assert_eq!(
+        state.completed.len(),
+        finished,
+        "the completion log must list every finished query once"
+    );
+
+    assert!(state.now >= *last_now, "the clock ran backwards");
+    *last_now = state.now;
+}
+
+/// [`Driver::run_until`], checking the invariants after every step.
+fn run_until_checked(driver: &mut Driver<'_>, t: SimTime, last_now: &mut SimTime) {
+    while driver
+        .state()
+        .events
+        .peek_time()
+        .is_some_and(|next| next <= t)
+    {
+        driver.step();
+        check_invariants(driver, last_now);
+    }
+    driver.run_until(t);
+    check_invariants(driver, last_now);
+}
+
+/// [`Driver::run_to_completion`], checking the invariants after every
+/// step. Returns the number of events processed.
+fn run_to_completion_checked(driver: &mut Driver<'_>, last_now: &mut SimTime) -> u64 {
+    let mut steps = 0;
+    while driver.step().is_some() {
+        steps += 1;
+        check_invariants(driver, last_now);
+    }
+    steps
 }
 
 /// All nine evaluated policies: the extended comparison set plus the
@@ -43,13 +113,11 @@ fn stepped_driver_is_bit_identical_to_batch_simulate() {
         WorkloadSpec::mix(&[("mobilenet_v2", 120.0), ("tiny_yolo_v2", 40.0)], 80).generate(42);
     for policy in all_nine() {
         let cfg = SimConfig::new(machine(), policy);
-        let batch = simulate(&models, &queries, &cfg);
+        let batch = simulate(&models, &queries, &cfg).expect("valid workload");
 
         let mut driver = Driver::new(&models, &queries, cfg.clone()).expect("valid workload");
-        let mut steps = 0u64;
-        while driver.step().is_some() {
-            steps += 1;
-        }
+        let mut last_now = SimTime::ZERO;
+        let steps = run_to_completion_checked(&mut driver, &mut last_now);
         let (stepped, _trace) = driver.finish();
 
         assert!(steps > 0, "{}: driver processed no events", policy.name());
@@ -71,7 +139,7 @@ fn preloaded_and_injected_arrivals_are_equivalent() {
     let mut preloaded = Driver::new(&models, &queries, cfg.clone()).expect("valid");
     preloaded.run_to_completion();
 
-    let mut streamed = Driver::open(&models, cfg);
+    let mut streamed = Driver::open(&models, cfg).expect("valid profiles");
     for q in &queries {
         streamed.inject(q).expect("registered model");
     }
@@ -86,7 +154,7 @@ fn run_until_pauses_and_resumes_without_losing_queries() {
     let queries =
         WorkloadSpec::mix(&[("mobilenet_v2", 200.0), ("tiny_yolo_v2", 60.0)], 60).generate(3);
     let cfg = SimConfig::new(machine(), Policy::VeltairFull);
-    let batch = simulate(&models, &queries, &cfg);
+    let batch = simulate(&models, &queries, &cfg).expect("valid workload");
 
     let mut driver = Driver::new(&models, &queries, cfg).expect("valid");
     // Pause at several wall-clock points; snapshots must be monotone in
@@ -127,17 +195,20 @@ fn run_until_pauses_and_resumes_without_losing_queries() {
 }
 
 /// A scripted open-loop session: bursts injected while the clock runs and
-/// the policy hot-swapped twice mid-stream.
+/// the policy hot-swapped twice mid-stream, with the invariants checked
+/// after every step and every swap.
 fn scripted_session(models: &[CompiledModel]) -> ServingReport {
     let cfg = SimConfig::new(machine(), Policy::VeltairFull);
-    let mut driver = Driver::open(models, cfg);
+    let mut driver = Driver::open(models, cfg).expect("valid profiles");
+    let mut last_now = SimTime::ZERO;
     let burst =
         WorkloadSpec::mix(&[("mobilenet_v2", 300.0), ("tiny_yolo_v2", 100.0)], 30).generate(11);
     for q in &burst {
         driver.inject(q).expect("registered");
     }
-    driver.run_until(SimTime(0.04));
+    run_until_checked(&mut driver, SimTime(0.04), &mut last_now);
     driver.set_policy(Policy::Prema);
+    check_invariants(&driver, &mut last_now);
     // A second burst, shifted into the session's present.
     for q in &burst {
         driver
@@ -147,8 +218,9 @@ fn scripted_session(models: &[CompiledModel]) -> ServingReport {
             })
             .expect("registered");
     }
-    driver.run_until(SimTime(0.12));
+    run_until_checked(&mut driver, SimTime(0.12), &mut last_now);
     driver.set_policy(Policy::VeltairAs);
+    check_invariants(&driver, &mut last_now);
     // Late stragglers with arrivals already in the past: clamped to now.
     for _ in 0..5 {
         driver
@@ -158,7 +230,7 @@ fn scripted_session(models: &[CompiledModel]) -> ServingReport {
             })
             .expect("registered");
     }
-    driver.run_to_completion();
+    run_to_completion_checked(&mut driver, &mut last_now);
     driver.finish().0
 }
 
@@ -195,7 +267,7 @@ fn set_policy_between_steps_changes_the_discipline() {
     swapped.run_to_completion();
     let (swapped, _) = swapped.finish();
 
-    let unswapped = simulate(&models, &queries, &cfg);
+    let unswapped = simulate(&models, &queries, &cfg).expect("valid workload");
     assert_eq!(swapped.total_queries(), unswapped.total_queries());
     assert_ne!(
         swapped, unswapped,
@@ -218,18 +290,18 @@ fn driver_construction_reports_typed_errors() {
         Err(SimError::EmptyWorkload)
     ));
     assert!(matches!(
-        try_simulate(&models, &[], &cfg),
+        simulate(&models, &[], &cfg),
         Err(SimError::EmptyWorkload)
     ));
     assert_eq!(
-        try_simulate(&models, &unknown, &cfg),
+        simulate(&models, &unknown, &cfg),
         Err(SimError::UnknownModel {
             model: "resnet50".into()
         })
     );
 
     // Injection into a live driver is validated the same way.
-    let mut driver = Driver::open(&models, cfg);
+    let mut driver = Driver::open(&models, cfg).expect("valid profiles");
     assert!(matches!(
         driver.inject(&QuerySpec {
             model: "bert_large".into(),
@@ -270,14 +342,10 @@ fn invalid_kernel_profiles_are_typed_errors_at_construction() {
         Some(expected.clone())
     );
     assert_eq!(
-        Driver::with_dispatcher(&models, &[], cfg.clone(), for_policy(cfg.policy)).err(),
+        Driver::open(&models, cfg.clone()).err(),
         Some(expected.clone())
     );
-    assert_eq!(try_simulate(&models, &queries, &cfg), Err(expected.clone()));
-    assert_eq!(
-        try_run(&models, &queries, &cfg, for_policy(cfg.policy)).err(),
-        Some(expected.clone())
-    );
+    assert_eq!(simulate(&models, &queries, &cfg), Err(expected.clone()));
     assert_eq!(
         expected.to_string(),
         format!(
@@ -288,19 +356,10 @@ fn invalid_kernel_profiles_are_typed_errors_at_construction() {
 }
 
 #[test]
-#[should_panic(expected = "invalid kernel profile")]
-fn open_driver_panics_at_construction_on_an_invalid_profile() {
+fn open_driver_reports_an_invalid_profile_at_construction() {
     let models = pair_with_nan_flops();
-    let _ = Driver::open(&models, SimConfig::new(machine(), Policy::VeltairFull));
-}
-
-#[test]
-fn try_simulate_matches_simulate_on_valid_input() {
-    let models = compiled_pair();
-    let queries = WorkloadSpec::single("tiny_yolo_v2", 40.0, 30).generate(2);
-    let cfg = SimConfig::new(machine(), Policy::Planaria);
-    assert_eq!(
-        try_simulate(&models, &queries, &cfg).expect("valid"),
-        simulate(&models, &queries, &cfg)
-    );
+    assert!(matches!(
+        Driver::open(&models, SimConfig::new(machine(), Policy::VeltairFull)),
+        Err(SimError::InvalidProfile { ref model, layer: 2, .. }) if model == "tiny_yolo_v2"
+    ));
 }

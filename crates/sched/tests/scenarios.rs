@@ -2,9 +2,8 @@
 //! and granularity-specific dispatch behaviour.
 
 use veltair_compiler::{compile_model, CompilerOptions};
-use veltair_sched::{
-    simulate, simulator::simulate_with_trace, Policy, QuerySpec, SimConfig, WorkloadSpec,
-};
+use veltair_sched::runtime::Driver;
+use veltair_sched::{simulate, Policy, QuerySpec, SimConfig, WorkloadSpec};
 use veltair_sim::{MachineConfig, SimTime};
 
 fn machine() -> MachineConfig {
@@ -41,7 +40,8 @@ fn prema_preempts_long_jobs_for_tight_deadlines() {
             arrival: SimTime(0.002),
         },
     ];
-    let report = simulate(&models, &queries, &SimConfig::new(machine(), Policy::Prema));
+    let report = simulate(&models, &queries, &SimConfig::new(machine(), Policy::Prema))
+        .expect("valid workload");
     let yolo_latency = report.avg_latency_s("tiny_yolo_v2");
     let bert_solo = models[0].flat_latency_s(64, 0.0, &machine());
     assert!(
@@ -58,11 +58,11 @@ fn prema_preempts_long_jobs_for_tight_deadlines() {
 fn allocation_trace_is_recorded_and_bounded() {
     let models = compiled(&["mobilenet_v2"]);
     let queries = WorkloadSpec::single("mobilenet_v2", 100.0, 60).generate(3);
-    let (report, trace) = simulate_with_trace(
-        &models,
-        &queries,
-        &SimConfig::new(machine(), Policy::VeltairAs),
-    );
+    let mut cfg = SimConfig::new(machine(), Policy::VeltairAs);
+    cfg.record_alloc_trace = true;
+    let mut driver = Driver::new(&models, &queries, cfg).expect("valid workload");
+    driver.run_to_completion();
+    let (report, trace) = driver.finish();
     assert!(!trace.is_empty());
     assert!(trace.iter().all(|&(t, c)| t >= 0.0 && c <= 64));
     let peak_in_trace = trace.iter().map(|&(_, c)| c).max().unwrap();
@@ -95,7 +95,8 @@ fn model_fcfs_blocks_head_of_line() {
         &models,
         &queries,
         &SimConfig::new(machine(), Policy::ModelFcfs),
-    );
+    )
+    .expect("valid workload");
     assert_eq!(report.total_queries(), 3);
     // The machine fits two 26-core allocations but not three: the trailing
     // query must wait out roughly one full inference before starting.
@@ -121,6 +122,7 @@ fn fixed_block_sizes_change_dispatch_counts() {
             &queries,
             &SimConfig::new(machine(), Policy::FixedBlock(k)),
         )
+        .expect("valid workload")
         .dispatches
     };
     let fine = d(1);
@@ -144,12 +146,14 @@ fn adaptive_compilation_uses_multiple_versions_at_runtime() {
         &models,
         &queries,
         &SimConfig::new(machine(), Policy::VeltairAs),
-    );
+    )
+    .expect("valid workload");
     let r_ac = simulate(
         &models,
         &queries,
         &SimConfig::new(machine(), Policy::VeltairAc),
-    );
+    )
+    .expect("valid workload");
     assert_ne!(
         r_as, r_ac,
         "AC must behave differently from AS under pressure"
@@ -168,13 +172,13 @@ fn inject_held_charges_hold_time_against_latency() {
         arrival: SimTime(0.0),
     };
 
-    let mut held = veltair_sched::runtime::Driver::open(&models, cfg.clone());
+    let mut held = Driver::open(&models, cfg.clone()).expect("valid profiles");
     held.run_until(SimTime(0.5));
     held.inject_held(&spec).expect("registered model");
     held.run_to_completion();
     let (held_report, _) = held.finish();
 
-    let mut clamped = veltair_sched::runtime::Driver::open(&models, cfg);
+    let mut clamped = Driver::open(&models, cfg).expect("valid profiles");
     clamped.run_until(SimTime(0.5));
     clamped.inject(&spec).expect("registered model");
     clamped.run_to_completion();

@@ -51,7 +51,7 @@ fn main() {
 
     for policy in [Policy::Planaria, Policy::VeltairFull] {
         let cfg = veltair::sched::SimConfig::new(machine.clone(), policy);
-        let report = veltair::sched::simulate(&compiled, &queries, &cfg);
+        let report = veltair::sched::simulate(&compiled, &queries, &cfg).expect("valid workload");
         println!("== {} ==", policy.name());
         for name in names {
             println!(

@@ -57,14 +57,6 @@ fn main() {
     }
 
     let mut ac = engine(Policy::VeltairAc);
-    ac.set_selector(SelectorKind::PressureLadder);
-    println!(
-        "  {:<12} {:.3}  (raw PressureLadder replay)",
-        "veltair-ac",
-        seed_averaged(&ac, &workload)
-    );
-
-    ac.set_selector(SelectorKind::Hysteresis(HysteresisConfig::default()));
     println!("\nAC, hysteresis ladder x projection weight:");
     for weight in [0.0, 0.65, 0.68, 0.71, 0.74, 0.8, 0.88, 1.0] {
         ac.set_projection(ProjectionConfig::try_new(weight).expect("valid weight"));

@@ -16,9 +16,9 @@
 //! * [`proxy`] — the PCA-selected, linear performance-counter interference
 //!   proxy;
 //! * [`sched`] — layer-block formation (Algorithm 2), the scheduler-core
-//!   runtime (Algorithm 3): a policy-agnostic event loop over pluggable
-//!   `Dispatcher` families, plus the Planaria / PREMA / AI-MT / Parties
-//!   baselines;
+//!   runtime (Algorithm 3): a policy-agnostic event loop with one
+//!   dispatcher per policy family, plus the Planaria / PREMA / AI-MT /
+//!   Parties baselines;
 //! * [`cluster`] — the multi-machine fleet runtime: per-node serving
 //!   drivers behind pluggable SLO-aware routing (round-robin,
 //!   least-outstanding, power-of-two-choices, interference-aware) and
@@ -76,8 +76,8 @@ pub mod prelude {
     };
     pub use veltair_compiler::{
         compile_model, CompiledModel, CompilerError, CompilerOptions, CompilerService,
-        EwmaSmoother, HysteresisConfig, HysteresisLadder, ModelRegistry, PressureLadder,
-        SearchStats, SelectionContext, SelectorKind, StaticLevel, VersionSelector,
+        EwmaSmoother, HysteresisConfig, HysteresisLadder, ModelRegistry, SearchStats,
+        SelectionContext, SelectorKind, StaticLevel, VersionSelector,
     };
     pub use veltair_core::{
         all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, ClusterSession,
@@ -86,7 +86,7 @@ pub mod prelude {
         WorkloadError, WorkloadSpec,
     };
     pub use veltair_models::{all_models, by_name, ModelSpec, WorkloadClass};
-    pub use veltair_sched::runtime::{Dispatcher, Driver};
+    pub use veltair_sched::runtime::Driver;
     pub use veltair_sched::{PressureView, ProjectionConfig, QuerySpec, SimConfig};
     pub use veltair_sim::{Interference, MachineConfig, SimTime};
     pub use veltair_telemetry::{

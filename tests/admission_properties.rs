@@ -292,7 +292,8 @@ fn inject_held_hold_time_is_monotonically_charged_into_latency() {
         let mut driver = Driver::open(
             &models,
             SimConfig::new(machine.clone(), Policy::VeltairFull),
-        );
+        )
+        .expect("valid profiles");
         driver.run_until(SimTime(hold));
         driver
             .inject_held(&QuerySpec {

@@ -75,7 +75,8 @@ fn burst_arrivals_are_absorbed() {
         &[m],
         &queries,
         &SimConfig::new(machine, Policy::VeltairFull),
-    );
+    )
+    .expect("valid workload");
     assert_eq!(report.total_queries(), 32);
     assert!(report.makespan_s > 0.0);
 }

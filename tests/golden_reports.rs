@@ -198,7 +198,7 @@ impl Fnv {
 fn digest(models: &[CompiledModel], traces: &[Vec<QuerySpec>], cfg: &SimConfig) -> u64 {
     let mut h = Fnv::new();
     for queries in traces {
-        let report = veltair::sched::try_simulate(models, queries, cfg).expect("valid workload");
+        let report = veltair::sched::simulate(models, queries, cfg).expect("valid workload");
         assert_eq!(
             report.total_queries(),
             queries.len(),
