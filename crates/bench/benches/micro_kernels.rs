@@ -7,7 +7,7 @@ use veltair_core::experiments::ExpContext;
 use veltair_core::train_proxy;
 use veltair_proxy::CounterWindow;
 use veltair_sched::layer_block::form_blocks;
-use veltair_sim::{execute, Interference, MachineConfig, PerfCounters};
+use veltair_sim::{execute, CoreTerms, Interference, LatencyModel, MachineConfig, PerfCounters};
 use veltair_tensor::{FeatureMap, FusedUnit, GemmView, Layer};
 
 fn bench_execute(c: &mut Criterion) {
@@ -32,6 +32,20 @@ fn bench_execute(c: &mut Criterion) {
                 Interference::level(0.5),
                 &machine,
             )
+        })
+    });
+    // The same rating through the profile's core-terms table, as the
+    // serving runtime rates a model compiled for the machine it serves on.
+    let terms = CoreTerms::table(&profile, &machine);
+    c.bench_function("machine_model_execute_prepared", |b| {
+        b.iter(|| {
+            LatencyModel::with_terms(
+                std::hint::black_box(&profile),
+                &terms,
+                Interference::level(0.5),
+                &machine,
+            )
+            .execute(16)
         })
     });
 }

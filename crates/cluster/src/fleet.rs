@@ -120,6 +120,14 @@ pub enum ClusterError {
         /// The rejected value (integer fields are reported as `f64`).
         value: f64,
     },
+    /// A node's configuration cannot be simulated (see
+    /// `SimError::InvalidConfig`): its machine fails
+    /// `MachineConfig::validate`, or its projection weight is out of
+    /// range. Checked when the node's driver opens.
+    InvalidConfig {
+        /// The node and the violated rule.
+        reason: String,
+    },
     /// A node registry or the catalog carries a compiled kernel profile
     /// that fails validation (see `SimError::InvalidProfile`). Checked
     /// when the fleet is built, so no node — seed or later join — can
@@ -171,6 +179,9 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::InvalidScalePolicy { field, value } => {
                 write!(f, "scale policy parameter {field} is out of range: {value}")
+            }
+            ClusterError::InvalidConfig { reason } => {
+                write!(f, "invalid node config: {reason}")
             }
             ClusterError::InvalidProfile {
                 model,
@@ -333,9 +344,13 @@ fn load_of(driver: &Driver<'_>, node: usize, want_pressure: bool) -> NodeLoad {
 }
 
 /// Opens an idle driver for `spec` over `models`, surfacing an invalid
+/// node configuration as [`ClusterError::InvalidConfig`] and an invalid
 /// compiled kernel profile as [`ClusterError::InvalidProfile`].
 fn open_node<'a>(models: &'a [CompiledModel], spec: &NodeSpec) -> Result<Driver<'a>, ClusterError> {
     Driver::open(models, spec.sim_config()).map_err(|e| match e {
+        SimError::InvalidConfig { reason } => ClusterError::InvalidConfig {
+            reason: format!("node {}: {reason}", spec.name),
+        },
         SimError::InvalidProfile {
             model,
             layer,
@@ -347,7 +362,7 @@ fn open_node<'a>(models: &'a [CompiledModel], spec: &NodeSpec) -> Result<Driver<
             version,
             reason,
         },
-        other => unreachable!("an empty workload only fails profile validation: {other}"),
+        other => unreachable!("an empty workload only fails config or profile validation: {other}"),
     })
 }
 
@@ -482,9 +497,11 @@ impl<'a> Fleet<'a> {
     /// `node_models` and `specs` differ in length, and
     /// [`ClusterError::UnknownModel`] when some node's registry is
     /// missing a catalog model (every node must be able to serve every
-    /// model the front door accepts), and [`ClusterError::InvalidProfile`]
-    /// when a node registry or the catalog carries an invalid compiled
-    /// kernel profile (later joins open their drivers on the catalog).
+    /// model the front door accepts), [`ClusterError::InvalidConfig`]
+    /// when a node's machine or projection weight cannot be simulated, and
+    /// [`ClusterError::InvalidProfile`] when a node registry or the
+    /// catalog carries an invalid compiled kernel profile (later joins
+    /// open their drivers on the catalog).
     pub fn with_node_registries(
         catalog: &'a [CompiledModel],
         node_models: Vec<&'a [CompiledModel]>,
@@ -931,10 +948,15 @@ impl<'a> Fleet<'a> {
     /// the fleet-level catalog. The new driver's clock is synced to the
     /// fleet clock and the node is immediately routable. Returns the new
     /// node's index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec`'s machine or projection weight fails validation
+    /// (see [`ClusterError::InvalidConfig`]). The catalog's profiles were
+    /// validated when the fleet was built.
     pub fn add_node(&mut self, spec: &NodeSpec) -> usize {
         let node = self.drivers.len();
-        let mut driver =
-            open_node(self.models, spec).expect("catalog profiles are validated at construction");
+        let mut driver = open_node(self.models, spec).unwrap_or_else(|e| panic!("{e}"));
         driver.run_until(self.now);
         if let Some(tm) = self.telemetry.as_mut() {
             let class = format!("{}c/{}", driver.total_cores(), driver.policy().name());

@@ -1,8 +1,10 @@
 //! Compiled artifacts: versioned layers and models with precomputed
 //! interference-indexed lookup tables for the runtime scheduler.
 
+use std::sync::Arc;
+
 use veltair_models::{ModelSpec, WorkloadClass};
-use veltair_sim::{execute, Interference, KernelProfile, LatencyModel, MachineConfig};
+use veltair_sim::{execute, CoreTerms, Interference, KernelProfile, LatencyModel, MachineConfig};
 use veltair_tensor::GemmView;
 
 use crate::lower::lower_streaming;
@@ -57,8 +59,9 @@ fn class_for(cores: u32) -> usize {
 
 /// A compiled layer: its multi-version code library plus the lookup tables
 /// (best version and per-version core requirement per interference bin)
-/// that make runtime decisions O(1).
-#[derive(Debug, Clone, PartialEq)]
+/// that make runtime decisions O(1), and each version's [`CoreTerms`]
+/// table that makes a runtime rating cheap.
+#[derive(Clone, PartialEq)]
 pub struct CompiledLayer {
     /// Scheduling-unit name (fused producer + epilogues).
     pub name: String,
@@ -71,6 +74,11 @@ pub struct CompiledLayer {
     /// Whether the QoS share is attainable in isolation on the full machine.
     pub qos_feasible: bool,
     /// Retained versions, most-local first.
+    ///
+    /// Every table of the layer is derived from these profiles when the
+    /// layer is built, like the core requirements and best versions:
+    /// editing a profile in place means rebuilding the layer with
+    /// [`CompiledLayer::build`].
     pub versions: Vec<CompiledVersion>,
     /// Best version index per core class per interference bin.
     best_version: Vec<[usize; NUM_INTERFERENCE_BINS]>,
@@ -78,10 +86,35 @@ pub struct CompiledLayer {
     reference_class: usize,
     /// Minimum cores meeting the QoS share, per version per bin.
     core_req: Vec<[u32; NUM_INTERFERENCE_BINS]>,
+    /// Each version's [`CoreTerms::table`] on the build machine, shared
+    /// by every clone of the layer.
+    core_terms: Arc<[Box<[CoreTerms]>]>,
+}
+
+impl std::fmt::Debug for CompiledLayer {
+    /// Prints the lengths of the core-terms tables, not their entries.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let core_terms: Vec<usize> = self.core_terms.iter().map(|t| t.len()).collect();
+        f.debug_struct("CompiledLayer")
+            .field("name", &self.name)
+            .field("flops", &self.flops)
+            .field("bytes", &self.bytes)
+            .field("qos_share_s", &self.qos_share_s)
+            .field("qos_feasible", &self.qos_feasible)
+            .field("versions", &self.versions)
+            .field("best_version", &self.best_version)
+            .field("reference_class", &self.reference_class)
+            .field("core_req", &self.core_req)
+            .field("core_terms", &core_terms)
+            .finish()
+    }
 }
 
 impl CompiledLayer {
-    /// Builds the lookup tables for a set of versions.
+    /// Builds the lookup tables for a set of versions on `machine`: the
+    /// best version per core class and interference bin, each version's
+    /// core requirement per bin, and each version's [`CoreTerms::table`],
+    /// which the serving runtime reads whenever it serves on `machine`.
     #[must_use]
     pub fn build(
         name: String,
@@ -137,6 +170,11 @@ impl CompiledLayer {
             l <= qos_share_s
         };
 
+        let core_terms = versions
+            .iter()
+            .map(|v| CoreTerms::table(&v.profile, machine))
+            .collect();
+
         Self {
             name,
             flops,
@@ -147,7 +185,15 @@ impl CompiledLayer {
             best_version,
             reference_class,
             core_req,
+            core_terms,
         }
+    }
+
+    /// `version`'s [`CoreTerms::table`] on the machine the layer was built
+    /// for.
+    #[must_use]
+    pub fn core_terms(&self, version: usize) -> &[CoreTerms] {
+        &self.core_terms[version]
     }
 
     /// Index of the fastest version at the given interference level, judged
@@ -236,9 +282,20 @@ pub struct CompiledModel {
     /// Aggregate auto-scheduler counters across every unit's search: how
     /// many candidates were generated and lowered.
     pub search_stats: SearchStats,
+    /// The machine every table of the model was built for.
+    compiled_for: MachineConfig,
 }
 
 impl CompiledModel {
+    /// The machine the model was compiled for. Its layers' lookup and
+    /// [`CoreTerms`] tables hold for this machine only; a runtime serving
+    /// on another machine computes the core terms live, with identical
+    /// results.
+    #[must_use]
+    pub fn compiled_for(&self) -> &MachineConfig {
+        &self.compiled_for
+    }
+
     /// Flat model-granularity core requirement at an interference level.
     #[must_use]
     pub fn model_core_requirement(&self, level: f64) -> u32 {
@@ -373,6 +430,7 @@ pub fn compile_model(
         layers,
         model_cores,
         search_stats,
+        compiled_for: machine.clone(),
     };
     for (bi, &level) in interference_bins().iter().enumerate() {
         model_cores[bi] = (1..=machine.cores)

@@ -14,7 +14,10 @@
 //!    and redundant versions are pruned if the remaining envelope stays
 //!    within 10 % of the full set across interference levels;
 //! 3. [`compiled`] packages the versions with precomputed per-interference
-//!    core-requirement tables that the runtime scheduler consumes.
+//!    core-requirement tables that the runtime scheduler consumes, plus
+//!    each version's [`CoreTerms`](veltair_sim::CoreTerms) table, which
+//!    the runtime reads instead of re-deriving the interference-free
+//!    roofline terms whenever it serves on the machine it compiled for.
 //!
 //! The [`vendor`] module provides the MKL-DNN-like fixed-schedule library
 //! used as the comparison point of the paper's Fig. 2.

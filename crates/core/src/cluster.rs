@@ -47,6 +47,7 @@ impl From<ClusterError> for EngineError {
             ClusterError::InvalidScalePolicy { field, value } => {
                 EngineError::InvalidScalePolicy { field, value }
             }
+            ClusterError::InvalidConfig { reason } => EngineError::InvalidConfig { reason },
             ClusterError::InvalidProfile {
                 model,
                 layer,
@@ -424,8 +425,10 @@ impl ClusterEngine {
     ///
     /// Returns [`EngineError::NoModels`] / [`EngineError::NoNodes`] if
     /// the engine was constructed without validation (both are unreachable
-    /// through [`ClusterBuilder::build`]) and [`EngineError::InvalidProfile`]
-    /// if a registered model carries an invalid kernel profile.
+    /// through [`ClusterBuilder::build`]), [`EngineError::InvalidConfig`]
+    /// if a node's machine or projection weight cannot be simulated, and
+    /// [`EngineError::InvalidProfile`] if a registered model carries an
+    /// invalid kernel profile.
     pub fn session(&self) -> Result<ClusterSession<'_>, EngineError> {
         let node_models: Vec<&[CompiledModel]> = self
             .node_registry
@@ -472,8 +475,10 @@ impl ClusterEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownModel`] if the workload references
-    /// unregistered models and [`EngineError::InvalidProfile`] if a
-    /// registered model carries an invalid kernel profile.
+    /// unregistered models, [`EngineError::InvalidConfig`] if a node's
+    /// machine or projection weight cannot be simulated, and
+    /// [`EngineError::InvalidProfile`] if a registered model carries an
+    /// invalid kernel profile.
     pub fn try_run(&self, workload: &WorkloadSpec, seed: u64) -> Result<FleetReport, EngineError> {
         let mut session = self.session()?;
         session.submit_stream(workload, seed)?;
@@ -572,6 +577,11 @@ impl ClusterSession<'_> {
     /// Attaches a fresh node to the fleet at the current instant and
     /// returns its roster index. The node serves the fleet catalog and
     /// becomes routable immediately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec`'s machine or projection weight fails validation
+    /// (see [`EngineError::InvalidConfig`]).
     pub fn add_node(&mut self, spec: &NodeSpec) -> usize {
         self.fleet.add_node(spec)
     }
@@ -864,6 +874,42 @@ mod tests {
             Err(expected.clone())
         );
         assert_eq!(e.session().err(), Some(expected));
+
+        // A node whose machine or projection weight cannot be simulated
+        // is a typed error naming the node, checked when the fleet opens.
+        let valid = compiled("tiny_yolo_v2");
+        let broken_nodes: [fn(&mut NodeSpec); 4] = [
+            |n| n.machine.cores = 0,
+            |n| n.machine.l3_bytes = f64::NAN,
+            |n| n.machine.dram_bw = 0.0,
+            |n| n.projection.saturation_weight = f64::NAN,
+        ];
+        for edit in broken_nodes {
+            let mut edge = NodeSpec::new("edge-0", MachineConfig::desktop_8core(), Policy::Prema);
+            edit(&mut edge);
+            let e = ClusterEngine::builder()
+                .model(valid.clone())
+                .node(NodeSpec::new(
+                    "big-0",
+                    MachineConfig::threadripper_3990x(),
+                    Policy::VeltairFull,
+                ))
+                .node(edge)
+                .build()
+                .expect("node configs are checked when a fleet opens");
+            let run = e.try_run(&WorkloadSpec::single("tiny_yolo_v2", 30.0, 10), 1);
+            assert!(
+                matches!(
+                    run,
+                    Err(EngineError::InvalidConfig { ref reason }) if reason.starts_with("node edge-0: ")
+                ),
+                "{run:?}"
+            );
+            assert!(matches!(
+                e.session().err(),
+                Some(EngineError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

@@ -88,6 +88,14 @@ pub enum EngineError {
         /// The rejected value.
         value: f64,
     },
+    /// The serving configuration cannot be simulated (see
+    /// `SimError::InvalidConfig`): a machine fails
+    /// `MachineConfig::validate`, or the projection weight is out of
+    /// range.
+    InvalidConfig {
+        /// The violated rule.
+        reason: String,
+    },
     /// A registered model carries a kernel profile that fails
     /// validation (see `SimError::InvalidProfile`).
     InvalidProfile {
@@ -151,6 +159,9 @@ impl std::fmt::Display for EngineError {
             EngineError::InvalidScalePolicy { field, value } => {
                 write!(f, "scale policy parameter {field} is out of range: {value}")
             }
+            EngineError::InvalidConfig { reason } => {
+                write!(f, "invalid serving config: {reason}")
+            }
             EngineError::InvalidProfile {
                 model,
                 layer,
@@ -176,6 +187,7 @@ impl From<SimError> for EngineError {
             SimError::NonFiniteArrival { arrival_s } => {
                 EngineError::NonFiniteArrival { at_s: arrival_s }
             }
+            SimError::InvalidConfig { reason } => EngineError::InvalidConfig { reason },
             SimError::InvalidProfile {
                 model,
                 layer,
@@ -516,8 +528,10 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownModel`] if the workload references
-    /// unregistered models, [`EngineError::InvalidProfile`] if a
-    /// registered model carries an invalid kernel profile,
+    /// unregistered models, [`EngineError::InvalidConfig`] if the machine
+    /// or the projection weight cannot be simulated,
+    /// [`EngineError::InvalidProfile`] if a registered model carries an
+    /// invalid kernel profile,
     /// [`EngineError::NonFiniteArrival`] if a stream rate makes an
     /// arrival time NaN or infinite, and [`EngineError::EmptyWorkload`]
     /// if it generates no queries.
@@ -537,9 +551,10 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NoModels`] if no model is registered and
-    /// [`EngineError::InvalidProfile`] if a registered model carries an
-    /// invalid kernel profile.
+    /// Returns [`EngineError::NoModels`] if no model is registered,
+    /// [`EngineError::InvalidConfig`] if the machine or the projection
+    /// weight cannot be simulated, and [`EngineError::InvalidProfile`] if
+    /// a registered model carries an invalid kernel profile.
     pub fn session(&self) -> Result<ServingSession<'_>, EngineError> {
         if self.models.is_empty() {
             return Err(EngineError::NoModels);
@@ -944,6 +959,47 @@ mod tests {
             .try_run(&WorkloadSpec::single("tiny_yolo_v2", 30.0, 10), 1)
             .expect("valid");
         assert_eq!(ok.total_queries(), 10);
+
+        // A machine or projection weight that cannot be simulated: a typed
+        // error, not a panic or a run that silently completes nothing.
+        let workload = WorkloadSpec::single("tiny_yolo_v2", 30.0, 20);
+        let broken_machines: [fn(&mut MachineConfig); 5] = [
+            |m| m.l3_bytes = f64::NAN,
+            |m| m.dram_bw = 0.0,
+            |m| m.freq_ghz = -1.0,
+            |m| m.dispatch_overhead_s = f64::NAN,
+            |m| m.cores = 0,
+        ];
+        let mut broken = Vec::new();
+        for edit in broken_machines {
+            let mut machine = e.machine().clone();
+            edit(&mut machine);
+            let mut bad = ServingEngine::new(machine, Policy::VeltairFull);
+            bad.register(e.models()[0].clone());
+            broken.push(bad);
+        }
+        for weight in [f64::NAN, 2.0, -1.0, f64::INFINITY] {
+            let mut bad = engine();
+            bad.set_projection(ProjectionConfig {
+                saturation_weight: weight,
+            });
+            broken.push(bad);
+        }
+        for bad in &broken {
+            assert!(
+                matches!(
+                    bad.try_run(&workload, 1),
+                    Err(EngineError::InvalidConfig { .. })
+                ),
+                "{:?} / {:?}",
+                bad.machine(),
+                bad.projection()
+            );
+            assert!(matches!(
+                bad.session().err(),
+                Some(EngineError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! layers donate slack to the expensive pivot and flattens the allocation
 //! profile (paper Fig. 10a).
 
-use veltair_compiler::CompiledModel;
-use veltair_sim::{Interference, KernelProfile, LatencyModel, MachineConfig};
+use veltair_compiler::{CompiledLayer, CompiledModel};
+use veltair_sim::{Interference, LatencyModel, MachineConfig};
 
 /// A formed layer block: the unit range, the per-unit code versions, and
 /// the core allocation that meets the block's summed QoS share.
@@ -56,6 +56,28 @@ pub fn find_first_pivot(
         .find(|&i| u64::from(model.layers[i].core_requirement(versions[i], level)) >= limit)
 }
 
+/// The serving runtime's rating model of `version` of `layer` under
+/// `pressure` on `machine`, whose profile passed validation when the
+/// simulation was built. It reads the layer's compiled [`CoreTerms`]
+/// tables when `tabulated` (the layer was compiled for `machine`) and
+/// computes the terms live otherwise, with identical results.
+///
+/// [`CoreTerms`]: veltair_sim::CoreTerms
+pub(crate) fn unit_model<'a>(
+    layer: &'a CompiledLayer,
+    version: usize,
+    tabulated: bool,
+    pressure: Interference,
+    machine: &'a MachineConfig,
+) -> LatencyModel<'a> {
+    let terms = if tabulated {
+        layer.core_terms(version)
+    } else {
+        &[]
+    };
+    LatencyModel::with_terms(&layer.versions[version].profile, terms, pressure, machine)
+}
+
 /// Flat latencies of the units `[start, end)` under one ambient pressure,
 /// prepared for sizing the block.
 ///
@@ -76,7 +98,8 @@ pub(crate) struct BlockSweep<'a> {
 }
 
 impl<'a> BlockSweep<'a> {
-    /// Prepares the block, validating every unit's profile.
+    /// Prepares the block, validating every unit's profile; every rating
+    /// computes its core terms live.
     ///
     /// # Panics
     ///
@@ -89,20 +112,15 @@ impl<'a> BlockSweep<'a> {
         pressure: Interference,
         machine: &'a MachineConfig,
     ) -> Self {
-        Self::prepare(
-            model,
-            start,
-            end,
-            versions,
-            pressure,
-            machine,
-            LatencyModel::new,
-        )
+        Self::prepare(model, start, end, versions, machine, |layer, v| {
+            LatencyModel::new(&layer.versions[v].profile, pressure, machine)
+        })
     }
 
     /// Prepares the block from profiles the caller has already validated
     /// (the serving runtime checks every compiled profile once, when a
-    /// simulation is built).
+    /// simulation is built), reading the compiled core terms when
+    /// `tabulated` (see [`unit_model`]).
     ///
     /// # Panics
     ///
@@ -112,18 +130,13 @@ impl<'a> BlockSweep<'a> {
         start: usize,
         end: usize,
         versions: &[usize],
+        tabulated: bool,
         pressure: Interference,
         machine: &'a MachineConfig,
     ) -> Self {
-        Self::prepare(
-            model,
-            start,
-            end,
-            versions,
-            pressure,
-            machine,
-            LatencyModel::prevalidated,
-        )
+        Self::prepare(model, start, end, versions, machine, |layer, v| {
+            unit_model(layer, v, tabulated, pressure, machine)
+        })
     }
 
     fn prepare(
@@ -131,9 +144,8 @@ impl<'a> BlockSweep<'a> {
         start: usize,
         end: usize,
         versions: &[usize],
-        pressure: Interference,
         machine: &'a MachineConfig,
-        prepare_unit: fn(&'a KernelProfile, Interference, &'a MachineConfig) -> LatencyModel<'a>,
+        prepare_unit: impl Fn(&'a CompiledLayer, usize) -> LatencyModel<'a>,
     ) -> Self {
         assert!(
             start < end && end <= model.layers.len(),
@@ -144,7 +156,7 @@ impl<'a> BlockSweep<'a> {
             units: layers
                 .iter()
                 .zip(&versions[start..end])
-                .map(|(layer, &v)| prepare_unit(&layer.versions[v].profile, pressure, machine))
+                .map(|(layer, &v)| prepare_unit(layer, v))
                 .collect(),
             machine,
             budget_s: layers.iter().map(|l| l.qos_share_s).sum::<f64>()
@@ -394,27 +406,37 @@ mod tests {
     #[test]
     fn one_sweep_serves_the_minimum_and_the_boost() {
         // plan_block sizes a block's QoS minimum and its boost from one
-        // sweep; the shared ratings must answer like fresh ones.
+        // sweep; the shared ratings must answer like fresh ones, whether
+        // they read the compiled core-terms tables or compute them live.
         let (m, machine) = compiled();
         let versions = veltair_compiler::selector::select_at_level(&m, 0.5, true);
         let pressure = Interference {
             cache_frac: 0.6,
             bw_frac: 0.25,
         };
-        for (start, end) in [(0, 1), (0, 9), (5, m.layers.len())] {
-            let mut sweep = BlockSweep::prevalidated(&m, start, end, &versions, pressure, &machine);
-            let min_cores = sweep.core_requirement();
-            assert_eq!(
-                min_cores,
-                block_core_requirement(&m, start, end, &versions, pressure, &machine)
-            );
-            for cap in [min_cores, 24, machine.cores] {
-                assert_eq!(
-                    sweep.boosted(min_cores, cap),
-                    boosted_block_cores(
-                        &m, start, end, &versions, pressure, min_cores, cap, &machine
-                    )
+        for tabulated in [true, false] {
+            for (start, end) in [(0, 1), (0, 9), (5, m.layers.len())] {
+                let mut sweep = BlockSweep::prevalidated(
+                    &m, start, end, &versions, tabulated, pressure, &machine,
                 );
+                let min_cores = sweep.core_requirement();
+                assert_eq!(
+                    min_cores,
+                    block_core_requirement(&m, start, end, &versions, pressure, &machine)
+                );
+                for cap in [min_cores, 24, machine.cores] {
+                    assert_eq!(
+                        sweep.boosted(min_cores, cap),
+                        boosted_block_cores(
+                            &m, start, end, &versions, pressure, min_cores, cap, &machine
+                        )
+                    );
+                }
+                for cores in 1..=machine.cores {
+                    let fresh =
+                        block_flat_latency_s(&m, start, end, &versions, pressure, cores, &machine);
+                    assert_eq!(sweep.flat_latency_s(cores).to_bits(), fresh.to_bits());
+                }
             }
         }
     }

@@ -38,6 +38,16 @@ pub enum SimError {
         /// The rejected arrival time, seconds.
         arrival_s: f64,
     },
+    /// The configuration cannot be simulated: the machine fails
+    /// [`MachineConfig::validate`](veltair_sim::MachineConfig::validate)
+    /// (e.g. zero cores or a NaN cache size), or the projection weight is
+    /// outside what [`ProjectionConfig::try_new`](crate::ProjectionConfig::try_new)
+    /// accepts. Checked once, when the simulation is built, instead of
+    /// panicking or running silently on it.
+    InvalidConfig {
+        /// The violated rule.
+        reason: String,
+    },
     /// A compiled version's kernel profile failed
     /// [`KernelProfile::validate`](veltair_sim::KernelProfile::validate)
     /// (e.g. NaN FLOPs). Profiles are checked once, when the simulation
@@ -66,6 +76,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::NonFiniteArrival { arrival_s } => {
                 write!(f, "arrival times must be finite, got {arrival_s}")
+            }
+            SimError::InvalidConfig { reason } => {
+                write!(f, "invalid simulation config: {reason}")
             }
             SimError::InvalidProfile {
                 model,
@@ -105,9 +118,10 @@ impl<'a> Driver<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::EmptyWorkload`] if `queries` is empty,
-    /// [`SimError::InvalidProfile`] if a compiled kernel profile is
-    /// invalid, and [`SimError::UnknownModel`] if any query targets a
-    /// model absent from `models`.
+    /// [`SimError::InvalidConfig`] if the machine or the projection weight
+    /// cannot be simulated, [`SimError::InvalidProfile`] if a compiled
+    /// kernel profile is invalid, and [`SimError::UnknownModel`] if any
+    /// query targets a model absent from `models`.
     pub fn new(
         models: &'a [CompiledModel],
         queries: &[QuerySpec],
@@ -126,8 +140,10 @@ impl<'a> Driver<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidProfile`] if a compiled kernel profile
-    /// is invalid (the one error an empty workload can still hit).
+    /// Returns [`SimError::InvalidConfig`] if the machine or the
+    /// projection weight cannot be simulated and
+    /// [`SimError::InvalidProfile`] if a compiled kernel profile is
+    /// invalid (the two errors an empty workload can still hit).
     pub fn open(models: &'a [CompiledModel], cfg: SimConfig) -> Result<Self, SimError> {
         Self::start(models, &[], cfg)
     }

@@ -139,6 +139,7 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
     let expected = model.model_core_requirement(level).max(1);
     state.plan_versions(model_index, view, expected);
     let versions = state.planned_versions();
+    let tabulated = state.tabulated(model_index);
     let machine = &state.cfg.machine;
     let n = model.layers.len();
 
@@ -161,7 +162,7 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
         Granularity::FixedBlock(k) => {
             let end = (begin + k.max(1)).min(n);
             let mut sweep =
-                BlockSweep::prevalidated(model, begin, end, versions, pressure, machine);
+                BlockSweep::prevalidated(model, begin, end, versions, tabulated, pressure, machine);
             (end, sweep.core_requirement())
         }
         Granularity::DynamicBlock => {
@@ -171,7 +172,7 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
             // One sweep rates each allocation once for both the QoS
             // minimum and the boost above it.
             let mut sweep =
-                BlockSweep::prevalidated(model, begin, end, versions, pressure, machine);
+                BlockSweep::prevalidated(model, begin, end, versions, tabulated, pressure, machine);
             let min_cores = sweep.core_requirement();
             // Algorithm 2's contract: blocks use no more than
             // `Avg_C + thres` cores. Without this cap, a saturated

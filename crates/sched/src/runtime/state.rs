@@ -14,14 +14,14 @@ use std::collections::VecDeque;
 use veltair_compiler::selector::{solo_versions, SelectionContext, VersionSelector};
 use veltair_compiler::CompiledModel;
 use veltair_sim::{
-    Execution, Interference, LatencyModel, PerfCounters, PressureDemand, SimTime, SplitEventQueue,
-    UnitProgress,
+    Execution, Interference, PerfCounters, PressureDemand, SimTime, SplitEventQueue, UnitProgress,
 };
 use veltair_telemetry::{TraceEventKind, TraceSink};
 
 use super::driver::SimError;
-use super::monitor::{self, Monitor, PressureView, ProjectionInputs};
+use super::monitor::{self, Monitor, PressureView, ProjectionConfig, ProjectionInputs};
 use super::Dispatcher;
+use crate::layer_block::unit_model;
 use crate::report::{ModelStats, ServingReport};
 use crate::simulator::SimConfig;
 use crate::workload::QuerySpec;
@@ -119,6 +119,10 @@ pub struct SimState<'a> {
     pub cfg: SimConfig,
     /// The compiled-model registry queries index into.
     pub models: &'a [CompiledModel],
+    /// Per model, whether it was compiled for `cfg.machine`: its ratings
+    /// then read the compiled core-terms tables instead of computing the
+    /// terms live (see [`SimState::tabulated`]).
+    tabulated: Vec<bool>,
     /// Per-query lifecycle state.
     pub queries: Vec<QueryState>,
     /// Slot-indexed in-flight units (slots are recycled via `free_slots`).
@@ -175,8 +179,6 @@ pub struct SimState<'a> {
     /// unit of the planned model. [`SimState::start_block`] copies the
     /// started block's slice into its slot.
     plan: Vec<usize>,
-    /// The two most recent ratings of each slot, indexed like `running`.
-    recent_ratings: Vec<RecentRatings>,
     /// Scratch for [`SimState::refresh_conditions`]'s per-slot changed
     /// flags, reused across calls so the re-rating fixed point allocates
     /// nothing on the hot path (one refresh runs per material event).
@@ -220,8 +222,11 @@ impl<'a> SimState<'a> {
     /// every compiled kernel profile and that each query targets a
     /// compiled model.
     ///
-    /// Profiles are checked here, once, so the event loop rates through
-    /// [`LatencyModel::prevalidated`] and never re-checks them.
+    /// The machine, the projection weight and every profile are checked
+    /// here, once, so the event loop rates prevalidated profiles and never
+    /// re-checks them. Which models rate through their compiled
+    /// core-terms tables is decided here too (see
+    /// [`SimState::tabulated`]).
     ///
     /// An empty `queries` slice is accepted: a streaming
     /// [`Driver`](super::Driver) starts with no closed workload and feeds
@@ -231,8 +236,12 @@ impl<'a> SimState<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidProfile`] if a compiled version's
-    /// profile fails [`KernelProfile::validate`](veltair_sim::KernelProfile::validate),
+    /// Returns [`SimError::InvalidConfig`] if the machine fails
+    /// [`MachineConfig::validate`](veltair_sim::MachineConfig::validate)
+    /// or the projection weight is outside what
+    /// [`ProjectionConfig::try_new`] accepts,
+    /// [`SimError::InvalidProfile`] if a compiled version's profile fails
+    /// [`KernelProfile::validate`](veltair_sim::KernelProfile::validate),
     /// and [`SimError::UnknownModel`] if a query references a model that
     /// is not in `models`.
     pub(crate) fn try_new(
@@ -240,13 +249,19 @@ impl<'a> SimState<'a> {
         queries: &[QuerySpec],
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
+        validate_config(&cfg)?;
         validate_profiles(models)?;
+        let tabulated = models
+            .iter()
+            .map(|m| m.compiled_for() == &cfg.machine)
+            .collect();
         let free_cores = cfg.machine.cores;
         let monitor = monitor::for_config(&cfg);
         let selector = cfg.selector.build();
         let mut state = Self {
             cfg,
             models,
+            tabulated,
             queries: Vec::with_capacity(queries.len()),
             running: Vec::new(),
             free_slots: Vec::new(),
@@ -268,7 +283,6 @@ impl<'a> SimState<'a> {
             selector,
             solo_plans: models.iter().map(solo_versions).collect(),
             plan: Vec::new(),
-            recent_ratings: Vec::new(),
             refresh_changed: Vec::new(),
             refresh_updates: Vec::new(),
             trace: None,
@@ -583,14 +597,8 @@ impl<'a> SimState<'a> {
             let exec = match phantoms.iter().find(|(k, _)| *k == key) {
                 Some(&(_, exec)) => exec,
                 None => {
-                    let layer = &model.layers[key.1];
-                    let version = layer.version_for(level, req);
-                    LatencyModel::prevalidated(
-                        &layer.versions[version].profile,
-                        Interference::level(level),
-                        machine,
-                    )
-                    .execute(req)
+                    let version = model.layers[key.1].version_for(level, req);
+                    self.rate(model_index, key.1, version, req, Interference::level(level))
                 }
             };
             phantoms.push((key, exec));
@@ -630,6 +638,15 @@ impl<'a> SimState<'a> {
         Interference::from_corunners(demands, &self.cfg.machine)
     }
 
+    /// Whether `model` was compiled for the machine this simulation
+    /// serves on, decided once when the state is built. Its ratings then
+    /// read the compiled core-terms tables; otherwise (one registry served
+    /// on heterogeneous fleet nodes) they compute the terms live, with
+    /// identical results.
+    pub(crate) fn tabulated(&self, model: usize) -> bool {
+        self.tabulated[model]
+    }
+
     /// Rates `version` of layer `unit` of `model` on `cores` cores under
     /// `interference`. Every profile passed validation in
     /// [`SimState::try_new`], so this skips the per-rating check.
@@ -641,30 +658,29 @@ impl<'a> SimState<'a> {
         cores: u32,
         interference: Interference,
     ) -> Execution {
-        let profile = &self.models[model].layers[unit].versions[version].profile;
-        LatencyModel::prevalidated(profile, interference, &self.cfg.machine).execute(cores)
+        let layer = &self.models[model].layers[unit];
+        unit_model(
+            layer,
+            version,
+            self.tabulated[model],
+            interference,
+            &self.cfg.machine,
+        )
+        .execute(cores)
     }
 
     /// Rates the current unit of `slot` on its grant under
-    /// `interference`, reusing the slot's recent rating of exactly these
-    /// inputs when there is one.
-    fn rate_slot(&mut self, slot: usize, interference: Interference) -> Execution {
+    /// `interference`.
+    fn rate_slot(&self, slot: usize, interference: Interference) -> Execution {
         let r = &self.running[slot];
-        let key = RatingKey {
-            query: r.query,
-            unit: r.unit,
-            version: r.versions[r.unit - r.start],
-            cores: r.granted,
-            cache_bits: interference.cache_frac.to_bits(),
-            bw_bits: interference.bw_frac.to_bits(),
-        };
-        if let Some(exec) = self.recent_ratings[slot].get(&key) {
-            return exec;
-        }
-        let model = self.queries[key.query].model;
-        let exec = self.rate(model, key.unit, key.version, key.cores, interference);
-        self.recent_ratings[slot].insert(key, exec);
-        exec
+        let model = self.queries[r.query].model;
+        self.rate(
+            model,
+            r.unit,
+            r.versions[r.unit - r.start],
+            r.granted,
+            interference,
+        )
     }
 
     // --- Version selection --------------------------------------------------
@@ -752,7 +768,6 @@ impl<'a> SimState<'a> {
                 active: false,
                 expansions: 0,
             });
-            self.recent_ratings.push(RecentRatings::default());
             self.running.len() - 1
         });
 
@@ -1145,6 +1160,22 @@ impl<'a> SimState<'a> {
     }
 }
 
+/// Checks the machine and the projection weight, so no rating or
+/// projection meets a value it cannot handle.
+fn validate_config(cfg: &SimConfig) -> Result<(), SimError> {
+    cfg.machine
+        .validate()
+        .map_err(|reason| SimError::InvalidConfig {
+            reason: format!("machine: {reason}"),
+        })?;
+    ProjectionConfig::try_new(cfg.projection.saturation_weight).map_err(|e| {
+        SimError::InvalidConfig {
+            reason: e.to_string(),
+        }
+    })?;
+    Ok(())
+}
+
 /// Checks every compiled version's kernel profile, so the event loop can
 /// rate without re-checking.
 fn validate_profiles(models: &[CompiledModel]) -> Result<(), SimError> {
@@ -1165,38 +1196,28 @@ fn validate_profiles(models: &[CompiledModel]) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Everything one rating of a slot reads besides the fixed registry and
-/// machine: the unit, its version and grant, and the interference, bit
-/// for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RatingKey {
-    query: usize,
-    unit: usize,
-    version: usize,
-    cores: u32,
-    cache_bits: u64,
-    bw_bits: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Policy;
+    use veltair_compiler::{compile_model, CompilerOptions};
+    use veltair_sim::MachineConfig;
 
-/// A slot's two most recent ratings. The re-rating fixed point often ends
-/// in a period-2 cycle (two co-runners trading cache share), and its first
-/// sweep re-reads the rating a unit transition has just made; both find
-/// their rating here instead of evaluating the roofline again.
-#[derive(Debug, Clone, Copy, Default)]
-struct RecentRatings([Option<(RatingKey, Execution)>; 2]);
-
-impl RecentRatings {
-    fn get(&self, key: &RatingKey) -> Option<Execution> {
-        self.0
-            .iter()
-            .flatten()
-            .find(|(k, _)| k == key)
-            .map(|&(_, exec)| exec)
-    }
-
-    /// Records a rating, dropping the older of the two kept.
-    fn insert(&mut self, key: RatingKey, exec: Execution) {
-        self.0[1] = self.0[0];
-        self.0[0] = Some((key, exec));
+    #[test]
+    fn ratings_read_the_tables_only_on_the_compile_machine() {
+        let big = MachineConfig::threadripper_3990x();
+        let models = [compile_model(
+            &veltair_models::mobilenet_v2(),
+            &big,
+            &CompilerOptions::fast(),
+        )];
+        let tabulated_on = |machine: MachineConfig| {
+            SimState::try_new(&models, &[], SimConfig::new(machine, Policy::VeltairFull))
+                .expect("valid config and profiles")
+                .tabulated(0)
+        };
+        assert!(tabulated_on(big.clone()));
+        assert!(!tabulated_on(MachineConfig::desktop_8core()));
+        assert!(!tabulated_on(big.with_smt()));
     }
 }

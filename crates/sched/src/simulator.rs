@@ -109,6 +109,8 @@ impl SimConfig {
 /// # Errors
 ///
 /// Returns [`SimError::EmptyWorkload`] if `queries` is empty,
+/// [`SimError::InvalidConfig`] if the machine or the projection weight
+/// cannot be simulated,
 /// [`SimError::InvalidProfile`] if a compiled kernel profile is invalid,
 /// [`SimError::UnknownModel`] if a query references a model that was not
 /// compiled, and [`SimError::NonFiniteArrival`] if a query's arrival time

@@ -301,7 +301,7 @@ fn driver_construction_reports_typed_errors() {
     );
 
     // Injection into a live driver is validated the same way.
-    let mut driver = Driver::open(&models, cfg).expect("valid profiles");
+    let mut driver = Driver::open(&models, cfg.clone()).expect("valid profiles");
     assert!(matches!(
         driver.inject(&QuerySpec {
             model: "bert_large".into(),
@@ -309,6 +309,52 @@ fn driver_construction_reports_typed_errors() {
         }),
         Err(SimError::UnknownModel { .. })
     ));
+
+    // A machine or projection weight that cannot be simulated is rejected
+    // up front: no panic deep in the event loop, and no silent empty run
+    // (zero cores would complete nothing yet report full satisfaction).
+    let queries = WorkloadSpec::single("mobilenet_v2", 20.0, 20).generate(1);
+    type Edit = fn(&mut SimConfig);
+    let broken: [(&str, Edit); 9] = [
+        ("NaN L3", |c| c.machine.l3_bytes = f64::NAN),
+        ("zero DRAM bandwidth", |c| c.machine.dram_bw = 0.0),
+        ("negative clock", |c| c.machine.freq_ghz = -1.0),
+        ("NaN dispatch overhead", |c| {
+            c.machine.dispatch_overhead_s = f64::NAN;
+        }),
+        ("zero cores", |c| c.machine.cores = 0),
+        ("NaN weight", |c| c.projection.saturation_weight = f64::NAN),
+        ("weight 2", |c| c.projection.saturation_weight = 2.0),
+        ("weight -1", |c| c.projection.saturation_weight = -1.0),
+        ("infinite weight", |c| {
+            c.projection.saturation_weight = f64::INFINITY;
+        }),
+    ];
+    for (case, edit) in broken {
+        let mut bad = cfg.clone();
+        edit(&mut bad);
+        let invalid = |r: Result<(), SimError>| matches!(r, Err(SimError::InvalidConfig { .. }));
+        assert!(
+            invalid(simulate(&models, &queries, &bad).map(drop)),
+            "{case}: simulate"
+        );
+        assert!(
+            invalid(Driver::new(&models, &queries, bad.clone()).map(drop)),
+            "{case}: Driver::new"
+        );
+        assert!(
+            invalid(Driver::open(&models, bad).map(drop)),
+            "{case}: Driver::open"
+        );
+    }
+    let mut zero_cores = cfg;
+    zero_cores.machine.cores = 0;
+    assert_eq!(
+        simulate(&models, &queries, &zero_cores),
+        Err(SimError::InvalidConfig {
+            reason: "machine: a machine needs at least one core".into()
+        })
+    );
 }
 
 /// The pair with one version of tiny_yolo_v2's third layer corrupted:

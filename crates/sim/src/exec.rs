@@ -138,18 +138,77 @@ pub fn execute(
     LatencyModel::new(kernel, interference, machine).execute(cores)
 }
 
+/// The two roofline terms of one kernel on one core count that no
+/// interference level changes: the compute time, with the wave-
+/// quantization imbalance, and the time the cross-tile reuse stream takes
+/// at L3 bandwidth.
+///
+/// Both depend on the core count only through the effective worker count
+/// `min(cores, parallel_chunks)`. [`CoreTerms::table`] therefore holds
+/// every value a machine can ask for, and a [`LatencyModel`] prepared over
+/// it ([`LatencyModel::with_terms`]) evaluates only the cache- and
+/// bandwidth-dependent remainder of each rating.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CoreTerms {
+    /// Compute time including the wave imbalance, seconds.
+    pub compute_s: f64,
+    /// Time of the cross-tile reuse stream at L3 bandwidth, seconds.
+    pub l3_s: f64,
+}
+
+impl CoreTerms {
+    /// The terms of `kernel` on `cores` cores of `machine`.
+    ///
+    /// This is the one place either term is written: live ratings and
+    /// [`CoreTerms::table`] both call it.
+    #[must_use]
+    pub fn compute(kernel: &KernelProfile, cores: u32, machine: &MachineConfig) -> Self {
+        let p_eff = cores.min(kernel.parallel_chunks);
+        let chunks = f64::from(kernel.parallel_chunks);
+        // Wave quantization: 65 chunks on 64 cores take two full waves.
+        let waves = (chunks / f64::from(p_eff)).ceil();
+        let ideal_waves = chunks / f64::from(p_eff);
+        let imbalance = waves / ideal_waves;
+        let compute_s = kernel.flops
+            / (f64::from(p_eff)
+                * machine.effective_flops_per_core(p_eff)
+                * kernel.compute_efficiency)
+            * imbalance;
+        // The cross-tile reuse stream (all L3-reaching references) is served
+        // at L3 bandwidth regardless of residency; fine tilings refetch more.
+        let l3_s = kernel.spill_traffic_bytes / (f64::from(p_eff) * machine.l3_bw_per_core);
+        Self { compute_s, l3_s }
+    }
+
+    /// `kernel`'s terms on `machine` at `1..=min(machine.cores,
+    /// parallel_chunks)` cores: entry `p - 1` holds `p` cores. Past
+    /// `parallel_chunks` both terms keep the last entry's values.
+    #[must_use]
+    pub fn table(kernel: &KernelProfile, machine: &MachineConfig) -> Box<[CoreTerms]> {
+        (1..=machine.cores.min(kernel.parallel_chunks))
+            .map(|p| Self::compute(kernel, p, machine))
+            .collect()
+    }
+}
+
 /// One kernel's execution model under one fixed interference, prepared
 /// once and then rated at any core count.
 ///
-/// Preparing validates the profile and evaluates the interference-only
-/// terms (the cache share and bandwidth co-runners leave). Each rating then
-/// evaluates only the core-dependent roofline. [`execute`] is exactly
-/// `LatencyModel::new(..).execute(cores)`, so there is one formula, and a
-/// prepared rating is bit-identical to the one-shot one.
+/// Preparing evaluates the interference-only terms (the cache share and
+/// bandwidth co-runners leave). Each rating then evaluates the
+/// core-dependent roofline: its [`CoreTerms`] come from the table the
+/// model was prepared over when that covers the core count, and are
+/// computed live otherwise. [`execute`] is exactly
+/// `LatencyModel::new(..).execute(cores)`, so there is one formula, and
+/// every prepared rating, tabulated or live, is bit-identical to the
+/// one-shot one.
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyModel<'a> {
     kernel: &'a KernelProfile,
     machine: &'a MachineConfig,
+    /// A prefix of `kernel`'s [`CoreTerms::table`] on `machine`; empty
+    /// when every rating computes its terms live.
+    terms: &'a [CoreTerms],
     /// Effective L3 bytes left to the kernel by its co-runners.
     avail_cache: f64,
     /// DRAM bandwidth left to the kernel by its co-runners, bytes/second.
@@ -193,6 +252,30 @@ impl<'a> LatencyModel<'a> {
         interference: Interference,
         machine: &'a MachineConfig,
     ) -> Self {
+        Self::with_terms(kernel, &[], interference, machine)
+    }
+
+    /// Prepares a validated profile over its [`CoreTerms::table`] on
+    /// `machine` (or a prefix of it), so ratings read the core terms
+    /// instead of computing them. Core counts the table does not cover
+    /// are computed live, so the ratings match
+    /// [`LatencyModel::prevalidated`] bit for bit.
+    ///
+    /// The caller vouches that `terms` was tabulated for this kernel on
+    /// this machine: the serving runtime passes the tables the compiler
+    /// built with the layer, and only when it serves on the machine the
+    /// model was compiled for.
+    #[must_use]
+    pub fn with_terms(
+        kernel: &'a KernelProfile,
+        terms: &'a [CoreTerms],
+        interference: Interference,
+        machine: &'a MachineConfig,
+    ) -> Self {
+        debug_assert!(
+            terms.len() <= machine.cores.min(kernel.parallel_chunks) as usize,
+            "a core-terms table covers at most min(cores, parallel_chunks) entries"
+        );
         let avail_cache = (machine.l3_bytes
             * (1.0 - interference.cache_frac).powi(CACHE_CONTENTION_EXP))
         .max(machine.l3_bytes * CACHE_FLOOR_FRAC);
@@ -201,6 +284,7 @@ impl<'a> LatencyModel<'a> {
         Self {
             kernel,
             machine,
+            terms,
             avail_cache,
             avail_bw,
         }
@@ -278,27 +362,24 @@ impl<'a> LatencyModel<'a> {
     fn roofline(&self, cores: u32) -> Roofline {
         assert!(cores > 0, "cannot execute a kernel on zero cores");
         let (kernel, machine) = (self.kernel, self.machine);
-
-        // --- Compute term -------------------------------------------------
         let p_eff = cores.min(kernel.parallel_chunks);
-        let chunks = f64::from(kernel.parallel_chunks);
-        // Wave quantization: 65 chunks on 64 cores take two full waves.
-        let waves = (chunks / f64::from(p_eff)).ceil();
-        let ideal_waves = chunks / f64::from(p_eff);
-        let imbalance = waves / ideal_waves;
-        let t_comp = kernel.flops
-            / (f64::from(p_eff)
-                * machine.effective_flops_per_core(p_eff)
-                * kernel.compute_efficiency)
-            * imbalance;
 
-        // --- Memory terms ---------------------------------------------------
+        // --- Compute and L3 terms: tabulated, or computed live ------------
+        let tabulated = p_eff
+            .checked_sub(1)
+            .and_then(|entry| self.terms.get(entry as usize));
+        let CoreTerms {
+            compute_s: t_comp,
+            l3_s: t_l3,
+        } = match tabulated {
+            Some(&terms) => terms,
+            None => CoreTerms::compute(kernel, cores, machine),
+        };
+
+        // --- DRAM term ------------------------------------------------------
         let traffic = kernel.traffic_bytes(cores, self.avail_cache);
         let bw = self.avail_bw.min(f64::from(cores) * machine.per_core_bw);
         let t_dram = traffic / bw;
-        // The cross-tile reuse stream (all L3-reaching references) is served
-        // at L3 bandwidth regardless of residency; fine tilings refetch more.
-        let t_l3 = kernel.spill_traffic_bytes / (f64::from(p_eff) * machine.l3_bw_per_core);
 
         // --- Combine --------------------------------------------------------
         let serial = t_comp.max(t_dram).max(t_l3);

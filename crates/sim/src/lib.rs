@@ -18,6 +18,12 @@
 //! * expanding a running kernel onto newly freed cores costs a thread-spawn
 //!   penalty of O(100 us) (Fig. 5b).
 //!
+//! [`execute`] rates one kernel once. A [`LatencyModel`] prepares a kernel
+//! under one interference and rates it at any core count, and a
+//! [`CoreTerms`] table holds the terms of a rating that no interference
+//! changes, so a model prepared over it evaluates only the rest. All three
+//! give bit-identical results.
+//!
 //! # Example
 //!
 //! ```
@@ -48,6 +54,6 @@ pub mod machine;
 pub use contention::{Interference, PressureDemand};
 pub use counters::PerfCounters;
 pub use des::{EventQueue, SimTime, SplitEventQueue};
-pub use exec::{execute, Execution, LatencyModel, UnitProgress};
+pub use exec::{execute, CoreTerms, Execution, LatencyModel, UnitProgress};
 pub use kernel::KernelProfile;
 pub use machine::MachineConfig;

@@ -92,6 +92,51 @@ impl MachineConfig {
         self
     }
 
+    /// Checks that the machine can be simulated: at least one core, every
+    /// rate, capacity and clock finite and positive, every overhead finite
+    /// and non-negative, and the DVFS droop within `[0, 0.5]` (the range
+    /// [`MachineConfig::with_dvfs`] accepts). Every preset passes, and so
+    /// do [`MachineConfig::with_smt`] and [`MachineConfig::with_dvfs`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated rule.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores == 0 {
+            return Err("a machine needs at least one core".into());
+        }
+        let positive = [
+            ("freq_ghz", self.freq_ghz),
+            ("flops_per_cycle", self.flops_per_cycle),
+            ("l3_bytes", self.l3_bytes),
+            ("dram_bw", self.dram_bw),
+            ("per_core_bw", self.per_core_bw),
+            ("l3_bw_per_core", self.l3_bw_per_core),
+        ];
+        if let Some((name, v)) = positive.iter().find(|(_, v)| !(v.is_finite() && *v > 0.0)) {
+            return Err(format!("{name} must be finite and positive, got {v}"));
+        }
+        let overheads = [
+            ("dispatch_overhead_s", self.dispatch_overhead_s),
+            ("sync_per_core_s", self.sync_per_core_s),
+            ("spawn_base_s", self.spawn_base_s),
+            ("spawn_per_core_s", self.spawn_per_core_s),
+        ];
+        if let Some((name, v)) = overheads
+            .iter()
+            .find(|(_, v)| !(v.is_finite() && *v >= 0.0))
+        {
+            return Err(format!("{name} must be finite and non-negative, got {v}"));
+        }
+        if !(0.0..=0.5).contains(&self.dvfs_droop) {
+            return Err(format!(
+                "dvfs_droop must be in [0, 0.5], got {}",
+                self.dvfs_droop
+            ));
+        }
+        Ok(())
+    }
+
     /// Effective per-core peak FLOPs/second with `active` cores busy
     /// (accounts for the DVFS droop when enabled).
     #[must_use]
@@ -199,6 +244,35 @@ mod tests {
             MachineConfig::default(),
             MachineConfig::threadripper_3990x()
         );
+    }
+
+    #[test]
+    fn presets_and_variants_validate_and_broken_machines_do_not() {
+        let big = MachineConfig::threadripper_3990x();
+        for m in [
+            big.clone(),
+            MachineConfig::desktop_8core(),
+            big.clone().with_smt(),
+            big.clone().with_dvfs(0.5),
+            MachineConfig::desktop_8core().with_smt().with_dvfs(0.2),
+        ] {
+            assert_eq!(m.validate(), Ok(()));
+        }
+        let broken: [fn(&mut MachineConfig); 8] = [
+            |m| m.cores = 0,
+            |m| m.l3_bytes = f64::NAN,
+            |m| m.dram_bw = 0.0,
+            |m| m.freq_ghz = -1.0,
+            |m| m.l3_bw_per_core = f64::INFINITY,
+            |m| m.dispatch_overhead_s = f64::NAN,
+            |m| m.spawn_per_core_s = -1e-6,
+            |m| m.dvfs_droop = 0.6,
+        ];
+        for (i, edit) in broken.iter().enumerate() {
+            let mut m = big.clone();
+            edit(&mut m);
+            assert!(m.validate().is_err(), "broken machine {i} validated");
+        }
     }
 
     #[test]

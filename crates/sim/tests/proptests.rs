@@ -6,8 +6,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use veltair_sim::{
-    execute, EventQueue, Execution, Interference, KernelProfile, LatencyModel, MachineConfig,
-    SimTime, SplitEventQueue,
+    execute, CoreTerms, EventQueue, Execution, Interference, KernelProfile, LatencyModel,
+    MachineConfig, SimTime, SplitEventQueue,
 };
 
 const CASES: usize = 128;
@@ -137,7 +137,13 @@ fn prepared_latency_model_is_bit_identical_to_execute() {
         MachineConfig::threadripper_3990x().with_dvfs(0.2),
     ] {
         for case in 0..CASES / 2 {
-            let p = arb_profile(&mut rng);
+            let mut p = arb_profile(&mut rng);
+            // Every third profile exposes fewer chunks than the machine has
+            // cores (about 3 % of `arb_profile` draws do), so its core-terms
+            // table ends early and larger core counts read past it.
+            if case % 3 == 0 {
+                p.parallel_chunks = rng.gen_range(1..machine.cores);
+            }
             // Independent cache and bandwidth pressure, plus both edges.
             let pressure = match case % 8 {
                 0 => Interference::NONE,
@@ -153,7 +159,12 @@ fn prepared_latency_model_is_bit_identical_to_execute() {
             };
             let model = LatencyModel::new(&p, pressure, &machine);
             let unchecked = LatencyModel::prevalidated(&p, pressure, &machine);
-            for cores in 1..=machine.cores {
+            let terms = CoreTerms::table(&p, &machine);
+            assert_eq!(terms.len(), machine.cores.min(p.parallel_chunks) as usize);
+            let tabulated = LatencyModel::with_terms(&p, &terms, pressure, &machine);
+            // Past the machine's cores a table that stopped there falls
+            // back to live terms.
+            for cores in 1..=2 * machine.cores {
                 let reference = execute(&p, cores, pressure, &machine);
                 assert_eq!(
                     model.latency_s(cores).to_bits(),
@@ -162,6 +173,12 @@ fn prepared_latency_model_is_bit_identical_to_execute() {
                 );
                 assert_eq!(bits(&model.execute(cores)), bits(&reference));
                 assert_eq!(bits(&unchecked.execute(cores)), bits(&reference));
+                assert_eq!(
+                    tabulated.latency_s(cores).to_bits(),
+                    reference.latency_s.to_bits(),
+                    "tabulated latency at {cores} cores"
+                );
+                assert_eq!(bits(&tabulated.execute(cores)), bits(&reference));
             }
         }
     }
