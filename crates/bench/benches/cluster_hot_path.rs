@@ -221,8 +221,9 @@ fn bench_fleet_churn(c: &mut Criterion) {
                 .expect("valid fleet");
                 fleet.submit_stream(&workload, 5).expect("registered");
                 fleet.run_until(0.02).expect("finite target");
-                let joiner =
-                    fleet.add_node(&NodeSpec::new("joiner", edge.clone(), Policy::VeltairFull));
+                let joiner = fleet
+                    .add_node(&NodeSpec::new("joiner", edge.clone(), Policy::VeltairFull))
+                    .expect("valid node");
                 fleet.run_until(0.04).expect("finite target");
                 fleet.drain_node(0).expect("survivors remain");
                 fleet.run_until(0.06).expect("finite target");

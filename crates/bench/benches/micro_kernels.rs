@@ -7,7 +7,10 @@ use veltair_core::experiments::ExpContext;
 use veltair_core::train_proxy;
 use veltair_proxy::CounterWindow;
 use veltair_sched::layer_block::form_blocks;
-use veltair_sim::{execute, CoreTerms, Interference, LatencyModel, MachineConfig, PerfCounters};
+use veltair_sim::{
+    execute, CoreTerms, Interference, LatencyModel, MachineConfig, PerfCounters, SimTime,
+    SplitEventQueue,
+};
 use veltair_tensor::{FeatureMap, FusedUnit, GemmView, Layer};
 
 fn bench_execute(c: &mut Criterion) {
@@ -144,10 +147,46 @@ fn bench_versions(c: &mut Criterion) {
     });
 }
 
+/// The unit-check pattern of `Driver::step` on 16 in-flight units: each
+/// iteration re-arms one random unit's pending check (a re-rate), pops the
+/// earliest check and re-arms it (the next unit starts), at random delays.
+fn bench_event_queue(c: &mut Criterion) {
+    const IDS: usize = 16;
+    // xorshift64: an id from the low bits, a delay in [1 us, 1 ms) from
+    // the high ones.
+    let mut state = 0x5eed_u64;
+    let draws: Vec<(usize, f64)> = (0..4096)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            ((state % IDS as u64) as usize, 1e-6 + unit * (1e-3 - 1e-6))
+        })
+        .collect();
+    let mut queue = SplitEventQueue::new();
+    let mut now = SimTime::ZERO;
+    for (id, &(_, eta)) in draws.iter().take(IDS).enumerate() {
+        queue.arm(id, now.after(eta), id);
+    }
+    let mut cursor = 0;
+    c.bench_function("split_event_queue_rearm", |b| {
+        b.iter(|| {
+            let (id, eta) = draws[cursor % draws.len()];
+            cursor += 1;
+            queue.arm(id, now.after(eta), id);
+            let (t, popped) = queue.pop().expect("every unit has a check armed");
+            now = t;
+            queue.arm(popped, now.after(eta), popped);
+        })
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(10);
     targets = bench_execute, bench_autoscheduler, bench_block_formation,
-              bench_proxy_predict, bench_serving_simulation, bench_versions
+              bench_proxy_predict, bench_serving_simulation, bench_versions,
+              bench_event_queue
 }
 criterion_main!(micro);

@@ -44,7 +44,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use veltair_compiler::CompiledModel;
-use veltair_sched::runtime::{Driver, SimError};
+use veltair_sched::runtime::Driver;
 use veltair_sched::{QuerySpec, WorkloadSpec};
 use veltair_sim::SimTime;
 use veltair_telemetry::{Collector, TelemetrySnapshot, TraceConfig, TraceEventKind, TraceLog};
@@ -347,23 +347,7 @@ fn load_of(driver: &Driver<'_>, node: usize, want_pressure: bool) -> NodeLoad {
 /// node configuration as [`ClusterError::InvalidConfig`] and an invalid
 /// compiled kernel profile as [`ClusterError::InvalidProfile`].
 fn open_node<'a>(models: &'a [CompiledModel], spec: &NodeSpec) -> Result<Driver<'a>, ClusterError> {
-    Driver::open(models, spec.sim_config()).map_err(|e| match e {
-        SimError::InvalidConfig { reason } => ClusterError::InvalidConfig {
-            reason: format!("node {}: {reason}", spec.name),
-        },
-        SimError::InvalidProfile {
-            model,
-            layer,
-            version,
-            reason,
-        } => ClusterError::InvalidProfile {
-            model,
-            layer,
-            version,
-            reason,
-        },
-        other => unreachable!("an empty workload only fails config or profile validation: {other}"),
-    })
+    Driver::open(models, spec.sim_config()).map_err(|e| spec.driver_error(e))
 }
 
 /// The autoscaling attachment: the policy, its built scaler, and the
@@ -643,7 +627,15 @@ impl<'a> Fleet<'a> {
     /// consultation is one policy interval after attachment; each tick
     /// sees a live [`FleetSnapshot`] and its decision executes under the
     /// policy guard rails (see [`ScalePolicy`]).
-    pub fn set_scale_policy(&mut self, policy: ScalePolicy) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidConfig`] if the policy's template
+    /// fails [`NodeSpec::validate`]: its clones join mid-run, where
+    /// nothing could report the error. The previous policy, if any, stays
+    /// attached.
+    pub fn set_scale_policy(&mut self, policy: ScalePolicy) -> Result<(), ClusterError> {
+        policy.template.validate()?;
         let scaler = policy.autoscaler.build();
         self.scale = Some(ScaleState {
             next_tick: self.now.after(policy.interval_s),
@@ -651,14 +643,18 @@ impl<'a> Fleet<'a> {
             policy,
             spawned: 0,
         });
+        Ok(())
     }
 
     /// Attaches the autoscaling policy at construction time:
-    /// `Fleet::new(..)?.with_scale_policy(policy)`.
-    #[must_use]
-    pub fn with_scale_policy(mut self, policy: ScalePolicy) -> Self {
-        self.set_scale_policy(policy);
-        self
+    /// `Fleet::new(..)?.with_scale_policy(policy)?`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Fleet::set_scale_policy`].
+    pub fn with_scale_policy(mut self, policy: ScalePolicy) -> Result<Self, ClusterError> {
+        self.set_scale_policy(policy)?;
+        Ok(self)
     }
 
     // --- Telemetry --------------------------------------------------------
@@ -949,14 +945,14 @@ impl<'a> Fleet<'a> {
     /// fleet clock and the node is immediately routable. Returns the new
     /// node's index.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `spec`'s machine or projection weight fails validation
-    /// (see [`ClusterError::InvalidConfig`]). The catalog's profiles were
-    /// validated when the fleet was built.
-    pub fn add_node(&mut self, spec: &NodeSpec) -> usize {
+    /// Returns [`ClusterError::InvalidConfig`] if `spec` fails
+    /// [`NodeSpec::validate`]; the roster is left unchanged. (The
+    /// catalog's profiles were validated when the fleet was built.)
+    pub fn add_node(&mut self, spec: &NodeSpec) -> Result<usize, ClusterError> {
         let node = self.drivers.len();
-        let mut driver = open_node(self.models, spec).unwrap_or_else(|e| panic!("{e}"));
+        let mut driver = open_node(self.models, spec)?;
         driver.run_until(self.now);
         if let Some(tm) = self.telemetry.as_mut() {
             let class = format!("{}c/{}", driver.total_cores(), driver.policy().name());
@@ -972,7 +968,7 @@ impl<'a> Fleet<'a> {
         self.node_version.push(u64::MAX);
         self.node_state.push(NodeState::Live);
         self.stats.nodes_added += 1;
-        node
+        Ok(node)
     }
 
     /// Gracefully drains a node at the current fleet instant: it stops
@@ -1207,7 +1203,8 @@ impl<'a> Fleet<'a> {
                 break;
             }
             let (_, spec) = self.pending_joins.pop_front().expect("peeked entry exists");
-            self.add_node(&spec);
+            self.add_node(&spec)
+                .expect("the template was validated when its policy was attached");
         }
         if self.scale.as_ref().is_some_and(|s| s.next_tick <= ct) {
             self.autoscaler_tick(ct);

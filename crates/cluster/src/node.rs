@@ -2,8 +2,10 @@
 
 use veltair_compiler::SelectorKind;
 use veltair_proxy::InterferenceProxy;
-use veltair_sched::{Policy, ProjectionConfig, SimConfig};
+use veltair_sched::{Policy, ProjectionConfig, SimConfig, SimError};
 use veltair_sim::MachineConfig;
+
+use crate::fleet::ClusterError;
 
 /// Configuration of one fleet member: a machine, the scheduling policy it
 /// runs, and (optionally) a trained interference proxy for its monitor.
@@ -78,6 +80,41 @@ impl NodeSpec {
             cfg = cfg.with_proxy(p.clone());
         }
         cfg
+    }
+
+    /// Checks that a driver can simulate this node: its configuration
+    /// passes [`SimConfig::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidConfig`], naming the node, if the
+    /// machine or the projection weight cannot be simulated.
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        self.sim_config()
+            .validate()
+            .map_err(|e| self.driver_error(e))
+    }
+
+    /// An error from opening this node's driver, as a fleet error: an
+    /// invalid configuration names the node.
+    pub(crate) fn driver_error(&self, e: SimError) -> ClusterError {
+        match e {
+            SimError::InvalidConfig { reason } => ClusterError::InvalidConfig {
+                reason: format!("node {}: {reason}", self.name),
+            },
+            SimError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            } => ClusterError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            },
+            other => unreachable!("a node's driver opens with no workload: {other}"),
+        }
     }
 }
 

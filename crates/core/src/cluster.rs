@@ -234,8 +234,11 @@ impl ClusterBuilder {
     /// Returns [`EngineError::NoModels`] if no model or spec was
     /// registered, [`EngineError::NoNodes`] if no node was added,
     /// [`EngineError::UnknownModel`] if an SLO override names an
-    /// unregistered model, and [`EngineError::InvalidSlo`] if an override
-    /// is not a positive, finite latency.
+    /// unregistered model, [`EngineError::InvalidSlo`] if an override
+    /// is not a positive, finite latency, and
+    /// [`EngineError::InvalidConfig`] if the autoscaling template fails
+    /// [`NodeSpec::validate`] (its clones join mid-run, where nothing
+    /// could report the error).
     pub fn build(self) -> Result<ClusterEngine, EngineError> {
         let Self {
             models,
@@ -255,6 +258,9 @@ impl ClusterBuilder {
         }
         if nodes.is_empty() {
             return Err(EngineError::NoNodes);
+        }
+        if let Some(policy) = &scale_policy {
+            policy.template.validate()?;
         }
 
         let (mut registries, node_registry) = if specs.is_empty() {
@@ -444,7 +450,7 @@ impl ClusterEngine {
         )?
         .with_step_mode(self.step_mode);
         if let Some(policy) = &self.scale_policy {
-            fleet.set_scale_policy(policy.clone());
+            fleet.set_scale_policy(policy.clone())?;
         }
         if let Some(plan) = &self.failure_plan {
             fleet.set_failure_plan(plan.clone());
@@ -578,12 +584,13 @@ impl ClusterSession<'_> {
     /// returns its roster index. The node serves the fleet catalog and
     /// becomes routable immediately.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `spec`'s machine or projection weight fails validation
-    /// (see [`EngineError::InvalidConfig`]).
-    pub fn add_node(&mut self, spec: &NodeSpec) -> usize {
-        self.fleet.add_node(spec)
+    /// Returns [`EngineError::InvalidConfig`], naming the node, if
+    /// `spec`'s machine or projection weight cannot be simulated (see
+    /// [`NodeSpec::validate`]); the roster is left unchanged.
+    pub fn add_node(&mut self, spec: &NodeSpec) -> Result<usize, EngineError> {
+        Ok(self.fleet.add_node(spec)?)
     }
 
     /// Gracefully drains a node at the current instant: it stops taking
@@ -672,7 +679,7 @@ impl ClusterSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veltair_cluster::SloAdmissionConfig;
+    use veltair_cluster::{AutoscalerConfig, AutoscalerKind, SloAdmissionConfig};
     use veltair_compiler::{compile_model, CompilerOptions};
     use veltair_sched::Policy;
     use veltair_sim::MachineConfig;
@@ -909,6 +916,49 @@ mod tests {
                 e.session().err(),
                 Some(EngineError::InvalidConfig { .. })
             ));
+        }
+
+        // The same rules hold for a node joining a running session and
+        // for an autoscaling template, whose clones join mid-run: both are
+        // checked up front, and nothing joins.
+        let big = NodeSpec::new(
+            "big-0",
+            MachineConfig::threadripper_3990x(),
+            Policy::VeltairFull,
+        );
+        let names_bad = |e: &Option<EngineError>| match e {
+            Some(EngineError::InvalidConfig { reason }) => reason.starts_with("node bad: "),
+            _ => false,
+        };
+        for edit in &broken_nodes[..2] {
+            let mut bad = NodeSpec::new("bad", MachineConfig::desktop_8core(), Policy::VeltairFull);
+            edit(&mut bad);
+            let engine = ClusterEngine::builder()
+                .model(valid.clone())
+                .node(big.clone())
+                .build()
+                .expect("valid cluster");
+            let mut session = engine.session().expect("valid");
+            let joined = session.add_node(&bad).err();
+            assert!(names_bad(&joined), "{joined:?}");
+            assert_eq!(session.node_states().len(), 1, "nothing joined");
+
+            let policy = ScalePolicy::try_new(
+                AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
+                bad,
+                1,
+                4,
+                0.05,
+                0.0,
+            )
+            .expect("valid guard rails");
+            let built = ClusterEngine::builder()
+                .model(valid.clone())
+                .node(big.clone())
+                .autoscale(policy)
+                .build()
+                .err();
+            assert!(names_bad(&built), "{built:?}");
         }
     }
 

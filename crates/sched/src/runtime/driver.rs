@@ -282,15 +282,20 @@ impl<'a> Driver<'a> {
     // --- Stepping ---------------------------------------------------------
 
     /// Processes the next pending event, returning its timestamp, or
-    /// `None` when the event queue is exhausted (the simulation is idle:
-    /// every admitted query has completed).
+    /// `None` when the driver [is idle](Driver::is_idle).
     ///
-    /// This is the whole loop body of [`simulate`](crate::simulate):
-    /// stale unit checks (superseded by a re-rate) are consumed without
-    /// side effects, and only material events — arrivals and block
-    /// transitions — trigger expansion, dispatch, and re-rating.
+    /// This is the whole loop body of [`simulate`](crate::simulate). The
+    /// events are arrivals and unit checks, one check armed per in-flight
+    /// unit: re-rating a unit moves its check, so a superseded check is
+    /// never an event. Arrivals and block transitions are material and
+    /// trigger expansion, dispatch, and re-rating; a check that finds its
+    /// unit unfinished only re-arms it. Once no event remains, one call
+    /// passes the superseded checks still pending (see
+    /// [`is_idle`](Driver::is_idle)) and returns the latest one's time.
     pub fn step(&mut self) -> Option<SimTime> {
-        let (t, ev) = self.state.events.pop()?;
+        let Some((t, ev)) = self.state.events.pop() else {
+            return self.state.events.pass_superseded();
+        };
         let material = match ev {
             Event::Arrival(q) => {
                 if self.state.queries[q].removed {
@@ -302,15 +307,11 @@ impl<'a> Driver<'a> {
                 self.state.admit_arrival(q);
                 true
             }
-            Event::UnitCheck { slot, gen } => {
-                if !self
-                    .state
-                    .running
-                    .get(slot)
-                    .is_some_and(|r| r.active && r.gen == gen)
-                {
-                    return Some(t);
-                }
+            Event::UnitCheck { slot } => {
+                debug_assert!(
+                    self.state.running[slot].active,
+                    "slot {slot} had a check armed while idle"
+                );
                 self.state.advance_to(t);
                 self.state.check_unit(slot, self.dispatcher.as_ref())
             }
@@ -333,6 +334,7 @@ impl<'a> Driver<'a> {
         while self.state.events.peek_time().is_some_and(|next| next <= t) {
             self.step();
         }
+        self.state.events.pass_until(t);
         if t > self.state.now {
             self.state.advance_to(t);
         }
@@ -358,8 +360,15 @@ impl<'a> Driver<'a> {
         self.state.cfg.policy
     }
 
-    /// Whether the event queue is exhausted (no arrivals pending, nothing
-    /// in flight).
+    /// Whether the simulation is exhausted: no arrival is pending, no unit
+    /// is in flight, and every superseded unit check has been passed.
+    ///
+    /// A check superseded by a re-rate is not delivered, but it counts as
+    /// pending until [`step`](Driver::step) or
+    /// [`run_until`](Driver::run_until) gets past its time, as when
+    /// superseded checks stayed queued until popped. So this turns true
+    /// at the same instant it always has, and a draining fleet node
+    /// retires then.
     #[must_use]
     pub fn is_idle(&self) -> bool {
         self.state.events.is_empty()

@@ -19,7 +19,7 @@ use veltair_sim::{
 use veltair_telemetry::{TraceEventKind, TraceSink};
 
 use super::driver::SimError;
-use super::monitor::{self, Monitor, PressureView, ProjectionConfig, ProjectionInputs};
+use super::monitor::{self, Monitor, PressureView, ProjectionInputs};
 use super::Dispatcher;
 use crate::layer_block::unit_model;
 use crate::report::{ModelStats, ServingReport};
@@ -50,9 +50,9 @@ const REFRESH_TOL: f64 = 1e-3;
 pub enum Event {
     /// Query `.0` arrives and joins its admission queue.
     Arrival(usize),
-    /// The unit in `slot` may have completed; stale generations are
-    /// ignored (the unit was re-rated since this check was armed).
-    UnitCheck { slot: usize, gen: u64 },
+    /// The unit in `slot` may have completed. Each active slot has
+    /// exactly one check armed; re-rating the unit moves it.
+    UnitCheck { slot: usize },
 }
 
 /// Per-query lifecycle state.
@@ -93,8 +93,6 @@ pub struct Running {
     pub progress: UnitProgress,
     /// Current rating of the unit under the present co-location.
     pub exec: Execution,
-    /// Generation counter invalidating stale `UnitCheck` events.
-    pub gen: u64,
     /// Whether the slot currently holds live work.
     pub active: bool,
     /// Thread-team growth events so far (the fork-join rebuild cost is
@@ -135,7 +133,7 @@ pub struct SimState<'a> {
     /// association order).
     active: Vec<usize>,
     /// The deterministic event queue driving the simulation: arrivals in
-    /// its external heap, unit checks in its internal one.
+    /// its external heap, and one armed unit check per active slot.
     pub events: SplitEventQueue<Event>,
     /// Current simulation time.
     pub now: SimTime,
@@ -236,11 +234,9 @@ impl<'a> SimState<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if the machine fails
-    /// [`MachineConfig::validate`](veltair_sim::MachineConfig::validate)
-    /// or the projection weight is outside what
-    /// [`ProjectionConfig::try_new`] accepts,
-    /// [`SimError::InvalidProfile`] if a compiled version's profile fails
+    /// Returns [`SimError::InvalidConfig`] if `cfg` fails
+    /// [`SimConfig::validate`], [`SimError::InvalidProfile`] if a compiled
+    /// version's profile fails
     /// [`KernelProfile::validate`](veltair_sim::KernelProfile::validate),
     /// and [`SimError::UnknownModel`] if a query references a model that
     /// is not in `models`.
@@ -249,7 +245,7 @@ impl<'a> SimState<'a> {
         queries: &[QuerySpec],
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
-        validate_config(&cfg)?;
+        cfg.validate()?;
         validate_profiles(models)?;
         let tabulated = models
             .iter()
@@ -764,7 +760,6 @@ impl<'a> SimState<'a> {
                     counters: PerfCounters::default(),
                     demand: PressureDemand::ZERO,
                 },
-                gen: 0,
                 active: false,
                 expansions: 0,
             });
@@ -807,15 +802,13 @@ impl<'a> SimState<'a> {
         let r = &mut self.running[slot];
         r.progress = UnitProgress::fresh(self.cfg.machine.unit_dispatch_overhead_s(granted));
         r.exec = exec;
-        r.gen += 1;
         r.active = true;
         r.expansions = 0;
-        let gen = r.gen;
         let eta = r.progress.eta_s(r.exec.latency_s);
         let at = self.active.partition_point(|&s| s < slot);
         self.active.insert(at, slot);
         self.events
-            .push_internal(self.now.after(eta), Event::UnitCheck { slot, gen });
+            .arm(slot, self.now.after(eta), Event::UnitCheck { slot });
     }
 
     /// Tile-wise expansion: grant freed cores to under-allocated units,
@@ -856,11 +849,9 @@ impl<'a> SimState<'a> {
     pub fn check_unit(&mut self, slot: usize, dispatcher: &dyn Dispatcher) -> bool {
         if !self.running[slot].progress.is_done() {
             // Conditions changed since scheduling; re-arm at the new ETA.
-            let r = &mut self.running[slot];
-            r.gen += 1;
-            let eta = r.progress.eta_s(r.exec.latency_s);
-            let (gen, t) = (r.gen, self.now.after(eta.max(1e-9)));
-            self.events.push_internal(t, Event::UnitCheck { slot, gen });
+            let r = &self.running[slot];
+            let t = self.now.after(r.progress.eta_s(r.exec.latency_s).max(1e-9));
+            self.events.arm(slot, t, Event::UnitCheck { slot });
             return false;
         }
 
@@ -894,10 +885,8 @@ impl<'a> SimState<'a> {
             r.exec = exec;
             r.progress
                 .restart(self.cfg.machine.unit_dispatch_overhead_s(r.granted));
-            r.gen += 1;
-            let eta = r.progress.eta_s(r.exec.latency_s);
-            let (gen, t) = (r.gen, self.now.after(eta));
-            self.events.push_internal(t, Event::UnitCheck { slot, gen });
+            let t = self.now.after(r.progress.eta_s(r.exec.latency_s));
+            self.events.arm(slot, t, Event::UnitCheck { slot });
             return true;
         }
 
@@ -978,14 +967,14 @@ impl<'a> SimState<'a> {
         }
     }
 
-    /// Re-rates all in-flight units under the new co-location and re-arms
-    /// their completion events.
+    /// Re-rates all in-flight units under the new co-location and moves
+    /// their completion checks.
     ///
     /// A unit's latency depends on its co-runners' demands and vice versa,
     /// so re-rating is a fixed point: we iterate Jacobi sweeps in place
     /// (bounded by `MAX_REFRESH_SWEEPS`) until the largest relative
-    /// latency change drops below `REFRESH_TOL`, then arm exactly one
-    /// fresh event per changed unit. Converging *here* — instead of one
+    /// latency change drops below `REFRESH_TOL`, then re-arm the check of
+    /// each changed unit once. Converging *here* — instead of one
     /// sweep per event — keeps the event queue from ping-ponging between
     /// coupled units, which livelocks the simulation under overload.
     pub fn refresh_conditions(&mut self) {
@@ -1022,11 +1011,9 @@ impl<'a> SimState<'a> {
             if !changed[slot] {
                 continue;
             }
-            let r = &mut self.running[slot];
-            r.gen += 1;
-            let eta = r.progress.eta_s(r.exec.latency_s);
-            let (gen, t) = (r.gen, self.now.after(eta.max(1e-9)));
-            self.events.push_internal(t, Event::UnitCheck { slot, gen });
+            let r = &self.running[slot];
+            let t = self.now.after(r.progress.eta_s(r.exec.latency_s).max(1e-9));
+            self.events.arm(slot, t, Event::UnitCheck { slot });
         }
         self.refresh_changed = changed;
         self.refresh_updates = updates;
@@ -1158,22 +1145,6 @@ impl<'a> SimState<'a> {
         self.removed += newly_removed;
         specs
     }
-}
-
-/// Checks the machine and the projection weight, so no rating or
-/// projection meets a value it cannot handle.
-fn validate_config(cfg: &SimConfig) -> Result<(), SimError> {
-    cfg.machine
-        .validate()
-        .map_err(|reason| SimError::InvalidConfig {
-            reason: format!("machine: {reason}"),
-        })?;
-    ProjectionConfig::try_new(cfg.projection.saturation_weight).map_err(|e| {
-        SimError::InvalidConfig {
-            reason: e.to_string(),
-        }
-    })?;
-    Ok(())
 }
 
 /// Checks every compiled version's kernel profile, so the event loop can

@@ -99,6 +99,29 @@ impl SimConfig {
         self.best_effort_models.push(model.to_string());
         self
     }
+
+    /// Checks that this configuration can be simulated, so no rating or
+    /// projection meets a value it cannot handle. Every
+    /// [`Driver`] checks its configuration with this when it is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] if the machine fails
+    /// [`MachineConfig::validate`] or the projection weight is outside
+    /// what [`ProjectionConfig::try_new`] accepts.
+    pub fn validate(&self) -> Result<(), SimError> {
+        self.machine
+            .validate()
+            .map_err(|reason| SimError::InvalidConfig {
+                reason: format!("machine: {reason}"),
+            })?;
+        ProjectionConfig::try_new(self.projection.saturation_weight).map_err(|e| {
+            SimError::InvalidConfig {
+                reason: e.to_string(),
+            }
+        })?;
+        Ok(())
+    }
 }
 
 /// Runs the serving simulation to completion: [`Driver::new`], then

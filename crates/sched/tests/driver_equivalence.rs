@@ -60,6 +60,14 @@ fn check_invariants(driver: &Driver<'_>, last_now: &mut SimTime) {
         assert!(!query.removed, "withdrawn query {q} still holds work");
     }
 
+    for (slot, r) in state.running.iter().enumerate() {
+        assert_eq!(
+            state.events.is_armed(slot),
+            r.active,
+            "slot {slot} must have a check armed exactly while it is active"
+        );
+    }
+
     let finished = state.queries.iter().filter(|q| q.finish.is_some()).count();
     assert_eq!(
         state.completed.len(),

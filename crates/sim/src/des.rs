@@ -2,8 +2,11 @@
 //!
 //! The serving simulator in `veltair-sched` is a *progress-based* DES: when
 //! the set of co-running tenants changes, every in-flight unit's completion
-//! rate changes too. This module provides the deterministic clock and the
-//! stable event queue; the re-rating logic lives with the scheduler.
+//! rate changes too. This module provides the deterministic clock, the
+//! stable event queue, and the queue the serving loop runs on, which keeps
+//! one armed completion check per unit so that a re-rate moves the check
+//! instead of queueing another; the re-rating logic lives with the
+//! scheduler.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -150,18 +153,48 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// An [`EventQueue`] split into two heaps that share one sequence
-/// counter: *external* events (arrivals, often scheduled far ahead in
-/// bulk) and *internal* ones (events the model arms and re-arms as it
-/// runs). Popping the earlier of the two heads delivers exactly the
-/// `(time, event)` sequence one `EventQueue` fed the same pushes would,
-/// ties included, while the frequently pushed internal events sift
-/// through a heap that holds only their own kind.
+/// The event queue of a model that keeps at most one pending *check* per
+/// id: *external* events (arrivals, often scheduled far ahead in bulk) in
+/// one heap, and *armed* checks in an indexed heap that holds one entry
+/// per id. Both draw from one sequence counter, and ties break by it.
+///
+/// [`arm`](SplitEventQueue::arm) moves an id's pending check in place. A
+/// queue that kept every check instead (an [`EventQueue`] fed the same
+/// pushes, skipping a check when a later arm of its id superseded it)
+/// delivers the same live `(time, event)` sequence, ties included; it
+/// only also pops the superseded checks. This queue stores none of them,
+/// just the largest `(time, seq)` among those such a queue would still
+/// hold. So [`is_empty`](SplitEventQueue::is_empty) turns true at the same
+/// operation as that queue's: a superseded check counts as pending until
+/// a pop, [`pass_until`](SplitEventQueue::pass_until) or
+/// [`pass_superseded`](SplitEventQueue::pass_superseded) gets past it.
 #[derive(Debug)]
 pub struct SplitEventQueue<E> {
     external: BinaryHeap<Entry<E>>,
-    internal: BinaryHeap<Entry<E>>,
+    /// Armed checks: a binary min-heap on `(time, seq)`, one per id.
+    armed: Vec<Armed<E>>,
+    /// Per id, the index of its check in `armed`, or `UNARMED`.
+    position: Vec<usize>,
+    /// The largest `(time, seq)` of a superseded check not yet passed.
+    superseded: Option<(SimTime, u64)>,
     seq: u64,
+}
+
+/// `SplitEventQueue::position` of an id with no armed check.
+const UNARMED: usize = usize::MAX;
+
+#[derive(Debug)]
+struct Armed<E> {
+    time: SimTime,
+    seq: u64,
+    id: usize,
+    event: E,
+}
+
+impl<E> Armed<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 impl<E> SplitEventQueue<E> {
@@ -170,7 +203,9 @@ impl<E> SplitEventQueue<E> {
     pub fn new() -> Self {
         Self {
             external: BinaryHeap::new(),
-            internal: BinaryHeap::new(),
+            armed: Vec::new(),
+            position: Vec::new(),
+            superseded: None,
             seq: 0,
         }
     }
@@ -181,10 +216,41 @@ impl<E> SplitEventQueue<E> {
         self.external.push(Entry { time, seq, event });
     }
 
-    /// Schedules an internal `event` at `time`.
-    pub fn push_internal(&mut self, time: SimTime, event: E) {
+    /// Arms `id`'s check: `event` at `time`. A check `id` already had
+    /// pending is superseded: it is never delivered, but it keeps the
+    /// queue non-empty until it is passed.
+    pub fn arm(&mut self, id: usize, time: SimTime, event: E) {
         let seq = self.next_seq();
-        self.internal.push(Entry { time, seq, event });
+        if id >= self.position.len() {
+            self.position.resize(id + 1, UNARMED);
+        }
+        let at = self.position[id];
+        if at == UNARMED {
+            self.position[id] = self.armed.len();
+            self.armed.push(Armed {
+                time,
+                seq,
+                id,
+                event,
+            });
+            self.sift_up(self.armed.len() - 1);
+            return;
+        }
+        let check = &mut self.armed[at];
+        let old = check.key();
+        self.superseded = self.superseded.max(Some(old));
+        *check = Armed {
+            time,
+            seq,
+            id,
+            event,
+        };
+        // `seq` is the largest drawn, so the key shrank only if the time did.
+        if time < old.0 {
+            self.sift_up(at);
+        } else {
+            self.sift_down(at);
+        }
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -193,43 +259,128 @@ impl<E> SplitEventQueue<E> {
         seq
     }
 
-    /// Removes and returns the earliest event of either kind.
+    /// Whether `id` has a check armed.
+    #[must_use]
+    pub fn is_armed(&self, id: usize) -> bool {
+        self.position.get(id).is_some_and(|&at| at != UNARMED)
+    }
+
+    /// Removes and returns the earliest event of either kind, passing
+    /// every superseded check before it. `None` when no event remains;
+    /// superseded checks may still be pending then (see
+    /// [`pass_superseded`](SplitEventQueue::pass_superseded)).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // `Entry` orders earliest-first as the *greatest* element.
-        let heap = match (self.external.peek(), self.internal.peek()) {
-            (Some(ext), Some(int)) if ext > int => &mut self.external,
-            (Some(_), None) => &mut self.external,
-            _ => &mut self.internal,
+        let external_first = match (self.external.peek(), self.armed.first()) {
+            (Some(ext), Some(check)) => (ext.time, ext.seq) < check.key(),
+            (ext, _) => ext.is_some(),
         };
-        heap.pop().map(|e| (e.time, e.event))
+        let (time, seq, event) = if external_first {
+            let e = self.external.pop()?;
+            (e.time, e.seq, e.event)
+        } else {
+            let c = self.pop_armed()?;
+            (c.time, c.seq, c.event)
+        };
+        if self.superseded.is_some_and(|key| key < (time, seq)) {
+            self.superseded = None;
+        }
+        Some((time, event))
     }
 
     /// Time of the earliest pending event.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match (self.external.peek(), self.internal.peek()) {
-            (Some(ext), Some(int)) => Some(ext.time.min(int.time)),
-            (ext, int) => ext.or(int).map(|e| e.time),
+        match (self.external.peek(), self.armed.first()) {
+            (Some(ext), Some(check)) => Some(ext.time.min(check.time)),
+            (ext, check) => ext.map(|e| e.time).or(check.map(|c| c.time)),
         }
     }
 
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.external.len() + self.internal.len()
+    /// Passes every superseded check at or before `t`, as popping every
+    /// event at or before `t` would. The caller has already popped the
+    /// events at or before `t`.
+    pub fn pass_until(&mut self, t: SimTime) {
+        debug_assert!(
+            self.peek_time().is_none_or(|next| next > t),
+            "an event at or before {} is still pending",
+            t.0
+        );
+        if self.superseded.is_some_and(|(time, _)| time <= t) {
+            self.superseded = None;
+        }
     }
 
-    /// Whether no events are pending.
+    /// Passes every pending superseded check once no event remains, and
+    /// returns the time of the latest one (`None` if none was pending).
+    pub fn pass_superseded(&mut self) -> Option<SimTime> {
+        debug_assert!(self.peek_time().is_none(), "events are still pending");
+        self.superseded.take().map(|(time, _)| time)
+    }
+
+    /// Whether no event and no superseded check is pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.external.is_empty() && self.internal.is_empty()
+        self.external.is_empty() && self.armed.is_empty() && self.superseded.is_none()
     }
 
-    /// Drops every pending event. The sequence counter keeps counting, as
-    /// it would had each event been popped.
+    /// Drops every pending event and forgets every superseded check. The
+    /// sequence counter keeps counting, as it would had each been popped.
     pub fn clear(&mut self) {
         self.external.clear();
-        self.internal.clear();
+        self.armed.clear();
+        self.position.fill(UNARMED);
+        self.superseded = None;
+    }
+
+    fn pop_armed(&mut self) -> Option<Armed<E>> {
+        if self.armed.is_empty() {
+            return None;
+        }
+        let top = self.armed.swap_remove(0);
+        self.position[top.id] = UNARMED;
+        if !self.armed.is_empty() {
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    /// Moves the check at `at` up to its place, then records where each
+    /// moved check went.
+    fn sift_up(&mut self, mut at: usize) {
+        let key = self.armed[at].key();
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if key >= self.armed[parent].key() {
+                break;
+            }
+            self.armed.swap(at, parent);
+            self.position[self.armed[at].id] = at;
+            at = parent;
+        }
+        self.position[self.armed[at].id] = at;
+    }
+
+    /// Moves the check at `at` down to its place, then records where each
+    /// moved check went.
+    fn sift_down(&mut self, mut at: usize) {
+        let key = self.armed[at].key();
+        loop {
+            let left = 2 * at + 1;
+            let Some(l) = self.armed.get(left) else {
+                break;
+            };
+            let child = match self.armed.get(left + 1) {
+                Some(r) if r.key() < l.key() => left + 1,
+                _ => left,
+            };
+            if self.armed[child].key() >= key {
+                break;
+            }
+            self.armed.swap(at, child);
+            self.position[self.armed[at].id] = at;
+            at = child;
+        }
+        self.position[self.armed[at].id] = at;
     }
 }
 
@@ -280,14 +431,57 @@ mod tests {
     fn split_queue_breaks_ties_across_heaps_by_push_order() {
         let mut q = SplitEventQueue::new();
         q.push_external(SimTime(1.0), "a");
-        q.push_internal(SimTime(1.0), "b");
+        q.arm(0, SimTime(1.0), "b");
         q.push_external(SimTime(1.0), "c");
-        q.push_internal(SimTime(0.5), "first");
-        assert_eq!(q.len(), 4);
+        q.arm(1, SimTime(0.5), "first");
         assert_eq!(q.peek_time(), Some(SimTime(0.5)));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, ["first", "a", "b", "c"]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_superseded_check_is_pending_until_passed() {
+        let mut q = SplitEventQueue::new();
+        q.arm(0, SimTime(2.0), "late");
+        q.arm(0, SimTime(1.0), "early");
+        assert!(q.is_armed(0) && !q.is_armed(1));
+        assert_eq!(q.pop(), Some((SimTime(1.0), "early")));
+        assert!(!q.is_armed(0));
+        // The check at 2.0 was superseded, never delivered, but a queue
+        // keeping it would still hold it.
+        assert_eq!(q.pop(), None);
+        assert!(!q.is_empty());
+        assert_eq!(q.pass_superseded(), Some(SimTime(2.0)));
+        assert!(q.is_empty());
+        assert_eq!(q.pass_superseded(), None);
+    }
+
+    #[test]
+    fn passing_only_moves_forward() {
+        let mut q = SplitEventQueue::new();
+        q.arm(0, SimTime(2.0), "stale");
+        q.arm(0, SimTime(3.0), "check");
+        q.pass_until(SimTime(1.0));
+        assert!(!q.is_empty());
+        // An arrival injected at the passed instant pops before the
+        // superseded check, which stays pending.
+        q.push_external(SimTime(1.0), "arrival");
+        assert_eq!(q.pop(), Some((SimTime(1.0), "arrival")));
+        assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((SimTime(3.0), "check")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn clear_forgets_superseded_checks() {
+        let mut q = SplitEventQueue::new();
+        q.arm(3, SimTime(1.0), ());
+        q.arm(3, SimTime(2.0), ());
+        q.push_external(SimTime(0.5), ());
+        q.clear();
+        assert!(q.is_empty() && !q.is_armed(3));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -195,38 +195,146 @@ fn latency_model_validates_the_profile_once_up_front() {
     let _ = LatencyModel::new(&p, Interference::NONE, &MachineConfig::threadripper_3990x());
 }
 
+/// The queue a [`SplitEventQueue`] stands in for: one [`EventQueue`] fed
+/// every push and every arm, each arm as a fresh entry. A check whose id
+/// was armed again since it was pushed is stale, and popping skips it.
+struct KeepEverything {
+    queue: EventQueue<(u64, Option<(usize, u64)>)>,
+    /// Per id, the generation of its latest arm.
+    generation: Vec<u64>,
+    /// Per id, the payload and time of its live check, while pending.
+    checks: Vec<Option<(u64, SimTime)>>,
+    /// Payload and time of every pending external event.
+    external: Vec<(u64, SimTime)>,
+}
+
+impl KeepEverything {
+    fn new(ids: usize) -> Self {
+        Self {
+            queue: EventQueue::new(),
+            generation: vec![0; ids],
+            checks: vec![None; ids],
+            external: Vec::new(),
+        }
+    }
+
+    fn push_external(&mut self, t: SimTime, payload: u64) {
+        self.queue.push(t, (payload, None));
+        self.external.push((payload, t));
+    }
+
+    fn arm(&mut self, id: usize, t: SimTime, payload: u64) {
+        self.generation[id] += 1;
+        self.checks[id] = Some((payload, t));
+        let check = Some((id, self.generation[id]));
+        self.queue.push(t, (payload, check));
+    }
+
+    /// Pops one entry: `Ok` if it is live, `Err(its time)` if stale.
+    fn pop_entry(&mut self) -> Option<Result<(SimTime, u64), SimTime>> {
+        let (t, (payload, check)) = self.queue.pop()?;
+        match check {
+            Some((id, generation)) if generation != self.generation[id] => return Some(Err(t)),
+            Some((id, _)) => self.checks[id] = None,
+            None => self.external.retain(|&(p, _)| p != payload),
+        }
+        Some(Ok((t, payload)))
+    }
+
+    /// Pops up to the next live entry. When none remains, returns the
+    /// time of the last stale entry it popped, if any.
+    fn pop(&mut self) -> Result<(SimTime, u64), Option<SimTime>> {
+        let mut last_stale = None;
+        loop {
+            match self.pop_entry() {
+                Some(Ok(live)) => return Ok(live),
+                Some(Err(t)) => last_stale = Some(t),
+                None => return Err(last_stale),
+            }
+        }
+    }
+
+    fn earliest_live(&self) -> Option<SimTime> {
+        let checks = self.checks.iter().flatten();
+        checks.chain(&self.external).map(|&(_, t)| t).min()
+    }
+}
+
+/// Pops the next live event from both queues and compares them; when none
+/// remains, passes the superseded checks and compares what that returns.
+/// Returns whether an event was popped.
+fn pop_both(split: &mut SplitEventQueue<u64>, reference: &mut KeepEverything) -> bool {
+    let popped = split.pop();
+    match reference.pop() {
+        Ok(live) => assert_eq!(popped, Some(live)),
+        Err(last_stale) => {
+            assert_eq!(popped, None);
+            assert_eq!(split.pass_superseded(), last_stale);
+        }
+    }
+    popped.is_some()
+}
+
 #[test]
 fn split_queue_delivers_the_single_queue_order() {
+    const IDS: usize = 6;
     let mut rng = StdRng::seed_from_u64(0x51b08);
+    // Few distinct timestamps, so ties between arrivals, checks and
+    // passing points are common.
+    let grid = |rng: &mut StdRng| SimTime(f64::from(rng.gen_range(0u32..8)) * 0.5);
     for _ in 0..CASES {
-        let mut one = EventQueue::new();
+        let mut reference = KeepEverything::new(IDS);
         let mut split = SplitEventQueue::new();
-        let ops = rng.gen_range(1usize..400);
-        for id in 0..ops {
-            // Few distinct timestamps, so ties across the two heaps are
-            // common; both kinds interleave with pops at random.
-            match rng.gen_range(0u32..5) {
-                0 | 1 => {
-                    let t = SimTime(f64::from(rng.gen_range(0u32..6)) * 0.5);
-                    one.push(t, id);
-                    split.push_external(t, id);
+        let ops = rng.gen_range(1u64..400);
+        for payload in 0..ops {
+            match rng.gen_range(0u32..40) {
+                0..=9 => {
+                    let t = grid(&mut rng);
+                    reference.push_external(t, payload);
+                    split.push_external(t, payload);
                 }
-                2 | 3 => {
-                    let t = SimTime(f64::from(rng.gen_range(0u32..6)) * 0.5);
-                    one.push(t, id);
-                    split.push_internal(t, id);
+                10..=23 => {
+                    // A re-arm moves a pending check one grid step
+                    // earlier, to the same time, or one step later.
+                    let id = rng.gen_range(0..IDS);
+                    let t = match reference.checks[id] {
+                        Some((_, at)) => {
+                            let step = f64::from(rng.gen_range(0u32..3)) - 1.0;
+                            SimTime((at.0 + 0.5 * step).max(0.0))
+                        }
+                        None => grid(&mut rng),
+                    };
+                    reference.arm(id, t, payload);
+                    split.arm(id, t, payload);
+                }
+                24..=31 => {
+                    pop_both(&mut split, &mut reference);
+                }
+                32..=38 => {
+                    // `Driver::run_until`: pop every event at or before
+                    // `t`, then pass the rest.
+                    let t = grid(&mut rng);
+                    while split.peek_time().is_some_and(|next| next <= t) {
+                        assert!(pop_both(&mut split, &mut reference));
+                    }
+                    split.pass_until(t);
+                    while reference.queue.peek_time().is_some_and(|next| next <= t) {
+                        let entry = reference.pop_entry().expect("peeked");
+                        assert!(entry.is_err(), "a live entry at or before {t:?} was left");
+                    }
                 }
                 _ => {
-                    assert_eq!(split.pop(), one.pop());
+                    split.clear();
+                    reference = KeepEverything::new(IDS);
                 }
             }
-            assert_eq!(split.len(), one.len());
-            assert_eq!(split.is_empty(), one.is_empty());
-            assert_eq!(split.peek_time(), one.peek_time());
+            assert_eq!(split.is_empty(), reference.queue.is_empty());
+            assert_eq!(split.peek_time(), reference.earliest_live());
+            for (id, check) in reference.checks.iter().enumerate() {
+                assert_eq!(split.is_armed(id), check.is_some(), "id {id}");
+            }
         }
-        while let Some(expected) = one.pop() {
-            assert_eq!(split.pop(), Some(expected));
-        }
-        assert_eq!(split.pop(), None);
+        while pop_both(&mut split, &mut reference) {}
+        assert!(split.is_empty() && reference.queue.is_empty());
     }
 }

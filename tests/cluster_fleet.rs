@@ -401,6 +401,52 @@ fn coordinator_counters_are_populated_on_snapshots_and_reports() {
 }
 
 #[test]
+fn invalid_joins_and_scale_templates_are_typed_errors() {
+    // A node joining mid-run and an autoscaling template, whose clones
+    // join mid-run, are checked before anything joins.
+    let models = compiled_mix();
+    let specs = heterogeneous_nodes();
+    let fleet = || {
+        Fleet::new(
+            &models,
+            &specs,
+            RouterKind::RoundRobin.build(),
+            AdmissionKind::AdmitAll.build(),
+        )
+        .expect("valid fleet")
+    };
+    let mut bad = NodeSpec::new("bad", MachineConfig::desktop_8core(), Policy::VeltairFull);
+    bad.machine.cores = 0;
+
+    let mut f = fleet();
+    match f.add_node(&bad) {
+        Err(ClusterError::InvalidConfig { reason }) => {
+            assert!(reason.starts_with("node bad: "), "{reason}");
+        }
+        other => panic!("expected an invalid-config error, got {other:?}"),
+    }
+    assert_eq!(f.node_states().len(), specs.len(), "nothing joined");
+
+    let policy = ScalePolicy::try_new(
+        AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
+        bad,
+        1,
+        8,
+        0.05,
+        0.0,
+    )
+    .expect("valid guard rails");
+    assert!(matches!(
+        f.set_scale_policy(policy.clone()),
+        Err(ClusterError::InvalidConfig { .. })
+    ));
+    assert!(matches!(
+        fleet().with_scale_policy(policy),
+        Err(ClusterError::InvalidConfig { .. })
+    ));
+}
+
+#[test]
 fn telemetry_counts_pin_the_coordinator_counting_contract() {
     // The rustdoc'd relations on `CoordinatorStats` between the op
     // counters and the flight recorder's event counts, pinned exactly:
@@ -425,11 +471,13 @@ fn telemetry_counts_pin_the_coordinator_counting_contract() {
     fleet.kill_node(0).expect("live node");
     fleet.run_until(0.05).expect("finite target");
     fleet.drain_node(2).expect("live node");
-    fleet.add_node(&NodeSpec::new(
-        "late-0",
-        MachineConfig::desktop_8core(),
-        Policy::VeltairFull,
-    ));
+    fleet
+        .add_node(&NodeSpec::new(
+            "late-0",
+            MachineConfig::desktop_8core(),
+            Policy::VeltairFull,
+        ))
+        .expect("valid node");
     fleet.run_to_completion();
     let report = fleet.finish();
     let tm = report.telemetry.as_ref().expect("telemetry enabled");

@@ -165,11 +165,13 @@ fn lifecycle_counters_reconcile_with_terminal_states() {
         .submit_stream(&fleet_workload(120), 13)
         .expect("registered");
     session.run_until(0.02).expect("finite target");
-    let joiner = session.add_node(&NodeSpec::new(
-        "joiner",
-        MachineConfig::desktop_8core(),
-        Policy::VeltairFull,
-    ));
+    let joiner = session
+        .add_node(&NodeSpec::new(
+            "joiner",
+            MachineConfig::desktop_8core(),
+            Policy::VeltairFull,
+        ))
+        .expect("valid node");
     assert_eq!(joiner, 3, "the joiner takes the next roster slot");
     session.run_until(0.05).expect("finite target");
     session.drain_node(0).expect("survivors remain");

@@ -8,7 +8,9 @@
 //! hash covers the same fields as the benchmark's `sim_digest`: per-model
 //! counts and the bit pattern of every latency sample, conflicts,
 //! dispatches, preemptions, core-seconds, makespan, peak and average
-//! cores.
+//! cores. A companion pin records when each of those drivers, drained at
+//! 0.2 s, first reports idle (to the 0.1 ms slice): the instant a draining
+//! fleet node retires, which no report field shows.
 //!
 //! A second pin covers the compiled artifacts themselves: every zoo model
 //! compiled on two machines, hashed down to each retained version's
@@ -209,8 +211,8 @@ fn digest(models: &[CompiledModel], traces: &[Vec<QuerySpec>], cfg: &SimConfig) 
     h.0
 }
 
-#[test]
-fn every_policy_reproduces_its_recorded_report_digest() {
+/// The mix compiled for the 3990X and one trace per seed in `SEEDS`.
+fn overload_mix() -> (MachineConfig, Vec<CompiledModel>, Vec<Vec<QuerySpec>>) {
     let machine = MachineConfig::threadripper_3990x();
     let specs: Vec<ModelSpec> = MIX.iter().map(|n| by_name(n).expect("zoo model")).collect();
     let models: Vec<CompiledModel> = specs
@@ -223,6 +225,12 @@ fn every_policy_reproduces_its_recorded_report_digest() {
         .collect();
     let workload = WorkloadSpec::mix(&streams, QUERIES).scaled_to(200.0);
     let traces: Vec<Vec<QuerySpec>> = SEEDS.iter().map(|&s| workload.generate(s)).collect();
+    (machine, models, traces)
+}
+
+#[test]
+fn every_policy_reproduces_its_recorded_report_digest() {
+    let (machine, models, traces) = overload_mix();
 
     let mut configs: Vec<(String, SimConfig)> = POLICIES
         .iter()
@@ -247,6 +255,70 @@ fn every_policy_reproduces_its_recorded_report_digest() {
     assert!(
         drifted.is_empty(),
         "simulated reports drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
+        drifted.join("\n")
+    );
+}
+
+/// Recorded drain-idle digests: the nine policies in `POLICIES` order,
+/// each over seeds 3 and 17. Identical in debug and release builds.
+const IDLE_GOLDEN: [u64; 9] = [
+    0x06da_9056_1ab7_75ce,
+    0xac47_13fb_35c5_3c03,
+    0xeae9_4cf8_fc25_4f21,
+    0xeae9_4cf8_fc25_4f21,
+    0xeae9_4cf8_fc25_4f21,
+    0xfad6_b448_ed73_6a87,
+    0xcab7_cea7_bbd2_06bd,
+    0x8f87_b880_d2cd_7065,
+    0x0815_3693_fa11_1fa9,
+];
+
+/// Withdraws the waiting work at 0.2 s, as a fleet drain does, then runs
+/// in 0.1 ms slices and returns the first slice after which the driver
+/// reports idle: the instant a draining fleet node retires.
+fn drained_idle_slice(models: &[CompiledModel], queries: &[QuerySpec], cfg: SimConfig) -> u64 {
+    const DRAIN_AT_S: f64 = 0.2;
+    const SLICE_S: f64 = 1e-4;
+    let mut driver = Driver::new(models, queries, cfg).expect("valid workload");
+    driver.run_until(SimTime(DRAIN_AT_S));
+    driver.extract_waiting();
+    let mut slice = 0;
+    while !driver.is_idle() {
+        slice += 1;
+        driver.run_until(SimTime(DRAIN_AT_S + slice as f64 * SLICE_S));
+    }
+    slice
+}
+
+#[test]
+fn every_policy_goes_idle_after_a_drain_at_its_recorded_slice() {
+    let (machine, models, traces) = overload_mix();
+
+    let mut measured = Vec::new();
+    let mut drifted = Vec::new();
+    for (policy, want) in POLICIES.iter().zip(IDLE_GOLDEN) {
+        let slices: Vec<u64> = traces
+            .iter()
+            .map(|queries| {
+                drained_idle_slice(&models, queries, SimConfig::new(machine.clone(), *policy))
+            })
+            .collect();
+        let mut h = Fnv::new();
+        for &s in &slices {
+            h.u64(s);
+        }
+        if h.0 != want {
+            drifted.push(format!(
+                "{}: idle at slices {slices:?}, {:#018x}, recorded {want:#018x}",
+                policy.name(),
+                h.0
+            ));
+        }
+        measured.push(h.0);
+    }
+    assert!(
+        drifted.is_empty(),
+        "drained drivers went idle at other instants:\n{}\nall measured: {measured:#x?}",
         drifted.join("\n")
     );
 }
@@ -451,11 +523,13 @@ fn churn_report(router: RouterKind, seed: u64) -> FleetReport {
         .submit_stream(&bursty_fleet_workload(80), seed)
         .expect("registered");
     session.run_until(0.05).expect("finite target");
-    let joiner = session.add_node(&NodeSpec::new(
-        "joiner-0",
-        MachineConfig::desktop_8core(),
-        Policy::VeltairFull,
-    ));
+    let joiner = session
+        .add_node(&NodeSpec::new(
+            "joiner-0",
+            MachineConfig::desktop_8core(),
+            Policy::VeltairFull,
+        ))
+        .expect("valid node");
     session.run_until(0.12).expect("finite target");
     session.drain_node(1).expect("drainable");
     session.run_until(0.2).expect("finite target");

@@ -356,6 +356,7 @@ fn churn_fleet(router: RouterKind, oracle: bool, step: StepMode) -> Fleet<'stati
     fleet(router, oracle, ADMISSIONS[1], step)
         .with_failure_plan(plan)
         .with_scale_policy(policy)
+        .expect("valid template")
 }
 
 /// The shared churn script: every run submits the same stream, then
@@ -368,11 +369,13 @@ fn churn_run(mut fleet: Fleet<'static>, seed: u64) -> FleetReport {
         .submit_stream(&bursty_workload(80), seed)
         .expect("registered");
     fleet.run_until(0.05).expect("finite target");
-    let joiner = fleet.add_node(&NodeSpec::new(
-        "joiner-0",
-        MachineConfig::desktop_8core(),
-        Policy::VeltairFull,
-    ));
+    let joiner = fleet
+        .add_node(&NodeSpec::new(
+            "joiner-0",
+            MachineConfig::desktop_8core(),
+            Policy::VeltairFull,
+        ))
+        .expect("valid node");
     fleet.run_until(0.12).expect("finite target");
     fleet.drain_node(1).expect("drainable");
     fleet.run_until(0.2).expect("finite target");

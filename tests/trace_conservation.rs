@@ -157,11 +157,13 @@ fn every_submission_terminates_exactly_once_under_churn() {
             .submit_stream(&workload, workload_seed)
             .expect("registered");
         fleet.run_until(t_join).expect("finite target");
-        let joiner = fleet.add_node(&NodeSpec::new(
-            "joiner",
-            MachineConfig::desktop_8core(),
-            Policy::VeltairFull,
-        ));
+        let joiner = fleet
+            .add_node(&NodeSpec::new(
+                "joiner",
+                MachineConfig::desktop_8core(),
+                Policy::VeltairFull,
+            ))
+            .expect("valid node");
         fleet.run_until(t_drain).expect("finite target");
         fleet.drain_node(victim).expect("two survivors remain");
         fleet.run_until(t_kill).expect("finite target");

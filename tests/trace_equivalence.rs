@@ -99,7 +99,9 @@ fn traced_run(mode: StepMode, seed: u64) -> (String, TelemetrySnapshot, FleetRep
     fleet.drain_node(1).expect("live node");
     fleet.run_until(0.15).expect("finite target");
     let edge = MachineConfig::desktop_8core();
-    fleet.add_node(&NodeSpec::new("late-0", edge, Policy::VeltairFull));
+    fleet
+        .add_node(&NodeSpec::new("late-0", edge, Policy::VeltairFull))
+        .expect("valid node");
     fleet.run_to_completion();
     let json = fleet
         .trace_log()
