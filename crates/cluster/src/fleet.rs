@@ -904,13 +904,15 @@ impl<'a> Fleet<'a> {
     }
 
     /// Submits a whole workload's generated stream, every arrival offset
-    /// by the fleet's current clock. Atomic: stream model names are
-    /// validated up front, so an error means nothing was submitted.
+    /// by the fleet's current clock. Atomic: stream model names and
+    /// arrival times are validated up front, so an error means nothing
+    /// was submitted.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownModel`] if the workload references
-    /// a model outside the registry.
+    /// a model outside the registry and [`ClusterError::NonFiniteArrival`]
+    /// if a stream rate makes an arrival time NaN or infinite.
     pub fn submit_stream(
         &mut self,
         workload: &WorkloadSpec,
@@ -926,16 +928,16 @@ impl<'a> Fleet<'a> {
             });
         }
         let base = self.now.0;
-        workload
-            .generate(seed)
-            .iter()
-            .map(|q| {
-                self.submit(&QuerySpec {
-                    model: q.model.clone(),
-                    arrival: SimTime(base + q.arrival.0),
-                })
-            })
-            .collect()
+        let mut queries = workload.generate(seed);
+        for q in &mut queries {
+            q.arrival = SimTime(base + q.arrival.0);
+        }
+        if let Some(q) = queries.iter().find(|q| !q.arrival.0.is_finite()) {
+            return Err(ClusterError::NonFiniteArrival {
+                arrival_s: q.arrival.0,
+            });
+        }
+        queries.iter().map(|q| self.submit(q)).collect()
     }
 
     // --- Elasticity -------------------------------------------------------
@@ -1207,7 +1209,7 @@ impl<'a> Fleet<'a> {
                 .expect("the template was validated when its policy was attached");
         }
         if self.scale.as_ref().is_some_and(|s| s.next_tick <= ct) {
-            self.autoscaler_tick(ct);
+            self.tick_autoscaler(ct);
         }
     }
 
@@ -1242,7 +1244,7 @@ impl<'a> Fleet<'a> {
 
     /// One autoscaler consultation: decide over a live snapshot, execute
     /// under the policy guard rails, schedule the next tick.
-    fn autoscaler_tick(&mut self, ct: SimTime) {
+    fn tick_autoscaler(&mut self, ct: SimTime) {
         let snapshot = self.snapshot();
         let Some(scale) = self.scale.as_mut() else {
             return;

@@ -1,30 +1,30 @@
-//! The cluster serving facade: fleet construction and resumable cluster
-//! sessions, mirroring the single-machine builder → session → snapshot
-//! API of [`engine`](crate::engine).
+//! The cluster serving facade: validated fleet construction over a
+//! compile-once registry, mirroring the single-machine builder → session
+//! → snapshot API of [`engine`](crate::engine).
 //!
-//! Three layers, from offline to online:
+//! Two layers, from offline to online:
 //!
 //! * [`ClusterBuilder`] — validated construction: a shared compiled-model
 //!   registry, N (possibly heterogeneous) [`NodeSpec`]s, a
 //!   [`RouterKind`], an [`AdmissionKind`], and per-model SLO overrides.
 //! * [`ClusterEngine`] — compile-once, serve-many: batch fleet runs
-//!   ([`ClusterEngine::run`] / [`ClusterEngine::try_run`]) and session
-//!   creation. `Clone`-able and immutable, like
+//!   ([`ClusterEngine::run`] / [`ClusterEngine::try_run`]) and
+//!   [`session`](ClusterEngine::session), which opens a fresh [`Fleet`].
+//!   `Clone`-able and immutable, like
 //!   [`ServingEngine`](crate::ServingEngine).
-//! * [`ClusterSession`] — the open-loop path: queries are submitted while
-//!   the fleet clock runs, per-node load and pooled statistics are read
-//!   mid-run via [`snapshot`](ClusterSession::snapshot), and
-//!   [`finish`](ClusterSession::finish) returns the final
-//!   [`FleetReport`].
+//!
+//! The open-loop path is the [`Fleet`] itself: queries are submitted
+//! while the fleet clock runs, per-node load and pooled statistics are
+//! read mid-run via [`Fleet::snapshot`], and [`Fleet::finish`] returns
+//! the final [`FleetReport`]. Step mode, autoscaling, failure injection
+//! and telemetry are set on the fleet ([`Fleet::set_step_mode`],
+//! [`Fleet::set_scale_policy`], [`Fleet::set_failure_plan`],
+//! [`Fleet::enable_telemetry`]) and nowhere else.
 
-use veltair_cluster::{
-    AdmissionKind, ClusterError, FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeSpec,
-    NodeState, RouterKind, ScalePolicy, StepMode, TelemetrySnapshot, TraceConfig, TraceLog,
-};
+use veltair_cluster::{AdmissionKind, ClusterError, Fleet, FleetReport, NodeSpec, RouterKind};
 use veltair_compiler::{machine_key, CompiledModel, CompilerOptions, CompilerService};
 use veltair_models::ModelSpec;
-use veltair_sched::{QuerySpec, WorkloadSpec};
-use veltair_sim::SimTime;
+use veltair_sched::WorkloadSpec;
 
 use crate::engine::EngineError;
 
@@ -92,11 +92,7 @@ pub struct ClusterBuilder {
     nodes: Vec<NodeSpec>,
     router: RouterKind,
     admission: AdmissionKind,
-    step_mode: StepMode,
     slo_overrides: Vec<(String, f64)>,
-    scale_policy: Option<ScalePolicy>,
-    failure_plan: Option<FailurePlan>,
-    telemetry: Option<TraceConfig>,
 }
 
 impl Default for ClusterBuilder {
@@ -108,11 +104,7 @@ impl Default for ClusterBuilder {
             nodes: Vec::new(),
             router: RouterKind::InterferenceAware,
             admission: AdmissionKind::AdmitAll,
-            step_mode: StepMode::Sequential,
             slo_overrides: Vec::new(),
-            scale_policy: None,
-            failure_plan: None,
-            telemetry: None,
         }
     }
 }
@@ -175,16 +167,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets how fleet nodes advance between routing instants (default:
-    /// sequential). [`StepMode::Parallel`] farms node advancement out to
-    /// a work-stealing pool with **bit-identical** results — it changes
-    /// wall-clock time, never the simulation.
-    #[must_use]
-    pub fn step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = mode;
-        self
-    }
-
     /// Overrides a registered model's end-to-end SLO (QoS latency target,
     /// seconds), applied at [`build`](ClusterBuilder::build) time — the
     /// same semantics as
@@ -192,36 +174,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn slo(mut self, model: &str, qos_s: f64) -> Self {
         self.slo_overrides.push((model.to_string(), qos_s));
-        self
-    }
-
-    /// Attaches an autoscaling policy: every session's fleet consults the
-    /// policy's [`Autoscaler`](veltair_cluster::Autoscaler) at the
-    /// configured virtual-time cadence and grows or drains capacity under
-    /// its guard rails. Autoscaled runs stay bit-deterministic.
-    #[must_use]
-    pub fn autoscale(mut self, policy: ScalePolicy) -> Self {
-        self.scale_policy = Some(policy);
-        self
-    }
-
-    /// Attaches a failure-injection plan: every session's fleet replays
-    /// the plan's crash/stall/drain events at their exact virtual
-    /// instants. Seeded plans make chaos runs reproducible.
-    #[must_use]
-    pub fn failure_plan(mut self, plan: FailurePlan) -> Self {
-        self.failure_plan = Some(plan);
-        self
-    }
-
-    /// Turns on the flight recorder for every session: query-lifecycle
-    /// and node-lifecycle events are captured into a deterministic merged
-    /// trace and the metrics registry is surfaced on snapshots and the
-    /// final [`FleetReport`]. Tracing never perturbs the simulation (see
-    /// [`Fleet::enable_telemetry`]).
-    #[must_use]
-    pub fn telemetry(mut self, config: TraceConfig) -> Self {
-        self.telemetry = Some(config);
         self
     }
 
@@ -233,12 +185,12 @@ impl ClusterBuilder {
     ///
     /// Returns [`EngineError::NoModels`] if no model or spec was
     /// registered, [`EngineError::NoNodes`] if no node was added,
+    /// [`EngineError::InvalidConfig`], naming the node, if a spec would be
+    /// compiled for a node that fails [`NodeSpec::validate`],
     /// [`EngineError::UnknownModel`] if an SLO override names an
-    /// unregistered model, [`EngineError::InvalidSlo`] if an override
-    /// is not a positive, finite latency, and
-    /// [`EngineError::InvalidConfig`] if the autoscaling template fails
-    /// [`NodeSpec::validate`] (its clones join mid-run, where nothing
-    /// could report the error).
+    /// unregistered model, and [`EngineError::InvalidSlo`] if an override
+    /// is not a positive, finite latency. Pre-compiled registries and the
+    /// nodes serving them are checked when a session opens.
     pub fn build(self) -> Result<ClusterEngine, EngineError> {
         let Self {
             models,
@@ -247,20 +199,13 @@ impl ClusterBuilder {
             nodes,
             router,
             admission,
-            step_mode,
             slo_overrides,
-            scale_policy,
-            failure_plan,
-            telemetry,
         } = self;
         if models.is_empty() && specs.is_empty() {
             return Err(EngineError::NoModels);
         }
         if nodes.is_empty() {
             return Err(EngineError::NoNodes);
-        }
-        if let Some(policy) = &scale_policy {
-            policy.template.validate()?;
         }
 
         let (mut registries, node_registry) = if specs.is_empty() {
@@ -280,6 +225,7 @@ impl ClusterBuilder {
                 let idx = match keys.iter().position(|k| *k == key) {
                     Some(i) => i,
                     None => {
+                        node.validate()?;
                         let mut registry = models.clone();
                         for spec in &specs {
                             registry.push(service.compile(spec, &node.machine));
@@ -303,10 +249,6 @@ impl ClusterBuilder {
             nodes,
             router,
             admission,
-            step_mode,
-            scale_policy,
-            failure_plan,
-            telemetry,
         })
     }
 }
@@ -331,10 +273,6 @@ pub struct ClusterEngine {
     nodes: Vec<NodeSpec>,
     router: RouterKind,
     admission: AdmissionKind,
-    step_mode: StepMode,
-    scale_policy: Option<ScalePolicy>,
-    failure_plan: Option<FailurePlan>,
-    telemetry: Option<TraceConfig>,
 }
 
 impl ClusterEngine {
@@ -397,35 +335,12 @@ impl ClusterEngine {
         self.admission
     }
 
-    /// The configured node-advancement mode.
-    #[must_use]
-    pub fn step_mode(&self) -> StepMode {
-        self.step_mode
-    }
-
-    /// The attached autoscaling policy, if any.
-    #[must_use]
-    pub fn scale_policy(&self) -> Option<&ScalePolicy> {
-        self.scale_policy.as_ref()
-    }
-
-    /// The attached failure-injection plan, if any.
-    #[must_use]
-    pub fn failure_plan(&self) -> Option<&FailurePlan> {
-        self.failure_plan.as_ref()
-    }
-
-    /// The flight-recorder configuration sessions start with, if
-    /// telemetry was enabled on the builder.
-    #[must_use]
-    pub fn telemetry_config(&self) -> Option<TraceConfig> {
-        self.telemetry
-    }
-
-    /// Opens a resumable cluster session: a fleet over this engine's
-    /// registry and nodes, accepting arrivals and snapshot reads while
-    /// the lockstep clock runs. The session borrows the engine's models;
-    /// the engine itself stays immutable.
+    /// Opens a resumable fleet over this engine's registries, nodes,
+    /// router and admission controller, accepting arrivals and snapshot
+    /// reads while the lockstep clock runs. The fleet starts sequential,
+    /// fixed-size, failure-free and untraced; set those on it before
+    /// submitting work. It borrows the engine's models; the engine itself
+    /// stays immutable.
     ///
     /// # Errors
     ///
@@ -435,30 +350,19 @@ impl ClusterEngine {
     /// if a node's machine or projection weight cannot be simulated, and
     /// [`EngineError::InvalidProfile`] if a registered model carries an
     /// invalid kernel profile.
-    pub fn session(&self) -> Result<ClusterSession<'_>, EngineError> {
+    pub fn session(&self) -> Result<Fleet<'_>, EngineError> {
         let node_models: Vec<&[CompiledModel]> = self
             .node_registry
             .iter()
             .map(|&i| self.registries[i].as_slice())
             .collect();
-        let mut fleet = Fleet::with_node_registries(
+        Ok(Fleet::with_node_registries(
             self.models(),
             node_models,
             &self.nodes,
             self.router.build(),
             self.admission.build(),
-        )?
-        .with_step_mode(self.step_mode);
-        if let Some(policy) = &self.scale_policy {
-            fleet.set_scale_policy(policy.clone())?;
-        }
-        if let Some(plan) = &self.failure_plan {
-            fleet.set_failure_plan(plan.clone());
-        }
-        if let Some(config) = self.telemetry {
-            fleet.enable_telemetry(config);
-        }
-        Ok(ClusterSession { fleet })
+        )?)
     }
 
     /// Serves a workload's query stream across the fleet and returns the
@@ -481,208 +385,25 @@ impl ClusterEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownModel`] if the workload references
-    /// unregistered models, [`EngineError::InvalidConfig`] if a node's
-    /// machine or projection weight cannot be simulated, and
-    /// [`EngineError::InvalidProfile`] if a registered model carries an
-    /// invalid kernel profile.
+    /// unregistered models, [`EngineError::NonFiniteArrival`] if a stream
+    /// rate makes an arrival time NaN or infinite,
+    /// [`EngineError::InvalidConfig`] if a node's machine or projection
+    /// weight cannot be simulated, and [`EngineError::InvalidProfile`] if
+    /// a registered model carries an invalid kernel profile.
     pub fn try_run(&self, workload: &WorkloadSpec, seed: u64) -> Result<FleetReport, EngineError> {
-        let mut session = self.session()?;
-        session.submit_stream(workload, seed)?;
-        Ok(session.finish())
-    }
-}
-
-/// A resumable fleet run: streaming arrivals in, per-node load and pooled
-/// statistics out, with the lockstep clock under caller control. Created
-/// by [`ClusterEngine::session`].
-#[derive(Debug)]
-pub struct ClusterSession<'e> {
-    fleet: Fleet<'e>,
-}
-
-impl ClusterSession<'_> {
-    /// Fleet clock, seconds.
-    #[must_use]
-    pub fn now_s(&self) -> f64 {
-        self.fleet.now_s()
-    }
-
-    /// Whether every submitted query has been resolved (completed or
-    /// shed) and the front door is empty.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.fleet.is_idle()
-    }
-
-    /// Submits one query arriving at `at_s` seconds of fleet clock
-    /// (clamped to *now* if already past). Returns the fleet-level
-    /// submission sequence number.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnknownModel`] if `model` is not registered
-    /// and [`EngineError::NonFiniteArrival`] if `at_s` is NaN or
-    /// infinite.
-    pub fn submit(&mut self, model: &str, at_s: f64) -> Result<u64, EngineError> {
-        Ok(self.fleet.submit(&QuerySpec {
-            model: model.to_string(),
-            arrival: SimTime(at_s),
-        })?)
-    }
-
-    /// Submits a whole workload's generated stream, offset by the fleet's
-    /// current clock. Atomic: an error means nothing was submitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnknownModel`] if the workload references
-    /// unregistered models.
-    pub fn submit_stream(
-        &mut self,
-        workload: &WorkloadSpec,
-        seed: u64,
-    ) -> Result<Vec<u64>, EngineError> {
-        Ok(self.fleet.submit_stream(workload, seed)?)
-    }
-
-    /// Runs the fleet up to `t_s` seconds of fleet clock: every due
-    /// arrival is routed at its own instant, then all nodes advance to
-    /// exactly `t_s` in lockstep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::NonFiniteTarget`] if `t_s` is NaN or
-    /// infinite (mirroring [`run_for`](ClusterSession::run_for)).
-    pub fn run_until(&mut self, t_s: f64) -> Result<(), EngineError> {
-        Ok(self.fleet.run_until(t_s)?)
-    }
-
-    /// Runs the fleet for another `dt_s` seconds of fleet clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidDuration`] if `dt_s` is NaN,
-    /// infinite, or not strictly positive.
-    pub fn run_for(&mut self, dt_s: f64) -> Result<(), EngineError> {
-        Ok(self.fleet.run_for(dt_s)?)
-    }
-
-    /// Switches how this session's fleet advances its nodes between
-    /// routing instants, at any point in the run. Both modes are
-    /// bit-identical (see [`StepMode`]).
-    pub fn set_step_mode(&mut self, mode: StepMode) {
-        self.fleet.set_step_mode(mode);
-    }
-
-    /// The session's active node-advancement mode.
-    #[must_use]
-    pub fn step_mode(&self) -> StepMode {
-        self.fleet.step_mode()
-    }
-
-    /// Attaches a fresh node to the fleet at the current instant and
-    /// returns its roster index. The node serves the fleet catalog and
-    /// becomes routable immediately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidConfig`], naming the node, if
-    /// `spec`'s machine or projection weight cannot be simulated (see
-    /// [`NodeSpec::validate`]); the roster is left unchanged.
-    pub fn add_node(&mut self, spec: &NodeSpec) -> Result<usize, EngineError> {
-        Ok(self.fleet.add_node(spec)?)
-    }
-
-    /// Gracefully drains a node at the current instant: it stops taking
-    /// new queries, its queued-but-unstarted work re-routes, and its
-    /// in-flight work runs to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnknownNode`] for an out-of-range index and
-    /// [`EngineError::FleetEmpty`] if the drain would leave zero routable
-    /// nodes.
-    pub fn drain_node(&mut self, node: usize) -> Result<(), EngineError> {
-        Ok(self.fleet.drain_node(node)?)
-    }
-
-    /// Kills a node at the current instant: all of its incomplete work
-    /// (queued *and* in-flight) re-routes to the survivors; only work it
-    /// already completed stays in the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnknownNode`] for an out-of-range index and
-    /// [`EngineError::FleetEmpty`] if the kill would leave zero routable
-    /// nodes.
-    pub fn kill_node(&mut self, node: usize) -> Result<(), EngineError> {
-        Ok(self.fleet.kill_node(node)?)
-    }
-
-    /// Per-roster-slot lifecycle states (departed nodes keep their
-    /// slots).
-    #[must_use]
-    pub fn node_states(&self) -> &[NodeState] {
-        self.fleet.node_states()
-    }
-
-    /// Live (routable) node count.
-    #[must_use]
-    pub fn live_nodes(&self) -> usize {
-        self.fleet.live_nodes()
-    }
-
-    /// A point-in-time fleet view: per-node loads, routed/completed
-    /// counts, shed/deferral totals, and the pooled mid-run report. Does
-    /// not perturb the run.
-    #[must_use]
-    pub fn snapshot(&self) -> FleetSnapshot {
-        self.fleet.snapshot()
-    }
-
-    /// Turns on the flight recorder mid-session (usually configured up
-    /// front via [`ClusterBuilder::telemetry`]). Call before submitting
-    /// work: earlier queries cannot be retroactively attributed.
-    pub fn enable_telemetry(&mut self, config: TraceConfig) {
-        self.fleet.enable_telemetry(config);
-    }
-
-    /// Whether the flight recorder is on for this session.
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.fleet.telemetry_enabled()
-    }
-
-    /// A point-in-time copy of the metrics registry — event counts,
-    /// latency histograms, the violation-frequency table — when telemetry
-    /// is enabled. Pulls node buffers first, so figures are current to
-    /// the fleet clock.
-    pub fn telemetry_snapshot(&mut self) -> Option<TelemetrySnapshot> {
-        self.fleet.telemetry_snapshot()
-    }
-
-    /// The merged lifecycle trace so far: deterministic `(virtual time,
-    /// track)` order, exportable via
-    /// [`TraceLog::to_chrome_json`]. `None` when telemetry is off.
-    pub fn trace_log(&mut self) -> Option<TraceLog> {
-        self.fleet.trace_log()
-    }
-
-    /// Finishes the session: routes every remaining arrival, drains all
-    /// nodes, and returns the final [`FleetReport`].
-    #[must_use]
-    pub fn finish(self) -> FleetReport {
-        self.fleet.finish()
+        let mut fleet = self.session()?;
+        fleet.submit_stream(workload, seed)?;
+        Ok(fleet.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veltair_cluster::{AutoscalerConfig, AutoscalerKind, SloAdmissionConfig};
+    use veltair_cluster::{SloAdmissionConfig, StepMode};
     use veltair_compiler::{compile_model, CompilerOptions};
-    use veltair_sched::Policy;
-    use veltair_sim::MachineConfig;
+    use veltair_sched::{Policy, QuerySpec};
+    use veltair_sim::{MachineConfig, SimTime};
 
     fn compiled(name: &str) -> CompiledModel {
         let machine = MachineConfig::threadripper_3990x();
@@ -737,6 +458,32 @@ mod tests {
                 .unwrap_err(),
             EngineError::InvalidSlo { .. }
         ));
+        // Every distinct node machine is validated before a spec is
+        // compiled for it, so one that cannot be simulated is a typed
+        // error naming the node, not a compiler panic or an artifact that
+        // fails only when a session opens.
+        let broken: [fn(&mut MachineConfig); 2] = [|m| m.cores = 0, |m| m.l3_bytes = f64::NAN];
+        for edit in broken {
+            let mut edge = NodeSpec::new("edge-0", MachineConfig::desktop_8core(), Policy::Prema);
+            edit(&mut edge.machine);
+            let built = ClusterEngine::builder()
+                .compile(veltair_models::tiny_yolo_v2())
+                .compiler_options(CompilerOptions::fast())
+                .node(NodeSpec::new(
+                    "big-0",
+                    MachineConfig::threadripper_3990x(),
+                    Policy::VeltairFull,
+                ))
+                .node(edge)
+                .build();
+            assert!(
+                matches!(
+                    built,
+                    Err(EngineError::InvalidConfig { ref reason }) if reason.starts_with("node edge-0: ")
+                ),
+                "{built:?}"
+            );
+        }
         let e = ClusterEngine::builder()
             .model(compiled("mobilenet_v2"))
             .node(NodeSpec::new(
@@ -774,36 +521,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_step_mode_threads_through_the_builder() {
+    fn switching_step_mode_mid_session_leaves_the_run_unchanged() {
         let e = two_node_engine();
-        assert_eq!(e.step_mode(), StepMode::Sequential);
         let w = WorkloadSpec::single("mobilenet_v2", 80.0, 40);
         let sequential = e.run(&w, 9);
 
-        let mut builder = ClusterEngine::builder()
-            .model(compiled("mobilenet_v2"))
-            .router(RouterKind::LeastOutstanding)
-            .step_mode(StepMode::Parallel { threads: 3 });
-        for n in [
-            NodeSpec::new(
-                "big-0",
-                MachineConfig::threadripper_3990x(),
-                Policy::VeltairFull,
-            ),
-            NodeSpec::new("edge-0", MachineConfig::desktop_8core(), Policy::Prema),
-        ] {
-            builder = builder.node(n);
-        }
-        let parallel_engine = builder.build().expect("valid cluster");
-        assert_eq!(
-            parallel_engine.step_mode(),
-            StepMode::Parallel { threads: 3 }
-        );
-        let parallel = parallel_engine.run(&w, 9);
-        assert_eq!(parallel, sequential, "step mode changed the simulation");
-
-        // Mid-session switching is also allowed and harmless. The
-        // checkpointed run makes extra clock-advance sweeps, so its
+        // The checkpointed run makes extra clock-advance sweeps, so its
         // coordinator round-trip counter legitimately differs from the
         // batch run's; the simulation outcome must not.
         let mut s = e.session().expect("valid");
@@ -817,38 +540,6 @@ mod tests {
         assert!(stepped.coordinator.pool_round_trips >= sequential.coordinator.pool_round_trips);
         stepped.coordinator = sequential.coordinator;
         assert_eq!(stepped, sequential);
-    }
-
-    #[test]
-    fn run_for_rejects_invalid_durations() {
-        let e = two_node_engine();
-        let mut s = e.session().expect("valid");
-        s.submit_stream(&WorkloadSpec::single("mobilenet_v2", 80.0, 10), 2)
-            .expect("registered");
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(
-                matches!(s.run_for(bad), Err(EngineError::InvalidDuration { .. })),
-                "duration {bad} was accepted"
-            );
-        }
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(
-                matches!(
-                    s.run_until(bad),
-                    Err(EngineError::NonFiniteTarget { t_s }) if t_s.to_bits() == bad.to_bits()
-                ),
-                "target {bad} was accepted"
-            );
-        }
-        assert!(
-            (s.now_s() - 0.0).abs() < 1e-12,
-            "rejected run moved the clock"
-        );
-        s.run_for(0.25).expect("positive finite duration");
-        assert!((s.now_s() - 0.25).abs() < 1e-12);
-        // The session stays usable after the rejections.
-        s.submit("mobilenet_v2", 0.3).expect("registered");
-        assert_eq!(s.finish().merged.total_queries(), 11);
     }
 
     #[test]
@@ -918,47 +609,30 @@ mod tests {
             ));
         }
 
-        // The same rules hold for a node joining a running session and
-        // for an autoscaling template, whose clones join mid-run: both are
+        // The same rules hold for a node joining a running session: it is
         // checked up front, and nothing joins.
-        let big = NodeSpec::new(
-            "big-0",
-            MachineConfig::threadripper_3990x(),
-            Policy::VeltairFull,
-        );
-        let names_bad = |e: &Option<EngineError>| match e {
-            Some(EngineError::InvalidConfig { reason }) => reason.starts_with("node bad: "),
-            _ => false,
-        };
+        let engine = ClusterEngine::builder()
+            .model(valid)
+            .node(NodeSpec::new(
+                "big-0",
+                MachineConfig::threadripper_3990x(),
+                Policy::VeltairFull,
+            ))
+            .build()
+            .expect("valid cluster");
         for edit in &broken_nodes[..2] {
             let mut bad = NodeSpec::new("bad", MachineConfig::desktop_8core(), Policy::VeltairFull);
             edit(&mut bad);
-            let engine = ClusterEngine::builder()
-                .model(valid.clone())
-                .node(big.clone())
-                .build()
-                .expect("valid cluster");
             let mut session = engine.session().expect("valid");
-            let joined = session.add_node(&bad).err();
-            assert!(names_bad(&joined), "{joined:?}");
+            let joined = session.add_node(&bad);
+            assert!(
+                matches!(
+                    joined,
+                    Err(ClusterError::InvalidConfig { ref reason }) if reason.starts_with("node bad: ")
+                ),
+                "{joined:?}"
+            );
             assert_eq!(session.node_states().len(), 1, "nothing joined");
-
-            let policy = ScalePolicy::try_new(
-                AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
-                bad,
-                1,
-                4,
-                0.05,
-                0.0,
-            )
-            .expect("valid guard rails");
-            let built = ClusterEngine::builder()
-                .model(valid.clone())
-                .node(big.clone())
-                .autoscale(policy)
-                .build()
-                .err();
-            assert!(names_bad(&built), "{built:?}");
         }
     }
 
@@ -983,20 +657,24 @@ mod tests {
     fn unknown_models_are_rejected_atomically() {
         let e = two_node_engine();
         let mut s = e.session().expect("valid");
+        let bert = QuerySpec {
+            model: "bert_large".into(),
+            arrival: SimTime(0.0),
+        };
         assert!(matches!(
-            s.submit("bert_large", 0.0),
-            Err(EngineError::UnknownModel { .. })
+            s.submit(&bert),
+            Err(ClusterError::UnknownModel { .. })
         ));
         let bad = WorkloadSpec::mix(&[("mobilenet_v2", 10.0), ("bert_large", 10.0)], 10);
         assert!(matches!(
             s.submit_stream(&bad, 1),
-            Err(EngineError::UnknownModel { .. })
+            Err(ClusterError::UnknownModel { .. })
         ));
         assert_eq!(s.snapshot().submitted, 0);
         let nan_rate = WorkloadSpec::single("mobilenet_v2", 10.0, 10).scaled_to(f64::NAN);
         assert!(matches!(
             s.submit_stream(&nan_rate, 1),
-            Err(EngineError::NonFiniteArrival { .. })
+            Err(ClusterError::NonFiniteArrival { .. })
         ));
         assert!(matches!(
             e.try_run(&nan_rate, 1),

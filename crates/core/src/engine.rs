@@ -366,14 +366,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Finalizes the engine.
+    /// Finalizes the engine, compiling every spec registered via
+    /// [`compile`](EngineBuilder::compile) for the builder's machine.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NoModels`] if no model was registered,
+    /// Returns [`EngineError::InvalidConfig`] if a spec would be compiled
+    /// for a machine that fails [`MachineConfig::validate`],
+    /// [`EngineError::NoModels`] if no model was registered,
     /// [`EngineError::UnknownModel`] if an SLO override names an
     /// unregistered model, and [`EngineError::InvalidSlo`] if an override
-    /// is not a positive, finite latency.
+    /// is not a positive, finite latency. Pre-compiled models and the
+    /// machine serving them are checked when a session opens.
     pub fn build(self) -> Result<ServingEngine, EngineError> {
         let Self {
             machine,
@@ -386,6 +390,13 @@ impl EngineBuilder {
             projection,
             slo_overrides,
         } = self;
+        if !specs.is_empty() {
+            machine
+                .validate()
+                .map_err(|reason| EngineError::InvalidConfig {
+                    reason: format!("machine: {reason}"),
+                })?;
+        }
         for spec in &specs {
             models.push(compile_model(spec, &machine, &compiler));
         }
@@ -669,14 +680,16 @@ impl ServingSession<'_> {
     /// regardless of how long the session has been running. Returns the
     /// ids in arrival order.
     ///
-    /// Atomic: the stream's model names are validated up front, so an
-    /// error means *nothing* was submitted — a caller may correct the
-    /// workload and resubmit without double-injecting arrivals.
+    /// Atomic: the stream's model names and arrival times are validated
+    /// up front, so an error means *nothing* was submitted — a caller may
+    /// correct the workload and resubmit without double-injecting
+    /// arrivals.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownModel`] if the workload references
-    /// unregistered models.
+    /// unregistered models and [`EngineError::NonFiniteArrival`] if a
+    /// stream rate makes an arrival time NaN or infinite.
     pub fn submit_stream(
         &mut self,
         workload: &WorkloadSpec,
@@ -693,11 +706,17 @@ impl ServingSession<'_> {
             });
         }
         let base = self.now_s();
-        let mut ids = Vec::with_capacity(workload.total_queries);
-        for q in workload.generate(seed) {
-            ids.push(self.submit(&q.model, base + q.arrival.0)?);
+        let mut queries = workload.generate(seed);
+        for q in &mut queries {
+            q.arrival = SimTime(base + q.arrival.0);
         }
-        Ok(ids)
+        if let Some(q) = queries.iter().find(|q| !q.arrival.0.is_finite()) {
+            return Err(EngineError::NonFiniteArrival { at_s: q.arrival.0 });
+        }
+        queries
+            .iter()
+            .map(|q| self.submit(&q.model, q.arrival.0))
+            .collect()
     }
 
     /// Processes the next pending event; `false` when the session is
@@ -727,7 +746,7 @@ impl ServingSession<'_> {
     ///
     /// Returns [`EngineError::InvalidDuration`] if `dt_s` is NaN,
     /// infinite, or not strictly positive (mirroring
-    /// [`ClusterSession::run_for`](crate::ClusterSession::run_for)).
+    /// [`Fleet::run_for`](crate::Fleet::run_for)).
     pub fn run_for(&mut self, dt_s: f64) -> Result<(), EngineError> {
         if !dt_s.is_finite() || dt_s <= 0.0 {
             return Err(EngineError::InvalidDuration { dt_s });
@@ -1057,6 +1076,23 @@ mod tests {
                 .unwrap_err(),
             EngineError::InvalidSlo { .. }
         ));
+        // A machine is validated before a spec is compiled for it, so one
+        // that cannot be simulated is a typed error here, not a compiler
+        // panic or an artifact that fails only when a session opens.
+        let broken: [fn(&mut MachineConfig); 2] = [|m| m.cores = 0, |m| m.l3_bytes = f64::NAN];
+        for edit in broken {
+            let mut bad = machine.clone();
+            edit(&mut bad);
+            let built = ServingEngine::builder()
+                .machine(bad)
+                .compile(veltair_models::tiny_yolo_v2())
+                .compiler_options(CompilerOptions::fast())
+                .build();
+            assert!(
+                matches!(built, Err(EngineError::InvalidConfig { .. })),
+                "{built:?}"
+            );
+        }
 
         let engine = ServingEngine::builder()
             .machine(machine)
@@ -1170,6 +1206,15 @@ mod tests {
         let nan_rate = WorkloadSpec::single("tiny_yolo_v2", 50.0, 20).scaled_to(f64::NAN);
         assert!(matches!(
             s.submit_stream(&nan_rate, 1),
+            Err(EngineError::NonFiniteArrival { .. })
+        ));
+        assert_eq!(s.snapshot().submitted, 0);
+        // A zero-rate stream puts an infinite arrival after finite ones:
+        // the whole stream is rejected before any of them is submitted.
+        let mut zero_rate = WorkloadSpec::mix(&[("tiny_yolo_v2", 50.0); 4], 4);
+        zero_rate.streams[3].1 = 0.0;
+        assert!(matches!(
+            s.submit_stream(&zero_rate, 1),
             Err(EngineError::NonFiniteArrival { .. })
         ));
         assert_eq!(s.snapshot().submitted, 0);

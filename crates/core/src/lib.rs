@@ -11,8 +11,10 @@
 //!   and mid-run [`set_policy`](ServingSession::set_policy);
 //! * [`cluster`] — the fleet surface: [`ClusterEngine`] composes N
 //!   (possibly heterogeneous) nodes behind pluggable routing and
-//!   admission control, with [`ClusterSession`] mirroring the
-//!   builder → session → snapshot shape at fleet scale;
+//!   admission control, and its [`session`](ClusterEngine::session) opens
+//!   the [`Fleet`] itself, mirroring the builder → session → snapshot
+//!   shape at fleet scale (step mode, autoscaling, failure plans and
+//!   telemetry are set on the fleet);
 //! * [`dataset`] — co-location episode generation used to train the
 //!   interference proxy exactly the way the deployed monitor observes the
 //!   system;
@@ -64,7 +66,7 @@ pub mod experiments;
 pub mod metrics;
 pub mod scenarios;
 
-pub use cluster::{ClusterBuilder, ClusterEngine, ClusterSession};
+pub use cluster::{ClusterBuilder, ClusterEngine};
 pub use dataset::{co_location_dataset, train_proxy};
 pub use engine::{
     Completion, EngineBuilder, EngineError, ReportSnapshot, ServingEngine, ServingSession,
@@ -74,7 +76,7 @@ pub use scenarios::{all_scenarios, Scenario, SloExpectation};
 // Re-export the user-facing vocabulary so downstream users need one import.
 pub use veltair_cluster::{
     AdmissionKind, AutoscalerConfig, AutoscalerKind, ClusterError, CoordinatorStats, FailureKind,
-    FailurePlan, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState, RouterKind,
+    FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState, RouterKind,
     ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
 };
 pub use veltair_sched::{Policy, ServingReport, SimError, WorkloadError, WorkloadSpec};

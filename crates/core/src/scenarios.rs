@@ -2,9 +2,12 @@
 //! situations with explicit SLO expectations.
 //!
 //! Each [`Scenario`] bundles everything a run needs — a fleet topology,
-//! a trace-shaped workload, an optional [`FailurePlan`], an optional
-//! [`ScalePolicy`], and a pinned seed — plus the [`SloExpectation`] the
-//! run is asserted against. The library serves three purposes:
+//! a trace-shaped workload, a [`FailurePlan`] (empty when nothing fails),
+//! an optional [`ScalePolicy`], and a pinned seed — plus the
+//! [`SloExpectation`] the run is asserted against. [`Scenario::run_with`]
+//! opens the topology's [`Fleet`](veltair_cluster::Fleet) and attaches
+//! the plan, the posture and the step mode to it. The library serves
+//! three purposes:
 //!
 //! 1. **Regression pins.** Every scenario is bit-deterministic for its
 //!    seed under both [`StepMode`]s, so CI can assert whole-report
@@ -52,9 +55,9 @@ pub struct SloExpectation {
 
 /// A named, seeded, reproducible cluster serving situation.
 ///
-/// The fleet definition is kept as a builder plus a pinned autoscaling
-/// posture so what-if tools can replay the *same* topology, workload,
-/// failures, and seed under a different posture
+/// The fleet definition is kept as a builder, a failure plan and a pinned
+/// autoscaling posture so what-if tools can replay the *same* topology,
+/// workload, failures, and seed under a different posture
 /// ([`run_with`](Scenario::run_with)) — that comparison is the whole
 /// point of a capacity-planning table.
 #[derive(Debug, Clone)]
@@ -63,9 +66,10 @@ pub struct Scenario {
     pub name: &'static str,
     /// One-line description for tables.
     pub blurb: &'static str,
-    /// Fleet topology, routing, admission, and failure plan — everything
-    /// except the autoscaling posture.
+    /// Fleet topology, routing, and admission.
     pub builder: ClusterBuilder,
+    /// The scripted crash/stall/drain schedule (empty = nothing fails).
+    pub failures: FailurePlan,
     /// The pinned autoscaling posture (`None` = fixed fleet).
     pub scale: Option<ScalePolicy>,
     /// The offered workload.
@@ -77,20 +81,15 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Builds the scenario's engine under its pinned posture.
+    /// Builds the scenario's engine: its topology, routing, and
+    /// admission. Failures and autoscaling attach to the fleet a run
+    /// opens ([`run_with`](Scenario::run_with)).
     #[must_use]
     pub fn engine(&self) -> ClusterEngine {
-        self.engine_with(self.scale.clone())
-    }
-
-    /// Builds the scenario's engine under an explicit posture override.
-    #[must_use]
-    pub fn engine_with(&self, scale: Option<ScalePolicy>) -> ClusterEngine {
-        let mut builder = self.builder.clone();
-        if let Some(policy) = scale {
-            builder = builder.autoscale(policy);
-        }
-        builder.build().expect("library scenarios are valid")
+        self.builder
+            .clone()
+            .build()
+            .expect("library scenarios are valid")
     }
 
     /// Runs the scenario to completion under its pinned posture.
@@ -106,13 +105,19 @@ impl Scenario {
     /// for [`check`](Scenario::check).
     #[must_use]
     pub fn run_with(&self, scale: Option<ScalePolicy>, step_mode: StepMode) -> FleetReport {
-        let engine = self.engine_with(scale);
-        let mut session = engine.session().expect("library scenarios are valid");
-        session.set_step_mode(step_mode);
-        session
+        let engine = self.engine();
+        let mut fleet = engine.session().expect("library scenarios are valid");
+        fleet.set_step_mode(step_mode);
+        fleet.set_failure_plan(self.failures.clone());
+        if let Some(policy) = scale {
+            fleet
+                .set_scale_policy(policy)
+                .expect("scale policy templates are valid nodes");
+        }
+        fleet
             .submit_stream(&self.workload, self.seed)
             .expect("scenario workloads serve registered models");
-        session.finish()
+        fleet.finish()
     }
 
     /// Checks a report against the scenario's [`SloExpectation`],
@@ -196,6 +201,7 @@ pub fn steady() -> Scenario {
         name: "steady",
         blurb: "flat Poisson, two nodes, comfortable load",
         builder: base_builder(2),
+        failures: FailurePlan::new(),
         scale: None,
         workload: WorkloadSpec::single("mobilenet_v2", 120.0, 360),
         seed: 11,
@@ -217,6 +223,7 @@ pub fn diurnal() -> Scenario {
         name: "diurnal",
         blurb: "day/night trace cycle, autoscaler follows both ways",
         builder: base_builder(1),
+        failures: FailurePlan::new(),
         scale: Some(default_scale_policy(1, 4)),
         workload: WorkloadSpec::try_trace("mobilenet_v2", 90.0, 540, &[(1.0, 3.0), (1.0, 0.3)])
             .expect("valid trace"),
@@ -239,6 +246,7 @@ pub fn flash_crowd() -> Scenario {
         name: "flash-crowd",
         blurb: "8x surge onto near-idle capacity, autoscaler catches up",
         builder: base_builder(1),
+        failures: FailurePlan::new(),
         scale: Some(default_scale_policy(1, 6)),
         workload: WorkloadSpec::try_trace(
             "mobilenet_v2",
@@ -266,11 +274,11 @@ pub fn failover() -> Scenario {
     // Node 1 crashes 0.8 s in, mid-stream: its queue and in-flight work
     // re-route to node 0, which is now alone against a rate sized for
     // two nodes — without replacements the survivor drowns.
-    let plan = FailurePlan::new().try_crash(0.8, 1).expect("valid instant");
     Scenario {
         name: "failover",
         blurb: "node crash mid-run, autoscaler provisions replacements",
-        builder: base_builder(2).failure_plan(plan),
+        builder: base_builder(2),
+        failures: FailurePlan::new().try_crash(0.8, 1).expect("valid instant"),
         scale: Some(default_scale_policy(1, 4)),
         workload: WorkloadSpec::single("mobilenet_v2", 210.0, 630),
         seed: 41,
@@ -288,15 +296,15 @@ pub fn failover() -> Scenario {
 /// the pin is zero lost queries and a still-healthy SLO.
 #[must_use]
 pub fn rolling_upgrade() -> Scenario {
-    let plan = FailurePlan::new()
-        .try_drain(0.6, 0)
-        .and_then(|p| p.try_drain(1.4, 1))
-        .and_then(|p| p.try_drain(2.2, 2))
-        .expect("valid instants");
     Scenario {
         name: "rolling-upgrade",
         blurb: "staggered graceful drains with autoscaled replacements",
-        builder: base_builder(3).failure_plan(plan),
+        builder: base_builder(3),
+        failures: FailurePlan::new()
+            .try_drain(0.6, 0)
+            .and_then(|p| p.try_drain(1.4, 1))
+            .and_then(|p| p.try_drain(2.2, 2))
+            .expect("valid instants"),
         // Pre-warmed replacements: zero provisioning delay, floor 2.
         scale: Some(
             ScalePolicy::try_new(

@@ -137,8 +137,7 @@ fn main() {
 fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload: &WorkloadSpec) {
     let mut builder = ClusterEngine::builder()
         .router(RouterKind::InterferenceAware)
-        .admission(AdmissionKind::SloAware(SloAdmissionConfig::default()))
-        .telemetry(TraceConfig::unbounded());
+        .admission(AdmissionKind::SloAware(SloAdmissionConfig::default()));
     for m in compiled {
         builder = builder.model(m.clone());
     }
@@ -147,6 +146,7 @@ fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload
     }
     let engine = builder.build().expect("valid cluster");
     let mut session = engine.session().expect("valid session");
+    session.enable_telemetry(TraceConfig::unbounded());
     session
         .submit_stream(workload, 42)
         .expect("registered models");
@@ -327,9 +327,7 @@ fn scale_demo(compiled: &[CompiledModel]) {
     // targets: long advancement windows of independent per-node work.
     let wave_models = ["mobilenet_v2", "tiny_yolo_v2"];
     let run = |mode: StepMode| -> (FleetReport, f64) {
-        let mut builder = ClusterEngine::builder()
-            .router(RouterKind::LeastOutstanding)
-            .step_mode(mode);
+        let mut builder = ClusterEngine::builder().router(RouterKind::LeastOutstanding);
         for m in compiled {
             builder = builder.model(m.clone());
         }
@@ -338,11 +336,15 @@ fn scale_demo(compiled: &[CompiledModel]) {
         }
         let engine = builder.build().expect("valid cluster");
         let mut session = engine.session().expect("valid session");
+        session.set_step_mode(mode);
         for wave in 0..waves {
-            let at_s = wave as f64 * 0.25;
+            let arrival = SimTime(wave as f64 * 0.25);
             for q in 0..node_count {
                 session
-                    .submit(wave_models[q % wave_models.len()], at_s)
+                    .submit(&QuerySpec {
+                        model: wave_models[q % wave_models.len()].to_string(),
+                        arrival,
+                    })
                     .expect("registered model");
             }
         }

@@ -27,7 +27,8 @@
 //!   tracing, the metrics registry (latency histograms, the
 //!   violation-frequency table), Chrome-trace export, and per-query SLO
 //!   attribution;
-//! * [`core`] — the serving engine, evaluation metrics, and the experiment
+//! * [`core`] — the serving engine, the cluster engine (whose sessions
+//!   are [`cluster::Fleet`]s), evaluation metrics, and the experiment
 //!   harness that regenerates every figure and table of the paper.
 //!
 //! # Quickstart
@@ -80,10 +81,10 @@ pub mod prelude {
         SelectionContext, SelectorKind, StaticLevel, VersionSelector,
     };
     pub use veltair_core::{
-        all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, ClusterSession,
-        Completion, EngineBuilder, EngineError, Policy, QpsResult, QpsSearchConfig, ReportSnapshot,
-        Scenario, ServingEngine, ServingReport, ServingSession, SimError, SloExpectation,
-        WorkloadError, WorkloadSpec,
+        all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, Completion,
+        EngineBuilder, EngineError, Policy, QpsResult, QpsSearchConfig, ReportSnapshot, Scenario,
+        ServingEngine, ServingReport, ServingSession, SimError, SloExpectation, WorkloadError,
+        WorkloadSpec,
     };
     pub use veltair_models::{all_models, by_name, ModelSpec, WorkloadClass};
     pub use veltair_sched::runtime::Driver;

@@ -1,10 +1,13 @@
 //! Fleet-level behaviour the cluster subsystem guarantees: bit-exact
-//! determinism for a fixed configuration, correctly pooled tail
-//! percentiles across nodes, and the routing win that justifies the
-//! whole layer (load/interference-aware placement beats load-blind
-//! round-robin at the SLO).
+//! determinism for a fixed configuration, a fleet of one that is exactly
+//! the single machine, correctly pooled tail percentiles across nodes,
+//! and the routing win that justifies the whole layer
+//! (load/interference-aware placement beats load-blind round-robin at
+//! the SLO).
 
 use veltair::prelude::*;
+use veltair::sched::simulate;
+use veltair::sched::workload::ArrivalProcess;
 
 fn compiled_mix() -> Vec<CompiledModel> {
     let machine = MachineConfig::threadripper_3990x();
@@ -40,6 +43,15 @@ fn bursty_mix_workload(total_queries: usize, qps: f64) -> WorkloadSpec {
         .scaled_to(qps)
 }
 
+/// The same streams and rates as [`bursty_mix_workload`], with Poisson
+/// arrivals.
+fn poisson_mix_workload(total_queries: usize, qps: f64) -> WorkloadSpec {
+    WorkloadSpec {
+        process: ArrivalProcess::Poisson,
+        ..bursty_mix_workload(total_queries, qps)
+    }
+}
+
 fn engine(models: &[CompiledModel], router: RouterKind) -> ClusterEngine {
     let mut builder = ClusterEngine::builder()
         .router(router)
@@ -70,6 +82,79 @@ fn fleet_runs_are_bit_deterministic_for_a_fixed_seed() {
     // equality above is not comparing constants).
     let third = engine(&models, RouterKind::PowerOfTwoChoices { seed: 11 }).run(&workload, 43);
     assert_ne!(first, third, "workload seed had no effect");
+}
+
+/// All nine policies of the evaluation (Table 1 + §3.2 granularities).
+const POLICIES: [Policy; 9] = [
+    Policy::ModelFcfs,
+    Policy::Planaria,
+    Policy::Prema,
+    Policy::AiMt,
+    Policy::Parties,
+    Policy::FixedBlock(6),
+    Policy::VeltairAs,
+    Policy::VeltairAc,
+    Policy::VeltairFull,
+];
+
+#[test]
+fn a_fleet_of_one_reproduces_the_single_machine_bit_for_bit() {
+    // A one-node round-robin, admit-all fleet routes every query to its
+    // node at the query's own arrival instant, so that node's report must
+    // equal the single machine's, for every policy: batch `simulate` over
+    // the whole trace, and a `ServingSession` paused at the same
+    // checkpoints as the fleet.
+    let models = compiled_mix();
+    let machine = MachineConfig::threadripper_3990x();
+    let workloads = [
+        poisson_mix_workload(80, 200.0),
+        bursty_mix_workload(80, 300.0),
+    ];
+    let checkpoints = [0.05, 0.12, 0.3];
+    for policy in POLICIES {
+        let node = [NodeSpec::new("solo", machine.clone(), policy)];
+        let fleet = || {
+            Fleet::new(
+                &models,
+                &node,
+                RouterKind::RoundRobin.build(),
+                AdmissionKind::AdmitAll.build(),
+            )
+            .expect("valid fleet")
+        };
+        let mut engine = ServingEngine::new(machine.clone(), policy);
+        for m in &models {
+            engine.register(m.clone());
+        }
+        for (w, workload) in workloads.iter().enumerate() {
+            let seed = 5 + w as u64;
+            let batch = simulate(
+                &models,
+                &workload.generate(seed),
+                &SimConfig::new(machine.clone(), policy),
+            )
+            .expect("valid run");
+            let mut f = fleet();
+            f.submit_stream(workload, seed).expect("registered");
+            let solo = f.finish().per_node.remove(0);
+            assert_eq!(solo, batch, "{} batch, workload {w}", policy.name());
+
+            let mut f = fleet();
+            let mut session = engine.session().expect("has models");
+            f.submit_stream(workload, seed).expect("registered");
+            session.submit_stream(workload, seed).expect("registered");
+            for t in checkpoints {
+                f.run_until(t).expect("finite target");
+                session.run_until(t).expect("finite target");
+            }
+            assert_eq!(
+                f.finish().per_node[0],
+                session.finish(),
+                "{} paused, workload {w}",
+                policy.name()
+            );
+        }
+    }
 }
 
 #[test]
@@ -278,6 +363,7 @@ fn run_for_rejects_nonpositive_and_nonfinite_durations() {
         .submit_stream(&WorkloadSpec::single("mobilenet_v2", 50.0, 8), 2)
         .expect("registered");
     fleet.run_for(0.05).expect("positive finite duration");
+    assert!((fleet.now_s() - 0.05).abs() < 1e-12);
     let before = fleet.snapshot();
     for bad in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         match fleet.run_for(bad) {
@@ -398,6 +484,37 @@ fn coordinator_counters_are_populated_on_snapshots_and_reports() {
     // bounded by it.
     assert!(c.examined_per_decision() <= 5.0);
     assert!(c.examined_per_decision() >= 1.0);
+}
+
+#[test]
+fn submit_stream_rejects_a_non_finite_arrival_before_submitting_anything() {
+    // A zero-rate stream puts an infinite arrival after finite ones. The
+    // stream is submitted atomically, so none of the finite ones may be
+    // in when the error returns.
+    let models = compiled_mix();
+    let specs = heterogeneous_nodes();
+    let mut fleet = Fleet::new(
+        &models,
+        &specs,
+        RouterKind::RoundRobin.build(),
+        AdmissionKind::AdmitAll.build(),
+    )
+    .expect("valid fleet");
+    let mut workload = WorkloadSpec::mix(
+        &[
+            ("mobilenet_v2", 10.0),
+            ("tiny_yolo_v2", 10.0),
+            ("resnet50", 10.0),
+            ("googlenet", 10.0),
+        ],
+        4,
+    );
+    workload.streams[3].1 = 0.0;
+    assert!(matches!(
+        fleet.submit_stream(&workload, 1),
+        Err(ClusterError::NonFiniteArrival { .. })
+    ));
+    assert_eq!(fleet.snapshot().submitted, 0);
 }
 
 #[test]

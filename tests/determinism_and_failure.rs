@@ -112,11 +112,13 @@ fn seeded_failure_plans_reproduce_bit_for_bit() {
     let run = |plan_seed: u64| {
         let plan =
             FailurePlan::try_seeded(plan_seed, 3, 2.0, 0.6, 0.5, 0.15).expect("valid parameters");
-        cluster(3)
-            .failure_plan(plan)
-            .build()
-            .expect("valid cluster")
-            .run(&fleet_workload(180), 77)
+        let engine = cluster(3).build().expect("valid cluster");
+        let mut fleet = engine.session().expect("valid");
+        fleet.set_failure_plan(plan);
+        fleet
+            .submit_stream(&fleet_workload(180), 77)
+            .expect("registered");
+        fleet.finish()
     };
     let a = run(9);
     assert_eq!(a, run(9), "same failure seed must reproduce exactly");
@@ -136,8 +138,9 @@ fn stalled_nodes_recover_on_schedule() {
     let plan = FailurePlan::new()
         .try_stall(0.05, 1, 0.1)
         .expect("valid instant");
-    let engine = cluster(2).failure_plan(plan).build().expect("valid");
+    let engine = cluster(2).build().expect("valid");
     let mut session = engine.session().expect("valid");
+    session.set_failure_plan(plan);
     session
         .submit_stream(&fleet_workload(90), 5)
         .expect("registered");
@@ -204,20 +207,23 @@ fn lifecycle_counters_reconcile_with_terminal_states() {
 
 /// The typed error surface: unknown roster indices, operations that
 /// would empty the fleet, and out-of-range scale parameters each map to
-/// their own variant (through `EngineError` at the session surface).
+/// their own variant.
 #[test]
 fn lifecycle_and_policy_errors_are_typed() {
     let engine = cluster(1).build().expect("valid");
     let mut session = engine.session().expect("valid");
     assert!(matches!(
         session.drain_node(99),
-        Err(EngineError::UnknownNode { node: 99 })
+        Err(ClusterError::UnknownNode { node: 99 })
     ));
     assert!(matches!(
         session.drain_node(0),
-        Err(EngineError::FleetEmpty)
+        Err(ClusterError::FleetEmpty)
     ));
-    assert!(matches!(session.kill_node(0), Err(EngineError::FleetEmpty)));
+    assert!(matches!(
+        session.kill_node(0),
+        Err(ClusterError::FleetEmpty)
+    ));
 
     let template = NodeSpec::new("t", MachineConfig::desktop_8core(), Policy::VeltairFull);
     let kind = AutoscalerKind::Hysteresis(AutoscalerConfig::default());

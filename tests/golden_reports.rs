@@ -431,10 +431,7 @@ const SLO_AWARE: AdmissionKind = AdmissionKind::SloAware(SloAdmissionConfig {
 const FLEET_ADMISSIONS: [AdmissionKind; 2] = [AdmissionKind::AdmitAll, SLO_AWARE];
 
 fn fleet_builder(router: RouterKind, admission: AdmissionKind) -> ClusterBuilder {
-    let mut builder = ClusterEngine::builder()
-        .router(router)
-        .admission(admission)
-        .step_mode(StepMode::Sequential);
+    let mut builder = ClusterEngine::builder().router(router).admission(admission);
     for m in fleet_models() {
         builder = builder.model(m);
     }
@@ -514,11 +511,11 @@ fn churn_report(router: RouterKind, seed: u64) -> FleetReport {
     )
     .expect("valid policy");
     let engine = fleet_builder(router, SLO_AWARE)
-        .failure_plan(plan)
-        .autoscale(policy)
         .build()
         .expect("valid cluster");
     let mut session = engine.session().expect("valid");
+    session.set_failure_plan(plan);
+    session.set_scale_policy(policy).expect("valid template");
     session
         .submit_stream(&bursty_fleet_workload(80), seed)
         .expect("registered");

@@ -77,11 +77,8 @@ fn steady_workload(queries: usize) -> WorkloadSpec {
     WorkloadSpec::mix(&[("mobilenet_v2", 120.0), ("tiny_yolo_v2", 80.0)], queries)
 }
 
-fn engine(router: RouterKind, admission: AdmissionKind, mode: StepMode) -> ClusterEngine {
-    let mut builder = ClusterEngine::builder()
-        .router(router)
-        .admission(admission)
-        .step_mode(mode);
+fn engine(router: RouterKind, admission: AdmissionKind) -> ClusterEngine {
+    let mut builder = ClusterEngine::builder().router(router).admission(admission);
     for m in compiled_mix() {
         builder = builder.model(m.clone());
     }
@@ -89,6 +86,14 @@ fn engine(router: RouterKind, admission: AdmissionKind, mode: StepMode) -> Clust
         builder = builder.node(n);
     }
     builder.build().expect("valid cluster")
+}
+
+/// Serves `workload` on a fresh fleet of `engine` advancing in `mode`.
+fn run(engine: &ClusterEngine, mode: StepMode, workload: &WorkloadSpec, seed: u64) -> FleetReport {
+    let mut fleet = engine.session().expect("valid");
+    fleet.set_step_mode(mode);
+    fleet.submit_stream(workload, seed).expect("registered");
+    fleet.finish()
 }
 
 const ROUTERS: [RouterKind; 4] = [
@@ -117,17 +122,16 @@ fn parallel_equals_sequential_across_the_matrix() {
     let threads = thread_counts();
     for router in ROUTERS {
         for admission in ADMISSIONS {
+            let e = engine(router, admission);
             for seed in [11, 42, 97] {
-                let sequential =
-                    engine(router, admission, StepMode::Sequential).run(&workload, seed);
+                let sequential = run(&e, StepMode::Sequential, &workload, seed);
                 assert!(
                     sequential.merged.total_queries() > 0,
                     "{}: the baseline served nothing",
                     router.name()
                 );
                 for &t in &threads {
-                    let parallel = engine(router, admission, StepMode::Parallel { threads: t })
-                        .run(&workload, seed);
+                    let parallel = run(&e, StepMode::Parallel { threads: t }, &workload, seed);
                     assert_eq!(
                         parallel,
                         sequential,
@@ -148,20 +152,11 @@ fn parallel_equals_sequential_across_the_matrix() {
 fn pooled_percentiles_are_bit_identical_on_steady_arrivals() {
     let workload = steady_workload(60);
     for admission in ADMISSIONS {
+        let e = engine(RouterKind::LeastOutstanding, admission);
         for seed in [7, 13, 29] {
-            let sequential = engine(
-                RouterKind::LeastOutstanding,
-                admission,
-                StepMode::Sequential,
-            )
-            .run(&workload, seed);
+            let sequential = run(&e, StepMode::Sequential, &workload, seed);
             for &t in &thread_counts() {
-                let parallel = engine(
-                    RouterKind::LeastOutstanding,
-                    admission,
-                    StepMode::Parallel { threads: t },
-                )
-                .run(&workload, seed);
+                let parallel = run(&e, StepMode::Parallel { threads: t }, &workload, seed);
                 for model in sequential.merged.per_model.keys() {
                     for p in [50.0, 95.0, 99.0] {
                         let s = sequential.merged.per_model[model].percentile_latency_s(p);
@@ -186,19 +181,11 @@ fn pooled_percentiles_are_bit_identical_on_steady_arrivals() {
 #[test]
 fn mid_run_snapshots_match_checkpoint_for_checkpoint() {
     let workload = bursty_workload(50);
+    let e = engine(RouterKind::InterferenceAware, ADMISSIONS[1]);
     for &t in &thread_counts() {
-        let seq_engine = engine(
-            RouterKind::InterferenceAware,
-            ADMISSIONS[1],
-            StepMode::Sequential,
-        );
-        let par_engine = engine(
-            RouterKind::InterferenceAware,
-            ADMISSIONS[1],
-            StepMode::Parallel { threads: t },
-        );
-        let mut seq = seq_engine.session().expect("valid");
-        let mut par = par_engine.session().expect("valid");
+        let mut seq = e.session().expect("valid");
+        let mut par = e.session().expect("valid");
+        par.set_step_mode(StepMode::Parallel { threads: t });
         seq.submit_stream(&workload, 23).expect("registered");
         par.submit_stream(&workload, 23).expect("registered");
         for (i, checkpoint) in [0.02, 0.05, 0.1, 0.25, 0.6, 1.5].iter().enumerate() {

@@ -105,9 +105,7 @@ fn projection_decays_to_instantaneous_on_an_idle_machine() {
 #[test]
 fn projection_is_deterministic_across_step_modes() {
     let run = |mode: StepMode, seed: u64| {
-        let mut builder = ClusterEngine::builder()
-            .router(RouterKind::LeastOutstanding)
-            .step_mode(mode);
+        let mut builder = ClusterEngine::builder().router(RouterKind::LeastOutstanding);
         for m in compiled(&["mobilenet_v2", "tiny_yolo_v2"]) {
             builder = builder.model(m);
         }
@@ -121,7 +119,11 @@ fn projection_is_deterministic_across_step_modes() {
             .node(NodeSpec::new("node-1", machine, Policy::VeltairAc));
         let workload =
             WorkloadSpec::mix(&[("mobilenet_v2", 2.0), ("tiny_yolo_v2", 1.0)], 80).scaled_to(280.0);
-        builder.build().expect("valid cluster").run(&workload, seed)
+        let engine = builder.build().expect("valid cluster");
+        let mut fleet = engine.session().expect("valid");
+        fleet.set_step_mode(mode);
+        fleet.submit_stream(&workload, seed).expect("registered");
+        fleet.finish()
     };
     for seed in [11u64, 42] {
         let sequential = run(StepMode::Sequential, seed);
