@@ -1,8 +1,10 @@
 //! Validates the analytic DRAM-traffic model against the set-associative
-//! LRU cache simulator (the substitution argument of DESIGN.md §2):
-//! for a ladder of schedules, sweeps cache capacities and reports the
-//! analytic-vs-measured traffic correlation and the contention
-//! displacement a streaming aggressor causes.
+//! LRU cache simulator. The reproduction replaces the paper's physical
+//! 3990X with that closed-form model, which is sound only if it tracks
+//! the misses a real cache takes. For a ladder of schedules this sweeps
+//! cache capacities and reports the analytic-vs-measured traffic
+//! correlation and the contention displacement a streaming aggressor
+//! causes.
 
 use veltair_cachesim::{
     interleave_proportional, validate_schedule, CacheConfig, GemmDims, GemmTrace, TraceScale,

@@ -58,6 +58,11 @@ use crate::report::{merge_reports, CoordinatorStats, FleetReport};
 use crate::router::{IndexSupport, Router};
 use crate::scaling::{Autoscaler, ScaleDecision, ScalePolicy};
 
+/// Why a node's `Driver::run_until` cannot fail inside the fleet: every
+/// instant the fleet advances to is finite.
+pub(crate) const FINITE_INSTANTS: &str =
+    "fleet instants are finite: run_until, run_for and submit reject non-finite times";
+
 /// Why a fleet could not be built or a query could not be submitted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
@@ -955,7 +960,7 @@ impl<'a> Fleet<'a> {
     pub fn add_node(&mut self, spec: &NodeSpec) -> Result<usize, ClusterError> {
         let node = self.drivers.len();
         let mut driver = open_node(self.models, spec)?;
-        driver.run_until(self.now);
+        driver.run_until(self.now).expect(FINITE_INSTANTS);
         if let Some(tm) = self.telemetry.as_mut() {
             let class = format!("{}c/{}", driver.total_cores(), driver.policy().name());
             self.node_track.push(tm.register_track(&spec.name, &class));
@@ -1323,7 +1328,7 @@ impl<'a> Fleet<'a> {
                 Some(pool) => pool.advance(&mut self.drivers, t),
                 None => {
                     for d in &mut self.drivers {
-                        d.run_until(t);
+                        d.run_until(t).expect(FINITE_INSTANTS);
                     }
                 }
             }
@@ -1340,7 +1345,7 @@ impl<'a> Fleet<'a> {
             // identical thread ⇒ trivially bit-identical), instead of a
             // worker-pool round trip per query.
             for d in &mut self.drivers {
-                d.run_until(t);
+                d.run_until(t).expect(FINITE_INSTANTS);
             }
         }
         self.now = t;

@@ -27,6 +27,8 @@ use std::thread::JoinHandle;
 use veltair_sched::runtime::Driver;
 use veltair_sim::SimTime;
 
+use crate::fleet::FINITE_INSTANTS;
+
 /// How a fleet advances its member nodes to the next routing instant.
 ///
 /// Both modes produce **bit-identical** results — same
@@ -144,7 +146,7 @@ impl Job {
                     let ptr = self.nodes[i].0;
                     let driver = unsafe { &mut *ptr };
                     match self.t {
-                        Some(t) => driver.run_until(t),
+                        Some(t) => driver.run_until(t).expect(FINITE_INSTANTS),
                         None => driver.run_to_completion(),
                     }
                 }
@@ -412,7 +414,7 @@ mod tests {
             for t in [0.01, 0.02, 0.05, 0.2, 1.0, 5.0] {
                 let t = SimTime(t);
                 for d in &mut seq {
-                    d.run_until(t);
+                    d.run_until(t).expect("finite target");
                 }
                 pool.advance(&mut par, t);
                 for (a, b) in seq.iter().zip(&par) {

@@ -187,6 +187,9 @@ impl From<SimError> for EngineError {
             SimError::NonFiniteArrival { arrival_s } => {
                 EngineError::NonFiniteArrival { at_s: arrival_s }
             }
+            SimError::NonFiniteTarget { target_s } => {
+                EngineError::NonFiniteTarget { t_s: target_s }
+            }
             SimError::InvalidConfig { reason } => EngineError::InvalidConfig { reason },
             SimError::InvalidProfile {
                 model,
@@ -736,7 +739,9 @@ impl ServingSession<'_> {
         if !t_s.is_finite() {
             return Err(EngineError::NonFiniteTarget { t_s });
         }
-        self.driver.run_until(SimTime(t_s));
+        self.driver
+            .run_until(SimTime(t_s))
+            .expect("run_until rejects non-finite targets above");
         Ok(())
     }
 
@@ -752,7 +757,9 @@ impl ServingSession<'_> {
             return Err(EngineError::InvalidDuration { dt_s });
         }
         let target = self.driver.now().after(dt_s);
-        self.driver.run_until(target);
+        self.driver
+            .run_until(target)
+            .expect("run_for rejects non-finite durations above");
         Ok(())
     }
 

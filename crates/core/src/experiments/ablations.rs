@@ -1,8 +1,9 @@
-//! Ablation studies beyond the paper's figures, probing the design choices
-//! DESIGN.md calls out: the dynamic threshold (vs fixed values), the
-//! counter proxy (vs an oracle and vs interference-oblivious), the
-//! extended prior-work comparison (AI-MT and Parties ports of Table 1),
-//! and the §5.1 platform sensitivity (SMT / DVFS re-enabled).
+//! Ablation studies beyond the paper's figures. Each one swaps out a
+//! design choice the figures take for granted and measures what it is
+//! worth: the dynamic threshold (vs fixed values), the counter proxy (vs
+//! an oracle and vs interference-oblivious), the extended prior-work
+//! comparison (AI-MT and Parties ports of Table 1), and the §5.1
+//! platform sensitivity (SMT / DVFS re-enabled).
 
 use veltair_proxy::InterferenceProxy;
 use veltair_sched::{simulate, Policy, SimConfig, WorkloadSpec};

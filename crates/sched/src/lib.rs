@@ -68,7 +68,7 @@
 //!         arrival: SimTime(f64::from(i) * 0.01),
 //!     })?;
 //! }
-//! driver.run_until(SimTime(0.05));
+//! driver.run_until(SimTime(0.05))?;
 //! driver.set_policy(Policy::Prema); // A/B the scheduler mid-stream
 //! driver.run_to_completion();
 //! let (report, _trace) = driver.finish();

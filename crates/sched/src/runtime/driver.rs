@@ -38,6 +38,13 @@ pub enum SimError {
         /// The rejected arrival time, seconds.
         arrival_s: f64,
     },
+    /// [`Driver::run_until`] was handed a NaN or infinite target. The
+    /// clock cannot stand at either: every later event would have to be
+    /// scheduled at or after it.
+    NonFiniteTarget {
+        /// The rejected target, seconds.
+        target_s: f64,
+    },
     /// The configuration cannot be simulated: the machine fails
     /// [`MachineConfig::validate`](veltair_sim::MachineConfig::validate)
     /// (e.g. zero cores or a NaN cache size), or the projection weight is
@@ -76,6 +83,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::NonFiniteArrival { arrival_s } => {
                 write!(f, "arrival times must be finite, got {arrival_s}")
+            }
+            SimError::NonFiniteTarget { target_s } => {
+                write!(f, "run_until targets must be finite, got {target_s}")
             }
             SimError::InvalidConfig { reason } => {
                 write!(f, "invalid simulation config: {reason}")
@@ -330,7 +340,15 @@ impl<'a> Driver<'a> {
     /// tail interval). After this call [`now`](Driver::now) equals `t`
     /// unless the simulation already ran past it, in which case the clock
     /// is left where the last processed event put it.
-    pub fn run_until(&mut self, t: SimTime) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::NonFiniteTarget`] if `t` is NaN or infinite,
+    /// before processing any event.
+    pub fn run_until(&mut self, t: SimTime) -> Result<(), SimError> {
+        if !t.0.is_finite() {
+            return Err(SimError::NonFiniteTarget { target_s: t.0 });
+        }
         while self.state.events.peek_time().is_some_and(|next| next <= t) {
             self.step();
         }
@@ -338,6 +356,7 @@ impl<'a> Driver<'a> {
         if t > self.state.now {
             self.state.advance_to(t);
         }
+        Ok(())
     }
 
     /// Runs the event loop to exhaustion (what

@@ -46,5 +46,5 @@ pub use monitor::{
 };
 pub use partitioned::PartitionedDispatcher;
 pub use spatial::SpatialDispatcher;
-pub use state::{Event, Pending, QueryState, Running, SimState};
+pub use state::{Corunners, Event, Pending, QueryState, Running, SimState};
 pub use temporal::{TemporalDispatcher, TemporalOrder};

@@ -23,21 +23,25 @@
 //! consuming the raw snapshot.
 
 use veltair_proxy::{CounterWindow, InterferenceProxy};
-use veltair_sim::{Execution, Interference, MachineConfig};
+use veltair_sim::{Interference, MachineConfig};
 
+use super::state::Corunners;
 use crate::simulator::SimConfig;
 
 /// Estimates co-runner pressure for admission and block planning.
 ///
-/// `corunners` holds the current rating of every active, not
-/// soon-to-finish unit; the result is the full pressure pair plus the
-/// scalar level used to index the compiled lookup tables.
+/// `corunners` yields the current rating of every active, not
+/// soon-to-finish unit (and, for the mix ceiling of
+/// [`SimState::projected`](super::SimState::projected), the phantoms after
+/// them); the result is the full pressure pair plus the scalar level used
+/// to index the compiled lookup tables. Implementations sum the
+/// co-runners in the order they come.
 pub trait Monitor: std::fmt::Debug + Send + Sync {
     /// Monitor name for diagnostics.
     fn name(&self) -> &'static str;
 
     /// Observes the given co-runners on `machine`.
-    fn observe(&self, corunners: &[&Execution], machine: &MachineConfig) -> (Interference, f64);
+    fn observe(&self, corunners: Corunners<'_>, machine: &MachineConfig) -> (Interference, f64);
 }
 
 /// Builds the monitor a configuration asks for: the trained counter proxy
@@ -59,11 +63,12 @@ impl Monitor for OracleMonitor {
         "oracle"
     }
 
-    fn observe(&self, corunners: &[&Execution], machine: &MachineConfig) -> (Interference, f64) {
-        if corunners.is_empty() {
+    fn observe(&self, corunners: Corunners<'_>, machine: &MachineConfig) -> (Interference, f64) {
+        let mut corunners = corunners.peekable();
+        if corunners.peek().is_none() {
             return (Interference::NONE, 0.0);
         }
-        let pair = Interference::from_corunners(corunners.iter().map(|e| &e.demand), machine);
+        let pair = Interference::from_corunners(corunners.map(|e| &e.demand), machine);
         (pair, pair.scalar())
     }
 }
@@ -88,8 +93,9 @@ impl Monitor for CounterProxyMonitor {
         "counter-proxy"
     }
 
-    fn observe(&self, corunners: &[&Execution], _machine: &MachineConfig) -> (Interference, f64) {
-        if corunners.is_empty() {
+    fn observe(&self, corunners: Corunners<'_>, _machine: &MachineConfig) -> (Interference, f64) {
+        let mut corunners = corunners.peekable();
+        if corunners.peek().is_none() {
             return (Interference::NONE, 0.0);
         }
         let mut counters = veltair_sim::PerfCounters::default();

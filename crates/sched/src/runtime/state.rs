@@ -9,6 +9,7 @@
 //! and, at one block-internal boundary, through
 //! [`Dispatcher::should_yield`].
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use veltair_compiler::selector::{solo_versions, SelectionContext, VersionSelector};
@@ -100,6 +101,62 @@ pub struct Running {
     pub expansions: u32,
 }
 
+impl Running {
+    /// Whether the monitor observes this active unit: it is not about to
+    /// finish (the paper's soon-to-finish rule, §4.3).
+    fn is_monitored(&self) -> bool {
+        self.progress.remaining_frac >= SOON_FINISH_FRAC
+    }
+}
+
+/// The ratings one [`Monitor`] observation reads, in the order it sums
+/// them: the monitored units (active and not about to finish) in
+/// ascending slot order, then, for the mix ceiling of
+/// [`SimState::projected`], the phantoms in packing order. Everything is
+/// borrowed from the state, so an observation allocates nothing.
+#[derive(Debug, Clone)]
+pub struct Corunners<'s> {
+    running: &'s [Running],
+    slots: std::slice::Iter<'s, usize>,
+    phantoms: std::slice::Iter<'s, Execution>,
+}
+
+impl<'s> Iterator for Corunners<'s> {
+    type Item = &'s Execution;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'s Execution> {
+        for &slot in self.slots.by_ref() {
+            let r = &self.running[slot];
+            if r.is_monitored() {
+                return Some(&r.exec);
+            }
+        }
+        self.phantoms.next()
+    }
+}
+
+#[cfg(test)]
+impl<'s> Corunners<'s> {
+    /// Exactly `executions`, in order.
+    fn of(executions: &'s [Execution]) -> Self {
+        Corunners {
+            running: &[],
+            slots: [].iter(),
+            phantoms: executions.iter(),
+        }
+    }
+}
+
+/// The phantoms of one [`SimState::projected`] call, in packing order.
+#[derive(Debug, Default)]
+struct Phantoms {
+    /// Each phantom's `(model, unit)` and core request.
+    keys: Vec<((usize, usize), u32)>,
+    /// Each phantom's rating.
+    execs: Vec<Execution>,
+}
+
 /// A query waiting for cores.
 #[derive(Debug)]
 pub struct Pending {
@@ -184,6 +241,10 @@ pub struct SimState<'a> {
     /// Scratch for the Jacobi-sweep update list of
     /// [`SimState::refresh_conditions`], reused across calls.
     refresh_updates: Vec<(usize, Execution, f64)>,
+    /// Scratch for the phantoms of [`SimState::projected`], reused across
+    /// calls so a projection allocates nothing once it has grown. Behind a
+    /// `RefCell` because projecting only reads the state.
+    phantoms: RefCell<Phantoms>,
     /// Where lifecycle events go, when tracing is attached
     /// ([`SimState::set_trace_sink`]). `None` by default: the hot path
     /// pays one branch on `trace_enabled` and nothing else.
@@ -281,6 +342,7 @@ impl<'a> SimState<'a> {
             plan: Vec::new(),
             refresh_changed: Vec::new(),
             refresh_updates: Vec::new(),
+            phantoms: RefCell::default(),
             trace: None,
             trace_enabled: false,
             last_plan_level: 0.0,
@@ -493,8 +555,17 @@ impl<'a> SimState<'a> {
     /// The co-runners the monitor observes: active units that are not
     /// about to finish (the paper's soon-to-finish rule, §4.3).
     fn monitored_units(&self) -> impl Iterator<Item = &Running> + '_ {
-        self.active_units()
-            .filter(|r| r.progress.remaining_frac >= SOON_FINISH_FRAC)
+        self.active_units().filter(|r| r.is_monitored())
+    }
+
+    /// The monitored units' ratings followed by `phantoms`, as one
+    /// monitor observation reads them.
+    fn corunners<'s>(&'s self, phantoms: &'s [Execution]) -> Corunners<'s> {
+        Corunners {
+            running: &self.running,
+            slots: self.active.iter(),
+            phantoms: phantoms.iter(),
+        }
     }
 
     /// Co-runner pressure from the perspective of a new or planning tenant:
@@ -502,8 +573,7 @@ impl<'a> SimState<'a> {
     /// soon-to-finish rule, §4.3), as estimated by the configured monitor.
     #[must_use]
     pub fn monitored(&self) -> (Interference, f64) {
-        let corunners: Vec<&Execution> = self.monitored_units().map(|r| &r.exec).collect();
-        self.monitor.observe(&corunners, &self.cfg.machine)
+        self.monitor.observe(self.corunners(&[]), &self.cfg.machine)
     }
 
     /// The predictive pressure reading for a planning decision: the
@@ -528,20 +598,21 @@ impl<'a> SimState<'a> {
     /// (then, cycling, the in-system mix) joins at its preferred width
     /// with the execution its model's best version would rate at the
     /// instantaneous level — and the *installed monitor* observes the
-    /// packed set. Heavy mixes pack to near-saturation; a queue of
+    /// packed set: the monitored units first, then the phantoms in
+    /// packing order. Heavy mixes pack to near-saturation; a queue of
     /// narrow light streams packs to the mild contention it can
     /// actually produce, so the selector never compiles for pressure
     /// the tenants cannot generate (see [`monitor::project`]).
+    ///
+    /// The phantoms live in scratch the state keeps, and each distinct
+    /// `(model, unit)` among them is rated once, so a call allocates
+    /// nothing once the scratch has grown.
     #[must_use]
     pub fn projected(&self) -> PressureView {
         let machine = &self.cfg.machine;
         let total_cores = machine.cores;
-        let monitored: Vec<&Running> = self.monitored_units().collect();
-        // The snapshot's co-runners, later extended by the phantoms into
-        // the packed set the ceiling observes.
-        let mut packed_set: Vec<&Execution> = monitored.iter().map(|r| &r.exec).collect();
-        let (pair, level) = self.monitor.observe(&packed_set, machine);
-        let occupied_cores: u32 = monitored.iter().map(|r| r.granted).sum();
+        let (pair, level) = self.monitored();
+        let occupied_cores: u32 = self.monitored_units().map(|r| r.granted).sum();
         let backlog_cores: u64 = self
             .continuations
             .iter()
@@ -558,54 +629,72 @@ impl<'a> SimState<'a> {
         // The phantom blueprint: queued units first (the real joiners),
         // then the already-resident mix for cycling once the queue is
         // exhausted before the machine is full.
-        let queue_len = self.continuations.len() + self.arrivals.len();
-        let blueprint_len = queue_len + monitored.len();
-        let blueprint = |i: usize| {
-            if i < queue_len {
-                let p = if i < self.continuations.len() {
-                    &self.continuations[i]
-                } else {
-                    &self.arrivals[i - self.continuations.len()]
-                };
+        let blueprint = self
+            .continuations
+            .iter()
+            .chain(self.arrivals.iter())
+            .map(|p| {
                 let q = &self.queries[p.query];
                 (q.model, q.next_unit)
-            } else {
-                let r = monitored[i - queue_len];
-                (self.queries[r.query].model, r.unit)
-            }
-        };
+            })
+            .chain(
+                self.monitored_units()
+                    .map(|r| (self.queries[r.query].model, r.unit)),
+            );
+        let mut phantoms = self.phantoms.borrow_mut();
+        let Phantoms { keys, execs } = &mut *phantoms;
+        keys.clear();
+        execs.clear();
         // The level and every model's core request are fixed within one
         // call, so a phantom's rating depends only on its (model, unit):
         // repeats copy the first rating.
-        let mut phantoms: Vec<((usize, usize), Execution)> = Vec::new();
         let mut packed = occupied_cores;
-        let mut next = 0usize;
-        while blueprint_len > 0 && packed < total_cores {
-            let (model_index, unit) = blueprint(next % blueprint_len);
+        let mut exhausted = true;
+        for (model_index, unit) in blueprint {
             let model = &self.models[model_index];
-            let req = model
+            let cores = model
                 .model_core_requirement(level)
                 .clamp(1, total_cores.max(1));
-            if packed + req > total_cores {
+            if packed + cores > total_cores {
+                exhausted = false;
                 break;
             }
             let key = (model_index, unit.min(model.layers.len() - 1));
-            let exec = match phantoms.iter().find(|(k, _)| *k == key) {
-                Some(&(_, exec)) => exec,
+            let exec = match keys.iter().position(|&(k, _)| k == key) {
+                Some(first) => execs[first],
                 None => {
-                    let version = model.layers[key.1].version_for(level, req);
-                    self.rate(model_index, key.1, version, req, Interference::level(level))
+                    let version = model.layers[key.1].version_for(level, cores);
+                    self.rate(
+                        model_index,
+                        key.1,
+                        version,
+                        cores,
+                        Interference::level(level),
+                    )
                 }
             };
-            phantoms.push((key, exec));
-            packed += req;
-            next += 1;
+            keys.push((key, cores));
+            execs.push(exec);
+            packed += cores;
         }
-        let (ceiling, ceiling_level) = if phantoms.is_empty() {
+        // The blueprint ran out before the machine filled: cycle through
+        // it, each phantom repeating the one a blueprint length earlier.
+        if exhausted {
+            let mut i = 0;
+            while let Some(&(key, cores)) = keys.get(i) {
+                if packed + cores > total_cores {
+                    break;
+                }
+                keys.push((key, cores));
+                execs.push(execs[i]);
+                packed += cores;
+                i += 1;
+            }
+        }
+        let (ceiling, ceiling_level) = if execs.is_empty() {
             (pair, level)
         } else {
-            packed_set.extend(phantoms.iter().map(|(_, exec)| exec));
-            self.monitor.observe(&packed_set, machine)
+            self.monitor.observe(self.corunners(execs), machine)
         };
         monitor::project(
             pair,
@@ -1147,6 +1236,102 @@ impl<'a> SimState<'a> {
     }
 }
 
+/// The allocating implementations that the borrowed co-runners and the
+/// phantom scratch replaced, kept as the references the projection pin
+/// in `tests` compares against after every step.
+#[cfg(test)]
+impl SimState<'_> {
+    fn monitored_reference(&self) -> (Interference, f64) {
+        let corunners: Vec<Execution> = self.monitored_units().map(|r| r.exec).collect();
+        self.monitor
+            .observe(Corunners::of(&corunners), &self.cfg.machine)
+    }
+
+    /// The projection, with how many phantoms it packed and the length
+    /// of the blueprint they were drawn from (more phantoms than that
+    /// means the blueprint cycled).
+    fn projected_reference(&self) -> (PressureView, usize, usize) {
+        let machine = &self.cfg.machine;
+        let total_cores = machine.cores;
+        let monitored: Vec<&Running> = self.monitored_units().collect();
+        let mut packed_set: Vec<Execution> = monitored.iter().map(|r| r.exec).collect();
+        let (pair, level) = self.monitor.observe(Corunners::of(&packed_set), machine);
+        let occupied_cores: u32 = monitored.iter().map(|r| r.granted).sum();
+        let backlog_cores: u64 = self
+            .continuations
+            .iter()
+            .chain(self.arrivals.iter())
+            .map(|p| {
+                let model = &self.models[self.queries[p.query].model];
+                u64::from(model.model_core_requirement(level).max(1))
+            })
+            .sum();
+        if backlog_cores == 0 && occupied_cores == 0 || self.cfg.projection.saturation_weight <= 0.0
+        {
+            return (PressureView::instantaneous(pair, level), 0, 0);
+        }
+        let queue_len = self.continuations.len() + self.arrivals.len();
+        let blueprint_len = queue_len + monitored.len();
+        let blueprint = |i: usize| {
+            if i < queue_len {
+                let p = if i < self.continuations.len() {
+                    &self.continuations[i]
+                } else {
+                    &self.arrivals[i - self.continuations.len()]
+                };
+                let q = &self.queries[p.query];
+                (q.model, q.next_unit)
+            } else {
+                let r = monitored[i - queue_len];
+                (self.queries[r.query].model, r.unit)
+            }
+        };
+        let mut phantoms: Vec<((usize, usize), Execution)> = Vec::new();
+        let mut packed = occupied_cores;
+        let mut next = 0usize;
+        while blueprint_len > 0 && packed < total_cores {
+            let (model_index, unit) = blueprint(next % blueprint_len);
+            let model = &self.models[model_index];
+            let req = model
+                .model_core_requirement(level)
+                .clamp(1, total_cores.max(1));
+            if packed + req > total_cores {
+                break;
+            }
+            let key = (model_index, unit.min(model.layers.len() - 1));
+            let exec = match phantoms.iter().find(|(k, _)| *k == key) {
+                Some(&(_, exec)) => exec,
+                None => {
+                    let version = model.layers[key.1].version_for(level, req);
+                    self.rate(model_index, key.1, version, req, Interference::level(level))
+                }
+            };
+            phantoms.push((key, exec));
+            packed += req;
+            next += 1;
+        }
+        let (ceiling, ceiling_level) = if phantoms.is_empty() {
+            (pair, level)
+        } else {
+            packed_set.extend(phantoms.iter().map(|&(_, exec)| exec));
+            self.monitor.observe(Corunners::of(&packed_set), machine)
+        };
+        let view = monitor::project(
+            pair,
+            level,
+            ceiling,
+            ceiling_level,
+            ProjectionInputs {
+                backlog_cores,
+                occupied_cores,
+                total_cores,
+            },
+            &self.cfg.projection,
+        );
+        (view, phantoms.len(), blueprint_len)
+    }
+}
+
 /// Checks every compiled version's kernel profile, so the event loop can
 /// rate without re-checking.
 fn validate_profiles(models: &[CompiledModel]) -> Result<(), SimError> {
@@ -1170,9 +1355,145 @@ fn validate_profiles(models: &[CompiledModel]) -> Result<(), SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Policy;
+    use crate::runtime::Driver;
+    use crate::{Policy, WorkloadSpec};
     use veltair_compiler::{compile_model, CompilerOptions};
+    use veltair_proxy::{CounterWindow, InterferenceProxy};
     use veltair_sim::MachineConfig;
+
+    /// The four-model overload mix of `tests/policy_ordering.rs`, compiled
+    /// for `machine`, with its inverse-QoS arrival streams.
+    fn overload_mix(machine: &MachineConfig) -> (Vec<CompiledModel>, WorkloadSpec) {
+        let specs: Vec<_> = ["mobilenet_v2", "tiny_yolo_v2", "resnet50", "googlenet"]
+            .iter()
+            .map(|name| veltair_models::by_name(name).expect("zoo model"))
+            .collect();
+        let streams: Vec<(&str, f64)> = specs
+            .iter()
+            .map(|s| (s.graph.name.as_str(), 1.0 / s.qos_ms))
+            .collect();
+        let workload = WorkloadSpec::mix(&streams, 120);
+        let models = specs
+            .iter()
+            .map(|s| compile_model(s, machine, &CompilerOptions::fast()))
+            .collect();
+        (models, workload)
+    }
+
+    /// A counter proxy fitted on windows of one unit per layer of each
+    /// model, rated on 8 cores at known levels.
+    fn counter_proxy(models: &[CompiledModel], machine: &MachineConfig) -> InterferenceProxy {
+        let (mut windows, mut levels) = (Vec::new(), Vec::new());
+        for step in 0..=10 {
+            let level = f64::from(step) / 10.0;
+            for layer in models.iter().flat_map(|m| &m.layers) {
+                let exec = veltair_sim::execute(
+                    &layer.versions[0].profile,
+                    8,
+                    Interference::level(level),
+                    machine,
+                );
+                windows.push(CounterWindow::from_counters(&exec.counters, exec.latency_s));
+                levels.push(level);
+            }
+        }
+        InterferenceProxy::fit(&windows, &levels)
+    }
+
+    /// Every field of a view, bit for bit.
+    fn bits(view: PressureView) -> [u64; 6] {
+        [
+            view.pair.cache_frac,
+            view.pair.bw_frac,
+            view.level,
+            view.projected_pair.cache_frac,
+            view.projected_pair.bw_frac,
+            view.projected_level,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// What one pinned run exercised.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Projections that packed phantoms.
+        packed: usize,
+        /// Projections whose phantoms cycled through the blueprint.
+        cycled: usize,
+        /// Whether any monitored level was above zero.
+        pressured: bool,
+    }
+
+    /// Runs `cfg` on `queries` and, before the first step and after
+    /// every one, checks `monitored()` and `projected()` bit for bit
+    /// against the allocating references.
+    fn pin_projection(models: &[CompiledModel], queries: &[QuerySpec], cfg: SimConfig) -> Coverage {
+        let policy = cfg.policy.name();
+        let mut driver = Driver::new(models, queries, cfg).expect("valid workload");
+        let mut seen = Coverage::default();
+        loop {
+            let state = driver.state();
+            let (pair, level) = state.monitored();
+            let (ref_pair, ref_level) = state.monitored_reference();
+            assert_eq!(
+                bits(PressureView::instantaneous(pair, level)),
+                bits(PressureView::instantaneous(ref_pair, ref_level)),
+                "{policy}: monitored() at {:?}",
+                state.now
+            );
+            let (reference, phantoms, blueprint_len) = state.projected_reference();
+            assert_eq!(
+                bits(state.projected()),
+                bits(reference),
+                "{policy}: projected() at {:?}",
+                state.now
+            );
+            seen.packed += usize::from(phantoms > 0);
+            seen.cycled += usize::from(phantoms > blueprint_len);
+            seen.pressured |= level > 0.0;
+            if driver.step().is_none() {
+                return seen;
+            }
+        }
+    }
+
+    #[test]
+    fn projection_matches_the_allocating_reference_after_every_step() {
+        let machine = MachineConfig::threadripper_3990x();
+        let (models, workload) = overload_mix(&machine);
+        let proxy = counter_proxy(&models, &machine);
+        // At 200 QPS, past the machine's capacity for the mix, the queue
+        // often holds more than the machine packs; at 20 QPS the queue
+        // plus the resident units are mostly fewer, so the blueprint
+        // cycles. Both loads reach both cases.
+        for qps in [200.0, 20.0] {
+            let queries = workload.scaled_to(qps).generate(7);
+            for policy in [
+                Policy::VeltairAs,
+                Policy::VeltairAc,
+                Policy::VeltairFull,
+                Policy::Planaria,
+            ] {
+                let oracle = SimConfig::new(machine.clone(), policy);
+                let with_proxy = oracle.clone().with_proxy(proxy.clone());
+                for cfg in [oracle, with_proxy] {
+                    let monitor = if cfg.proxy.is_some() {
+                        "counter proxy"
+                    } else {
+                        "oracle"
+                    };
+                    let seen = pin_projection(&models, &queries, cfg);
+                    let case = format!("{} at {qps} QPS, {monitor}", policy.name());
+                    assert!(seen.pressured, "{case}: no co-runner pressure");
+                    assert!(
+                        seen.packed > seen.cycled,
+                        "{case}: the blueprint never filled the machine"
+                    );
+                    assert!(seen.cycled > 0, "{case}: the blueprint never cycled");
+                }
+            }
+        }
+    }
 
     #[test]
     fn ratings_read_the_tables_only_on_the_compile_machine() {

@@ -90,7 +90,7 @@ fn run_until_checked(driver: &mut Driver<'_>, t: SimTime, last_now: &mut SimTime
         driver.step();
         check_invariants(driver, last_now);
     }
-    driver.run_until(t);
+    driver.run_until(t).expect("finite target");
     check_invariants(driver, last_now);
 }
 
@@ -169,7 +169,7 @@ fn run_until_pauses_and_resumes_without_losing_queries() {
     // completed queries and never exceed the final count.
     let mut last_completed = 0;
     for t in [0.05, 0.1, 0.2, 0.4] {
-        driver.run_until(SimTime(t));
+        driver.run_until(SimTime(t)).expect("finite target");
         assert!(driver.now() >= SimTime(t));
         let snap = driver.snapshot();
         let completed = snap.total_queries();
@@ -269,7 +269,7 @@ fn set_policy_between_steps_changes_the_discipline() {
     let cfg = SimConfig::new(machine(), Policy::VeltairFull);
 
     let mut swapped = Driver::new(&models, &queries, cfg.clone()).expect("valid");
-    swapped.run_until(SimTime(0.02));
+    swapped.run_until(SimTime(0.02)).expect("finite target");
     swapped.set_policy(Policy::Prema);
     assert_eq!(swapped.policy(), Policy::Prema);
     swapped.run_to_completion();
@@ -363,6 +363,45 @@ fn driver_construction_reports_typed_errors() {
             reason: "machine: a machine needs at least one core".into()
         })
     );
+}
+
+#[test]
+fn run_until_rejects_non_finite_targets_before_any_event() {
+    let models = compiled_pair();
+    let cfg = SimConfig::new(machine(), Policy::VeltairFull);
+    let queries = WorkloadSpec::single("mobilenet_v2", 100.0, 20).generate(5);
+    let late = QuerySpec {
+        model: "tiny_yolo_v2".into(),
+        arrival: SimTime(0.5),
+    };
+    let run = |bad: Option<f64>| {
+        let mut driver = Driver::new(&models, &queries, cfg.clone()).expect("valid workload");
+        driver.run_until(SimTime(0.05)).expect("finite target");
+        if let Some(bad) = bad {
+            let now = driver.now();
+            match driver.run_until(SimTime(bad)) {
+                Err(SimError::NonFiniteTarget { target_s }) => {
+                    assert_eq!(target_s.to_bits(), bad.to_bits());
+                }
+                other => panic!("{bad}: expected NonFiniteTarget, got {other:?}"),
+            }
+            assert_eq!(driver.now(), now, "{bad}: the clock moved");
+        }
+        // An infinite target left the clock at +inf, and a NaN one
+        // panicked comparing it: this inject and the steps after it
+        // must still run.
+        driver.inject(&late).expect("registered model");
+        driver.run_to_completion();
+        driver.finish().0
+    };
+    let reference = run(None);
+    for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        assert_eq!(
+            run(Some(bad)),
+            reference,
+            "{bad}: a rejected target changed the run"
+        );
+    }
 }
 
 /// The pair with one version of tiny_yolo_v2's third layer corrupted:

@@ -173,13 +173,13 @@ fn inject_held_charges_hold_time_against_latency() {
     };
 
     let mut held = Driver::open(&models, cfg.clone()).expect("valid profiles");
-    held.run_until(SimTime(0.5));
+    held.run_until(SimTime(0.5)).expect("finite target");
     held.inject_held(&spec).expect("registered model");
     held.run_to_completion();
     let (held_report, _) = held.finish();
 
     let mut clamped = Driver::open(&models, cfg).expect("valid profiles");
-    clamped.run_until(SimTime(0.5));
+    clamped.run_until(SimTime(0.5)).expect("finite target");
     clamped.inject(&spec).expect("registered model");
     clamped.run_to_completion();
     let (clamped_report, _) = clamped.finish();

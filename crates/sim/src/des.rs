@@ -27,6 +27,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if the duration is negative or not finite.
+    #[inline]
     #[must_use]
     pub fn after(self, seconds: f64) -> SimTime {
         assert!(
@@ -41,6 +42,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self` (time ran backwards).
+    #[inline]
     #[must_use]
     pub fn since(self, earlier: SimTime) -> f64 {
         let d = self.0 - earlier.0;
@@ -57,12 +59,14 @@ impl SimTime {
 impl Eq for SimTime {}
 
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.0
             .partial_cmp(&other.0)

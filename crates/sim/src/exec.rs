@@ -64,6 +64,7 @@ const FRAC_DONE: f64 = 1e-9;
 impl UnitProgress {
     /// A freshly dispatched unit: full work remaining plus the given
     /// scheduler overhead.
+    #[inline]
     #[must_use]
     pub fn fresh(overhead_s: f64) -> Self {
         Self {
@@ -74,6 +75,7 @@ impl UnitProgress {
 
     /// Advances by `dt` seconds under the current rating `latency_s`:
     /// overhead drains first, then the remaining fraction.
+    #[inline]
     pub fn advance(&mut self, dt: f64, latency_s: f64) {
         let mut left = dt;
         if self.overhead_s > 0.0 {
@@ -87,18 +89,21 @@ impl UnitProgress {
     }
 
     /// Charges additional scheduler overhead (e.g. a thread-team growth).
+    #[inline]
     pub fn add_overhead(&mut self, seconds: f64) {
         self.overhead_s += seconds;
     }
 
     /// Restarts the work fraction for the next unit of a block, charging
     /// its dispatch overhead on top of any unpaid remainder.
+    #[inline]
     pub fn restart(&mut self, dispatch_overhead_s: f64) {
         self.remaining_frac = 1.0;
         self.overhead_s += dispatch_overhead_s;
     }
 
     /// Whether the unit has paid its overhead and finished its work.
+    #[inline]
     #[must_use]
     pub fn is_done(&self) -> bool {
         self.overhead_s <= OVERHEAD_DONE_S && self.remaining_frac <= FRAC_DONE
@@ -106,6 +111,7 @@ impl UnitProgress {
 
     /// Seconds until completion under the current rating, assuming the
     /// co-location does not change again.
+    #[inline]
     #[must_use]
     pub fn eta_s(&self, latency_s: f64) -> f64 {
         self.overhead_s + self.remaining_frac * latency_s
@@ -161,6 +167,7 @@ impl CoreTerms {
     ///
     /// This is the one place either term is written: live ratings and
     /// [`CoreTerms::table`] both call it.
+    #[inline]
     #[must_use]
     pub fn compute(kernel: &KernelProfile, cores: u32, machine: &MachineConfig) -> Self {
         let p_eff = cores.min(kernel.parallel_chunks);
@@ -246,6 +253,7 @@ impl<'a> LatencyModel<'a> {
     /// when a simulation is built and rates through this path afterwards.
     /// An invalid profile rates to meaningless (possibly NaN) figures
     /// instead of panicking.
+    #[inline]
     #[must_use]
     pub fn prevalidated(
         kernel: &'a KernelProfile,
@@ -265,6 +273,7 @@ impl<'a> LatencyModel<'a> {
     /// this machine: the serving runtime passes the tables the compiler
     /// built with the layer, and only when it serves on the machine the
     /// model was compiled for.
+    #[inline]
     #[must_use]
     pub fn with_terms(
         kernel: &'a KernelProfile,
@@ -296,6 +305,7 @@ impl<'a> LatencyModel<'a> {
     /// # Panics
     ///
     /// Panics if `cores == 0`.
+    #[inline]
     #[must_use]
     pub fn latency_s(&self, cores: u32) -> f64 {
         self.roofline(cores).latency_s
@@ -305,6 +315,7 @@ impl<'a> LatencyModel<'a> {
     /// `cores`: every parallel chunk has its own core, and co-runners,
     /// not per-core bandwidth, cap the DRAM share. Every larger count then
     /// rates bit-identically to `cores`.
+    #[inline]
     #[must_use]
     pub fn is_saturated(&self, cores: u32) -> bool {
         cores >= self.kernel.parallel_chunks
@@ -316,6 +327,7 @@ impl<'a> LatencyModel<'a> {
     /// # Panics
     ///
     /// Panics if `cores == 0`.
+    #[inline]
     #[must_use]
     pub fn execute(&self, cores: u32) -> Execution {
         let (kernel, machine) = (self.kernel, self.machine);
@@ -359,6 +371,7 @@ impl<'a> LatencyModel<'a> {
         }
     }
 
+    #[inline]
     fn roofline(&self, cores: u32) -> Roofline {
         assert!(cores > 0, "cannot execute a kernel on zero cores");
         let (kernel, machine) = (self.kernel, self.machine);

@@ -74,6 +74,7 @@ impl KernelProfile {
     }
 
     /// The L3-resident working set when `cores` workers are active.
+    #[inline]
     #[must_use]
     pub fn footprint_bytes(&self, cores: u32) -> f64 {
         let active = f64::from(cores.min(self.parallel_chunks));
@@ -86,6 +87,7 @@ impl KernelProfile {
     /// Fully resident footprints pay only `min_traffic`; as the available
     /// share shrinks below the footprint, the would-be-cached reuse traffic
     /// spills proportionally to the unfitting fraction.
+    #[inline]
     #[must_use]
     pub fn traffic_bytes(&self, cores: u32, avail_cache: f64) -> f64 {
         let footprint = self.footprint_bytes(cores);

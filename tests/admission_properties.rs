@@ -296,7 +296,7 @@ fn inject_held_hold_time_is_monotonically_charged_into_latency() {
             SimConfig::new(machine.clone(), Policy::VeltairFull),
         )
         .expect("valid profiles");
-        driver.run_until(SimTime(hold));
+        driver.run_until(SimTime(hold)).expect("finite target");
         driver
             .inject_held(&QuerySpec {
                 model: "mobilenet_v2".into(),

@@ -280,12 +280,16 @@ fn drained_idle_slice(models: &[CompiledModel], queries: &[QuerySpec], cfg: SimC
     const DRAIN_AT_S: f64 = 0.2;
     const SLICE_S: f64 = 1e-4;
     let mut driver = Driver::new(models, queries, cfg).expect("valid workload");
-    driver.run_until(SimTime(DRAIN_AT_S));
+    driver
+        .run_until(SimTime(DRAIN_AT_S))
+        .expect("finite target");
     driver.extract_waiting();
     let mut slice = 0;
     while !driver.is_idle() {
         slice += 1;
-        driver.run_until(SimTime(DRAIN_AT_S + slice as f64 * SLICE_S));
+        driver
+            .run_until(SimTime(DRAIN_AT_S + slice as f64 * SLICE_S))
+            .expect("finite target");
     }
     slice
 }
