@@ -1,23 +1,11 @@
-//! Shared helpers for the figure/table bench harness.
+//! Host-side bench targets (no library API).
 //!
-//! Each bench target regenerates one figure or table of the paper: it
-//! builds an [`ExpContext`], runs the experiment, prints the same
-//! rows/series the paper reports, and records the wall time. Scale the
-//! underlying simulations with the `VELTAIR_QUERIES` environment variable
-//! (the paper's runs use 30 000 queries; the default here is sized to
-//! finish in seconds).
-
-use std::time::Instant;
-
-pub use veltair_core::experiments::ExpContext;
-
-/// Runs one named experiment, printing its output and wall time.
-pub fn run_experiment<T: std::fmt::Display>(name: &str, f: impl FnOnce(&ExpContext) -> T) {
-    let ctx = ExpContext::new();
-    let start = Instant::now();
-    let result = f(&ctx);
-    let elapsed = start.elapsed();
-    println!("==== {name} ====");
-    println!("{result}");
-    println!("---- {name} regenerated in {:.2?} ----\n", elapsed);
-}
+//! * `cluster_hot_path` and `micro_kernels` — criterion micro-benches of
+//!   the cluster and scheduler hot paths and the compiler kernels, plus
+//!   the §5.5 scheduling-overhead check;
+//! * `validation_cachesim` — the cache-simulator validation of the
+//!   analytic contention model.
+//!
+//! The paper's figures and tables are regenerated by the `veltair-figures`
+//! binary of `veltair-core`, scaled with the `VELTAIR_QUERIES`
+//! environment variable.

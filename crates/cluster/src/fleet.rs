@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use veltair_compiler::CompiledModel;
 use veltair_sched::runtime::Driver;
-use veltair_sched::{QuerySpec, WorkloadSpec};
+use veltair_sched::{Policy, QuerySpec, SimError, WorkloadSpec};
 use veltair_sim::SimTime;
 use veltair_telemetry::{Collector, TelemetrySnapshot, TraceConfig, TraceEventKind, TraceLog};
 
@@ -63,22 +63,34 @@ use crate::scaling::{Autoscaler, ScaleDecision, ScalePolicy};
 pub(crate) const FINITE_INSTANTS: &str =
     "fleet instants are finite: run_until, run_for and submit reject non-finite times";
 
-/// Why a fleet could not be built or a query could not be submitted.
+/// Why an engine or a fleet could not be built, or a serving call could
+/// not run: the one error type of the serving surface, single machine
+/// and fleet alike.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
-    /// The fleet was configured with no nodes.
+    /// A fleet or cluster engine was configured with no nodes.
     NoNodes,
-    /// The fleet was configured with an empty model registry.
+    /// An engine or fleet was configured with an empty model registry.
     NoModels,
-    /// A query or workload stream referenced an unregistered model.
+    /// A query, workload stream, or SLO override referenced an
+    /// unregistered model.
     UnknownModel {
         /// The model name that failed to resolve.
         model: String,
     },
+    /// A batch run was asked to serve an empty query stream.
+    EmptyWorkload,
     /// A submitted query's arrival time was NaN or infinite.
     NonFiniteArrival {
         /// The rejected arrival time, seconds.
         arrival_s: f64,
+    },
+    /// An SLO override was not a positive, finite latency target.
+    InvalidSlo {
+        /// The model the override targeted.
+        model: String,
+        /// The rejected QoS target, seconds.
+        qos_s: f64,
     },
     /// [`Fleet::run_for`] was asked to advance by a non-positive or
     /// non-finite duration. Silently accepting these either rewinds the
@@ -104,8 +116,8 @@ pub enum ClusterError {
         /// Number of per-node registries supplied.
         registries: usize,
     },
-    /// A node-lifecycle call ([`Fleet::drain_node`], [`Fleet::kill_node`])
-    /// referenced a node index outside the roster.
+    /// A node call ([`Fleet::drain_node`], [`Fleet::kill_node`],
+    /// [`Fleet::set_policy`]) referenced a node index outside the roster.
     UnknownNode {
         /// The out-of-range node index.
         node: usize,
@@ -125,18 +137,18 @@ pub enum ClusterError {
         /// The rejected value (integer fields are reported as `f64`).
         value: f64,
     },
-    /// A node's configuration cannot be simulated (see
-    /// `SimError::InvalidConfig`): its machine fails
-    /// `MachineConfig::validate`, or its projection weight is out of
-    /// range. Checked when the node's driver opens.
+    /// A configuration cannot be simulated (see
+    /// `SimError::InvalidConfig`): a machine fails
+    /// `MachineConfig::validate`, or a projection weight is out of range.
+    /// Checked when a node's driver opens (the reason then names the
+    /// node) or when a batch run starts.
     InvalidConfig {
-        /// The node and the violated rule.
+        /// The violated rule.
         reason: String,
     },
-    /// A node registry or the catalog carries a compiled kernel profile
-    /// that fails validation (see `SimError::InvalidProfile`). Checked
-    /// when the fleet is built, so no node — seed or later join — can
-    /// hit it mid-run.
+    /// A registry carries a compiled kernel profile that fails
+    /// validation (see `SimError::InvalidProfile`). Checked when a fleet
+    /// is built, so no node — seed or later join — can hit it mid-run.
     InvalidProfile {
         /// The model the layer belongs to.
         model: String,
@@ -153,12 +165,19 @@ impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClusterError::NoNodes => write!(f, "a fleet needs at least one node"),
-            ClusterError::NoModels => write!(f, "a fleet needs at least one compiled model"),
+            ClusterError::NoModels => write!(f, "no compiled model is registered"),
             ClusterError::UnknownModel { model } => {
-                write!(f, "model {model} is not in the fleet's registry")
+                write!(f, "model {model} is not registered")
             }
+            ClusterError::EmptyWorkload => write!(f, "cannot serve an empty query stream"),
             ClusterError::NonFiniteArrival { arrival_s } => {
                 write!(f, "arrival times must be finite, got {arrival_s}")
+            }
+            ClusterError::InvalidSlo { model, qos_s } => {
+                write!(
+                    f,
+                    "SLO overrides must be positive and finite: {model} got {qos_s} s"
+                )
             }
             ClusterError::InvalidDuration { dt_s } => {
                 write!(f, "run durations must be positive and finite, got {dt_s}")
@@ -186,7 +205,7 @@ impl std::fmt::Display for ClusterError {
                 write!(f, "scale policy parameter {field} is out of range: {value}")
             }
             ClusterError::InvalidConfig { reason } => {
-                write!(f, "invalid node config: {reason}")
+                write!(f, "invalid serving config: {reason}")
             }
             ClusterError::InvalidProfile {
                 model,
@@ -204,6 +223,33 @@ impl std::fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
+
+impl From<SimError> for ClusterError {
+    fn from(e: SimError) -> Self {
+        match e {
+            SimError::UnknownModel { model } => ClusterError::UnknownModel { model },
+            SimError::EmptyWorkload => ClusterError::EmptyWorkload,
+            SimError::NonFiniteArrival { arrival_s } => {
+                ClusterError::NonFiniteArrival { arrival_s }
+            }
+            SimError::NonFiniteTarget { target_s } => {
+                ClusterError::NonFiniteTarget { t_s: target_s }
+            }
+            SimError::InvalidConfig { reason } => ClusterError::InvalidConfig { reason },
+            SimError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            } => ClusterError::InvalidProfile {
+                model,
+                layer,
+                version,
+                reason,
+            },
+        }
+    }
+}
 
 /// Fleet-imposed ceiling on deferrals of a single query, applied on top
 /// of whatever the admission controller decides. A controller that keeps
@@ -262,6 +308,24 @@ pub struct NodeSnapshot {
     pub completed: usize,
     /// The node's lifecycle state (see [`NodeState`]).
     pub state: NodeState,
+}
+
+/// One finished query, as reported by [`Fleet::poll`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Completion {
+    /// The query's id: what [`Fleet::submit`] returned for it, kept
+    /// through drain and kill re-routes.
+    pub query: u64,
+    /// The model the query targeted.
+    pub model: String,
+    /// Arrival time, seconds of fleet clock.
+    pub arrival_s: f64,
+    /// Completion time, seconds of fleet clock.
+    pub finish_s: f64,
+    /// End-to-end latency, seconds.
+    pub latency_s: f64,
+    /// Whether the latency met the model's QoS target.
+    pub qos_met: bool,
 }
 
 /// A point-in-time view of a live fleet, from [`Fleet::snapshot`].
@@ -429,11 +493,15 @@ pub struct Fleet<'a> {
     telemetry: Option<Collector>,
     /// Collector track id per roster slot, parallel to `drivers`.
     node_track: Vec<u32>,
-    /// Per-node `driver-local query index -> fleet trace id` tables,
+    /// Per-node `driver-local query index -> fleet query id` tables,
     /// parallel to `drivers`: grown at each admission, consulted when a
-    /// node's sink is absorbed (its events carry local indices) and when
-    /// a drain/kill orphan re-enters the front door.
+    /// node's completions are polled or its sink is absorbed (both carry
+    /// local indices) and when a drain/kill orphan re-enters the front
+    /// door.
     trace_maps: Vec<Vec<u64>>,
+    /// Per-node count of completions already returned by
+    /// [`Fleet::poll`], parallel to `drivers`.
+    polled: Vec<usize>,
     /// Scratch buffer for node sink pulls, reused so the pull points
     /// allocate nothing in steady state.
     trace_scratch: Vec<(f64, TraceEventKind)>,
@@ -541,6 +609,8 @@ impl<'a> Fleet<'a> {
             routed: vec![0; drivers.len()],
             node_version: vec![u64::MAX; drivers.len()],
             node_state: vec![NodeState::Live; drivers.len()],
+            trace_maps: vec![Vec::new(); drivers.len()],
+            polled: vec![0; drivers.len()],
             drivers,
             router,
             admission,
@@ -565,7 +635,6 @@ impl<'a> Fleet<'a> {
             scale: None,
             telemetry: None,
             node_track: Vec::new(),
-            trace_maps: Vec::new(),
             trace_scratch: Vec::new(),
         })
     }
@@ -687,7 +756,6 @@ impl<'a> Fleet<'a> {
         let models = self.models.iter().map(|m| m.name.clone()).collect();
         let mut tm = Collector::new(config, models);
         self.node_track.clear();
-        self.trace_maps = vec![Vec::new(); self.drivers.len()];
         for (i, d) in self.drivers.iter_mut().enumerate() {
             let class = format!("{}c/{}", d.total_cores(), d.policy().name());
             self.node_track
@@ -729,7 +797,7 @@ impl<'a> Fleet<'a> {
     }
 
     /// Drains every node's trace sink into the collector, in roster
-    /// order, rewriting driver-local query indices into fleet trace ids.
+    /// order, rewriting driver-local query indices into fleet query ids.
     /// Extra pulls are harmless to the final merged log: the sort key is
     /// `(time, track)` and a node's events drain FIFO, so pull timing
     /// can never reorder the materialized trace.
@@ -745,12 +813,7 @@ impl<'a> Fleet<'a> {
             if buf.is_empty() && dropped == 0 {
                 continue;
             }
-            tm.absorb_events(
-                self.node_track[i],
-                &mut buf,
-                Some(&self.trace_maps[i]),
-                dropped,
-            );
+            tm.absorb_events(self.node_track[i], &mut buf, &self.trace_maps[i], dropped);
         }
         self.trace_scratch = buf;
     }
@@ -836,13 +899,20 @@ impl<'a> Fleet<'a> {
                 load,
             })
             .collect();
-        let report = merge_reports(
+        let mut report = merge_reports(
             &self
                 .drivers
                 .iter()
                 .map(Driver::snapshot)
                 .collect::<Vec<_>>(),
         );
+        // Mid-run, core-seconds have accrued up to now but the makespan
+        // stops at the last completion: average over the elapsed time, as
+        // each node's own snapshot does.
+        let elapsed = self.now.0.max(report.makespan_s);
+        if elapsed > 0.0 {
+            report.avg_cores = report.core_seconds / elapsed;
+        }
         FleetSnapshot {
             now_s: self.now.0,
             submitted: self.submitted,
@@ -856,6 +926,38 @@ impl<'a> Fleet<'a> {
             coordinator: self.stats,
             telemetry: self.telemetry.as_ref().map(Collector::snapshot),
         }
+    }
+
+    /// Returns the queries that completed since the last `poll` (or since
+    /// the fleet opened), across every node, in non-decreasing
+    /// completion time (ties in roster order). Each carries the id its
+    /// [`submit`](Fleet::submit) returned, also after a drain or kill
+    /// re-routed it. Non-blocking: an empty vector means nothing new
+    /// finished, not that the fleet is idle.
+    pub fn poll(&mut self) -> Vec<Completion> {
+        let mut done = Vec::new();
+        for (node, d) in self.drivers.iter().enumerate() {
+            let state = d.state();
+            for &q in &d.completions()[self.polled[node]..] {
+                let st = &state.queries[q];
+                let model = &state.models[st.model];
+                let finish = st
+                    .finish
+                    .expect("completion log only holds finished queries");
+                let latency_s = finish.since(st.arrival);
+                done.push(Completion {
+                    query: self.trace_maps[node][q],
+                    model: model.name.clone(),
+                    arrival_s: st.arrival.0,
+                    finish_s: finish.0,
+                    latency_s,
+                    qos_met: latency_s <= model.qos_s,
+                });
+            }
+            self.polled[node] = d.completions().len();
+        }
+        done.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s));
+        done
     }
 
     // --- Input ------------------------------------------------------------
@@ -945,6 +1047,23 @@ impl<'a> Fleet<'a> {
         queries.iter().map(|q| self.submit(q)).collect()
     }
 
+    /// Hot-swaps one node's scheduling policy at the current dispatch
+    /// boundary (see `Driver::set_policy`): its queued work is offered to
+    /// the new discipline at once, while in-flight units keep their
+    /// allocations until their next natural boundary.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::UnknownNode`] for an out-of-range index;
+    /// the fleet is left untouched.
+    pub fn set_policy(&mut self, node: usize, policy: Policy) -> Result<(), ClusterError> {
+        self.drivers
+            .get_mut(node)
+            .ok_or(ClusterError::UnknownNode { node })?
+            .set_policy(policy);
+        Ok(())
+    }
+
     // --- Elasticity -------------------------------------------------------
 
     /// Adds a node to the roster at the current fleet instant, serving
@@ -965,13 +1084,14 @@ impl<'a> Fleet<'a> {
             let class = format!("{}c/{}", driver.total_cores(), driver.policy().name());
             self.node_track.push(tm.register_track(&spec.name, &class));
             driver.set_trace_sink(Box::new(tm.make_sink()));
-            self.trace_maps.push(Vec::new());
             tm.coordinator(self.now.0, TraceEventKind::NodeJoined { node: node as u32 });
         }
         self.index.push(u64::from(driver.total_cores()).max(1));
         self.drivers.push(driver);
         self.names.push(spec.name.clone());
         self.routed.push(0);
+        self.trace_maps.push(Vec::new());
+        self.polled.push(0);
         self.node_version.push(u64::MAX);
         self.node_state.push(NodeState::Live);
         self.stats.nodes_added += 1;
@@ -1100,10 +1220,11 @@ impl<'a> Fleet<'a> {
     /// Re-enters orphaned queries (from a drain or kill of `from_node`)
     /// at the front door: fresh submission tickets, due immediately,
     /// original arrival times (so the detour counts against their SLOs),
-    /// deferral budget reset. Each orphan keeps its fleet trace id —
-    /// looked up through the node's local-index table — so its lifecycle
-    /// chain records the detour as a `Requeued` event rather than
-    /// splitting into two spans.
+    /// deferral budget reset. Each orphan keeps its fleet query id —
+    /// looked up through the node's local-index table — so it is polled
+    /// under the id its submission returned, and its lifecycle chain
+    /// records the detour as a `Requeued` event rather than splitting
+    /// into two spans.
     fn reroute(&mut self, from_node: usize, orphans: Vec<(usize, QuerySpec)>) {
         for (local, spec) in orphans {
             let model = self
@@ -1114,12 +1235,7 @@ impl<'a> Fleet<'a> {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.rerouted += 1;
-            let trace = self
-                .trace_maps
-                .get(from_node)
-                .and_then(|m| m.get(local))
-                .copied()
-                .unwrap_or(seq);
+            let trace = self.trace_maps[from_node][local];
             self.emit(
                 self.now.0,
                 TraceEventKind::Requeued {
@@ -1434,21 +1550,18 @@ impl<'a> Fleet<'a> {
                         .inject_held(&query)
                         .expect("model validated at submission");
                     self.routed[node] += 1;
-                    if let Some(tm) = self.telemetry.as_mut() {
-                        tm.coordinator(
-                            p.due.0,
-                            TraceEventKind::Admitted {
-                                query: p.trace,
-                                node: node as u32,
-                                attempts: p.attempts,
-                            },
-                        );
-                        let map = &mut self.trace_maps[node];
-                        if map.len() <= local {
-                            map.resize(local + 1, u64::MAX);
-                        }
-                        map[local] = p.trace;
-                    }
+                    // Every query a driver holds was admitted here, so
+                    // its local indices are exactly this table's slots.
+                    debug_assert_eq!(local, self.trace_maps[node].len());
+                    self.trace_maps[node].push(p.trace);
+                    self.emit(
+                        p.due.0,
+                        TraceEventKind::Admitted {
+                            query: p.trace,
+                            node: node as u32,
+                            attempts: p.attempts,
+                        },
+                    );
                 }
                 AdmissionDecision::Defer { delay_s } => {
                     self.deferrals += 1;

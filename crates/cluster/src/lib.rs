@@ -24,7 +24,11 @@
 //!   tree and Fenwick sampler the coordinator keeps keyed on the active
 //!   router's rank signal, so every routing decision is O(log n);
 //! * [`fleet`] — the [`Fleet`] runtime: lockstep virtual time across
-//!   nodes, arrival-instant routing, streaming submission, snapshots;
+//!   nodes, arrival-instant routing, streaming submission, completion
+//!   polling, per-node policy hot swaps, snapshots. It is also the
+//!   single machine's serving session (`ServingEngine::session` in
+//!   `veltair-core` opens a fleet of one), and [`ClusterError`] is the
+//!   one error type of both;
 //! * [`parallel`] — the work-stealing fleet stepper: [`StepMode`] selects
 //!   sequential or parallel node advancement between routing instants,
 //!   with bit-identical results either way;
@@ -90,7 +94,7 @@ pub use admission::{
     SloAdmissionConfig,
 };
 pub use failure::{FailureEvent, FailureKind, FailurePlan};
-pub use fleet::{ClusterError, Fleet, FleetSnapshot, NodeSnapshot, DEFER_HARD_CAP};
+pub use fleet::{ClusterError, Completion, Fleet, FleetSnapshot, NodeSnapshot, DEFER_HARD_CAP};
 pub use index::LoadIndex;
 pub use node::{NodeLoad, NodeSpec, NodeState};
 pub use parallel::StepMode;

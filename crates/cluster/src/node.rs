@@ -102,18 +102,7 @@ impl NodeSpec {
             SimError::InvalidConfig { reason } => ClusterError::InvalidConfig {
                 reason: format!("node {}: {reason}", self.name),
             },
-            SimError::InvalidProfile {
-                model,
-                layer,
-                version,
-                reason,
-            } => ClusterError::InvalidProfile {
-                model,
-                layer,
-                version,
-                reason,
-            },
-            other => unreachable!("a node's driver opens with no workload: {other}"),
+            other => other.into(),
         }
     }
 }

@@ -49,7 +49,20 @@ fn run_one(ctx: &ExpContext, name: &str) {
         "fig09" => println!("{}", fig09::run(ctx)),
         "fig10" => println!("{}", fig10::run(ctx)),
         "fig11" => println!("{}", fig11::run(ctx)),
-        "fig12" => println!("{}", fig12::run(ctx)),
+        "fig12" => {
+            let fig = fig12::run(ctx);
+            println!("{fig}");
+            let light = ["efficientnet_b0", "mobilenet_v2", "tiny_yolo_v2"];
+            let medium = ["resnet50", "googlenet"];
+            let heavy = ["ssd_resnet34", "bert_large"];
+            println!(
+                "FULL improvement vs Planaria: light {:+.0}%, medium {:+.0}%, heavy {:+.0}%, mix {:+.0}%",
+                fig.mean_improvement("Veltair-FULL", &light) * 100.0,
+                fig.mean_improvement("Veltair-FULL", &medium) * 100.0,
+                fig.mean_improvement("Veltair-FULL", &heavy) * 100.0,
+                fig.mean_improvement("Veltair-FULL", &["Mix"]) * 100.0,
+            );
+        }
         "fig13" => println!("{}", fig13::run(ctx, None)),
         "fig14" => println!("{}", fig14::run(ctx)),
         "ablations" => println!("{}", ablations::run(ctx)),

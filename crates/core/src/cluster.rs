@@ -1,6 +1,7 @@
 //! The cluster serving facade: validated fleet construction over a
-//! compile-once registry, mirroring the single-machine builder → session
-//! → snapshot API of [`engine`](crate::engine).
+//! compile-once registry, the same builder → session → snapshot API as
+//! the single machine's [`engine`](crate::engine), whose session is a
+//! fleet of one.
 //!
 //! Two layers, from offline to online:
 //!
@@ -25,43 +26,6 @@ use veltair_cluster::{AdmissionKind, ClusterError, Fleet, FleetReport, NodeSpec,
 use veltair_compiler::{machine_key, CompiledModel, CompilerOptions, CompilerService};
 use veltair_models::ModelSpec;
 use veltair_sched::WorkloadSpec;
-
-use crate::engine::EngineError;
-
-impl From<ClusterError> for EngineError {
-    fn from(e: ClusterError) -> Self {
-        match e {
-            ClusterError::NoNodes => EngineError::NoNodes,
-            ClusterError::NoModels => EngineError::NoModels,
-            ClusterError::UnknownModel { model } => EngineError::UnknownModel { model },
-            ClusterError::NonFiniteArrival { arrival_s } => {
-                EngineError::NonFiniteArrival { at_s: arrival_s }
-            }
-            ClusterError::InvalidDuration { dt_s } => EngineError::InvalidDuration { dt_s },
-            ClusterError::NonFiniteTarget { t_s } => EngineError::NonFiniteTarget { t_s },
-            ClusterError::RegistryMismatch { nodes, registries } => {
-                EngineError::RegistryMismatch { nodes, registries }
-            }
-            ClusterError::UnknownNode { node } => EngineError::UnknownNode { node },
-            ClusterError::FleetEmpty => EngineError::FleetEmpty,
-            ClusterError::InvalidScalePolicy { field, value } => {
-                EngineError::InvalidScalePolicy { field, value }
-            }
-            ClusterError::InvalidConfig { reason } => EngineError::InvalidConfig { reason },
-            ClusterError::InvalidProfile {
-                model,
-                layer,
-                version,
-                reason,
-            } => EngineError::InvalidProfile {
-                model,
-                layer,
-                version,
-                reason,
-            },
-        }
-    }
-}
 
 /// Validated, fluent construction of a [`ClusterEngine`].
 ///
@@ -183,15 +147,15 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NoModels`] if no model or spec was
-    /// registered, [`EngineError::NoNodes`] if no node was added,
-    /// [`EngineError::InvalidConfig`], naming the node, if a spec would be
+    /// Returns [`ClusterError::NoModels`] if no model or spec was
+    /// registered, [`ClusterError::NoNodes`] if no node was added,
+    /// [`ClusterError::InvalidConfig`], naming the node, if a spec would be
     /// compiled for a node that fails [`NodeSpec::validate`],
-    /// [`EngineError::UnknownModel`] if an SLO override names an
-    /// unregistered model, and [`EngineError::InvalidSlo`] if an override
+    /// [`ClusterError::UnknownModel`] if an SLO override names an
+    /// unregistered model, and [`ClusterError::InvalidSlo`] if an override
     /// is not a positive, finite latency. Pre-compiled registries and the
     /// nodes serving them are checked when a session opens.
-    pub fn build(self) -> Result<ClusterEngine, EngineError> {
+    pub fn build(self) -> Result<ClusterEngine, ClusterError> {
         let Self {
             models,
             specs,
@@ -202,10 +166,10 @@ impl ClusterBuilder {
             slo_overrides,
         } = self;
         if models.is_empty() && specs.is_empty() {
-            return Err(EngineError::NoModels);
+            return Err(ClusterError::NoModels);
         }
         if nodes.is_empty() {
-            return Err(EngineError::NoNodes);
+            return Err(ClusterError::NoNodes);
         }
 
         let (mut registries, node_registry) = if specs.is_empty() {
@@ -344,25 +308,25 @@ impl ClusterEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NoModels`] / [`EngineError::NoNodes`] if
+    /// Returns [`ClusterError::NoModels`] / [`ClusterError::NoNodes`] if
     /// the engine was constructed without validation (both are unreachable
-    /// through [`ClusterBuilder::build`]), [`EngineError::InvalidConfig`]
+    /// through [`ClusterBuilder::build`]), [`ClusterError::InvalidConfig`]
     /// if a node's machine or projection weight cannot be simulated, and
-    /// [`EngineError::InvalidProfile`] if a registered model carries an
+    /// [`ClusterError::InvalidProfile`] if a registered model carries an
     /// invalid kernel profile.
-    pub fn session(&self) -> Result<Fleet<'_>, EngineError> {
+    pub fn session(&self) -> Result<Fleet<'_>, ClusterError> {
         let node_models: Vec<&[CompiledModel]> = self
             .node_registry
             .iter()
             .map(|&i| self.registries[i].as_slice())
             .collect();
-        Ok(Fleet::with_node_registries(
+        Fleet::with_node_registries(
             self.models(),
             node_models,
             &self.nodes,
             self.router.build(),
             self.admission.build(),
-        )?)
+        )
     }
 
     /// Serves a workload's query stream across the fleet and returns the
@@ -380,17 +344,17 @@ impl ClusterEngine {
     }
 
     /// Serves a workload's query stream across the fleet, surfacing
-    /// invalid input as a typed [`EngineError`].
+    /// invalid input as a typed [`ClusterError`].
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UnknownModel`] if the workload references
-    /// unregistered models, [`EngineError::NonFiniteArrival`] if a stream
+    /// Returns [`ClusterError::UnknownModel`] if the workload references
+    /// unregistered models, [`ClusterError::NonFiniteArrival`] if a stream
     /// rate makes an arrival time NaN or infinite,
-    /// [`EngineError::InvalidConfig`] if a node's machine or projection
-    /// weight cannot be simulated, and [`EngineError::InvalidProfile`] if
+    /// [`ClusterError::InvalidConfig`] if a node's machine or projection
+    /// weight cannot be simulated, and [`ClusterError::InvalidProfile`] if
     /// a registered model carries an invalid kernel profile.
-    pub fn try_run(&self, workload: &WorkloadSpec, seed: u64) -> Result<FleetReport, EngineError> {
+    pub fn try_run(&self, workload: &WorkloadSpec, seed: u64) -> Result<FleetReport, ClusterError> {
         let mut fleet = self.session()?;
         fleet.submit_stream(workload, seed)?;
         Ok(fleet.finish())
@@ -436,14 +400,14 @@ mod tests {
     fn builder_validates_models_nodes_and_slos() {
         assert_eq!(
             ClusterEngine::builder().build().unwrap_err(),
-            EngineError::NoModels
+            ClusterError::NoModels
         );
         assert_eq!(
             ClusterEngine::builder()
                 .model(compiled("mobilenet_v2"))
                 .build()
                 .unwrap_err(),
-            EngineError::NoNodes
+            ClusterError::NoNodes
         );
         assert!(matches!(
             ClusterEngine::builder()
@@ -456,7 +420,7 @@ mod tests {
                 .slo("mobilenet_v2", f64::NAN)
                 .build()
                 .unwrap_err(),
-            EngineError::InvalidSlo { .. }
+            ClusterError::InvalidSlo { .. }
         ));
         // Every distinct node machine is validated before a spec is
         // compiled for it, so one that cannot be simulated is a typed
@@ -479,7 +443,7 @@ mod tests {
             assert!(
                 matches!(
                     built,
-                    Err(EngineError::InvalidConfig { ref reason }) if reason.starts_with("node edge-0: ")
+                    Err(ClusterError::InvalidConfig { ref reason }) if reason.starts_with("node edge-0: ")
                 ),
                 "{built:?}"
             );
@@ -561,7 +525,7 @@ mod tests {
             ))
             .build()
             .expect("profiles are checked when a fleet opens");
-        let expected = EngineError::InvalidProfile {
+        let expected = ClusterError::InvalidProfile {
             model: "tiny_yolo_v2".into(),
             layer: 1,
             version: 0,
@@ -599,13 +563,13 @@ mod tests {
             assert!(
                 matches!(
                     run,
-                    Err(EngineError::InvalidConfig { ref reason }) if reason.starts_with("node edge-0: ")
+                    Err(ClusterError::InvalidConfig { ref reason }) if reason.starts_with("node edge-0: ")
                 ),
                 "{run:?}"
             );
             assert!(matches!(
                 e.session().err(),
-                Some(EngineError::InvalidConfig { .. })
+                Some(ClusterError::InvalidConfig { .. })
             ));
         }
 
@@ -678,7 +642,7 @@ mod tests {
         ));
         assert!(matches!(
             e.try_run(&nan_rate, 1),
-            Err(EngineError::NonFiniteArrival { .. })
+            Err(ClusterError::NonFiniteArrival { .. })
         ));
         assert_eq!(s.snapshot().submitted, 0);
     }

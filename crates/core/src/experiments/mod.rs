@@ -1,5 +1,6 @@
 //! The experiment harness: one entry point per figure and table of the
-//! paper, each returning typed rows that benches print and tests check.
+//! paper, each returning typed rows that `veltair-figures` prints and
+//! tests check.
 //!
 //! All experiments share an [`ExpContext`] that lazily compiles and caches
 //! models, scales query budgets through the `VELTAIR_QUERIES` environment

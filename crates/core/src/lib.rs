@@ -3,18 +3,17 @@
 //! This crate ties the whole reproduction together:
 //!
 //! * [`engine`] — the serving API: [`ServingEngine`] (compile-once,
-//!   serve-many facade over the compiler, proxy, and scheduler crates),
-//!   its validated [`EngineBuilder`], and the resumable
-//!   [`ServingSession`] for online serving — streaming
-//!   [`submit`](ServingSession::submit), incremental
-//!   [`poll`](ServingSession::poll)/[`snapshot`](ServingSession::snapshot),
-//!   and mid-run [`set_policy`](ServingSession::set_policy);
+//!   serve-many facade over the compiler, proxy, and scheduler crates)
+//!   and its validated [`EngineBuilder`]. Its
+//!   [`session`](ServingEngine::session) opens a one-node [`Fleet`] for
+//!   online serving — streaming [`submit`](Fleet::submit), incremental
+//!   [`poll`](Fleet::poll)/[`snapshot`](Fleet::snapshot), and mid-run
+//!   [`set_policy`](Fleet::set_policy);
 //! * [`cluster`] — the fleet surface: [`ClusterEngine`] composes N
 //!   (possibly heterogeneous) nodes behind pluggable routing and
 //!   admission control, and its [`session`](ClusterEngine::session) opens
-//!   the [`Fleet`] itself, mirroring the builder → session → snapshot
-//!   shape at fleet scale (step mode, autoscaling, failure plans and
-//!   telemetry are set on the fleet);
+//!   the same [`Fleet`] at fleet scale (step mode, autoscaling, failure
+//!   plans and telemetry are set on the fleet);
 //! * [`dataset`] — co-location episode generation used to train the
 //!   interference proxy exactly the way the deployed monitor observes the
 //!   system;
@@ -22,7 +21,10 @@
 //!   95 % QoS satisfaction (bisection search), average latency, and CPU
 //!   usage efficiency;
 //! * [`experiments`] — one function per figure/table of the paper,
-//!   returning typed rows that the bench harness prints.
+//!   returning typed rows that the `veltair-figures` binary prints.
+//!
+//! One execution surface, one error type: every session is a [`Fleet`],
+//! and every fallible call of this crate returns [`ClusterError`].
 //!
 //! # Example: builder → session → snapshot
 //!
@@ -42,21 +44,23 @@
 //!     ))
 //!     .build()?;
 //!
-//! // Open-loop serving: submit while the clock runs, read stats mid-run.
+//! // Open-loop serving on a fleet of one: submit while the clock runs,
+//! // read stats and completions mid-run.
 //! let mut session = engine.session()?;
 //! session.submit_stream(&WorkloadSpec::single("mobilenet_v2", 40.0, 60), 7)?;
 //! session.run_until(0.5)?;
 //! let snapshot = session.snapshot();
 //! assert!(snapshot.completed <= 60);
+//! assert_eq!(session.poll().len(), snapshot.completed);
 //! let report = session.finish();
-//! assert_eq!(report.total_queries(), 60);
+//! assert_eq!(report.merged.total_queries(), 60);
 //!
-//! // The one-shot batch path is a wrapper over the same driver. (An
-//! // *unpaused* session reproduces it bit for bit; the pause above may
-//! // split floating-point accumulation intervals, so compare outcomes.)
+//! // The one-shot batch path runs the same driver. (An *unpaused*
+//! // session reproduces it bit for bit; the pause above may split
+//! // floating-point accumulation intervals, so compare outcomes.)
 //! let batch = engine.try_run(&WorkloadSpec::single("mobilenet_v2", 40.0, 60), 7)?;
-//! assert_eq!(batch.total_queries(), report.total_queries());
-//! # Ok::<(), veltair_core::EngineError>(())
+//! assert_eq!(batch.total_queries(), report.merged.total_queries());
+//! # Ok::<(), veltair_core::ClusterError>(())
 //! ```
 
 pub mod cluster;
@@ -68,15 +72,13 @@ pub mod scenarios;
 
 pub use cluster::{ClusterBuilder, ClusterEngine};
 pub use dataset::{co_location_dataset, train_proxy};
-pub use engine::{
-    Completion, EngineBuilder, EngineError, ReportSnapshot, ServingEngine, ServingSession,
-};
+pub use engine::{EngineBuilder, ServingEngine};
 pub use metrics::{max_qps_at_qos, QpsResult, QpsSearchConfig};
 pub use scenarios::{all_scenarios, Scenario, SloExpectation};
 // Re-export the user-facing vocabulary so downstream users need one import.
 pub use veltair_cluster::{
-    AdmissionKind, AutoscalerConfig, AutoscalerKind, ClusterError, CoordinatorStats, FailureKind,
-    FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState, RouterKind,
-    ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
+    AdmissionKind, AutoscalerConfig, AutoscalerKind, ClusterError, Completion, CoordinatorStats,
+    FailureKind, FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState,
+    RouterKind, ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
 };
 pub use veltair_sched::{Policy, ServingReport, SimError, WorkloadError, WorkloadSpec};

@@ -3,7 +3,7 @@
 
 use crate::event::{TraceEvent, TraceEventKind};
 use crate::registry::{TelemetrySnapshot, FRONT_DOOR_CLASS};
-use crate::sink::{RecorderSink, TraceSink};
+use crate::sink::RecorderSink;
 use crate::trace::TraceLog;
 
 /// Configuration of the flight recorder.
@@ -37,8 +37,7 @@ impl TraceConfig {
 /// Merges coordinator and per-node event streams deterministically and
 /// maintains the [`TelemetrySnapshot`] registry as events arrive.
 ///
-/// Owned by the fleet coordinator (or a single-machine session). Node
-/// sinks are absorbed at deterministic virtual-time points in node-index
+/// Owned by the fleet coordinator. Node sinks are absorbed at deterministic virtual-time points in node-index
 /// order; the merged log is materialized by [`Collector::log`], sorted
 /// by `(virtual time, track)` with a stable tie-break on absorb order —
 /// the ordering that makes traces bit-identical across fleet step and
@@ -52,7 +51,6 @@ pub struct Collector {
     events: Vec<TraceEvent>,
     dropped_per_track: Vec<u64>,
     snapshot: TelemetrySnapshot,
-    scratch: Vec<(f64, TraceEventKind)>,
 }
 
 impl Collector {
@@ -69,7 +67,6 @@ impl Collector {
             events: Vec::new(),
             dropped_per_track: vec![0],
             snapshot: TelemetrySnapshot::default(),
-            scratch: Vec::new(),
         }
     }
 
@@ -107,38 +104,23 @@ impl Collector {
         });
     }
 
-    /// Drains a node sink into the merged stream under `track`,
-    /// rewriting driver-local query indices into fleet-wide trace ids
-    /// through `map` (`map[local] == trace_id`; `None` means the local
-    /// index *is* the trace id, the single-machine case).
+    /// Absorbs a node's drained `(time, kind)` pairs under `track`,
+    /// rewriting driver-local query indices into fleet-wide ids through
+    /// `map` (`map[local] == id`). `events` is consumed (left empty,
+    /// capacity retained); `dropped` is the node sink's *cumulative* drop
+    /// count, which replaces — not adds to — the track's previous figure.
     ///
     /// Call order is the determinism seam: the fleet pulls every node in
     /// roster order at fixed virtual-time points.
-    pub fn absorb_sink(&mut self, track: u32, sink: &mut dyn TraceSink, map: Option<&[u64]>) {
-        self.scratch.clear();
-        sink.drain(&mut self.scratch);
-        let mut drained = std::mem::take(&mut self.scratch);
-        self.absorb_events(track, &mut drained, map, sink.dropped());
-        self.scratch = drained;
-    }
-
-    /// Absorbs already-drained `(time, kind)` pairs under `track` — the
-    /// entry point for owners that keep their sink internal (a driver
-    /// hands out drained events, not the sink itself). `events` is
-    /// consumed (left empty, capacity retained); `dropped` is the sink's
-    /// *cumulative* drop count, which replaces — not adds to — the
-    /// track's previous figure.
     pub fn absorb_events(
         &mut self,
         track: u32,
         events: &mut Vec<(f64, TraceEventKind)>,
-        map: Option<&[u64]>,
+        map: &[u64],
         dropped: u64,
     ) {
         for (at_s, mut kind) in events.drain(..) {
-            if let Some(map) = map {
-                kind.remap_query(|q| map.get(q as usize).copied().unwrap_or(q));
-            }
+            kind.remap_query(|q| map.get(q as usize).copied().unwrap_or(q));
             self.account(track, &kind);
             self.events.push(TraceEvent { at_s, track, kind });
         }
@@ -256,6 +238,7 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::TraceSink;
 
     #[test]
     fn merge_orders_by_time_then_track_and_accounts() {
@@ -273,7 +256,9 @@ mod tests {
         );
         c.coordinator(2.0, TraceEventKind::Submitted { query: 1, model: 0 });
         c.coordinator(1.0, TraceEventKind::Submitted { query: 0, model: 0 });
-        c.absorb_sink(n0, &mut sink, Some(&[7]));
+        let mut drained = Vec::new();
+        sink.drain(&mut drained);
+        c.absorb_events(n0, &mut drained, &[7], sink.dropped());
         let log = c.log();
         assert_eq!(log.events.len(), 3);
         assert_eq!(log.events[0].at_s, 1.0);

@@ -134,9 +134,8 @@ impl TraceLog {
             }
         }
         a.submitted_s = submitted_s.unwrap_or(f64::NAN);
-        // Single-machine sessions have no front door: with no admission
-        // event the hold ends at submission, and queue wait runs from
-        // there to first dispatch.
+        // With no admission event the hold ends at submission, and queue
+        // wait runs from there to first dispatch.
         let hold_end = a.first_admitted_s.or(admitted_s).or(submitted_s);
         if let (Some(sub), Some(adm)) = (submitted_s, hold_end) {
             a.deferral_hold_s = (adm - sub).max(0.0);

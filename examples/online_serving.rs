@@ -1,7 +1,8 @@
-//! Online serving through the resumable session API: bursty open-loop
-//! arrivals, a mid-run policy hot-swap, and periodic incremental
-//! snapshots — the scenario the batch `run(workload, seed)` path cannot
-//! express. The session's flight recorder runs throughout: live registry
+//! Online serving through the resumable session API (a fleet of one
+//! node): bursty open-loop arrivals, a mid-run policy hot-swap, and
+//! periodic incremental snapshots — the scenario the batch
+//! `run(workload, seed)` path cannot express. The session's flight
+//! recorder runs throughout: live registry
 //! metrics print with each snapshot, and setting `VELTAIR_TRACE_OUT`
 //! writes the merged lifecycle trace as Chrome trace-event JSON
 //! (loadable in Perfetto / `chrome://tracing`).
@@ -33,14 +34,15 @@ fn print_telemetry(tm: &TelemetrySnapshot) {
     }
 }
 
-fn print_snapshot(label: &str, snap: &ReportSnapshot) {
+fn print_snapshot(policy: Policy, snap: &FleetSnapshot) {
     println!(
-        "t={:>6.0}ms  [{label}]  submitted {:>3}  done {:>3}  in-flight {:>2}  queued {:>3}",
+        "t={:>6.0}ms  [{}]  submitted {:>3}  done {:>3}  in-flight {:>2}  queued {:>3}",
         snap.now_s * 1e3,
+        policy.name(),
         snap.submitted,
         snap.completed,
-        snap.in_flight,
-        snap.queued,
+        snap.nodes[0].load.in_flight,
+        snap.nodes[0].load.queued,
     );
     for (model, stats) in &snap.report.per_model {
         println!(
@@ -55,7 +57,7 @@ fn print_snapshot(label: &str, snap: &ReportSnapshot) {
     }
 }
 
-fn main() -> Result<(), EngineError> {
+fn main() -> Result<(), ClusterError> {
     let machine = MachineConfig::threadripper_3990x();
     let opts = CompilerOptions::fast();
     let names = ["mobilenet_v2", "tiny_yolo_v2", "resnet50"];
@@ -75,16 +77,20 @@ fn main() -> Result<(), EngineError> {
 
     let mut session = engine.session()?;
     session.enable_telemetry(TraceConfig::unbounded());
-    println!("session open under {}\n", session.policy().name());
+    let mut policy = engine.policy();
+    println!("session open under {}\n", policy.name());
 
     // Phase 1: a steady trickle plus a sharp mobilenet burst at t=0.
     session.submit_stream(&WorkloadSpec::mix(&[("resnet50", 40.0)], 40), 7)?;
     for i in 0..60 {
-        session.submit("mobilenet_v2", f64::from(i) * 0.0005)?;
+        session.submit(&QuerySpec {
+            model: "mobilenet_v2".into(),
+            arrival: SimTime(f64::from(i) * 0.0005),
+        })?;
     }
     for t_ms in [50.0, 100.0] {
-        session.run_until(t_ms / 1e3).expect("finite target");
-        print_snapshot(&session.policy().name(), &session.snapshot());
+        session.run_until(t_ms / 1e3)?;
+        print_snapshot(policy, &session.snapshot());
         println!("    poll: +{} completions", session.poll().len());
         if let Some(tm) = session.telemetry_snapshot() {
             print_telemetry(&tm);
@@ -93,18 +99,16 @@ fn main() -> Result<(), EngineError> {
 
     // Phase 2: hot-swap the scheduler mid-stream (policy A/B) and throw a
     // second, mixed burst at it while the first is still draining.
-    session.set_policy(Policy::VeltairAs);
-    println!(
-        "\n-- policy hot-swapped to {} --\n",
-        session.policy().name()
-    );
+    policy = Policy::VeltairAs;
+    session.set_policy(0, policy)?;
+    println!("\n-- policy hot-swapped to {} --\n", policy.name());
     session.submit_stream(
         &WorkloadSpec::mix(&[("tiny_yolo_v2", 200.0), ("mobilenet_v2", 100.0)], 60),
         11,
     )?;
     for t_ms in [150.0, 250.0, 400.0] {
-        session.run_until(t_ms / 1e3).expect("finite target");
-        print_snapshot(&session.policy().name(), &session.snapshot());
+        session.run_until(t_ms / 1e3)?;
+        print_snapshot(policy, &session.snapshot());
         println!("    poll: +{} completions", session.poll().len());
         if let Some(tm) = session.telemetry_snapshot() {
             print_telemetry(&tm);
@@ -112,7 +116,8 @@ fn main() -> Result<(), EngineError> {
     }
 
     // Drain: collect the straggler completions one by one.
-    let stragglers = session.drain();
+    session.run_to_completion();
+    let stragglers = session.poll();
     println!("\ndrained {} straggler completions", stragglers.len());
     if let Some(worst) = stragglers
         .iter()
@@ -152,7 +157,7 @@ fn main() -> Result<(), EngineError> {
         }
     }
 
-    let report = session.finish();
+    let report = session.finish().merged;
     println!(
         "\nfinal: {} queries, {:.1}% QoS, makespan {:.0}ms, avg {:.1} cores",
         report.total_queries(),

@@ -27,9 +27,10 @@
 //!   tracing, the metrics registry (latency histograms, the
 //!   violation-frequency table), Chrome-trace export, and per-query SLO
 //!   attribution;
-//! * [`core`] — the serving engine, the cluster engine (whose sessions
-//!   are [`cluster::Fleet`]s), evaluation metrics, and the experiment
-//!   harness that regenerates every figure and table of the paper.
+//! * [`core`] — the serving engine and the cluster engine (whose
+//!   sessions are both [`cluster::Fleet`]s: one node or N), evaluation
+//!   metrics, and the experiment harness that regenerates every figure
+//!   and table of the paper.
 //!
 //! # Quickstart
 //!
@@ -45,16 +46,17 @@
 //!     .model(compile_model(&spec, &machine, &CompilerOptions::fast()))
 //!     .build()?;
 //!
-//! // Serve a Poisson stream through a resumable session: arrivals go in
-//! // while the clock runs, per-model stats come out mid-run.
+//! // Serve a Poisson stream through a resumable session (a fleet of one
+//! // node): arrivals go in while the clock runs, per-model stats come
+//! // out mid-run.
 //! let mut session = engine.session()?;
 //! session.submit_stream(&WorkloadSpec::single("mobilenet_v2", 50.0, 50), 42)?;
 //! session.run_until(0.25)?;
 //! let live = session.snapshot();
 //! assert!(live.completed <= 50);
 //! let report = session.finish();
-//! assert_eq!(report.total_queries(), 50);
-//! # Ok::<(), veltair::core::EngineError>(())
+//! assert_eq!(report.merged.total_queries(), 50);
+//! # Ok::<(), ClusterError>(())
 //! ```
 
 pub use veltair_cluster as cluster;
@@ -70,7 +72,7 @@ pub use veltair_tensor as tensor;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use veltair_cluster::{
-        AdmissionKind, Autoscaler, AutoscalerConfig, AutoscalerKind, ClusterError,
+        AdmissionKind, Autoscaler, AutoscalerConfig, AutoscalerKind, ClusterError, Completion,
         CoordinatorStats, FailureEvent, FailureKind, FailurePlan, Fleet, FleetReport,
         FleetSnapshot, IndexSupport, LoadIndex, NodeLoad, NodeSpec, NodeState, Router, RouterKind,
         ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
@@ -81,10 +83,9 @@ pub mod prelude {
         SelectionContext, SelectorKind, StaticLevel, VersionSelector,
     };
     pub use veltair_core::{
-        all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, Completion,
-        EngineBuilder, EngineError, Policy, QpsResult, QpsSearchConfig, ReportSnapshot, Scenario,
-        ServingEngine, ServingReport, ServingSession, SimError, SloExpectation, WorkloadError,
-        WorkloadSpec,
+        all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, EngineBuilder,
+        Policy, QpsResult, QpsSearchConfig, Scenario, ServingEngine, ServingReport, SimError,
+        SloExpectation, WorkloadError, WorkloadSpec,
     };
     pub use veltair_models::{all_models, by_name, ModelSpec, WorkloadClass};
     pub use veltair_sched::runtime::Driver;

@@ -97,13 +97,74 @@ const POLICIES: [Policy; 9] = [
     Policy::VeltairFull,
 ];
 
+/// Replays `queries` on a one-node `fleet` and on a bare `driver`
+/// opened on the same configuration, both paused at each checkpoint
+/// (with an optional `(checkpoint index, policy)` hot swap after the
+/// pause), and asserts the fleet is the driver bit for bit: the live
+/// snapshot at every pause, the completions each poll returns (under the
+/// ids `submit` returned), and the final report, which the fleet's
+/// pooled report must equal too.
+fn assert_fleet_of_one_is_the_driver(
+    mut fleet: Fleet<'_>,
+    mut driver: Driver<'_>,
+    queries: &[QuerySpec],
+    checkpoints: &[f64],
+    swap: Option<(usize, Policy)>,
+    label: &str,
+) {
+    let ids: Vec<u64> = queries
+        .iter()
+        .map(|q| fleet.submit(q).expect("registered"))
+        .collect();
+    for q in queries {
+        driver.inject(q).expect("registered");
+    }
+    let mut polled = 0;
+    for (k, &t) in checkpoints.iter().enumerate() {
+        fleet.run_until(t).expect("finite target");
+        driver.run_until(SimTime(t)).expect("finite target");
+        assert_eq!(
+            fleet.snapshot().report,
+            driver.snapshot(),
+            "{label}: snapshot at {t}"
+        );
+        let state = driver.state();
+        let expected: Vec<Completion> = driver.completions()[polled..]
+            .iter()
+            .map(|&q| {
+                let st = &state.queries[q];
+                let model = &state.models[st.model];
+                let finish = st.finish.expect("completed queries have finished");
+                let latency_s = finish.since(st.arrival);
+                Completion {
+                    query: ids[q],
+                    model: model.name.clone(),
+                    arrival_s: st.arrival.0,
+                    finish_s: finish.0,
+                    latency_s,
+                    qos_met: latency_s <= model.qos_s,
+                }
+            })
+            .collect();
+        polled = driver.completions().len();
+        assert_eq!(fleet.poll(), expected, "{label}: poll at {t}");
+        if let Some((_, policy)) = swap.filter(|&(at, _)| at == k) {
+            fleet.set_policy(0, policy).expect("the fleet's one node");
+            driver.set_policy(policy);
+        }
+    }
+    let report = fleet.finish();
+    driver.run_to_completion();
+    assert_eq!(report.per_node[0], driver.finish().0, "{label}: final");
+    assert_eq!(report.merged, report.per_node[0], "{label}: merged");
+}
+
 #[test]
 fn a_fleet_of_one_reproduces_the_single_machine_bit_for_bit() {
     // A one-node round-robin, admit-all fleet routes every query to its
-    // node at the query's own arrival instant, so that node's report must
-    // equal the single machine's, for every policy: batch `simulate` over
-    // the whole trace, and a `ServingSession` paused at the same
-    // checkpoints as the fleet.
+    // node at the query's own arrival instant, so it must be the single
+    // machine, for every policy: batch `simulate` over the whole trace,
+    // and a bare `Driver` paused at the same checkpoints as the fleet.
     let models = compiled_mix();
     let machine = MachineConfig::threadripper_3990x();
     let workloads = [
@@ -111,7 +172,16 @@ fn a_fleet_of_one_reproduces_the_single_machine_bit_for_bit() {
         bursty_mix_workload(80, 300.0),
     ];
     let checkpoints = [0.05, 0.12, 0.3];
-    for policy in POLICIES {
+    // `online_serving`'s script: a resnet50 stream, then a mobilenet
+    // burst submitted after it but arriving first.
+    let mut script = WorkloadSpec::mix(&[("resnet50", 40.0)], 40).generate(7);
+    script.extend((0..60).map(|i| QuerySpec {
+        model: "mobilenet_v2".into(),
+        arrival: SimTime(f64::from(i) * 0.0005),
+    }));
+    let selector = SelectorKind::Hysteresis(HysteresisConfig::try_new(0.5, 0.05).expect("valid"));
+    let projection = ProjectionConfig::try_new(0.4).expect("valid");
+    for (p, policy) in POLICIES.into_iter().enumerate() {
         let node = [NodeSpec::new("solo", machine.clone(), policy)];
         let fleet = || {
             Fleet::new(
@@ -122,39 +192,198 @@ fn a_fleet_of_one_reproduces_the_single_machine_bit_for_bit() {
             )
             .expect("valid fleet")
         };
+        let cfg = SimConfig::new(machine.clone(), policy);
+        for (w, workload) in workloads.iter().enumerate() {
+            let seed = 5 + w as u64;
+            let queries = workload.generate(seed);
+            let batch = simulate(&models, &queries, &cfg).expect("valid run");
+            let mut f = fleet();
+            f.submit_stream(workload, seed).expect("registered");
+            let report = f.finish();
+            assert_eq!(
+                report.per_node[0],
+                batch,
+                "{} batch, workload {w}",
+                policy.name()
+            );
+            assert_eq!(
+                report.merged,
+                batch,
+                "{} merged, workload {w}",
+                policy.name()
+            );
+
+            let driver = Driver::open(&models, cfg.clone()).expect("valid driver");
+            let label = format!("{} paused, workload {w}", policy.name());
+            assert_fleet_of_one_is_the_driver(
+                fleet(),
+                driver,
+                &queries,
+                &checkpoints,
+                None,
+                &label,
+            );
+        }
+
+        // The scripted session, opened through `ServingEngine::session`
+        // with a non-default selector and projection (pinning how the
+        // engine maps onto its node), with a hot swap to the next policy
+        // at the second checkpoint.
         let mut engine = ServingEngine::new(machine.clone(), policy);
+        engine.set_selector(selector);
+        engine.set_projection(projection);
         for m in &models {
             engine.register(m.clone());
         }
-        for (w, workload) in workloads.iter().enumerate() {
-            let seed = 5 + w as u64;
-            let batch = simulate(
-                &models,
-                &workload.generate(seed),
-                &SimConfig::new(machine.clone(), policy),
-            )
-            .expect("valid run");
-            let mut f = fleet();
-            f.submit_stream(workload, seed).expect("registered");
-            let solo = f.finish().per_node.remove(0);
-            assert_eq!(solo, batch, "{} batch, workload {w}", policy.name());
-
-            let mut f = fleet();
-            let mut session = engine.session().expect("has models");
-            f.submit_stream(workload, seed).expect("registered");
-            session.submit_stream(workload, seed).expect("registered");
-            for t in checkpoints {
-                f.run_until(t).expect("finite target");
-                session.run_until(t).expect("finite target");
-            }
-            assert_eq!(
-                f.finish().per_node[0],
-                session.finish(),
-                "{} paused, workload {w}",
-                policy.name()
-            );
-        }
+        let driver = Driver::open(
+            &models,
+            cfg.clone()
+                .with_selector(selector)
+                .with_projection(projection),
+        )
+        .expect("valid driver");
+        let next = POLICIES[(p + 1) % POLICIES.len()];
+        let label = format!("{} scripted, swapped to {}", policy.name(), next.name());
+        assert_fleet_of_one_is_the_driver(
+            engine.session().expect("has models"),
+            driver,
+            &script,
+            &checkpoints,
+            Some((1, next)),
+            &label,
+        );
     }
+}
+
+#[test]
+fn a_live_snapshot_averages_cores_over_the_elapsed_time() {
+    // Mid-run, a node's core-seconds have accrued up to now while its
+    // makespan stops at the last completion. A fleet snapshot that
+    // divided by the makespan read more cores than the machine has, and
+    // none at all before the first completion; it must read what the
+    // node's own snapshot reads.
+    let models = compiled_mix();
+    let node = [NodeSpec::new(
+        "solo",
+        MachineConfig::threadripper_3990x(),
+        Policy::VeltairFull,
+    )];
+    let mut fleet = Fleet::new(
+        &models,
+        &node,
+        RouterKind::RoundRobin.build(),
+        AdmissionKind::AdmitAll.build(),
+    )
+    .expect("valid fleet");
+    let mut driver = Driver::open(&models, node[0].sim_config()).expect("valid driver");
+    let workload = WorkloadSpec::mix(
+        &[
+            ("resnet50", 400.0),
+            ("googlenet", 400.0),
+            ("mobilenet_v2", 400.0),
+        ],
+        120,
+    );
+    for q in workload.generate(3) {
+        fleet.submit(&q).expect("registered");
+        driver.inject(&q).expect("registered");
+    }
+    for t in [0.002, 0.0175] {
+        fleet.run_until(t).expect("finite target");
+        driver.run_until(SimTime(t)).expect("finite target");
+        let live = fleet.snapshot().report;
+        assert_eq!(live, driver.snapshot(), "snapshot at {t}");
+        assert!(
+            live.avg_cores > 0.0 && live.avg_cores <= 64.0,
+            "{} cores at {t}",
+            live.avg_cores
+        );
+    }
+}
+
+#[test]
+fn poll_returns_each_query_once_under_its_id_across_a_kill() {
+    // Completions are polled from every node, merged in completion
+    // order, and carry the id `submit` returned — also for the queries a
+    // kill re-routed to another node.
+    let models = compiled_mix();
+    let specs = heterogeneous_nodes();
+    let mut fleet = Fleet::new(
+        &models,
+        &specs,
+        RouterKind::LeastOutstanding.build(),
+        AdmissionKind::AdmitAll.build(),
+    )
+    .expect("valid fleet");
+    let workload = bursty_mix_workload(150, 300.0);
+    let arrivals: Vec<f64> = workload.generate(4).iter().map(|q| q.arrival.0).collect();
+    let ids = fleet.submit_stream(&workload, 4).expect("registered");
+    let mut polled = Vec::new();
+    for t in [0.05, 0.1, 0.2, f64::INFINITY] {
+        if t.is_finite() {
+            fleet.run_until(t).expect("finite target");
+        } else {
+            fleet.run_to_completion();
+        }
+        if t == 0.1 {
+            fleet.kill_node(0).expect("survivors remain");
+        }
+        let batch = fleet.poll();
+        assert!(
+            batch.windows(2).all(|w| w[0].finish_s <= w[1].finish_s),
+            "poll at {t} is out of completion order"
+        );
+        polled.extend(batch);
+    }
+    assert!(
+        fleet.poll().is_empty(),
+        "a second poll repeated completions"
+    );
+    let report = fleet.finish();
+    assert!(report.rerouted > 0, "the kill re-routed nothing");
+
+    let mut seen: Vec<u64> = polled.iter().map(|c| c.query).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, ids, "not every query was polled exactly once");
+    for c in &polled {
+        let arrival = arrivals[c.query as usize];
+        assert_eq!(
+            c.arrival_s, arrival,
+            "query {} polled under another id",
+            c.query
+        );
+        assert_eq!(c.latency_s, c.finish_s - arrival);
+    }
+    let satisfied: usize = report.merged.per_model.values().map(|m| m.satisfied).sum();
+    assert_eq!(polled.iter().filter(|c| c.qos_met).count(), satisfied);
+}
+
+#[test]
+fn set_policy_on_an_unknown_node_is_a_typed_error_that_changes_nothing() {
+    let models = compiled_mix();
+    let specs = heterogeneous_nodes();
+    let workload = bursty_mix_workload(80, 300.0);
+    let run = |poke: bool| {
+        let mut fleet = Fleet::new(
+            &models,
+            &specs,
+            RouterKind::LeastOutstanding.build(),
+            AdmissionKind::AdmitAll.build(),
+        )
+        .expect("valid fleet");
+        fleet.submit_stream(&workload, 6).expect("registered");
+        fleet.run_until(0.05).expect("finite target");
+        if poke {
+            for node in [specs.len(), usize::MAX] {
+                assert_eq!(
+                    fleet.set_policy(node, Policy::Prema),
+                    Err(ClusterError::UnknownNode { node })
+                );
+            }
+        }
+        fleet.finish()
+    };
+    assert_eq!(run(true), run(false));
 }
 
 #[test]

@@ -116,8 +116,9 @@ fn session_lifecycle_through_the_facade() {
     let engine = builder.build().expect("valid engine");
     assert!((engine.models()[1].qos_s - 0.5).abs() < 1e-12);
 
+    // The session is a fleet of one node.
     let mut session = engine.session().expect("has models");
-    session
+    let ids = session
         .submit_stream(
             &WorkloadSpec::mix(&[("mobilenet_v2", 150.0), ("tiny_yolo_v2", 50.0)], 80),
             21,
@@ -126,13 +127,22 @@ fn session_lifecycle_through_the_facade() {
     // Drive in slices, swapping policy mid-run; the relaxed yolo SLO
     // keeps its satisfaction high even under PREMA serialization.
     session.run_until(0.05).expect("finite target");
-    session.set_policy(Policy::Prema);
+    session
+        .set_policy(0, Policy::Prema)
+        .expect("the session's node");
     let mid = session.snapshot();
     assert_eq!(mid.submitted, 80);
+    assert_eq!(mid.nodes.len(), 1);
     assert!(mid.completed <= 80);
-    let completions = session.drain();
-    assert_eq!(completions.len(), 80);
-    let report = session.finish();
+    let mut completions = session.poll();
+    session.run_to_completion();
+    completions.extend(session.poll());
+    let mut polled: Vec<u64> = completions.iter().map(|c| c.query).collect();
+    polled.sort_unstable();
+    assert_eq!(polled, ids);
+    let fleet = session.finish();
+    assert_eq!(fleet.merged, fleet.per_node[0]);
+    let report = fleet.merged;
     assert_eq!(report.total_queries(), 80);
     assert!(report.qos_satisfaction("tiny_yolo_v2") > 0.9);
     assert!(report.p99_latency_s("tiny_yolo_v2") >= report.p95_latency_s("tiny_yolo_v2"));
