@@ -412,6 +412,12 @@ fn load_of(driver: &Driver<'_>, node: usize, want_pressure: bool) -> NodeLoad {
     }
 }
 
+/// The telemetry class of a node: `"{cores}c/{policy}"`, the row label
+/// of [`TelemetrySnapshot::violation_rows`].
+fn node_class(driver: &Driver<'_>) -> String {
+    format!("{}c/{}", driver.total_cores(), driver.policy().name())
+}
+
 /// Opens an idle driver for `spec` over `models`, surfacing an invalid
 /// node configuration as [`ClusterError::InvalidConfig`] and an invalid
 /// compiled kernel profile as [`ClusterError::InvalidProfile`].
@@ -671,13 +677,6 @@ impl<'a> Fleet<'a> {
         self.step_mode
     }
 
-    /// Coordinator work counters accumulated so far (also on
-    /// [`FleetSnapshot`] and [`FleetReport`]).
-    #[must_use]
-    pub fn coordinator_stats(&self) -> CoordinatorStats {
-        self.stats
-    }
-
     /// Attaches a deterministic failure schedule (replacing any previous
     /// one): crash/stall/drain events fire at their scheduled instants as
     /// the fleet clock passes them. Events aimed at out-of-range node
@@ -757,10 +756,9 @@ impl<'a> Fleet<'a> {
         let mut tm = Collector::new(config, models);
         self.node_track.clear();
         for (i, d) in self.drivers.iter_mut().enumerate() {
-            let class = format!("{}c/{}", d.total_cores(), d.policy().name());
             self.node_track
-                .push(tm.register_track(&self.names[i], &class));
-            d.set_trace_sink(Box::new(tm.make_sink()));
+                .push(tm.register_track(&self.names[i], &node_class(d)));
+            d.set_trace_sink(tm.make_sink());
             tm.coordinator(self.now.0, TraceEventKind::NodeJoined { node: i as u32 });
         }
         self.telemetry = Some(tm);
@@ -772,12 +770,6 @@ impl<'a> Fleet<'a> {
     pub fn with_telemetry(mut self, config: TraceConfig) -> Self {
         self.enable_telemetry(config);
         self
-    }
-
-    /// Whether the flight recorder is on.
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
     }
 
     /// A point-in-time copy of the metrics registry, when telemetry is
@@ -1052,15 +1044,25 @@ impl<'a> Fleet<'a> {
     /// the new discipline at once, while in-flight units keep their
     /// allocations until their next natural boundary.
     ///
+    /// With telemetry on, the node's events up to the swap are pulled
+    /// first and keep the old `"{cores}c/{policy}"` class; its track is
+    /// then relabeled, so work served from here on counts under the new
+    /// policy.
+    ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownNode`] for an out-of-range index;
     /// the fleet is left untouched.
     pub fn set_policy(&mut self, node: usize, policy: Policy) -> Result<(), ClusterError> {
-        self.drivers
-            .get_mut(node)
-            .ok_or(ClusterError::UnknownNode { node })?
-            .set_policy(policy);
+        if node >= self.drivers.len() {
+            return Err(ClusterError::UnknownNode { node });
+        }
+        self.pull_traces();
+        let driver = &mut self.drivers[node];
+        driver.set_policy(policy);
+        if let Some(tm) = self.telemetry.as_mut() {
+            tm.set_class(self.node_track[node], &node_class(driver));
+        }
         Ok(())
     }
 
@@ -1081,9 +1083,9 @@ impl<'a> Fleet<'a> {
         let mut driver = open_node(self.models, spec)?;
         driver.run_until(self.now).expect(FINITE_INSTANTS);
         if let Some(tm) = self.telemetry.as_mut() {
-            let class = format!("{}c/{}", driver.total_cores(), driver.policy().name());
-            self.node_track.push(tm.register_track(&spec.name, &class));
-            driver.set_trace_sink(Box::new(tm.make_sink()));
+            self.node_track
+                .push(tm.register_track(&spec.name, &node_class(&driver)));
+            driver.set_trace_sink(tm.make_sink());
             tm.coordinator(self.now.0, TraceEventKind::NodeJoined { node: node as u32 });
         }
         self.index.push(u64::from(driver.total_cores()).max(1));

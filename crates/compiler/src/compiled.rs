@@ -315,18 +315,6 @@ impl CompiledModel {
             .sum()
     }
 
-    /// Mean of the per-layer core requirements at `level` (each layer at
-    /// its best version).
-    #[must_use]
-    pub fn avg_layer_cores(&self, level: f64) -> f64 {
-        let sum: u32 = self
-            .layers
-            .iter()
-            .map(|l| l.core_requirement(l.version_for_level(level), level))
-            .sum();
-        f64::from(sum) / self.layers.len() as f64
-    }
-
     /// Total versions stored across layers (the multi-versioning footprint).
     #[must_use]
     pub fn total_versions(&self) -> usize {

@@ -119,12 +119,6 @@ impl ModelRegistry {
     pub fn is_empty(&self) -> bool {
         self.models.is_empty()
     }
-
-    /// Consumes the registry, returning the compiled models.
-    #[must_use]
-    pub fn into_models(self) -> Vec<CompiledModel> {
-        self.models
-    }
 }
 
 /// Fluent construction of a [`CompilerService`].

@@ -55,15 +55,6 @@ impl ExpContext {
         }
     }
 
-    /// Context with explicit compiler options.
-    #[must_use]
-    pub fn with_options(opts: CompilerOptions) -> Self {
-        Self {
-            opts,
-            ..Self::new()
-        }
-    }
-
     /// Compiles (or fetches from cache) a model of the zoo by name.
     ///
     /// # Panics
@@ -105,16 +96,6 @@ impl Default for ExpContext {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Formats a series of `(x, y)` points as one aligned figure row.
-#[must_use]
-pub fn series_row(label: &str, points: &[(f64, f64)]) -> String {
-    let mut s = format!("{label:<24}");
-    for (x, y) in points {
-        s.push_str(&format!(" ({x:.2}, {y:.3})"));
-    }
-    s
 }
 
 #[cfg(test)]

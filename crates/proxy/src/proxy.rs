@@ -42,12 +42,6 @@ impl CounterWindow {
     pub fn feature_vector(&self) -> [f64; 4] {
         [self.miss_rate, self.access_rate, self.ipc, self.flop_rate]
     }
-
-    /// The two L3 features the proxy actually uses.
-    #[must_use]
-    pub fn l3_features(&self) -> [f64; 2] {
-        [self.miss_rate, self.access_rate]
-    }
 }
 
 /// Scale applied to the access-rate feature before regression so both

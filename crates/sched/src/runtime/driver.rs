@@ -252,16 +252,10 @@ impl<'a> Driver<'a> {
 
     /// Attaches a lifecycle-event sink to this driver's state machine.
     /// `Dispatched`, `Completed`, and `Violated` events flow into it
-    /// with *driver-local* query indices; see
-    /// [`SimState::set_trace_sink`] for the overhead contract.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn veltair_telemetry::TraceSink>) {
+    /// with *driver-local* query indices. Tracing never perturbs the
+    /// simulation (see [`SimState::set_trace_sink`]).
+    pub fn set_trace_sink(&mut self, sink: veltair_telemetry::RecorderSink) {
         self.state.set_trace_sink(sink);
-    }
-
-    /// Whether a recording (enabled) sink is attached.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.state.trace_enabled()
     }
 
     /// Moves every buffered trace event into `out` (oldest first). A
@@ -402,7 +396,7 @@ impl<'a> Driver<'a> {
     /// Number of queries waiting in the admission queues.
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.state.continuations.len() + self.state.arrivals.len() + self.state.best_effort.len()
+        self.state.continuations.len() + self.state.arrivals.len()
     }
 
     // --- Load/occupancy/pressure (exported for fleet-level routing) -------

@@ -231,8 +231,8 @@ impl std::error::Error for ProjectionError {}
 /// instant, besides the monitored snapshot itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProjectionInputs {
-    /// Flat core demand of the queued latency-critical work (continuation
-    /// and arrival queues), judged at the instantaneous level. These are
+    /// Flat core demand of the queued work (continuation and arrival
+    /// queues), judged at the instantaneous level. These are
     /// the co-runners the planned block will meet that the snapshot
     /// cannot see: under greedy dispatch they join the machine the
     /// moment cores free up, whether or not cores are free *now*.

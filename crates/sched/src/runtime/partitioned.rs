@@ -6,7 +6,6 @@
 
 use std::collections::VecDeque;
 
-use super::spatial::scavenge_best_effort;
 use super::state::{Pending, SimState};
 use super::Dispatcher;
 
@@ -107,7 +106,6 @@ impl Dispatcher for PartitionedDispatcher {
             }
         }
         state.continuations = kept;
-        scavenge_best_effort(state);
     }
 }
 

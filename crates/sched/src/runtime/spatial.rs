@@ -65,7 +65,6 @@ impl Dispatcher for SpatialDispatcher {
             state.free_cores -= granted;
             state.start_block(query, end, requested, granted);
         }
-        scavenge_best_effort(state);
     }
 }
 
@@ -82,28 +81,6 @@ fn mark_head_conflicted(state: &mut SimState<'_>, from_cont: bool) {
         state.continuations.push_front(head);
     } else {
         state.arrivals.push_front(head);
-    }
-}
-
-/// Best-effort tenants scavenge leftover cores: they run only when the
-/// latency-critical queues are drained, take at most what is free, and
-/// never register conflicts or claim expansions.
-///
-/// Shared with the partitioned dispatcher, whose latency-critical tenants
-/// own their partitions but leave slack cores to scavengers.
-pub(super) fn scavenge_best_effort(state: &mut SimState<'_>) {
-    while state.free_cores > 0
-        && state.continuations.is_empty()
-        && state.arrivals.is_empty()
-        && !state.best_effort.is_empty()
-    {
-        let head = state.best_effort.pop_front().expect("checked non-empty");
-        let query = head.query;
-        let (end, requested) = plan_block(state, query);
-        let granted = requested.min(state.free_cores);
-        state.free_cores -= granted;
-        // Cap the request at the grant so expansion never triggers.
-        state.start_block(query, end, granted, granted);
     }
 }
 
@@ -203,17 +180,15 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
 }
 
 /// Cores held back from boosting on behalf of the *other* registered
-/// latency-critical tenants: the sum of their flat requirements,
-/// capped at half the machine. Zero for single-tenant deployments, so
-/// boosting there is unconstrained.
+/// tenants: the sum of their flat requirements, capped at half the
+/// machine. Zero for single-tenant deployments, so boosting there is
+/// unconstrained.
 fn co_tenant_reserve(state: &SimState<'_>, planning_model: usize) -> u32 {
     let sum: u32 = state
         .models
         .iter()
         .enumerate()
-        .filter(|(m, model)| {
-            *m != planning_model && !state.cfg.best_effort_models.contains(&model.name)
-        })
+        .filter(|(m, _)| *m != planning_model)
         .map(|(_, model)| model.model_core_requirement(0.0))
         .sum();
     sum.min(state.cfg.machine.cores / 2)
@@ -223,7 +198,7 @@ fn co_tenant_reserve(state: &SimState<'_>, planning_model: usize) -> u32 {
 /// requirement, distributed proportionally to this model's share.
 ///
 /// "Tenant" covers both in-flight units and queries already waiting in
-/// the latency-critical queues: queued work is committed load, and
+/// the dispatch queues: queued work is committed load, and
 /// ignoring it would let the first dispatches of a burst claim boosted
 /// allocations that starve the rest of the burst.
 fn dynamic_threshold(state: &SimState<'_>, planning_query: usize, level: f64) -> u32 {

@@ -17,7 +17,7 @@ use veltair_compiler::CompiledModel;
 use veltair_sim::{
     Execution, Interference, PerfCounters, PressureDemand, SimTime, SplitEventQueue, UnitProgress,
 };
-use veltair_telemetry::{TraceEventKind, TraceSink};
+use veltair_telemetry::{RecorderSink, TraceEventKind};
 
 use super::driver::SimError;
 use super::monitor::{self, Monitor, PressureView, ProjectionInputs};
@@ -205,10 +205,8 @@ pub struct SimState<'a> {
     /// Mid-query blocks waiting for cores; they precede fresh arrivals in
     /// dispatch order.
     pub continuations: VecDeque<Pending>,
-    /// Fresh latency-critical arrivals.
+    /// Fresh arrivals.
     pub arrivals: VecDeque<Pending>,
-    /// Best-effort work; only runs when the two queues above are drained.
-    pub best_effort: VecDeque<Pending>,
     /// Accumulating output statistics.
     pub report: ServingReport,
     /// `(time, busy cores)` samples when `cfg.record_alloc_trace` is set.
@@ -247,12 +245,8 @@ pub struct SimState<'a> {
     phantoms: RefCell<Phantoms>,
     /// Where lifecycle events go, when tracing is attached
     /// ([`SimState::set_trace_sink`]). `None` by default: the hot path
-    /// pays one branch on `trace_enabled` and nothing else.
-    trace: Option<Box<dyn TraceSink>>,
-    /// Cached `trace.is_enabled()` — emission sites check this flag, so
-    /// an attached-but-disabled sink (`NullSink`) costs the same single
-    /// predictable branch as no sink at all.
-    trace_enabled: bool,
+    /// pays one branch on it and nothing else.
+    trace: Option<RecorderSink>,
     /// The *projected* scalar interference level the last
     /// [`SimState::plan_versions`] call planned under, recorded into
     /// `Dispatched` trace events as `pressure_at_plan` (attribution
@@ -331,7 +325,6 @@ impl<'a> SimState<'a> {
             free_cores,
             continuations: VecDeque::new(),
             arrivals: VecDeque::new(),
-            best_effort: VecDeque::new(),
             report: ServingReport::default(),
             alloc_trace: Vec::new(),
             completed: Vec::new(),
@@ -344,7 +337,6 @@ impl<'a> SimState<'a> {
             refresh_updates: Vec::new(),
             phantoms: RefCell::default(),
             trace: None,
-            trace_enabled: false,
             last_plan_level: 0.0,
         };
         for q in queries {
@@ -459,24 +451,12 @@ impl<'a> SimState<'a> {
 
     // --- Admission ----------------------------------------------------------
 
-    /// Whether the query's model is registered as a best-effort tenant.
-    #[must_use]
-    pub fn is_best_effort(&self, query: usize) -> bool {
-        let name = &self.models[self.queries[query].model].name;
-        self.cfg.best_effort_models.iter().any(|m| m == name)
-    }
-
-    /// Routes a newly arrived query to its admission queue.
+    /// Queues a newly arrived query for dispatch.
     pub fn admit_arrival(&mut self, query: usize) {
-        let pending = Pending {
+        self.arrivals.push_back(Pending {
             query,
             conflicted: false,
-        };
-        if self.is_best_effort(query) {
-            self.best_effort.push_back(pending);
-        } else {
-            self.arrivals.push_back(pending);
-        }
+        });
     }
 
     /// Counts a conflict for a pending entry at most once.
@@ -489,21 +469,11 @@ impl<'a> SimState<'a> {
 
     // --- Tracing ------------------------------------------------------------
 
-    /// Attaches a lifecycle-event sink. Emission sites cache the sink's
-    /// [`TraceSink::is_enabled`] answer, so attaching a
-    /// [`NullSink`](veltair_telemetry::NullSink) leaves the hot path
-    /// indistinguishable from running untraced. Instrumentation never
-    /// perturbs the simulation: emission only reads state, and the solo
-    /// ratings recorded for attribution come from pure functions.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace_enabled = sink.is_enabled();
+    /// Attaches a lifecycle-event sink. Instrumentation never perturbs
+    /// the simulation: emission only reads state, and the solo ratings
+    /// recorded for attribution come from pure functions.
+    pub fn set_trace_sink(&mut self, sink: RecorderSink) {
         self.trace = Some(sink);
-    }
-
-    /// Whether events are currently being recorded.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_enabled
     }
 
     /// Moves every buffered trace event into `out` (oldest first).
@@ -539,7 +509,7 @@ impl<'a> SimState<'a> {
     /// queue entry at a time and the sum counts each query once.
     #[must_use]
     pub fn in_system(&self) -> usize {
-        self.continuations.len() + self.arrivals.len() + self.best_effort.len() + self.active.len()
+        self.continuations.len() + self.arrivals.len() + self.active.len()
     }
 
     /// The slots of `running` that hold live work, ascending.
@@ -578,19 +548,18 @@ impl<'a> SimState<'a> {
 
     /// The predictive pressure reading for a planning decision: the
     /// [`SimState::monitored`] snapshot plus its projection over the
-    /// queued latency-critical backlog (see [`monitor::project`]).
+    /// queued backlog (see [`monitor::project`]).
     ///
     /// The backlog is judged in *cores*: each queued continuation or
     /// arrival demands its model's flat core requirement at the
     /// instantaneous level (an O(1) table lookup per entry — the same
     /// per-queue-entry cost the dynamic-threshold scan already pays at
-    /// every plan). Best-effort queues are excluded: they yield to
-    /// latency-critical work and never sustain pressure against it. The
-    /// occupancy term counts the cores granted to exactly the co-runners
-    /// the snapshot observes; the other half of the near future —
-    /// in-flight units about to leave — is excluded from both the
-    /// snapshot and the occupancy by [`SimState::monitored`]'s
-    /// soon-to-finish rule, so an emptying machine projects no lift.
+    /// every plan). The occupancy term counts the cores granted to
+    /// exactly the co-runners the snapshot observes; the other half of
+    /// the near future — in-flight units about to leave — is excluded
+    /// from both the snapshot and the occupancy by
+    /// [`SimState::monitored`]'s soon-to-finish rule, so an emptying
+    /// machine projects no lift.
     ///
     /// The *mix ceiling* the lift targets is computed here by phantom
     /// observation: the machine is hypothetically packed to capacity
@@ -871,7 +840,7 @@ impl<'a> SimState<'a> {
         // chosen version and for the best version of this layer — the
         // interference-excess and version-choice terms of
         // `TraceLog::explain` fall out of the difference.
-        if self.trace_enabled {
+        if self.trace.is_some() {
             let version = self.plan[start];
             let solo = |v: usize| self.rate(model_index, start, v, granted, Interference::NONE);
             let solo_s = solo(version).latency_s;
@@ -985,15 +954,10 @@ impl<'a> SimState<'a> {
         if next_unit >= model_len {
             self.complete_query(query);
         } else {
-            let pending = Pending {
+            self.continuations.push_back(Pending {
                 query,
                 conflicted: false,
-            };
-            if self.is_best_effort(query) {
-                self.best_effort.push_back(pending);
-            } else {
-                self.continuations.push_back(pending);
-            }
+            });
         }
         true
     }
@@ -1038,7 +1002,7 @@ impl<'a> SimState<'a> {
         stats.latencies_s.push(latency);
         self.report.makespan_s = self.report.makespan_s.max(self.now.0);
         self.completed.push(query);
-        if self.trace_enabled {
+        if self.trace.is_some() {
             self.trace_record(TraceEventKind::Completed {
                 query: query as u64,
                 model: model_index as u32,
@@ -1150,13 +1114,12 @@ impl<'a> SimState<'a> {
     // --- Withdrawal (fleet drain/kill support) ------------------------------
 
     /// Withdraws every query that has not yet *started* executing — the
-    /// never-dispatched entries of the fresh-arrival and best-effort
-    /// queues (`next_unit == 0`) — and returns their specs with original
-    /// arrival times, so a fleet coordinator can re-route them to another
-    /// node while this one drains. Mid-query work (in-flight units,
-    /// continuations, partially executed best-effort queries) is left to
-    /// finish here: started queries carry node-local progress that cannot
-    /// migrate.
+    /// never-dispatched entries of the fresh-arrival queue
+    /// (`next_unit == 0`) — and returns their specs with original arrival
+    /// times, so a fleet coordinator can re-route them to another node
+    /// while this one drains. Mid-query work (in-flight units and
+    /// continuations) is left to finish here: started queries carry
+    /// node-local progress that cannot migrate.
     ///
     /// Withdrawn queries are marked [`QueryState::removed`]: they leave
     /// the outstanding count and never touch the report.
@@ -1166,31 +1129,24 @@ impl<'a> SimState<'a> {
     /// query's identity (its trace id) through the reroute.
     pub fn extract_waiting(&mut self) -> Vec<(usize, QuerySpec)> {
         let mut specs = Vec::new();
-        let queries = &mut self.queries;
-        let models = self.models;
-        let removed = &mut self.removed;
-        let mut take = |queue: &mut VecDeque<Pending>| {
-            let mut kept = VecDeque::with_capacity(queue.len());
-            while let Some(p) = queue.pop_front() {
-                let st = &mut queries[p.query];
-                if st.next_unit == 0 && st.finish.is_none() && !st.removed {
-                    st.removed = true;
-                    *removed += 1;
-                    specs.push((
-                        p.query,
-                        QuerySpec {
-                            model: models[st.model].name.clone(),
-                            arrival: st.arrival,
-                        },
-                    ));
-                } else {
-                    kept.push_back(p);
-                }
+        let mut kept = VecDeque::with_capacity(self.arrivals.len());
+        while let Some(p) = self.arrivals.pop_front() {
+            let st = &mut self.queries[p.query];
+            if st.next_unit == 0 && st.finish.is_none() && !st.removed {
+                st.removed = true;
+                self.removed += 1;
+                specs.push((
+                    p.query,
+                    QuerySpec {
+                        model: self.models[st.model].name.clone(),
+                        arrival: st.arrival,
+                    },
+                ));
+            } else {
+                kept.push_back(p);
             }
-            *queue = kept;
-        };
-        take(&mut self.arrivals);
-        take(&mut self.best_effort);
+        }
+        self.arrivals = kept;
         specs
     }
 
@@ -1209,7 +1165,6 @@ impl<'a> SimState<'a> {
         self.events.clear();
         self.continuations.clear();
         self.arrivals.clear();
-        self.best_effort.clear();
         // Ascending release order: `free_slots` then hands slots out in
         // the same order it always has.
         while let Some(&slot) = self.active.first() {

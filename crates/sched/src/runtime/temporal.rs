@@ -56,7 +56,6 @@ fn higher_priority_pending(state: &SimState<'_>, running: usize) -> bool {
         .continuations
         .iter()
         .chain(state.arrivals.iter())
-        .chain(state.best_effort.iter())
         .any(|p| priority(state, p.query) > held)
 }
 
@@ -72,11 +71,8 @@ impl Dispatcher for TemporalDispatcher {
         if !state.active_slots().is_empty() {
             return;
         }
-        // Merge continuations and arrivals; neither temporal baseline has
-        // a best-effort tier, so those queries join the pool.
         let mut all: Vec<Pending> = state.continuations.drain(..).collect();
         all.extend(state.arrivals.drain(..));
-        all.extend(state.best_effort.drain(..));
         if all.is_empty() {
             return;
         }

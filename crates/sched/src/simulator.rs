@@ -34,10 +34,6 @@ pub struct SimConfig {
     /// report's `avg_cores` and `peak_cores`, which accumulate either
     /// way.
     pub record_alloc_trace: bool,
-    /// Models served as best-effort tenants (§2.1 extension): their
-    /// queries only receive cores when no latency-critical work is
-    /// waiting, and they never trigger conflicts or expansions.
-    pub best_effort_models: Vec<String>,
     /// The runtime version-selection policy consulted by
     /// adaptive-compilation policies (`VeltairAc` / `VeltairFull`). The
     /// default is the calibrated hysteresis ladder planning on the
@@ -62,7 +58,6 @@ impl SimConfig {
             policy,
             proxy: None,
             record_alloc_trace: false,
-            best_effort_models: Vec::new(),
             selector: SelectorKind::default(),
             projection: ProjectionConfig::default(),
         }
@@ -90,13 +85,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_projection(mut self, projection: ProjectionConfig) -> Self {
         self.projection = projection;
-        self
-    }
-
-    /// Marks a model as a best-effort tenant.
-    #[must_use]
-    pub fn with_best_effort(mut self, model: &str) -> Self {
-        self.best_effort_models.push(model.to_string());
         self
     }
 
@@ -242,51 +230,6 @@ mod tests {
         let r = run(Policy::Prema, 200.0, 40);
         assert_eq!(r.conflicts, 0);
         assert_eq!(r.peak_cores, 64);
-    }
-
-    #[test]
-    fn best_effort_tenants_do_not_hurt_latency_critical_work() {
-        let machine = MachineConfig::threadripper_3990x();
-        let models = vec![
-            compile_model(
-                &veltair_models::mobilenet_v2(),
-                &machine,
-                &CompilerOptions::fast(),
-            ),
-            compile_model(
-                &veltair_models::tiny_yolo_v2(),
-                &machine,
-                &CompilerOptions::fast(),
-            ),
-        ];
-        let queries = crate::workload::WorkloadSpec::mix(
-            &[("mobilenet_v2", 150.0), ("tiny_yolo_v2", 60.0)],
-            160,
-        )
-        .generate(5);
-        let lc_only = simulate(
-            &models,
-            &queries,
-            &SimConfig::new(machine.clone(), Policy::VeltairFull),
-        )
-        .expect("valid workload");
-        let with_be = simulate(
-            &models,
-            &queries,
-            &SimConfig::new(machine, Policy::VeltairFull).with_best_effort("tiny_yolo_v2"),
-        )
-        .expect("valid workload");
-        // The latency-critical model keeps (almost) its satisfaction when
-        // the other tenant is demoted to best-effort.
-        assert!(
-            with_be.qos_satisfaction("mobilenet_v2")
-                >= lc_only.qos_satisfaction("mobilenet_v2") - 0.05,
-            "BE demotion hurt the LC tenant: {} -> {}",
-            lc_only.qos_satisfaction("mobilenet_v2"),
-            with_be.qos_satisfaction("mobilenet_v2")
-        );
-        // Best-effort work still completes.
-        assert_eq!(with_be.total_queries(), 160);
     }
 
     #[test]

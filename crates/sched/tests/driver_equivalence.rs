@@ -47,7 +47,6 @@ fn check_invariants(driver: &Driver<'_>, last_now: &mut SimTime) {
         .continuations
         .iter()
         .chain(&state.arrivals)
-        .chain(&state.best_effort)
         .map(|p| p.query);
     let mut seen = HashSet::new();
     for q in waiting.chain(active.iter().map(|r| r.query)) {

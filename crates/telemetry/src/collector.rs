@@ -94,6 +94,15 @@ impl Collector {
         (self.tracks.len() - 1) as u32
     }
 
+    /// Relabels a node track's class, e.g. after its policy changed.
+    /// Events absorbed from then on count under `class`; the violation
+    /// cells of events absorbed earlier keep the old label.
+    pub fn set_class(&mut self, track: u32, class: &str) {
+        if let Some(slot) = self.classes.get_mut(track as usize) {
+            *slot = class.to_string();
+        }
+    }
+
     /// Records one coordinator event (track 0) at virtual time `at_s`.
     pub fn coordinator(&mut self, at_s: f64, kind: TraceEventKind) {
         self.account(0, &kind);
@@ -238,7 +247,6 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::TraceSink;
 
     #[test]
     fn merge_orders_by_time_then_track_and_accounts() {

@@ -22,15 +22,12 @@ const BUCKETS: usize = 96;
 /// *upper* edge, so it brackets the exact pooled-sample percentile from
 /// above and is off by at most one bucket width (a factor of `G`).
 ///
-/// Everything here is integer counts plus order-independent-enough
-/// `f64` accumulators updated in the collector's deterministic absorb
-/// order, so snapshots compare bit-identical across fleet step and
-/// routing modes.
+/// Everything here is integer counts plus a running maximum, so
+/// snapshots compare bit-identical across fleet step modes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,
-    sum_s: f64,
     max_s: f64,
 }
 
@@ -39,7 +36,6 @@ impl Default for LatencyHistogram {
         Self {
             counts: vec![0; BUCKETS],
             total: 0,
-            sum_s: 0.0,
             max_s: 0.0,
         }
     }
@@ -86,7 +82,6 @@ impl LatencyHistogram {
     pub fn record(&mut self, latency_s: f64) {
         self.counts[Self::bucket_of(latency_s)] += 1;
         self.total += 1;
-        self.sum_s += latency_s.max(0.0);
         self.max_s = self.max_s.max(latency_s);
     }
 
@@ -94,16 +89,6 @@ impl LatencyHistogram {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.total
-    }
-
-    /// Mean of the recorded samples (0 when empty).
-    #[must_use]
-    pub fn mean_s(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum_s / self.total as f64
-        }
     }
 
     /// Largest recorded sample.
@@ -143,20 +128,7 @@ impl LatencyHistogram {
             *a += b;
         }
         self.total += other.total;
-        self.sum_s += other.sum_s;
         self.max_s = self.max_s.max(other.max_s);
-    }
-
-    /// `(upper_edge_s, count)` for every non-empty bucket, in order —
-    /// the display/export view.
-    #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (Self::upper_edge(b), c))
-            .collect()
     }
 }
 

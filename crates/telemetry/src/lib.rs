@@ -3,9 +3,10 @@
 //! attribution across the per-node driver and the fleet coordinator.
 //!
 //! The crate sits *below* the scheduler and the fleet in the dependency
-//! graph — both emit through the [`TraceSink`] trait defined here — and
-//! knows nothing about either: events carry integer model/node ids, and
-//! the [`Collector`] that merges them owns the name tables.
+//! graph — drivers record into the [`RecorderSink`] defined here, the
+//! fleet coordinator straight into its [`Collector`] — and knows nothing
+//! about either: events carry integer model/node ids, and the
+//! [`Collector`] that merges them owns the name tables.
 //!
 //! # Determinism contract
 //!
@@ -16,19 +17,16 @@
 //! order, so the merged trace — and everything derived from it: the
 //! [`TelemetrySnapshot`], the Chrome-JSON export, the
 //! [`explain`](TraceLog::explain) attribution — is **bit-identical**
-//! across sequential and work-stealing-parallel fleet stepping and
-//! across the scan and indexed routing paths. Instrumentation never
-//! perturbs simulation results: emission only *reads* scheduler state,
-//! and the extra solo ratings recorded for attribution are computed from
-//! pure functions.
+//! across sequential and work-stealing-parallel fleet stepping.
+//! Instrumentation never perturbs simulation results: emission only
+//! *reads* scheduler state, and the extra solo ratings recorded for
+//! attribution are computed from pure functions.
 //!
-//! # Zero overhead when off
+//! # Off is `None`: one branch
 //!
-//! Drivers hold an `Option<Box<dyn TraceSink>>` that defaults to `None`;
-//! the hot path pays a single branch. [`NullSink`] reports
-//! [`is_enabled`](TraceSink::is_enabled)` == false`, so attaching it
-//! disables event construction entirely — the benchmark-able "sink
-//! attached but recording nothing" configuration.
+//! Drivers hold an `Option<RecorderSink>` and the fleet an
+//! `Option<Collector>`, both `None` by default. With telemetry off every
+//! emission site pays one branch on that `Option` and builds no event.
 
 mod collector;
 mod event;
@@ -41,5 +39,5 @@ pub use collector::{Collector, TraceConfig};
 pub use event::{TraceEvent, TraceEventKind};
 pub use histogram::LatencyHistogram;
 pub use registry::{EventCounts, TelemetrySnapshot, ViolationCell, FRONT_DOOR_CLASS};
-pub use sink::{NullSink, RecorderSink, TraceSink};
+pub use sink::RecorderSink;
 pub use trace::{QueryTerminal, SloAttribution, TraceLog};

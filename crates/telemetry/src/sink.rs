@@ -1,56 +1,16 @@
-//! The emission seam: [`TraceSink`] and its two stock implementations.
+//! The emission buffer: [`RecorderSink`].
 
 use std::collections::VecDeque;
 
 use crate::event::TraceEventKind;
 
-/// Where a driver or coordinator writes lifecycle events.
+/// Where a driver writes lifecycle events: an append-only buffer,
+/// optionally bounded into a flight-recorder ring that keeps the most
+/// recent `capacity` events and counts what it dropped.
 ///
-/// Implementations must be `Send` — the fleet's work-stealing parallel
-/// stepper moves node drivers (and therefore their sinks) across worker
-/// threads. They need not be `Sync`: each sink is owned by exactly one
-/// emitter.
-pub trait TraceSink: std::fmt::Debug + Send {
-    /// Whether emitters should construct events at all. Emission sites
-    /// cache this at attach time, so a sink that returns `false`
-    /// ([`NullSink`]) costs one predictable branch on the hot path —
-    /// indistinguishable from having no sink attached.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event at virtual time `at_s`.
-    fn record(&mut self, at_s: f64, kind: TraceEventKind);
-
-    /// Moves every buffered event into `out` (oldest first), leaving the
-    /// sink empty. Collectors call this at deterministic pull points.
-    fn drain(&mut self, out: &mut Vec<(f64, TraceEventKind)>);
-
-    /// Events discarded so far by a bounded (flight-recorder) buffer.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// A sink that records nothing and reports itself disabled — the
-/// "telemetry compiled in, switched off" configuration the overhead
-/// benchmark pins against the no-sink baseline.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _at_s: f64, _kind: TraceEventKind) {}
-
-    fn drain(&mut self, _out: &mut Vec<(f64, TraceEventKind)>) {}
-}
-
-/// The standard buffering sink: an append-only buffer, optionally
-/// bounded into a flight-recorder ring that keeps the most recent
-/// `capacity` events and counts what it dropped.
+/// A sink is owned by exactly one emitter and is `Send`: the fleet's
+/// work-stealing parallel stepper moves node drivers (and therefore
+/// their sinks) across worker threads.
 #[derive(Debug, Default)]
 pub struct RecorderSink {
     buf: VecDeque<(f64, TraceEventKind)>,
@@ -67,7 +27,8 @@ impl RecorderSink {
 
     /// A bounded flight recorder keeping the most recent `capacity`
     /// events between drains; older events are dropped oldest-first and
-    /// counted in [`TraceSink::dropped`]. A zero capacity keeps nothing.
+    /// counted in [`RecorderSink::dropped`]. A zero capacity keeps
+    /// nothing.
     #[must_use]
     pub fn bounded(capacity: usize) -> Self {
         Self {
@@ -88,10 +49,9 @@ impl RecorderSink {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-}
 
-impl TraceSink for RecorderSink {
-    fn record(&mut self, at_s: f64, kind: TraceEventKind) {
+    /// Records one event at virtual time `at_s`.
+    pub fn record(&mut self, at_s: f64, kind: TraceEventKind) {
         if let Some(cap) = self.capacity {
             while self.buf.len() >= cap.max(1) {
                 self.buf.pop_front();
@@ -105,11 +65,15 @@ impl TraceSink for RecorderSink {
         self.buf.push_back((at_s, kind));
     }
 
-    fn drain(&mut self, out: &mut Vec<(f64, TraceEventKind)>) {
+    /// Moves every buffered event into `out` (oldest first), leaving the
+    /// sink empty. Collectors call this at deterministic pull points.
+    pub fn drain(&mut self, out: &mut Vec<(f64, TraceEventKind)>) {
         out.extend(self.buf.drain(..));
     }
 
-    fn dropped(&self) -> u64 {
+    /// Events discarded so far by a bounded (flight-recorder) buffer.
+    #[must_use]
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -131,15 +95,5 @@ mod tests {
         assert_eq!(out[0].0, 3.0);
         assert_eq!(out[1].0, 4.0);
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn null_sink_is_disabled_and_silent() {
-        let mut sink = NullSink;
-        assert!(!sink.is_enabled());
-        sink.record(0.0, TraceEventKind::ScaleOut { added: 1 });
-        let mut out = Vec::new();
-        sink.drain(&mut out);
-        assert!(out.is_empty());
     }
 }

@@ -92,7 +92,7 @@ pub mod prelude {
     pub use veltair_sched::{PressureView, ProjectionConfig, QuerySpec, SimConfig};
     pub use veltair_sim::{Interference, MachineConfig, SimTime};
     pub use veltair_telemetry::{
-        Collector, EventCounts, LatencyHistogram, NullSink, SloAttribution, TelemetrySnapshot,
-        TraceConfig, TraceEvent, TraceEventKind, TraceLog, TraceSink, ViolationCell,
+        Collector, EventCounts, LatencyHistogram, SloAttribution, TelemetrySnapshot, TraceConfig,
+        TraceEvent, TraceEventKind, TraceLog, ViolationCell,
     };
 }

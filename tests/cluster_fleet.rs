@@ -387,6 +387,41 @@ fn set_policy_on_an_unknown_node_is_a_typed_error_that_changes_nothing() {
 }
 
 #[test]
+fn a_policy_swap_relabels_the_node_telemetry_class() {
+    // Work served before a hot swap counts under the old policy's
+    // telemetry class, work served after it under the new one.
+    let mut builder = ServingEngine::builder()
+        .machine(MachineConfig::threadripper_3990x())
+        .policy(Policy::VeltairFull);
+    for m in compiled_mix() {
+        builder = builder.model(m);
+    }
+    let engine = builder.build().expect("valid engine");
+    let mut session = engine.session().expect("valid session");
+    session.enable_telemetry(TraceConfig::unbounded());
+    session
+        .submit_stream(&poisson_mix_workload(120, 300.0), 5)
+        .expect("registered");
+    session.run_until(0.1).expect("finite target");
+    let before = session.poll().len() as u64;
+    session
+        .set_policy(0, Policy::VeltairAs)
+        .expect("node 0 exists");
+    session.run_to_completion();
+    let after = session.poll().len() as u64;
+    assert!(before > 0 && after > 0, "{before} then {after} completions");
+
+    let snap = session.telemetry_snapshot().expect("telemetry enabled");
+    let completed = |class: &str| -> u64 {
+        snap.violations
+            .get(class)
+            .map_or(0, |models| models.values().map(|c| c.completed).sum())
+    };
+    assert_eq!(completed("64c/Veltair-FULL"), before);
+    assert_eq!(completed("64c/Veltair-AS"), after);
+}
+
+#[test]
 fn merged_percentiles_equal_percentiles_of_pooled_samples() {
     // Fleet p95/p99 must be the percentile of the union of node samples,
     // never an average of per-node percentiles.

@@ -169,7 +169,6 @@ fn temporal_pressure_tracks_queue_depth_not_occupancy() {
         let state = driver.state();
         let q = (state.continuations.len()
             + state.arrivals.len()
-            + state.best_effort.len()
             + state.running.iter().filter(|r| r.active).count()) as f64;
         let expect = q / (q + 1.0);
         assert!(
