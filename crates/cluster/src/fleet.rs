@@ -24,8 +24,8 @@
 //! ([`Fleet::add_node`]), drain gracefully ([`Fleet::drain_node`]), or
 //! crash-stop ([`Fleet::kill_node`]) at exact virtual instants; a
 //! [`FailurePlan`] injects deterministic crash/stall/drain schedules;
-//! and an attached [`ScalePolicy`] lets an [`Autoscaler`] grow and
-//! shrink capacity with a modeled provisioning delay. All control
+//! and an attached [`ScalePolicy`] lets a [`HysteresisAutoscaler`] grow
+//! and shrink capacity with a modeled provisioning delay. All control
 //! actions fire on one deterministic timeline interleaved with routing
 //! (failures, then stall recoveries, then provisioned joins, then the
 //! autoscaler tick, at each control instant; queries due *at* a control
@@ -56,7 +56,7 @@ use crate::node::{NodeLoad, NodeSpec, NodeState};
 use crate::parallel::{StepMode, StepperPool};
 use crate::report::{merge_reports, CoordinatorStats, FleetReport};
 use crate::router::{IndexSupport, Router};
-use crate::scaling::{Autoscaler, ScaleDecision, ScalePolicy};
+use crate::scaling::{HysteresisAutoscaler, ScaleDecision, ScalePolicy};
 
 /// Why a node's `Driver::run_until` cannot fail inside the fleet: every
 /// instant the fleet advances to is finite.
@@ -72,8 +72,7 @@ pub enum ClusterError {
     NoNodes,
     /// An engine or fleet was configured with an empty model registry.
     NoModels,
-    /// A query, workload stream, or SLO override referenced an
-    /// unregistered model.
+    /// A query or workload stream referenced an unregistered model.
     UnknownModel {
         /// The model name that failed to resolve.
         model: String,
@@ -84,13 +83,6 @@ pub enum ClusterError {
     NonFiniteArrival {
         /// The rejected arrival time, seconds.
         arrival_s: f64,
-    },
-    /// An SLO override was not a positive, finite latency target.
-    InvalidSlo {
-        /// The model the override targeted.
-        model: String,
-        /// The rejected QoS target, seconds.
-        qos_s: f64,
     },
     /// [`Fleet::run_for`] was asked to advance by a non-positive or
     /// non-finite duration. Silently accepting these either rewinds the
@@ -139,9 +131,10 @@ pub enum ClusterError {
     },
     /// A configuration cannot be simulated (see
     /// `SimError::InvalidConfig`): a machine fails
-    /// `MachineConfig::validate`, or a projection weight is out of range.
-    /// Checked when a node's driver opens (the reason then names the
-    /// node) or when a batch run starts.
+    /// `MachineConfig::validate`, a projection weight is out of range, or
+    /// a registered model's QoS target is not positive and finite (the
+    /// reason then names the model). Checked when a node's driver opens
+    /// (the reason then names the node) or when a batch run starts.
     InvalidConfig {
         /// The violated rule.
         reason: String,
@@ -172,12 +165,6 @@ impl std::fmt::Display for ClusterError {
             ClusterError::EmptyWorkload => write!(f, "cannot serve an empty query stream"),
             ClusterError::NonFiniteArrival { arrival_s } => {
                 write!(f, "arrival times must be finite, got {arrival_s}")
-            }
-            ClusterError::InvalidSlo { model, qos_s } => {
-                write!(
-                    f,
-                    "SLO overrides must be positive and finite: {model} got {qos_s} s"
-                )
             }
             ClusterError::InvalidDuration { dt_s } => {
                 write!(f, "run durations must be positive and finite, got {dt_s}")
@@ -419,17 +406,18 @@ fn node_class(driver: &Driver<'_>) -> String {
 }
 
 /// Opens an idle driver for `spec` over `models`, surfacing an invalid
-/// node configuration as [`ClusterError::InvalidConfig`] and an invalid
-/// compiled kernel profile as [`ClusterError::InvalidProfile`].
+/// node configuration or QoS target as [`ClusterError::InvalidConfig`]
+/// and an invalid compiled kernel profile as
+/// [`ClusterError::InvalidProfile`].
 fn open_node<'a>(models: &'a [CompiledModel], spec: &NodeSpec) -> Result<Driver<'a>, ClusterError> {
-    Driver::open(models, spec.sim_config()).map_err(|e| spec.driver_error(e))
+    Driver::open(models, spec.config.clone()).map_err(|e| spec.driver_error(e))
 }
 
 /// The autoscaling attachment: the policy, its built scaler, and the
 /// tick/provisioning bookkeeping (see [`ScalePolicy`]).
 struct ScaleState {
     policy: ScalePolicy,
-    scaler: Box<dyn Autoscaler>,
+    scaler: HysteresisAutoscaler,
     /// Next autoscaler consultation instant.
     next_tick: SimTime,
     /// Nodes provisioned so far (names the next clone `template-{n}`).
@@ -561,7 +549,8 @@ impl<'a> Fleet<'a> {
     /// [`ClusterError::UnknownModel`] when some node's registry is
     /// missing a catalog model (every node must be able to serve every
     /// model the front door accepts), [`ClusterError::InvalidConfig`]
-    /// when a node's machine or projection weight cannot be simulated, and
+    /// when a node's machine or projection weight cannot be simulated or
+    /// a model's QoS target is not positive and finite, and
     /// [`ClusterError::InvalidProfile`] when a node registry or the
     /// catalog carries an invalid compiled kernel profile (later joins
     /// open their drivers on the catalog).
@@ -709,7 +698,7 @@ impl<'a> Fleet<'a> {
     /// attached.
     pub fn set_scale_policy(&mut self, policy: ScalePolicy) -> Result<(), ClusterError> {
         policy.template.validate()?;
-        let scaler = policy.autoscaler.build();
+        let scaler = HysteresisAutoscaler::new(policy.autoscaler);
         self.scale = Some(ScaleState {
             next_tick: self.now.after(policy.interval_s),
             scaler,

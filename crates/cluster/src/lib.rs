@@ -12,8 +12,9 @@
 //!
 //! The module family:
 //!
-//! * [`node`] — [`NodeSpec`] (machine + policy + optional proxy per
-//!   member) and [`NodeLoad`], the live load view routers consume;
+//! * [`node`] — [`NodeSpec`] (a name and the member's
+//!   `veltair_sched::SimConfig`: machine, policy, monitor, selector,
+//!   projection) and [`NodeLoad`], the live load view routers consume;
 //! * [`router`] — the [`Router`] trait with round-robin,
 //!   least-outstanding, power-of-two-choices, and interference-aware
 //!   routing (the fleet-level consumer of each node's monitor/proxy
@@ -35,9 +36,9 @@
 //! * [`failure`] — [`FailurePlan`], deterministic seed-able schedules of
 //!   node crashes, stalls, and drains, applied on the fleet's control
 //!   timeline;
-//! * [`scaling`] — the [`Autoscaler`] trait, the hysteresis-banded
-//!   default implementation, and [`ScalePolicy`] (node template,
-//!   min/max rails, tick interval, modeled provisioning delay);
+//! * [`scaling`] — the hysteresis-banded [`HysteresisAutoscaler`] and
+//!   [`ScalePolicy`] (its tuning, node template, min/max rails, tick
+//!   interval, modeled provisioning delay);
 //! * [`report`] — [`FleetReport`] and [`merge_reports`], which pools
 //!   latency samples so fleet p95/p99 are computed over the union of
 //!   node samples (never averaged percentiles).
@@ -103,9 +104,7 @@ pub use router::{
     IndexSupport, InterferenceAware, LeastOutstanding, PowerOfTwoChoices, RoundRobin, Router,
     RouterKind,
 };
-pub use scaling::{
-    Autoscaler, AutoscalerConfig, AutoscalerKind, HysteresisAutoscaler, ScaleDecision, ScalePolicy,
-};
+pub use scaling::{AutoscalerConfig, HysteresisAutoscaler, ScaleDecision, ScalePolicy};
 // The flight-recorder vocabulary (`Fleet::enable_telemetry`), re-exported
 // so fleet callers need not name the telemetry crate directly.
 pub use veltair_telemetry::{

@@ -1,85 +1,37 @@
 //! Fleet member configuration and the per-node load view routers consume.
 
-use veltair_compiler::SelectorKind;
-use veltair_proxy::InterferenceProxy;
-use veltair_sched::{Policy, ProjectionConfig, SimConfig, SimError};
+use veltair_sched::{Policy, SimConfig, SimError};
 use veltair_sim::MachineConfig;
 
 use crate::fleet::ClusterError;
 
-/// Configuration of one fleet member: a machine, the scheduling policy it
-/// runs, and (optionally) a trained interference proxy for its monitor.
+/// Configuration of one fleet member: a name and the [`SimConfig`] its
+/// driver runs (machine, scheduling policy, interference monitor,
+/// version selector and pressure projection).
 ///
 /// Nodes are independent — a fleet may mix big and small machines and
 /// heterogeneous policies (e.g. Veltair-FULL flagships next to PREMA
-/// legacy boxes); the routing layer sees them only through [`NodeLoad`].
+/// legacy boxes), and each node's selector and projection are its own,
+/// so a fleet can run calibration candidates side by side with the
+/// incumbent; the routing layer sees nodes only through [`NodeLoad`].
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Display name used in fleet snapshots and example tables.
     pub name: String,
-    /// The machine this node serves on.
-    pub machine: MachineConfig,
-    /// The scheduling/compilation policy this node runs.
-    pub policy: Policy,
-    /// Optional trained interference proxy (otherwise the node's monitor
-    /// is the oracle).
-    pub proxy: Option<InterferenceProxy>,
-    /// The node's runtime version-selection policy (default: the
-    /// calibrated hysteresis ladder). Per-node, so a fleet can run
-    /// calibration candidates side by side with the incumbent — only
-    /// consulted when `policy` has adaptive compilation.
-    pub selector: SelectorKind,
-    /// The node's predictive pressure projection
-    /// ([`ProjectionConfig::disabled`] reproduces the instantaneous
-    /// monitor). Per-node for the same reason as `selector`.
-    pub projection: ProjectionConfig,
+    /// The node's serving configuration.
+    pub config: SimConfig,
 }
 
 impl NodeSpec {
-    /// A node with the oracle monitor.
+    /// A node with the default configuration of [`SimConfig::new`]: the
+    /// oracle monitor, the calibrated selector and the default
+    /// projection.
     #[must_use]
     pub fn new(name: &str, machine: MachineConfig, policy: Policy) -> Self {
         Self {
             name: name.to_string(),
-            machine,
-            policy,
-            proxy: None,
-            selector: SelectorKind::default(),
-            projection: ProjectionConfig::default(),
+            config: SimConfig::new(machine, policy),
         }
-    }
-
-    /// Installs a trained interference proxy on this node.
-    #[must_use]
-    pub fn with_proxy(mut self, proxy: InterferenceProxy) -> Self {
-        self.proxy = Some(proxy);
-        self
-    }
-
-    /// Installs a runtime version-selection policy on this node.
-    #[must_use]
-    pub fn with_selector(mut self, selector: SelectorKind) -> Self {
-        self.selector = selector;
-        self
-    }
-
-    /// Overrides the node's predictive pressure projection.
-    #[must_use]
-    pub fn with_projection(mut self, projection: ProjectionConfig) -> Self {
-        self.projection = projection;
-        self
-    }
-
-    /// The node's driver configuration.
-    #[must_use]
-    pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::new(self.machine.clone(), self.policy)
-            .with_selector(self.selector)
-            .with_projection(self.projection);
-        if let Some(p) = &self.proxy {
-            cfg = cfg.with_proxy(p.clone());
-        }
-        cfg
     }
 
     /// Checks that a driver can simulate this node: its configuration
@@ -90,9 +42,7 @@ impl NodeSpec {
     /// Returns [`ClusterError::InvalidConfig`], naming the node, if the
     /// machine or the projection weight cannot be simulated.
     pub fn validate(&self) -> Result<(), ClusterError> {
-        self.sim_config()
-            .validate()
-            .map_err(|e| self.driver_error(e))
+        self.config.validate().map_err(|e| self.driver_error(e))
     }
 
     /// An error from opening this node's driver, as a fleet error: an

@@ -1,8 +1,8 @@
 //! The autoscaling control plane: capacity that reacts to the same
 //! snapshot signals the router and admission controller already consume.
 //!
-//! An [`Autoscaler`] is consulted at a fixed virtual-time cadence with
-//! the live [`FleetSnapshot`] and answers with a
+//! A [`HysteresisAutoscaler`] is consulted at a fixed virtual-time
+//! cadence with the live [`FleetSnapshot`] and answers with a
 //! [`ScaleDecision`]. The fleet executes the decision under the
 //! [`ScalePolicy`]'s guard rails: scale-outs clone the policy's node
 //! template and *join after a modeled provisioning delay* (capacity is
@@ -15,19 +15,18 @@
 //! an autoscaled run is bit-identical across
 //! [`StepMode`](crate::StepMode)s and seeds reproduce exactly.
 //!
-//! The default implementation, [`HysteresisAutoscaler`], is
-//! watermark-banded with consecutive-tick streaks: the load signal
-//! (outstanding queries per live core, front door included) must sit
-//! above the high watermark for `streak` consecutive ticks before a
-//! scale-out, and below the low watermark for `streak` ticks before a
-//! scale-in — the hysteresis band keeps the fleet from thrashing on
-//! bursty arrivals.
+//! The autoscaler is watermark-banded with consecutive-tick streaks:
+//! the load signal (outstanding queries per live core, front door
+//! included) must sit above the high watermark for `streak` consecutive
+//! ticks before a scale-out, and below the low watermark for `streak`
+//! ticks before a scale-in — the hysteresis band keeps the fleet from
+//! thrashing on bursty arrivals.
 
 use crate::fleet::{ClusterError, FleetSnapshot};
 use crate::node::{NodeSpec, NodeState};
 
-/// What the fleet should do with its capacity, as answered by an
-/// [`Autoscaler`] at one tick.
+/// What the fleet should do with its capacity, as answered by the
+/// [`HysteresisAutoscaler`] at one tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDecision {
     /// Capacity is adequate; change nothing.
@@ -47,21 +46,7 @@ pub enum ScaleDecision {
     },
 }
 
-/// The capacity-reaction policy: consulted with the live fleet snapshot
-/// at every autoscaler tick.
-///
-/// Implementations must be deterministic functions of the snapshot and
-/// their own accumulated state — the fleet's bit-determinism contract
-/// extends through the autoscaler.
-pub trait Autoscaler: Send {
-    /// Display name used in tables and scenario output.
-    fn name(&self) -> &'static str;
-
-    /// One control decision over the live snapshot.
-    fn decide(&mut self, snapshot: &FleetSnapshot) -> ScaleDecision;
-}
-
-/// Tuning of the default [`HysteresisAutoscaler`].
+/// Tuning of the [`HysteresisAutoscaler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// Load signal (outstanding per live core, front door included)
@@ -131,7 +116,10 @@ impl Default for AutoscalerConfig {
     }
 }
 
-/// The default watermark-banded autoscaler (see the module docs).
+/// The watermark-banded autoscaler (see the module docs), consulted
+/// with the live fleet snapshot at every autoscaler tick. Its decisions
+/// are deterministic functions of the snapshot and its own streaks, so
+/// the fleet's bit-determinism contract extends through it.
 #[derive(Debug)]
 pub struct HysteresisAutoscaler {
     cfg: AutoscalerConfig,
@@ -166,14 +154,9 @@ impl HysteresisAutoscaler {
         }
         outstanding as f64 / (cores.max(1)) as f64
     }
-}
 
-impl Autoscaler for HysteresisAutoscaler {
-    fn name(&self) -> &'static str {
-        "hysteresis"
-    }
-
-    fn decide(&mut self, snapshot: &FleetSnapshot) -> ScaleDecision {
+    /// One control decision over the live snapshot.
+    pub fn decide(&mut self, snapshot: &FleetSnapshot) -> ScaleDecision {
         let signal = Self::signal(snapshot);
         if signal > self.cfg.high_watermark {
             self.low_streak = 0;
@@ -202,40 +185,13 @@ impl Autoscaler for HysteresisAutoscaler {
     }
 }
 
-/// The built-in autoscaler table, mirroring
-/// [`RouterKind`](crate::RouterKind)/`SelectorKind`: a serializable
-/// choice the builder turns into a boxed implementation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AutoscalerKind {
-    /// Watermark-banded with anti-thrash streaks (the default).
-    Hysteresis(AutoscalerConfig),
-}
-
-impl AutoscalerKind {
-    /// Builds the chosen implementation.
-    #[must_use]
-    pub fn build(&self) -> Box<dyn Autoscaler> {
-        match self {
-            AutoscalerKind::Hysteresis(cfg) => Box::new(HysteresisAutoscaler::new(*cfg)),
-        }
-    }
-
-    /// Display name used in tables and scenario output.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            AutoscalerKind::Hysteresis(_) => "hysteresis",
-        }
-    }
-}
-
-/// The complete scaling policy the fleet executes: which scaler decides,
-/// what a new node looks like, how long provisioning takes, and the
-/// fleet-size guard rails.
+/// The complete scaling policy the fleet executes: how the autoscaler
+/// decides, what a new node looks like, how long provisioning takes,
+/// and the fleet-size guard rails.
 #[derive(Debug, Clone)]
 pub struct ScalePolicy {
-    /// Which autoscaler implementation decides.
-    pub autoscaler: AutoscalerKind,
+    /// The tuning of the [`HysteresisAutoscaler`] that decides.
+    pub autoscaler: AutoscalerConfig,
     /// Template for provisioned nodes. Clones are named
     /// `{template.name}-{counter}` and serve the fleet catalog's
     /// compiled artifacts.
@@ -264,7 +220,7 @@ impl ScalePolicy {
     /// `provision_delay_s` is negative or non-finite (zero is allowed:
     /// pre-warmed capacity).
     pub fn try_new(
-        autoscaler: AutoscalerKind,
+        autoscaler: AutoscalerConfig,
         template: NodeSpec,
         min_nodes: usize,
         max_nodes: usize,
@@ -383,25 +339,17 @@ mod tests {
 
     #[test]
     fn policy_validation_guards_the_rails() {
-        let ok = ScalePolicy::try_new(
-            AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
-            template(),
-            1,
-            8,
-            5.0,
-            10.0,
-        );
-        assert!(ok.is_ok());
-        let kind = AutoscalerKind::Hysteresis(AutoscalerConfig::default());
+        let cfg = AutoscalerConfig::default();
+        assert!(ScalePolicy::try_new(cfg, template(), 1, 8, 5.0, 10.0).is_ok());
         assert!(matches!(
-            ScalePolicy::try_new(kind.clone(), template(), 0, 8, 5.0, 10.0),
+            ScalePolicy::try_new(cfg, template(), 0, 8, 5.0, 10.0),
             Err(ClusterError::InvalidScalePolicy {
                 field: "min_nodes",
                 ..
             })
         ));
         assert!(matches!(
-            ScalePolicy::try_new(kind.clone(), template(), 4, 2, 5.0, 10.0),
+            ScalePolicy::try_new(cfg, template(), 4, 2, 5.0, 10.0),
             Err(ClusterError::InvalidScalePolicy {
                 field: "max_nodes",
                 ..
@@ -409,7 +357,7 @@ mod tests {
         ));
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                ScalePolicy::try_new(kind.clone(), template(), 1, 8, bad, 10.0),
+                ScalePolicy::try_new(cfg, template(), 1, 8, bad, 10.0),
                 Err(ClusterError::InvalidScalePolicy {
                     field: "interval_s",
                     ..
@@ -417,14 +365,14 @@ mod tests {
             ));
         }
         assert!(matches!(
-            ScalePolicy::try_new(kind.clone(), template(), 1, 8, 5.0, -1.0),
+            ScalePolicy::try_new(cfg, template(), 1, 8, 5.0, -1.0),
             Err(ClusterError::InvalidScalePolicy {
                 field: "provision_delay_s",
                 ..
             })
         ));
         // Zero provisioning delay (pre-warmed capacity) is allowed.
-        assert!(ScalePolicy::try_new(kind, template(), 1, 8, 5.0, 0.0).is_ok());
+        assert!(ScalePolicy::try_new(cfg, template(), 1, 8, 5.0, 0.0).is_ok());
     }
 
     #[test]

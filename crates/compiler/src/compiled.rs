@@ -268,7 +268,12 @@ fn min_cores_for(
 pub struct CompiledModel {
     /// Model name.
     pub name: String,
-    /// End-to-end QoS target, seconds.
+    /// End-to-end QoS target, seconds: the model's SLO. Queries are
+    /// accounted against it and the temporal policies normalize priority
+    /// by it. Setting it on a compiled model changes the SLO; the
+    /// per-layer compilation budget keeps the compile-time target
+    /// (re-compile to change that). Every serving driver rejects a target
+    /// that is not positive and finite when it is built.
     pub qos_s: f64,
     /// Workload class.
     pub class: WorkloadClass,

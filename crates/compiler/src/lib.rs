@@ -25,10 +25,9 @@
 //! Two modules carry the artifacts into serving:
 //!
 //! * [`service`] — [`CompilerService`], the compiler as a long-lived,
-//!   caching service that compiles each model *per machine* into a
-//!   deterministic [`ModelRegistry`] keyed by (model, machine fingerprint),
-//!   so heterogeneous fleet nodes run code compiled for their own
-//!   hardware;
+//!   caching service that compiles each model *per machine*, keyed by
+//!   (model, machine fingerprint), so heterogeneous fleet nodes run code
+//!   compiled for their own hardware;
 //! * [`selector`] — [`VersionSelector`], the pluggable runtime policy
 //!   that picks which retained version each unit runs under live
 //!   interference ([`StaticLevel`] pinning, [`HysteresisLadder`] EWMA
@@ -73,7 +72,5 @@ pub use selector::{
     EwmaSmoother, HysteresisConfig, HysteresisLadder, SelectionContext, SelectorKind, StaticLevel,
     VersionSelector,
 };
-pub use service::{
-    machine_key, options_key, CompilerService, CompilerServiceBuilder, ModelRegistry,
-};
+pub use service::{machine_key, options_key, CompilerService};
 pub use vendor::vendor_profile;

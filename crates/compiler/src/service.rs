@@ -5,13 +5,12 @@
 //! this machine once"; a serving deployment asks a different question —
 //! "give every (model, machine) pair in my heterogeneous fleet the code
 //! compiled *for its own hardware*, and never compile the same pair
-//! twice". [`CompilerService`] (built via [`CompilerServiceBuilder`])
-//! owns that: it memoizes compiled artifacts keyed by
-//! `(model name, machine fingerprint)` and hands out whole
-//! [`ModelRegistry`]s — the per-machine model sets fleet nodes serve
-//! from. Compilation is deterministic (the auto-scheduler is seeded), so
-//! a cache hit and a fresh recompile are bit-identical — pinned by
-//! `tests/compiler_service.rs`.
+//! twice". [`CompilerService`] owns that: it memoizes compiled
+//! artifacts keyed by `(model name, machine fingerprint)`, so compiling
+//! a model set once per machine yields the per-machine model sets fleet
+//! nodes serve from. Compilation is deterministic (the auto-scheduler is
+//! seeded), so a cache hit and a fresh recompile are bit-identical —
+//! pinned by `tests/compiler_service.rs`.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -56,116 +55,23 @@ pub fn options_key(options: &CompilerOptions) -> String {
     format!("{options:?}")
 }
 
-/// A compiled model set for one machine: what a fleet node actually
-/// serves from. Produced by [`CompilerService::registry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelRegistry {
-    machine: MachineConfig,
-    machine_key: String,
-    models: Vec<CompiledModel>,
-}
-
-impl ModelRegistry {
-    /// Builds a registry directly from pre-compiled models (the escape
-    /// hatch for callers that compiled elsewhere).
-    #[must_use]
-    pub fn from_models(machine: MachineConfig, models: Vec<CompiledModel>) -> Self {
-        let machine_key = machine_key(&machine);
-        Self {
-            machine,
-            machine_key,
-            models,
-        }
-    }
-
-    /// The machine this registry was compiled for.
-    #[must_use]
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    /// The machine fingerprint (the cache key's machine half).
-    #[must_use]
-    pub fn machine_key(&self) -> &str {
-        &self.machine_key
-    }
-
-    /// The compiled models, in registration order.
-    #[must_use]
-    pub fn models(&self) -> &[CompiledModel] {
-        &self.models
-    }
-
-    /// Looks a model up by name.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&CompiledModel> {
-        self.models.iter().find(|m| m.name == name)
-    }
-
-    /// Whether a model of this name is present.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
-    /// Number of models in the registry.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Whether the registry is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-}
-
-/// Fluent construction of a [`CompilerService`].
-#[derive(Debug, Clone, Default)]
-pub struct CompilerServiceBuilder {
-    options: CompilerOptions,
-}
-
-impl CompilerServiceBuilder {
-    /// Sets the auto-scheduler/multi-versioning options every compilation
-    /// of this service uses (default: [`CompilerOptions::thorough`]).
-    #[must_use]
-    pub fn options(mut self, options: CompilerOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Finalizes the service.
-    #[must_use]
-    pub fn build(self) -> CompilerService {
-        CompilerService {
-            options: self.options,
-            cache: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-            search_stats: SearchStats::default(),
-        }
-    }
-}
-
 /// A caching, per-machine compilation service.
 ///
 /// ```no_run
 /// use veltair_compiler::{CompilerOptions, CompilerService};
 /// use veltair_sim::MachineConfig;
 ///
-/// let mut service = CompilerService::builder()
-///     .options(CompilerOptions::fast())
-///     .build();
+/// let mut service = CompilerService::new(CompilerOptions::fast());
 /// let flagship = MachineConfig::threadripper_3990x();
 /// let edge = MachineConfig::desktop_8core();
-/// let specs = [veltair_models::mobilenet_v2(), veltair_models::resnet50()];
-/// // One registry per machine class; repeated (model, machine) pairs are
-/// // cache hits, not recompiles.
-/// let big_reg = service.registry(&specs, &flagship);
-/// let edge_reg = service.registry(&specs, &edge);
-/// assert_ne!(big_reg.machine_key(), edge_reg.machine_key());
+/// let spec = veltair_models::mobilenet_v2();
+/// // One artifact per machine class; a repeated (model, machine) pair is
+/// // a cache hit, not a recompile.
+/// let on_big = service.compile(&spec, &flagship);
+/// let on_edge = service.compile(&spec, &edge);
+/// assert_eq!(service.compile(&spec, &flagship), on_big);
+/// assert_ne!(on_big, on_edge);
+/// assert_eq!(service.cache_stats(), (1, 2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompilerService {
@@ -185,13 +91,13 @@ impl CompilerService {
     /// A service compiling with the given options.
     #[must_use]
     pub fn new(options: CompilerOptions) -> Self {
-        CompilerServiceBuilder::default().options(options).build()
-    }
-
-    /// Starts fluent construction.
-    #[must_use]
-    pub fn builder() -> CompilerServiceBuilder {
-        CompilerServiceBuilder::default()
+        Self {
+            options,
+            cache: BTreeMap::new(),
+            hits: 0,
+            misses: 0,
+            search_stats: SearchStats::default(),
+        }
     }
 
     /// The options every compilation of this service uses.
@@ -231,13 +137,6 @@ impl CompilerService {
         self.search_stats.accumulate(&compiled.search_stats);
         self.cache.insert(key, compiled.clone());
         compiled
-    }
-
-    /// Compiles every spec for `machine` and returns the per-machine
-    /// [`ModelRegistry`], reusing cached artifacts where possible.
-    pub fn registry(&mut self, specs: &[ModelSpec], machine: &MachineConfig) -> ModelRegistry {
-        let models = specs.iter().map(|s| self.compile(s, machine)).collect();
-        ModelRegistry::from_models(machine.clone(), models)
     }
 
     /// Number of distinct (model, machine) artifacts held.
@@ -294,21 +193,5 @@ mod tests {
         let hit = svc.compile(&spec, &machine);
         assert_eq!(svc.cache_stats(), (1, 2));
         assert_eq!(hit, original);
-    }
-
-    #[test]
-    fn registry_lookup_and_cache_accounting() {
-        let mut service = CompilerService::new(CompilerOptions::fast());
-        let machine = MachineConfig::threadripper_3990x();
-        let specs = [veltair_models::mobilenet_v2()];
-        let reg = service.registry(&specs, &machine);
-        assert_eq!(reg.len(), 1);
-        assert!(reg.contains("mobilenet_v2"));
-        assert!(!reg.contains("resnet50"));
-        assert_eq!(service.cache_stats(), (0, 1));
-        // Second registry for the same machine: pure cache hits.
-        let again = service.registry(&specs, &machine);
-        assert_eq!(service.cache_stats(), (1, 1));
-        assert_eq!(reg, again, "cache hit diverged from the compilation");
     }
 }

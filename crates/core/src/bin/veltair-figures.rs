@@ -6,8 +6,7 @@
 //! VELTAIR_QUERIES=2000 cargo run --release -p veltair-core --bin veltair-figures fig03
 //! ```
 //!
-//! Each figure prints the same rows/series the paper reports; see
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! Each figure prints the same rows/series the paper reports.
 
 use veltair_core::experiments::{
     ablations, fig01, fig02, fig03, fig04, fig05, fig06, fig07, fig09, fig10, fig11, fig12, fig13,

@@ -1,13 +1,14 @@
 //! The cluster serving facade: validated fleet construction over a
-//! compile-once registry, the same builder → session → snapshot API as
+//! compile-once registry, the same engine → session → snapshot API as
 //! the single machine's [`engine`](crate::engine), whose session is a
 //! fleet of one.
 //!
 //! Two layers, from offline to online:
 //!
 //! * [`ClusterBuilder`] — validated construction: a shared compiled-model
-//!   registry, N (possibly heterogeneous) [`NodeSpec`]s, a
-//!   [`RouterKind`], an [`AdmissionKind`], and per-model SLO overrides.
+//!   registry (each model carrying its own QoS target,
+//!   `CompiledModel::qos_s`), N (possibly heterogeneous) [`NodeSpec`]s,
+//!   a [`RouterKind`] and an [`AdmissionKind`].
 //! * [`ClusterEngine`] — compile-once, serve-many: batch fleet runs
 //!   ([`ClusterEngine::run`] / [`ClusterEngine::try_run`]) and
 //!   [`session`](ClusterEngine::session), which opens a fresh [`Fleet`].
@@ -56,7 +57,6 @@ pub struct ClusterBuilder {
     nodes: Vec<NodeSpec>,
     router: RouterKind,
     admission: AdmissionKind,
-    slo_overrides: Vec<(String, f64)>,
 }
 
 impl Default for ClusterBuilder {
@@ -68,7 +68,6 @@ impl Default for ClusterBuilder {
             nodes: Vec::new(),
             router: RouterKind::InterferenceAware,
             admission: AdmissionKind::AdmitAll,
-            slo_overrides: Vec::new(),
         }
     }
 }
@@ -131,16 +130,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides a registered model's end-to-end SLO (QoS latency target,
-    /// seconds), applied at [`build`](ClusterBuilder::build) time — the
-    /// same semantics as
-    /// [`EngineBuilder::slo`](crate::EngineBuilder::slo).
-    #[must_use]
-    pub fn slo(mut self, model: &str, qos_s: f64) -> Self {
-        self.slo_overrides.push((model.to_string(), qos_s));
-        self
-    }
-
     /// Finalizes the cluster engine, compiling every spec registered via
     /// [`compile`](ClusterBuilder::compile) once per distinct node
     /// machine.
@@ -149,12 +138,10 @@ impl ClusterBuilder {
     ///
     /// Returns [`ClusterError::NoModels`] if no model or spec was
     /// registered, [`ClusterError::NoNodes`] if no node was added,
-    /// [`ClusterError::InvalidConfig`], naming the node, if a spec would be
-    /// compiled for a node that fails [`NodeSpec::validate`],
-    /// [`ClusterError::UnknownModel`] if an SLO override names an
-    /// unregistered model, and [`ClusterError::InvalidSlo`] if an override
-    /// is not a positive, finite latency. Pre-compiled registries and the
-    /// nodes serving them are checked when a session opens.
+    /// and [`ClusterError::InvalidConfig`], naming the node, if a spec
+    /// would be compiled for a node that fails [`NodeSpec::validate`].
+    /// Compiled registries (their profiles and QoS targets) and the nodes
+    /// serving pre-compiled registries are checked when a session opens.
     pub fn build(self) -> Result<ClusterEngine, ClusterError> {
         let Self {
             models,
@@ -163,7 +150,6 @@ impl ClusterBuilder {
             nodes,
             router,
             admission,
-            slo_overrides,
         } = self;
         if models.is_empty() && specs.is_empty() {
             return Err(ClusterError::NoModels);
@@ -172,7 +158,7 @@ impl ClusterBuilder {
             return Err(ClusterError::NoNodes);
         }
 
-        let (mut registries, node_registry) = if specs.is_empty() {
+        let (registries, node_registry) = if specs.is_empty() {
             // Shared-registry fleet: one registry, every node points at it.
             (vec![models], vec![0; nodes.len()])
         } else {
@@ -185,14 +171,14 @@ impl ClusterBuilder {
             let mut registries: Vec<Vec<CompiledModel>> = Vec::new();
             let mut node_registry = Vec::with_capacity(nodes.len());
             for node in &nodes {
-                let key = machine_key(&node.machine);
+                let key = machine_key(&node.config.machine);
                 let idx = match keys.iter().position(|k| *k == key) {
                     Some(i) => i,
                     None => {
                         node.validate()?;
                         let mut registry = models.clone();
                         for spec in &specs {
-                            registry.push(service.compile(spec, &node.machine));
+                            registry.push(service.compile(spec, &node.config.machine));
                         }
                         keys.push(key);
                         registries.push(registry);
@@ -204,9 +190,6 @@ impl ClusterBuilder {
             (registries, node_registry)
         };
 
-        for registry in &mut registries {
-            crate::engine::apply_slo_overrides(registry, slo_overrides.clone())?;
-        }
         Ok(ClusterEngine {
             registries,
             node_registry,
@@ -311,7 +294,8 @@ impl ClusterEngine {
     /// Returns [`ClusterError::NoModels`] / [`ClusterError::NoNodes`] if
     /// the engine was constructed without validation (both are unreachable
     /// through [`ClusterBuilder::build`]), [`ClusterError::InvalidConfig`]
-    /// if a node's machine or projection weight cannot be simulated, and
+    /// if a node's machine or projection weight cannot be simulated or a
+    /// registered model's QoS target is not positive and finite, and
     /// [`ClusterError::InvalidProfile`] if a registered model carries an
     /// invalid kernel profile.
     pub fn session(&self) -> Result<Fleet<'_>, ClusterError> {
@@ -352,7 +336,8 @@ impl ClusterEngine {
     /// unregistered models, [`ClusterError::NonFiniteArrival`] if a stream
     /// rate makes an arrival time NaN or infinite,
     /// [`ClusterError::InvalidConfig`] if a node's machine or projection
-    /// weight cannot be simulated, and [`ClusterError::InvalidProfile`] if
+    /// weight cannot be simulated or a registered model's QoS target is
+    /// not positive and finite, and [`ClusterError::InvalidProfile`] if
     /// a registered model carries an invalid kernel profile.
     pub fn try_run(&self, workload: &WorkloadSpec, seed: u64) -> Result<FleetReport, ClusterError> {
         let mut fleet = self.session()?;
@@ -409,19 +394,6 @@ mod tests {
                 .unwrap_err(),
             ClusterError::NoNodes
         );
-        assert!(matches!(
-            ClusterEngine::builder()
-                .model(compiled("mobilenet_v2"))
-                .node(NodeSpec::new(
-                    "n",
-                    MachineConfig::threadripper_3990x(),
-                    Policy::VeltairFull
-                ))
-                .slo("mobilenet_v2", f64::NAN)
-                .build()
-                .unwrap_err(),
-            ClusterError::InvalidSlo { .. }
-        ));
         // Every distinct node machine is validated before a spec is
         // compiled for it, so one that cannot be simulated is a typed
         // error naming the node, not a compiler panic or an artifact that
@@ -429,7 +401,7 @@ mod tests {
         let broken: [fn(&mut MachineConfig); 2] = [|m| m.cores = 0, |m| m.l3_bytes = f64::NAN];
         for edit in broken {
             let mut edge = NodeSpec::new("edge-0", MachineConfig::desktop_8core(), Policy::Prema);
-            edit(&mut edge.machine);
+            edit(&mut edge.config.machine);
             let built = ClusterEngine::builder()
                 .compile(veltair_models::tiny_yolo_v2())
                 .compiler_options(CompilerOptions::fast())
@@ -448,14 +420,16 @@ mod tests {
                 "{built:?}"
             );
         }
+        // A model's SLO is its own QoS target, served as registered.
+        let mut model = compiled("mobilenet_v2");
+        model.qos_s = 0.2;
         let e = ClusterEngine::builder()
-            .model(compiled("mobilenet_v2"))
+            .model(model)
             .node(NodeSpec::new(
                 "n",
                 MachineConfig::threadripper_3990x(),
                 Policy::VeltairFull,
             ))
-            .slo("mobilenet_v2", 0.2)
             .build()
             .expect("valid");
         assert!((e.models()[0].qos_s - 0.2).abs() < 1e-12);
@@ -541,10 +515,10 @@ mod tests {
         // is a typed error naming the node, checked when the fleet opens.
         let valid = compiled("tiny_yolo_v2");
         let broken_nodes: [fn(&mut NodeSpec); 4] = [
-            |n| n.machine.cores = 0,
-            |n| n.machine.l3_bytes = f64::NAN,
-            |n| n.machine.dram_bw = 0.0,
-            |n| n.projection.saturation_weight = f64::NAN,
+            |n| n.config.machine.cores = 0,
+            |n| n.config.machine.l3_bytes = f64::NAN,
+            |n| n.config.machine.dram_bw = 0.0,
+            |n| n.config.projection.saturation_weight = f64::NAN,
         ];
         for edit in broken_nodes {
             let mut edge = NodeSpec::new("edge-0", MachineConfig::desktop_8core(), Policy::Prema);

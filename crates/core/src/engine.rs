@@ -1,54 +1,28 @@
 //! The single-machine serving facade.
 //!
-//! * [`EngineBuilder`] — validated construction: machine, policy, model
-//!   registry, optional interference proxy, and per-model SLO overrides.
-//! * [`ServingEngine`] — compile-once, serve-many: batch runs
-//!   ([`ServingEngine::run`] / [`ServingEngine::try_run`]) and
-//!   [`session`](ServingEngine::session), which opens the open-loop path
-//!   as a one-node [`Fleet`]: queries are
-//!   [`submit`](Fleet::submit)ted while the clock runs, completions are
-//!   [`poll`](Fleet::poll)ed incrementally, the policy is hot-swapped
-//!   mid-stream ([`set_policy`](Fleet::set_policy)), and
-//!   [`snapshot`](Fleet::snapshot) reads per-model QoS/latency statistics
-//!   without stopping the run.
+//! [`ServingEngine`] — compile-once, serve-many. It holds one
+//! [`SimConfig`] (machine, policy, interference monitor, version
+//! selector, pressure projection) and a registry of compiled models,
+//! each carrying its own QoS target (`CompiledModel::qos_s`). It serves
+//! batch runs ([`ServingEngine::run`] / [`ServingEngine::try_run`]) and
+//! [`session`](ServingEngine::session), which opens the open-loop path
+//! as a one-node [`Fleet`]: queries are [`submit`](Fleet::submit)ted
+//! while the clock runs, completions are [`poll`](Fleet::poll)ed
+//! incrementally, the policy is hot-swapped mid-stream
+//! ([`set_policy`](Fleet::set_policy)), and [`snapshot`](Fleet::snapshot)
+//! reads per-model QoS/latency statistics without stopping the run.
 
 use veltair_cluster::{AdmissionKind, ClusterError, Fleet, NodeSpec, RouterKind};
-use veltair_compiler::{compile_model, CompiledModel, CompilerOptions, SelectorKind};
-use veltair_models::ModelSpec;
+use veltair_compiler::{CompiledModel, SelectorKind};
 use veltair_proxy::InterferenceProxy;
-use veltair_sched::{simulate, Policy, ProjectionConfig, ServingReport, WorkloadSpec};
+use veltair_sched::{simulate, Policy, ProjectionConfig, ServingReport, SimConfig, WorkloadSpec};
 use veltair_sim::MachineConfig;
 
 /// The name of a session's one node: its trace track and snapshot row.
 const SESSION_NODE: &str = "node-0";
 
-/// Validates and applies per-model SLO overrides to a registry, shared by
-/// [`EngineBuilder::build`] and
-/// [`ClusterBuilder::build`](crate::ClusterBuilder::build).
-///
-/// # Errors
-///
-/// Returns [`ClusterError::InvalidSlo`] for a non-positive or non-finite
-/// target and [`ClusterError::UnknownModel`] when the named model is not
-/// registered.
-pub(crate) fn apply_slo_overrides(
-    models: &mut [CompiledModel],
-    overrides: Vec<(String, f64)>,
-) -> Result<(), ClusterError> {
-    for (name, qos_s) in overrides {
-        if !(qos_s.is_finite() && qos_s > 0.0) {
-            return Err(ClusterError::InvalidSlo { model: name, qos_s });
-        }
-        let model = models
-            .iter_mut()
-            .find(|m| m.name == name)
-            .ok_or(ClusterError::UnknownModel { model: name })?;
-        model.qos_s = qos_s;
-    }
-    Ok(())
-}
-
-/// Validated, fluent construction of a [`ServingEngine`].
+/// Compile-once, serve-many facade: one machine's serving configuration
+/// and the compiled model registry it serves.
 ///
 /// ```
 /// use veltair_core::{Policy, ServingEngine};
@@ -56,198 +30,38 @@ pub(crate) fn apply_slo_overrides(
 /// use veltair_sim::MachineConfig;
 ///
 /// let machine = MachineConfig::threadripper_3990x();
-/// let engine = ServingEngine::builder()
-///     .machine(machine.clone())
-///     .policy(Policy::VeltairFull)
-///     .model(compile_model(
-///         &veltair_models::mobilenet_v2(),
-///         &machine,
-///         &CompilerOptions::fast(),
-///     ))
-///     .slo("mobilenet_v2", 0.05)
-///     .build()
-///     .expect("valid engine");
+/// let mut engine = ServingEngine::new(machine.clone(), Policy::VeltairFull);
+/// let mut model = compile_model(
+///     &veltair_models::mobilenet_v2(),
+///     &machine,
+///     &CompilerOptions::fast(),
+/// );
+/// model.qos_s = 0.05; // the SLO the run accounts against
+/// engine.register(model);
 /// assert_eq!(engine.models().len(), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct EngineBuilder {
-    node: NodeSpec,
-    models: Vec<CompiledModel>,
-    specs: Vec<ModelSpec>,
-    compiler: CompilerOptions,
-    slo_overrides: Vec<(String, f64)>,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> Self {
-        Self {
-            node: NodeSpec::new(
-                SESSION_NODE,
-                MachineConfig::threadripper_3990x(),
-                Policy::VeltairFull,
-            ),
-            models: Vec::new(),
-            specs: Vec::new(),
-            compiler: CompilerOptions::thorough(),
-            slo_overrides: Vec::new(),
-        }
-    }
-}
-
-impl EngineBuilder {
-    /// Sets the machine to serve on (default: the paper's 64-core
-    /// Threadripper testbed).
-    #[must_use]
-    pub fn machine(mut self, machine: MachineConfig) -> Self {
-        self.node.machine = machine;
-        self
-    }
-
-    /// Sets the scheduling/compilation policy (default: VELTAIR-FULL).
-    #[must_use]
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.node.policy = policy;
-        self
-    }
-
-    /// Registers a compiled model, replacing any previous model of the
-    /// same name.
-    #[must_use]
-    pub fn model(mut self, model: CompiledModel) -> Self {
-        self.models.retain(|m| m.name != model.name);
-        self.specs.retain(|s| s.graph.name != model.name);
-        self.models.push(model);
-        self
-    }
-
-    /// Registers a model *spec* to be compiled at
-    /// [`build`](EngineBuilder::build) time against the builder's machine
-    /// with its [`compiler_options`](EngineBuilder::compiler_options) —
-    /// the engine-level mirror of `ClusterBuilder::compile`. Replaces any
-    /// previous model or spec of the same name. Compilation is deferred so
-    /// the machine and options may be set in any order.
-    #[must_use]
-    pub fn compile(mut self, spec: ModelSpec) -> Self {
-        self.models.retain(|m| m.name != spec.graph.name);
-        self.specs.retain(|s| s.graph.name != spec.graph.name);
-        self.specs.push(spec);
-        self
-    }
-
-    /// Sets the compiler options used for specs registered via
-    /// [`compile`](EngineBuilder::compile) (default:
-    /// [`CompilerOptions::thorough`]).
-    #[must_use]
-    pub fn compiler_options(mut self, options: CompilerOptions) -> Self {
-        self.compiler = options;
-        self
-    }
-
-    /// Installs a trained interference proxy (otherwise the engine
-    /// monitors with the oracle pressure).
-    #[must_use]
-    pub fn proxy(mut self, proxy: InterferenceProxy) -> Self {
-        self.node.proxy = Some(proxy);
-        self
-    }
-
-    /// Sets the runtime version-selection policy consulted by
-    /// adaptive-compilation policies (default: the calibrated hysteresis
-    /// ladder).
-    #[must_use]
-    pub fn selector(mut self, selector: SelectorKind) -> Self {
-        self.node.selector = selector;
-        self
-    }
-
-    /// Overrides the predictive pressure projection applied at every
-    /// planning decision (default: the calibrated
-    /// [`ProjectionConfig::default`]; `ProjectionConfig::disabled()`
-    /// restores the purely instantaneous monitor).
-    #[must_use]
-    pub fn projection(mut self, projection: ProjectionConfig) -> Self {
-        self.node.projection = projection;
-        self
-    }
-
-    /// Overrides a registered model's end-to-end SLO (QoS latency target,
-    /// seconds). Applied at [`build`](EngineBuilder::build) time to the
-    /// accounting target and the temporal policies' priority normalizer;
-    /// the per-layer compilation budget keeps the compile-time target
-    /// (re-compile to change it).
-    #[must_use]
-    pub fn slo(mut self, model: &str, qos_s: f64) -> Self {
-        self.slo_overrides.push((model.to_string(), qos_s));
-        self
-    }
-
-    /// Finalizes the engine, compiling every spec registered via
-    /// [`compile`](EngineBuilder::compile) for the builder's machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidConfig`] if a spec would be compiled
-    /// for a machine that fails [`MachineConfig::validate`],
-    /// [`ClusterError::NoModels`] if no model was registered,
-    /// [`ClusterError::UnknownModel`] if an SLO override names an
-    /// unregistered model, and [`ClusterError::InvalidSlo`] if an override
-    /// is not a positive, finite latency. Pre-compiled models and the
-    /// machine serving them are checked when a session opens.
-    pub fn build(self) -> Result<ServingEngine, ClusterError> {
-        let Self {
-            node,
-            mut models,
-            specs,
-            compiler,
-            slo_overrides,
-        } = self;
-        if !specs.is_empty() {
-            node.machine
-                .validate()
-                .map_err(|reason| ClusterError::InvalidConfig {
-                    reason: format!("machine: {reason}"),
-                })?;
-        }
-        for spec in &specs {
-            models.push(compile_model(spec, &node.machine, &compiler));
-        }
-        if models.is_empty() {
-            return Err(ClusterError::NoModels);
-        }
-        apply_slo_overrides(&mut models, slo_overrides)?;
-        Ok(ServingEngine { node, models })
-    }
-}
-
-/// Compile-once, serve-many facade: holds the machine, the policy, the
-/// compiled model registry, and (optionally) a trained interference proxy.
-#[derive(Debug, Clone)]
 pub struct ServingEngine {
-    /// The one node every run and session serves on.
-    node: NodeSpec,
+    /// The configuration every run and session serves on.
+    config: SimConfig,
     models: Vec<CompiledModel>,
 }
 
 impl ServingEngine {
-    /// Creates an engine for a machine and scheduling policy.
+    /// Creates an engine for a machine and scheduling policy, with the
+    /// oracle monitor and the default selector and projection of
+    /// [`SimConfig::new`].
     #[must_use]
     pub fn new(machine: MachineConfig, policy: Policy) -> Self {
         Self {
-            node: NodeSpec::new(SESSION_NODE, machine, policy),
+            config: SimConfig::new(machine, policy),
             models: Vec::new(),
         }
     }
 
-    /// Starts validated, fluent construction: machine, policy, models,
-    /// proxy, and SLO overrides, checked at
-    /// [`build`](EngineBuilder::build).
-    #[must_use]
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::default()
-    }
-
     /// Registers a compiled model, replacing any previous model of the
-    /// same name.
+    /// same name. The model's `qos_s` is the SLO its queries are
+    /// accounted against.
     pub fn register(&mut self, model: CompiledModel) {
         self.models.retain(|m| m.name != model.name);
         self.models.push(model);
@@ -256,38 +70,38 @@ impl ServingEngine {
     /// Installs a trained interference proxy (otherwise the engine
     /// monitors with the oracle pressure).
     pub fn set_proxy(&mut self, proxy: InterferenceProxy) {
-        self.node.proxy = Some(proxy);
+        self.config.proxy = Some(proxy);
     }
 
     /// Changes the serving policy (models stay registered). Affects
     /// subsequent runs and sessions; a live session hot-swaps
     /// independently via [`Fleet::set_policy`].
     pub fn set_policy(&mut self, policy: Policy) {
-        self.node.policy = policy;
+        self.config.policy = policy;
     }
 
     /// Changes the runtime version-selection policy. Affects subsequent
     /// runs and sessions.
     pub fn set_selector(&mut self, selector: SelectorKind) {
-        self.node.selector = selector;
+        self.config.selector = selector;
     }
 
     /// Changes the predictive pressure projection. Affects subsequent
     /// runs and sessions.
     pub fn set_projection(&mut self, projection: ProjectionConfig) {
-        self.node.projection = projection;
+        self.config.projection = projection;
     }
 
     /// The engine's predictive pressure projection.
     #[must_use]
     pub fn projection(&self) -> ProjectionConfig {
-        self.node.projection
+        self.config.projection
     }
 
     /// The engine's version-selection policy.
     #[must_use]
     pub fn selector(&self) -> SelectorKind {
-        self.node.selector
+        self.config.selector
     }
 
     /// The registered models.
@@ -299,13 +113,13 @@ impl ServingEngine {
     /// The machine this engine serves on.
     #[must_use]
     pub fn machine(&self) -> &MachineConfig {
-        &self.node.machine
+        &self.config.machine
     }
 
     /// The engine's current policy.
     #[must_use]
     pub fn policy(&self) -> Policy {
-        self.node.policy
+        self.config.policy
     }
 
     /// Serves a workload's query stream and returns the report.
@@ -327,7 +141,8 @@ impl ServingEngine {
     ///
     /// Returns [`ClusterError::UnknownModel`] if the workload references
     /// unregistered models, [`ClusterError::InvalidConfig`] if the machine
-    /// or the projection weight cannot be simulated,
+    /// or the projection weight cannot be simulated or a registered
+    /// model's QoS target is not positive and finite,
     /// [`ClusterError::InvalidProfile`] if a registered model carries an
     /// invalid kernel profile,
     /// [`ClusterError::NonFiniteArrival`] if a stream rate makes an
@@ -339,29 +154,33 @@ impl ServingEngine {
         seed: u64,
     ) -> Result<ServingReport, ClusterError> {
         let queries = workload.generate(seed);
-        Ok(simulate(&self.models, &queries, &self.node.sim_config())?)
+        Ok(simulate(&self.models, &queries, &self.config)?)
     }
 
     /// Opens a resumable serving session: a [`Fleet`] of one node named
-    /// `node-0`, serving this engine's registry on its machine, policy,
-    /// proxy, selector and projection behind round-robin routing and
-    /// admit-all admission. It accepts arrivals, policy changes
-    /// ([`Fleet::set_policy`] on node 0), and snapshot reads while the
-    /// clock runs. Fed a workload's arrivals and finished without a
-    /// pause, its `FleetReport::merged` is [`run`](ServingEngine::run)'s
-    /// report bit for bit. The session borrows the engine's models; the
-    /// engine itself stays immutable.
+    /// `node-0`, serving this engine's registry on its configuration
+    /// behind round-robin routing and admit-all admission. It accepts
+    /// arrivals, policy changes ([`Fleet::set_policy`] on node 0), and
+    /// snapshot reads while the clock runs. Fed a workload's arrivals
+    /// and finished without a pause, its `FleetReport::merged` is
+    /// [`run`](ServingEngine::run)'s report bit for bit. The session
+    /// borrows the engine's models; the engine itself stays immutable.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::NoModels`] if no model is registered,
     /// [`ClusterError::InvalidConfig`] if the machine or the projection
-    /// weight cannot be simulated, and [`ClusterError::InvalidProfile`] if
-    /// a registered model carries an invalid kernel profile.
+    /// weight cannot be simulated or a registered model's QoS target is
+    /// not positive and finite, and [`ClusterError::InvalidProfile`] if a
+    /// registered model carries an invalid kernel profile.
     pub fn session(&self) -> Result<Fleet<'_>, ClusterError> {
+        let node = NodeSpec {
+            name: SESSION_NODE.to_string(),
+            config: self.config.clone(),
+        };
         Fleet::new(
             &self.models,
-            std::slice::from_ref(&self.node),
+            std::slice::from_ref(&node),
             RouterKind::RoundRobin.build(),
             AdmissionKind::AdmitAll.build(),
         )
@@ -399,33 +218,6 @@ mod tests {
         let r = e.run(&WorkloadSpec::single("tiny_yolo_v2", 30.0, 40), 1);
         assert_eq!(r.total_queries(), 40);
         assert!(r.qos_satisfaction("tiny_yolo_v2") > 0.8);
-    }
-
-    #[test]
-    fn builder_compiles_specs_with_its_options() {
-        // The deferred-compile path equals compiling by hand with the same
-        // options, regardless of the order machine/options/spec were set.
-        let machine = MachineConfig::threadripper_3990x();
-        let opts = CompilerOptions::fast().with_max_versions(2);
-        let e = ServingEngine::builder()
-            .compile(veltair_models::tiny_yolo_v2())
-            .compiler_options(opts.clone())
-            .machine(machine.clone())
-            .build()
-            .expect("valid engine");
-        let direct = compile_model(&veltair_models::tiny_yolo_v2(), &machine, &opts);
-        assert_eq!(e.models().len(), 1);
-        assert_eq!(e.models()[0], direct);
-        assert!(e.models()[0].layers.iter().all(|l| l.versions.len() <= 2));
-
-        // compile() replaces a same-name model() registration and vice versa.
-        let replaced = ServingEngine::builder()
-            .model(direct.clone())
-            .compile(veltair_models::tiny_yolo_v2())
-            .compiler_options(opts)
-            .build()
-            .expect("valid engine");
-        assert_eq!(replaced.models().len(), 1);
     }
 
     #[test]
@@ -534,66 +326,6 @@ mod tests {
             Err(expected.clone())
         );
         assert_eq!(e.session().err(), Some(expected));
-    }
-
-    #[test]
-    fn builder_validates_models_and_slos() {
-        assert_eq!(
-            ServingEngine::builder().build().unwrap_err(),
-            ClusterError::NoModels
-        );
-
-        let machine = MachineConfig::threadripper_3990x();
-        let compiled = compile_model(
-            &veltair_models::tiny_yolo_v2(),
-            &machine,
-            &CompilerOptions::fast(),
-        );
-        assert_eq!(
-            ServingEngine::builder()
-                .model(compiled.clone())
-                .slo("resnet50", 0.1)
-                .build()
-                .unwrap_err(),
-            ClusterError::UnknownModel {
-                model: "resnet50".into()
-            }
-        );
-        assert!(matches!(
-            ServingEngine::builder()
-                .model(compiled.clone())
-                .slo("tiny_yolo_v2", -1.0)
-                .build()
-                .unwrap_err(),
-            ClusterError::InvalidSlo { .. }
-        ));
-        // A machine is validated before a spec is compiled for it, so one
-        // that cannot be simulated is a typed error here, not a compiler
-        // panic or an artifact that fails only when a session opens.
-        let broken: [fn(&mut MachineConfig); 2] = [|m| m.cores = 0, |m| m.l3_bytes = f64::NAN];
-        for edit in broken {
-            let mut bad = machine.clone();
-            edit(&mut bad);
-            let built = ServingEngine::builder()
-                .machine(bad)
-                .compile(veltair_models::tiny_yolo_v2())
-                .compiler_options(CompilerOptions::fast())
-                .build();
-            assert!(
-                matches!(built, Err(ClusterError::InvalidConfig { .. })),
-                "{built:?}"
-            );
-        }
-
-        let engine = ServingEngine::builder()
-            .machine(machine)
-            .policy(Policy::Prema)
-            .model(compiled)
-            .slo("tiny_yolo_v2", 0.25)
-            .build()
-            .expect("valid");
-        assert_eq!(engine.policy(), Policy::Prema);
-        assert!((engine.models()[0].qos_s - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl Fig12 {
 
 impl std::fmt::Display for Fig12 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "Figure 12: normalized max QPS at 90% QoS satisfaction (Planaria = 1.00; paper uses 95%, see EXPERIMENTS.md)")?;
+        writeln!(f, "Figure 12: normalized max QPS at 90% QoS satisfaction (Planaria = 1.00; paper uses 95%, see QpsSearchConfig::figure12)")?;
         write!(f, "  {:<16}", "workload")?;
         for p in &self.policies {
             write!(f, " {p:>13}")?;

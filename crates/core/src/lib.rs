@@ -3,8 +3,10 @@
 //! This crate ties the whole reproduction together:
 //!
 //! * [`engine`] — the serving API: [`ServingEngine`] (compile-once,
-//!   serve-many facade over the compiler, proxy, and scheduler crates)
-//!   and its validated [`EngineBuilder`]. Its
+//!   serve-many facade over the compiler, proxy, and scheduler crates),
+//!   configured one way: [`new`](ServingEngine::new),
+//!   [`register`](ServingEngine::register) and its setters, with each
+//!   model's SLO on the compiled model itself. Its
 //!   [`session`](ServingEngine::session) opens a one-node [`Fleet`] for
 //!   online serving — streaming [`submit`](Fleet::submit), incremental
 //!   [`poll`](Fleet::poll)/[`snapshot`](Fleet::snapshot), and mid-run
@@ -26,7 +28,7 @@
 //! One execution surface, one error type: every session is a [`Fleet`],
 //! and every fallible call of this crate returns [`ClusterError`].
 //!
-//! # Example: builder → session → snapshot
+//! # Example: engine → session → snapshot
 //!
 //! ```
 //! use veltair_core::{Policy, ServingEngine, WorkloadSpec};
@@ -34,15 +36,12 @@
 //! use veltair_sim::MachineConfig;
 //!
 //! let machine = MachineConfig::threadripper_3990x();
-//! let engine = ServingEngine::builder()
-//!     .machine(machine.clone())
-//!     .policy(Policy::VeltairFull)
-//!     .model(compile_model(
-//!         &veltair_models::mobilenet_v2(),
-//!         &machine,
-//!         &CompilerOptions::fast(),
-//!     ))
-//!     .build()?;
+//! let mut engine = ServingEngine::new(machine.clone(), Policy::VeltairFull);
+//! engine.register(compile_model(
+//!     &veltair_models::mobilenet_v2(),
+//!     &machine,
+//!     &CompilerOptions::fast(),
+//! ));
 //!
 //! // Open-loop serving on a fleet of one: submit while the clock runs,
 //! // read stats and completions mid-run.
@@ -72,13 +71,13 @@ pub mod scenarios;
 
 pub use cluster::{ClusterBuilder, ClusterEngine};
 pub use dataset::{co_location_dataset, train_proxy};
-pub use engine::{EngineBuilder, ServingEngine};
+pub use engine::ServingEngine;
 pub use metrics::{max_qps_at_qos, QpsResult, QpsSearchConfig};
 pub use scenarios::{all_scenarios, Scenario, SloExpectation};
 // Re-export the user-facing vocabulary so downstream users need one import.
 pub use veltair_cluster::{
-    AdmissionKind, AutoscalerConfig, AutoscalerKind, ClusterError, Completion, CoordinatorStats,
-    FailureKind, FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState,
-    RouterKind, ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
+    AdmissionKind, AutoscalerConfig, ClusterError, Completion, CoordinatorStats, FailureKind,
+    FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState, RouterKind,
+    ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
 };
 pub use veltair_sched::{Policy, ServingReport, SimError, WorkloadError, WorkloadSpec};

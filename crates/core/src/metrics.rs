@@ -40,8 +40,8 @@ impl QpsSearchConfig {
     /// models at any rate (a single co-runner costs SSD/BERT more than
     /// their planning slack), which would degenerate their capacity to the
     /// search floor and inflate every normalized improvement. 90 % keeps
-    /// all policies on finite, comparable capacities; the deviation is
-    /// recorded in EXPERIMENTS.md.
+    /// all policies on finite, comparable capacities; the Fig. 12 title
+    /// names the deviation and points here.
     #[must_use]
     pub fn figure12() -> Self {
         Self {

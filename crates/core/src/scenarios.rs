@@ -28,8 +28,8 @@
 //! | `rolling-upgrade` | staggered drains + replacement joins | graceful surrender |
 
 use veltair_cluster::{
-    AdmissionKind, AutoscalerConfig, AutoscalerKind, FailurePlan, FleetReport, NodeSpec,
-    RouterKind, ScalePolicy, StepMode,
+    AdmissionKind, AutoscalerConfig, FailurePlan, FleetReport, NodeSpec, RouterKind, ScalePolicy,
+    StepMode,
 };
 use veltair_compiler::{compile_model, CompilerOptions};
 use veltair_sched::{Policy, WorkloadSpec};
@@ -183,7 +183,7 @@ fn base_builder(nodes: usize) -> ClusterBuilder {
 #[must_use]
 pub fn default_scale_policy(min_nodes: usize, max_nodes: usize) -> ScalePolicy {
     ScalePolicy::try_new(
-        AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
+        AutoscalerConfig::default(),
         node("auto"),
         min_nodes,
         max_nodes,
@@ -308,7 +308,7 @@ pub fn rolling_upgrade() -> Scenario {
         // Pre-warmed replacements: zero provisioning delay, floor 2.
         scale: Some(
             ScalePolicy::try_new(
-                AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
+                AutoscalerConfig::default(),
                 node("upgraded"),
                 2,
                 5,

@@ -47,10 +47,12 @@ pub enum SimError {
     },
     /// The configuration cannot be simulated: the machine fails
     /// [`MachineConfig::validate`](veltair_sim::MachineConfig::validate)
-    /// (e.g. zero cores or a NaN cache size), or the projection weight is
+    /// (e.g. zero cores or a NaN cache size), the projection weight is
     /// outside what [`ProjectionConfig::try_new`](crate::ProjectionConfig::try_new)
-    /// accepts. Checked once, when the simulation is built, instead of
-    /// panicking or running silently on it.
+    /// accepts, or a model's QoS target (`CompiledModel::qos_s`) is not
+    /// positive and finite (the reason then names the model). Checked
+    /// once, when the simulation is built, instead of panicking or
+    /// running silently on it.
     InvalidConfig {
         /// The violated rule.
         reason: String,
@@ -129,9 +131,10 @@ impl<'a> Driver<'a> {
     ///
     /// Returns [`SimError::EmptyWorkload`] if `queries` is empty,
     /// [`SimError::InvalidConfig`] if the machine or the projection weight
-    /// cannot be simulated, [`SimError::InvalidProfile`] if a compiled
-    /// kernel profile is invalid, and [`SimError::UnknownModel`] if any
-    /// query targets a model absent from `models`.
+    /// cannot be simulated or a model's QoS target is not positive and
+    /// finite, [`SimError::InvalidProfile`] if a compiled kernel profile
+    /// is invalid, and [`SimError::UnknownModel`] if any query targets a
+    /// model absent from `models`.
     pub fn new(
         models: &'a [CompiledModel],
         queries: &[QuerySpec],
@@ -151,9 +154,10 @@ impl<'a> Driver<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if the machine or the
-    /// projection weight cannot be simulated and
-    /// [`SimError::InvalidProfile`] if a compiled kernel profile is
-    /// invalid (the two errors an empty workload can still hit).
+    /// projection weight cannot be simulated or a model's QoS target is
+    /// not positive and finite, and [`SimError::InvalidProfile`] if a
+    /// compiled kernel profile is invalid (the two errors an empty
+    /// workload can still hit).
     pub fn open(models: &'a [CompiledModel], cfg: SimConfig) -> Result<Self, SimError> {
         Self::start(models, &[], cfg)
     }

@@ -290,7 +290,8 @@ impl<'a> SimState<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if `cfg` fails
-    /// [`SimConfig::validate`], [`SimError::InvalidProfile`] if a compiled
+    /// [`SimConfig::validate`] or a model's QoS target is not positive
+    /// and finite, [`SimError::InvalidProfile`] if a compiled
     /// version's profile fails
     /// [`KernelProfile::validate`](veltair_sim::KernelProfile::validate),
     /// and [`SimError::UnknownModel`] if a query references a model that
@@ -1287,10 +1288,18 @@ impl SimState<'_> {
     }
 }
 
-/// Checks every compiled version's kernel profile, so the event loop can
-/// rate without re-checking.
+/// Checks every model's QoS target and every compiled version's kernel
+/// profile, so the event loop can account and rate without re-checking.
 fn validate_profiles(models: &[CompiledModel]) -> Result<(), SimError> {
     for model in models {
+        if !(model.qos_s.is_finite() && model.qos_s > 0.0) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "model {}: QoS target must be positive and finite, got {} s",
+                    model.name, model.qos_s
+                ),
+            });
+        }
         for (layer_index, layer) in model.layers.iter().enumerate() {
             for (version, v) in layer.versions.iter().enumerate() {
                 v.profile

@@ -121,7 +121,8 @@ impl SimConfig {
 ///
 /// Returns [`SimError::EmptyWorkload`] if `queries` is empty,
 /// [`SimError::InvalidConfig`] if the machine or the projection weight
-/// cannot be simulated,
+/// cannot be simulated or a model's QoS target is not positive and
+/// finite,
 /// [`SimError::InvalidProfile`] if a compiled kernel profile is invalid,
 /// [`SimError::UnknownModel`] if a query references a model that was not
 /// compiled, and [`SimError::NonFiniteArrival`] if a query's arrival time

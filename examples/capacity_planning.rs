@@ -96,7 +96,7 @@ fn single_machine_capacity() {
 fn aggressive_policy() -> ScalePolicy {
     let cfg = AutoscalerConfig::try_new(1.0, 0.25, 1, 2).expect("valid config");
     ScalePolicy::try_new(
-        AutoscalerKind::Hysteresis(cfg),
+        cfg,
         NodeSpec::new("surge", MachineConfig::desktop_8core(), Policy::VeltairFull),
         1,
         8,

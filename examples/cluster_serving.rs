@@ -66,7 +66,12 @@ fn main() {
         "fleet: {}\n",
         nodes
             .iter()
-            .map(|n| format!("{} ({}c, {})", n.name, n.machine.cores, n.policy.name()))
+            .map(|n| format!(
+                "{} ({}c, {})",
+                n.name,
+                n.config.machine.cores,
+                n.config.policy.name()
+            ))
             .collect::<Vec<_>>()
             .join(", ")
     );

@@ -63,17 +63,14 @@ fn main() -> Result<(), ClusterError> {
     let names = ["mobilenet_v2", "tiny_yolo_v2", "resnet50"];
     println!("compiling {} models...", names.len());
 
-    let mut builder = ServingEngine::builder()
-        .machine(machine.clone())
-        .policy(Policy::VeltairFull);
+    let mut engine = ServingEngine::new(machine.clone(), Policy::VeltairFull);
     for name in names {
-        builder = builder.model(compile_model(
+        engine.register(compile_model(
             &by_name(name).expect("zoo model"),
             &machine,
             &opts,
         ));
     }
-    let engine = builder.build()?;
 
     let mut session = engine.session()?;
     session.enable_telemetry(TraceConfig::unbounded());

@@ -37,14 +37,12 @@
 //! ```
 //! use veltair::prelude::*;
 //!
-//! // Compile a model once, offline, and build a validated engine.
+//! // Compile a model once, offline, and register it with an engine. The
+//! // compiled model carries its SLO (`qos_s`); set it there to change it.
 //! let machine = MachineConfig::threadripper_3990x();
 //! let spec = veltair::models::mobilenet_v2();
-//! let engine = ServingEngine::builder()
-//!     .machine(machine.clone())
-//!     .policy(Policy::VeltairFull)
-//!     .model(compile_model(&spec, &machine, &CompilerOptions::fast()))
-//!     .build()?;
+//! let mut engine = ServingEngine::new(machine.clone(), Policy::VeltairFull);
+//! engine.register(compile_model(&spec, &machine, &CompilerOptions::fast()));
 //!
 //! // Serve a Poisson stream through a resumable session (a fleet of one
 //! // node): arrivals go in while the clock runs, per-model stats come
@@ -72,19 +70,19 @@ pub use veltair_tensor as tensor;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use veltair_cluster::{
-        AdmissionKind, Autoscaler, AutoscalerConfig, AutoscalerKind, ClusterError, Completion,
-        CoordinatorStats, FailureEvent, FailureKind, FailurePlan, Fleet, FleetReport,
-        FleetSnapshot, IndexSupport, LoadIndex, NodeLoad, NodeSpec, NodeState, Router, RouterKind,
-        ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
+        AdmissionKind, AutoscalerConfig, ClusterError, Completion, CoordinatorStats, FailureEvent,
+        FailureKind, FailurePlan, Fleet, FleetReport, FleetSnapshot, IndexSupport, LoadIndex,
+        NodeLoad, NodeSpec, NodeState, Router, RouterKind, ScaleDecision, ScalePolicy,
+        SloAdmissionConfig, StepMode,
     };
     pub use veltair_compiler::{
         compile_model, CompiledModel, CompilerError, CompilerOptions, CompilerService,
-        EwmaSmoother, HysteresisConfig, HysteresisLadder, ModelRegistry, SearchStats,
-        SelectionContext, SelectorKind, StaticLevel, VersionSelector,
+        EwmaSmoother, HysteresisConfig, HysteresisLadder, SearchStats, SelectionContext,
+        SelectorKind, StaticLevel, VersionSelector,
     };
     pub use veltair_core::{
-        all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, EngineBuilder,
-        Policy, QpsResult, QpsSearchConfig, Scenario, ServingEngine, ServingReport, SimError,
+        all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, Policy,
+        QpsResult, QpsSearchConfig, Scenario, ServingEngine, ServingReport, SimError,
         SloExpectation, WorkloadError, WorkloadSpec,
     };
     pub use veltair_models::{all_models, by_name, ModelSpec, WorkloadClass};

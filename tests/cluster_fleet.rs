@@ -181,6 +181,7 @@ fn a_fleet_of_one_reproduces_the_single_machine_bit_for_bit() {
     }));
     let selector = SelectorKind::Hysteresis(HysteresisConfig::try_new(0.5, 0.05).expect("valid"));
     let projection = ProjectionConfig::try_new(0.4).expect("valid");
+    let proxy = train_proxy(&models, &machine, 256, 0xF1EE7);
     for (p, policy) in POLICIES.into_iter().enumerate() {
         let node = [NodeSpec::new("solo", machine.clone(), policy)];
         let fleet = || {
@@ -226,10 +227,11 @@ fn a_fleet_of_one_reproduces_the_single_machine_bit_for_bit() {
         }
 
         // The scripted session, opened through `ServingEngine::session`
-        // with a non-default selector and projection (pinning how the
-        // engine maps onto its node), with a hot swap to the next policy
-        // at the second checkpoint.
+        // with a counter proxy and a non-default selector and projection
+        // (pinning how the engine maps onto its node), with a hot swap to
+        // the next policy at the second checkpoint.
         let mut engine = ServingEngine::new(machine.clone(), policy);
+        engine.set_proxy(proxy.clone());
         engine.set_selector(selector);
         engine.set_projection(projection);
         for m in &models {
@@ -238,6 +240,7 @@ fn a_fleet_of_one_reproduces_the_single_machine_bit_for_bit() {
         let driver = Driver::open(
             &models,
             cfg.clone()
+                .with_proxy(proxy.clone())
                 .with_selector(selector)
                 .with_projection(projection),
         )
@@ -275,7 +278,7 @@ fn a_live_snapshot_averages_cores_over_the_elapsed_time() {
         AdmissionKind::AdmitAll.build(),
     )
     .expect("valid fleet");
-    let mut driver = Driver::open(&models, node[0].sim_config()).expect("valid driver");
+    let mut driver = Driver::open(&models, node[0].config.clone()).expect("valid driver");
     let workload = WorkloadSpec::mix(
         &[
             ("resnet50", 400.0),
@@ -390,13 +393,10 @@ fn set_policy_on_an_unknown_node_is_a_typed_error_that_changes_nothing() {
 fn a_policy_swap_relabels_the_node_telemetry_class() {
     // Work served before a hot swap counts under the old policy's
     // telemetry class, work served after it under the new one.
-    let mut builder = ServingEngine::builder()
-        .machine(MachineConfig::threadripper_3990x())
-        .policy(Policy::VeltairFull);
+    let mut engine = ServingEngine::new(MachineConfig::threadripper_3990x(), Policy::VeltairFull);
     for m in compiled_mix() {
-        builder = builder.model(m);
+        engine.register(m);
     }
-    let engine = builder.build().expect("valid engine");
     let mut session = engine.session().expect("valid session");
     session.enable_telemetry(TraceConfig::unbounded());
     session
@@ -797,7 +797,7 @@ fn invalid_joins_and_scale_templates_are_typed_errors() {
         .expect("valid fleet")
     };
     let mut bad = NodeSpec::new("bad", MachineConfig::desktop_8core(), Policy::VeltairFull);
-    bad.machine.cores = 0;
+    bad.config.machine.cores = 0;
 
     let mut f = fleet();
     match f.add_node(&bad) {
@@ -808,15 +808,8 @@ fn invalid_joins_and_scale_templates_are_typed_errors() {
     }
     assert_eq!(f.node_states().len(), specs.len(), "nothing joined");
 
-    let policy = ScalePolicy::try_new(
-        AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
-        bad,
-        1,
-        8,
-        0.05,
-        0.0,
-    )
-    .expect("valid guard rails");
+    let policy = ScalePolicy::try_new(AutoscalerConfig::default(), bad, 1, 8, 0.05, 0.0)
+        .expect("valid guard rails");
     assert!(matches!(
         f.set_scale_policy(policy.clone()),
         Err(ClusterError::InvalidConfig { .. })

@@ -226,16 +226,16 @@ fn lifecycle_and_policy_errors_are_typed() {
     ));
 
     let template = NodeSpec::new("t", MachineConfig::desktop_8core(), Policy::VeltairFull);
-    let kind = AutoscalerKind::Hysteresis(AutoscalerConfig::default());
+    let cfg = AutoscalerConfig::default();
     assert!(matches!(
-        ScalePolicy::try_new(kind.clone(), template.clone(), 4, 2, 0.25, 0.5),
+        ScalePolicy::try_new(cfg, template.clone(), 4, 2, 0.25, 0.5),
         Err(ClusterError::InvalidScalePolicy {
             field: "max_nodes",
             ..
         })
     ));
     assert!(matches!(
-        ScalePolicy::try_new(kind, template, 0, 2, 0.25, 0.5),
+        ScalePolicy::try_new(cfg, template, 0, 2, 0.25, 0.5),
         Err(ClusterError::InvalidScalePolicy {
             field: "min_nodes",
             ..

@@ -102,18 +102,16 @@ fn adaptive_compilation_switches_versions_under_pressure() {
 
 #[test]
 fn session_lifecycle_through_the_facade() {
-    // The full builder → session → snapshot lifecycle, as a downstream
-    // user of the `veltair` facade sees it.
-    let m = machine();
-    let compiled = compile(&["mobilenet_v2", "tiny_yolo_v2"]);
-    let mut builder = ServingEngine::builder()
-        .machine(m)
-        .policy(Policy::VeltairFull)
-        .slo("tiny_yolo_v2", 0.5);
-    for c in compiled {
-        builder = builder.model(c);
+    // The full engine → session → snapshot lifecycle, as a downstream
+    // user of the `veltair` facade sees it. A model's SLO is set on the
+    // compiled model.
+    let mut engine = ServingEngine::new(machine(), Policy::VeltairFull);
+    for mut c in compile(&["mobilenet_v2", "tiny_yolo_v2"]) {
+        if c.name == "tiny_yolo_v2" {
+            c.qos_s = 0.5;
+        }
+        engine.register(c);
     }
-    let engine = builder.build().expect("valid engine");
     assert!((engine.models()[1].qos_s - 0.5).abs() < 1e-12);
 
     // The session is a fleet of one node.
@@ -158,4 +156,57 @@ fn report_cpu_accounting_is_bounded() {
     assert!(report.avg_cores <= f64::from(machine().cores));
     assert!(report.core_seconds > 0.0);
     assert!(report.makespan_s > 0.0);
+}
+
+#[test]
+fn qos_targets_that_are_not_positive_and_finite_are_invalid_configs() {
+    // A model's SLO is its compiled `qos_s`, set on the model itself.
+    // Every entry point that builds a driver rejects one that is NaN,
+    // zero, negative or infinite as an invalid configuration naming the
+    // model, instead of serving every query against it.
+    let m = machine();
+    let workload = WorkloadSpec::single("mobilenet_v2", 50.0, 20);
+    let cfg = SimConfig::new(m.clone(), Policy::Prema);
+    let names_the_model = |reason: &str| reason.contains("model mobilenet_v2: QoS target");
+    let valid = compile(&["mobilenet_v2"]).remove(0);
+    for qos_s in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+        let mut model = valid.clone();
+        model.qos_s = qos_s;
+        let models = [model];
+
+        let sim_errors = [
+            veltair::sched::simulate(&models, &workload.generate(1), &cfg).err(),
+            Driver::open(&models, cfg.clone()).err(),
+        ];
+        for (entry, err) in ["simulate", "Driver::open"].iter().zip(sim_errors) {
+            assert!(
+                matches!(err, Some(SimError::InvalidConfig { ref reason }) if names_the_model(reason)),
+                "{entry}, qos_s {qos_s}: {err:?}"
+            );
+        }
+
+        let mut engine = ServingEngine::new(m.clone(), Policy::Prema);
+        engine.register(models[0].clone());
+        let cluster = ClusterEngine::builder()
+            .model(models[0].clone())
+            .node(NodeSpec::new("big-0", m.clone(), Policy::Prema))
+            .build()
+            .expect("registries are checked when a fleet opens");
+        let cluster_errors = [
+            engine.try_run(&workload, 1).err(),
+            engine.session().err(),
+            cluster.try_run(&workload, 1).err(),
+        ];
+        let entries = [
+            "ServingEngine::try_run",
+            "ServingEngine::session",
+            "ClusterEngine::try_run",
+        ];
+        for (entry, err) in entries.iter().zip(cluster_errors) {
+            assert!(
+                matches!(err, Some(ClusterError::InvalidConfig { ref reason }) if names_the_model(reason)),
+                "{entry}, qos_s {qos_s}: {err:?}"
+            );
+        }
+    }
 }

@@ -502,7 +502,7 @@ fn churn_report(router: RouterKind, seed: u64) -> FleetReport {
         .and_then(|p| p.try_crash(0.18, 3))
         .expect("valid plan");
     let policy = ScalePolicy::try_new(
-        AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
+        AutoscalerConfig::default(),
         NodeSpec::new(
             "elastic",
             MachineConfig::desktop_8core(),

@@ -111,7 +111,7 @@ impl ScanOracle {
             rng: StdRng::seed_from_u64(seed),
             cores: roster
                 .iter()
-                .map(|n| u64::from(n.machine.cores.max(1)))
+                .map(|n| u64::from(n.config.machine.cores.max(1)))
                 .collect(),
         }
     }
@@ -341,7 +341,7 @@ fn churn_fleet(router: RouterKind, oracle: bool, step: StepMode) -> Fleet<'stati
     // but never scales in — scale-in drains would race the scripted
     // crash/kill instants and blur the exact lifecycle counts below.
     let policy = ScalePolicy::try_new(
-        AutoscalerKind::Hysteresis(AutoscalerConfig::default()),
+        AutoscalerConfig::default(),
         NodeSpec::new(
             "elastic",
             MachineConfig::desktop_8core(),
