@@ -535,11 +535,18 @@ impl<'a> Fleet<'a> {
 
     /// Builds a fleet whose nodes serve from *per-node* compiled
     /// registries — the heterogeneous-hardware path: each node runs code
-    /// compiled for its own machine (see
-    /// `veltair_compiler::CompilerService`), while `catalog` is the
-    /// fleet-level model list the front door validates submissions
-    /// against and shows to the router (model identity — name, SLO,
-    /// class — is machine-independent, so any registry's copy serves).
+    /// compiled for its own machine (compile each machine class once
+    /// through one `veltair_compiler::CompilerService` and pass every
+    /// node its class's slice), while `catalog` is the fleet-level model
+    /// list the front door validates submissions against, shows to the
+    /// router, and opens later joins on (model identity — name, SLO,
+    /// class — is machine-independent, so any registry's copy serves;
+    /// typically it is one of the node slices).
+    ///
+    /// Opening validates each node by opening its driver. The catalog is
+    /// validated by a driver of its own only when no node serves that
+    /// very slice (`std::ptr::eq`): a node that does has already run the
+    /// same profile and QoS checks.
     ///
     /// # Errors
     ///
@@ -589,8 +596,11 @@ impl<'a> Fleet<'a> {
             .map(|(models, s)| open_node(models, s))
             .collect::<Result<Vec<Driver<'a>>, _>>()?;
         // Later joins (`add_node`, autoscaler scale-out) open their
-        // drivers on the catalog, so it must be valid too.
-        open_node(catalog, &specs[0])?;
+        // drivers on the catalog, so it must be valid too; a node serving
+        // the catalog itself has already run those checks.
+        if !node_models.iter().any(|m| std::ptr::eq(*m, catalog)) {
+            open_node(catalog, &specs[0])?;
+        }
         let support = router.index_support();
         let index = LoadIndex::new(
             drivers

@@ -72,5 +72,5 @@ pub use selector::{
     EwmaSmoother, HysteresisConfig, HysteresisLadder, SelectionContext, SelectorKind, StaticLevel,
     VersionSelector,
 };
-pub use service::{machine_key, options_key, CompilerService};
+pub use service::CompilerService;
 pub use vendor::vendor_profile;

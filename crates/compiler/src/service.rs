@@ -6,8 +6,9 @@
 //! "give every (model, machine) pair in my heterogeneous fleet the code
 //! compiled *for its own hardware*, and never compile the same pair
 //! twice". [`CompilerService`] owns that: it memoizes compiled
-//! artifacts keyed by `(model name, machine fingerprint)`, so compiling
-//! a model set once per machine yields the per-machine model sets fleet
+//! artifacts keyed by `(machine fingerprint, model name, spec
+//! fingerprint)` under the options it was built with, so compiling a
+//! model set once per machine yields the per-machine model sets fleet
 //! nodes serve from. Compilation is deterministic (the auto-scheduler is
 //! seeded), so a cache hit and a fresh recompile are bit-identical —
 //! pinned by `tests/compiler_service.rs`.
@@ -22,12 +23,11 @@ use crate::compiled::{compile_model, CompiledModel};
 use crate::options::CompilerOptions;
 use crate::search::SearchStats;
 
-/// A fingerprint of a [`MachineConfig`], used as the machine half of the
+/// A fingerprint of a [`MachineConfig`], used as the machine part of the
 /// service's cache key. Two configs share a fingerprint iff every field
 /// is bit-equal (`f64` fields are rendered with round-trippable shortest
 /// formatting), so distinct hardware never aliases in the cache.
-#[must_use]
-pub fn machine_key(machine: &MachineConfig) -> String {
+fn machine_key(machine: &MachineConfig) -> String {
     format!("{machine:?}")
 }
 
@@ -42,17 +42,6 @@ fn spec_fingerprint(spec: &ModelSpec) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     format!("{spec:?}").hash(&mut hasher);
     hasher.finish()
-}
-
-/// A fingerprint of the [`CompilerOptions`] fields that change the
-/// compiled artifact, used as the options half of the service's cache
-/// key. Two services (or one service reconfigured via
-/// [`CompilerService::set_options`]) can only share cached artifacts when
-/// every artifact-affecting knob — search effort, version budget,
-/// pruning, reference cores and seed — matches.
-#[must_use]
-pub fn options_key(options: &CompilerOptions) -> String {
-    format!("{options:?}")
 }
 
 /// A caching, per-machine compilation service.
@@ -75,20 +64,21 @@ pub fn options_key(options: &CompilerOptions) -> String {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompilerService {
+    /// Fixed at [`new`](CompilerService::new), so every cached artifact
+    /// was compiled under them and the cache key needs no options part.
     options: CompilerOptions,
-    /// `(machine fingerprint, model name, spec content fingerprint,
-    /// options fingerprint) → artifact`. A `BTreeMap` keeps iteration
-    /// (and `Debug` output) deterministic. The options fingerprint covers
-    /// every compiler option, so reconfiguring the service can never serve
-    /// an artifact compiled under different options.
-    cache: BTreeMap<(String, String, u64, String), CompiledModel>,
+    /// `(machine fingerprint, model name, spec content fingerprint) →
+    /// artifact`. A `BTreeMap` keeps iteration (and `Debug` output)
+    /// deterministic.
+    cache: BTreeMap<(String, String, u64), CompiledModel>,
     hits: u64,
     misses: u64,
     search_stats: SearchStats,
 }
 
 impl CompilerService {
-    /// A service compiling with the given options.
+    /// A service compiling every artifact with `options`; a different
+    /// option set is a different service.
     #[must_use]
     pub fn new(options: CompilerOptions) -> Self {
         Self {
@@ -98,21 +88,6 @@ impl CompilerService {
             misses: 0,
             search_stats: SearchStats::default(),
         }
-    }
-
-    /// The options every compilation of this service uses.
-    #[must_use]
-    pub fn options(&self) -> &CompilerOptions {
-        &self.options
-    }
-
-    /// Reconfigures the options used for *future* compilations. Cached
-    /// artifacts stay keyed by the options they were compiled under, so
-    /// switching (say) to a smaller version budget recompiles instead of
-    /// aliasing onto a stale artifact — and switching back hits the
-    /// original cache entries again.
-    pub fn set_options(&mut self, options: CompilerOptions) {
-        self.options = options;
     }
 
     /// Compiles `spec` for `machine`, or returns the cached artifact if
@@ -126,7 +101,6 @@ impl CompilerService {
             machine_key(machine),
             spec.graph.name.clone(),
             spec_fingerprint(spec),
-            options_key(&self.options),
         );
         if let Some(cached) = self.cache.get(&key) {
             self.hits += 1;

@@ -11,11 +11,12 @@
 //!   online serving — streaming [`submit`](Fleet::submit), incremental
 //!   [`poll`](Fleet::poll)/[`snapshot`](Fleet::snapshot), and mid-run
 //!   [`set_policy`](Fleet::set_policy);
-//! * [`cluster`] — the fleet surface: [`ClusterEngine`] composes N
-//!   (possibly heterogeneous) nodes behind pluggable routing and
-//!   admission control, and its [`session`](ClusterEngine::session) opens
-//!   the same [`Fleet`] at fleet scale (step mode, autoscaling, failure
-//!   plans and telemetry are set on the fleet);
+//! * [`scenarios`] — the pinned fleet scenarios. A fleet of N (possibly
+//!   heterogeneous) nodes behind pluggable routing and admission control
+//!   opens with [`Fleet::new`] over one shared registry, or with
+//!   [`Fleet::with_node_registries`] over per-machine registries compiled
+//!   through one `CompilerService`; step mode, autoscaling, failure plans
+//!   and telemetry are set on the fleet;
 //! * [`dataset`] — co-location episode generation used to train the
 //!   interference proxy exactly the way the deployed monitor observes the
 //!   system;
@@ -62,14 +63,12 @@
 //! # Ok::<(), veltair_core::ClusterError>(())
 //! ```
 
-pub mod cluster;
 pub mod dataset;
 pub mod engine;
 pub mod experiments;
 pub mod metrics;
 pub mod scenarios;
 
-pub use cluster::{ClusterBuilder, ClusterEngine};
 pub use dataset::{co_location_dataset, train_proxy};
 pub use engine::ServingEngine;
 pub use metrics::{max_qps_at_qos, QpsResult, QpsSearchConfig};

@@ -5,9 +5,9 @@
 //! a trace-shaped workload, a [`FailurePlan`] (empty when nothing fails),
 //! an optional [`ScalePolicy`], and a pinned seed — plus the
 //! [`SloExpectation`] the run is asserted against. [`Scenario::run_with`]
-//! opens the topology's [`Fleet`](veltair_cluster::Fleet) and attaches
-//! the plan, the posture and the step mode to it. The library serves
-//! three purposes:
+//! opens the topology with [`Fleet::new`] behind least-outstanding
+//! routing and admit-all admission, and attaches the plan, the posture
+//! and the step mode to it. The library serves three purposes:
 //!
 //! 1. **Regression pins.** Every scenario is bit-deterministic for its
 //!    seed under both [`StepMode`]s, so CI can assert whole-report
@@ -28,14 +28,12 @@
 //! | `rolling-upgrade` | staggered drains + replacement joins | graceful surrender |
 
 use veltair_cluster::{
-    AdmissionKind, AutoscalerConfig, FailurePlan, FleetReport, NodeSpec, RouterKind, ScalePolicy,
-    StepMode,
+    AdmissionKind, AutoscalerConfig, FailurePlan, Fleet, FleetReport, NodeSpec, RouterKind,
+    ScalePolicy, StepMode,
 };
-use veltair_compiler::{compile_model, CompilerOptions};
+use veltair_compiler::{compile_model, CompiledModel, CompilerOptions};
 use veltair_sched::{Policy, WorkloadSpec};
 use veltair_sim::MachineConfig;
-
-use crate::cluster::{ClusterBuilder, ClusterEngine};
 
 /// What a scenario promises about its own outcome. Deliberately loose
 /// bounds: these are regression rails ("failover still completes
@@ -55,19 +53,21 @@ pub struct SloExpectation {
 
 /// A named, seeded, reproducible cluster serving situation.
 ///
-/// The fleet definition is kept as a builder, a failure plan and a pinned
-/// autoscaling posture so what-if tools can replay the *same* topology,
-/// workload, failures, and seed under a different posture
-/// ([`run_with`](Scenario::run_with)) — that comparison is the whole
-/// point of a capacity-planning table.
+/// The fleet definition is kept as its compiled models, its nodes, a
+/// failure plan and a pinned autoscaling posture so what-if tools can
+/// replay the *same* topology, workload, failures, and seed under a
+/// different posture ([`run_with`](Scenario::run_with)) — that
+/// comparison is the whole point of a capacity-planning table.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The scenario's stable name (used in tables, CI, and docs).
     pub name: &'static str,
     /// One-line description for tables.
     pub blurb: &'static str,
-    /// Fleet topology, routing, and admission.
-    pub builder: ClusterBuilder,
+    /// The registry every node serves.
+    pub models: Vec<CompiledModel>,
+    /// The seed roster.
+    pub nodes: Vec<NodeSpec>,
     /// The scripted crash/stall/drain schedule (empty = nothing fails).
     pub failures: FailurePlan,
     /// The pinned autoscaling posture (`None` = fixed fleet).
@@ -81,17 +81,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Builds the scenario's engine: its topology, routing, and
-    /// admission. Failures and autoscaling attach to the fleet a run
-    /// opens ([`run_with`](Scenario::run_with)).
-    #[must_use]
-    pub fn engine(&self) -> ClusterEngine {
-        self.builder
-            .clone()
-            .build()
-            .expect("library scenarios are valid")
-    }
-
     /// Runs the scenario to completion under its pinned posture.
     #[must_use]
     pub fn run(&self, step_mode: StepMode) -> FleetReport {
@@ -105,8 +94,13 @@ impl Scenario {
     /// for [`check`](Scenario::check).
     #[must_use]
     pub fn run_with(&self, scale: Option<ScalePolicy>, step_mode: StepMode) -> FleetReport {
-        let engine = self.engine();
-        let mut fleet = engine.session().expect("library scenarios are valid");
+        let mut fleet = Fleet::new(
+            &self.models,
+            &self.nodes,
+            RouterKind::LeastOutstanding.build(),
+            AdmissionKind::AdmitAll.build(),
+        )
+        .expect("library scenarios are valid");
         fleet.set_step_mode(step_mode);
         fleet.set_failure_plan(self.failures.clone());
         if let Some(policy) = scale {
@@ -160,21 +154,19 @@ fn node(name: &str) -> NodeSpec {
     NodeSpec::new(name, node_machine(), Policy::VeltairFull)
 }
 
-fn base_builder(nodes: usize) -> ClusterBuilder {
-    let machine = node_machine();
-    let model = compile_model(
+/// The one model every scenario serves: `mobilenet_v2`, compiled for
+/// the standard machine.
+fn models() -> Vec<CompiledModel> {
+    vec![compile_model(
         &veltair_models::mobilenet_v2(),
-        &machine,
+        &node_machine(),
         &CompilerOptions::fast(),
-    );
-    let mut b = ClusterEngine::builder()
-        .model(model)
-        .router(RouterKind::LeastOutstanding)
-        .admission(AdmissionKind::AdmitAll);
-    for i in 0..nodes {
-        b = b.node(node(&format!("node-{i}")));
-    }
-    b
+    )]
+}
+
+/// A seed roster of `n` standard nodes, `node-0` up.
+fn nodes(n: usize) -> Vec<NodeSpec> {
+    (0..n).map(|i| node(&format!("node-{i}"))).collect()
 }
 
 /// The default scale policy the elastic scenarios share: hysteresis
@@ -200,7 +192,8 @@ pub fn steady() -> Scenario {
     Scenario {
         name: "steady",
         blurb: "flat Poisson, two nodes, comfortable load",
-        builder: base_builder(2),
+        models: models(),
+        nodes: nodes(2),
         failures: FailurePlan::new(),
         scale: None,
         workload: WorkloadSpec::single("mobilenet_v2", 120.0, 360),
@@ -222,7 +215,8 @@ pub fn diurnal() -> Scenario {
     Scenario {
         name: "diurnal",
         blurb: "day/night trace cycle, autoscaler follows both ways",
-        builder: base_builder(1),
+        models: models(),
+        nodes: nodes(1),
         failures: FailurePlan::new(),
         scale: Some(default_scale_policy(1, 4)),
         workload: WorkloadSpec::try_trace("mobilenet_v2", 90.0, 540, &[(1.0, 3.0), (1.0, 0.3)])
@@ -245,7 +239,8 @@ pub fn flash_crowd() -> Scenario {
     Scenario {
         name: "flash-crowd",
         blurb: "8x surge onto near-idle capacity, autoscaler catches up",
-        builder: base_builder(1),
+        models: models(),
+        nodes: nodes(1),
         failures: FailurePlan::new(),
         scale: Some(default_scale_policy(1, 6)),
         workload: WorkloadSpec::try_trace(
@@ -277,7 +272,8 @@ pub fn failover() -> Scenario {
     Scenario {
         name: "failover",
         blurb: "node crash mid-run, autoscaler provisions replacements",
-        builder: base_builder(2),
+        models: models(),
+        nodes: nodes(2),
         failures: FailurePlan::new().try_crash(0.8, 1).expect("valid instant"),
         scale: Some(default_scale_policy(1, 4)),
         workload: WorkloadSpec::single("mobilenet_v2", 210.0, 630),
@@ -299,7 +295,8 @@ pub fn rolling_upgrade() -> Scenario {
     Scenario {
         name: "rolling-upgrade",
         blurb: "staggered graceful drains with autoscaled replacements",
-        builder: base_builder(3),
+        models: models(),
+        nodes: nodes(3),
         failures: FailurePlan::new()
             .try_drain(0.6, 0)
             .and_then(|p| p.try_drain(1.4, 1))

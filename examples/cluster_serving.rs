@@ -87,17 +87,11 @@ fn main() {
         RouterKind::PowerOfTwoChoices { seed: 1 },
         RouterKind::InterferenceAware,
     ] {
-        let mut builder = ClusterEngine::builder()
-            .router(router)
-            .admission(AdmissionKind::SloAware(SloAdmissionConfig::default()));
-        for m in &compiled {
-            builder = builder.model(m.clone());
-        }
-        for n in &nodes {
-            builder = builder.node(n.clone());
-        }
-        let engine = builder.build().expect("valid cluster");
-        let report = engine.run(&workload, 42);
+        let mut fleet = slo_aware_fleet(&compiled, &nodes, router);
+        fleet
+            .submit_stream(&workload, 42)
+            .expect("registered models");
+        let report = fleet.finish();
         println!(
             "{:<20} {:>11.1}% {:>14.1} {:>9.1}% {:>10.2} {:>10}",
             router.name(),
@@ -134,23 +128,29 @@ fn main() {
     index_scale_demo(&compiled);
 }
 
+/// The head-to-head fleet: `nodes` serving the shared flagship-compiled
+/// registry behind `router` and default SLO-aware admission.
+fn slo_aware_fleet<'a>(
+    compiled: &'a [CompiledModel],
+    nodes: &[NodeSpec],
+    router: RouterKind,
+) -> Fleet<'a> {
+    Fleet::new(
+        compiled,
+        nodes,
+        router.build(),
+        AdmissionKind::SloAware(SloAdmissionConfig::default()).build(),
+    )
+    .expect("valid fleet")
+}
+
 /// The flight-recorder pass: interference-aware routing over the same
 /// fleet with the deterministic trace collector attached from the first
 /// arrival, registry metrics printed at periodic snapshots, the worst
 /// SLO miss attributed, and the merged trace exported as Chrome
 /// trace-event JSON when `VELTAIR_TRACE_OUT` is set.
 fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload: &WorkloadSpec) {
-    let mut builder = ClusterEngine::builder()
-        .router(RouterKind::InterferenceAware)
-        .admission(AdmissionKind::SloAware(SloAdmissionConfig::default()));
-    for m in compiled {
-        builder = builder.model(m.clone());
-    }
-    for n in nodes {
-        builder = builder.node(n.clone());
-    }
-    let engine = builder.build().expect("valid cluster");
-    let mut session = engine.session().expect("valid session");
+    let mut session = slo_aware_fleet(compiled, nodes, RouterKind::InterferenceAware);
     session.enable_telemetry(TraceConfig::unbounded());
     session
         .submit_stream(workload, 42)
@@ -220,11 +220,11 @@ fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload
 
 /// Per-node compilation head to head: the same heterogeneous fleet and
 /// workload, once with every node serving flagship-compiled artifacts
-/// (the shared-registry setup above) and once with
-/// `ClusterBuilder::compile` handing each machine class code compiled
-/// for its own hardware through the caching `CompilerService` — so the
-/// 8-core edge boxes stop planning with a 64-core flagship's
-/// core-requirement tables.
+/// (the shared-registry setup above) and once with each machine class
+/// compiled for its own hardware through one caching `CompilerService`
+/// and served through `Fleet::with_node_registries` — so the 8-core
+/// edge boxes stop planning with a 64-core flagship's core-requirement
+/// tables.
 fn per_node_compilation_demo(
     compiled: &[CompiledModel],
     nodes: &[NodeSpec],
@@ -232,28 +232,39 @@ fn per_node_compilation_demo(
     shared: FleetReport,
 ) {
     let names = ["mobilenet_v2", "tiny_yolo_v2", "resnet50", "googlenet"];
-    let mut builder = ClusterEngine::builder()
-        .router(RouterKind::InterferenceAware)
-        .admission(AdmissionKind::SloAware(SloAdmissionConfig::default()))
-        .compiler_options(CompilerOptions::fast());
-    for n in names {
-        builder = builder.compile(by_name(n).expect("zoo model"));
-    }
-    for n in nodes {
-        builder = builder.node(n.clone());
-    }
-    let engine = builder.build().expect("valid cluster");
-    assert!(engine.per_node_compilation());
+    let machines = [
+        MachineConfig::threadripper_3990x(),
+        MachineConfig::desktop_8core(),
+    ];
+    let mut service = CompilerService::new(CompilerOptions::fast());
+    let registries: Vec<Vec<CompiledModel>> = machines
+        .iter()
+        .map(|machine| {
+            names
+                .iter()
+                .map(|n| service.compile(&by_name(n).expect("zoo model"), machine))
+                .collect()
+        })
+        .collect();
+    let node_models: Vec<&[CompiledModel]> = nodes
+        .iter()
+        .map(|n| {
+            let class = machines
+                .iter()
+                .position(|m| *m == n.config.machine)
+                .expect("every node is a flagship or an edge box");
+            registries[class].as_slice()
+        })
+        .collect();
     println!(
         "\nper-node compilation: {} models x {} machine classes ({} registries; \
          edge nodes now run edge-compiled code)",
         names.len(),
-        engine.registries().len(),
-        engine.registries().len(),
+        machines.len(),
+        registries.len(),
     );
     // The edge artifact really differs from the flagship one.
-    let edge_mobilenet = engine
-        .registry_for_node(3)
+    let edge_mobilenet = node_models[3]
         .iter()
         .find(|m| m.name == "mobilenet_v2")
         .expect("registered");
@@ -266,7 +277,18 @@ fn per_node_compilation_demo(
         "edge registry should differ from the flagship compilation"
     );
 
-    let per_node = engine.run(workload, 42);
+    let mut fleet = Fleet::with_node_registries(
+        &registries[0],
+        node_models,
+        nodes,
+        RouterKind::InterferenceAware.build(),
+        AdmissionKind::SloAware(SloAdmissionConfig::default()).build(),
+    )
+    .expect("valid fleet");
+    fleet
+        .submit_stream(workload, 42)
+        .expect("registered models");
+    let per_node = fleet.finish();
     println!(
         "{:<24} {:>12} {:>14} {:>10}",
         "registry", "SLO viol.", "goodput(qps)", "p99(ms)"
@@ -332,16 +354,14 @@ fn scale_demo(compiled: &[CompiledModel]) {
     // targets: long advancement windows of independent per-node work.
     let wave_models = ["mobilenet_v2", "tiny_yolo_v2"];
     let run = |mode: StepMode| -> (FleetReport, f64) {
-        let mut builder = ClusterEngine::builder().router(RouterKind::LeastOutstanding);
-        for m in compiled {
-            builder = builder.model(m.clone());
-        }
-        for n in &nodes {
-            builder = builder.node(n.clone());
-        }
-        let engine = builder.build().expect("valid cluster");
-        let mut session = engine.session().expect("valid session");
-        session.set_step_mode(mode);
+        let mut session = Fleet::new(
+            compiled,
+            &nodes,
+            RouterKind::LeastOutstanding.build(),
+            AdmissionKind::AdmitAll.build(),
+        )
+        .expect("valid fleet")
+        .with_step_mode(mode);
         for wave in 0..waves {
             let arrival = SimTime(wave as f64 * 0.25);
             for q in 0..node_count {

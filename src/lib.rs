@@ -27,10 +27,11 @@
 //!   tracing, the metrics registry (latency histograms, the
 //!   violation-frequency table), Chrome-trace export, and per-query SLO
 //!   attribution;
-//! * [`core`] — the serving engine and the cluster engine (whose
-//!   sessions are both [`cluster::Fleet`]s: one node or N), evaluation
-//!   metrics, and the experiment harness that regenerates every figure
-//!   and table of the paper.
+//! * [`core`] — the serving engine (whose session is a one-node
+//!   [`cluster::Fleet`]; a fleet of N opens with [`cluster::Fleet::new`]
+//!   or [`cluster::Fleet::with_node_registries`]), the pinned fleet
+//!   scenarios, evaluation metrics, and the experiment harness that
+//!   regenerates every figure and table of the paper.
 //!
 //! # Quickstart
 //!
@@ -81,9 +82,8 @@ pub mod prelude {
         SelectorKind, StaticLevel, VersionSelector,
     };
     pub use veltair_core::{
-        all_scenarios, max_qps_at_qos, train_proxy, ClusterBuilder, ClusterEngine, Policy,
-        QpsResult, QpsSearchConfig, Scenario, ServingEngine, ServingReport, SimError,
-        SloExpectation, WorkloadError, WorkloadSpec,
+        all_scenarios, max_qps_at_qos, train_proxy, Policy, QpsResult, QpsSearchConfig, Scenario,
+        ServingEngine, ServingReport, SimError, SloExpectation, WorkloadError, WorkloadSpec,
     };
     pub use veltair_models::{all_models, by_name, ModelSpec, WorkloadClass};
     pub use veltair_sched::runtime::Driver;

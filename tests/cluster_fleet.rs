@@ -52,17 +52,28 @@ fn poisson_mix_workload(total_queries: usize, qps: f64) -> WorkloadSpec {
     }
 }
 
-fn engine(models: &[CompiledModel], router: RouterKind) -> ClusterEngine {
-    let mut builder = ClusterEngine::builder()
-        .router(router)
-        .admission(AdmissionKind::SloAware(SloAdmissionConfig::default()));
-    for m in models {
-        builder = builder.model(m.clone());
-    }
-    for n in heterogeneous_nodes() {
-        builder = builder.node(n);
-    }
-    builder.build().expect("valid cluster")
+/// The heterogeneous fleet serving `models` behind `router` and default
+/// SLO-aware admission.
+fn fleet(models: &[CompiledModel], router: RouterKind) -> Fleet<'_> {
+    Fleet::new(
+        models,
+        &heterogeneous_nodes(),
+        router.build(),
+        AdmissionKind::SloAware(SloAdmissionConfig::default()).build(),
+    )
+    .expect("valid fleet")
+}
+
+/// Serves `workload` on a fresh [`fleet`] and returns its final report.
+fn serve(
+    models: &[CompiledModel],
+    router: RouterKind,
+    workload: &WorkloadSpec,
+    seed: u64,
+) -> FleetReport {
+    let mut fleet = fleet(models, router);
+    fleet.submit_stream(workload, seed).expect("registered");
+    fleet.finish()
 }
 
 #[test]
@@ -72,7 +83,8 @@ fn fleet_runs_are_bit_deterministic_for_a_fixed_seed() {
     // reproduce bit for bit when the same configuration runs twice.
     let models = compiled_mix();
     let workload = bursty_mix_workload(250, 300.0);
-    let run = || engine(&models, RouterKind::PowerOfTwoChoices { seed: 11 }).run(&workload, 42);
+    let router = RouterKind::PowerOfTwoChoices { seed: 11 };
+    let run = || serve(&models, router, &workload, 42);
     let first = run();
     let second = run();
     assert_eq!(first, second, "identical configs diverged");
@@ -80,7 +92,7 @@ fn fleet_runs_are_bit_deterministic_for_a_fixed_seed() {
 
     // A different workload seed must actually change the outcome (the
     // equality above is not comparing constants).
-    let third = engine(&models, RouterKind::PowerOfTwoChoices { seed: 11 }).run(&workload, 43);
+    let third = serve(&models, router, &workload, 43);
     assert_ne!(first, third, "workload seed had no effect");
 }
 
@@ -426,8 +438,12 @@ fn merged_percentiles_equal_percentiles_of_pooled_samples() {
     // Fleet p95/p99 must be the percentile of the union of node samples,
     // never an average of per-node percentiles.
     let models = compiled_mix();
-    let report =
-        engine(&models, RouterKind::LeastOutstanding).run(&bursty_mix_workload(250, 300.0), 7);
+    let report = serve(
+        &models,
+        RouterKind::LeastOutstanding,
+        &bursty_mix_workload(250, 300.0),
+        7,
+    );
 
     for model in report.merged.per_model.keys() {
         // Pool the raw samples from every node by hand.
@@ -509,8 +525,8 @@ fn interference_aware_routing_beats_round_robin_on_slo() {
     // must beat load-blind round-robin on SLO violation rate.
     let models = compiled_mix();
     let workload = bursty_mix_workload(600, 350.0);
-    let rr = engine(&models, RouterKind::RoundRobin).run(&workload, 42);
-    let ia = engine(&models, RouterKind::InterferenceAware).run(&workload, 42);
+    let rr = serve(&models, RouterKind::RoundRobin, &workload, 42);
+    let ia = serve(&models, RouterKind::InterferenceAware, &workload, 42);
     assert!(
         ia.slo_violation_rate() < rr.slo_violation_rate(),
         "interference-aware {:.3} did not beat round-robin {:.3}",
@@ -558,10 +574,9 @@ fn smoothed_interference_aware_routing_beats_least_outstanding() {
     let workload = bursty_mix_workload(600, 350.0);
     let seeds = [7u64, 11, 99];
     let mean = |router: RouterKind| -> (f64, f64) {
-        let e = engine(&models, router);
         let (mut viol, mut goodput) = (0.0, 0.0);
         for &s in &seeds {
-            let r = e.run(&workload, s);
+            let r = serve(&models, router, &workload, s);
             viol += r.slo_violation_rate();
             goodput += r.goodput_qps();
         }
@@ -583,7 +598,7 @@ fn smoothed_interference_aware_routing_beats_least_outstanding() {
 fn shed_and_served_account_for_every_offered_query() {
     let models = compiled_mix();
     let workload = bursty_mix_workload(250, 500.0);
-    let report = engine(&models, RouterKind::LeastOutstanding).run(&workload, 9);
+    let report = serve(&models, RouterKind::LeastOutstanding, &workload, 9);
     assert_eq!(report.offered(), 250, "queries leaked");
     assert_eq!(
         report.merged.total_queries(),
@@ -660,36 +675,37 @@ fn deferral_hold_time_counts_against_the_slo() {
     // not flatter the latency statistics: the hold is real client wait,
     // so the measured latency includes it.
     let machine = MachineConfig::threadripper_3990x();
-    let model = compile_model(
+    let models = [compile_model(
         &by_name("mobilenet_v2").expect("zoo model"),
         &machine,
         &CompilerOptions::fast(),
-    );
-    let build = |admission: AdmissionKind| {
-        ClusterEngine::builder()
-            .model(model.clone())
-            .node(NodeSpec::new(
-                "solo",
-                MachineConfig::threadripper_3990x(),
-                Policy::VeltairFull,
-            ))
-            .router(RouterKind::RoundRobin)
-            .admission(admission)
-            .build()
-            .expect("valid cluster")
+    )];
+    let node = [NodeSpec::new(
+        "solo",
+        MachineConfig::threadripper_3990x(),
+        Policy::VeltairFull,
+    )];
+    let workload = WorkloadSpec::single("mobilenet_v2", 20.0, 10);
+    let run = |admission: AdmissionKind| {
+        let mut fleet = Fleet::new(
+            &models,
+            &node,
+            RouterKind::RoundRobin.build(),
+            admission.build(),
+        )
+        .expect("valid fleet");
+        fleet.submit_stream(&workload, 4).expect("registered");
+        fleet.finish()
     };
     // defer_threshold 0.0 defers every query (projection is never
     // negative) for max_defers rounds of 0.1 s before admitting.
-    let deferred = build(AdmissionKind::SloAware(SloAdmissionConfig {
+    let held = run(AdmissionKind::SloAware(SloAdmissionConfig {
         shed_threshold: 1.1,
         defer_threshold: 0.0,
         defer_s: 0.1,
         max_defers: 2,
     }));
-    let plain = build(AdmissionKind::AdmitAll);
-    let workload = WorkloadSpec::single("mobilenet_v2", 20.0, 10);
-    let held = deferred.run(&workload, 4);
-    let direct = plain.run(&workload, 4);
+    let direct = run(AdmissionKind::AdmitAll);
     assert_eq!(held.deferrals, 20, "2 deferrals per query expected");
     assert_eq!(held.shed, 0);
     let held_avg = held.merged.avg_latency_s("mobilenet_v2");
@@ -712,11 +728,12 @@ fn coordinator_counters_are_populated_on_snapshots_and_reports() {
     // feeding them must fail here.
     let models = compiled_mix();
     let workload = bursty_mix_workload(120, 300.0);
-    let e = engine(&models, RouterKind::LeastOutstanding);
-    let mut session = e.session().expect("valid");
+    let mut session = fleet(&models, RouterKind::LeastOutstanding);
     session.submit_stream(&workload, 42).expect("registered");
     session.run_until(0.2).expect("finite target");
     let snap = session.snapshot();
+    let names: Vec<&str> = snap.nodes.iter().map(|n| n.name.as_str()).collect();
+    assert_eq!(names, ["big-0", "big-1", "legacy-0", "edge-0", "edge-1"]);
     assert!(
         snap.coordinator.routing_decisions > 0,
         "no routing decisions counted mid-run"
@@ -779,6 +796,16 @@ fn submit_stream_rejects_a_non_finite_arrival_before_submitting_anything() {
         Err(ClusterError::NonFiniteArrival { .. })
     ));
     assert_eq!(fleet.snapshot().submitted, 0);
+    // So is a mix naming a model outside the catalog: its registered
+    // streams stay out too.
+    let unknown = WorkloadSpec::mix(&[("mobilenet_v2", 10.0), ("bert_large", 10.0)], 10);
+    assert_eq!(
+        fleet.submit_stream(&unknown, 1),
+        Err(ClusterError::UnknownModel {
+            model: "bert_large".into()
+        })
+    );
+    assert_eq!(fleet.snapshot().submitted, 0);
 }
 
 #[test]
@@ -796,17 +823,22 @@ fn invalid_joins_and_scale_templates_are_typed_errors() {
         )
         .expect("valid fleet")
     };
+    let broken: [fn(&mut MachineConfig); 2] = [|m| m.cores = 0, |m| m.l3_bytes = f64::NAN];
+    let mut f = fleet();
+    for edit in broken {
+        let mut bad = NodeSpec::new("bad", MachineConfig::desktop_8core(), Policy::VeltairFull);
+        edit(&mut bad.config.machine);
+        match f.add_node(&bad) {
+            Err(ClusterError::InvalidConfig { reason }) => {
+                assert!(reason.starts_with("node bad: "), "{reason}");
+            }
+            other => panic!("expected an invalid-config error, got {other:?}"),
+        }
+        assert_eq!(f.node_states().len(), specs.len(), "nothing joined");
+    }
+
     let mut bad = NodeSpec::new("bad", MachineConfig::desktop_8core(), Policy::VeltairFull);
     bad.config.machine.cores = 0;
-
-    let mut f = fleet();
-    match f.add_node(&bad) {
-        Err(ClusterError::InvalidConfig { reason }) => {
-            assert!(reason.starts_with("node bad: "), "{reason}");
-        }
-        other => panic!("expected an invalid-config error, got {other:?}"),
-    }
-    assert_eq!(f.node_states().len(), specs.len(), "nothing joined");
 
     let policy = ScalePolicy::try_new(AutoscalerConfig::default(), bad, 1, 8, 0.05, 0.0)
         .expect("valid guard rails");
@@ -818,6 +850,151 @@ fn invalid_joins_and_scale_templates_are_typed_errors() {
         fleet().with_scale_policy(policy),
         Err(ClusterError::InvalidConfig { .. })
     ));
+}
+
+/// Opens a round-robin, admit-all fleet and returns its error, if any.
+fn open_error(
+    catalog: &[CompiledModel],
+    node_models: Vec<&[CompiledModel]>,
+    specs: &[NodeSpec],
+) -> Option<ClusterError> {
+    Fleet::with_node_registries(
+        catalog,
+        node_models,
+        specs,
+        RouterKind::RoundRobin.build(),
+        AdmissionKind::AdmitAll.build(),
+    )
+    .err()
+}
+
+#[test]
+fn opening_a_fleet_checks_every_input_with_a_typed_error() {
+    // Every input of `Fleet::with_node_registries` (and so of
+    // `Fleet::new`, its shared-registry case) is checked before the
+    // fleet opens, and each failure has its own variant.
+    let machine = MachineConfig::threadripper_3990x();
+    let models: Vec<CompiledModel> = ["tiny_yolo_v2", "mobilenet_v2"]
+        .iter()
+        .map(|n| {
+            compile_model(
+                &by_name(n).expect("zoo model"),
+                &machine,
+                &CompilerOptions::fast(),
+            )
+        })
+        .collect();
+    let specs = [
+        NodeSpec::new("big-0", machine, Policy::VeltairFull),
+        NodeSpec::new("edge-0", MachineConfig::desktop_8core(), Policy::Prema),
+    ];
+    let shared = vec![models.as_slice(); 2];
+    assert_eq!(open_error(&models, shared.clone(), &specs), None);
+
+    assert_eq!(
+        open_error(&models, Vec::new(), &[]),
+        Some(ClusterError::NoNodes)
+    );
+    assert_eq!(
+        open_error(&[], shared.clone(), &specs),
+        Some(ClusterError::NoModels)
+    );
+    assert_eq!(
+        open_error(&models, vec![models.as_slice()], &specs),
+        Some(ClusterError::RegistryMismatch {
+            nodes: 2,
+            registries: 1
+        })
+    );
+    // Every node must serve every model the front door accepts.
+    assert_eq!(
+        open_error(&models, vec![models.as_slice(), &models[..1]], &specs),
+        Some(ClusterError::UnknownModel {
+            model: "mobilenet_v2".into()
+        })
+    );
+
+    // An invalid kernel profile is caught wherever it is: in a node's
+    // registry, in a catalog the nodes serve, and in a catalog no node
+    // serves, which later joins open their drivers on.
+    let mut broken = models.clone();
+    broken[0].layers[1].versions[0].profile.compute_efficiency = 0.0;
+    let invalid = Some(ClusterError::InvalidProfile {
+        model: "tiny_yolo_v2".into(),
+        layer: 1,
+        version: 0,
+        reason: "compute efficiency must be in (0,1], got 0".into(),
+    });
+    assert_eq!(
+        open_error(&models, vec![models.as_slice(), &broken], &specs),
+        invalid
+    );
+    assert_eq!(
+        open_error(&broken, vec![broken.as_slice(); 2], &specs),
+        invalid
+    );
+    assert_eq!(open_error(&broken, shared.clone(), &specs), invalid);
+
+    // A node whose machine or projection weight cannot be simulated is
+    // an invalid configuration naming the node.
+    let broken_nodes: [fn(&mut NodeSpec); 4] = [
+        |n| n.config.machine.cores = 0,
+        |n| n.config.machine.l3_bytes = f64::NAN,
+        |n| n.config.machine.dram_bw = 0.0,
+        |n| n.config.projection.saturation_weight = f64::NAN,
+    ];
+    for edit in broken_nodes {
+        let mut specs = specs.clone();
+        edit(&mut specs[1]);
+        let err = open_error(&models, shared.clone(), &specs);
+        assert!(
+            matches!(
+                err,
+                Some(ClusterError::InvalidConfig { ref reason }) if reason.starts_with("node edge-0: ")
+            ),
+            "{err:?}"
+        );
+    }
+}
+
+#[test]
+fn slo_admission_sheds_under_crushing_load() {
+    // A small edge node offered far more than it can serve: admission
+    // control must shed rather than queue without bound.
+    let models = [compile_model(
+        &by_name("mobilenet_v2").expect("zoo model"),
+        &MachineConfig::threadripper_3990x(),
+        &CompilerOptions::fast(),
+    )];
+    let node = [NodeSpec::new(
+        "solo",
+        MachineConfig::desktop_8core(),
+        Policy::VeltairFull,
+    )];
+    let workload = WorkloadSpec::single("mobilenet_v2", 2000.0, 300);
+    let run = |admission: AdmissionKind| {
+        let mut fleet = Fleet::new(
+            &models,
+            &node,
+            RouterKind::RoundRobin.build(),
+            admission.build(),
+        )
+        .expect("valid fleet");
+        fleet.submit_stream(&workload, 7).expect("registered");
+        fleet.finish()
+    };
+    let report = run(AdmissionKind::SloAware(SloAdmissionConfig::default()));
+    assert!(report.shed > 0, "no shedding under crushing load");
+    assert_eq!(report.offered(), 300);
+    // The queries that *were* admitted fared far better than the
+    // admit-all counterfactual.
+    let admit_all = run(AdmissionKind::AdmitAll);
+    assert!(
+        report.merged.overall_satisfaction() >= admit_all.merged.overall_satisfaction(),
+        "shedding did not protect admitted queries: {} vs {}",
+        report.merged.overall_satisfaction(),
+        admit_all.merged.overall_satisfaction()
+    );
 }
 
 #[test]

@@ -40,44 +40,37 @@ fn cache_hits_are_bit_identical_to_recompiles() {
 
 #[test]
 fn cache_is_keyed_by_compiler_options() {
+    // A service's options are fixed when it is built, so its cache only
+    // holds artifacts compiled under them; another option set is another
+    // service, and compiles another artifact.
     let machine = MachineConfig::threadripper_3990x();
     let spec = by_name("mobilenet_v2").expect("zoo model");
-    let mut svc = service();
-    let full = svc.compile(&spec, &machine);
-    assert_eq!(svc.cache_stats(), (0, 1));
+    let compile_twice = |options: CompilerOptions| -> CompiledModel {
+        let mut svc = CompilerService::new(options);
+        let compiled = svc.compile(&spec, &machine);
+        let hit = svc.compile(&spec, &machine);
+        assert_eq!(svc.cache_stats(), (1, 1), "the repeat must hit");
+        assert_eq!(hit, compiled);
+        // A hit runs no search: the service's counters are those of its
+        // one real compilation, which lowered everything it generated.
+        assert_eq!(svc.search_stats(), compiled.search_stats);
+        assert_eq!(
+            compiled.search_stats.generated,
+            compiled.search_stats.lowered
+        );
+        compiled
+    };
+    let full = compile_twice(CompilerOptions::fast());
 
-    // A smaller version budget must recompile — the options are part of
-    // the cache fingerprint, so the stale artifact cannot alias.
-    svc.set_options(CompilerOptions::fast().with_max_versions(3));
-    let fewer = svc.compile(&spec, &machine);
-    assert_eq!(
-        svc.cache_stats(),
-        (0, 2),
-        "a changed version budget must miss the cache"
-    );
+    // A smaller version budget compiles a different artifact...
+    let fewer = compile_twice(CompilerOptions::fast().with_max_versions(3));
     assert!(fewer.layers.iter().all(|l| l.versions.len() <= 3));
     assert_ne!(full, fewer);
 
-    // The single-version preset is a third distinct artifact...
-    svc.set_options(CompilerOptions::single_version());
-    let single = svc.compile(&spec, &machine);
-    assert_eq!(svc.cache_stats(), (0, 3));
+    // ...and the single-version preset a third.
+    let single = compile_twice(CompilerOptions::single_version());
     assert_ne!(full, single);
-
-    // ...and returning to the original options hits the original entry.
-    svc.set_options(CompilerOptions::fast());
-    let again = svc.compile(&spec, &machine);
-    assert_eq!(svc.cache_stats(), (1, 3));
-    assert_eq!(full, again);
-
-    // The service's aggregate counters cover exactly the three real
-    // compilations, each of which lowered everything it generated.
-    let total = svc.search_stats();
-    assert_eq!(
-        total.generated,
-        full.search_stats.generated + fewer.search_stats.generated + single.search_stats.generated
-    );
-    assert_eq!(total.generated, total.lowered);
+    assert_ne!(fewer, single);
 }
 
 #[test]
@@ -117,64 +110,44 @@ fn registries_are_deterministic_and_keyed_by_machine() {
 }
 
 #[test]
-fn cluster_builder_compiles_per_node_registries() {
+fn per_machine_registries_serve_a_heterogeneous_fleet() {
+    // Each machine class is compiled once through one service, and each
+    // node serves its own class's registry.
     let big = MachineConfig::threadripper_3990x();
     let edge = MachineConfig::desktop_8core();
-    let engine = ClusterEngine::builder()
-        .compiler_options(CompilerOptions::fast())
-        .compile(by_name("mobilenet_v2").expect("zoo model"))
-        .node(NodeSpec::new("big-0", big.clone(), Policy::VeltairFull))
-        .node(NodeSpec::new("big-1", big, Policy::VeltairFull))
-        .node(NodeSpec::new("edge-0", edge, Policy::VeltairFull))
-        .router(RouterKind::LeastOutstanding)
-        .build()
-        .expect("valid cluster");
-
-    // Two distinct machines → two registries; the twin flagships share.
-    assert!(engine.per_node_compilation());
-    assert_eq!(engine.registries().len(), 2);
-    assert_eq!(
-        engine.registry_for_node(0).as_ptr(),
-        engine.registry_for_node(1).as_ptr(),
-        "identical machines must share one registry"
-    );
-    let big_model = &engine.registry_for_node(0)[0];
-    let edge_model = &engine.registry_for_node(2)[0];
+    let spec = by_name("mobilenet_v2").expect("zoo model");
+    let mut svc = service();
+    let big_models = [svc.compile(&spec, &big)];
+    let edge_models = [svc.compile(&spec, &edge)];
     assert_ne!(
-        big_model, edge_model,
+        big_models, edge_models,
         "edge node is serving flagship-compiled code"
     );
+    let nodes = [
+        NodeSpec::new("big-0", big.clone(), Policy::VeltairFull),
+        NodeSpec::new("big-1", big, Policy::VeltairFull),
+        NodeSpec::new("edge-0", edge, Policy::VeltairFull),
+    ];
 
-    // The heterogeneous fleet serves correctly and deterministically on
-    // its per-node registries.
+    // The heterogeneous fleet serves every query, on every node, and
+    // deterministically on its per-node registries.
     let w = WorkloadSpec::single("mobilenet_v2", 120.0, 60);
-    let first = engine.run(&w, 11);
-    let second = engine.run(&w, 11);
-    assert_eq!(first, second, "per-node registries broke determinism");
+    let run = || {
+        let mut fleet = Fleet::with_node_registries(
+            &big_models,
+            vec![&big_models[..], &big_models[..], &edge_models[..]],
+            &nodes,
+            RouterKind::LeastOutstanding.build(),
+            AdmissionKind::AdmitAll.build(),
+        )
+        .expect("valid fleet");
+        fleet.submit_stream(&w, 11).expect("registered");
+        fleet.finish()
+    };
+    let first = run();
+    assert_eq!(first, run(), "per-node registries broke determinism");
+    assert_eq!(first.shed, 0);
     assert_eq!(first.merged.total_queries(), 60);
+    assert_eq!(first.routed_per_node.iter().sum::<u64>(), 60);
     assert!(first.routed_per_node.iter().all(|&n| n > 0));
-}
-
-#[test]
-fn shared_models_still_build_single_registry() {
-    let machine = MachineConfig::threadripper_3990x();
-    let engine = ClusterEngine::builder()
-        .model(compile_model(
-            &by_name("mobilenet_v2").expect("zoo model"),
-            &machine,
-            &CompilerOptions::fast(),
-        ))
-        .node(NodeSpec::new("a", machine.clone(), Policy::VeltairFull))
-        .node(NodeSpec::new(
-            "b",
-            MachineConfig::desktop_8core(),
-            Policy::Prema,
-        ))
-        .build()
-        .expect("valid cluster");
-    // Pre-compiled registration keeps the old shared-registry semantics:
-    // every node serves the exact same artifact.
-    assert!(!engine.per_node_compilation());
-    assert_eq!(engine.registries().len(), 1);
-    assert_eq!(engine.registry_for_node(0), engine.registry_for_node(1));
 }

@@ -1,5 +1,7 @@
 //! Determinism guarantees and failure-injection behaviour.
 
+use std::sync::OnceLock;
+
 use veltair::prelude::*;
 
 fn compiled(name: &str) -> CompiledModel {
@@ -85,20 +87,28 @@ fn burst_arrivals_are_absorbed() {
 
 use veltair::cluster::ClusterError;
 
-/// A small homogeneous cluster builder for the fleet-level legs.
-fn cluster(n: usize) -> ClusterBuilder {
-    let mut b = ClusterEngine::builder()
-        .model(compiled("mobilenet_v2"))
-        .router(RouterKind::LeastOutstanding)
-        .admission(AdmissionKind::AdmitAll);
-    for i in 0..n {
-        b = b.node(NodeSpec::new(
-            &format!("n{i}"),
-            MachineConfig::desktop_8core(),
-            Policy::VeltairFull,
-        ));
-    }
-    b
+/// A small homogeneous fleet for the fleet-level legs: `n` desktops
+/// serving `mobilenet_v2` (compiled once per test process) behind
+/// least-outstanding routing, admitting everything.
+fn cluster(n: usize) -> Fleet<'static> {
+    static MODELS: OnceLock<[CompiledModel; 1]> = OnceLock::new();
+    let models = MODELS.get_or_init(|| [compiled("mobilenet_v2")]);
+    let nodes: Vec<NodeSpec> = (0..n)
+        .map(|i| {
+            NodeSpec::new(
+                &format!("n{i}"),
+                MachineConfig::desktop_8core(),
+                Policy::VeltairFull,
+            )
+        })
+        .collect();
+    Fleet::new(
+        models,
+        &nodes,
+        RouterKind::LeastOutstanding.build(),
+        AdmissionKind::AdmitAll.build(),
+    )
+    .expect("valid fleet")
 }
 
 fn fleet_workload(queries: usize) -> WorkloadSpec {
@@ -112,8 +122,7 @@ fn seeded_failure_plans_reproduce_bit_for_bit() {
     let run = |plan_seed: u64| {
         let plan =
             FailurePlan::try_seeded(plan_seed, 3, 2.0, 0.6, 0.5, 0.15).expect("valid parameters");
-        let engine = cluster(3).build().expect("valid cluster");
-        let mut fleet = engine.session().expect("valid");
+        let mut fleet = cluster(3);
         fleet.set_failure_plan(plan);
         fleet
             .submit_stream(&fleet_workload(180), 77)
@@ -138,8 +147,7 @@ fn stalled_nodes_recover_on_schedule() {
     let plan = FailurePlan::new()
         .try_stall(0.05, 1, 0.1)
         .expect("valid instant");
-    let engine = cluster(2).build().expect("valid");
-    let mut session = engine.session().expect("valid");
+    let mut session = cluster(2);
     session.set_failure_plan(plan);
     session
         .submit_stream(&fleet_workload(90), 5)
@@ -162,8 +170,7 @@ fn stalled_nodes_recover_on_schedule() {
 /// one increment per accepted operation, no-ops count nothing.
 #[test]
 fn lifecycle_counters_reconcile_with_terminal_states() {
-    let engine = cluster(3).build().expect("valid");
-    let mut session = engine.session().expect("valid");
+    let mut session = cluster(3);
     session
         .submit_stream(&fleet_workload(120), 13)
         .expect("registered");
@@ -210,8 +217,7 @@ fn lifecycle_counters_reconcile_with_terminal_states() {
 /// their own variant.
 #[test]
 fn lifecycle_and_policy_errors_are_typed() {
-    let engine = cluster(1).build().expect("valid");
-    let mut session = engine.session().expect("valid");
+    let mut session = cluster(1);
     assert!(matches!(
         session.drain_node(99),
         Err(ClusterError::UnknownNode { node: 99 })

@@ -187,20 +187,21 @@ fn qos_targets_that_are_not_positive_and_finite_are_invalid_configs() {
 
         let mut engine = ServingEngine::new(m.clone(), Policy::Prema);
         engine.register(models[0].clone());
-        let cluster = ClusterEngine::builder()
-            .model(models[0].clone())
-            .node(NodeSpec::new("big-0", m.clone(), Policy::Prema))
-            .build()
-            .expect("registries are checked when a fleet opens");
         let cluster_errors = [
             engine.try_run(&workload, 1).err(),
             engine.session().err(),
-            cluster.try_run(&workload, 1).err(),
+            Fleet::new(
+                &models,
+                &[NodeSpec::new("big-0", m.clone(), Policy::Prema)],
+                RouterKind::InterferenceAware.build(),
+                AdmissionKind::AdmitAll.build(),
+            )
+            .err(),
         ];
         let entries = [
             "ServingEngine::try_run",
             "ServingEngine::session",
-            "ClusterEngine::try_run",
+            "Fleet::new",
         ];
         for (entry, err) in entries.iter().zip(cluster_errors) {
             assert!(

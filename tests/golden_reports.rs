@@ -18,7 +18,8 @@
 //!
 //! A third pin covers fleet runs: the merged and per-node reports plus the
 //! front-door and lifecycle outcomes, for every router under both
-//! admission controllers and through a scripted churn run.
+//! admission controllers, through a scripted churn run, and on a fleet
+//! whose nodes serve code compiled for their own machines.
 //!
 //! A speed-only change must leave every constant untouched. A change that
 //! is meant to move simulated results re-records them and says why.
@@ -376,10 +377,13 @@ fn every_zoo_artifact_reproduces_its_recorded_digest() {
     );
 }
 
-/// The fleet models: three of the mix, compiled once for the 3990X.
+/// The three models of the mix every fleet pin serves.
+const FLEET_MODELS: [&str; 3] = ["mobilenet_v2", "tiny_yolo_v2", "resnet50"];
+
+/// The fleet models, compiled once for the 3990X.
 fn fleet_models() -> Vec<CompiledModel> {
     let machine = MachineConfig::threadripper_3990x();
-    ["mobilenet_v2", "tiny_yolo_v2", "resnet50"]
+    FLEET_MODELS
         .iter()
         .map(|n| {
             compile_model(
@@ -405,10 +409,7 @@ fn fleet_nodes() -> Vec<NodeSpec> {
 }
 
 fn bursty_fleet_workload(queries: usize) -> WorkloadSpec {
-    let streams: Vec<(&str, f64)> = ["mobilenet_v2", "tiny_yolo_v2", "resnet50"]
-        .iter()
-        .map(|n| (*n, 40.0))
-        .collect();
+    let streams: Vec<(&str, f64)> = FLEET_MODELS.iter().map(|n| (*n, 40.0)).collect();
     WorkloadSpec::try_bursty_mix(&streams, queries, 0.3, 0.7)
         .expect("valid bursty mix")
         .scaled_to(250.0)
@@ -434,15 +435,15 @@ const SLO_AWARE: AdmissionKind = AdmissionKind::SloAware(SloAdmissionConfig {
 
 const FLEET_ADMISSIONS: [AdmissionKind; 2] = [AdmissionKind::AdmitAll, SLO_AWARE];
 
-fn fleet_builder(router: RouterKind, admission: AdmissionKind) -> ClusterBuilder {
-    let mut builder = ClusterEngine::builder().router(router).admission(admission);
-    for m in fleet_models() {
-        builder = builder.model(m);
-    }
-    for n in fleet_nodes() {
-        builder = builder.node(n);
-    }
-    builder
+/// The four-node fleet serving one shared registry.
+fn fleet(models: &[CompiledModel], router: RouterKind, admission: AdmissionKind) -> Fleet<'_> {
+    Fleet::new(models, &fleet_nodes(), router.build(), admission.build()).expect("valid fleet")
+}
+
+/// Serves `workload` on `fleet` and returns its final report.
+fn serve(mut fleet: Fleet<'_>, workload: &WorkloadSpec, seed: u64) -> FleetReport {
+    fleet.submit_stream(workload, seed).expect("registered");
+    fleet.finish()
 }
 
 /// Recorded fleet digests: `FLEET_ROUTERS` × `FLEET_ADMISSIONS` (admission
@@ -461,18 +462,16 @@ const FLEET_GOLDEN: [u64; 8] = [
 
 #[test]
 fn every_router_and_admission_reproduces_its_recorded_fleet_digest() {
+    let models = fleet_models();
     let workloads = [bursty_fleet_workload(60), steady_fleet_workload(60)];
     let mut measured = Vec::new();
     let mut drifted = Vec::new();
     for router in FLEET_ROUTERS {
         for admission in FLEET_ADMISSIONS {
-            let engine = fleet_builder(router, admission)
-                .build()
-                .expect("valid cluster");
             let mut h = Fnv::new();
             for workload in &workloads {
                 for seed in [11, 42, 97] {
-                    h.fleet(&engine.run(workload, seed));
+                    h.fleet(&serve(fleet(&models, router, admission), workload, seed));
                 }
             }
             let want = FLEET_GOLDEN[measured.len()];
@@ -496,7 +495,7 @@ fn every_router_and_admission_reproduces_its_recorded_fleet_digest() {
 /// A scripted churn run on the four-node fleet: a stall and a crash from
 /// a failure plan, a fast-ticking autoscaler whose floor sits above the
 /// seed roster, and a manual join, drain and kill mid-stream.
-fn churn_report(router: RouterKind, seed: u64) -> FleetReport {
+fn churn_report(models: &[CompiledModel], router: RouterKind, seed: u64) -> FleetReport {
     let plan = FailurePlan::new()
         .try_stall(0.06, 0, 0.05)
         .and_then(|p| p.try_crash(0.18, 3))
@@ -514,10 +513,7 @@ fn churn_report(router: RouterKind, seed: u64) -> FleetReport {
         0.02,
     )
     .expect("valid policy");
-    let engine = fleet_builder(router, SLO_AWARE)
-        .build()
-        .expect("valid cluster");
-    let mut session = engine.session().expect("valid");
+    let mut session = fleet(models, router, SLO_AWARE);
     session.set_failure_plan(plan);
     session.set_scale_policy(policy).expect("valid template");
     session
@@ -544,12 +540,13 @@ const CHURN_GOLDEN: [u64; 2] = [0x45fe_73b8_b094_d3cd, 0x3adc_0dc6_8f23_b68d];
 
 #[test]
 fn scripted_churn_reproduces_its_recorded_fleet_digest() {
+    let models = fleet_models();
     let mut measured = Vec::new();
     let mut drifted = Vec::new();
     for router in [RouterKind::LeastOutstanding, RouterKind::InterferenceAware] {
         let mut h = Fnv::new();
         for seed in [13, 59] {
-            let report = churn_report(router, seed);
+            let report = churn_report(&models, router, seed);
             assert_eq!(report.coordinator.nodes_killed, 2, "the script lost a kill");
             h.fleet(&report);
         }
@@ -567,5 +564,57 @@ fn scripted_churn_reproduces_its_recorded_fleet_digest() {
         drifted.is_empty(),
         "churn reports drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
         drifted.join("\n")
+    );
+}
+
+/// Recorded per-machine digest: `fleet_nodes()` with the 3990X nodes
+/// serving flagship-compiled code and the desktops desktop-compiled code,
+/// both compiled through one `CompilerService`, behind interference-aware
+/// routing and `SLO_AWARE` admission, over the bursty and the steady
+/// 60-query streams on seeds 11 and 42. Identical in debug and release
+/// builds.
+const PER_MACHINE_GOLDEN: u64 = 0x0a41_334f_0b19_2a72;
+
+#[test]
+fn per_machine_registries_reproduce_their_recorded_fleet_digest() {
+    let flagship = MachineConfig::threadripper_3990x();
+    let mut service = CompilerService::new(CompilerOptions::fast());
+    let mut registry = |machine: &MachineConfig| -> Vec<CompiledModel> {
+        FLEET_MODELS
+            .iter()
+            .map(|n| service.compile(&by_name(n).expect("zoo model"), machine))
+            .collect()
+    };
+    let big = registry(&flagship);
+    let edge = registry(&MachineConfig::desktop_8core());
+    let nodes = fleet_nodes();
+    let mut h = Fnv::new();
+    for workload in [bursty_fleet_workload(60), steady_fleet_workload(60)] {
+        for seed in [11, 42] {
+            let node_models = nodes
+                .iter()
+                .map(|n| {
+                    if n.config.machine == flagship {
+                        big.as_slice()
+                    } else {
+                        edge.as_slice()
+                    }
+                })
+                .collect();
+            let fleet = Fleet::with_node_registries(
+                &big,
+                node_models,
+                &nodes,
+                RouterKind::InterferenceAware.build(),
+                SLO_AWARE.build(),
+            )
+            .expect("valid fleet");
+            h.fleet(&serve(fleet, &workload, seed));
+        }
+    }
+    assert_eq!(
+        h.0, PER_MACHINE_GOLDEN,
+        "per-machine fleet reports drifted: {:#018x}, recorded {PER_MACHINE_GOLDEN:#018x}",
+        h.0
     );
 }

@@ -77,21 +77,21 @@ fn steady_workload(queries: usize) -> WorkloadSpec {
     WorkloadSpec::mix(&[("mobilenet_v2", 120.0), ("tiny_yolo_v2", 80.0)], queries)
 }
 
-fn engine(router: RouterKind, admission: AdmissionKind) -> ClusterEngine {
-    let mut builder = ClusterEngine::builder().router(router).admission(admission);
-    for m in compiled_mix() {
-        builder = builder.model(m.clone());
-    }
-    for n in nodes() {
-        builder = builder.node(n);
-    }
-    builder.build().expect("valid cluster")
+/// The four-node fleet over the shared registry, behind `router` and
+/// `admission`.
+fn fleet(router: RouterKind, admission: AdmissionKind) -> Fleet<'static> {
+    Fleet::new(compiled_mix(), &nodes(), router.build(), admission.build()).expect("valid fleet")
 }
 
-/// Serves `workload` on a fresh fleet of `engine` advancing in `mode`.
-fn run(engine: &ClusterEngine, mode: StepMode, workload: &WorkloadSpec, seed: u64) -> FleetReport {
-    let mut fleet = engine.session().expect("valid");
-    fleet.set_step_mode(mode);
+/// Serves `workload` on a fresh [`fleet`] advancing in `mode`.
+fn run(
+    router: RouterKind,
+    admission: AdmissionKind,
+    mode: StepMode,
+    workload: &WorkloadSpec,
+    seed: u64,
+) -> FleetReport {
+    let mut fleet = fleet(router, admission).with_step_mode(mode);
     fleet.submit_stream(workload, seed).expect("registered");
     fleet.finish()
 }
@@ -122,16 +122,21 @@ fn parallel_equals_sequential_across_the_matrix() {
     let threads = thread_counts();
     for router in ROUTERS {
         for admission in ADMISSIONS {
-            let e = engine(router, admission);
             for seed in [11, 42, 97] {
-                let sequential = run(&e, StepMode::Sequential, &workload, seed);
+                let sequential = run(router, admission, StepMode::Sequential, &workload, seed);
                 assert!(
                     sequential.merged.total_queries() > 0,
                     "{}: the baseline served nothing",
                     router.name()
                 );
                 for &t in &threads {
-                    let parallel = run(&e, StepMode::Parallel { threads: t }, &workload, seed);
+                    let parallel = run(
+                        router,
+                        admission,
+                        StepMode::Parallel { threads: t },
+                        &workload,
+                        seed,
+                    );
                     assert_eq!(
                         parallel,
                         sequential,
@@ -152,11 +157,17 @@ fn parallel_equals_sequential_across_the_matrix() {
 fn pooled_percentiles_are_bit_identical_on_steady_arrivals() {
     let workload = steady_workload(60);
     for admission in ADMISSIONS {
-        let e = engine(RouterKind::LeastOutstanding, admission);
+        let router = RouterKind::LeastOutstanding;
         for seed in [7, 13, 29] {
-            let sequential = run(&e, StepMode::Sequential, &workload, seed);
+            let sequential = run(router, admission, StepMode::Sequential, &workload, seed);
             for &t in &thread_counts() {
-                let parallel = run(&e, StepMode::Parallel { threads: t }, &workload, seed);
+                let parallel = run(
+                    router,
+                    admission,
+                    StepMode::Parallel { threads: t },
+                    &workload,
+                    seed,
+                );
                 for model in sequential.merged.per_model.keys() {
                     for p in [50.0, 95.0, 99.0] {
                         let s = sequential.merged.per_model[model].percentile_latency_s(p);
@@ -181,10 +192,9 @@ fn pooled_percentiles_are_bit_identical_on_steady_arrivals() {
 #[test]
 fn mid_run_snapshots_match_checkpoint_for_checkpoint() {
     let workload = bursty_workload(50);
-    let e = engine(RouterKind::InterferenceAware, ADMISSIONS[1]);
     for &t in &thread_counts() {
-        let mut seq = e.session().expect("valid");
-        let mut par = e.session().expect("valid");
+        let mut seq = fleet(RouterKind::InterferenceAware, ADMISSIONS[1]);
+        let mut par = fleet(RouterKind::InterferenceAware, ADMISSIONS[1]);
         par.set_step_mode(StepMode::Parallel { threads: t });
         seq.submit_stream(&workload, 23).expect("registered");
         par.submit_stream(&workload, 23).expect("registered");
@@ -208,9 +218,9 @@ fn mid_run_snapshots_match_checkpoint_for_checkpoint() {
     }
 }
 
-/// The raw `Fleet` API (no engine facade): `with_step_mode` on a fleet
-/// fed by `submit`/`run_to_completion` produces the same final report,
-/// per-node, as the sequential fleet.
+/// `with_step_mode` on a fleet fed by `submit_stream` and
+/// `run_to_completion` produces the same final report, per-node, as the
+/// sequential fleet.
 #[test]
 fn raw_fleet_runs_match_per_node() {
     let models = compiled_mix();

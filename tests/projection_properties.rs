@@ -104,24 +104,23 @@ fn projection_decays_to_instantaneous_on_an_idle_machine() {
 /// stepped sequentially or by the work-stealing pool.
 #[test]
 fn projection_is_deterministic_across_step_modes() {
+    let models = compiled(&["mobilenet_v2", "tiny_yolo_v2"]);
+    let machine = MachineConfig::threadripper_3990x();
+    let nodes = [
+        NodeSpec::new("node-0", machine.clone(), Policy::VeltairFull),
+        NodeSpec::new("node-1", machine, Policy::VeltairAc),
+    ];
+    let workload =
+        WorkloadSpec::mix(&[("mobilenet_v2", 2.0), ("tiny_yolo_v2", 1.0)], 80).scaled_to(280.0);
     let run = |mode: StepMode, seed: u64| {
-        let mut builder = ClusterEngine::builder().router(RouterKind::LeastOutstanding);
-        for m in compiled(&["mobilenet_v2", "tiny_yolo_v2"]) {
-            builder = builder.model(m);
-        }
-        let machine = MachineConfig::threadripper_3990x();
-        builder = builder
-            .node(NodeSpec::new(
-                "node-0",
-                machine.clone(),
-                Policy::VeltairFull,
-            ))
-            .node(NodeSpec::new("node-1", machine, Policy::VeltairAc));
-        let workload =
-            WorkloadSpec::mix(&[("mobilenet_v2", 2.0), ("tiny_yolo_v2", 1.0)], 80).scaled_to(280.0);
-        let engine = builder.build().expect("valid cluster");
-        let mut fleet = engine.session().expect("valid");
-        fleet.set_step_mode(mode);
+        let mut fleet = Fleet::new(
+            &models,
+            &nodes,
+            RouterKind::LeastOutstanding.build(),
+            AdmissionKind::AdmitAll.build(),
+        )
+        .expect("valid fleet")
+        .with_step_mode(mode);
         fleet.submit_stream(&workload, seed).expect("registered");
         fleet.finish()
     };

@@ -87,13 +87,7 @@ fn elastic_scenarios_actually_flex_the_fleet() {
     // counters must reconcile with the terminal node states.
     for scenario in all_scenarios() {
         let report = scenario.run(StepMode::Sequential);
-        let initial = scenario
-            .builder
-            .clone()
-            .build()
-            .expect("valid")
-            .nodes()
-            .len();
+        let initial = scenario.nodes.len();
         if scenario.scale.is_some() {
             assert!(
                 report.node_states.len() > initial,
