@@ -27,6 +27,8 @@
 //! | `failover` | node crash mid-run + autoscaler | re-routing and recovery |
 //! | `rolling-upgrade` | staggered drains + replacement joins | graceful surrender |
 
+use std::sync::OnceLock;
+
 use veltair_cluster::{
     AdmissionKind, AutoscalerConfig, FailurePlan, Fleet, FleetReport, NodeSpec, RouterKind,
     ScalePolicy, StepMode,
@@ -155,13 +157,19 @@ fn node(name: &str) -> NodeSpec {
 }
 
 /// The one model every scenario serves: `mobilenet_v2`, compiled for
-/// the standard machine.
+/// the standard machine once per process (compilation is deterministic,
+/// so every scenario gets a copy of the same registry).
 fn models() -> Vec<CompiledModel> {
-    vec![compile_model(
-        &veltair_models::mobilenet_v2(),
-        &node_machine(),
-        &CompilerOptions::fast(),
-    )]
+    static MODELS: OnceLock<Vec<CompiledModel>> = OnceLock::new();
+    MODELS
+        .get_or_init(|| {
+            vec![compile_model(
+                &veltair_models::mobilenet_v2(),
+                &node_machine(),
+                &CompilerOptions::fast(),
+            )]
+        })
+        .clone()
 }
 
 /// A seed roster of `n` standard nodes, `node-0` up.

@@ -8,7 +8,7 @@
 //! profile (paper Fig. 10a).
 
 use veltair_compiler::{CompiledLayer, CompiledModel};
-use veltair_sim::{Interference, LatencyModel, MachineConfig};
+use veltair_sim::{CoreTerms, Interference, LatencyModel, MachineConfig};
 
 /// A formed layer block: the unit range, the per-unit code versions, and
 /// the core allocation that meets the block's summed QoS share.
@@ -61,8 +61,6 @@ pub fn find_first_pivot(
 /// simulation was built. It reads the layer's compiled [`CoreTerms`]
 /// tables when `tabulated` (the layer was compiled for `machine`) and
 /// computes the terms live otherwise, with identical results.
-///
-/// [`CoreTerms`]: veltair_sim::CoreTerms
 pub(crate) fn unit_model<'a>(
     layer: &'a CompiledLayer,
     version: usize,
@@ -70,12 +68,19 @@ pub(crate) fn unit_model<'a>(
     pressure: Interference,
     machine: &'a MachineConfig,
 ) -> LatencyModel<'a> {
-    let terms = if tabulated {
+    let terms = unit_terms(layer, version, tabulated);
+    LatencyModel::with_terms(&layer.versions[version].profile, terms, pressure, machine)
+}
+
+/// The core-terms table the serving runtime rates `version` of `layer`
+/// over: the compiled [`CoreTerms`] table when `tabulated`, and none
+/// otherwise.
+pub(crate) fn unit_terms(layer: &CompiledLayer, version: usize, tabulated: bool) -> &[CoreTerms] {
+    if tabulated {
         layer.core_terms(version)
     } else {
         &[]
-    };
-    LatencyModel::with_terms(&layer.versions[version].profile, terms, pressure, machine)
+    }
 }
 
 /// Flat latencies of the units `[start, end)` under one ambient pressure,

@@ -15,14 +15,15 @@ use std::collections::VecDeque;
 use veltair_compiler::selector::{solo_versions, SelectionContext, VersionSelector};
 use veltair_compiler::CompiledModel;
 use veltair_sim::{
-    Execution, Interference, PerfCounters, PressureDemand, SimTime, SplitEventQueue, UnitProgress,
+    Execution, GrantModel, Interference, PerfCounters, PressureDemand, SimTime, SplitEventQueue,
+    UnitProgress,
 };
 use veltair_telemetry::{RecorderSink, TraceEventKind};
 
 use super::driver::SimError;
 use super::monitor::{self, Monitor, PressureView, ProjectionInputs};
 use super::Dispatcher;
-use crate::layer_block::unit_model;
+use crate::layer_block::{unit_model, unit_terms};
 use crate::report::{ModelStats, ServingReport};
 use crate::simulator::SimConfig;
 use crate::workload::QuerySpec;
@@ -74,6 +75,17 @@ pub struct QueryState {
 }
 
 /// One in-flight scheduling unit (a layer block on a core allocation).
+///
+/// The slot rates its current unit through a [`GrantModel`] of that unit's
+/// version on `granted` cores, prepared once instead of on every rating.
+/// It is re-prepared exactly where the unit, its version or the grant
+/// changes: in [`SimState::start_block`], at the next unit of the block in
+/// [`SimState::check_unit`], and in [`SimState::expand_conflicted`].
+///
+/// The slot also remembers the last rating its model gave and the bits of
+/// the interference it was given under, and returns that rating when the
+/// same bits come again. This is exact: a rating is a pure function of
+/// the prepared model and the interference, and re-preparing forgets it.
 #[derive(Debug)]
 pub struct Running {
     /// Owning query (index into [`SimState::queries`]).
@@ -99,6 +111,16 @@ pub struct Running {
     /// Thread-team growth events so far (the fork-join rebuild cost is
     /// paid once; later growths reuse the warm pool).
     pub expansions: u32,
+    /// The current unit's version prepared on `granted` cores.
+    model: GrantModel,
+    /// The last rating `model` gave, with the bits of the interference it
+    /// was given under; `None` once `model` is re-prepared.
+    last: Option<([u64; 2], Execution)>,
+    /// The rating the running refresh sweep adopts once every unit is
+    /// rated: set when it moves the latency by more than `REFRESH_TOL`.
+    candidate: Option<Execution>,
+    /// Whether the running refresh changed `exec`, so the check moves.
+    changed: bool,
 }
 
 impl Running {
@@ -232,13 +254,6 @@ pub struct SimState<'a> {
     /// unit of the planned model. [`SimState::start_block`] copies the
     /// started block's slice into its slot.
     plan: Vec<usize>,
-    /// Scratch for [`SimState::refresh_conditions`]'s per-slot changed
-    /// flags, reused across calls so the re-rating fixed point allocates
-    /// nothing on the hot path (one refresh runs per material event).
-    refresh_changed: Vec<bool>,
-    /// Scratch for the Jacobi-sweep update list of
-    /// [`SimState::refresh_conditions`], reused across calls.
-    refresh_updates: Vec<(usize, Execution, f64)>,
     /// Scratch for the phantoms of [`SimState::projected`], reused across
     /// calls so a projection allocates nothing once it has grown. Behind a
     /// `RefCell` because projecting only reads the state.
@@ -334,8 +349,6 @@ impl<'a> SimState<'a> {
             selector,
             solo_plans: models.iter().map(solo_versions).collect(),
             plan: Vec::new(),
-            refresh_changed: Vec::new(),
-            refresh_updates: Vec::new(),
             phantoms: RefCell::default(),
             trace: None,
             last_plan_level: 0.0,
@@ -724,18 +737,75 @@ impl<'a> SimState<'a> {
         .execute(cores)
     }
 
-    /// Rates the current unit of `slot` on its grant under
-    /// `interference`.
-    fn rate_slot(&self, slot: usize, interference: Interference) -> Execution {
+    /// The rating model of `version` of layer `unit` of `model` on a
+    /// grant of `cores` cores: [`SimState::rate`] prepared on the grant.
+    fn grant_model(&self, model: usize, unit: usize, version: usize, cores: u32) -> GrantModel {
+        let layer = &self.models[model].layers[unit];
+        let terms = unit_terms(layer, version, self.tabulated[model]);
+        GrantModel::with_terms(
+            &layer.versions[version].profile,
+            terms,
+            cores,
+            &self.cfg.machine,
+        )
+    }
+
+    /// Re-prepares the model of `slot` for its current unit, version and
+    /// grant, and forgets its last rating.
+    fn prepare_slot(&mut self, slot: usize) {
         let r = &self.running[slot];
-        let model = self.queries[r.query].model;
-        self.rate(
-            model,
+        let model = self.grant_model(
+            self.queries[r.query].model,
             r.unit,
             r.versions[r.unit - r.start],
             r.granted,
-            interference,
-        )
+        );
+        let r = &mut self.running[slot];
+        r.model = model;
+        r.last = None;
+    }
+
+    /// Rates the current unit of `slot` on its grant under
+    /// `interference`, through the slot's prepared model.
+    ///
+    /// When `interference` has the bits of the slot's last rating, that
+    /// rating is returned as it is. This is exact: a rating is a pure
+    /// function of the prepared model and the interference, and the model
+    /// is re-prepared, forgetting the rating, wherever its unit, version
+    /// or grant changes ([`SimState::start_block`], the next unit in
+    /// [`SimState::check_unit`], [`SimState::expand_conflicted`]). Debug
+    /// builds check every rating, fresh or remembered, against a
+    /// from-scratch [`SimState::rate`] of the slot's model, unit, version
+    /// and grant, so a missed re-prepare fails at once.
+    fn rate_slot(&mut self, slot: usize, interference: Interference) -> Execution {
+        let under = [
+            interference.cache_frac.to_bits(),
+            interference.bw_frac.to_bits(),
+        ];
+        let r = &mut self.running[slot];
+        let exec = match r.last {
+            Some((last_under, exec)) if last_under == under => exec,
+            _ => {
+                let exec = r.model.execute(interference);
+                r.last = Some((under, exec));
+                exec
+            }
+        };
+        let r = &self.running[slot];
+        debug_assert_eq!(
+            rating_bits(&exec),
+            rating_bits(&self.rate(
+                self.queries[r.query].model,
+                r.unit,
+                r.versions[r.unit - r.start],
+                r.granted,
+                interference,
+            )),
+            "slot {slot}: the prepared rating of unit {} on {} cores differs from a fresh one",
+            r.unit,
+            r.granted
+        );
+        exec
     }
 
     // --- Version selection --------------------------------------------------
@@ -804,6 +874,7 @@ impl<'a> SimState<'a> {
             model.layers.len(),
             "start_block runs the last plan, which must be for the query's model"
         );
+        let grant = self.grant_model(model_index, start, self.plan[start], granted);
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.running.push(Running {
                 query: 0,
@@ -821,6 +892,10 @@ impl<'a> SimState<'a> {
                 },
                 active: false,
                 expansions: 0,
+                model: grant,
+                last: None,
+                candidate: None,
+                changed: false,
             });
             self.running.len() - 1
         });
@@ -835,6 +910,8 @@ impl<'a> SimState<'a> {
         r.versions.extend_from_slice(&self.plan[start..end]);
         r.requested = requested;
         r.granted = granted;
+        r.model = grant;
+        r.last = None;
         let exec = self.rate_slot(slot, self.interference_for(slot));
         // Solo ratings for SLO attribution, recorded only while traced:
         // the same pure rating function under zero interference, for the
@@ -876,10 +953,11 @@ impl<'a> SimState<'a> {
         if self.free_cores == 0 {
             return;
         }
-        for &slot in &self.active {
+        for i in 0..self.active.len() {
             if self.free_cores == 0 {
                 break;
             }
+            let slot = self.active[i];
             let r = &mut self.running[slot];
             if r.granted >= r.requested {
                 continue;
@@ -895,6 +973,7 @@ impl<'a> SimState<'a> {
                 self.cfg.machine.spawn_per_core_s * f64::from(added)
             });
             r.expansions += 1;
+            self.prepare_slot(slot);
         }
     }
 
@@ -939,6 +1018,7 @@ impl<'a> SimState<'a> {
 
         if next_unit < block_end {
             // Next unit of the same block, same allocation.
+            self.prepare_slot(slot);
             let exec = self.rate_slot(slot, self.interference_for(slot));
             let r = &mut self.running[slot];
             r.exec = exec;
@@ -1031,46 +1111,51 @@ impl<'a> SimState<'a> {
     /// each changed unit once. Converging *here* — instead of one
     /// sweep per event — keeps the event queue from ping-ponging between
     /// coupled units, which livelocks the simulation under overload.
+    ///
+    /// Each sweep rates every unit from the pre-sweep demands, keeps each
+    /// candidate on its slot, and adopts the candidates once all are
+    /// rated. A sweep changes interference only, never a unit, version or
+    /// grant, so every unit rates through the model its slot prepared
+    /// when one of those last changed (see [`Running`]). A rating is a
+    /// pure function of that model and the interference, so a unit whose
+    /// interference has the bits of its last rating gets that rating back
+    /// without evaluating the model: a lone unit (every PREMA refresh),
+    /// and any unit none of whose co-runners took a new rating since its
+    /// last one.
     pub fn refresh_conditions(&mut self) {
-        // Scratch reuse: refresh runs once per material event, so the
-        // changed-flag and update buffers live on the state and are
-        // cleared, never reallocated (allocation audit of `Driver::step`).
-        let mut changed = std::mem::take(&mut self.refresh_changed);
-        changed.clear();
-        changed.resize(self.running.len(), false);
-        let mut updates = std::mem::take(&mut self.refresh_updates);
         for _ in 0..MAX_REFRESH_SWEEPS {
             let mut max_rel = 0.0_f64;
-            // Jacobi sweep: all new ratings computed from current demands.
-            updates.clear();
             for i in 0..self.active.len() {
                 let slot = self.active[i];
                 let exec = self.rate_slot(slot, self.interference_for(slot));
-                let old = self.running[slot].exec.latency_s;
+                let r = &mut self.running[slot];
+                let old = r.exec.latency_s;
                 let rel = (exec.latency_s - old).abs() / old.max(1e-12);
-                updates.push((slot, exec, rel));
-            }
-            for (slot, exec, rel) in updates.drain(..) {
+                r.candidate = None;
                 if rel > REFRESH_TOL {
-                    self.running[slot].exec = exec;
-                    changed[slot] = true;
+                    r.candidate = Some(exec);
                     max_rel = max_rel.max(rel);
                 }
             }
             if max_rel <= REFRESH_TOL {
                 break;
             }
+            for &slot in &self.active {
+                let r = &mut self.running[slot];
+                if let Some(exec) = r.candidate.take() {
+                    r.exec = exec;
+                    r.changed = true;
+                }
+            }
         }
         for &slot in &self.active {
-            if !changed[slot] {
+            let r = &mut self.running[slot];
+            if !std::mem::take(&mut r.changed) {
                 continue;
             }
-            let r = &self.running[slot];
             let t = self.now.after(r.progress.eta_s(r.exec.latency_s).max(1e-9));
             self.events.arm(slot, t, Event::UnitCheck { slot });
         }
-        self.refresh_changed = changed;
-        self.refresh_updates = updates;
         let busy = self.cfg.machine.cores - self.free_cores;
         self.report.peak_cores = self.report.peak_cores.max(busy);
         if self.cfg.record_alloc_trace {
@@ -1286,6 +1371,21 @@ impl SimState<'_> {
         );
         (view, phantoms.len(), blueprint_len)
     }
+}
+
+/// Every float of a rating, as bits, so that equal means bit-equal.
+fn rating_bits(e: &Execution) -> [u64; 8] {
+    [
+        e.latency_s,
+        e.counters.l3_accesses,
+        e.counters.l3_misses,
+        e.counters.instructions,
+        e.counters.cycles,
+        e.counters.flops,
+        e.demand.cache_bytes,
+        e.demand.bw_bytes_per_s,
+    ]
+    .map(f64::to_bits)
 }
 
 /// Checks every model's QoS target and every compiled version's kernel

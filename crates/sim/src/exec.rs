@@ -2,7 +2,7 @@
 
 use crate::contention::{Interference, PressureDemand};
 use crate::counters::PerfCounters;
-use crate::kernel::KernelProfile;
+use crate::kernel::{spilled_traffic, KernelProfile};
 use crate::machine::MachineConfig;
 
 /// Fraction of the shorter roofline term that is *not* hidden behind the
@@ -127,8 +127,9 @@ impl UnitProgress {
 /// overlap imperfectly (`OVERLAP_RESIDUAL`).
 ///
 /// This is a one-shot [`LatencyModel`]; callers that rate one kernel at
-/// many core counts, or many times under one pressure, prepare the model
-/// once instead.
+/// many core counts, or many times under one pressure, prepare that model
+/// once instead, and callers that rate one core grant under many
+/// pressures prepare a [`GrantModel`].
 ///
 /// # Panics
 ///
@@ -202,13 +203,14 @@ impl CoreTerms {
 /// once and then rated at any core count.
 ///
 /// Preparing evaluates the interference-only terms (the cache share and
-/// bandwidth co-runners leave). Each rating then evaluates the
-/// core-dependent roofline: its [`CoreTerms`] come from the table the
-/// model was prepared over when that covers the core count, and are
-/// computed live otherwise. [`execute`] is exactly
-/// `LatencyModel::new(..).execute(cores)`, so there is one formula, and
-/// every prepared rating, tabulated or live, is bit-identical to the
-/// one-shot one.
+/// bandwidth co-runners leave). Each rating then prepares the kernel's
+/// [`GrantModel`] on the core count and evaluates it under those shares:
+/// its [`CoreTerms`] come from the table the model was prepared over when
+/// that covers the core count, and are computed live otherwise.
+/// [`execute`] is exactly `LatencyModel::new(..).execute(cores)`, and a
+/// [`GrantModel`] rates through the same formula, so every prepared
+/// rating, tabulated or live, per interference or per grant, is
+/// bit-identical to the one-shot one.
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyModel<'a> {
     kernel: &'a KernelProfile,
@@ -216,18 +218,8 @@ pub struct LatencyModel<'a> {
     /// A prefix of `kernel`'s [`CoreTerms::table`] on `machine`; empty
     /// when every rating computes its terms live.
     terms: &'a [CoreTerms],
-    /// Effective L3 bytes left to the kernel by its co-runners.
-    avail_cache: f64,
-    /// DRAM bandwidth left to the kernel by its co-runners, bytes/second.
-    avail_bw: f64,
-}
-
-/// The core-dependent quantities one rating shares between its latency
-/// and its counters and demand.
-struct Roofline {
-    p_eff: u32,
-    traffic: f64,
-    latency_s: f64,
+    /// What the kernel's co-runners leave it.
+    shares: Shares,
 }
 
 impl<'a> LatencyModel<'a> {
@@ -285,17 +277,11 @@ impl<'a> LatencyModel<'a> {
             terms.len() <= machine.cores.min(kernel.parallel_chunks) as usize,
             "a core-terms table covers at most min(cores, parallel_chunks) entries"
         );
-        let avail_cache = (machine.l3_bytes
-            * (1.0 - interference.cache_frac).powi(CACHE_CONTENTION_EXP))
-        .max(machine.l3_bytes * CACHE_FLOOR_FRAC);
-        let avail_bw =
-            (machine.dram_bw * (1.0 - interference.bw_frac)).max(machine.dram_bw * BW_FLOOR_FRAC);
         Self {
             kernel,
             machine,
             terms,
-            avail_cache,
-            avail_bw,
+            shares: Shares::new(interference, machine.l3_bytes, machine.dram_bw),
         }
     }
 
@@ -308,7 +294,7 @@ impl<'a> LatencyModel<'a> {
     #[inline]
     #[must_use]
     pub fn latency_s(&self, cores: u32) -> f64 {
-        self.roofline(cores).latency_s
+        self.grant(cores).roofline(self.shares).latency_s
     }
 
     /// Whether the rating has stopped depending on the core count at
@@ -319,7 +305,7 @@ impl<'a> LatencyModel<'a> {
     #[must_use]
     pub fn is_saturated(&self, cores: u32) -> bool {
         cores >= self.kernel.parallel_chunks
-            && f64::from(cores) * self.machine.per_core_bw >= self.avail_bw
+            && f64::from(cores) * self.machine.per_core_bw >= self.shares.bw
     }
 
     /// The full rating on `cores` cores: latency, counters and demand.
@@ -330,76 +316,182 @@ impl<'a> LatencyModel<'a> {
     #[inline]
     #[must_use]
     pub fn execute(&self, cores: u32) -> Execution {
-        let (kernel, machine) = (self.kernel, self.machine);
-        let Roofline {
-            p_eff,
-            traffic,
-            latency_s,
-        } = self.roofline(cores);
+        self.grant(cores).rate(self.shares)
+    }
 
-        // --- Counters -----------------------------------------------------
+    #[inline]
+    fn grant(&self, cores: u32) -> GrantModel {
+        GrantModel::with_terms(self.kernel, self.terms, cores, self.machine)
+    }
+}
+
+/// One kernel's execution model on one core grant, prepared once and then
+/// rated under any interference: the transpose of [`LatencyModel`].
+///
+/// Preparing evaluates every term the grant fixes: the [`CoreTerms`]
+/// (from the table the model is prepared over when that covers the
+/// grant, computed live otherwise), the footprint, the DRAM bandwidth
+/// the granted cores can draw, the L3 accesses and the instruction
+/// count. Each rating then evaluates only the cache- and
+/// bandwidth-dependent remainder. Both models rate through one formula,
+/// so `GrantModel::with_terms(kernel, terms, cores, machine)
+/// .execute(interference)` is bit-identical to
+/// `LatencyModel::with_terms(kernel, terms, interference, machine)
+/// .execute(cores)`.
+///
+/// The model copies what it reads and borrows nothing, so the serving
+/// runtime keeps one per in-flight unit.
+#[derive(Debug, Clone, Copy)]
+pub struct GrantModel {
+    /// The effective worker count `min(cores, parallel_chunks)`.
+    p_eff: f64,
+    terms: CoreTerms,
+    /// The L3-resident working set on the grant, bytes.
+    footprint: f64,
+    /// DRAM bandwidth the granted cores can draw, bytes/second.
+    core_bw: f64,
+    min_traffic: f64,
+    spill_traffic: f64,
+    l3_accesses: f64,
+    instructions: f64,
+    flops: f64,
+    l3_bytes: f64,
+    dram_bw: f64,
+    /// One cache-fill window, `l3_bytes / dram_bw` seconds.
+    fill_s: f64,
+    freq_ghz: f64,
+}
+
+/// What co-runners leave a kernel: the interference-only terms of a
+/// rating.
+#[derive(Debug, Clone, Copy)]
+struct Shares {
+    /// Effective L3 bytes.
+    cache: f64,
+    /// DRAM bandwidth, bytes/second.
+    bw: f64,
+}
+
+impl Shares {
+    #[inline]
+    fn new(interference: Interference, l3_bytes: f64, dram_bw: f64) -> Self {
+        Self {
+            cache: (l3_bytes * (1.0 - interference.cache_frac).powi(CACHE_CONTENTION_EXP))
+                .max(l3_bytes * CACHE_FLOOR_FRAC),
+            bw: (dram_bw * (1.0 - interference.bw_frac)).max(dram_bw * BW_FLOOR_FRAC),
+        }
+    }
+}
+
+/// The quantities one rating shares between its latency and its counters
+/// and demand.
+struct Roofline {
+    traffic: f64,
+    latency_s: f64,
+}
+
+impl GrantModel {
+    /// Prepares a validated profile on `cores` cores of `machine`, over
+    /// its [`CoreTerms::table`] on `machine` or a prefix of it (empty to
+    /// compute the terms live). The caller vouches for the profile and
+    /// the table as for [`LatencyModel::with_terms`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
+    #[inline]
+    #[must_use]
+    pub fn with_terms(
+        kernel: &KernelProfile,
+        terms: &[CoreTerms],
+        cores: u32,
+        machine: &MachineConfig,
+    ) -> Self {
+        assert!(cores > 0, "cannot execute a kernel on zero cores");
+        debug_assert!(
+            terms.len() <= machine.cores.min(kernel.parallel_chunks) as usize,
+            "a core-terms table covers at most min(cores, parallel_chunks) entries"
+        );
+        let p_eff = cores.min(kernel.parallel_chunks);
+        let tabulated = p_eff
+            .checked_sub(1)
+            .and_then(|entry| terms.get(entry as usize));
         // All L3-reaching references are a schedule property (the reuse
         // stream); how many of them miss depends on the cache share
         // actually obtained.
         let l3_accesses = (kernel.spill_traffic_bytes / LINE_BYTES).max(1.0);
-        let l3_misses = (traffic / LINE_BYTES).min(l3_accesses);
-        // SIMD compute instructions plus one instruction per line touched.
-        let instructions = kernel.flops / (machine.flops_per_cycle / 2.0) + l3_accesses;
-        let cycles = latency_s * machine.freq_ghz * 1e9 * f64::from(p_eff);
-        let counters = PerfCounters {
+        Self {
+            p_eff: f64::from(p_eff),
+            terms: match tabulated {
+                Some(&terms) => terms,
+                None => CoreTerms::compute(kernel, cores, machine),
+            },
+            footprint: kernel.footprint_bytes(cores),
+            core_bw: f64::from(cores) * machine.per_core_bw,
+            min_traffic: kernel.min_traffic_bytes,
+            spill_traffic: kernel.spill_traffic_bytes,
             l3_accesses,
-            l3_misses,
-            instructions,
-            cycles,
+            // SIMD compute instructions plus one instruction per line
+            // touched.
+            instructions: kernel.flops / (machine.flops_per_cycle / 2.0) + l3_accesses,
             flops: kernel.flops,
-        };
+            l3_bytes: machine.l3_bytes,
+            dram_bw: machine.dram_bw,
+            fill_s: machine.l3_bytes / machine.dram_bw,
+            freq_ghz: machine.freq_ghz,
+        }
+    }
 
-        // --- Demand on co-runners -------------------------------------------
-        // Cache pressure = held working set + LRU pollution by the DRAM
-        // insertion stream over one cache-fill window (l3 / dram_bw seconds).
-        let bw_bytes_per_s = traffic / latency_s.max(1e-12);
-        let pollution = bw_bytes_per_s * (machine.l3_bytes / machine.dram_bw);
-        let demand = PressureDemand {
-            cache_bytes: (kernel.footprint_bytes(cores) + pollution).min(machine.l3_bytes),
-            bw_bytes_per_s,
-        };
+    /// The full rating under `interference`: latency, counters and
+    /// demand.
+    #[inline]
+    #[must_use]
+    pub fn execute(&self, interference: Interference) -> Execution {
+        self.rate(Shares::new(interference, self.l3_bytes, self.dram_bw))
+    }
 
-        Execution {
-            latency_s,
-            counters,
-            demand,
+    #[inline]
+    fn roofline(&self, shares: Shares) -> Roofline {
+        let CoreTerms {
+            compute_s: t_comp,
+            l3_s: t_l3,
+        } = self.terms;
+        let traffic = spilled_traffic(
+            self.min_traffic,
+            self.spill_traffic,
+            self.footprint,
+            shares.cache,
+        );
+        let t_dram = traffic / shares.bw.min(self.core_bw);
+        let serial = t_comp.max(t_dram).max(t_l3);
+        Roofline {
+            traffic,
+            latency_s: serial + OVERLAP_RESIDUAL * (t_comp + t_dram + t_l3 - serial),
         }
     }
 
     #[inline]
-    fn roofline(&self, cores: u32) -> Roofline {
-        assert!(cores > 0, "cannot execute a kernel on zero cores");
-        let (kernel, machine) = (self.kernel, self.machine);
-        let p_eff = cores.min(kernel.parallel_chunks);
-
-        // --- Compute and L3 terms: tabulated, or computed live ------------
-        let tabulated = p_eff
-            .checked_sub(1)
-            .and_then(|entry| self.terms.get(entry as usize));
-        let CoreTerms {
-            compute_s: t_comp,
-            l3_s: t_l3,
-        } = match tabulated {
-            Some(&terms) => terms,
-            None => CoreTerms::compute(kernel, cores, machine),
+    fn rate(&self, shares: Shares) -> Execution {
+        let Roofline { traffic, latency_s } = self.roofline(shares);
+        let counters = PerfCounters {
+            l3_accesses: self.l3_accesses,
+            l3_misses: (traffic / LINE_BYTES).min(self.l3_accesses),
+            instructions: self.instructions,
+            cycles: latency_s * self.freq_ghz * 1e9 * self.p_eff,
+            flops: self.flops,
         };
-
-        // --- DRAM term ------------------------------------------------------
-        let traffic = kernel.traffic_bytes(cores, self.avail_cache);
-        let bw = self.avail_bw.min(f64::from(cores) * machine.per_core_bw);
-        let t_dram = traffic / bw;
-
-        // --- Combine --------------------------------------------------------
-        let serial = t_comp.max(t_dram).max(t_l3);
-        Roofline {
-            p_eff,
-            traffic,
-            latency_s: serial + OVERLAP_RESIDUAL * (t_comp + t_dram + t_l3 - serial),
+        // Cache pressure = held working set + LRU pollution by the DRAM
+        // insertion stream over one cache-fill window.
+        let bw_bytes_per_s = traffic / latency_s.max(1e-12);
+        let pollution = bw_bytes_per_s * self.fill_s;
+        let demand = PressureDemand {
+            cache_bytes: (self.footprint + pollution).min(self.l3_bytes),
+            bw_bytes_per_s,
+        };
+        Execution {
+            latency_s,
+            counters,
+            demand,
         }
     }
 }

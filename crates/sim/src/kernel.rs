@@ -90,14 +90,32 @@ impl KernelProfile {
     #[inline]
     #[must_use]
     pub fn traffic_bytes(&self, cores: u32, avail_cache: f64) -> f64 {
-        let footprint = self.footprint_bytes(cores);
-        let spill_frac = if footprint <= avail_cache || footprint == 0.0 {
-            0.0
-        } else {
-            (1.0 - avail_cache.max(0.0) / footprint).clamp(0.0, 1.0)
-        };
-        self.min_traffic_bytes + (self.spill_traffic_bytes - self.min_traffic_bytes) * spill_frac
+        spilled_traffic(
+            self.min_traffic_bytes,
+            self.spill_traffic_bytes,
+            self.footprint_bytes(cores),
+            avail_cache,
+        )
     }
+}
+
+/// DRAM traffic in bytes of a kernel with `footprint` resident bytes,
+/// `min_traffic` and `spill_traffic` given `avail_cache` bytes of
+/// effective L3: [`KernelProfile::traffic_bytes`] once the footprint is
+/// known.
+#[inline]
+pub(crate) fn spilled_traffic(
+    min_traffic: f64,
+    spill_traffic: f64,
+    footprint: f64,
+    avail_cache: f64,
+) -> f64 {
+    let spill_frac = if footprint <= avail_cache || footprint == 0.0 {
+        0.0
+    } else {
+        (1.0 - avail_cache.max(0.0) / footprint).clamp(0.0, 1.0)
+    };
+    min_traffic + (spill_traffic - min_traffic) * spill_frac
 }
 
 #[cfg(test)]

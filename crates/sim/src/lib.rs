@@ -19,10 +19,11 @@
 //!   penalty of O(100 us) (Fig. 5b).
 //!
 //! [`execute`] rates one kernel once. A [`LatencyModel`] prepares a kernel
-//! under one interference and rates it at any core count, and a
-//! [`CoreTerms`] table holds the terms of a rating that no interference
-//! changes, so a model prepared over it evaluates only the rest. All three
-//! give bit-identical results.
+//! under one interference and rates it at any core count, a
+//! [`GrantModel`] prepares it on one core grant and rates it under any
+//! interference, and a [`CoreTerms`] table holds the terms of a rating
+//! that no interference changes, so a model prepared over it evaluates
+//! only the rest. All of them give bit-identical results.
 //!
 //! # Example
 //!
@@ -54,6 +55,6 @@ pub mod machine;
 pub use contention::{Interference, PressureDemand};
 pub use counters::PerfCounters;
 pub use des::{EventQueue, SimTime, SplitEventQueue};
-pub use exec::{execute, CoreTerms, Execution, LatencyModel, UnitProgress};
+pub use exec::{execute, CoreTerms, Execution, GrantModel, LatencyModel, UnitProgress};
 pub use kernel::KernelProfile;
 pub use machine::MachineConfig;

@@ -6,8 +6,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use veltair_sim::{
-    execute, CoreTerms, EventQueue, Execution, Interference, KernelProfile, LatencyModel,
-    MachineConfig, SimTime, SplitEventQueue,
+    execute, CoreTerms, EventQueue, Execution, GrantModel, Interference, KernelProfile,
+    LatencyModel, MachineConfig, SimTime, SplitEventQueue,
 };
 
 const CASES: usize = 128;
@@ -179,6 +179,59 @@ fn prepared_latency_model_is_bit_identical_to_execute() {
                     "tabulated latency at {cores} cores"
                 );
                 assert_eq!(bits(&tabulated.execute(cores)), bits(&reference));
+            }
+        }
+    }
+}
+
+#[test]
+fn grant_model_is_bit_identical_to_the_latency_model() {
+    let mut rng = StdRng::seed_from_u64(0x51b09);
+    for machine in [
+        MachineConfig::threadripper_3990x(),
+        MachineConfig::desktop_8core(),
+        MachineConfig::threadripper_3990x().with_dvfs(0.2),
+    ] {
+        for _ in 0..CASES / 8 {
+            // Chunk counts on both sides of the machine's core count, so
+            // grants past `parallel_chunks` and past the table's end stay
+            // few enough to try every one.
+            let p = KernelProfile {
+                parallel_chunks: rng.gen_range(1..=2 * machine.cores),
+                ..arb_profile(&mut rng)
+            };
+            let full = CoreTerms::table(&p, &machine);
+            let tables: [&[CoreTerms]; 3] = [&full, &full[..full.len().min(3)], &[]];
+            let mut pressures = vec![
+                Interference::NONE,
+                Interference::level(1.0),
+                Interference {
+                    cache_frac: 1.0,
+                    bw_frac: 0.0,
+                },
+                Interference {
+                    cache_frac: 0.0,
+                    bw_frac: 1.0,
+                },
+            ];
+            pressures.extend((0..4).map(|_| Interference {
+                cache_frac: rng.gen_range(0.0f64..1.0),
+                bw_frac: rng.gen_range(0.0f64..1.0),
+            }));
+            for terms in tables {
+                for cores in 1..=p.parallel_chunks.max(machine.cores) + 2 {
+                    let grant = GrantModel::with_terms(&p, terms, cores, &machine);
+                    for &pressure in &pressures {
+                        let reference =
+                            LatencyModel::with_terms(&p, terms, pressure, &machine).execute(cores);
+                        assert_eq!(
+                            bits(&grant.execute(pressure)),
+                            bits(&reference),
+                            "{} table entries, {cores} cores, {pressure:?}",
+                            terms.len()
+                        );
+                    }
+                }
             }
         }
     }
