@@ -115,6 +115,14 @@ impl CompiledLayer {
     /// best version per core class and interference bin, each version's
     /// core requirement per bin, and each version's [`CoreTerms::table`],
     /// which the serving runtime reads whenever it serves on `machine`.
+    ///
+    /// Each profile is validated once, up front, and the other tables
+    /// rate it over its core-terms table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `versions` is empty or a profile fails
+    /// [`KernelProfile::validate`].
     #[must_use]
     pub fn build(
         name: String,
@@ -129,6 +137,26 @@ impl CompiledLayer {
             !versions.is_empty(),
             "a compiled layer needs at least one version"
         );
+        // Every table below rates these profiles; check each once.
+        for v in &versions {
+            if let Err(e) = v.profile.validate() {
+                panic!("invalid kernel profile: {e}");
+            }
+        }
+        let core_terms: Vec<Box<[CoreTerms]>> = versions
+            .iter()
+            .map(|v| CoreTerms::table(&v.profile, machine))
+            .collect();
+        // Ratings read the core terms from the tables instead of computing
+        // them, bit for bit the ratings `execute` gives.
+        let model = |vi: usize, interference| {
+            LatencyModel::with_terms(
+                &versions[vi].profile,
+                &core_terms[vi],
+                interference,
+                machine,
+            )
+        };
         let bins = interference_bins();
 
         let mut best_version = Vec::with_capacity(CORE_CLASSES.len());
@@ -136,14 +164,9 @@ impl CompiledLayer {
             let mut row = [0usize; NUM_INTERFERENCE_BINS];
             for (bi, &level) in bins.iter().enumerate() {
                 let mut best: Option<(usize, f64)> = None;
-                for (vi, v) in versions.iter().enumerate() {
-                    let l = execute(
-                        &v.profile,
-                        cores.min(machine.cores),
-                        Interference::level(level),
-                        machine,
-                    )
-                    .latency_s;
+                for vi in 0..versions.len() {
+                    let l =
+                        model(vi, Interference::level(level)).latency_s(cores.min(machine.cores));
                     if best.is_none_or(|(_, b)| l < b) {
                         best = Some((vi, l));
                     }
@@ -155,25 +178,24 @@ impl CompiledLayer {
         let reference_class = class_for(reference_cores);
 
         let mut core_req = Vec::with_capacity(versions.len());
-        for v in &versions {
+        for vi in 0..versions.len() {
             let mut row = [machine.cores; NUM_INTERFERENCE_BINS];
             for (bi, &level) in bins.iter().enumerate() {
-                row[bi] = min_cores_for(&v.profile, qos_share_s * QOS_PLAN_MARGIN, level, machine);
+                row[bi] = min_cores_for(
+                    &model(vi, Interference::level(level)),
+                    qos_share_s * QOS_PLAN_MARGIN,
+                    machine,
+                );
             }
             core_req.push(row);
         }
 
         let qos_feasible = {
-            let v0 = &versions[best_version[reference_class][0]];
-            let l = execute(&v0.profile, machine.cores, Interference::NONE, machine).latency_s
+            let l = model(best_version[reference_class][0], Interference::NONE)
+                .latency_s(machine.cores)
                 + machine.dispatch_overhead_s;
             l <= qos_share_s
         };
-
-        let core_terms = versions
-            .iter()
-            .map(|v| CoreTerms::table(&v.profile, machine))
-            .collect();
 
         Self {
             name,
@@ -185,7 +207,7 @@ impl CompiledLayer {
             best_version,
             reference_class,
             core_req,
-            core_terms,
+            core_terms: core_terms.into(),
         }
     }
 
@@ -239,16 +261,10 @@ impl CompiledLayer {
     }
 }
 
-/// Minimum core count whose latency (plus dispatch) meets `target_s` at the
-/// given interference level; when unattainable, the latency-minimizing core
+/// Minimum core count whose latency (plus dispatch) meets `target_s` under
+/// `sweep`'s interference; when unattainable, the latency-minimizing core
 /// count (footprint growth can make more cores slower under contention).
-fn min_cores_for(
-    profile: &KernelProfile,
-    target_s: f64,
-    level: f64,
-    machine: &MachineConfig,
-) -> u32 {
-    let sweep = LatencyModel::new(profile, Interference::level(level), machine);
+fn min_cores_for(sweep: &LatencyModel<'_>, target_s: f64, machine: &MachineConfig) -> u32 {
     let mut best = (1u32, f64::INFINITY);
     for p in 1..=machine.cores {
         let l = sweep.latency_s(p) + machine.dispatch_overhead_s;
@@ -413,9 +429,35 @@ pub fn compile_model(
         ));
     }
 
-    // Model-granularity core requirement per bin.
+    // Model-granularity core requirement per bin: the smallest flat
+    // allocation whose `CompiledModel::flat_latency_s` meets the margin.
+    // The layers were just built on `machine`, so their profiles are
+    // validated and the ratings can read their core-terms tables.
+    let target_s = spec.qos_s() * QOS_PLAN_MARGIN;
     let mut model_cores = [machine.cores; NUM_INTERFERENCE_BINS];
-    let tmp = CompiledModel {
+    for (bi, &level) in interference_bins().iter().enumerate() {
+        let flat_latency_s = |cores: u32| -> f64 {
+            layers
+                .iter()
+                .map(|l| {
+                    let v = l.version_for(level, cores);
+                    LatencyModel::with_terms(
+                        &l.versions[v].profile,
+                        &l.core_terms[v],
+                        Interference::level(level),
+                        machine,
+                    )
+                    .latency_s(cores)
+                        + machine.dispatch_overhead_s
+                })
+                .sum()
+        };
+        model_cores[bi] = (1..=machine.cores)
+            .find(|&p| flat_latency_s(p) <= target_s)
+            .unwrap_or(machine.cores);
+    }
+
+    CompiledModel {
         name: spec.graph.name.clone(),
         qos_s: spec.qos_s(),
         class: spec.class,
@@ -424,14 +466,7 @@ pub fn compile_model(
         model_cores,
         search_stats,
         compiled_for: machine.clone(),
-    };
-    for (bi, &level) in interference_bins().iter().enumerate() {
-        model_cores[bi] = (1..=machine.cores)
-            .find(|&p| tmp.flat_latency_s(p, level, machine) <= tmp.qos_s * QOS_PLAN_MARGIN)
-            .unwrap_or(machine.cores);
     }
-
-    CompiledModel { model_cores, ..tmp }
 }
 
 #[cfg(test)]
@@ -445,6 +480,37 @@ mod tests {
             compile_model(&spec, &machine, &CompilerOptions::fast()),
             machine,
         )
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid kernel profile: kernel must expose at least one parallel chunk"
+    )]
+    fn build_rejects_an_invalid_profile() {
+        let profile = KernelProfile {
+            flops: 1.0,
+            compute_efficiency: 0.5,
+            parallel_chunks: 0,
+            footprint_base_bytes: 0.0,
+            footprint_per_core_bytes: 0.0,
+            min_traffic_bytes: 1.0,
+            spill_traffic_bytes: 1.0,
+        };
+        let version = CompiledVersion {
+            schedule: None,
+            profile,
+            parallelism: 0.0,
+            locality_bytes: 0.0,
+        };
+        let _ = CompiledLayer::build(
+            "bad".into(),
+            1.0,
+            1.0,
+            1.0,
+            vec![version],
+            &MachineConfig::threadripper_3990x(),
+            16,
+        );
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!
 //! * [`service`] — [`CompilerService`], the compiler as a long-lived,
 //!   caching service that compiles each model *per machine*, keyed by
-//!   (model, machine fingerprint), so heterogeneous fleet nodes run code
-//!   compiled for their own hardware;
+//!   model name and matched on the exact (spec, machine), so
+//!   heterogeneous fleet nodes run code compiled for their own hardware;
 //! * [`selector`] — [`VersionSelector`], the pluggable runtime policy
 //!   that picks which retained version each unit runs under live
 //!   interference ([`StaticLevel`] pinning, [`HysteresisLadder`] EWMA

@@ -19,30 +19,62 @@ use crate::schedule::Schedule;
 /// footprint that is easier to evict — exactly the paper's Fig. 9 tradeoff.
 #[must_use]
 pub fn lower_gemm(unit: &FusedUnit, g: &GemmView, s: &Schedule) -> KernelProfile {
-    let tiles_m = g.m.div_ceil(s.tm) as f64;
-    let tiles_n = g.n.div_ceil(s.tn) as f64;
-    let tiles_k = g.k.div_ceil(s.tk) as f64;
+    GemmLowering::new(unit, g).lower(s)
+}
 
-    // Fused epilogue inputs (residual operands, affine params) stream once.
-    let epilogue_extra =
-        (unit.input_bytes() - g.a_bytes()).max(0.0) + (unit.weight_bytes() - g.b_bytes()).max(0.0);
+/// [`lower_gemm`] for one unit, with the schedule-independent totals
+/// computed once: the search lowers every candidate of a unit through one
+/// of these.
+pub(crate) struct GemmLowering<'a> {
+    g: &'a GemmView,
+    flops: f64,
+    a_bytes: f64,
+    b_bytes: f64,
+    c_bytes: f64,
+    /// Fused epilogue inputs (residual operands, affine params) that
+    /// stream once.
+    epilogue_extra: f64,
+    min_traffic: f64,
+}
 
-    let min_traffic = unit.input_bytes() + unit.weight_bytes() + unit.output_bytes();
-    let spill_traffic = g.a_bytes() * tiles_n
-        + g.b_bytes() * tiles_m
-        + g.c_bytes() * 2.0f64.mul_add(tiles_k, -1.0)
-        + epilogue_extra;
+impl<'a> GemmLowering<'a> {
+    pub(crate) fn new(unit: &FusedUnit, g: &'a GemmView) -> Self {
+        let (input, weight) = (unit.input_bytes(), unit.weight_bytes());
+        let (a_bytes, b_bytes) = (g.a_bytes(), g.b_bytes());
+        Self {
+            g,
+            flops: unit.flops(),
+            a_bytes,
+            b_bytes,
+            c_bytes: g.c_bytes(),
+            epilogue_extra: (input - a_bytes).max(0.0) + (weight - b_bytes).max(0.0),
+            min_traffic: input + weight + unit.output_bytes(),
+        }
+    }
 
-    KernelProfile {
-        flops: unit.flops(),
-        compute_efficiency: s.compute_efficiency(g),
-        parallel_chunks: s.parallel_chunks(g),
-        // Shared panel: the full B slab of the current k-tile, reused by
-        // every worker sweeping its output tiles.
-        footprint_base_bytes: (s.tk * g.n * g.elem_bytes) as f64,
-        footprint_per_core_bytes: s.locality_bytes(g),
-        min_traffic_bytes: min_traffic,
-        spill_traffic_bytes: spill_traffic.max(min_traffic),
+    pub(crate) fn lower(&self, s: &Schedule) -> KernelProfile {
+        let g = self.g;
+        let tiles_m = g.m.div_ceil(s.tm) as f64;
+        let tiles_n = g.n.div_ceil(s.tn) as f64;
+        let tiles_k = g.k.div_ceil(s.tk) as f64;
+        // `2 * tiles_k` is exact, so this rounds once, as a fused
+        // multiply-add would.
+        let spill_traffic = self.a_bytes * tiles_n
+            + self.b_bytes * tiles_m
+            + self.c_bytes * (2.0 * tiles_k - 1.0)
+            + self.epilogue_extra;
+
+        KernelProfile {
+            flops: self.flops,
+            compute_efficiency: s.compute_efficiency(g),
+            parallel_chunks: s.parallel_chunks(g),
+            // Shared panel: the full B slab of the current k-tile, reused by
+            // every worker sweeping its output tiles.
+            footprint_base_bytes: (s.tk * g.n * g.elem_bytes) as f64,
+            footprint_per_core_bytes: s.locality_bytes(g),
+            min_traffic_bytes: self.min_traffic,
+            spill_traffic_bytes: spill_traffic.max(self.min_traffic),
+        }
     }
 }
 

@@ -12,29 +12,66 @@
 //!    interference levels within the tolerance (the "within 90 % of the
 //!    full five versions" storage optimization of §4.1).
 
-use veltair_sim::{execute, Interference, MachineConfig};
+use veltair_sim::{Interference, LatencyModel, MachineConfig};
 
 use crate::compiled::CompiledVersion;
-use crate::options::{interference_bins, CompilerOptions};
+use crate::options::{interference_bins, CompilerOptions, NUM_INTERFERENCE_BINS};
 use crate::search::Sample;
 
 /// Extracts the dominant implementations: samples not dominated in the
 /// maximize-(parallelism, locality) sense. These form the Pareto frontier
 /// of the tradeoff space (red markers of Fig. 9d).
+///
+/// One pass over the samples by descending parallelism finds them in
+/// O(n log n), without the all-pairs test. A sample is dominated exactly
+/// when a sample of equal or higher parallelism has more locality, or one
+/// of higher parallelism has at least as much. So a sample survives when
+/// its locality is the maximum of its parallelism group, and that
+/// maximum exceeds the running maximum over every higher-parallelism
+/// group. A sample with a NaN metric compares false either way: no
+/// sample dominates it and it dominates none, so it survives and stays
+/// out of the running maximum. The survivors, in input order, are then
+/// ordered by blocking size, most local first (v0 = low-interference
+/// version), by a stable sort, and metric duplicates are dropped.
 #[must_use]
 pub fn extract_dominant(samples: &[Sample]) -> Vec<Sample> {
-    let mut frontier: Vec<Sample> = Vec::new();
-    for s in samples {
-        let dominated = samples.iter().any(|o| {
-            (o.parallelism >= s.parallelism && o.locality_bytes > s.locality_bytes)
-                || (o.parallelism > s.parallelism && o.locality_bytes >= s.locality_bytes)
-        });
-        if !dominated {
-            frontier.push(s.clone());
+    let samples: Vec<&Sample> = samples.iter().collect();
+    dominant(&samples).into_iter().cloned().collect()
+}
+
+/// [`extract_dominant`] over borrowed samples.
+fn dominant<'a>(samples: &[&'a Sample]) -> Vec<&'a Sample> {
+    let mut keep = vec![false; samples.len()];
+    let mut order = Vec::with_capacity(samples.len());
+    for (i, s) in samples.iter().enumerate() {
+        if s.parallelism.is_nan() || s.locality_bytes.is_nan() {
+            keep[i] = true;
+        } else {
+            order.push(i);
         }
     }
-    // Order by blocking size, most local first (v0 = low-interference
-    // version), dropping metric duplicates.
+    order.sort_unstable_by(|&a, &b| samples[b].parallelism.total_cmp(&samples[a].parallelism));
+    // The most locality any higher-parallelism group offers.
+    let mut higher: Option<f64> = None;
+    for group in order.chunk_by(|&a, &b| samples[a].parallelism == samples[b].parallelism) {
+        let best = group
+            .iter()
+            .map(|&i| samples[i].locality_bytes)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if higher.is_none_or(|h| best > h) {
+            for &i in group {
+                keep[i] = samples[i].locality_bytes == best;
+            }
+            higher = Some(best);
+        }
+    }
+    let mut frontier: Vec<&Sample> = samples
+        .iter()
+        .zip(keep)
+        .filter_map(|(&s, kept)| kept.then_some(s))
+        .collect();
+    // Most local first (v0 = low-interference version), dropping metric
+    // duplicates.
     frontier.sort_by(|a, b| {
         b.locality_bytes
             .total_cmp(&a.locality_bytes)
@@ -52,6 +89,9 @@ pub fn extract_dominant(samples: &[Sample]) -> Vec<Sample> {
 /// `qos_share_s` is the layer's slice of the model's QoS budget. If no
 /// sample meets it, the fastest sample is retained (the layer is flagged
 /// QoS-infeasible by the caller).
+///
+/// The filter, the frontier and the picks work on borrowed samples; only
+/// the retained versions are copied out.
 #[must_use]
 pub fn select_versions(
     samples: &[Sample],
@@ -65,40 +105,30 @@ pub fn select_versions(
     );
 
     // Step 2: QoS-share filter.
-    let mut qualified: Vec<Sample> = samples
+    let mut qualified: Vec<&Sample> = samples
         .iter()
         .filter(|s| s.solo_latency_s <= qos_share_s)
-        .cloned()
         .collect();
     if qualified.is_empty() {
-        let fastest = samples
-            .iter()
-            .min_by(|a, b| a.solo_latency_s.total_cmp(&b.solo_latency_s))
-            .expect("non-empty population")
-            .clone();
-        qualified.push(fastest);
+        qualified.push(fastest(samples).expect("non-empty population"));
     }
 
     // Step 3: dominant implementations (Pareto frontier).
-    let frontier = extract_dominant(&qualified);
+    let frontier = dominant(&qualified);
 
     // Step 4: uniform pick of V versions along the frontier. The
     // solo-fastest qualified sample (the auto-scheduler's default winner,
     // the paper's "impl. 1") is always part of the set.
-    let solo_best = qualified
-        .iter()
-        .min_by(|a, b| a.solo_latency_s.total_cmp(&b.solo_latency_s))
-        .expect("non-empty qualified set")
-        .clone();
+    let solo_best = fastest(qualified.iter().copied()).expect("non-empty qualified set");
     let v = opts.max_versions.min(frontier.len() + 1).max(1);
-    let mut picked: Vec<Sample> = vec![solo_best.clone()];
+    let mut picked: Vec<&Sample> = vec![solo_best];
     for i in 0..v.min(frontier.len()) {
         let idx = if v == 1 {
             0
         } else {
             i * (frontier.len() - 1) / (v - 1).max(1)
         };
-        picked.push(frontier[idx].clone());
+        picked.push(frontier[idx]);
     }
     picked.sort_by(|a, b| {
         b.locality_bytes
@@ -121,39 +151,50 @@ pub fn select_versions(
 
     // Step 5: prune versions whose absence keeps the envelope within
     // tolerance across interference levels.
-    let pruned = prune_redundant(picked, machine, opts);
-
-    pruned
+    prune_redundant(picked, machine, opts)
         .into_iter()
-        .map(CompiledVersion::from_sample)
+        .map(|s| CompiledVersion::from_sample(s.clone()))
         .collect()
 }
 
-/// Latency of one sample at the reference core count under a given level.
-fn latency_at(s: &Sample, level: f64, machine: &MachineConfig, opts: &CompilerOptions) -> f64 {
-    execute(
-        &s.profile,
-        opts.reference_cores,
-        Interference::level(level),
-        machine,
-    )
-    .latency_s
+/// The first sample of least solo latency.
+fn fastest<'a>(set: impl IntoIterator<Item = &'a Sample>) -> Option<&'a Sample> {
+    set.into_iter()
+        .min_by(|a, b| a.solo_latency_s.total_cmp(&b.solo_latency_s))
 }
 
 /// Greedily removes versions while the remaining min-latency envelope stays
 /// within `opts.prune_tolerance` of the full set at every interference bin.
-fn prune_redundant(
-    mut picked: Vec<Sample>,
+///
+/// Each pick's profile is validated once and rated once per bin at the
+/// reference core count; every candidate removal reads those ratings.
+fn prune_redundant<'a>(
+    mut picked: Vec<&'a Sample>,
     machine: &MachineConfig,
     opts: &CompilerOptions,
-) -> Vec<Sample> {
+) -> Vec<&'a Sample> {
     let bins = interference_bins();
-    let lat = |set: &[Sample], level: f64| -> f64 {
-        set.iter()
-            .map(|s| latency_at(s, level, machine, opts))
+    let mut lat: Vec<[f64; NUM_INTERFERENCE_BINS]> = picked
+        .iter()
+        .map(|s| {
+            if let Err(e) = s.profile.validate() {
+                panic!("invalid kernel profile: {e}");
+            }
+            bins.map(|level| {
+                LatencyModel::prevalidated(&s.profile, Interference::level(level), machine)
+                    .latency_s(opts.reference_cores)
+            })
+        })
+        .collect();
+    // The envelope of every pick but `skip` at bin `bi`.
+    let envelope = |lat: &[[f64; NUM_INTERFERENCE_BINS]], skip: Option<usize>, bi: usize| {
+        lat.iter()
+            .enumerate()
+            .filter(|&(j, _)| Some(j) != skip)
+            .map(|(_, row)| row[bi])
             .fold(f64::INFINITY, f64::min)
     };
-    let full_envelope: Vec<f64> = bins.iter().map(|&b| lat(&picked, b)).collect();
+    let full_envelope: Vec<f64> = (0..bins.len()).map(|bi| envelope(&lat, None, bi)).collect();
 
     loop {
         if picked.len() <= 1 {
@@ -162,12 +203,10 @@ fn prune_redundant(
         // Find the removable version with the smallest worst-case impact.
         let mut best: Option<(usize, f64)> = None;
         for i in 0..picked.len() {
-            let mut rest = picked.clone();
-            rest.remove(i);
-            let worst = bins
+            let worst = full_envelope
                 .iter()
                 .enumerate()
-                .map(|(bi, &b)| lat(&rest, b) / full_envelope[bi])
+                .map(|(bi, full)| envelope(&lat, Some(i), bi) / full)
                 .fold(0.0, f64::max);
             if best.is_none_or(|(_, w)| worst < w) {
                 best = Some((i, worst));
@@ -176,6 +215,7 @@ fn prune_redundant(
         match best {
             Some((i, worst)) if worst <= opts.prune_tolerance => {
                 picked.remove(i);
+                lat.remove(i);
             }
             _ => break,
         }
@@ -186,8 +226,102 @@ fn prune_redundant(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
     use crate::search::search;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use veltair_sim::{execute, KernelProfile};
     use veltair_tensor::{FeatureMap, FusedUnit, GemmView, Layer};
+
+    /// The all-pairs frontier `extract_dominant` replaced: O(n^2), kept as
+    /// its oracle.
+    fn extract_dominant_reference(samples: &[Sample]) -> Vec<Sample> {
+        let mut frontier: Vec<Sample> = Vec::new();
+        for s in samples {
+            let dominated = samples.iter().any(|o| {
+                (o.parallelism >= s.parallelism && o.locality_bytes > s.locality_bytes)
+                    || (o.parallelism > s.parallelism && o.locality_bytes >= s.locality_bytes)
+            });
+            if !dominated {
+                frontier.push(s.clone());
+            }
+        }
+        frontier.sort_by(|a, b| {
+            b.locality_bytes
+                .total_cmp(&a.locality_bytes)
+                .then(b.parallelism.total_cmp(&a.parallelism))
+        });
+        frontier.dedup_by(|a, b| {
+            a.locality_bytes == b.locality_bytes && a.parallelism == b.parallelism
+        });
+        frontier
+    }
+
+    /// A sample identified by `id` (its `tm`) with the given metrics.
+    fn sample(id: usize, parallelism: f64, locality_bytes: f64) -> Sample {
+        Sample {
+            schedule: Schedule {
+                tm: id,
+                tn: 1,
+                tk: 1,
+                unroll: 1,
+            },
+            profile: KernelProfile {
+                flops: 1.0,
+                compute_efficiency: 1.0,
+                parallel_chunks: 1,
+                footprint_base_bytes: 0.0,
+                footprint_per_core_bytes: 0.0,
+                min_traffic_bytes: 0.0,
+                spill_traffic_bytes: 0.0,
+            },
+            parallelism,
+            locality_bytes,
+            solo_latency_s: 1.0,
+        }
+    }
+
+    /// A searched population, then random populations drawn from a few
+    /// distinct metric values, so parallelism ties, locality ties, exact
+    /// duplicates and one-sample sets all occur; every tenth draws from
+    /// signed zeros, infinities and NaN as well. The frontier must match
+    /// the oracle's in content and in order.
+    #[test]
+    fn frontier_matches_the_all_pairs_oracle() {
+        let (searched, ..) = population();
+        assert_eq!(
+            extract_dominant(&searched),
+            extract_dominant_reference(&searched)
+        );
+        let mut rng = StdRng::seed_from_u64(0xf207);
+        let plain = [1.0, 2.0, 3.0, 8.0, 64.0];
+        let special = [0.0, -0.0, 1.0, 2.0, f64::INFINITY, f64::NAN];
+        for case in 0..4000 {
+            let values: &[f64] = if case % 10 == 9 { &special } else { &plain };
+            let distinct = rng.gen_range(1..=values.len());
+            let n = rng.gen_range(1..=24);
+            let population: Vec<Sample> = (0..n)
+                .map(|id| {
+                    sample(
+                        id,
+                        values[rng.gen_range(0..distinct)],
+                        values[rng.gen_range(0..distinct)],
+                    )
+                })
+                .collect();
+            let ids =
+                |set: &[Sample]| -> Vec<usize> { set.iter().map(|s| s.schedule.tm).collect() };
+            assert_eq!(
+                ids(&extract_dominant(&population)),
+                ids(&extract_dominant_reference(&population)),
+                "case {case}: {:?}",
+                population
+                    .iter()
+                    .map(|s| (s.parallelism, s.locality_bytes))
+                    .collect::<Vec<_>>()
+            );
+        }
+    }
 
     fn population() -> (Vec<Sample>, MachineConfig, CompilerOptions) {
         let l = Layer::conv2d(

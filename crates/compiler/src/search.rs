@@ -8,6 +8,7 @@
 //! sequence is pinned unchanged by golden-fingerprint tests.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -15,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use veltair_sim::{execute, Interference, KernelProfile, MachineConfig};
 use veltair_tensor::{FusedUnit, GemmView};
 
-use crate::lower::lower_gemm;
+use crate::lower::GemmLowering;
 use crate::options::CompilerOptions;
 use crate::schedule::{tile_ladder, Schedule};
 
@@ -70,6 +71,14 @@ impl SearchStats {
 /// budget it is enumerated exhaustively. The returned sequence is pinned
 /// by golden fingerprints, so any change here must keep both the RNG call
 /// order and the stable-sort tie semantics intact.
+///
+/// The bookkeeping around the `n` evaluations is cheap next to them: the
+/// seen-set hashes a schedule's four fields with one multiply-rotate each
+/// and is sized for every sample up front, and the unit's byte and FLOP
+/// totals are computed once per search. The final sort of the elite
+/// prefix orders `(solo latency, position)` keys, which are distinct, so
+/// any sort of them yields the order the stable sort by latency gives,
+/// and then moves each sample into place with at most one swap.
 #[must_use]
 pub fn search(
     unit: &FusedUnit,
@@ -84,8 +93,13 @@ pub fn search(
     let lk = tile_ladder(g.k);
 
     let space = lm.len() * ln.len() * lk.len() * UNROLLS.len();
-    let mut seen: HashSet<Schedule> = HashSet::new();
+    // Every sample was once a new member, so the set never outgrows this.
+    let mut seen = SeenSet::with_capacity_and_hasher(
+        opts.search_iterations.min(space),
+        BuildHasherDefault::default(),
+    );
     let mut samples: Vec<Sample> = Vec::new();
+    let lowering = GemmLowering::new(unit, g);
     // Top-ELITE samples by (solo latency, insertion order), maintained
     // incrementally. The historical implementation stable-sorted the whole
     // sample vector at the top of every evolutionary iteration — an
@@ -95,13 +109,13 @@ pub fn search(
     let mut elite: Vec<(f64, Schedule)> = Vec::new();
 
     let evaluate = |s: Schedule,
-                    seen: &mut HashSet<Schedule>,
+                    seen: &mut SeenSet,
                     out: &mut Vec<Sample>,
                     elite: &mut Vec<(f64, Schedule)>| {
         if !seen.insert(s) {
             return;
         }
-        let profile = lower_gemm(unit, g, &s);
+        let profile = lowering.lower(&s);
         let exec = execute(&profile, opts.reference_cores, Interference::NONE, machine);
         let solo_latency_s = exec.latency_s + machine.dispatch_overhead_s;
         note_elite(elite, solo_latency_s, s);
@@ -172,8 +186,69 @@ pub fn search(
             }
         }
     }
-    samples[..sorted_prefix].sort_by(|a, b| a.solo_latency_s.total_cmp(&b.solo_latency_s));
+    sort_by_latency(&mut samples[..sorted_prefix]);
     samples
+}
+
+/// The search's seen-set: membership only, so its hasher cannot change
+/// which schedules are kept or in what order.
+type SeenSet = HashSet<Schedule, BuildHasherDefault<ScheduleHasher>>;
+
+/// A multiply-rotate hasher for [`Schedule`]'s four `usize` fields: one
+/// rotate, xor and multiply per field instead of SipHash's rounds.
+#[derive(Default)]
+struct ScheduleHasher(u64);
+
+impl Hasher for ScheduleHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Sorts `samples` by solo latency (`total_cmp`), ties in position order:
+/// the order a stable `sort_by` gives. The sort runs over
+/// `(latency, position)` keys, which are distinct, so an unstable sort of
+/// them is exact. The samples then follow the permutation's cycles into
+/// place, at most one swap per sample.
+fn sort_by_latency(samples: &mut [Sample]) {
+    let mut keys: Vec<(f64, usize)> = samples
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.solo_latency_s, i))
+        .collect();
+    keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    // Position `k` takes the sample at `keys[k].1`; a settled position
+    // points at itself.
+    for start in 0..keys.len() {
+        let mut at = start;
+        loop {
+            let from = keys[at].1;
+            keys[at].1 = at;
+            if from == start {
+                break;
+            }
+            samples.swap(at, from);
+            at = from;
+        }
+    }
 }
 
 /// Inserts a `(score, schedule)` pair into a bounded, score-sorted elite
@@ -353,6 +428,114 @@ mod tests {
             let samples = search(&u, &g, &machine, &opts, seed);
             assert_eq!(samples.len(), 192, "wide seed {seed}");
             assert_eq!(fingerprint(&samples), expect, "wide seed {seed}");
+        }
+    }
+
+    /// FNV-1a over every field of every sample, in order: the schedule,
+    /// then the bit patterns of the profile, both metrics and the solo
+    /// latency.
+    fn sample_fingerprint(samples: &[Sample]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for s in samples {
+            let p = &s.profile;
+            let sched = [
+                s.schedule.tm,
+                s.schedule.tn,
+                s.schedule.tk,
+                s.schedule.unroll,
+            ];
+            let words = sched.iter().map(|&v| v as u64).chain(
+                [
+                    p.flops,
+                    p.compute_efficiency,
+                    f64::from(p.parallel_chunks),
+                    p.footprint_base_bytes,
+                    p.footprint_per_core_bytes,
+                    p.min_traffic_bytes,
+                    p.spill_traffic_bytes,
+                    s.parallelism,
+                    s.locality_bytes,
+                    s.solo_latency_s,
+                ]
+                .map(f64::to_bits),
+            );
+            for v in words {
+                h ^= v;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The paper-size search (`CompilerOptions::thorough()`, 1024 samples)
+    /// of both units, hashed down to every field of every sample, so the
+    /// seen-set, the elite prefix sort and the lowering run at full size.
+    /// Recorded from the SipHash seen-set, the stable `sort_by` of the
+    /// elite prefix and the per-candidate unit totals, before each was
+    /// replaced by its cheaper equivalent.
+    #[test]
+    fn thorough_search_matches_golden_fingerprints() {
+        let machine = MachineConfig::threadripper_3990x();
+        let opts = CompilerOptions::thorough();
+        let (conv, wide) = (unit(), wide_unit());
+        let measured: Vec<u64> = [(&conv, 0u64), (&conv, 7), (&wide, 0), (&wide, 42)]
+            .into_iter()
+            .map(|((u, g), seed)| {
+                let samples = search(u, g, &machine, &opts, seed);
+                assert_eq!(samples.len(), 1024, "seed {seed}");
+                sample_fingerprint(&samples)
+            })
+            .collect();
+        assert_eq!(
+            measured,
+            [
+                0xdf1a_718a_5be0_5506_u64,
+                0x8951_2984_535a_3cdc,
+                0xddde_800a_62b3_4c99,
+                0x00c5_37d7_c9b9_24c9,
+            ],
+            "measured {measured:#x?}"
+        );
+    }
+
+    /// The key sort of the elite prefix against the stable `sort_by` it
+    /// replaced, on populations with many repeated latencies (signed
+    /// zeros, infinities and NaN among them in every tenth).
+    #[test]
+    fn key_sorted_prefix_matches_a_stable_sort() {
+        let (u, g) = unit();
+        let template = search(
+            &u,
+            &g,
+            &MachineConfig::threadripper_3990x(),
+            &CompilerOptions::fast(),
+            1,
+        )[0]
+        .clone();
+        let mut rng = StdRng::seed_from_u64(0x5027);
+        let plain = [1e-3, 2e-3, 3e-3, 5e-4];
+        let special = [0.0, -0.0, 1e-3, f64::INFINITY, -f64::NAN, f64::NAN];
+        for case in 0..2000 {
+            let values: &[f64] = if case % 10 == 9 { &special } else { &plain };
+            let distinct = rng.gen_range(1..=values.len());
+            let n = rng.gen_range(0..=64);
+            let population: Vec<Sample> = (0..n)
+                .map(|id| Sample {
+                    schedule: Schedule {
+                        tm: id,
+                        ..template.schedule
+                    },
+                    solo_latency_s: values[rng.gen_range(0..distinct)],
+                    ..template.clone()
+                })
+                .collect();
+            let mut keyed = population.clone();
+            sort_by_latency(&mut keyed);
+            let mut stable = population;
+            stable.sort_by(|a, b| a.solo_latency_s.total_cmp(&b.solo_latency_s));
+            let ids =
+                |set: &[Sample]| -> Vec<usize> { set.iter().map(|s| s.schedule.tm).collect() };
+            assert_eq!(ids(&keyed), ids(&stable), "case {case}");
         }
     }
 

@@ -6,15 +6,14 @@
 //! "give every (model, machine) pair in my heterogeneous fleet the code
 //! compiled *for its own hardware*, and never compile the same pair
 //! twice". [`CompilerService`] owns that: it memoizes compiled
-//! artifacts keyed by `(machine fingerprint, model name, spec
-//! fingerprint)` under the options it was built with, so compiling a
-//! model set once per machine yields the per-machine model sets fleet
-//! nodes serve from. Compilation is deterministic (the auto-scheduler is
-//! seeded), so a cache hit and a fresh recompile are bit-identical —
-//! pinned by `tests/compiler_service.rs`.
+//! artifacts by model name, and within a name by the exact machine and
+//! spec (`==` on both), under the options it was built with, so
+//! compiling a model set once per machine yields the per-machine model
+//! sets fleet nodes serve from. Compilation is deterministic (the
+//! auto-scheduler is seeded), so a cache hit and a fresh recompile are
+//! bit-identical — pinned by `tests/compiler_service.rs`.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 
 use veltair_models::ModelSpec;
 use veltair_sim::MachineConfig;
@@ -23,25 +22,12 @@ use crate::compiled::{compile_model, CompiledModel};
 use crate::options::CompilerOptions;
 use crate::search::SearchStats;
 
-/// A fingerprint of a [`MachineConfig`], used as the machine part of the
-/// service's cache key. Two configs share a fingerprint iff every field
-/// is bit-equal (`f64` fields are rendered with round-trippable shortest
-/// formatting), so distinct hardware never aliases in the cache.
-fn machine_key(machine: &MachineConfig) -> String {
-    format!("{machine:?}")
-}
-
-/// A content fingerprint of a [`ModelSpec`]: the deterministic hash of
-/// its full debug rendering (graph, shapes, QoS, class). Keying the
-/// cache by *content*, not just the model name, means editing a spec —
-/// a new QoS target, a changed layer — while keeping its name can never
-/// serve the stale artifact.
-fn spec_fingerprint(spec: &ModelSpec) -> u64 {
-    // DefaultHasher::new() uses fixed keys, so the fingerprint is stable
-    // across processes for identical content.
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    format!("{spec:?}").hash(&mut hasher);
-    hasher.finish()
+/// One cached artifact and the exact inputs it was compiled from.
+#[derive(Debug, Clone)]
+struct CacheEntry {
+    machine: MachineConfig,
+    spec: ModelSpec,
+    artifact: CompiledModel,
 }
 
 /// A caching, per-machine compilation service.
@@ -67,10 +53,10 @@ pub struct CompilerService {
     /// Fixed at [`new`](CompilerService::new), so every cached artifact
     /// was compiled under them and the cache key needs no options part.
     options: CompilerOptions,
-    /// `(machine fingerprint, model name, spec content fingerprint) →
-    /// artifact`. A `BTreeMap` keeps iteration (and `Debug` output)
-    /// deterministic.
-    cache: BTreeMap<(String, String, u64), CompiledModel>,
+    /// Model name → every artifact compiled under that name, each with
+    /// the machine and spec it was compiled from. A `BTreeMap` keeps
+    /// iteration (and `Debug` output) deterministic.
+    cache: BTreeMap<String, Vec<CacheEntry>>,
     hits: u64,
     misses: u64,
     search_stats: SearchStats,
@@ -91,32 +77,41 @@ impl CompilerService {
     }
 
     /// Compiles `spec` for `machine`, or returns the cached artifact if
-    /// this exact (spec content, machine) pair was compiled before.
+    /// this exact (spec, machine) pair was compiled before.
     /// Either way the result is bit-identical: compilation is
-    /// deterministic, and the cache key includes a content fingerprint of
-    /// the spec, so a *modified* spec reusing an old name recompiles
-    /// instead of serving the stale artifact.
+    /// deterministic, and a cached artifact is returned only for a spec
+    /// and a machine equal (`==`) to the ones it was compiled from, so a
+    /// *modified* spec reusing an old name recompiles instead of serving
+    /// the stale artifact. A spec or machine holding a NaN equals
+    /// nothing, itself included, so it recompiles on every call.
     pub fn compile(&mut self, spec: &ModelSpec, machine: &MachineConfig) -> CompiledModel {
-        let key = (
-            machine_key(machine),
-            spec.graph.name.clone(),
-            spec_fingerprint(spec),
-        );
-        if let Some(cached) = self.cache.get(&key) {
+        let cached = self.cache.get(&spec.graph.name).and_then(|entries| {
+            entries
+                .iter()
+                .find(|e| e.machine == *machine && e.spec == *spec)
+        });
+        if let Some(entry) = cached {
             self.hits += 1;
-            return cached.clone();
+            return entry.artifact.clone();
         }
         let compiled = compile_model(spec, machine, &self.options);
         self.misses += 1;
         self.search_stats.accumulate(&compiled.search_stats);
-        self.cache.insert(key, compiled.clone());
+        self.cache
+            .entry(spec.graph.name.clone())
+            .or_default()
+            .push(CacheEntry {
+                machine: machine.clone(),
+                spec: spec.clone(),
+                artifact: compiled.clone(),
+            });
         compiled
     }
 
     /// Number of distinct (model, machine) artifacts held.
     #[must_use]
     pub fn cached_artifacts(&self) -> usize {
-        self.cache.len()
+        self.cache.values().map(Vec::len).sum()
     }
 
     /// `(cache hits, cache misses)` over the service's lifetime. A miss
@@ -140,10 +135,19 @@ mod tests {
 
     #[test]
     fn machine_keys_separate_distinct_hardware() {
+        let mut svc = CompilerService::new(CompilerOptions::fast());
         let big = MachineConfig::threadripper_3990x();
         let edge = MachineConfig::desktop_8core();
-        assert_ne!(machine_key(&big), machine_key(&edge));
-        assert_eq!(machine_key(&big), machine_key(&big.clone()));
+        let spec = veltair_models::mobilenet_v2();
+        let on_big = svc.compile(&spec, &big);
+        let on_edge = svc.compile(&spec, &edge);
+        assert_eq!(svc.cache_stats(), (0, 2), "two machines are two misses");
+        assert_eq!(svc.cached_artifacts(), 2);
+        assert_ne!(on_big, on_edge);
+        // An equal machine, built afresh, hits its own artifact.
+        assert_eq!(svc.compile(&spec, &big.clone()), on_big);
+        assert_eq!(svc.compile(&spec, &edge.clone()), on_edge);
+        assert_eq!(svc.cache_stats(), (2, 2));
     }
 
     #[test]

@@ -168,15 +168,25 @@ impl CoreTerms {
     ///
     /// This is the one place either term is written: live ratings and
     /// [`CoreTerms::table`] both call it.
+    ///
+    /// The wave count is the integer `chunks.div_ceil(p_eff)`, which
+    /// equals `(chunks as f64 / p_eff as f64).ceil()` for every pair of
+    /// `u32`s: the quotient of two `u32`s lies at least `1 / p_eff` from
+    /// any integer it does not equal, more than the half-ulp its rounding
+    /// can move it, so rounding never carries it across one. The integer
+    /// form needs no `ceil`, which is a library call on targets without
+    /// SSE4.1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
     #[inline]
     #[must_use]
     pub fn compute(kernel: &KernelProfile, cores: u32, machine: &MachineConfig) -> Self {
         let p_eff = cores.min(kernel.parallel_chunks);
         let chunks = f64::from(kernel.parallel_chunks);
-        // Wave quantization: 65 chunks on 64 cores take two full waves.
-        let waves = (chunks / f64::from(p_eff)).ceil();
         let ideal_waves = chunks / f64::from(p_eff);
-        let imbalance = waves / ideal_waves;
+        let imbalance = waves(kernel.parallel_chunks, p_eff) / ideal_waves;
         let compute_s = kernel.flops
             / (f64::from(p_eff)
                 * machine.effective_flops_per_core(p_eff)
@@ -197,6 +207,17 @@ impl CoreTerms {
             .map(|p| Self::compute(kernel, p, machine))
             .collect()
     }
+}
+
+/// Wave quantization: `chunks` chunks take `ceil(chunks / p_eff)` full
+/// waves on `p_eff` workers, so 65 chunks on 64 cores take two.
+///
+/// # Panics
+///
+/// Panics if `p_eff == 0`.
+#[inline]
+fn waves(chunks: u32, p_eff: u32) -> f64 {
+    f64::from(chunks.div_ceil(p_eff))
 }
 
 /// One kernel's execution model under one fixed interference, prepared
@@ -569,6 +590,65 @@ mod tests {
         let e65 = execute(&k65, 64, Interference::NONE, &machine());
         // The compute term doubles; memory terms dilute the overall ratio.
         assert!(e65.latency_s > 1.5 * e64.latency_s);
+    }
+
+    /// The integer wave count against the float ceiling it replaced, bit
+    /// for bit, over edge pairs and random pairs of every magnitude.
+    #[test]
+    fn integer_wave_count_equals_the_float_ceiling() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let check = |chunks: u32, p: u32| {
+            let float = (f64::from(chunks) / f64::from(p)).ceil();
+            assert_eq!(
+                waves(chunks, p).to_bits(),
+                float.to_bits(),
+                "{chunks} chunks on {p} workers"
+            );
+        };
+        let edges = [
+            0u32,
+            1,
+            2,
+            3,
+            7,
+            63,
+            64,
+            65,
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 24) - 1,
+            1 << 24,
+            (1 << 24) + 1,
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 31) + 1,
+            u32::MAX - 2,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for &chunks in &edges {
+            for &p in edges.iter().filter(|&&p| p > 0) {
+                check(chunks, p);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x3a7e5);
+        for _ in 0..100_000 {
+            let chunks = rng.gen::<u32>() >> rng.gen_range(0u32..32);
+            let p = (rng.gen::<u32>() >> rng.gen_range(0u32..32)).max(1);
+            check(chunks, p);
+            // The neighbours of a multiple, where a rounding error would
+            // land the quotient on the wrong side of an integer.
+            let multiple = chunks / p * p;
+            for c in [
+                multiple.saturating_sub(1),
+                multiple,
+                multiple.saturating_add(1),
+            ] {
+                check(c, p);
+            }
+        }
     }
 
     #[test]

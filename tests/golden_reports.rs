@@ -196,6 +196,21 @@ impl Fnv {
             self.u64(u64::from(c));
         }
     }
+
+    /// Every version's [`CompiledLayer::core_terms`] table, in layer and
+    /// version order.
+    fn core_terms(&mut self, m: &CompiledModel) {
+        for l in &m.layers {
+            for v in 0..l.versions.len() {
+                let table = l.core_terms(v);
+                self.u64(table.len() as u64);
+                for t in table {
+                    self.f64(t.compute_s);
+                    self.f64(t.l3_s);
+                }
+            }
+        }
+    }
 }
 
 fn digest(models: &[CompiledModel], traces: &[Vec<QuerySpec>], cfg: &SimConfig) -> u64 {
@@ -373,6 +388,55 @@ fn every_zoo_artifact_reproduces_its_recorded_digest() {
     assert!(
         drifted.is_empty(),
         "compiled artifacts drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
+        drifted.join("\n")
+    );
+}
+
+/// Recorded digests of the four-model mix (`MIX` order) compiled with
+/// `CompilerOptions::thorough()`, the benchmark's fleet compile, on the
+/// 3990X and then on the 8-core desktop. Each hashes the artifact as
+/// `ARTIFACT_GOLDEN` does plus every version's core-terms table. Recorded
+/// before the compiler's frontier, seen-set, elite-sort, lowering and
+/// wave-count speedups. Identical in debug and release builds.
+const THOROUGH_GOLDEN: [u64; 8] = [
+    0xccd7_e936_b8e1_2594,
+    0xe55e_b492_89b4_2bcd,
+    0xcfa3_87f8_13e0_e2e7,
+    0x9ddc_1d06_c6ef_4fb5,
+    0xc2a9_f94f_874e_c3de,
+    0x1c20_48ac_7e8c_8377,
+    0x922d_27f1_5d98_cfcd,
+    0x62a9_94e1_29f5_ebf2,
+];
+
+#[test]
+fn thorough_mix_artifacts_reproduce_their_recorded_digest() {
+    let machines = [
+        MachineConfig::threadripper_3990x(),
+        MachineConfig::desktop_8core(),
+    ];
+    let mut measured = Vec::new();
+    let mut drifted = Vec::new();
+    for machine in &machines {
+        for name in MIX {
+            let spec = by_name(name).expect("zoo model");
+            let model = compile_model(&spec, machine, &CompilerOptions::thorough());
+            let mut h = Fnv::new();
+            h.model(&model);
+            h.core_terms(&model);
+            let want = THOROUGH_GOLDEN[measured.len()];
+            if h.0 != want {
+                drifted.push(format!(
+                    "{name} on {} cores: {:#018x}, recorded {want:#018x}",
+                    machine.cores, h.0
+                ));
+            }
+            measured.push(h.0);
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "thorough artifacts drifted from the recorded digests:\n{}\nall measured: {measured:#x?}",
         drifted.join("\n")
     );
 }
