@@ -33,12 +33,13 @@
 //! masked out of the index, never compacted — so node indices stay
 //! stable and elastic runs keep the full bit-determinism contract.
 //!
-//! **One decision path.** Every routing decision reads the incrementally
-//! maintained [`LoadIndex`]: nodes are re-keyed through
-//! [`Router::rank`] only when their driver state changes, and the router
-//! decides off the tournament tree (O(1) minimum) or the Fenwick sampler
-//! (O(log n) weighted draws). The [`CoordinatorStats`] op counts make
-//! that cost visible.
+//! **One decision path.** Every routing decision advances every node to
+//! the decision instant, re-keys the nodes whose driver state changed
+//! through [`Router::rank`], and lets the router decide off the
+//! [`LoadIndex`] — a flat table it scans for a minimum or walks for a
+//! weighted draw. A decision therefore costs Θ(nodes), dominated by the
+//! node advancement; the [`CoordinatorStats`] op counts make the index
+//! reads visible.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -55,7 +56,7 @@ use crate::index::LoadIndex;
 use crate::node::{NodeLoad, NodeSpec, NodeState};
 use crate::parallel::{StepMode, StepperPool};
 use crate::report::{merge_reports, CoordinatorStats, FleetReport};
-use crate::router::{IndexSupport, Router};
+use crate::router::Router;
 use crate::scaling::{HysteresisAutoscaler, ScaleDecision, ScalePolicy};
 
 /// Why a node's `Driver::run_until` cannot fail inside the fleet: every
@@ -448,13 +449,8 @@ pub struct Fleet<'a> {
     /// Lazily built when the mode switches to parallel; dropped (workers
     /// joined) when it switches back.
     pool: Option<StepperPool>,
-    /// Whether the active router keeps rank keys in the index or ignores
-    /// load (round-robin). Captured from [`Router::index_support`] at
-    /// construction.
-    support: IndexSupport,
-    /// The incrementally maintained rank index (see [`LoadIndex`]):
-    /// keyed for `IndexSupport::Indexed` routers, and the routability
-    /// mask for every router.
+    /// The rank index (see [`LoadIndex`]): the active router's keys, the
+    /// routability mask and the sampling weights.
     index: LoadIndex,
     /// Last [`Driver::version`] folded into the index, per node.
     /// Initialized to a sentinel that matches no real version so the
@@ -601,7 +597,6 @@ impl<'a> Fleet<'a> {
         if !node_models.iter().any(|m| std::ptr::eq(*m, catalog)) {
             open_node(catalog, &specs[0])?;
         }
-        let support = router.index_support();
         let index = LoadIndex::new(
             drivers
                 .iter()
@@ -629,7 +624,6 @@ impl<'a> Fleet<'a> {
             deferrals: 0,
             step_mode: StepMode::Sequential,
             pool: None,
-            support,
             index,
             stats: CoordinatorStats::default(),
             draining_count: 0,
@@ -858,6 +852,64 @@ impl<'a> Fleet<'a> {
     #[must_use]
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty() && self.drivers.iter().all(Driver::is_idle)
+    }
+
+    /// Checks the coordinator's bookkeeping and returns the first broken
+    /// rule, in O(roster):
+    ///
+    /// * every per-node table (drivers, names, routed counts, the version
+    ///   cache, the trace maps, the poll cursors and the load index) has
+    ///   one entry per roster slot;
+    /// * a node is routable in the index exactly when it is
+    ///   [`NodeState::Live`], and the index's live count equals the
+    ///   `Live` nodes;
+    /// * the draining counter equals the `Draining` nodes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated rule.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let slots = self.node_state.len();
+        for (table, len) in [
+            ("drivers", self.drivers.len()),
+            ("names", self.names.len()),
+            ("routed", self.routed.len()),
+            ("node_version", self.node_version.len()),
+            ("trace_maps", self.trace_maps.len()),
+            ("polled", self.polled.len()),
+            ("index", self.index.len()),
+        ] {
+            if len != slots {
+                return Err(format!(
+                    "{table} holds {len} entries for {slots} roster slots"
+                ));
+            }
+        }
+        for (i, &state) in self.node_state.iter().enumerate() {
+            if self.index.routable(i) != (state == NodeState::Live) {
+                return Err(format!(
+                    "node {i} is {} but its index routability is {}",
+                    state.name(),
+                    self.index.routable(i)
+                ));
+            }
+        }
+        let count = |want: NodeState| self.node_state.iter().filter(|&&s| s == want).count();
+        let live = count(NodeState::Live);
+        if self.index.live_len() != live {
+            return Err(format!(
+                "the index counts {} live nodes, the roster {live}",
+                self.index.live_len()
+            ));
+        }
+        let draining = count(NodeState::Draining);
+        if self.draining_count != draining {
+            return Err(format!(
+                "the draining counter reads {}, the roster holds {draining} draining nodes",
+                self.draining_count
+            ));
+        }
+        Ok(())
     }
 
     /// Live load views for every node, in fleet order — what the router
@@ -1469,8 +1521,7 @@ impl<'a> Fleet<'a> {
     }
 
     /// Folds every node whose [`Driver::version`] moved since the last
-    /// refresh back into the rank index. Only `IndexSupport::Indexed`
-    /// routers maintain keys.
+    /// refresh back into the rank index.
     ///
     /// The version compare itself is O(nodes) per routing instant — the
     /// same order as the event-queue peek `advance_nodes_to` already does
@@ -1518,9 +1569,7 @@ impl<'a> Fleet<'a> {
                 arrival: p.arrival,
             };
             self.stats.routing_decisions += 1;
-            if self.support == IndexSupport::Indexed {
-                self.refresh_index();
-            }
+            self.refresh_index();
             let node = self
                 .router
                 .route(&self.index, model, &query)

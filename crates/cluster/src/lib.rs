@@ -21,9 +21,11 @@
 //!   pressure signal), each deciding off the load index;
 //! * [`admission`] — the [`AdmissionController`] trait, the no-op
 //!   [`AdmitAll`], and the SLO-projection [`SloAdmission`];
-//! * [`index`] — [`LoadIndex`], the incrementally maintained tournament
-//!   tree and Fenwick sampler the coordinator keeps keyed on the active
-//!   router's rank signal, so every routing decision is O(log n);
+//! * [`index`] — [`LoadIndex`], the flat table of rank keys, routability
+//!   flags and sampling weights the coordinator keeps keyed on the active
+//!   router's rank signal; a router scans it for a minimum or walks it
+//!   for a weighted draw, next to the Θ(nodes) node advancement every
+//!   decision already does;
 //! * [`fleet`] — the [`Fleet`] runtime: lockstep virtual time across
 //!   nodes, arrival-instant routing, streaming submission, completion
 //!   polling, per-node policy hot swaps, snapshots. It is also the
@@ -101,8 +103,7 @@ pub use node::{NodeLoad, NodeSpec, NodeState};
 pub use parallel::StepMode;
 pub use report::{merge_reports, CoordinatorStats, FleetReport};
 pub use router::{
-    IndexSupport, InterferenceAware, LeastOutstanding, PowerOfTwoChoices, RoundRobin, Router,
-    RouterKind,
+    InterferenceAware, LeastOutstanding, PowerOfTwoChoices, RoundRobin, Router, RouterKind,
 };
 pub use scaling::{AutoscalerConfig, HysteresisAutoscaler, ScaleDecision, ScalePolicy};
 // The flight-recorder vocabulary (`Fleet::enable_telemetry`), re-exported

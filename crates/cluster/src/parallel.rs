@@ -53,15 +53,6 @@ pub enum StepMode {
 }
 
 impl StepMode {
-    /// A parallel mode sized to the machine's available parallelism
-    /// (falls back to 1 worker when that cannot be determined).
-    #[must_use]
-    pub fn parallel_auto() -> Self {
-        StepMode::Parallel {
-            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        }
-    }
-
     /// The worker count this mode would run with: `None` for sequential,
     /// the clamped thread count for parallel.
     #[must_use]
@@ -396,7 +387,6 @@ mod tests {
             "zero threads clamps to one worker"
         );
         assert_eq!(StepMode::Parallel { threads: 8 }.worker_threads(), Some(8));
-        assert!(StepMode::parallel_auto().worker_threads().unwrap() >= 1);
         assert_eq!(StepMode::Sequential.name(), "sequential");
         assert_eq!(StepMode::Parallel { threads: 2 }.name(), "parallel");
     }

@@ -52,26 +52,25 @@ pub fn merge_reports(reports: &[ServingReport]) -> ServingReport {
 /// Coordinator work counters: how much bookkeeping the fleet front door
 /// did to make its routing decisions.
 ///
-/// These are *op counts*, not wall-clock timings — on a single-CPU host
-/// the O(n)→O(log n) coordinator win is invisible to a stopwatch at small
-/// n, but the operation counts scale exactly, so they are the primary
-/// scalability signal (and what the 100k-node demo and the CI scale-smoke
-/// budget assert on).
+/// These are *op counts*, not wall-clock timings: they say what the
+/// coordinator read and did, independent of host speed and noise. A
+/// decision's wall time is dominated by advancing every node to its
+/// instant, which no counter here measures.
 ///
 /// Counting contract (step-mode-agnostic by construction, so
 /// `Sequential` and `Parallel` runs produce identical counters):
 ///
 /// * `routing_decisions` — one per query offered to the router,
 ///   *including* re-offers of deferred queries.
-/// * `nodes_examined` — load entries / index keys inspected to make
-///   those decisions. A tournament-tree minimum examines 1 (the cached
-///   root); each Fenwick descent for a weighted draw examines
-///   `⌊log2 n⌋ + 1` keys; comparing a sampled pair reads 2 keys. The
-///   admission controller's load read counts as 1. (A linear argmin
-///   would examine every node.) Version compares and same-instant event
-///   peeks are cheap coordinator work, not examinations.
+/// * `nodes_examined` — the load-index keys and node loads read to make
+///   those decisions. A minimum reads every roster slot (departed nodes
+///   included); a weighted draw reads the slots it walks, up to and
+///   including the one it picks; comparing a sampled pair reads 2 keys.
+///   The admission controller's load read counts as 1. Version compares
+///   and same-instant event peeks are coordinator work, not
+///   examinations.
 /// * `index_updates` — rank re-computations triggered by node state
-///   changes.
+///   changes, for every router (round-robin's constant rank included).
 /// * `pool_round_trips` — time-advancing sweeps handed to the node
 ///   stepper (pool dispatch in `Parallel`, in-place loop in
 ///   `Sequential`; counted identically either way).
@@ -123,9 +122,9 @@ pub struct CoordinatorStats {
 }
 
 impl CoordinatorStats {
-    /// Mean load entries examined per routing decision — ≤ `2·log2(n)`
-    /// for the min-routers and ≤ `4·log2(n)` for power-of-two, against
-    /// `n` for a linear scan.
+    /// Mean keys and loads examined per routing decision: the roster size
+    /// plus one for the minimum routers, and two walks, the pair and the
+    /// admission read for power-of-two.
     #[must_use]
     pub fn examined_per_decision(&self) -> f64 {
         if self.routing_decisions == 0 {

@@ -6,6 +6,12 @@
 //! than static assignment. All four built-in policies are deterministic
 //! for a fixed configuration (power-of-two-choices draws from its own
 //! seeded generator), which keeps whole-fleet runs bit-reproducible.
+//!
+//! Every router decides off the fleet's [`LoadIndex`]: one rank key per
+//! node, kept current through [`Router::rank`] as node states change,
+//! plus the routability mask and the core-count sampling weights. The
+//! minimum routers scan the keys, power-of-two-choices walks the
+//! weights, and round-robin reads only the mask.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,21 +21,6 @@ use veltair_sched::QuerySpec;
 
 use crate::index::LoadIndex;
 use crate::node::NodeLoad;
-
-/// How a router participates in the fleet's incremental load index (see
-/// [`LoadIndex`] and [`Router::index_support`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexSupport {
-    /// The router defines a scalar [`Router::rank`] over node loads and
-    /// decides off the index in [`Router::route`]; the fleet maintains
-    /// the rank keys incrementally and only re-keys nodes whose driver
-    /// state changed. The default.
-    Indexed,
-    /// The router ignores load entirely (round-robin): the fleet skips
-    /// rank maintenance altogether and [`Router::route`] reads only the
-    /// index's routability mask, in O(1).
-    Oblivious,
-}
 
 /// A fleet routing policy. [`route`](Router::route) picks the node index
 /// a query is offered to, off the fleet's [`LoadIndex`]; the admission
@@ -48,17 +39,11 @@ pub trait Router: std::fmt::Debug + Send {
         true
     }
 
-    /// How this router participates in the fleet's incremental load
-    /// index. Defaults to [`IndexSupport::Indexed`].
-    fn index_support(&self) -> IndexSupport {
-        IndexSupport::Indexed
-    }
-
     /// The scalar rank key for one node's load — **lower is better**, and
     /// the value must never be NaN. The fleet calls this exactly once per
     /// *node state change* (not per decision), so a stateful rank (the
     /// interference-aware router's EWMA) advances on the node's update
-    /// stream. Never consulted for [`IndexSupport::Oblivious`] routers.
+    /// stream.
     fn rank(&mut self, load: &NodeLoad) -> f64;
 
     /// Picks a routable node for `query` (targeting the compiled `model`)
@@ -127,12 +112,8 @@ impl Router for RoundRobin {
         false
     }
 
-    fn index_support(&self) -> IndexSupport {
-        IndexSupport::Oblivious
-    }
-
-    /// Load-blind: every node ranks the same (and the fleet never asks,
-    /// since the router is oblivious).
+    /// Load-blind: every node ranks the same, and [`Router::route`]
+    /// reads only the routability mask.
     fn rank(&mut self, _load: &NodeLoad) -> f64 {
         0.0
     }
@@ -210,12 +191,12 @@ impl Router for PowerOfTwoChoices {
         load.outstanding_per_core()
     }
 
-    /// Two core-weighted draws off the index's Fenwick sampler — one
+    /// Two core-weighted draws off the index's sampler — one
     /// `gen_range(0..total)` per candidate, the second excluding the
     /// first — then the lower key of the pair wins (ties to the first
-    /// draw). The sampler maps each ticket to the node a linear walk over
-    /// the core counts would pick, so the draw sequence is the classic
-    /// linear-walk router's, draw for draw.
+    /// draw). The sampler walks each ticket across the core counts, so
+    /// the draw sequence is the classic linear-walk router's, draw for
+    /// draw.
     fn route(&mut self, index: &LoadIndex, _model: &CompiledModel, _query: &QuerySpec) -> usize {
         if index.live_len() == 1 {
             // Zero-draw early return: one candidate leaves no pair to
@@ -276,9 +257,9 @@ impl Router for PowerOfTwoChoices {
 ///
 /// **Smoothing cadence.** Each node's smoother is fed through
 /// [`Router::rank`], which the coordinator calls once per *node state
-/// change* — the update stream of the incremental load index — so the
-/// EWMA advances when a node's load actually moves, not once per routing
-/// decision.
+/// change* — the load index's update stream — so the EWMA advances when
+/// a node's load actually moves, not once per routing decision. The
+/// golden fleet digests pin this cadence.
 #[derive(Debug, Clone, Default)]
 pub struct InterferenceAware {
     /// One smoother per fleet node, grown on first sight.
@@ -566,21 +547,6 @@ mod tests {
             route_once(&mut InterferenceAware::default(), &loads),
             argmin(&loads, |l| InterferenceAware::score(l, l.pressure))
         );
-    }
-
-    #[test]
-    fn index_support_classifies_the_builtins() {
-        assert_eq!(
-            RouterKind::RoundRobin.build().index_support(),
-            IndexSupport::Oblivious
-        );
-        for kind in [
-            RouterKind::LeastOutstanding,
-            RouterKind::PowerOfTwoChoices { seed: 1 },
-            RouterKind::InterferenceAware,
-        ] {
-            assert_eq!(kind.build().index_support(), IndexSupport::Indexed);
-        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! This crate models deep-learning layers at the *architectural* level: for
 //! every operator we track shapes, floating-point work, and bytes moved, and
-//! we expose the perfectly-nested loop structure that the compiler crate
-//! tiles, parallelizes, and unrolls. No numerical tensors are materialized —
-//! multi-tenant scheduling and compilation only ever consume these profiles,
-//! exactly as the paper's scheduler consumes TVM's layer descriptions.
+//! we expose the perfectly-nested loop structure (the GEMM-normalized
+//! [`GemmView`]) that the compiler crate tiles, parallelizes, and unrolls.
+//! No numerical tensors are materialized — multi-tenant scheduling and
+//! compilation only ever consume these profiles, exactly as the paper's
+//! scheduler consumes TVM's layer descriptions.
 //!
 //! # Example
 //!
@@ -29,7 +30,7 @@ pub mod shape;
 pub use fusion::{fuse_layers, FusedUnit};
 pub use graph::ModelGraph;
 pub use layer::Layer;
-pub use loopnest::{loop_nest, GemmView, LoopDim, LoopKind, LoopNest};
+pub use loopnest::GemmView;
 pub use ops::{ActKind, OpKind, PoolKind};
 pub use schedule::{tile_ladder, Schedule};
 pub use shape::{DType, FeatureMap};

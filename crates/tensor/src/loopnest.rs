@@ -1,4 +1,4 @@
-//! Loop-nest view of compute-intensive operators.
+//! The GEMM view of compute-intensive operators' loop nests.
 //!
 //! Every operator the compiler tunes (convolution, dense, batched matmul) is
 //! normalized to a *GEMM view*: `batch` independent `M x K x N` contractions.
@@ -11,61 +11,6 @@
 use crate::layer::Layer;
 use crate::ops::OpKind;
 use crate::shape::DType;
-
-/// Role of one loop in a nest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LoopKind {
-    /// Iterations are independent; the loop may be parallelized and tiled.
-    Parallel,
-    /// Iterations accumulate into the same output; tiling yields partial sums.
-    Reduction,
-}
-
-/// One loop of a perfectly-nested loop nest.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LoopDim {
-    /// Axis mnemonic (`oc`, `oh`, `ic`, `m`, `k`, ...).
-    pub name: &'static str,
-    /// Trip count.
-    pub extent: usize,
-    /// Parallel or reduction.
-    pub kind: LoopKind,
-}
-
-/// A perfectly-nested loop nest, outermost first.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LoopNest {
-    /// Loops, outermost first.
-    pub dims: Vec<LoopDim>,
-}
-
-impl LoopNest {
-    /// Product of all parallel extents (maximum loop-level parallelism).
-    #[must_use]
-    pub fn parallel_iterations(&self) -> usize {
-        self.dims
-            .iter()
-            .filter(|d| d.kind == LoopKind::Parallel)
-            .map(|d| d.extent)
-            .product()
-    }
-
-    /// Product of all reduction extents.
-    #[must_use]
-    pub fn reduction_iterations(&self) -> usize {
-        self.dims
-            .iter()
-            .filter(|d| d.kind == LoopKind::Reduction)
-            .map(|d| d.extent)
-            .product()
-    }
-
-    /// Total iteration count.
-    #[must_use]
-    pub fn total_iterations(&self) -> usize {
-        self.dims.iter().map(|d| d.extent).product()
-    }
-}
 
 /// GEMM-normalized view of a compute-intensive layer.
 ///
@@ -152,37 +97,6 @@ impl GemmView {
     }
 }
 
-/// Builds the canonical loop nest of a layer, or `None` for operators that
-/// have no tunable nest.
-#[must_use]
-pub fn loop_nest(layer: &Layer) -> Option<LoopNest> {
-    let v = GemmView::of(layer)?;
-    let mut dims = Vec::with_capacity(4);
-    if v.batch > 1 {
-        dims.push(LoopDim {
-            name: "b",
-            extent: v.batch,
-            kind: LoopKind::Parallel,
-        });
-    }
-    dims.push(LoopDim {
-        name: "m",
-        extent: v.m,
-        kind: LoopKind::Parallel,
-    });
-    dims.push(LoopDim {
-        name: "n",
-        extent: v.n,
-        kind: LoopKind::Parallel,
-    });
-    dims.push(LoopDim {
-        name: "k",
-        extent: v.k,
-        kind: LoopKind::Reduction,
-    });
-    Some(LoopNest { dims })
-}
-
 /// Element size helper re-exported for cost models.
 #[must_use]
 pub fn elem_bytes(dtype: DType) -> usize {
@@ -241,22 +155,5 @@ mod tests {
     fn non_intensive_ops_have_no_nest() {
         let l = Layer::new("sm", OpKind::Softmax, FeatureMap::seq(384, 384));
         assert!(GemmView::of(&l).is_none());
-        assert!(loop_nest(&l).is_none());
-    }
-
-    #[test]
-    fn loop_nest_parallelism() {
-        let l = Layer::conv2d(
-            "c",
-            FeatureMap::nchw(1, 64, 14, 14),
-            256,
-            (1, 1),
-            (1, 1),
-            (0, 0),
-        );
-        let nest = loop_nest(&l).unwrap();
-        assert_eq!(nest.parallel_iterations(), 14 * 14 * 256);
-        assert_eq!(nest.reduction_iterations(), 64);
-        assert_eq!(nest.total_iterations(), 14 * 14 * 256 * 64);
     }
 }

@@ -2,7 +2,8 @@
 //! multi-tenant mix, comparing the routing policies head to head — then a
 //! thousand-node scale demo timing the work-stealing parallel fleet
 //! stepper against the sequential one (and checking, query for query,
-//! that the two produce bit-identical reports).
+//! that the two produce bit-identical reports), and a 100k-node demo
+//! timing each router's decisions.
 //!
 //! The fleet mixes hardware generations *and* scheduling policies — two
 //! Veltair-FULL flagships, one PREMA legacy box, and two small edge
@@ -125,7 +126,7 @@ fn main() {
 
     scale_demo(&compiled);
 
-    index_scale_demo(&compiled);
+    coordinator_scale_demo(&compiled);
 }
 
 /// The head-to-head fleet: `nodes` serving the shared flagship-compiled
@@ -409,18 +410,18 @@ fn scale_demo(compiled: &[CompiledModel]) {
     );
 }
 
-/// The coordinator-complexity scale demo: a 100k-node fleet under
-/// Poisson arrivals, routed through the O(log n) incrementally maintained
-/// load index — measured in *op counts*, the honest currency on a small
-/// host where wall clock cannot resolve the difference. A linear scan
-/// would examine every node per routing decision; the min-routers must
-/// come in at or under 2·log2(n) (asserted), with power-of-two-choices
-/// allowed its two Fenwick descents (still O(log n), asserted at twice
-/// the min-router bound).
+/// The coordinator scale demo: a 100k-node fleet under Poisson
+/// arrivals. Every routing decision advances all nodes to its instant and
+/// re-keys the ones whose state changed, so a decision costs Θ(nodes)
+/// whatever the router reads; the table shows each router's wall time
+/// next to the load-index keys it read per decision (every slot for the
+/// minimum routers, the walked slots of two weighted draws for
+/// power-of-two-choices). Each run must account for every query:
+/// `completed + shed == submitted` (asserted).
 ///
 /// Size knobs (env): `VELTAIR_INDEX_NODES` (default 100 000) and
 /// `VELTAIR_INDEX_QUERIES` (default 1000).
-fn index_scale_demo(compiled: &[CompiledModel]) {
+fn coordinator_scale_demo(compiled: &[CompiledModel]) {
     let env_or = |key: &str, default: usize| -> usize {
         std::env::var(key)
             .ok()
@@ -436,7 +437,9 @@ fn index_scale_demo(compiled: &[CompiledModel]) {
         .map(|i| NodeSpec::new(&format!("n{i}"), edge.clone(), Policy::VeltairFull))
         .collect();
 
-    println!("\nindex scale demo: {node_count}-node fleet, Poisson arrivals, {queries} queries");
+    println!(
+        "\ncoordinator scale demo: {node_count}-node fleet, Poisson arrivals, {queries} queries"
+    );
 
     let run = |router: RouterKind| -> (FleetReport, f64) {
         let workload =
@@ -454,17 +457,14 @@ fn index_scale_demo(compiled: &[CompiledModel]) {
         (fleet.finish(), start.elapsed().as_secs_f64())
     };
 
-    let log2n = (node_count as f64).log2();
     println!(
         "{:<20} {:>10} {:>16} {:>12} {:>14} {:>10}",
         "router", "queries", "examined/decis.", "idx updates", "rtrips/1k dec", "wall(s)"
     );
-    for (router, bound) in [
-        (RouterKind::LeastOutstanding, 2.0 * log2n),
-        (RouterKind::InterferenceAware, 2.0 * log2n),
-        // Two Fenwick descents per decision: O(log n), but a larger
-        // constant than the tree-root min routers.
-        (RouterKind::PowerOfTwoChoices { seed: 1 }, 4.0 * log2n),
+    for router in [
+        RouterKind::LeastOutstanding,
+        RouterKind::InterferenceAware,
+        RouterKind::PowerOfTwoChoices { seed: 1 },
     ] {
         let (r, wall) = run(router);
         let c = r.coordinator;
@@ -477,16 +477,12 @@ fn index_scale_demo(compiled: &[CompiledModel]) {
             c.round_trips_per_1k_decisions(),
             wall
         );
-        let per = c.examined_per_decision();
-        assert!(
-            per <= bound,
-            "{}: {per:.1} examined per decision exceeds the {bound:.1} budget",
+        assert_eq!(
+            r.merged.total_queries() as u64 + r.shed,
+            r.submitted,
+            "{}: a query was neither completed nor shed",
             router.name()
         );
     }
-    println!(
-        "op-count budget holds: decisions examine <= 2*log2({node_count}) = {:.1} \
-         loads (4*log2 for the two-draw sampler) vs {node_count} for a linear scan",
-        2.0 * log2n
-    );
+    println!("every query accounted for: completed + shed == submitted");
 }

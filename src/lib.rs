@@ -72,9 +72,8 @@ pub use veltair_tensor as tensor;
 pub mod prelude {
     pub use veltair_cluster::{
         AdmissionKind, AutoscalerConfig, ClusterError, Completion, CoordinatorStats, FailureEvent,
-        FailureKind, FailurePlan, Fleet, FleetReport, FleetSnapshot, IndexSupport, LoadIndex,
-        NodeLoad, NodeSpec, NodeState, Router, RouterKind, ScaleDecision, ScalePolicy,
-        SloAdmissionConfig, StepMode,
+        FailureKind, FailurePlan, Fleet, FleetReport, FleetSnapshot, LoadIndex, NodeLoad, NodeSpec,
+        NodeState, Router, RouterKind, ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
     };
     pub use veltair_compiler::{
         compile_model, CompiledModel, CompilerError, CompilerOptions, CompilerService,

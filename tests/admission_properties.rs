@@ -230,10 +230,17 @@ fn churn_conserves_queries_and_balances_the_routing_ledger() {
                 admission.build(),
             )
             .expect("valid fleet");
+            let check = |fleet: &Fleet<'_>, at: &str| {
+                if let Err(rule) = fleet.check_invariants() {
+                    panic!("case {case} admit_all={admit_all}, after {at}: {rule}");
+                }
+            };
             fleet
                 .submit_stream(&workload, workload_seed)
                 .expect("registered");
+            check(&fleet, "submission");
             fleet.run_until(t_join).expect("finite target");
+            check(&fleet, "the run to the join");
             let joiner = fleet
                 .add_node(&NodeSpec::new(
                     "joiner",
@@ -241,10 +248,15 @@ fn churn_conserves_queries_and_balances_the_routing_ledger() {
                     Policy::VeltairFull,
                 ))
                 .expect("valid node");
+            check(&fleet, "the join");
             fleet.run_until(t_drain).expect("finite target");
+            check(&fleet, "the run to the drain");
             fleet.drain_node(victim).expect("two survivors remain");
+            check(&fleet, "the drain");
             fleet.run_until(t_kill).expect("finite target");
+            check(&fleet, "the run to the kill");
             fleet.kill_node(joiner).expect("a survivor remains");
+            check(&fleet, "the kill");
             let report = fleet.finish();
 
             assert_eq!(

@@ -2,8 +2,9 @@
 //! fleet runs must be **bit-identical** to sequential runs — the same
 //! `FleetReport` (including pooled p95/p99 latencies), the same per-node
 //! reports, the same mid-run snapshots — across every router, admission
-//! on and off, bursty and steady arrivals, multiple seeds, and multiple
-//! worker-thread counts.
+//! on and off, bursty and steady arrivals, elastic churn (a failure plan,
+//! an autoscaler and manual joins, drains and kills in one run), multiple
+//! seeds, and multiple worker-thread counts.
 //!
 //! Equality below is `assert_eq!` on whole reports/snapshots, which
 //! compares every `f64` exactly: a single reordered floating-point
@@ -244,5 +245,113 @@ fn raw_fleet_runs_match_per_node() {
         let parallel = run(StepMode::Parallel { threads: t });
         assert_eq!(parallel.per_node, sequential.per_node, "threads={t}");
         assert_eq!(parallel, sequential, "threads={t}");
+    }
+}
+
+/// An elastic churn fleet: the four-node fleet plus a failure plan (a
+/// stall and a crash) and a fast-ticking autoscaler, so the stepper sees
+/// every lifecycle transition the runtime supports.
+fn churn_fleet(router: RouterKind, mode: StepMode) -> Fleet<'static> {
+    let plan = FailurePlan::new()
+        .try_stall(0.06, 0, 0.05)
+        .and_then(|p| p.try_crash(0.18, 3))
+        .expect("valid plan");
+    // The floor sits above the seed roster so the autoscaler provisions
+    // but never scales in — scale-in drains would race the scripted
+    // crash/kill instants and blur the exact lifecycle counts below.
+    let policy = ScalePolicy::try_new(
+        AutoscalerConfig::default(),
+        NodeSpec::new(
+            "elastic",
+            MachineConfig::desktop_8core(),
+            Policy::VeltairFull,
+        ),
+        6,
+        8,
+        0.05,
+        0.02,
+    )
+    .expect("valid policy");
+    fleet(router, ADMISSIONS[1])
+        .with_step_mode(mode)
+        .with_failure_plan(plan)
+        .with_scale_policy(policy)
+        .expect("valid template")
+}
+
+/// Panics with `at` and the broken rule unless the fleet's bookkeeping
+/// holds (see [`Fleet::check_invariants`]).
+fn check(fleet: &Fleet<'_>, at: &str) {
+    if let Err(rule) = fleet.check_invariants() {
+        panic!("after {at}: {rule}");
+    }
+}
+
+/// The shared churn script: every run submits the same stream, then
+/// performs the same manual add/drain/kill at the same virtual instants,
+/// on top of the fleet's failure plan and autoscaler, checking the
+/// fleet's invariants at every checkpoint. Identical scripts must produce
+/// identical reports regardless of step mode.
+fn churn_run(mut fleet: Fleet<'static>, seed: u64) -> FleetReport {
+    fleet
+        .submit_stream(&bursty_workload(80), seed)
+        .expect("registered");
+    check(&fleet, "submission");
+    fleet.run_until(0.05).expect("finite target");
+    check(&fleet, "t=0.05");
+    let joiner = fleet
+        .add_node(&NodeSpec::new(
+            "joiner-0",
+            MachineConfig::desktop_8core(),
+            Policy::VeltairFull,
+        ))
+        .expect("valid node");
+    check(&fleet, "the join");
+    fleet.run_until(0.08).expect("finite target");
+    check(&fleet, "t=0.08, node 0 stalled");
+    fleet.run_until(0.12).expect("finite target");
+    check(&fleet, "t=0.12");
+    fleet.drain_node(1).expect("drainable");
+    check(&fleet, "the drain");
+    fleet.run_until(0.2).expect("finite target");
+    check(&fleet, "t=0.2");
+    fleet.kill_node(joiner).expect("known node");
+    check(&fleet, "the kill");
+    fleet.finish()
+}
+
+/// The elastic leg: a scripted churn run — a stall, a crash, a graceful
+/// drain, a manual join + kill, and an autoscaler all mid-stream — is
+/// bit-identical across every step-mode thread count, whole reports
+/// (the coordinator counters included).
+#[test]
+fn elastic_churn_is_bit_identical_across_step_modes() {
+    for router in [RouterKind::LeastOutstanding, RouterKind::InterferenceAware] {
+        for seed in [13, 59] {
+            let reference = churn_run(churn_fleet(router, StepMode::Sequential), seed);
+            // The script must actually exercise the lifecycle: exactly
+            // the manual drain (the floor blocks autoscaler scale-in),
+            // exactly the crash plus the manual kill, and at least the
+            // manual join on the add side.
+            assert_eq!(reference.coordinator.nodes_drained, 1);
+            assert_eq!(reference.coordinator.nodes_killed, 2);
+            assert!(reference.coordinator.nodes_added >= 1);
+            assert_eq!(
+                reference.merged.total_queries() as u64 + reference.shed,
+                reference.submitted,
+                "router={}: queries leaked under churn",
+                router.name()
+            );
+            for &t in &thread_counts() {
+                let parallel =
+                    churn_run(churn_fleet(router, StepMode::Parallel { threads: t }), seed);
+                assert_eq!(
+                    parallel,
+                    reference,
+                    "router={} seed={seed} threads={t}: parallel churn diverged",
+                    router.name()
+                );
+            }
+        }
     }
 }
