@@ -3,9 +3,8 @@
 //! A [`FailurePlan`] is a schedule of node lifecycle events — crashes,
 //! stalls, drains — applied by the fleet at exact virtual instants.
 //! Plans are data, not callbacks: the same plan against the same seed
-//! and workload produces a bit-identical [`FleetReport`](crate::FleetReport)
-//! under every [`StepMode`](crate::StepMode), which is what makes failure
-//! scenarios pinnable in tests.
+//! and workload produces a bit-identical [`FleetReport`](crate::FleetReport),
+//! which is what makes failure scenarios pinnable in tests.
 //!
 //! Events can be authored explicitly (the `try_` builder methods,
 //! mirroring the validated-constructor pattern of the rest of the crate)

@@ -14,11 +14,8 @@
 //! totally ordered by `(arrival time, submission order)`, and every
 //! built-in router/controller is deterministic for a fixed configuration
 //! — so a fleet run is a pure function of (models, node specs, router
-//! kind, admission kind, workload, seed). The
-//! [`StepMode`] — sequential or work-stealing parallel
-//! node advancement — is deliberately *not* part of that tuple: both
-//! modes produce bit-identical results, because routing stays on the
-//! coordinator thread and node advancement commutes across nodes.
+//! kind, admission kind, workload, seed). Every node advances on the
+//! coordinator thread, in roster order, between routing instants.
 //!
 //! **Elasticity.** The roster is dynamic: nodes join
 //! ([`Fleet::add_node`]), drain gracefully ([`Fleet::drain_node`]), or
@@ -54,15 +51,26 @@ use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::failure::{FailureEvent, FailureKind, FailurePlan};
 use crate::index::LoadIndex;
 use crate::node::{NodeLoad, NodeSpec, NodeState};
-use crate::parallel::{StepMode, StepperPool};
 use crate::report::{merge_reports, CoordinatorStats, FleetReport};
 use crate::router::Router;
 use crate::scaling::{HysteresisAutoscaler, ScaleDecision, ScalePolicy};
 
 /// Why a node's `Driver::run_until` cannot fail inside the fleet: every
 /// instant the fleet advances to is finite.
-pub(crate) const FINITE_INSTANTS: &str =
+const FINITE_INSTANTS: &str =
     "fleet instants are finite: run_until, run_for and submit reject non-finite times";
+
+/// How a fleet advances its member nodes between routing instants. Every
+/// node advances on the coordinator thread, so there is one mode.
+///
+/// Kept, with [`Fleet::with_step_mode`], only because perfbench's
+/// `fleet-churn` workload names both; they go with the next change to
+/// the benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepMode {
+    /// Advance nodes one after another on the coordinator thread.
+    Sequential,
+}
 
 /// Why an engine or a fleet could not be built, or a serving call could
 /// not run: the one error type of the serving surface, single machine
@@ -445,10 +453,6 @@ pub struct Fleet<'a> {
     shed: u64,
     shed_per_model: BTreeMap<String, u64>,
     deferrals: u64,
-    step_mode: StepMode,
-    /// Lazily built when the mode switches to parallel; dropped (workers
-    /// joined) when it switches back.
-    pool: Option<StepperPool>,
     /// The rank index (see [`LoadIndex`]): the active router's keys, the
     /// routability mask and the sampling weights.
     index: LoadIndex,
@@ -504,7 +508,6 @@ impl std::fmt::Debug for Fleet<'_> {
             .field("nodes", &self.names)
             .field("router", &self.router.name())
             .field("admission", &self.admission.name())
-            .field("step_mode", &self.step_mode)
             .field("front_door", &self.pending.len())
             .finish_non_exhaustive()
     }
@@ -622,8 +625,6 @@ impl<'a> Fleet<'a> {
             shed: 0,
             shed_per_model: BTreeMap::new(),
             deferrals: 0,
-            step_mode: StepMode::Sequential,
-            pool: None,
             index,
             stats: CoordinatorStats::default(),
             draining_count: 0,
@@ -638,36 +639,11 @@ impl<'a> Fleet<'a> {
         })
     }
 
-    /// Sets the node-advancement mode at construction time:
-    /// `Fleet::new(..)?.with_step_mode(StepMode::Parallel { threads: 8 })`.
+    /// Returns the fleet unchanged: nodes always advance on the
+    /// coordinator thread (see [`StepMode`], kept only for perfbench).
     #[must_use]
-    pub fn with_step_mode(mut self, mode: StepMode) -> Self {
-        self.set_step_mode(mode);
+    pub fn with_step_mode(self, _mode: StepMode) -> Self {
         self
-    }
-
-    /// Switches how member nodes advance between routing instants. Safe
-    /// at any point in a run — both modes produce bit-identical results
-    /// (see [`StepMode`]) — so a caller may, say, go parallel for a bulk
-    /// replay and drop back to sequential for fine-grained stepping.
-    /// Switching to parallel spawns the worker pool; switching away joins
-    /// it.
-    pub fn set_step_mode(&mut self, mode: StepMode) {
-        self.step_mode = mode;
-        match mode.worker_threads() {
-            Some(threads) => {
-                if self.pool.as_ref().map(StepperPool::threads) != Some(threads) {
-                    self.pool = Some(StepperPool::new(threads));
-                }
-            }
-            None => self.pool = None,
-        }
-    }
-
-    /// The active node-advancement mode.
-    #[must_use]
-    pub fn step_mode(&self) -> StepMode {
-        self.step_mode
     }
 
     /// Attaches a deterministic failure schedule (replacing any previous
@@ -733,12 +709,10 @@ impl<'a> Fleet<'a> {
     ///
     /// Determinism contract: enabling telemetry never perturbs the
     /// simulation — reports stay bit-identical to an untraced run — and
-    /// the merged trace itself is bit-identical across
-    /// [`StepMode`]s, because every
-    /// coordinator event fires on the routing thread at a virtual-time
-    /// instant and node sinks are pulled in roster order at fixed points
-    /// (the end of every [`Fleet::run_until`] /
-    /// [`Fleet::run_to_completion`]).
+    /// the merged trace itself is a pure function of the run, because
+    /// every coordinator event fires at a virtual-time instant and node
+    /// sinks are pulled in roster order at fixed points (the end of every
+    /// [`Fleet::run_until`] / [`Fleet::run_to_completion`]).
     ///
     /// Call before submitting work: events for queries admitted earlier
     /// cannot be retroactively attributed. Each existing roster node is
@@ -863,6 +837,7 @@ impl<'a> Fleet<'a> {
     /// * a node is routable in the index exactly when it is
     ///   [`NodeState::Live`], and the index's live count equals the
     ///   `Live` nodes;
+    /// * a [`NodeState::Dead`] node holds no outstanding work;
     /// * the draining counter equals the `Draining` nodes.
     ///
     /// # Errors
@@ -891,6 +866,12 @@ impl<'a> Fleet<'a> {
                     "node {i} is {} but its index routability is {}",
                     state.name(),
                     self.index.routable(i)
+                ));
+            }
+            let outstanding = self.drivers[i].outstanding();
+            if state == NodeState::Dead && outstanding != 0 {
+                return Err(format!(
+                    "node {i} is dead but holds {outstanding} outstanding queries"
                 ));
             }
         }
@@ -1482,40 +1463,22 @@ impl<'a> Fleet<'a> {
 
     // --- Time -------------------------------------------------------------
 
-    /// Advances every node to `t` in lockstep and moves the fleet clock.
+    /// Advances every node to `t`, in roster order, and moves the fleet
+    /// clock. Every node has reached exactly `t` on return, so the next
+    /// routing decision sees each node's state at the decision instant.
     ///
-    /// Nodes are independent between routing instants, so the parallel
-    /// mode farms the per-node event loops out to the stepper pool; the
-    /// sequential mode runs them in fleet order on this thread. Either
-    /// way every node has reached exactly `t` on return, which is what
-    /// keeps the two modes bit-identical: the next routing decision sees
-    /// the same per-node state regardless of which thread advanced each
-    /// node.
+    /// At a same-instant decision (a batch of arrivals at one `t`) there
+    /// is no time to advance, but events scheduled exactly at `t` — e.g.
+    /// the arrival injected for the previous same-instant query — must
+    /// still be processed so routing sees live load: a cheap event-queue
+    /// peek per node. Only a pass that moves time counts toward
+    /// [`CoordinatorStats::pool_round_trips`].
     fn advance_nodes_to(&mut self, t: SimTime) {
+        for d in &mut self.drivers {
+            d.run_until(t).expect(FINITE_INSTANTS);
+        }
         if t > self.now {
-            match &self.pool {
-                Some(pool) => pool.advance(&mut self.drivers, t),
-                None => {
-                    for d in &mut self.drivers {
-                        d.run_until(t).expect(FINITE_INSTANTS);
-                    }
-                }
-            }
-            // Counted by rule, not by pool presence, so Sequential and
-            // Parallel runs report identical coordinator stats.
             self.stats.pool_round_trips += 1;
-        } else {
-            // Same-instant routing (a batch of arrivals at one `t`):
-            // there is no time to advance, but events scheduled exactly
-            // at `t` — e.g. the arrival injected for the previous
-            // same-instant query — must still be processed so routing
-            // sees live load. That is a cheap event-queue peek per node,
-            // kept on the coordinator in *both* modes (identical calls,
-            // identical thread ⇒ trivially bit-identical), instead of a
-            // worker-pool round trip per query.
-            for d in &mut self.drivers {
-                d.run_until(t).expect(FINITE_INSTANTS);
-            }
         }
         self.now = t;
     }
@@ -1570,10 +1533,14 @@ impl<'a> Fleet<'a> {
             };
             self.stats.routing_decisions += 1;
             self.refresh_index();
-            let node = self
-                .router
-                .route(&self.index, model, &query)
-                .min(self.drivers.len() - 1);
+            // A pick outside the roster or on a masked slot falls back to
+            // the index minimum, so work only ever enters a `Live` node.
+            let pick = self.router.route(&self.index, model, &query);
+            let node = if pick < self.drivers.len() && self.index.routable(pick) {
+                pick
+            } else {
+                self.index.min()
+            };
             self.stats.nodes_examined += self.index.take_examined();
             // Admission reads the chosen node's load: one examination.
             let load = load_of(&self.drivers[node], node, self.admission.needs_pressure());
@@ -1689,7 +1656,7 @@ impl<'a> Fleet<'a> {
         }
         self.sweep_draining();
         // The deterministic pull point: node sinks drain in roster order
-        // at the end of every public advance, in both step modes.
+        // at the end of every public advance.
         self.pull_traces();
     }
 
@@ -1708,9 +1675,8 @@ impl<'a> Fleet<'a> {
         Ok(())
     }
 
-    /// Routes every remaining arrival and drains all nodes (in parallel
-    /// when a stepper pool is active — the drain is embarrassingly
-    /// parallel, and on large fleets it is most of the serving work).
+    /// Routes every remaining arrival, then runs every node's event loop
+    /// to exhaustion (one node-advancement pass).
     ///
     /// Control actions fire only up to the last front-door instant:
     /// failures, joins, and autoscaler ticks scheduled past the final
@@ -1722,13 +1688,8 @@ impl<'a> Fleet<'a> {
             let t = p.due;
             self.advance_until(t);
         }
-        match &self.pool {
-            Some(pool) => pool.drain(&mut self.drivers),
-            None => {
-                for d in &mut self.drivers {
-                    d.run_to_completion();
-                }
-            }
+        for d in &mut self.drivers {
+            d.run_to_completion();
         }
         self.stats.pool_round_trips += 1;
         let end = self

@@ -27,14 +27,12 @@
 //!   for a weighted draw, next to the Θ(nodes) node advancement every
 //!   decision already does;
 //! * [`fleet`] — the [`Fleet`] runtime: lockstep virtual time across
-//!   nodes, arrival-instant routing, streaming submission, completion
-//!   polling, per-node policy hot swaps, snapshots. It is also the
+//!   nodes (each advanced on the coordinator thread), arrival-instant
+//!   routing, streaming submission, completion polling, per-node policy
+//!   hot swaps, snapshots. It is also the
 //!   single machine's serving session (`ServingEngine::session` in
 //!   `veltair-core` opens a fleet of one), and [`ClusterError`] is the
 //!   one error type of both;
-//! * [`parallel`] — the work-stealing fleet stepper: [`StepMode`] selects
-//!   sequential or parallel node advancement between routing instants,
-//!   with bit-identical results either way;
 //! * [`failure`] — [`FailurePlan`], deterministic seed-able schedules of
 //!   node crashes, stalls, and drains, applied on the fleet's control
 //!   timeline;
@@ -87,7 +85,6 @@ pub mod failure;
 pub mod fleet;
 pub mod index;
 pub mod node;
-pub mod parallel;
 pub mod report;
 pub mod router;
 pub mod scaling;
@@ -97,10 +94,11 @@ pub use admission::{
     SloAdmissionConfig,
 };
 pub use failure::{FailureEvent, FailureKind, FailurePlan};
-pub use fleet::{ClusterError, Completion, Fleet, FleetSnapshot, NodeSnapshot, DEFER_HARD_CAP};
+pub use fleet::{
+    ClusterError, Completion, Fleet, FleetSnapshot, NodeSnapshot, StepMode, DEFER_HARD_CAP,
+};
 pub use index::LoadIndex;
 pub use node::{NodeLoad, NodeSpec, NodeState};
-pub use parallel::StepMode;
 pub use report::{merge_reports, CoordinatorStats, FleetReport};
 pub use router::{
     InterferenceAware, LeastOutstanding, PowerOfTwoChoices, RoundRobin, Router, RouterKind,

@@ -57,8 +57,7 @@ pub fn merge_reports(reports: &[ServingReport]) -> ServingReport {
 /// decision's wall time is dominated by advancing every node to its
 /// instant, which no counter here measures.
 ///
-/// Counting contract (step-mode-agnostic by construction, so
-/// `Sequential` and `Parallel` runs produce identical counters):
+/// Counting contract (every counter is a pure function of the run):
 ///
 /// * `routing_decisions` — one per query offered to the router,
 ///   *including* re-offers of deferred queries.
@@ -71,15 +70,14 @@ pub fn merge_reports(reports: &[ServingReport]) -> ServingReport {
 ///   examinations.
 /// * `index_updates` — rank re-computations triggered by node state
 ///   changes, for every router (round-robin's constant rank included).
-/// * `pool_round_trips` — time-advancing sweeps handed to the node
-///   stepper (pool dispatch in `Parallel`, in-place loop in
-///   `Sequential`; counted identically either way).
+/// * `pool_round_trips` — node-advancement passes: one per pass that
+///   moves every node to a later instant, plus one for the final drain.
+///   Same-instant event peeks do not count.
 /// * `nodes_added` / `nodes_drained` / `nodes_killed` — roster churn:
 ///   one per lifecycle transition applied (manual calls, failure-plan
 ///   events, and autoscaler actions all count; skipped plan events do
 ///   not). A node drained and later killed counts once in each. All
-///   churn happens on the coordinator thread at deterministic control
-///   instants, so these too are step-mode-agnostic.
+///   churn happens at deterministic control instants.
 ///
 /// **Telemetry relations.** When the flight recorder is enabled
 /// (`Fleet::enable_telemetry`), these counters and the recorder's event
@@ -101,8 +99,7 @@ pub fn merge_reports(reports: &[ServingReport]) -> ServingReport {
 ///   `FleetReport::rerouted == counts.requeued`.
 ///
 /// The event counts live on the telemetry side precisely because they
-/// describe the simulated run, not the coordinator's bookkeeping: they
-/// compare equal across `StepMode`s.
+/// describe the simulated run, not the coordinator's bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoordinatorStats {
     /// Routing decisions made (one per offer, including deferral re-offers).
@@ -111,7 +108,8 @@ pub struct CoordinatorStats {
     pub nodes_examined: u64,
     /// Rank re-computations applied to the load index.
     pub index_updates: u64,
-    /// Time-advancing sweeps handed to the node stepper.
+    /// Node-advancement passes that moved time (the final drain
+    /// included).
     pub pool_round_trips: u64,
     /// Nodes added to the roster (manual or autoscaled joins).
     pub nodes_added: u64,
@@ -134,8 +132,8 @@ impl CoordinatorStats {
         }
     }
 
-    /// Stepper round trips per 1000 routing decisions — below 1000 when
-    /// several queries route at one instant.
+    /// Node-advancement passes per 1000 routing decisions — below 1000
+    /// when several queries route at one instant.
     #[must_use]
     pub fn round_trips_per_1k_decisions(&self) -> f64 {
         if self.routing_decisions == 0 {

@@ -48,7 +48,9 @@ pub trait Router: std::fmt::Debug + Send {
 
     /// Picks a routable node for `query` (targeting the compiled `model`)
     /// off the maintained index, whose rank keys are current as of the
-    /// last node state changes.
+    /// last node state changes. The fleet does not honour a pick that is
+    /// out of range or not [`LoadIndex::routable`] (a stalled, draining or
+    /// dead slot): it offers that query to [`LoadIndex::min`] instead.
     fn route(&mut self, index: &LoadIndex, model: &CompiledModel, query: &QuerySpec) -> usize;
 }
 

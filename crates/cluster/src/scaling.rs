@@ -12,8 +12,7 @@
 //! Everything here is deterministic: decisions are pure functions of the
 //! snapshot (plus the scaler's own state), ticks fire at exact virtual
 //! instants, and provisioned nodes join at exact virtual instants — so
-//! an autoscaled run is bit-identical across
-//! [`StepMode`](crate::StepMode)s and seeds reproduce exactly.
+//! an autoscaled run reproduces bit for bit per seed.
 //!
 //! The autoscaler is watermark-banded with consecutive-tick streaks:
 //! the load signal (outstanding queries per live core, front door

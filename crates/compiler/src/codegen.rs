@@ -21,9 +21,7 @@
 //! println!("{program}");
 //! ```
 
-use veltair_tensor::GemmView;
-
-use crate::schedule::Schedule;
+use veltair_tensor::{GemmView, Schedule};
 
 /// AVX2 FP32 vector width the generated inner loops target.
 pub const VECTOR_LANES: usize = 8;

@@ -5,14 +5,13 @@ use std::sync::Arc;
 
 use veltair_models::{ModelSpec, WorkloadClass};
 use veltair_sim::{execute, CoreTerms, Interference, KernelProfile, LatencyModel, MachineConfig};
-use veltair_tensor::GemmView;
+use veltair_tensor::{GemmView, Schedule};
 
 use crate::lower::lower_streaming;
 use crate::multiversion::select_versions;
 use crate::options::{
     bin_for_level, interference_bins, CompilerOptions, NUM_INTERFERENCE_BINS, QOS_PLAN_MARGIN,
 };
-use crate::schedule::Schedule;
 use crate::search::{search, Sample, SearchStats};
 
 /// One retained code version of a layer.

@@ -52,7 +52,6 @@ pub mod compiled;
 pub mod lower;
 pub mod multiversion;
 pub mod options;
-pub mod schedule;
 pub mod search;
 pub mod selector;
 pub mod service;
@@ -66,11 +65,11 @@ pub use options::{
     bin_for_level, interference_bins, CompilerError, CompilerOptions, NUM_INTERFERENCE_BINS,
     QOS_PLAN_MARGIN,
 };
-pub use schedule::{tile_ladder, Schedule};
 pub use search::{search, Sample, SearchStats};
 pub use selector::{
     EwmaSmoother, HysteresisConfig, HysteresisLadder, SelectionContext, SelectorKind, StaticLevel,
     VersionSelector,
 };
 pub use service::CompilerService;
+pub use veltair_tensor::{tile_ladder, Schedule};
 pub use vendor::vendor_profile;

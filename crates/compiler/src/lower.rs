@@ -1,9 +1,7 @@
 //! Lowering: schedule + layer -> [`KernelProfile`] for the machine model.
 
 use veltair_sim::KernelProfile;
-use veltair_tensor::{FusedUnit, GemmView};
-
-use crate::schedule::Schedule;
+use veltair_tensor::{FusedUnit, GemmView, Schedule};
 
 /// Lowers a scheduled GEMM-family unit into its execution profile.
 ///

@@ -226,12 +226,11 @@ fn prune_redundant<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Schedule;
     use crate::search::search;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use veltair_sim::{execute, KernelProfile};
-    use veltair_tensor::{FeatureMap, FusedUnit, GemmView, Layer};
+    use veltair_tensor::{FeatureMap, FusedUnit, GemmView, Layer, Schedule};
 
     /// The all-pairs frontier `extract_dominant` replaced: O(n^2), kept as
     /// its oracle.

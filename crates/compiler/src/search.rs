@@ -14,11 +14,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use veltair_sim::{execute, Interference, KernelProfile, MachineConfig};
-use veltair_tensor::{FusedUnit, GemmView};
+use veltair_tensor::{tile_ladder, FusedUnit, GemmView, Schedule};
 
 use crate::lower::GemmLowering;
 use crate::options::CompilerOptions;
-use crate::schedule::{tile_ladder, Schedule};
 
 /// One evaluated point of the schedule space.
 #[derive(Debug, Clone, PartialEq)]

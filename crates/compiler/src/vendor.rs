@@ -5,10 +5,9 @@
 //! a fixed blocking heuristic plus a shape-specialization efficiency gap.
 
 use veltair_sim::KernelProfile;
-use veltair_tensor::{FusedUnit, GemmView};
+use veltair_tensor::{FusedUnit, GemmView, Schedule};
 
 use crate::lower::{lower_gemm, lower_streaming};
-use crate::schedule::Schedule;
 
 /// Efficiency a generic library kernel sustains relative to a
 /// shape-specialized auto-scheduled kernel.

@@ -15,8 +15,8 @@
 //!   heterogeneous) nodes behind pluggable routing and admission control
 //!   opens with [`Fleet::new`] over one shared registry, or with
 //!   [`Fleet::with_node_registries`] over per-machine registries compiled
-//!   through one `CompilerService`; step mode, autoscaling, failure plans
-//!   and telemetry are set on the fleet;
+//!   through one `CompilerService`; autoscaling, failure plans and
+//!   telemetry are set on the fleet;
 //! * [`dataset`] — co-location episode generation used to train the
 //!   interference proxy exactly the way the deployed monitor observes the
 //!   system;
@@ -77,6 +77,6 @@ pub use scenarios::{all_scenarios, Scenario, SloExpectation};
 pub use veltair_cluster::{
     AdmissionKind, AutoscalerConfig, ClusterError, Completion, CoordinatorStats, FailureKind,
     FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState, RouterKind,
-    ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
+    ScaleDecision, ScalePolicy, SloAdmissionConfig,
 };
 pub use veltair_sched::{Policy, ServingReport, SimError, WorkloadError, WorkloadSpec};

@@ -6,12 +6,12 @@
 //! an optional [`ScalePolicy`], and a pinned seed — plus the
 //! [`SloExpectation`] the run is asserted against. [`Scenario::run_with`]
 //! opens the topology with [`Fleet::new`] behind least-outstanding
-//! routing and admit-all admission, and attaches the plan, the posture
-//! and the step mode to it. The library serves three purposes:
+//! routing and admit-all admission, and attaches the plan and the
+//! posture to it. The library serves three purposes:
 //!
 //! 1. **Regression pins.** Every scenario is bit-deterministic for its
-//!    seed under both [`StepMode`]s, so CI can assert whole-report
-//!    equality and SLO floors release after release.
+//!    seed, so CI can assert whole-report equality and SLO floors
+//!    release after release.
 //! 2. **Capacity planning.** `examples/capacity_planning.rs` tabulates
 //!    what-if outcomes (policies × scenarios) from the same definitions.
 //! 3. **Vocabulary.** "Flash crowd" or "failover" mean exactly one
@@ -31,7 +31,7 @@ use std::sync::OnceLock;
 
 use veltair_cluster::{
     AdmissionKind, AutoscalerConfig, FailurePlan, Fleet, FleetReport, NodeSpec, RouterKind,
-    ScalePolicy, StepMode,
+    ScalePolicy,
 };
 use veltair_compiler::{compile_model, CompiledModel, CompilerOptions};
 use veltair_sched::{Policy, WorkloadSpec};
@@ -85,8 +85,8 @@ pub struct Scenario {
 impl Scenario {
     /// Runs the scenario to completion under its pinned posture.
     #[must_use]
-    pub fn run(&self, step_mode: StepMode) -> FleetReport {
-        self.run_with(self.scale.clone(), step_mode)
+    pub fn run(&self) -> FleetReport {
+        self.run_with(self.scale.clone())
     }
 
     /// Runs the scenario's topology, workload, failures, and seed under
@@ -95,7 +95,7 @@ impl Scenario {
     /// scenario's own posture; overridden runs are for comparison, not
     /// for [`check`](Scenario::check).
     #[must_use]
-    pub fn run_with(&self, scale: Option<ScalePolicy>, step_mode: StepMode) -> FleetReport {
+    pub fn run_with(&self, scale: Option<ScalePolicy>) -> FleetReport {
         let mut fleet = Fleet::new(
             &self.models,
             &self.nodes,
@@ -103,7 +103,6 @@ impl Scenario {
             AdmissionKind::AdmitAll.build(),
         )
         .expect("library scenarios are valid");
-        fleet.set_step_mode(step_mode);
         fleet.set_failure_plan(self.failures.clone());
         if let Some(policy) = scale {
             fleet
@@ -270,7 +269,7 @@ pub fn flash_crowd() -> Scenario {
 /// `failover`: a two-node fleet loses one node mid-run; the autoscaler
 /// detects the pressure on the survivor and provisions replacements.
 /// Everything completes, and — asserted by `tests/scenarios.rs` against
-/// the `run_with(None, ..)` baseline — with a better SLO outcome than
+/// the `run_with(None)` baseline — with a better SLO outcome than
 /// leaving the survivor on its own.
 #[must_use]
 pub fn failover() -> Scenario {

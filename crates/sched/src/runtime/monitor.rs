@@ -310,8 +310,8 @@ impl PressureView {
 /// QoS satisfaction).
 ///
 /// Deterministic and allocation-free: a pure function of its arguments,
-/// so projected planning stays bit-identical across step modes and
-/// replays. Guarantees, pinned by `tests/projection_properties.rs`:
+/// so projected planning stays bit-identical across replays. Guarantees,
+/// pinned by `tests/projection_properties.rs`:
 ///
 /// * the projected level never falls below the instantaneous level, and
 ///   never exceeds the larger of the instantaneous level and the

@@ -23,7 +23,8 @@ const BUCKETS: usize = 96;
 /// above and is off by at most one bucket width (a factor of `G`).
 ///
 /// Everything here is integer counts plus a running maximum, so
-/// snapshots compare bit-identical across fleet step modes.
+/// snapshots of two runs of the same configuration and seed compare
+/// bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,

@@ -17,7 +17,7 @@
 //! order, so the merged trace — and everything derived from it: the
 //! [`TelemetrySnapshot`], the Chrome-JSON export, the
 //! [`explain`](TraceLog::explain) attribution — is **bit-identical**
-//! across sequential and work-stealing-parallel fleet stepping.
+//! across runs of the same configuration and seed.
 //! Instrumentation never perturbs simulation results: emission only
 //! *reads* scheduler state, and the extra solo ratings recorded for
 //! attribution are computed from pure functions.

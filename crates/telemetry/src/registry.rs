@@ -14,8 +14,8 @@ pub const FRONT_DOOR_CLASS: &str = "front-door";
 /// Monotone counters over every event kind the recorder has absorbed.
 ///
 /// These are pure event counts — no coordinator op counts — so they are
-/// identical across `StepMode`s and safe to compare in whole-snapshot
-/// equality asserts.
+/// a function of the simulated run alone and safe to compare in
+/// whole-snapshot equality asserts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// `Submitted` events (== front-door submissions).
@@ -85,10 +85,10 @@ impl ViolationCell {
 /// A point-in-time copy of the metrics registry, surfaced on
 /// `FleetSnapshot`/`FleetReport` when telemetry is enabled.
 ///
-/// Deliberately contains *only* mode-independent data (event counts,
-/// histograms, the violation table) — never coordinator op counts — so a
-/// snapshot taken under any `StepMode` compares equal to one taken under
-/// any other.
+/// Deliberately contains *only* data about the simulated run (event
+/// counts, histograms, the violation table) — never coordinator op
+/// counts — so two runs of the same configuration and seed produce equal
+/// snapshots.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Counters over every absorbed event kind.

@@ -8,9 +8,8 @@ use crate::event::TraceEventKind;
 /// optionally bounded into a flight-recorder ring that keeps the most
 /// recent `capacity` events and counts what it dropped.
 ///
-/// A sink is owned by exactly one emitter and is `Send`: the fleet's
-/// work-stealing parallel stepper moves node drivers (and therefore
-/// their sinks) across worker threads.
+/// A sink is owned by exactly one emitter and is `Send`, so a driver
+/// holding one may move to another thread.
 #[derive(Debug, Default)]
 pub struct RecorderSink {
     buf: VecDeque<(f64, TraceEventKind)>,

@@ -10,7 +10,6 @@
 
 use crate::layer::Layer;
 use crate::ops::OpKind;
-use crate::shape::DType;
 
 /// GEMM-normalized view of a compute-intensive layer.
 ///
@@ -95,12 +94,6 @@ impl GemmView {
     pub fn c_bytes(&self) -> f64 {
         (self.batch * self.m * self.n * self.elem_bytes) as f64
     }
-}
-
-/// Element size helper re-exported for cost models.
-#[must_use]
-pub fn elem_bytes(dtype: DType) -> usize {
-    dtype.bytes()
 }
 
 #[cfg(test)]

@@ -119,7 +119,7 @@ fn fleet_what_if() {
             ("aggressive", Some(aggressive_policy())),
         ];
         for (label, posture) in postures {
-            let report = scenario.run_with(posture, StepMode::Sequential);
+            let report = scenario.run_with(posture);
             println!(
                 "{:<16} {:<12} {:>7.1} {:>10} {:>6} {:>9} {:>7} {:>6}",
                 scenario.name,
@@ -133,7 +133,7 @@ fn fleet_what_if() {
             );
         }
         // The pinned posture must meet the scenario's own expectations.
-        let pinned = scenario.run(StepMode::Sequential);
+        let pinned = scenario.run();
         for violation in scenario.check(&pinned) {
             println!("  !! {}: {}", scenario.name, violation);
         }

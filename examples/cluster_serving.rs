@@ -1,9 +1,6 @@
 //! Cluster serving: a heterogeneous five-node fleet under a bursty
 //! multi-tenant mix, comparing the routing policies head to head — then a
-//! thousand-node scale demo timing the work-stealing parallel fleet
-//! stepper against the sequential one (and checking, query for query,
-//! that the two produce bit-identical reports), and a 100k-node demo
-//! timing each router's decisions.
+//! 100k-node demo timing each router's decisions.
 //!
 //! The fleet mixes hardware generations *and* scheduling policies — two
 //! Veltair-FULL flagships, one PREMA legacy box, and two small edge
@@ -123,8 +120,6 @@ fn main() {
     flight_recorder_demo(&compiled, &nodes, &workload);
 
     per_node_compilation_demo(&compiled, &nodes, &workload, report);
-
-    scale_demo(&compiled);
 
     coordinator_scale_demo(&compiled);
 }
@@ -306,108 +301,6 @@ fn per_node_compilation_demo(
             r.merged.overall_percentile_latency_s(99.0) * 1e3
         );
     }
-}
-
-/// The fleet-stepper scale demo: a thousand-node fleet replaying
-/// synchronized waves of traffic, stepped sequentially and then by the
-/// work-stealing parallel stepper, with wall-clock side by side and a
-/// bit-identity check on the resulting reports.
-///
-/// Size knobs (env): `VELTAIR_SCALE_NODES` (default 1000),
-/// `VELTAIR_SCALE_THREADS` (default 8), `VELTAIR_SCALE_WAVES`
-/// (default 8).
-fn scale_demo(compiled: &[CompiledModel]) {
-    let env_or = |key: &str, default: usize| -> usize {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(default)
-    };
-    let node_count = env_or("VELTAIR_SCALE_NODES", 1000);
-    let threads = env_or("VELTAIR_SCALE_THREADS", 8);
-    let waves = env_or("VELTAIR_SCALE_WAVES", 8);
-
-    // Mostly edge boxes with a flagship per rack of ten — the shape of a
-    // real fleet, and enough per-node heterogeneity that work stealing
-    // has actual imbalance to absorb.
-    let big = MachineConfig::threadripper_3990x();
-    let edge = MachineConfig::desktop_8core();
-    let nodes: Vec<NodeSpec> = (0..node_count)
-        .map(|i| {
-            if i % 10 == 0 {
-                NodeSpec::new(&format!("big-{i}"), big.clone(), Policy::VeltairFull)
-            } else {
-                NodeSpec::new(&format!("edge-{i}"), edge.clone(), Policy::VeltairFull)
-            }
-        })
-        .collect();
-
-    println!(
-        "\nscale demo: {node_count}-node fleet, {waves} waves x {node_count} queries, \
-         {threads} stepper threads ({} hw threads available)",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-
-    // Synchronized waves: every node gets one query per wave, all at the
-    // same arrival instant — a load-test replay. Between waves the whole
-    // fleet drains, which is exactly the regime the parallel stepper
-    // targets: long advancement windows of independent per-node work.
-    let wave_models = ["mobilenet_v2", "tiny_yolo_v2"];
-    let run = |mode: StepMode| -> (FleetReport, f64) {
-        let mut session = Fleet::new(
-            compiled,
-            &nodes,
-            RouterKind::LeastOutstanding.build(),
-            AdmissionKind::AdmitAll.build(),
-        )
-        .expect("valid fleet")
-        .with_step_mode(mode);
-        for wave in 0..waves {
-            let arrival = SimTime(wave as f64 * 0.25);
-            for q in 0..node_count {
-                session
-                    .submit(&QuerySpec {
-                        model: wave_models[q % wave_models.len()].to_string(),
-                        arrival,
-                    })
-                    .expect("registered model");
-            }
-        }
-        let start = std::time::Instant::now();
-        let report = session.finish();
-        (report, start.elapsed().as_secs_f64())
-    };
-
-    let (seq_report, seq_s) = run(StepMode::Sequential);
-    let (par_report, par_s) = run(StepMode::Parallel { threads });
-
-    println!(
-        "{:<24} {:>12} {:>10} {:>12}",
-        "stepper", "wall(s)", "speedup", "fleet p99(ms)"
-    );
-    println!(
-        "{:<24} {:>12.2} {:>10} {:>12.2}",
-        "sequential",
-        seq_s,
-        "1.00x",
-        seq_report.merged.overall_percentile_latency_s(99.0) * 1e3
-    );
-    println!(
-        "{:<24} {:>12.2} {:>9.2}x {:>12.2}",
-        format!("parallel ({threads} threads)"),
-        par_s,
-        seq_s / par_s,
-        par_report.merged.overall_percentile_latency_s(99.0) * 1e3
-    );
-    assert_eq!(
-        par_report, seq_report,
-        "parallel and sequential fleet runs must be bit-identical"
-    );
-    println!(
-        "reports bit-identical: yes ({} queries served across {node_count} nodes)",
-        seq_report.merged.total_queries()
-    );
 }
 
 /// The coordinator scale demo: a 100k-node fleet under Poisson

@@ -8,17 +8,28 @@
 //!   (`DEFER_HARD_CAP`), even against a controller that defers forever;
 //! * deferral hold time is charged into measured latency monotonically —
 //!   holding a query longer can only raise its recorded latency, by at
-//!   least the added hold.
+//!   least the added hold;
+//! * a scripted elastic churn run (a failure plan, an autoscaler, a
+//!   manual join, drain and kill) keeps the fleet's bookkeeping valid at
+//!   every checkpoint, conserves every query and reproduces bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use veltair::cluster::{AdmissionController, AdmissionDecision, DEFER_HARD_CAP};
 use veltair::prelude::*;
 
-fn compiled_models() -> Vec<CompiledModel> {
+/// The randomized fleets' registry.
+const PAIR: [&str; 2] = ["mobilenet_v2", "tiny_yolo_v2"];
+
+/// The elastic churn leg's registry and bursty mix: a third, heavier
+/// model loads the fleet unevenly.
+const CHURN_MIX: [&str; 3] = ["mobilenet_v2", "tiny_yolo_v2", "resnet50"];
+
+/// `names`, compiled for the flagship.
+fn compiled_models(names: &[&str]) -> Vec<CompiledModel> {
     let machine = MachineConfig::threadripper_3990x();
     let opts = CompilerOptions::fast();
-    ["mobilenet_v2", "tiny_yolo_v2"]
+    names
         .iter()
         .map(|n| compile_model(&by_name(n).expect("zoo model"), &machine, &opts))
         .collect()
@@ -103,7 +114,7 @@ fn fleet_nodes(rng: &mut StdRng) -> Vec<NodeSpec> {
 /// respect the per-query hard cap, and per-model shed counts reconcile.
 #[test]
 fn served_plus_shed_always_equals_submitted() {
-    let models = compiled_models();
+    let models = compiled_models(&PAIR);
     let mut rng = StdRng::seed_from_u64(0xad31_5510);
     for case in 0..16 {
         let nodes = fleet_nodes(&mut rng);
@@ -158,7 +169,7 @@ fn served_plus_shed_always_equals_submitted() {
 /// it is enforced per query, not globally.
 #[test]
 fn always_defer_hits_the_hard_cap_exactly_then_sheds() {
-    let models = compiled_models();
+    let models = compiled_models(&PAIR);
     let nodes = [NodeSpec::new(
         "solo",
         MachineConfig::threadripper_3990x(),
@@ -196,7 +207,7 @@ fn always_defer_hits_the_hard_cap_exactly_then_sheds() {
 /// hold instead.
 #[test]
 fn churn_conserves_queries_and_balances_the_routing_ledger() {
-    let models = compiled_models();
+    let models = compiled_models(&PAIR);
     let mut rng = StdRng::seed_from_u64(0xad31_5512);
     for case in 0..12 {
         // At least two seed nodes so the scripted departure can never
@@ -288,13 +299,127 @@ fn churn_conserves_queries_and_balances_the_routing_ledger() {
     }
 }
 
+/// An elastic churn fleet: two flagship boxes (different policies) and
+/// two edge boxes behind SLO-aware admission, plus a failure plan (a
+/// stall and a crash) and a fast-ticking autoscaler, so one run sees
+/// every lifecycle transition the runtime supports.
+fn churn_fleet(models: &[CompiledModel], router: RouterKind) -> Fleet<'_> {
+    let big = MachineConfig::threadripper_3990x();
+    let edge = MachineConfig::desktop_8core();
+    let nodes = [
+        NodeSpec::new("big-0", big.clone(), Policy::VeltairFull),
+        NodeSpec::new("legacy-0", big, Policy::Prema),
+        NodeSpec::new("edge-0", edge.clone(), Policy::VeltairFull),
+        NodeSpec::new("edge-1", edge.clone(), Policy::Planaria),
+    ];
+    let admission = AdmissionKind::SloAware(SloAdmissionConfig {
+        shed_threshold: 0.9,
+        defer_threshold: 0.6,
+        defer_s: 0.05,
+        max_defers: 2,
+    });
+    let plan = FailurePlan::new()
+        .try_stall(0.06, 0, 0.05)
+        .and_then(|p| p.try_crash(0.18, 3))
+        .expect("valid plan");
+    // The floor sits above the seed roster so the autoscaler provisions
+    // but never scales in — scale-in drains would race the scripted
+    // crash/kill instants and blur the exact lifecycle counts below.
+    let policy = ScalePolicy::try_new(
+        AutoscalerConfig::default(),
+        NodeSpec::new("elastic", edge, Policy::VeltairFull),
+        6,
+        8,
+        0.05,
+        0.02,
+    )
+    .expect("valid policy");
+    Fleet::new(models, &nodes, router.build(), admission.build())
+        .expect("valid fleet")
+        .with_failure_plan(plan)
+        .with_scale_policy(policy)
+        .expect("valid template")
+}
+
+/// The churn script: submit a bursty stream, then a manual join, drain
+/// and kill at fixed virtual instants on top of the fleet's failure plan
+/// and autoscaler, checking the fleet's invariants at every checkpoint.
+fn churn_run(mut fleet: Fleet<'_>, seed: u64) -> FleetReport {
+    let check = |fleet: &Fleet<'_>, at: &str| {
+        if let Err(rule) = fleet.check_invariants() {
+            panic!("seed {seed}, after {at}: {rule}");
+        }
+    };
+    let streams: Vec<(&str, f64)> = CHURN_MIX.iter().map(|n| (*n, 40.0)).collect();
+    let workload = WorkloadSpec::try_bursty_mix(&streams, 80, 0.3, 0.7)
+        .expect("valid bursty mix")
+        .scaled_to(250.0);
+    fleet.submit_stream(&workload, seed).expect("registered");
+    check(&fleet, "submission");
+    fleet.run_until(0.05).expect("finite target");
+    check(&fleet, "t=0.05");
+    let joiner = fleet
+        .add_node(&NodeSpec::new(
+            "joiner-0",
+            MachineConfig::desktop_8core(),
+            Policy::VeltairFull,
+        ))
+        .expect("valid node");
+    check(&fleet, "the join");
+    fleet.run_until(0.08).expect("finite target");
+    check(&fleet, "t=0.08, node 0 stalled");
+    fleet.run_until(0.12).expect("finite target");
+    check(&fleet, "t=0.12");
+    fleet.drain_node(1).expect("drainable");
+    check(&fleet, "the drain");
+    fleet.run_until(0.2).expect("finite target");
+    check(&fleet, "t=0.2");
+    fleet.kill_node(joiner).expect("known node");
+    check(&fleet, "the kill");
+    fleet.finish()
+}
+
+/// A scripted churn run — a stall, a crash, a graceful drain, a manual
+/// join and kill, and an autoscaler, all mid-stream — fires exactly the
+/// scripted lifecycle transitions, conserves every query, and a second
+/// run of the same script reproduces the whole report (the coordinator
+/// counters included) bit for bit.
+#[test]
+fn elastic_churn_reproduces_bit_for_bit() {
+    let models = compiled_models(&CHURN_MIX);
+    for router in [RouterKind::LeastOutstanding, RouterKind::InterferenceAware] {
+        for seed in [13, 59] {
+            let reference = churn_run(churn_fleet(&models, router), seed);
+            // Exactly the manual drain (the floor blocks autoscaler
+            // scale-in), exactly the crash plus the manual kill, and at
+            // least the manual join on the add side.
+            assert_eq!(reference.coordinator.nodes_drained, 1);
+            assert_eq!(reference.coordinator.nodes_killed, 2);
+            assert!(reference.coordinator.nodes_added >= 1);
+            assert_eq!(
+                reference.merged.total_queries() as u64 + reference.shed,
+                reference.submitted,
+                "router={}: queries leaked under churn",
+                router.name()
+            );
+            let again = churn_run(churn_fleet(&models, router), seed);
+            assert_eq!(
+                again,
+                reference,
+                "router={} seed={seed}: a rerun of the churn script diverged",
+                router.name()
+            );
+        }
+    }
+}
+
 /// `inject_held` is the primitive deferral stands on: a query held above
 /// the driver keeps its original arrival as the latency baseline, so the
 /// measured latency (a) includes at least the full hold and (b) grows
 /// monotonically — and by at least the delta — as the hold grows.
 #[test]
 fn inject_held_hold_time_is_monotonically_charged_into_latency() {
-    let models = compiled_models();
+    let models = compiled_models(&PAIR);
     let machine = MachineConfig::threadripper_3990x();
     let mut rng = StdRng::seed_from_u64(0xad31_5511);
     let mut holds: Vec<f64> = (0..8).map(|_| rng.gen_range(0.0f64..0.5)).collect();

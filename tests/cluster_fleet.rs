@@ -373,6 +373,76 @@ fn poll_returns_each_query_once_under_its_id_across_a_kill() {
     assert_eq!(polled.iter().filter(|c| c.qos_met).count(), satisfied);
 }
 
+/// A custom router that ignores the index and picks past the end of
+/// the roster on every decision.
+#[derive(Debug)]
+struct PastTheEnd;
+
+impl Router for PastTheEnd {
+    fn name(&self) -> &'static str {
+        "past-the-end"
+    }
+
+    fn needs_pressure(&self) -> bool {
+        false
+    }
+
+    fn rank(&mut self, load: &NodeLoad) -> f64 {
+        load.outstanding_per_core()
+    }
+
+    fn route(&mut self, _index: &LoadIndex, _model: &CompiledModel, _query: &QuerySpec) -> usize {
+        usize::MAX
+    }
+}
+
+#[test]
+fn an_out_of_range_pick_never_routes_into_a_dead_node() {
+    // The fleet does not honour a pick outside the roster: it offers the
+    // query to the index minimum, which is never a masked slot. Killing
+    // the last node mid-stream must therefore stop its routed count.
+    let models = compiled_mix();
+    let specs = heterogeneous_nodes();
+    let last = specs.len() - 1;
+    let mut fleet = Fleet::new(
+        &models,
+        &specs,
+        Box::new(PastTheEnd),
+        AdmissionKind::AdmitAll.build(),
+    )
+    .expect("valid fleet");
+    let workload = poisson_mix_workload(120, 300.0);
+    let horizon = workload.generate(6).last().expect("queries").arrival.0;
+    fleet.submit_stream(&workload, 6).expect("registered");
+    fleet.run_until(0.1).expect("finite target");
+    fleet.kill_node(last).expect("survivors remain");
+    let at_kill = fleet.snapshot();
+    let routed_at_kill = at_kill.nodes[last].routed;
+    let others_at_kill: u64 = at_kill.nodes[..last].iter().map(|n| n.routed).sum();
+    assert!(horizon > 0.2, "the stream must outlast the kill");
+    for t in [0.2, horizon] {
+        fleet.run_until(t).expect("finite target");
+        if let Err(rule) = fleet.check_invariants() {
+            panic!("at {t}: {rule}");
+        }
+    }
+    let report = fleet.finish();
+    assert_eq!(
+        report.routed_per_node[last], routed_at_kill,
+        "queries were routed into the dead node"
+    );
+    assert_eq!(report.node_states[last], NodeState::Dead);
+    assert!(
+        report.routed_per_node[..last].iter().sum::<u64>() > others_at_kill,
+        "nothing was routed to the live nodes after the kill"
+    );
+    assert_eq!(
+        report.merged.total_queries() as u64,
+        report.submitted,
+        "admit-all must serve every query"
+    );
+}
+
 #[test]
 fn set_policy_on_an_unknown_node_is_a_typed_error_that_changes_nothing() {
     let models = compiled_mix();
@@ -751,7 +821,7 @@ fn coordinator_counters_are_populated_on_snapshots_and_reports() {
     assert!(c.routing_decisions >= snap.coordinator.routing_decisions);
     assert!(c.nodes_examined >= snap.coordinator.nodes_examined);
     assert!(c.index_updates >= snap.coordinator.index_updates);
-    assert!(c.pool_round_trips > 0, "no stepper round trips counted");
+    assert!(c.pool_round_trips > 0, "no node-advancement passes counted");
     // Every admitted-or-refused offer is a decision; deferral re-offers
     // only add to it.
     assert!(

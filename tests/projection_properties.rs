@@ -2,9 +2,7 @@
 //! (`veltair_sched::runtime::monitor`) and the `Driver::pressure` signal.
 //!
 //! The projection is a pure function of the planning instant, so these
-//! invariants must hold at *every* step of a run, for every seed, and a
-//! fleet built on the projected default selector must stay bit-identical
-//! across sequential and work-stealing parallel stepping.
+//! invariants must hold at *every* step of a run, for every seed.
 
 use std::sync::OnceLock;
 
@@ -96,45 +94,6 @@ fn projection_decays_to_instantaneous_on_an_idle_machine() {
     );
     assert_eq!(after.projected_pair, after.pair);
     assert_eq!(driver.pressure(), 0.0, "drained machine reports pressure");
-}
-
-/// The projected default selector must not perturb the fleet stepper's
-/// bit-identity guarantee: a two-node fleet on the default
-/// (`HysteresisLadder` + projection) produces the same report whether
-/// stepped sequentially or by the work-stealing pool.
-#[test]
-fn projection_is_deterministic_across_step_modes() {
-    let models = compiled(&["mobilenet_v2", "tiny_yolo_v2"]);
-    let machine = MachineConfig::threadripper_3990x();
-    let nodes = [
-        NodeSpec::new("node-0", machine.clone(), Policy::VeltairFull),
-        NodeSpec::new("node-1", machine, Policy::VeltairAc),
-    ];
-    let workload =
-        WorkloadSpec::mix(&[("mobilenet_v2", 2.0), ("tiny_yolo_v2", 1.0)], 80).scaled_to(280.0);
-    let run = |mode: StepMode, seed: u64| {
-        let mut fleet = Fleet::new(
-            &models,
-            &nodes,
-            RouterKind::LeastOutstanding.build(),
-            AdmissionKind::AdmitAll.build(),
-        )
-        .expect("valid fleet")
-        .with_step_mode(mode);
-        fleet.submit_stream(&workload, seed).expect("registered");
-        fleet.finish()
-    };
-    for seed in [11u64, 42] {
-        let sequential = run(StepMode::Sequential, seed);
-        assert!(sequential.merged.total_queries() > 0);
-        for threads in [2usize, 4] {
-            let parallel = run(StepMode::Parallel { threads }, seed);
-            assert_eq!(
-                sequential, parallel,
-                "seed {seed}, {threads} threads: projected planning diverged across step modes"
-            );
-        }
-    }
 }
 
 /// The temporal-policy fallback of `Driver::pressure` is queue-depth

@@ -6,40 +6,19 @@
 //!    (satisfaction floor, completion floor, nothing unresolved).
 //! 2. **Bit-determinism under churn** — the full [`FleetReport`]
 //!    (including lifecycle counters and node states) is identical across
-//!    repeated runs and across [`StepMode`]s, even though the scenarios
-//!    crash, drain, provision, and re-route mid-run.
+//!    repeated runs, even though the scenarios crash, drain, provision,
+//!    and re-route mid-run.
 //! 3. **The failover demonstration** — the autoscaled failover scenario
 //!    beats its fixed-fleet twin (same topology, crash, workload, and
 //!    seed) by a real satisfaction margin, while both resolve every
 //!    query.
-//!
-//! Thread counts for the parallel legs come from `VELTAIR_STEP_THREADS`
-//! (comma-separated), defaulting to {1, 2, 8}, so the CI worker-count
-//! matrix covers the scenario suite too.
 
 use veltair::core::scenarios::{all_scenarios, failover};
-use veltair::prelude::*;
-
-/// Worker-thread counts under test: `VELTAIR_STEP_THREADS` (comma
-/// separated) or the {1, 2, 8} default.
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("VELTAIR_STEP_THREADS") {
-        Ok(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("VELTAIR_STEP_THREADS: bad thread count {s:?}"))
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 8],
-    }
-}
 
 #[test]
 fn every_pinned_scenario_meets_its_slo_expectations() {
     for scenario in all_scenarios() {
-        let report = scenario.run(StepMode::Sequential);
+        let report = scenario.run();
         let violations = scenario.check(&report);
         assert!(
             violations.is_empty(),
@@ -60,23 +39,15 @@ fn every_pinned_scenario_meets_its_slo_expectations() {
 }
 
 #[test]
-fn scenarios_are_bit_deterministic_across_step_modes() {
+fn scenarios_are_bit_deterministic_across_runs() {
     for scenario in all_scenarios() {
-        let reference = scenario.run(StepMode::Sequential);
+        let reference = scenario.run();
         assert_eq!(
-            scenario.run(StepMode::Sequential),
+            scenario.run(),
             reference,
-            "{}: two sequential runs diverged",
+            "{}: two runs diverged",
             scenario.name
         );
-        for t in thread_counts() {
-            let parallel = scenario.run(StepMode::Parallel { threads: t });
-            assert_eq!(
-                parallel, reference,
-                "{}: parallel ({t} threads) diverged from sequential",
-                scenario.name
-            );
-        }
     }
 }
 
@@ -86,7 +57,7 @@ fn elastic_scenarios_actually_flex_the_fleet() {
     // started with (the autoscaler provisioned) and their lifecycle
     // counters must reconcile with the terminal node states.
     for scenario in all_scenarios() {
-        let report = scenario.run(StepMode::Sequential);
+        let report = scenario.run();
         let initial = scenario.nodes.len();
         if scenario.scale.is_some() {
             assert!(
@@ -114,8 +85,8 @@ fn elastic_scenarios_actually_flex_the_fleet() {
 #[test]
 fn failover_autoscaler_beats_the_fixed_fleet_baseline() {
     let scenario = failover();
-    let autoscaled = scenario.run(StepMode::Sequential);
-    let baseline = scenario.run_with(None, StepMode::Sequential);
+    let autoscaled = scenario.run();
+    let baseline = scenario.run_with(None);
 
     // Both postures resolve everything — the crash loses no queries.
     for (label, report) in [("autoscaled", &autoscaled), ("baseline", &baseline)] {

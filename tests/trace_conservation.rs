@@ -126,8 +126,9 @@ fn assert_chains_conserve(log: &TraceLog, submitted: u64) {
 }
 
 /// Randomized fleets and churn scripts under a randomized controller:
-/// the span-chain conservation law holds, and the registry counts
-/// reconcile with the report.
+/// the fleet's bookkeeping holds at every checkpoint
+/// (`Fleet::check_invariants`), the span-chain conservation law holds,
+/// and the registry counts reconcile with the report.
 #[test]
 fn every_submission_terminates_exactly_once_under_churn() {
     let models = compiled_models();
@@ -153,10 +154,17 @@ fn every_submission_terminates_exactly_once_under_churn() {
         )
         .expect("valid fleet")
         .with_telemetry(TraceConfig::unbounded());
+        let check = |fleet: &Fleet<'_>, at: &str| {
+            if let Err(rule) = fleet.check_invariants() {
+                panic!("case {case}, after {at}: {rule}");
+            }
+        };
         fleet
             .submit_stream(&workload, workload_seed)
             .expect("registered");
+        check(&fleet, "submission");
         fleet.run_until(t_join).expect("finite target");
+        check(&fleet, "the run to the join");
         let joiner = fleet
             .add_node(&NodeSpec::new(
                 "joiner",
@@ -164,11 +172,17 @@ fn every_submission_terminates_exactly_once_under_churn() {
                 Policy::VeltairFull,
             ))
             .expect("valid node");
+        check(&fleet, "the join");
         fleet.run_until(t_drain).expect("finite target");
+        check(&fleet, "the run to the drain");
         fleet.drain_node(victim).expect("two survivors remain");
+        check(&fleet, "the drain");
         fleet.run_until(t_kill).expect("finite target");
+        check(&fleet, "the run to the kill");
         fleet.kill_node(joiner).expect("a survivor remains");
+        check(&fleet, "the kill");
         fleet.run_to_completion();
+        check(&fleet, "the final drain");
 
         let log = fleet.trace_log().expect("telemetry enabled");
         let tm = fleet.telemetry_snapshot().expect("telemetry enabled");

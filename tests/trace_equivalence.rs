@@ -1,36 +1,29 @@
 //! The determinism contract of the flight recorder: the merged trace
-//! stream — rendered to Chrome trace-event JSON, so the comparison is
-//! **byte-identical strings**, not approximate equality — must not
-//! depend on how the fleet was stepped (`StepMode::Sequential` vs the
-//! work-stealing `StepMode::Parallel`). The registry snapshot (event
-//! counts, latency histogram, the violation-frequency table) must match
-//! exactly too.
+//! stream of a churning fleet, rendered to Chrome trace-event JSON, is
+//! pinned byte for byte by recorded FNV-1a digests, so a change that
+//! moves, drops, adds or reorders a single event fails.
 //!
 //! A second invariant rides along: attaching the recorder must not
 //! perturb the simulation. A traced run's `FleetReport` equals the
 //! untraced run's report, modulo the `telemetry` field itself.
-//!
-//! Thread counts honor `VELTAIR_STEP_THREADS` (comma-separated) like the
-//! `parallel_equivalence` suite, so the CI matrix pins each leg.
 
 use std::sync::OnceLock;
 
 use veltair::prelude::*;
 
-/// Worker-thread counts for the parallel legs: `VELTAIR_STEP_THREADS`
-/// (comma separated) or the {2, 8} default.
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("VELTAIR_STEP_THREADS") {
-        Ok(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("VELTAIR_STEP_THREADS: bad thread count {s:?}"))
-            })
-            .collect(),
-        Err(_) => vec![2, 8],
-    }
+/// The recorded digests of [`traced_run`]'s Chrome JSON, per seed.
+/// Identical in debug and release builds.
+const TRACE_DIGESTS: [(u64, u64); 3] = [
+    (11, 0xa87d_33c4_18bc_14cc),
+    (42, 0x6296_6224_bedf_30a5),
+    (97, 0x7cb8_ced8_4d00_67f9),
+];
+
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 fn compiled_mix() -> &'static [CompiledModel] {
@@ -79,7 +72,7 @@ const ADMISSION: AdmissionKind = AdmissionKind::SloAware(SloAdmissionConfig {
 /// lifecycle and requeue events are in the stream), returning the
 /// Chrome-JSON rendering of the merged trace, the registry snapshot,
 /// and the final report.
-fn traced_run(mode: StepMode, seed: u64) -> (String, TelemetrySnapshot, FleetReport) {
+fn traced_run(seed: u64) -> (String, TelemetrySnapshot, FleetReport) {
     let specs = nodes();
     let mut fleet = Fleet::new(
         compiled_mix(),
@@ -88,7 +81,6 @@ fn traced_run(mode: StepMode, seed: u64) -> (String, TelemetrySnapshot, FleetRep
         ADMISSION.build(),
     )
     .expect("valid fleet")
-    .with_step_mode(mode)
     .with_telemetry(TraceConfig::unbounded());
     fleet
         .submit_stream(&bursty_workload(60), seed)
@@ -111,34 +103,23 @@ fn traced_run(mode: StepMode, seed: u64) -> (String, TelemetrySnapshot, FleetRep
     (json, tm, fleet.finish())
 }
 
-/// The headline pin: byte-identical merged traces, equal registry
-/// snapshots and equal reports across `StepMode::{Sequential,
-/// Parallel{2, 8}}` on three seeds.
+/// The headline pin: the merged trace's Chrome JSON hashes to its
+/// recorded digest on three seeds, each run serving work and re-routing
+/// the killed and drained nodes' queries.
 #[test]
-fn merged_trace_is_byte_identical_across_step_modes() {
-    for seed in [11, 42, 97] {
-        let (base_json, base_tm, base_report) = traced_run(StepMode::Sequential, seed);
+fn merged_trace_matches_its_recorded_digests() {
+    for (seed, digest) in TRACE_DIGESTS {
+        let (json, tm, report) = traced_run(seed);
         assert!(
-            base_report.merged.total_queries() > 0,
-            "seed {seed}: the baseline served nothing"
+            report.merged.total_queries() > 0,
+            "seed {seed}: the run served nothing"
         );
-        assert!(base_tm.counts.submitted > 0 && base_tm.counts.requeued > 0);
-        for threads in thread_counts() {
-            let mode = StepMode::Parallel { threads };
-            let (json, tm, report) = traced_run(mode, seed);
-            assert!(
-                json == base_json,
-                "seed={seed} mode={mode:?}: merged trace JSON diverged from the sequential baseline"
-            );
-            assert_eq!(
-                tm, base_tm,
-                "seed={seed} mode={mode:?}: registry snapshot diverged"
-            );
-            assert_eq!(
-                report, base_report,
-                "seed={seed} mode={mode:?}: report diverged"
-            );
-        }
+        assert!(tm.counts.submitted > 0 && tm.counts.requeued > 0);
+        let got = fnv1a(json.as_bytes());
+        assert_eq!(
+            got, digest,
+            "seed {seed}: the merged trace JSON hashes to {got:#018x}, recorded {digest:#018x}"
+        );
     }
 }
 
