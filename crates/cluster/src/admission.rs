@@ -19,7 +19,9 @@ pub enum AdmissionDecision {
     /// Inject the query into the routed node now.
     Admit,
     /// Hold the query and re-route it `delay_s` seconds later (a burst
-    /// may drain in the meantime).
+    /// may drain in the meantime). A delay below a nanosecond is held
+    /// for one; a NaN or infinite delay is a hold that never ends, so
+    /// the fleet sheds the query instead (a `Shed`, not a deferral).
     Defer {
         /// How long to hold the query before the retry.
         delay_s: f64,

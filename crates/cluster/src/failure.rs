@@ -155,7 +155,8 @@ impl FailurePlan {
     ///
     /// Returns [`ClusterError::InvalidDuration`] if `horizon_s`,
     /// `mtbf_s`, or `stall_duration_s` is not strictly positive and
-    /// finite. `stall_prob` outside `[0, 1]` is clamped.
+    /// finite, and [`ClusterError::NoNodes`] if `nodes` is zero (there is
+    /// no node to target). `stall_prob` outside `[0, 1]` is clamped.
     pub fn try_seeded(
         seed: u64,
         nodes: usize,
@@ -168,6 +169,9 @@ impl FailurePlan {
             if !dt.is_finite() || dt <= 0.0 {
                 return Err(ClusterError::InvalidDuration { dt_s: dt });
             }
+        }
+        if nodes == 0 {
+            return Err(ClusterError::NoNodes);
         }
         let stall_prob = stall_prob.clamp(0.0, 1.0);
         let mut rng = StdRng::seed_from_u64(seed);

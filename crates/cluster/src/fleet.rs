@@ -43,9 +43,9 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use veltair_compiler::CompiledModel;
 use veltair_sched::runtime::Driver;
-use veltair_sched::{Policy, QuerySpec, SimError, WorkloadSpec};
+use veltair_sched::{Policy, QuerySpec, ServingReport, SimError, WorkloadSpec};
 use veltair_sim::SimTime;
-use veltair_telemetry::{Collector, TelemetrySnapshot, TraceConfig, TraceEventKind, TraceLog};
+use veltair_telemetry::{Collector, TraceEventKind, TraceLog};
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::failure::{FailureEvent, FailureKind, FailurePlan};
@@ -291,21 +291,6 @@ impl PartialOrd for PendingQuery {
     }
 }
 
-/// A point-in-time view of one fleet node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeSnapshot {
-    /// The node's display name.
-    pub name: String,
-    /// The node's live load view (what routers see).
-    pub load: NodeLoad,
-    /// Queries routed into this node so far.
-    pub routed: u64,
-    /// Queries this node has completed so far.
-    pub completed: usize,
-    /// The node's lifecycle state (see [`NodeState`]).
-    pub state: NodeState,
-}
-
 /// One finished query, as reported by [`Fleet::poll`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
@@ -322,70 +307,6 @@ pub struct Completion {
     pub latency_s: f64,
     /// Whether the latency met the model's QoS target.
     pub qos_met: bool,
-}
-
-/// A point-in-time view of a live fleet, from [`Fleet::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSnapshot {
-    /// Fleet clock, seconds.
-    pub now_s: f64,
-    /// Queries submitted to the fleet so far (client submissions only;
-    /// re-routes of orphaned queries are counted in `rerouted`, not
-    /// here).
-    pub submitted: u64,
-    /// Front-door re-entries of queries orphaned by a drain or kill.
-    pub rerouted: u64,
-    /// Queries completed across all nodes.
-    pub completed: usize,
-    /// Queries still waiting at the front door (arrival in the future or
-    /// held by a deferral).
-    pub front_door: usize,
-    /// Queries refused by admission control so far.
-    pub shed: u64,
-    /// Deferral events so far.
-    pub deferrals: u64,
-    /// Per-node views, in fleet node order.
-    pub nodes: Vec<NodeSnapshot>,
-    /// The pooled fleet-wide report over queries completed so far.
-    pub report: veltair_sched::ServingReport,
-    /// Coordinator work counters so far (see [`CoordinatorStats`]).
-    pub coordinator: CoordinatorStats,
-    /// The metrics registry as of this snapshot, when telemetry is
-    /// enabled ([`Fleet::enable_telemetry`]). Node-side figures
-    /// (histograms, the violation table) are fresh as of the last
-    /// coordinator pull point; coordinator counters are exact.
-    pub telemetry: Option<TelemetrySnapshot>,
-}
-
-impl FleetSnapshot {
-    /// Nodes currently in the given lifecycle state.
-    fn count_state(&self, state: NodeState) -> usize {
-        self.nodes.iter().filter(|n| n.state == state).count()
-    }
-
-    /// Routable, serving nodes.
-    #[must_use]
-    pub fn live_nodes(&self) -> usize {
-        self.count_state(NodeState::Live)
-    }
-
-    /// Temporarily unreachable nodes awaiting recovery.
-    #[must_use]
-    pub fn stalled_nodes(&self) -> usize {
-        self.count_state(NodeState::Stalled)
-    }
-
-    /// Nodes finishing in-flight work on their way out.
-    #[must_use]
-    pub fn draining_nodes(&self) -> usize {
-        self.count_state(NodeState::Draining)
-    }
-
-    /// Nodes that have left the fleet (drained dry or crash-killed).
-    #[must_use]
-    pub fn dead_nodes(&self) -> usize {
-        self.count_state(NodeState::Dead)
-    }
 }
 
 /// Builds the live load view of one node. Reading `pressure` costs a
@@ -481,7 +402,7 @@ pub struct Fleet<'a> {
     /// The autoscaling attachment, if any.
     scale: Option<ScaleState>,
     /// The flight recorder, when enabled: merges coordinator lifecycle
-    /// events with per-node sink pulls and keeps the metrics registry.
+    /// events with per-node buffer pulls and keeps the metrics registry.
     /// `None` (the default) keeps the hot path telemetry-free — every
     /// emission site is behind one `Option` branch.
     telemetry: Option<Collector>,
@@ -489,14 +410,14 @@ pub struct Fleet<'a> {
     node_track: Vec<u32>,
     /// Per-node `driver-local query index -> fleet query id` tables,
     /// parallel to `drivers`: grown at each admission, consulted when a
-    /// node's completions are polled or its sink is absorbed (both carry
+    /// node's completions are polled or its trace buffer is absorbed (both carry
     /// local indices) and when a drain/kill orphan re-enters the front
     /// door.
     trace_maps: Vec<Vec<u64>>,
     /// Per-node count of completions already returned by
     /// [`Fleet::poll`], parallel to `drivers`.
     polled: Vec<usize>,
-    /// Scratch buffer for node sink pulls, reused so the pull points
+    /// Scratch buffer for node trace pulls, reused so the pull points
     /// allocate nothing in steady state.
     trace_scratch: Vec<(f64, TraceEventKind)>,
 }
@@ -667,8 +588,9 @@ impl<'a> Fleet<'a> {
 
     /// Attaches (or replaces) the autoscaling policy. The scaler's first
     /// consultation is one policy interval after attachment; each tick
-    /// sees a live [`FleetSnapshot`] and its decision executes under the
-    /// policy guard rails (see [`ScalePolicy`]).
+    /// reads the fleet's load signal ([`HysteresisAutoscaler::signal`])
+    /// and its decision executes under the policy guard rails (see
+    /// [`ScalePolicy`]).
     ///
     /// # Errors
     ///
@@ -711,51 +633,45 @@ impl<'a> Fleet<'a> {
     /// simulation — reports stay bit-identical to an untraced run — and
     /// the merged trace itself is a pure function of the run, because
     /// every coordinator event fires at a virtual-time instant and node
-    /// sinks are pulled in roster order at fixed points (the end of every
+    /// buffers are pulled in roster order at fixed points (the end of every
     /// [`Fleet::run_until`] / [`Fleet::run_to_completion`]).
     ///
     /// Call before submitting work: events for queries admitted earlier
     /// cannot be retroactively attributed. Each existing roster node is
     /// registered as a track and announced with a `NodeJoined` event at
-    /// the current instant.
-    pub fn enable_telemetry(&mut self, config: TraceConfig) {
+    /// the current instant. Every event is kept until the run ends; the
+    /// registry comes back on the `telemetry` field of
+    /// [`Fleet::snapshot`] and [`Fleet::finish`].
+    pub fn enable_telemetry(&mut self) {
         let models = self.models.iter().map(|m| m.name.clone()).collect();
-        let mut tm = Collector::new(config, models);
+        let mut tm = Collector::new(models);
         self.node_track.clear();
         for (i, d) in self.drivers.iter_mut().enumerate() {
             self.node_track
                 .push(tm.register_track(&self.names[i], &node_class(d)));
-            d.set_trace_sink(tm.make_sink());
+            d.enable_trace();
             tm.coordinator(self.now.0, TraceEventKind::NodeJoined { node: i as u32 });
         }
         self.telemetry = Some(tm);
     }
 
     /// Enables the flight recorder at construction time:
-    /// `Fleet::new(..)?.with_telemetry(TraceConfig::unbounded())`.
+    /// `Fleet::new(..)?.with_telemetry()`.
     #[must_use]
-    pub fn with_telemetry(mut self, config: TraceConfig) -> Self {
-        self.enable_telemetry(config);
+    pub fn with_telemetry(mut self) -> Self {
+        self.enable_telemetry();
         self
-    }
-
-    /// A point-in-time copy of the metrics registry, when telemetry is
-    /// enabled. Pulls every node's buffered events first, so histograms
-    /// and the violation table are current to the fleet clock.
-    pub fn telemetry_snapshot(&mut self) -> Option<TelemetrySnapshot> {
-        self.pull_traces();
-        self.telemetry.as_ref().map(Collector::snapshot)
     }
 
     /// Materializes the merged trace so far: every event, sorted by
     /// `(virtual time, track)` with the coordinator first within an
-    /// instant. Pulls node sinks first. `None` when telemetry is off.
+    /// instant. Pulls node buffers first. `None` when telemetry is off.
     pub fn trace_log(&mut self) -> Option<TraceLog> {
         self.pull_traces();
         self.telemetry.as_ref().map(Collector::log)
     }
 
-    /// Drains every node's trace sink into the collector, in roster
+    /// Drains every node's trace buffer into the collector, in roster
     /// order, rewriting driver-local query indices into fleet query ids.
     /// Extra pulls are harmless to the final merged log: the sort key is
     /// `(time, track)` and a node's events drain FIFO, so pull timing
@@ -766,13 +682,10 @@ impl<'a> Fleet<'a> {
         };
         let mut buf = std::mem::take(&mut self.trace_scratch);
         for (i, d) in self.drivers.iter_mut().enumerate() {
-            buf.clear();
             d.drain_trace(&mut buf);
-            let dropped = d.trace_dropped();
-            if buf.is_empty() && dropped == 0 {
-                continue;
+            if !buf.is_empty() {
+                tm.absorb_events(self.node_track[i], &mut buf, &self.trace_maps[i]);
             }
-            tm.absorb_events(self.node_track[i], &mut buf, &self.trace_maps[i], dropped);
         }
         self.trace_scratch = buf;
     }
@@ -828,8 +741,8 @@ impl<'a> Fleet<'a> {
         self.pending.is_empty() && self.drivers.iter().all(Driver::is_idle)
     }
 
-    /// Checks the coordinator's bookkeeping and returns the first broken
-    /// rule, in O(roster):
+    /// Checks the coordinator's bookkeeping and every node's, and returns
+    /// the first broken rule:
     ///
     /// * every per-node table (drivers, names, routed counts, the version
     ///   cache, the trace maps, the poll cursors and the load index) has
@@ -838,11 +751,14 @@ impl<'a> Fleet<'a> {
     ///   [`NodeState::Live`], and the index's live count equals the
     ///   `Live` nodes;
     /// * a [`NodeState::Dead`] node holds no outstanding work;
+    /// * every roster slot, departed or not, passes
+    ///   [`Driver::check_invariants`];
     /// * the draining counter equals the `Draining` nodes.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated rule.
+    /// Returns a description of the first violated rule; a node's rule
+    /// names the node.
     pub fn check_invariants(&self) -> Result<(), String> {
         let slots = self.node_state.len();
         for (table, len) in [
@@ -874,6 +790,9 @@ impl<'a> Fleet<'a> {
                     "node {i} is dead but holds {outstanding} outstanding queries"
                 ));
             }
+            self.drivers[i]
+                .check_invariants()
+                .map_err(|rule| format!("node {i} ({}): {rule}", self.names[i]))?;
         }
         let count = |want: NodeState| self.node_state.iter().filter(|&&s| s == want).count();
         let live = count(NodeState::Live);
@@ -907,46 +826,40 @@ impl<'a> Fleet<'a> {
             .collect()
     }
 
-    /// A point-in-time fleet view: per-node loads and routed/completed
-    /// counts plus the pooled mid-run report. Does not perturb the run.
-    #[must_use]
-    pub fn snapshot(&self) -> FleetSnapshot {
-        let nodes: Vec<NodeSnapshot> = self
-            .loads()
-            .into_iter()
-            .zip(&self.drivers)
-            .map(|(load, d)| NodeSnapshot {
-                name: self.names[load.node].clone(),
-                routed: self.routed[load.node],
-                completed: d.completions().len(),
-                state: self.node_state[load.node],
-                load,
-            })
-            .collect();
-        let mut report = merge_reports(
-            &self
-                .drivers
-                .iter()
-                .map(Driver::snapshot)
-                .collect::<Vec<_>>(),
-        );
-        // Mid-run, core-seconds have accrued up to now but the makespan
-        // stops at the last completion: average over the elapsed time, as
-        // each node's own snapshot does.
-        let elapsed = self.now.0.max(report.makespan_s);
+    /// The fleet's report so far: the [`FleetReport`] that
+    /// [`Fleet::finish`] returns, over the queries completed up to the
+    /// fleet clock. Pulls every node's buffered trace events first, so
+    /// the `telemetry` registry is current too. Does not perturb the run.
+    ///
+    /// Each node's report is its [`Driver::snapshot`]. Mid-run,
+    /// core-seconds have accrued up to now but the makespan stops at the
+    /// last completion, so the pooled `avg_cores` averages over the
+    /// elapsed time, as each node's own snapshot does.
+    pub fn snapshot(&mut self) -> FleetReport {
+        self.pull_traces();
+        let mut report = self.report(self.drivers.iter().map(Driver::snapshot).collect());
+        let merged = &mut report.merged;
+        let elapsed = self.now.0.max(merged.makespan_s);
         if elapsed > 0.0 {
-            report.avg_cores = report.core_seconds / elapsed;
+            merged.avg_cores = merged.core_seconds / elapsed;
         }
-        FleetSnapshot {
-            now_s: self.now.0,
+        report
+    }
+
+    /// A [`FleetReport`] over the given per-node reports and the
+    /// coordinator's counters so far.
+    fn report(&self, per_node: Vec<ServingReport>) -> FleetReport {
+        FleetReport {
+            merged: merge_reports(&per_node),
+            per_node,
+            node_names: self.names.clone(),
+            routed_per_node: self.routed.clone(),
+            node_states: self.node_state.clone(),
             submitted: self.submitted,
             rerouted: self.rerouted,
-            completed: self.drivers.iter().map(|d| d.completions().len()).sum(),
-            front_door: self.pending.len(),
             shed: self.shed,
+            shed_per_model: self.shed_per_model.clone(),
             deferrals: self.deferrals,
-            nodes,
-            report,
             coordinator: self.stats,
             telemetry: self.telemetry.as_ref().map(Collector::snapshot),
         }
@@ -1117,7 +1030,7 @@ impl<'a> Fleet<'a> {
         if let Some(tm) = self.telemetry.as_mut() {
             self.node_track
                 .push(tm.register_track(&spec.name, &node_class(&driver)));
-            driver.set_trace_sink(tm.make_sink());
+            driver.enable_trace();
             tm.coordinator(self.now.0, TraceEventKind::NodeJoined { node: node as u32 });
         }
         self.index.push(u64::from(driver.total_cores()).max(1));
@@ -1397,15 +1310,21 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// One autoscaler consultation: decide over a live snapshot, execute
+    /// One autoscaler consultation: decide over the load signal, execute
     /// under the policy guard rails, schedule the next tick.
     fn tick_autoscaler(&mut self, ct: SimTime) {
-        let snapshot = self.snapshot();
+        let signal = HysteresisAutoscaler::signal(
+            self.pending.len(),
+            self.node_state
+                .iter()
+                .zip(&self.drivers)
+                .map(|(&state, d)| (state, d.outstanding(), d.total_cores())),
+        );
         let Some(scale) = self.scale.as_mut() else {
             return;
         };
         scale.next_tick = ct.after(scale.policy.interval_s);
-        match scale.scaler.decide(&snapshot) {
+        match scale.scaler.decide(signal) {
             ScaleDecision::Hold => {}
             ScaleDecision::ScaleOut { nodes } => {
                 // Cap counts capacity that exists or is on its way:
@@ -1559,7 +1478,13 @@ impl<'a> Fleet<'a> {
             let decision = if p.attempts >= DEFER_HARD_CAP {
                 AdmissionDecision::Shed
             } else {
-                self.admission.decide(&load, model, p.attempts)
+                match self.admission.decide(&load, model, p.attempts) {
+                    // A hold that never ends is a refusal.
+                    AdmissionDecision::Defer { delay_s } if !delay_s.is_finite() => {
+                        AdmissionDecision::Shed
+                    }
+                    decision => decision,
+                }
             };
             match decision {
                 AdmissionDecision::Admit => {
@@ -1655,7 +1580,7 @@ impl<'a> Fleet<'a> {
             self.advance_nodes_to(t);
         }
         self.sweep_draining();
-        // The deterministic pull point: node sinks drain in roster order
+        // The deterministic pull point: node buffers drain in roster order
         // at the end of every public advance.
         self.pull_traces();
     }
@@ -1715,22 +1640,7 @@ impl<'a> Fleet<'a> {
     #[must_use]
     pub fn finish(mut self) -> FleetReport {
         self.run_to_completion();
-        let telemetry = self.telemetry.as_ref().map(Collector::snapshot);
-        let per_node: Vec<veltair_sched::ServingReport> =
-            self.drivers.into_iter().map(|d| d.finish().0).collect();
-        FleetReport {
-            merged: merge_reports(&per_node),
-            per_node,
-            node_names: self.names,
-            routed_per_node: self.routed,
-            node_states: self.node_state,
-            submitted: self.submitted,
-            rerouted: self.rerouted,
-            shed: self.shed,
-            shed_per_model: self.shed_per_model,
-            deferrals: self.deferrals,
-            coordinator: self.stats,
-            telemetry,
-        }
+        let drivers = std::mem::take(&mut self.drivers);
+        self.report(drivers.into_iter().map(|d| d.finish().0).collect())
     }
 }

@@ -29,7 +29,7 @@
 //! * [`fleet`] — the [`Fleet`] runtime: lockstep virtual time across
 //!   nodes (each advanced on the coordinator thread), arrival-instant
 //!   routing, streaming submission, completion polling, per-node policy
-//!   hot swaps, snapshots. It is also the
+//!   hot swaps, mid-run reports. It is also the
 //!   single machine's serving session (`ServingEngine::session` in
 //!   `veltair-core` opens a fleet of one), and [`ClusterError`] is the
 //!   one error type of both;
@@ -39,7 +39,8 @@
 //! * [`scaling`] — the hysteresis-banded [`HysteresisAutoscaler`] and
 //!   [`ScalePolicy`] (its tuning, node template, min/max rails, tick
 //!   interval, modeled provisioning delay);
-//! * [`report`] — [`FleetReport`] and [`merge_reports`], which pools
+//! * [`report`] — [`FleetReport`], what both `Fleet::snapshot` (mid-run)
+//!   and `Fleet::finish` return, and [`merge_reports`], which pools
 //!   latency samples so fleet p95/p99 are computed over the union of
 //!   node samples (never averaged percentiles).
 //!
@@ -74,7 +75,8 @@
 //! fleet.submit_stream(&WorkloadSpec::single("mobilenet_v2", 60.0, 40), 7)?;
 //! fleet.run_until(0.25)?;
 //! let live = fleet.snapshot();
-//! assert_eq!(live.nodes.len(), 2);
+//! assert_eq!(live.per_node.len(), 2);
+//! assert!(live.merged.total_queries() <= 40);
 //! let report = fleet.finish();
 //! assert_eq!(report.merged.total_queries() + report.shed as usize, 40);
 //! # Ok::<(), veltair_cluster::ClusterError>(())
@@ -94,9 +96,7 @@ pub use admission::{
     SloAdmissionConfig,
 };
 pub use failure::{FailureEvent, FailureKind, FailurePlan};
-pub use fleet::{
-    ClusterError, Completion, Fleet, FleetSnapshot, NodeSnapshot, StepMode, DEFER_HARD_CAP,
-};
+pub use fleet::{ClusterError, Completion, Fleet, StepMode, DEFER_HARD_CAP};
 pub use index::LoadIndex;
 pub use node::{NodeLoad, NodeSpec, NodeState};
 pub use report::{merge_reports, CoordinatorStats, FleetReport};
@@ -107,6 +107,6 @@ pub use scaling::{AutoscalerConfig, HysteresisAutoscaler, ScaleDecision, ScalePo
 // The flight-recorder vocabulary (`Fleet::enable_telemetry`), re-exported
 // so fleet callers need not name the telemetry crate directly.
 pub use veltair_telemetry::{
-    Collector, EventCounts, LatencyHistogram, SloAttribution, TelemetrySnapshot, TraceConfig,
-    TraceEvent, TraceEventKind, TraceLog, ViolationCell,
+    Collector, EventCounts, LatencyHistogram, SloAttribution, TelemetrySnapshot, TraceEvent,
+    TraceEventKind, TraceLog, ViolationCell,
 };

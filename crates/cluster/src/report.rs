@@ -144,7 +144,11 @@ impl CoordinatorStats {
     }
 }
 
-/// The final statistics of one fleet run.
+/// The statistics of one fleet run: what [`Fleet::finish`] returns at
+/// the end, and [`Fleet::snapshot`] over the queries completed so far.
+///
+/// [`Fleet::finish`]: crate::Fleet::finish
+/// [`Fleet::snapshot`]: crate::Fleet::snapshot
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// The pooled fleet-wide report (see [`merge_reports`]).
@@ -155,8 +159,8 @@ pub struct FleetReport {
     pub node_names: Vec<String>,
     /// Queries routed into each node, parallel to `per_node`.
     pub routed_per_node: Vec<u64>,
-    /// Each node's final lifecycle state, parallel to `per_node` —
-    /// departed nodes keep their slot, so this records how each roster
+    /// Each node's lifecycle state, parallel to `per_node` — departed
+    /// nodes keep their slot, so at the end this records how each roster
     /// entry ended the run.
     pub node_states: Vec<NodeState>,
     /// Client submissions to the front door (excludes re-routes).
@@ -171,7 +175,7 @@ pub struct FleetReport {
     pub deferrals: u64,
     /// Coordinator work counters (see [`CoordinatorStats`]).
     pub coordinator: CoordinatorStats,
-    /// The final metrics registry — latency histograms and the
+    /// The metrics registry — latency histograms and the
     /// per-(node-class, model) violation-frequency table — when the
     /// flight recorder was enabled for the run.
     pub telemetry: Option<TelemetrySnapshot>,
@@ -220,30 +224,30 @@ impl FleetReport {
         }
     }
 
-    /// Roster slots that ended the run in the given lifecycle state.
+    /// Roster slots in the given lifecycle state.
     fn count_state(&self, state: NodeState) -> usize {
         self.node_states.iter().filter(|s| **s == state).count()
     }
 
-    /// Nodes that ended the run live (routable and serving).
+    /// Live nodes (routable and serving).
     #[must_use]
     pub fn live_nodes(&self) -> usize {
         self.count_state(NodeState::Live)
     }
 
-    /// Nodes that ended the run stalled (partitioned, recovery pending).
+    /// Stalled nodes (partitioned, recovery pending).
     #[must_use]
     pub fn stalled_nodes(&self) -> usize {
         self.count_state(NodeState::Stalled)
     }
 
-    /// Nodes that ended the run still draining in-flight work.
+    /// Nodes still draining in-flight work.
     #[must_use]
     pub fn draining_nodes(&self) -> usize {
         self.count_state(NodeState::Draining)
     }
 
-    /// Nodes that left the fleet during the run (drained dry or killed).
+    /// Nodes that have left the fleet (drained dry or killed).
     #[must_use]
     pub fn dead_nodes(&self) -> usize {
         self.count_state(NodeState::Dead)

@@ -1,8 +1,9 @@
 //! The autoscaling control plane: capacity that reacts to the same
-//! snapshot signals the router and admission controller already consume.
+//! node loads the router and admission controller already consume.
 //!
 //! A [`HysteresisAutoscaler`] is consulted at a fixed virtual-time
-//! cadence with the live [`FleetSnapshot`] and answers with a
+//! cadence with the fleet's load signal
+//! ([`HysteresisAutoscaler::signal`]) and answers with a
 //! [`ScaleDecision`]. The fleet executes the decision under the
 //! [`ScalePolicy`]'s guard rails: scale-outs clone the policy's node
 //! template and *join after a modeled provisioning delay* (capacity is
@@ -10,7 +11,7 @@
 //! live nodes, and both are clamped to `[min_nodes, max_nodes]`.
 //!
 //! Everything here is deterministic: decisions are pure functions of the
-//! snapshot (plus the scaler's own state), ticks fire at exact virtual
+//! signal (plus the scaler's own state), ticks fire at exact virtual
 //! instants, and provisioned nodes join at exact virtual instants — so
 //! an autoscaled run reproduces bit for bit per seed.
 //!
@@ -21,7 +22,7 @@
 //! ticks before a scale-in — the hysteresis band keeps the fleet from
 //! thrashing on bursty arrivals.
 
-use crate::fleet::{ClusterError, FleetSnapshot};
+use crate::fleet::ClusterError;
 use crate::node::{NodeSpec, NodeState};
 
 /// What the fleet should do with its capacity, as answered by the
@@ -116,8 +117,8 @@ impl Default for AutoscalerConfig {
 }
 
 /// The watermark-banded autoscaler (see the module docs), consulted
-/// with the live fleet snapshot at every autoscaler tick. Its decisions
-/// are deterministic functions of the snapshot and its own streaks, so
+/// with the fleet's load signal at every autoscaler tick. Its decisions
+/// are deterministic functions of the signal and its own streaks, so
 /// the fleet's bit-determinism contract extends through it.
 #[derive(Debug)]
 pub struct HysteresisAutoscaler {
@@ -137,26 +138,31 @@ impl HysteresisAutoscaler {
         }
     }
 
-    /// The load signal: outstanding queries (live nodes only, plus the
-    /// front door backlog) per live core. Draining and dead nodes
+    /// The load signal: the `front_door` backlog plus the outstanding
+    /// queries of live and stalled nodes, per core of those nodes (at
+    /// least one). `nodes` yields each roster slot's
+    /// `(state, outstanding queries, cores)`. Draining and dead nodes
     /// contribute neither load nor capacity — their remaining work is
     /// not this scaler's problem to provision for.
     #[must_use]
-    pub fn signal(snapshot: &FleetSnapshot) -> f64 {
-        let mut outstanding = snapshot.front_door;
+    pub fn signal(
+        front_door: usize,
+        nodes: impl IntoIterator<Item = (NodeState, usize, u32)>,
+    ) -> f64 {
+        let mut outstanding = front_door;
         let mut cores = 0u64;
-        for n in &snapshot.nodes {
-            if matches!(n.state, NodeState::Live | NodeState::Stalled) {
-                outstanding += n.load.outstanding;
-                cores += u64::from(n.load.total_cores);
+        for (state, node_outstanding, node_cores) in nodes {
+            if matches!(state, NodeState::Live | NodeState::Stalled) {
+                outstanding += node_outstanding;
+                cores += u64::from(node_cores);
             }
         }
         outstanding as f64 / (cores.max(1)) as f64
     }
 
-    /// One control decision over the live snapshot.
-    pub fn decide(&mut self, snapshot: &FleetSnapshot) -> ScaleDecision {
-        let signal = Self::signal(snapshot);
+    /// One control decision over the load signal (see
+    /// [`HysteresisAutoscaler::signal`]).
+    pub fn decide(&mut self, signal: f64) -> ScaleDecision {
         if signal > self.cfg.high_watermark {
             self.low_streak = 0;
             self.high_streak += 1;
@@ -271,38 +277,9 @@ mod tests {
         NodeSpec::new("auto", MachineConfig::default(), Policy::VeltairFull)
     }
 
-    fn snapshot_with(outstanding: usize, cores: u32, front_door: usize) -> FleetSnapshot {
-        use crate::node::NodeLoad;
-        use crate::report::CoordinatorStats;
-        let load = NodeLoad {
-            node: 0,
-            outstanding,
-            queued: 0,
-            in_flight: 0,
-            busy_cores: 0,
-            total_cores: cores,
-            occupancy: 0.0,
-            pressure: 0.0,
-        };
-        FleetSnapshot {
-            now_s: 0.0,
-            submitted: 0,
-            rerouted: 0,
-            completed: 0,
-            front_door,
-            shed: 0,
-            deferrals: 0,
-            nodes: vec![crate::fleet::NodeSnapshot {
-                name: "n0".to_string(),
-                load,
-                routed: 0,
-                completed: 0,
-                state: NodeState::Live,
-            }],
-            report: veltair_sched::ServingReport::default(),
-            coordinator: CoordinatorStats::default(),
-            telemetry: None,
-        }
+    /// The signal of a one-node fleet.
+    fn signal_of(outstanding: usize, cores: u32, front_door: usize) -> f64 {
+        HysteresisAutoscaler::signal(front_door, [(NodeState::Live, outstanding, cores)])
     }
 
     #[test]
@@ -378,29 +355,28 @@ mod tests {
     fn hysteresis_requires_the_streak_and_resets_in_band() {
         let cfg = AutoscalerConfig::try_new(2.0, 0.5, 2, 3).expect("valid");
         let mut scaler = HysteresisAutoscaler::new(cfg);
-        let hot = snapshot_with(40, 8, 0); // signal 5.0
-        let cold = snapshot_with(1, 8, 0); // signal 0.125
-        let calm = snapshot_with(8, 8, 0); // signal 1.0, inside the band
-        assert_eq!(scaler.decide(&hot), ScaleDecision::Hold, "streak 1 of 2");
+        let hot = signal_of(40, 8, 0); // signal 5.0
+        let cold = signal_of(1, 8, 0); // signal 0.125
+        let calm = signal_of(8, 8, 0); // signal 1.0, inside the band
+        assert_eq!(scaler.decide(hot), ScaleDecision::Hold, "streak 1 of 2");
         assert_eq!(
-            scaler.decide(&hot),
+            scaler.decide(hot),
             ScaleDecision::ScaleOut { nodes: 3 },
             "streak reached"
         );
-        assert_eq!(scaler.decide(&hot), ScaleDecision::Hold, "streak restarts");
-        assert_eq!(scaler.decide(&calm), ScaleDecision::Hold, "band resets");
-        assert_eq!(scaler.decide(&hot), ScaleDecision::Hold);
-        assert_eq!(scaler.decide(&cold), ScaleDecision::Hold, "flip resets");
-        assert_eq!(scaler.decide(&cold), ScaleDecision::ScaleIn { nodes: 3 });
+        assert_eq!(scaler.decide(hot), ScaleDecision::Hold, "streak restarts");
+        assert_eq!(scaler.decide(calm), ScaleDecision::Hold, "band resets");
+        assert_eq!(scaler.decide(hot), ScaleDecision::Hold);
+        assert_eq!(scaler.decide(cold), ScaleDecision::Hold, "flip resets");
+        assert_eq!(scaler.decide(cold), ScaleDecision::ScaleIn { nodes: 3 });
     }
 
     #[test]
     fn signal_counts_the_front_door_and_only_live_capacity() {
-        let mut snap = snapshot_with(8, 8, 8);
-        assert!((HysteresisAutoscaler::signal(&snap) - 2.0).abs() < 1e-12);
-        snap.nodes[0].state = NodeState::Dead;
+        assert!((signal_of(8, 8, 8) - 2.0).abs() < 1e-12);
         // Dead capacity and its outstanding work leave the signal; only
         // the front door remains, against the 1-core floor.
-        assert!((HysteresisAutoscaler::signal(&snap) - 8.0).abs() < 1e-12);
+        let dead = HysteresisAutoscaler::signal(8, [(NodeState::Dead, 8, 8)]);
+        assert!((dead - 8.0).abs() < 1e-12);
     }
 }

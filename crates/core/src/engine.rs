@@ -10,7 +10,8 @@
 //! while the clock runs, completions are [`poll`](Fleet::poll)ed
 //! incrementally, the policy is hot-swapped mid-stream
 //! ([`set_policy`](Fleet::set_policy)), and [`snapshot`](Fleet::snapshot)
-//! reads per-model QoS/latency statistics without stopping the run.
+//! returns the `FleetReport` so far (per-model QoS/latency statistics
+//! included) without stopping the run.
 
 use veltair_cluster::{AdmissionKind, ClusterError, Fleet, NodeSpec, RouterKind};
 use veltair_compiler::{CompiledModel, SelectorKind};
@@ -18,7 +19,7 @@ use veltair_proxy::InterferenceProxy;
 use veltair_sched::{simulate, Policy, ProjectionConfig, ServingReport, SimConfig, WorkloadSpec};
 use veltair_sim::MachineConfig;
 
-/// The name of a session's one node: its trace track and snapshot row.
+/// The name of a session's one node: its trace track and report row.
 const SESSION_NODE: &str = "node-0";
 
 /// Compile-once, serve-many facade: one machine's serving configuration
@@ -347,11 +348,12 @@ mod tests {
         s.run_until(0.1).expect("finite target");
         let snap = s.snapshot();
         assert_eq!(snap.submitted, 20);
-        assert!(snap.completed <= 20);
-        assert!((snap.now_s - 0.1).abs() < 1e-12);
-        assert_eq!(snap.nodes[0].name, SESSION_NODE);
+        let completed = snap.merged.total_queries();
+        assert!(completed <= 20);
+        assert!((s.now_s() - 0.1).abs() < 1e-12);
+        assert_eq!(snap.node_names, [SESSION_NODE]);
         let early = s.poll();
-        assert_eq!(early.len(), snap.completed);
+        assert_eq!(early.len(), completed);
 
         s.run_to_completion();
         let rest = s.poll();

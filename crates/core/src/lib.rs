@@ -50,8 +50,9 @@
 //! session.submit_stream(&WorkloadSpec::single("mobilenet_v2", 40.0, 60), 7)?;
 //! session.run_until(0.5)?;
 //! let snapshot = session.snapshot();
-//! assert!(snapshot.completed <= 60);
-//! assert_eq!(session.poll().len(), snapshot.completed);
+//! let completed = snapshot.merged.total_queries();
+//! assert!(completed <= 60);
+//! assert_eq!(session.poll().len(), completed);
 //! let report = session.finish();
 //! assert_eq!(report.merged.total_queries(), 60);
 //!
@@ -76,7 +77,7 @@ pub use scenarios::{all_scenarios, Scenario, SloExpectation};
 // Re-export the user-facing vocabulary so downstream users need one import.
 pub use veltair_cluster::{
     AdmissionKind, AutoscalerConfig, ClusterError, Completion, CoordinatorStats, FailureKind,
-    FailurePlan, Fleet, FleetReport, FleetSnapshot, NodeLoad, NodeSpec, NodeState, RouterKind,
-    ScaleDecision, ScalePolicy, SloAdmissionConfig,
+    FailurePlan, Fleet, FleetReport, NodeLoad, NodeSpec, NodeState, RouterKind, ScaleDecision,
+    ScalePolicy, SloAdmissionConfig,
 };
 pub use veltair_sched::{Policy, ServingReport, SimError, WorkloadError, WorkloadSpec};

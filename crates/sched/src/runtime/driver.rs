@@ -254,25 +254,20 @@ impl<'a> Driver<'a> {
 
     // --- Tracing ----------------------------------------------------------
 
-    /// Attaches a lifecycle-event sink to this driver's state machine.
-    /// `Dispatched`, `Completed`, and `Violated` events flow into it
-    /// with *driver-local* query indices. Tracing never perturbs the
-    /// simulation (see [`SimState::set_trace_sink`]).
-    pub fn set_trace_sink(&mut self, sink: veltair_telemetry::RecorderSink) {
-        self.state.set_trace_sink(sink);
+    /// Starts buffering this driver's lifecycle events (dropping any
+    /// still buffered). `Dispatched`, `Completed`, and `Violated` events
+    /// are kept with *driver-local* query indices until drained. Tracing
+    /// never perturbs the simulation (see [`SimState::enable_trace`]).
+    pub fn enable_trace(&mut self) {
+        self.state.enable_trace();
     }
 
-    /// Moves every buffered trace event into `out` (oldest first). A
-    /// fleet coordinator calls this at deterministic pull points and
-    /// rewrites the driver-local query indices into fleet-wide ids.
+    /// Moves every buffered trace event onto the end of `out` (oldest
+    /// first). A fleet coordinator calls this at deterministic pull
+    /// points and rewrites the driver-local query indices into
+    /// fleet-wide ids.
     pub fn drain_trace(&mut self, out: &mut Vec<(f64, veltair_telemetry::TraceEventKind)>) {
         self.state.drain_trace(out);
-    }
-
-    /// Events lost to a bounded (flight-recorder) sink so far.
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        self.state.trace_dropped()
     }
 
     /// Installs a version selector, replacing the one built from
@@ -510,6 +505,61 @@ impl<'a> Driver<'a> {
     #[must_use]
     pub fn completions(&self) -> &[usize] {
         &self.state.completed
+    }
+
+    /// Checks the scheduling bookkeeping and returns the first broken
+    /// rule, in O(queries + slots):
+    ///
+    /// * free plus granted cores cover the machine exactly;
+    /// * no query is queued or running twice, and no finished or
+    ///   withdrawn query holds work;
+    /// * a check is armed exactly on each active slot;
+    /// * the completion log lists every finished query once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated rule.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let state = &self.state;
+        let active = || state.running.iter().filter(|r| r.active);
+        let granted: u64 = active().map(|r| u64::from(r.granted)).sum();
+        let cores = state.cfg.machine.cores;
+        if u64::from(state.free_cores) + granted != u64::from(cores) {
+            return Err(format!(
+                "{} free plus {granted} granted cores do not cover the {cores}-core machine",
+                state.free_cores
+            ));
+        }
+        let mut holds = vec![false; state.queries.len()];
+        let waiting = state.continuations.iter().chain(&state.arrivals);
+        for q in waiting.map(|p| p.query).chain(active().map(|r| r.query)) {
+            if std::mem::replace(&mut holds[q], true) {
+                return Err(format!("query {q} is queued or running twice"));
+            }
+            if state.queries[q].finish.is_some() {
+                return Err(format!("finished query {q} still holds work"));
+            }
+            if state.queries[q].removed {
+                return Err(format!("withdrawn query {q} still holds work"));
+            }
+        }
+        for (slot, r) in state.running.iter().enumerate() {
+            if state.events.is_armed(slot) != r.active {
+                return Err(format!(
+                    "slot {slot} is {} but its check is {}",
+                    if r.active { "active" } else { "idle" },
+                    if r.active { "not armed" } else { "armed" }
+                ));
+            }
+        }
+        let finished = state.queries.iter().filter(|q| q.finish.is_some()).count();
+        if state.completed.len() != finished {
+            return Err(format!(
+                "the completion log lists {} queries, {finished} have finished",
+                state.completed.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Consumes the driver, returning the final report and the

@@ -169,15 +169,6 @@ impl ProjectionConfig {
         }
         Ok(Self { saturation_weight })
     }
-
-    /// Projection disabled: the projected reading equals the
-    /// instantaneous one (the pre-predictive-monitor behaviour).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self {
-            saturation_weight: 0.0,
-        }
-    }
 }
 
 impl Default for ProjectionConfig {
@@ -503,7 +494,7 @@ mod tests {
             SATURATING,
             1.0,
             inputs(500, 2),
-            &ProjectionConfig::disabled(),
+            &ProjectionConfig::try_new(0.0).expect("valid weight"),
         );
         assert_eq!(v.projected_level, v.level);
     }

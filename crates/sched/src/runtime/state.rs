@@ -18,7 +18,7 @@ use veltair_sim::{
     Execution, GrantModel, Interference, PerfCounters, PressureDemand, SimTime, SplitEventQueue,
     UnitProgress,
 };
-use veltair_telemetry::{RecorderSink, TraceEventKind};
+use veltair_telemetry::TraceEventKind;
 
 use super::driver::SimError;
 use super::monitor::{self, Monitor, PressureView, ProjectionInputs};
@@ -258,10 +258,11 @@ pub struct SimState<'a> {
     /// calls so a projection allocates nothing once it has grown. Behind a
     /// `RefCell` because projecting only reads the state.
     phantoms: RefCell<Phantoms>,
-    /// Where lifecycle events go, when tracing is attached
-    /// ([`SimState::set_trace_sink`]). `None` by default: the hot path
+    /// Lifecycle events buffered as `(virtual time, kind)` until the
+    /// next [`SimState::drain_trace`], when tracing is on
+    /// ([`SimState::enable_trace`]). `None` by default: the hot path
     /// pays one branch on it and nothing else.
-    trace: Option<RecorderSink>,
+    trace: Option<Vec<(f64, TraceEventKind)>>,
     /// The *projected* scalar interference level the last
     /// [`SimState::plan_versions`] call planned under, recorded into
     /// `Dispatched` trace events as `pressure_at_plan` (attribution
@@ -483,32 +484,28 @@ impl<'a> SimState<'a> {
 
     // --- Tracing ------------------------------------------------------------
 
-    /// Attaches a lifecycle-event sink. Instrumentation never perturbs
-    /// the simulation: emission only reads state, and the solo ratings
-    /// recorded for attribution come from pure functions.
-    pub fn set_trace_sink(&mut self, sink: RecorderSink) {
-        self.trace = Some(sink);
+    /// Starts buffering lifecycle events into an empty buffer.
+    /// Instrumentation never perturbs the simulation: emission only reads
+    /// state, and the solo ratings recorded for attribution come from
+    /// pure functions.
+    pub fn enable_trace(&mut self) {
+        self.trace = Some(Vec::new());
     }
 
-    /// Moves every buffered trace event into `out` (oldest first).
-    /// Query ids in the drained events are *driver-local* indices; a
-    /// fleet collector rewrites them into fleet-wide trace ids.
+    /// Moves every buffered trace event onto the end of `out` (oldest
+    /// first). Query ids in the drained events are *driver-local*
+    /// indices; a fleet collector rewrites them into fleet-wide trace
+    /// ids.
     pub fn drain_trace(&mut self, out: &mut Vec<(f64, TraceEventKind)>) {
-        if let Some(sink) = self.trace.as_mut() {
-            sink.drain(out);
+        if let Some(buf) = self.trace.as_mut() {
+            out.append(buf);
         }
-    }
-
-    /// Events lost to a bounded (flight-recorder) sink so far.
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace.as_ref().map_or(0, |s| s.dropped())
     }
 
     fn trace_record(&mut self, kind: TraceEventKind) {
         let at_s = self.now.0;
-        if let Some(sink) = self.trace.as_mut() {
-            sink.record(at_s, kind);
+        if let Some(buf) = self.trace.as_mut() {
+            buf.push((at_s, kind));
         }
     }
 

@@ -44,8 +44,8 @@ pub struct SimConfig {
     /// decision (see [`ProjectionConfig`]): queued backlog beyond what
     /// free cores plus the imminent drain can absorb lifts the planning
     /// level toward saturation. Affects only selectors that consult the
-    /// projected reading; [`ProjectionConfig::disabled`] restores the
-    /// purely instantaneous monitor.
+    /// projected reading; a zero weight (`ProjectionConfig::try_new(0.0)`)
+    /// restores the purely instantaneous monitor.
     pub projection: ProjectionConfig,
 }
 
@@ -80,8 +80,9 @@ impl SimConfig {
     }
 
     /// Overrides the predictive pressure projection (default:
-    /// [`ProjectionConfig::default`]; [`ProjectionConfig::disabled`]
-    /// restores the purely instantaneous monitor).
+    /// [`ProjectionConfig::default`]; a zero weight
+    /// (`ProjectionConfig::try_new(0.0)`) restores the purely
+    /// instantaneous monitor).
     #[must_use]
     pub fn with_projection(mut self, projection: ProjectionConfig) -> Self {
         self.projection = projection;

@@ -202,29 +202,11 @@ impl WorkloadSpec {
         })
     }
 
-    /// An on/off bursty (two-state MMPP) single-tenant stream: Poisson
-    /// surges with mean `on_s` seconds of traffic separated by mean
-    /// `off_s` seconds of silence, averaging `qps` overall. Validated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError`] under the same conditions as
-    /// [`WorkloadSpec::try_single`], plus
-    /// [`WorkloadError::InvalidBurstPhase`] if either phase duration is
-    /// non-positive or non-finite.
-    pub fn try_bursty(
-        model: &str,
-        qps: f64,
-        total_queries: usize,
-        on_s: f64,
-        off_s: f64,
-    ) -> Result<Self, WorkloadError> {
-        Self::try_bursty_mix(&[(model, qps)], total_queries, on_s, off_s)
-    }
-
-    /// A multi-tenant bursty mix: every stream alternates its own
-    /// ON/OFF phases (independent surges per tenant), each averaging its
-    /// nominal rate. Validated.
+    /// An on/off bursty (two-state MMPP) mix: every stream alternates its
+    /// own ON/OFF phases (independent Poisson surges per tenant, mean
+    /// `on_s` seconds of traffic separated by mean `off_s` seconds of
+    /// silence), each averaging its nominal rate. A one-stream mix is the
+    /// single-tenant bursty stream. Validated.
     ///
     /// # Errors
     ///
@@ -662,7 +644,7 @@ mod tests {
         // The ON-rate inflation must make the long-run average of the
         // bursty stream equal its nominal rate (loose tolerance: an
         // on/off process has much higher variance than Poisson).
-        let w = WorkloadSpec::try_bursty("m", 100.0, 20_000, 0.5, 0.5).expect("valid");
+        let w = WorkloadSpec::try_bursty_mix(&[("m", 100.0)], 20_000, 0.5, 0.5).expect("valid");
         let q = w.generate(7);
         let span = q.last().unwrap().arrival.0;
         let rate = 20_000.0 / span;
@@ -683,7 +665,7 @@ mod tests {
             var / (mean * mean)
         };
         let poisson = WorkloadSpec::single("m", 200.0, 5000).generate(13);
-        let bursty = WorkloadSpec::try_bursty("m", 200.0, 5000, 0.2, 0.8)
+        let bursty = WorkloadSpec::try_bursty_mix(&[("m", 200.0)], 5000, 0.2, 0.8)
             .expect("valid")
             .generate(13);
         assert!(
@@ -709,19 +691,19 @@ mod tests {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(
                 matches!(
-                    WorkloadSpec::try_bursty("m", 10.0, 5, bad, 1.0),
+                    WorkloadSpec::try_bursty_mix(&[("m", 10.0)], 5, bad, 1.0),
                     Err(WorkloadError::InvalidBurstPhase { phase: "on", .. })
                 ),
                 "on-phase {bad} was not rejected"
             );
         }
         assert!(matches!(
-            WorkloadSpec::try_bursty("m", 10.0, 5, 1.0, -2.0),
+            WorkloadSpec::try_bursty_mix(&[("m", 10.0)], 5, 1.0, -2.0),
             Err(WorkloadError::InvalidBurstPhase { phase: "off", .. })
         ));
         // Stream validation still applies underneath.
         assert!(matches!(
-            WorkloadSpec::try_bursty("m", 0.0, 5, 1.0, 1.0),
+            WorkloadSpec::try_bursty_mix(&[("m", 0.0)], 5, 1.0, 1.0),
             Err(WorkloadError::InvalidRate { .. })
         ));
         assert!(matches!(

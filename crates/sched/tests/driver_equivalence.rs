@@ -7,8 +7,6 @@
 //! `inject`/`set_policy` sequences must be deterministic. The runtime's
 //! bookkeeping invariants are checked after every step of both.
 
-use std::collections::HashSet;
-
 use veltair_compiler::{compile_model, CompiledModel, CompilerOptions};
 use veltair_sched::runtime::Driver;
 use veltair_sched::{
@@ -29,53 +27,16 @@ fn compiled_pair() -> Vec<CompiledModel> {
     ]
 }
 
-/// Checks the runtime's bookkeeping through the driver's public state, and
+/// Checks the runtime's bookkeeping ([`Driver::check_invariants`]), and
 /// that the clock never runs backwards from `last_now`, which it then
 /// advances.
 fn check_invariants(driver: &Driver<'_>, last_now: &mut SimTime) {
-    let state = driver.state();
-    let active: Vec<_> = state.running.iter().filter(|r| r.active).collect();
-
-    let granted: u32 = active.iter().map(|r| r.granted).sum();
-    assert_eq!(
-        state.free_cores + granted,
-        state.cfg.machine.cores,
-        "free plus granted cores must cover the machine exactly"
-    );
-
-    let waiting = state
-        .continuations
-        .iter()
-        .chain(&state.arrivals)
-        .map(|p| p.query);
-    let mut seen = HashSet::new();
-    for q in waiting.chain(active.iter().map(|r| r.query)) {
-        assert!(seen.insert(q), "query {q} is queued or running twice");
-        let query = &state.queries[q];
-        assert!(
-            query.finish.is_none(),
-            "finished query {q} still holds work"
-        );
-        assert!(!query.removed, "withdrawn query {q} still holds work");
+    if let Err(rule) = driver.check_invariants() {
+        panic!("at {}: {rule}", driver.now().0);
     }
-
-    for (slot, r) in state.running.iter().enumerate() {
-        assert_eq!(
-            state.events.is_armed(slot),
-            r.active,
-            "slot {slot} must have a check armed exactly while it is active"
-        );
-    }
-
-    let finished = state.queries.iter().filter(|q| q.finish.is_some()).count();
-    assert_eq!(
-        state.completed.len(),
-        finished,
-        "the completion log must list every finished query once"
-    );
-
-    assert!(state.now >= *last_now, "the clock ran backwards");
-    *last_now = state.now;
+    let now = driver.now();
+    assert!(now >= *last_now, "the clock ran backwards");
+    *last_now = now;
 }
 
 /// [`Driver::run_until`], checking the invariants after every step.

@@ -1,55 +1,24 @@
-//! The coordinator-side collector: merges per-node sink buffers into one
+//! The coordinator-side collector: merges per-node trace buffers into one
 //! deterministic stream and keeps the metrics registry incrementally.
 
 use crate::event::{TraceEvent, TraceEventKind};
 use crate::registry::{TelemetrySnapshot, FRONT_DOOR_CLASS};
-use crate::sink::RecorderSink;
 use crate::trace::TraceLog;
-
-/// Configuration of the flight recorder.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Per-node sink bound: keep only the most recent `n` events per
-    /// node between coordinator pulls (the bounded flight-recorder
-    /// mode). `None` records everything.
-    pub node_buffer: Option<usize>,
-}
-
-impl TraceConfig {
-    /// Record everything (the default).
-    #[must_use]
-    pub fn unbounded() -> Self {
-        Self { node_buffer: None }
-    }
-
-    /// Bounded flight-recorder mode: each node keeps only its most
-    /// recent `capacity` events between coordinator pulls; older events
-    /// are dropped and counted in
-    /// [`TelemetrySnapshot::events_dropped`].
-    #[must_use]
-    pub fn flight_recorder(capacity: usize) -> Self {
-        Self {
-            node_buffer: Some(capacity),
-        }
-    }
-}
 
 /// Merges coordinator and per-node event streams deterministically and
 /// maintains the [`TelemetrySnapshot`] registry as events arrive.
 ///
-/// Owned by the fleet coordinator. Node sinks are absorbed at deterministic virtual-time points in node-index
-/// order; the merged log is materialized by [`Collector::log`], sorted
-/// by `(virtual time, track)` with a stable tie-break on absorb order —
-/// the ordering that makes traces bit-identical across fleet step and
-/// routing modes.
+/// Owned by the fleet coordinator. Node buffers are absorbed at
+/// deterministic virtual-time points in node-index order; the merged log
+/// is materialized by [`Collector::log`], sorted by
+/// `(virtual time, track)` with a stable tie-break on absorb order — the
+/// ordering that makes traces independent of when buffers are pulled.
 #[derive(Debug)]
 pub struct Collector {
-    config: TraceConfig,
     models: Vec<String>,
     tracks: Vec<String>,
     classes: Vec<String>,
     events: Vec<TraceEvent>,
-    dropped_per_track: Vec<u64>,
     snapshot: TelemetrySnapshot,
 }
 
@@ -58,30 +27,13 @@ impl Collector {
     /// coordinator) is pre-registered; node tracks follow via
     /// [`Collector::register_track`].
     #[must_use]
-    pub fn new(config: TraceConfig, models: Vec<String>) -> Self {
+    pub fn new(models: Vec<String>) -> Self {
         Self {
-            config,
             models,
             tracks: vec!["coordinator".to_string()],
             classes: vec!["coordinator".to_string()],
             events: Vec::new(),
-            dropped_per_track: vec![0],
             snapshot: TelemetrySnapshot::default(),
-        }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> TraceConfig {
-        self.config
-    }
-
-    /// Builds a node sink honoring the configured flight-recorder bound.
-    #[must_use]
-    pub fn make_sink(&self) -> RecorderSink {
-        match self.config.node_buffer {
-            Some(cap) => RecorderSink::bounded(cap),
-            None => RecorderSink::new(),
         }
     }
 
@@ -90,7 +42,6 @@ impl Collector {
     pub fn register_track(&mut self, name: &str, class: &str) -> u32 {
         self.tracks.push(name.to_string());
         self.classes.push(class.to_string());
-        self.dropped_per_track.push(0);
         (self.tracks.len() - 1) as u32
     }
 
@@ -116,8 +67,7 @@ impl Collector {
     /// Absorbs a node's drained `(time, kind)` pairs under `track`,
     /// rewriting driver-local query indices into fleet-wide ids through
     /// `map` (`map[local] == id`). `events` is consumed (left empty,
-    /// capacity retained); `dropped` is the node sink's *cumulative* drop
-    /// count, which replaces — not adds to — the track's previous figure.
+    /// capacity retained).
     ///
     /// Call order is the determinism seam: the fleet pulls every node in
     /// roster order at fixed virtual-time points.
@@ -126,15 +76,11 @@ impl Collector {
         track: u32,
         events: &mut Vec<(f64, TraceEventKind)>,
         map: &[u64],
-        dropped: u64,
     ) {
         for (at_s, mut kind) in events.drain(..) {
             kind.remap_query(|q| map.get(q as usize).copied().unwrap_or(q));
             self.account(track, &kind);
             self.events.push(TraceEvent { at_s, track, kind });
-        }
-        if let Some(slot) = self.dropped_per_track.get_mut(track as usize) {
-            *slot = dropped;
         }
     }
 
@@ -219,9 +165,7 @@ impl Collector {
     /// A point-in-time copy of the metrics registry.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = self.snapshot.clone();
-        s.events_dropped = self.dropped_per_track.iter().sum();
-        s
+        self.snapshot.clone()
     }
 
     /// Materializes the merged trace: every absorbed event, stably
@@ -250,10 +194,9 @@ mod tests {
 
     #[test]
     fn merge_orders_by_time_then_track_and_accounts() {
-        let mut c = Collector::new(TraceConfig::unbounded(), vec!["m".to_string()]);
+        let mut c = Collector::new(vec!["m".to_string()]);
         let n0 = c.register_track("node-0", "8c/test");
-        let mut sink = c.make_sink();
-        sink.record(
+        let mut drained = vec![(
             2.0,
             TraceEventKind::Completed {
                 query: 0,
@@ -261,12 +204,11 @@ mod tests {
                 latency_s: 0.5,
                 qos_s: 1.0,
             },
-        );
+        )];
         c.coordinator(2.0, TraceEventKind::Submitted { query: 1, model: 0 });
         c.coordinator(1.0, TraceEventKind::Submitted { query: 0, model: 0 });
-        let mut drained = Vec::new();
-        sink.drain(&mut drained);
-        c.absorb_events(n0, &mut drained, &[7], sink.dropped());
+        c.absorb_events(n0, &mut drained, &[7]);
+        assert!(drained.is_empty());
         let log = c.log();
         assert_eq!(log.events.len(), 3);
         assert_eq!(log.events[0].at_s, 1.0);

@@ -221,7 +221,7 @@ impl TraceEventKind {
     }
 
     /// Rewrites the query id through `map` — how the collector converts
-    /// a node sink's driver-local indices into fleet-wide trace ids.
+    /// a node buffer's driver-local indices into fleet-wide trace ids.
     pub(crate) fn remap_query(&mut self, map: impl Fn(u64) -> u64) {
         match self {
             TraceEventKind::Submitted { query, .. }

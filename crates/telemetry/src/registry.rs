@@ -82,8 +82,8 @@ impl ViolationCell {
     }
 }
 
-/// A point-in-time copy of the metrics registry, surfaced on
-/// `FleetSnapshot`/`FleetReport` when telemetry is enabled.
+/// A point-in-time copy of the metrics registry, surfaced on the
+/// `FleetReport` of a fleet snapshot or finish when telemetry is enabled.
 ///
 /// Deliberately contains *only* data about the simulated run (event
 /// counts, histograms, the violation table) — never coordinator op
@@ -103,8 +103,6 @@ pub struct TelemetrySnapshot {
     pub violations: BTreeMap<String, BTreeMap<String, ViolationCell>>,
     /// Events absorbed into the merged stream so far.
     pub events_recorded: u64,
-    /// Events lost to bounded flight-recorder buffers.
-    pub events_dropped: u64,
 }
 
 impl TelemetrySnapshot {

@@ -147,7 +147,7 @@ fn slo_aware_fleet<'a>(
 /// trace-event JSON when `VELTAIR_TRACE_OUT` is set.
 fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload: &WorkloadSpec) {
     let mut session = slo_aware_fleet(compiled, nodes, RouterKind::InterferenceAware);
-    session.enable_telemetry(TraceConfig::unbounded());
+    session.enable_telemetry();
     session
         .submit_stream(workload, 42)
         .expect("registered models");
@@ -155,7 +155,7 @@ fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload
     println!("\nflight recorder (interference-aware, same fleet and workload):");
     for t_ms in [250.0, 500.0, 1000.0] {
         session.run_until(t_ms / 1e3).expect("finite target");
-        let tm = session.telemetry_snapshot().expect("telemetry enabled");
+        let tm = session.snapshot().telemetry.expect("telemetry enabled");
         println!(
             "  t={t_ms:>5.0}ms  {:>5} events  routed {:>4}  deferred {:>3}  shed {:>3}  \
              completed {:>4}  violated {:>3}  p99 {:>6.2}ms",
@@ -175,7 +175,7 @@ fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload
         session.run_until(t_s).expect("finite target");
     }
 
-    let tm = session.telemetry_snapshot().expect("telemetry enabled");
+    let tm = session.snapshot().telemetry.expect("telemetry enabled");
     println!("  final violation-frequency table (node class x model):");
     for (class, model, cell) in tm.violation_rows() {
         println!(

@@ -34,17 +34,21 @@ fn print_telemetry(tm: &TelemetrySnapshot) {
     }
 }
 
-fn print_snapshot(policy: Policy, snap: &FleetSnapshot) {
+/// Prints the session's report so far, polls its completions, then
+/// prints its registry.
+fn print_snapshot(policy: Policy, session: &mut Fleet<'_>) {
+    let snap = session.snapshot();
+    let load = &session.loads()[0];
     println!(
         "t={:>6.0}ms  [{}]  submitted {:>3}  done {:>3}  in-flight {:>2}  queued {:>3}",
-        snap.now_s * 1e3,
+        session.now_s() * 1e3,
         policy.name(),
         snap.submitted,
-        snap.completed,
-        snap.nodes[0].load.in_flight,
-        snap.nodes[0].load.queued,
+        snap.merged.total_queries(),
+        load.in_flight,
+        load.queued,
     );
-    for (model, stats) in &snap.report.per_model {
+    for (model, stats) in &snap.merged.per_model {
         println!(
             "    {:<14} {:>4} done  {:>5.1}% QoS  avg {:>7.2}ms  p95 {:>7.2}ms  p99 {:>7.2}ms",
             model,
@@ -54,6 +58,10 @@ fn print_snapshot(policy: Policy, snap: &FleetSnapshot) {
             stats.p95_latency_s() * 1e3,
             stats.p99_latency_s() * 1e3,
         );
+    }
+    println!("    poll: +{} completions", session.poll().len());
+    if let Some(tm) = &snap.telemetry {
+        print_telemetry(tm);
     }
 }
 
@@ -73,7 +81,7 @@ fn main() -> Result<(), ClusterError> {
     }
 
     let mut session = engine.session()?;
-    session.enable_telemetry(TraceConfig::unbounded());
+    session.enable_telemetry();
     let mut policy = engine.policy();
     println!("session open under {}\n", policy.name());
 
@@ -87,11 +95,7 @@ fn main() -> Result<(), ClusterError> {
     }
     for t_ms in [50.0, 100.0] {
         session.run_until(t_ms / 1e3)?;
-        print_snapshot(policy, &session.snapshot());
-        println!("    poll: +{} completions", session.poll().len());
-        if let Some(tm) = session.telemetry_snapshot() {
-            print_telemetry(&tm);
-        }
+        print_snapshot(policy, &mut session);
     }
 
     // Phase 2: hot-swap the scheduler mid-stream (policy A/B) and throw a
@@ -105,11 +109,7 @@ fn main() -> Result<(), ClusterError> {
     )?;
     for t_ms in [150.0, 250.0, 400.0] {
         session.run_until(t_ms / 1e3)?;
-        print_snapshot(policy, &session.snapshot());
-        println!("    poll: +{} completions", session.poll().len());
-        if let Some(tm) = session.telemetry_snapshot() {
-            print_telemetry(&tm);
-        }
+        print_snapshot(policy, &mut session);
     }
 
     // Drain: collect the straggler completions one by one.

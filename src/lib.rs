@@ -52,7 +52,7 @@
 //! session.submit_stream(&WorkloadSpec::single("mobilenet_v2", 50.0, 50), 42)?;
 //! session.run_until(0.25)?;
 //! let live = session.snapshot();
-//! assert!(live.completed <= 50);
+//! assert!(live.merged.total_queries() <= 50);
 //! let report = session.finish();
 //! assert_eq!(report.merged.total_queries(), 50);
 //! # Ok::<(), ClusterError>(())
@@ -72,8 +72,8 @@ pub use veltair_tensor as tensor;
 pub mod prelude {
     pub use veltair_cluster::{
         AdmissionKind, AutoscalerConfig, ClusterError, Completion, CoordinatorStats, FailureEvent,
-        FailureKind, FailurePlan, Fleet, FleetReport, FleetSnapshot, LoadIndex, NodeLoad, NodeSpec,
-        NodeState, Router, RouterKind, ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
+        FailureKind, FailurePlan, Fleet, FleetReport, LoadIndex, NodeLoad, NodeSpec, NodeState,
+        Router, RouterKind, ScaleDecision, ScalePolicy, SloAdmissionConfig, StepMode,
     };
     pub use veltair_compiler::{
         compile_model, CompiledModel, CompilerError, CompilerOptions, CompilerService,
@@ -89,7 +89,7 @@ pub mod prelude {
     pub use veltair_sched::{PressureView, ProjectionConfig, QuerySpec, SimConfig};
     pub use veltair_sim::{Interference, MachineConfig, SimTime};
     pub use veltair_telemetry::{
-        Collector, EventCounts, LatencyHistogram, SloAttribution, TelemetrySnapshot, TraceConfig,
-        TraceEvent, TraceEventKind, TraceLog, ViolationCell,
+        Collector, EventCounts, LatencyHistogram, SloAttribution, TelemetrySnapshot, TraceEvent,
+        TraceEventKind, TraceLog, ViolationCell,
     };
 }

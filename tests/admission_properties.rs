@@ -69,9 +69,9 @@ impl AdmissionController for RandomAdmission {
 }
 
 /// The adversarial controller the hard cap exists for: defers every
-/// query, every time, ignoring the `attempts` counter.
+/// query, every time, by its delay, ignoring the `attempts` counter.
 #[derive(Debug)]
-struct AlwaysDefer;
+struct AlwaysDefer(f64);
 
 impl AdmissionController for AlwaysDefer {
     fn name(&self) -> &'static str {
@@ -84,7 +84,7 @@ impl AdmissionController for AlwaysDefer {
         _model: &CompiledModel,
         _attempts: u32,
     ) -> AdmissionDecision {
-        AdmissionDecision::Defer { delay_s: 0.01 }
+        AdmissionDecision::Defer { delay_s: self.0 }
     }
 
     fn needs_pressure(&self) -> bool {
@@ -166,7 +166,9 @@ fn served_plus_shed_always_equals_submitted() {
 /// Against a controller that defers unconditionally, the fleet must
 /// terminate, shed everything, and spend *exactly* `DEFER_HARD_CAP`
 /// deferrals per query — pinning both the cap's value and the fact that
-/// it is enforced per query, not globally.
+/// it is enforced per query, not globally. A hold that never ends (an
+/// infinite or NaN delay) is a refusal: the query is shed at once, and
+/// no deferral is counted.
 #[test]
 fn always_defer_hits_the_hard_cap_exactly_then_sheds() {
     let models = compiled_models(&PAIR);
@@ -176,25 +178,46 @@ fn always_defer_hits_the_hard_cap_exactly_then_sheds() {
         Policy::VeltairFull,
     )];
     let queries = 7usize;
-    let mut fleet = Fleet::new(
-        &models,
-        &nodes,
-        RouterKind::RoundRobin.build(),
-        Box::new(AlwaysDefer),
-    )
-    .expect("valid fleet");
-    fleet
-        .submit_stream(&WorkloadSpec::single("mobilenet_v2", 50.0, queries), 3)
-        .expect("registered");
-    fleet.run_to_completion();
-    let report = fleet.finish();
-    assert_eq!(report.shed as usize, queries, "every query must be shed");
-    assert_eq!(report.merged.total_queries(), 0, "nothing should be served");
-    assert_eq!(
-        report.deferrals,
-        u64::from(DEFER_HARD_CAP) * queries as u64,
-        "each query should burn exactly the hard cap in deferrals"
-    );
+    for delay_s in [0.01, f64::INFINITY, f64::NAN] {
+        let mut fleet = Fleet::new(
+            &models,
+            &nodes,
+            RouterKind::RoundRobin.build(),
+            Box::new(AlwaysDefer(delay_s)),
+        )
+        .expect("valid fleet");
+        fleet
+            .submit_stream(&WorkloadSpec::single("mobilenet_v2", 50.0, queries), 3)
+            .expect("registered");
+        fleet.run_to_completion();
+        if let Err(rule) = fleet.check_invariants() {
+            panic!("delay {delay_s}: {rule}");
+        }
+        let report = fleet.finish();
+        assert_eq!(
+            report.shed as usize, queries,
+            "delay {delay_s}: every query must be shed"
+        );
+        assert_eq!(
+            report.shed_per_model["mobilenet_v2"] as usize, queries,
+            "delay {delay_s}: sheds are counted per model"
+        );
+        assert_eq!(
+            report.merged.total_queries(),
+            0,
+            "delay {delay_s}: nothing should be served"
+        );
+        let per_query = if delay_s.is_finite() {
+            u64::from(DEFER_HARD_CAP)
+        } else {
+            0
+        };
+        assert_eq!(
+            report.deferrals,
+            per_query * queries as u64,
+            "delay {delay_s}: each query should burn exactly {per_query} deferrals"
+        );
+    }
 }
 
 /// Conservation under elastic churn: randomized fleets with a randomized

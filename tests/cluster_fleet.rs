@@ -136,7 +136,7 @@ fn assert_fleet_of_one_is_the_driver(
         fleet.run_until(t).expect("finite target");
         driver.run_until(SimTime(t)).expect("finite target");
         assert_eq!(
-            fleet.snapshot().report,
+            fleet.snapshot().merged,
             driver.snapshot(),
             "{label}: snapshot at {t}"
         );
@@ -306,7 +306,7 @@ fn a_live_snapshot_averages_cores_over_the_elapsed_time() {
     for t in [0.002, 0.0175] {
         fleet.run_until(t).expect("finite target");
         driver.run_until(SimTime(t)).expect("finite target");
-        let live = fleet.snapshot().report;
+        let live = fleet.snapshot().merged;
         assert_eq!(live, driver.snapshot(), "snapshot at {t}");
         assert!(
             live.avg_cores > 0.0 && live.avg_cores <= 64.0,
@@ -417,8 +417,8 @@ fn an_out_of_range_pick_never_routes_into_a_dead_node() {
     fleet.run_until(0.1).expect("finite target");
     fleet.kill_node(last).expect("survivors remain");
     let at_kill = fleet.snapshot();
-    let routed_at_kill = at_kill.nodes[last].routed;
-    let others_at_kill: u64 = at_kill.nodes[..last].iter().map(|n| n.routed).sum();
+    let routed_at_kill = at_kill.routed_per_node[last];
+    let others_at_kill: u64 = at_kill.routed_per_node[..last].iter().sum();
     assert!(horizon > 0.2, "the stream must outlast the kill");
     for t in [0.2, horizon] {
         fleet.run_until(t).expect("finite target");
@@ -480,7 +480,7 @@ fn a_policy_swap_relabels_the_node_telemetry_class() {
         engine.register(m);
     }
     let mut session = engine.session().expect("valid session");
-    session.enable_telemetry(TraceConfig::unbounded());
+    session.enable_telemetry();
     session
         .submit_stream(&poisson_mix_workload(120, 300.0), 5)
         .expect("registered");
@@ -493,7 +493,7 @@ fn a_policy_swap_relabels_the_node_telemetry_class() {
     let after = session.poll().len() as u64;
     assert!(before > 0 && after > 0, "{before} then {after} completions");
 
-    let snap = session.telemetry_snapshot().expect("telemetry enabled");
+    let snap = session.snapshot().telemetry.expect("telemetry enabled");
     let completed = |class: &str| -> u64 {
         snap.violations
             .get(class)
@@ -713,7 +713,7 @@ fn run_for_rejects_nonpositive_and_nonfinite_durations() {
         .expect("registered");
     fleet.run_for(0.05).expect("positive finite duration");
     assert!((fleet.now_s() - 0.05).abs() < 1e-12);
-    let before = fleet.snapshot();
+    let before = (fleet.now_s(), fleet.loads(), fleet.snapshot());
     for bad in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         match fleet.run_for(bad) {
             Err(ClusterError::InvalidDuration { dt_s }) => {
@@ -731,7 +731,7 @@ fn run_for_rejects_nonpositive_and_nonfinite_durations() {
         }
     }
     assert_eq!(
-        fleet.snapshot(),
+        (fleet.now_s(), fleet.loads(), fleet.snapshot()),
         before,
         "a rejected duration or target must not perturb the fleet"
     );
@@ -802,8 +802,10 @@ fn coordinator_counters_are_populated_on_snapshots_and_reports() {
     session.submit_stream(&workload, 42).expect("registered");
     session.run_until(0.2).expect("finite target");
     let snap = session.snapshot();
-    let names: Vec<&str> = snap.nodes.iter().map(|n| n.name.as_str()).collect();
-    assert_eq!(names, ["big-0", "big-1", "legacy-0", "edge-0", "edge-1"]);
+    assert_eq!(
+        snap.node_names,
+        ["big-0", "big-1", "legacy-0", "edge-0", "edge-1"]
+    );
     assert!(
         snap.coordinator.routing_decisions > 0,
         "no routing decisions counted mid-run"
@@ -1082,7 +1084,7 @@ fn telemetry_counts_pin_the_coordinator_counting_contract() {
         AdmissionKind::SloAware(SloAdmissionConfig::default()).build(),
     )
     .expect("valid fleet")
-    .with_telemetry(TraceConfig::unbounded());
+    .with_telemetry();
     fleet
         .submit_stream(&bursty_mix_workload(120, 300.0), 42)
         .expect("registered");

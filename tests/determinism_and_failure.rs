@@ -252,6 +252,12 @@ fn lifecycle_and_policy_errors_are_typed() {
         AutoscalerConfig::try_new(0.5, 2.0, 2, 1),
         Err(ClusterError::InvalidScalePolicy { .. })
     ));
+    // A seeded plan for an empty fleet has no node to target, even when
+    // failures are due inside the horizon.
+    assert_eq!(
+        FailurePlan::try_seeded(7, 0, 100.0, 1.0, 0.5, 2.0),
+        Err(ClusterError::NoNodes)
+    );
 }
 
 #[test]

@@ -130,8 +130,8 @@ fn session_lifecycle_through_the_facade() {
         .expect("the session's node");
     let mid = session.snapshot();
     assert_eq!(mid.submitted, 80);
-    assert_eq!(mid.nodes.len(), 1);
-    assert!(mid.completed <= 80);
+    assert_eq!(mid.per_node.len(), 1);
+    assert!(mid.merged.total_queries() <= 80);
     let mut completions = session.poll();
     session.run_to_completion();
     completions.extend(session.poll());

@@ -153,7 +153,7 @@ fn every_submission_terminates_exactly_once_under_churn() {
             }),
         )
         .expect("valid fleet")
-        .with_telemetry(TraceConfig::unbounded());
+        .with_telemetry();
         let check = |fleet: &Fleet<'_>, at: &str| {
             if let Err(rule) = fleet.check_invariants() {
                 panic!("case {case}, after {at}: {rule}");
@@ -185,8 +185,8 @@ fn every_submission_terminates_exactly_once_under_churn() {
         check(&fleet, "the final drain");
 
         let log = fleet.trace_log().expect("telemetry enabled");
-        let tm = fleet.telemetry_snapshot().expect("telemetry enabled");
         let report = fleet.finish();
+        let tm = report.telemetry.as_ref().expect("telemetry enabled");
 
         assert_chains_conserve(&log, report.submitted);
         assert_eq!(
@@ -245,7 +245,7 @@ fn failure_plans_preserve_span_chains() {
         AdmissionKind::AdmitAll.build(),
     )
     .expect("valid fleet")
-    .with_telemetry(TraceConfig::unbounded())
+    .with_telemetry()
     .with_failure_plan(plan);
     fleet
         .submit_stream(
@@ -256,8 +256,8 @@ fn failure_plans_preserve_span_chains() {
     fleet.run_to_completion();
 
     let log = fleet.trace_log().expect("telemetry enabled");
-    let tm = fleet.telemetry_snapshot().expect("telemetry enabled");
     let report = fleet.finish();
+    let tm = report.telemetry.as_ref().expect("telemetry enabled");
 
     assert_chains_conserve(&log, report.submitted);
     assert_eq!(tm.counts.shed, 0, "AdmitAll never sheds");
@@ -292,16 +292,15 @@ fn histogram_percentiles_bracket_pooled_samples() {
         AdmissionKind::AdmitAll.build(),
     )
     .expect("valid fleet")
-    .with_telemetry(TraceConfig::unbounded());
+    .with_telemetry();
     fleet
         .submit_stream(
             &WorkloadSpec::mix(&[("mobilenet_v2", 300.0), ("tiny_yolo_v2", 200.0)], 120),
             91,
         )
         .expect("registered");
-    fleet.run_to_completion();
-    let tm = fleet.telemetry_snapshot().expect("telemetry enabled");
     let report = fleet.finish();
+    let tm = report.telemetry.as_ref().expect("telemetry enabled");
 
     let width = LatencyHistogram::relative_width();
     let check = |label: &str, approx: f64, exact: f64| {

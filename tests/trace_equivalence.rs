@@ -70,9 +70,8 @@ const ADMISSION: AdmissionKind = AdmissionKind::SloAware(SloAdmissionConfig {
 
 /// One traced run with mid-run churn (a drain and a join, so node
 /// lifecycle and requeue events are in the stream), returning the
-/// Chrome-JSON rendering of the merged trace, the registry snapshot,
-/// and the final report.
-fn traced_run(seed: u64) -> (String, TelemetrySnapshot, FleetReport) {
+/// Chrome-JSON rendering of the merged trace and the final report.
+fn traced_run(seed: u64) -> (String, FleetReport) {
     let specs = nodes();
     let mut fleet = Fleet::new(
         compiled_mix(),
@@ -81,7 +80,7 @@ fn traced_run(seed: u64) -> (String, TelemetrySnapshot, FleetReport) {
         ADMISSION.build(),
     )
     .expect("valid fleet")
-    .with_telemetry(TraceConfig::unbounded());
+    .with_telemetry();
     fleet
         .submit_stream(&bursty_workload(60), seed)
         .expect("registered models");
@@ -99,8 +98,7 @@ fn traced_run(seed: u64) -> (String, TelemetrySnapshot, FleetReport) {
         .trace_log()
         .expect("telemetry enabled")
         .to_chrome_json();
-    let tm = fleet.telemetry_snapshot().expect("telemetry enabled");
-    (json, tm, fleet.finish())
+    (json, fleet.finish())
 }
 
 /// The headline pin: the merged trace's Chrome JSON hashes to its
@@ -109,11 +107,12 @@ fn traced_run(seed: u64) -> (String, TelemetrySnapshot, FleetReport) {
 #[test]
 fn merged_trace_matches_its_recorded_digests() {
     for (seed, digest) in TRACE_DIGESTS {
-        let (json, tm, report) = traced_run(seed);
+        let (json, report) = traced_run(seed);
         assert!(
             report.merged.total_queries() > 0,
             "seed {seed}: the run served nothing"
         );
+        let tm = report.telemetry.expect("telemetry enabled");
         assert!(tm.counts.submitted > 0 && tm.counts.requeued > 0);
         let got = fnv1a(json.as_bytes());
         assert_eq!(
@@ -138,7 +137,7 @@ fn tracing_does_not_perturb_the_run() {
             )
             .expect("valid fleet");
             if telemetry {
-                fleet.enable_telemetry(TraceConfig::unbounded());
+                fleet.enable_telemetry();
             }
             fleet
                 .submit_stream(&bursty_workload(50), seed)
@@ -161,55 +160,4 @@ fn tracing_does_not_perturb_the_run() {
             "seed {seed}: attaching the recorder changed the simulation"
         );
     }
-}
-
-/// The bounded flight recorder trades node-side completeness for
-/// memory, and does so *accountably*: every event is either absorbed or
-/// counted as dropped (absorbed + dropped equals the unbounded total),
-/// and coordinator-side counts — submitted, routed, deferred, shed,
-/// requeued — stay exact because track 0 bypasses the node rings.
-#[test]
-fn flight_recorder_mode_drops_accountably() {
-    let run = |config: TraceConfig| -> (TelemetrySnapshot, usize) {
-        let specs = nodes();
-        let mut fleet = Fleet::new(
-            compiled_mix(),
-            &specs,
-            RouterKind::LeastOutstanding.build(),
-            ADMISSION.build(),
-        )
-        .expect("valid fleet")
-        .with_telemetry(config);
-        fleet
-            .submit_stream(&bursty_workload(60), 42)
-            .expect("registered models");
-        fleet.run_to_completion();
-        let events = fleet.trace_log().expect("telemetry enabled").events.len();
-        (
-            fleet.telemetry_snapshot().expect("telemetry enabled"),
-            events,
-        )
-    };
-    let (full, full_events) = run(TraceConfig::unbounded());
-    let (bounded, bounded_events) = run(TraceConfig::flight_recorder(16));
-    assert_eq!(full.events_dropped, 0, "unbounded mode never drops");
-    assert!(
-        bounded.events_dropped > 0,
-        "a 16-slot ring under this load must drop events"
-    );
-    assert_eq!(
-        bounded.events_recorded + bounded.events_dropped,
-        full.events_recorded,
-        "absorbed + dropped must conserve the unbounded event total"
-    );
-    assert!(bounded_events < full_events);
-    // Coordinator-side counts are exact in flight-recorder mode.
-    assert_eq!(bounded.counts.submitted, full.counts.submitted);
-    assert_eq!(bounded.counts.routed, full.counts.routed);
-    assert_eq!(bounded.counts.admitted, full.counts.admitted);
-    assert_eq!(bounded.counts.deferred, full.counts.deferred);
-    assert_eq!(bounded.counts.shed, full.counts.shed);
-    // Node-side streams are the lossy part — the ring keeps only the
-    // most recent events between coordinator pulls.
-    assert!(bounded.counts.completed <= full.counts.completed);
 }
