@@ -22,6 +22,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::fleet::ClusterError;
 
+/// The most failure events a [`FailurePlan::try_seeded`] plan may expect
+/// to draw (`horizon_s / mtbf_s`).
+const MAX_EXPECTED_FAILURES: f64 = 1e6;
+
 /// What happens to the targeted node at a [`FailureEvent`]'s instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FailureKind {
@@ -155,8 +159,10 @@ impl FailurePlan {
     ///
     /// Returns [`ClusterError::InvalidDuration`] if `horizon_s`,
     /// `mtbf_s`, or `stall_duration_s` is not strictly positive and
-    /// finite, and [`ClusterError::NoNodes`] if `nodes` is zero (there is
-    /// no node to target). `stall_prob` outside `[0, 1]` is clamped.
+    /// finite, or if `horizon_s / mtbf_s` (the expected event count)
+    /// exceeds a million, naming `mtbf_s`; and
+    /// [`ClusterError::NoNodes`] if `nodes` is zero (there is no node to
+    /// target). `stall_prob` outside `[0, 1]` is clamped.
     pub fn try_seeded(
         seed: u64,
         nodes: usize,
@@ -169,6 +175,12 @@ impl FailurePlan {
             if !dt.is_finite() || dt <= 0.0 {
                 return Err(ClusterError::InvalidDuration { dt_s: dt });
             }
+        }
+        // Checked before drawing: past this ratio the draw would run for
+        // about that many steps, and forever once a step rounds away
+        // against `t`.
+        if horizon_s / mtbf_s > MAX_EXPECTED_FAILURES {
+            return Err(ClusterError::InvalidDuration { dt_s: mtbf_s });
         }
         if nodes == 0 {
             return Err(ClusterError::NoNodes);
@@ -285,6 +297,21 @@ mod tests {
         assert!(matches!(
             FailurePlan::try_seeded(1, 4, -1.0, 10.0, 0.5, 2.0),
             Err(ClusterError::InvalidDuration { .. })
+        ));
+    }
+
+    #[test]
+    fn seeded_plans_reject_an_unbounded_event_count_at_once() {
+        // About 1e15 expected events: rejected before a single draw.
+        assert!(matches!(
+            FailurePlan::try_seeded(1, 4, 1e12, 1e-3, 0.5, 2.0),
+            Err(ClusterError::InvalidDuration { dt_s }) if dt_s == 1e-3
+        ));
+        // A horizon so far out that each step would round away against
+        // `t`, and the draw would never end.
+        assert!(matches!(
+            FailurePlan::try_seeded(1, 4, f64::MAX, 1.0, 0.5, 2.0),
+            Err(ClusterError::InvalidDuration { dt_s }) if dt_s == 1.0
         ));
     }
 }

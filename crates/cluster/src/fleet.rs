@@ -96,7 +96,11 @@ pub enum ClusterError {
     /// [`Fleet::run_for`] was asked to advance by a non-positive or
     /// non-finite duration. Silently accepting these either rewinds the
     /// fleet clock (negative), spins forever (NaN comparisons), or jumps
-    /// to infinity — all three are caller bugs worth surfacing.
+    /// to infinity — all three are caller bugs worth surfacing. Failure
+    /// plans reject such instants and durations the same way, and
+    /// [`FailurePlan::try_seeded`](crate::FailurePlan::try_seeded) also
+    /// rejects a mean time between failures that would expect more than
+    /// a million events over its horizon.
     InvalidDuration {
         /// The rejected duration, seconds.
         dt_s: f64,

@@ -166,15 +166,15 @@ impl<'a> BlockSweep<'a> {
             machine,
             budget_s: layers.iter().map(|l| l.qos_share_s).sum::<f64>()
                 * veltair_compiler::QOS_PLAN_MARGIN,
-            rated: Vec::new(),
+            rated: Vec::with_capacity(machine.cores as usize),
         }
     }
 
     /// Rates every allocation up to `cores` not rated yet.
     ///
-    /// The loop runs unit by unit over the allocations, so a unit's
-    /// invariants stay in registers and its rating is reused once it has
-    /// saturated; each allocation still adds its units in block order.
+    /// Each unit adds its ratings of the new allocations in one
+    /// [`LatencyModel::add_latencies`] run, so every allocation still adds
+    /// its units in block order.
     fn rate_through(&mut self, cores: u32) {
         let first = self.rated.len();
         if cores as usize <= first {
@@ -183,14 +183,7 @@ impl<'a> BlockSweep<'a> {
         self.rated.resize(cores as usize, 0.0);
         let d = self.machine.dispatch_overhead_s;
         for unit in &self.units {
-            let mut saturated = None;
-            for (sum, p) in self.rated[first..].iter_mut().zip(first as u32 + 1..) {
-                let latency_s = saturated.unwrap_or_else(|| unit.latency_s(p));
-                if saturated.is_none() && unit.is_saturated(p) {
-                    saturated = Some(latency_s);
-                }
-                *sum += latency_s + d;
-            }
+            unit.add_latencies(first as u32 + 1, d, &mut self.rated[first..]);
         }
     }
 
@@ -204,21 +197,28 @@ impl<'a> BlockSweep<'a> {
 
     /// Minimum cores under which the block finishes within its summed
     /// QoS share (saturating at the machine size).
-    pub(crate) fn core_requirement(&mut self) -> u32 {
+    ///
+    /// With a `limit`, the scan stops below it: when no allocation below
+    /// `limit` qualifies, the answer is `limit` (or the machine size, if
+    /// smaller), and no allocation at or past it is rated. So
+    /// `core_requirement(Some(cap)).min(cap)` is
+    /// `core_requirement(None).min(cap)`.
+    pub(crate) fn core_requirement(&mut self, limit: Option<u32>) -> u32 {
         /// Allocations rated per step of the scan: the few past the
         /// minimum are wasted unless the boost reads them.
         const STEP: u32 = 8;
         let cores = self.machine.cores;
+        let limit = limit.unwrap_or(u32::MAX).min(cores.saturating_add(1));
         let mut lo = 1;
-        while lo <= cores {
-            let hi = (lo + STEP - 1).min(cores);
+        while lo < limit {
+            let hi = (lo + STEP - 1).min(limit - 1);
             self.rate_through(hi);
             if let Some(p) = (lo..=hi).find(|&p| self.rated[p as usize - 1] <= self.budget_s) {
                 return p;
             }
             lo = hi + 1;
         }
-        cores
+        limit.min(cores)
     }
 
     /// The boosted allocation of [`boosted_block_cores`] over this
@@ -254,7 +254,7 @@ pub fn block_core_requirement(
     pressure: Interference,
     machine: &MachineConfig,
 ) -> u32 {
-    BlockSweep::new(model, start, end, versions, pressure, machine).core_requirement()
+    BlockSweep::new(model, start, end, versions, pressure, machine).core_requirement(None)
 }
 
 /// Flat latency of the units `[start, end)` on `cores` cores under the
@@ -421,14 +421,33 @@ mod tests {
         };
         for tabulated in [true, false] {
             for (start, end) in [(0, 1), (0, 9), (5, m.layers.len())] {
-                let mut sweep = BlockSweep::prevalidated(
-                    &m, start, end, &versions, tabulated, pressure, &machine,
-                );
-                let min_cores = sweep.core_requirement();
+                let prepare = || {
+                    BlockSweep::prevalidated(
+                        &m, start, end, &versions, tabulated, pressure, &machine,
+                    )
+                };
+                let mut sweep = prepare();
+                let min_cores = sweep.core_requirement(None);
                 assert_eq!(
                     min_cores,
                     block_core_requirement(&m, start, end, &versions, pressure, &machine)
                 );
+                // The scan limited to below a hard cap answers like the
+                // full scan under the cap rule, and rates nothing at or
+                // past the cap when it ends there.
+                for limit in 1..=machine.cores + 1 {
+                    let mut limited = prepare();
+                    let capped = limited.core_requirement(Some(limit));
+                    let expected = if min_cores < limit {
+                        min_cores
+                    } else {
+                        limit.min(machine.cores)
+                    };
+                    assert_eq!(capped, expected, "limit {limit}");
+                    if capped >= limit {
+                        assert!(limited.rated.len() < limit as usize, "limit {limit}");
+                    }
+                }
                 for cap in [min_cores, 24, machine.cores] {
                     assert_eq!(
                         sweep.boosted(min_cores, cap),
@@ -437,10 +456,26 @@ mod tests {
                         )
                     );
                 }
+                // Every allocation's flat latency is the units' one-at-a-
+                // time ratings summed in block order.
+                let units: Vec<_> = (start..end)
+                    .map(|i| {
+                        LatencyModel::new(
+                            &m.layers[i].versions[versions[i]].profile,
+                            pressure,
+                            &machine,
+                        )
+                    })
+                    .collect();
+                let d = machine.dispatch_overhead_s;
                 for cores in 1..=machine.cores {
                     let fresh =
                         block_flat_latency_s(&m, start, end, &versions, pressure, cores, &machine);
+                    let one_at_a_time = units
+                        .iter()
+                        .fold(0.0, |sum, unit| sum + (unit.latency_s(cores) + d));
                     assert_eq!(sweep.flat_latency_s(cores).to_bits(), fresh.to_bits());
+                    assert_eq!(fresh.to_bits(), one_at_a_time.to_bits(), "{cores} cores");
                 }
             }
         }

@@ -140,17 +140,12 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
             let end = (begin + k.max(1)).min(n);
             let mut sweep =
                 BlockSweep::prevalidated(model, begin, end, versions, tabulated, pressure, machine);
-            (end, sweep.core_requirement())
+            (end, sweep.core_requirement(None))
         }
         Granularity::DynamicBlock => {
             let thres = dynamic_threshold(state, query, level);
             let avg_c = model.model_core_requirement(level);
             let end = find_first_pivot(model, begin, versions, level, avg_c, thres).unwrap_or(n);
-            // One sweep rates each allocation once for both the QoS
-            // minimum and the boost above it.
-            let mut sweep =
-                BlockSweep::prevalidated(model, begin, end, versions, tabulated, pressure, machine);
-            let min_cores = sweep.core_requirement();
             // Algorithm 2's contract: blocks use no more than
             // `Avg_C + thres` cores. Without this cap, a saturated
             // system feeds back on itself — high monitored interference
@@ -158,6 +153,12 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
             // machine further. Past the cap the block accepts the QoS
             // risk instead of the death spiral.
             let hard_cap = avg_c.saturating_add(thres).max(1);
+            // One sweep rates each allocation once for both the QoS
+            // minimum and the boost above it. A minimum at or past the
+            // cap gets the cap, so the scan stops below it.
+            let mut sweep =
+                BlockSweep::prevalidated(model, begin, end, versions, tabulated, pressure, machine);
+            let min_cores = sweep.core_requirement(Some(hard_cap));
             let cores = if min_cores >= hard_cap {
                 hard_cap
             } else {

@@ -82,10 +82,11 @@ pub struct QueryState {
 /// changes: in [`SimState::start_block`], at the next unit of the block in
 /// [`SimState::check_unit`], and in [`SimState::expand_conflicted`].
 ///
-/// The slot also remembers the last rating its model gave and the bits of
-/// the interference it was given under, and returns that rating when the
-/// same bits come again. This is exact: a rating is a pure function of
-/// the prepared model and the interference, and re-preparing forgets it.
+/// The slot also remembers the last two ratings its model gave, each with
+/// the bits of the interference it was given under, and returns a rating
+/// when its bits come again: the refresh's period-2 limit cycles then hit
+/// it on every sweep. This is exact: a rating is a pure function of the
+/// prepared model and the interference, and re-preparing forgets both.
 #[derive(Debug)]
 pub struct Running {
     /// Owning query (index into [`SimState::queries`]).
@@ -113,9 +114,10 @@ pub struct Running {
     pub expansions: u32,
     /// The current unit's version prepared on `granted` cores.
     model: GrantModel,
-    /// The last rating `model` gave, with the bits of the interference it
-    /// was given under; `None` once `model` is re-prepared.
-    last: Option<([u64; 2], Execution)>,
+    /// The last two ratings `model` gave, most recent first, each with
+    /// the bits of the interference it was given under; both `None`
+    /// once `model` is re-prepared.
+    last: [Option<([u64; 2], Execution)>; 2],
     /// The rating the running refresh sweep adopts once every unit is
     /// rated: set when it moves the latency by more than `REFRESH_TOL`.
     candidate: Option<Execution>,
@@ -748,7 +750,7 @@ impl<'a> SimState<'a> {
     }
 
     /// Re-prepares the model of `slot` for its current unit, version and
-    /// grant, and forgets its last rating.
+    /// grant, and forgets its remembered ratings.
     fn prepare_slot(&mut self, slot: usize) {
         let r = &self.running[slot];
         let model = self.grant_model(
@@ -759,16 +761,17 @@ impl<'a> SimState<'a> {
         );
         let r = &mut self.running[slot];
         r.model = model;
-        r.last = None;
+        r.last = [None; 2];
     }
 
     /// Rates the current unit of `slot` on its grant under
     /// `interference`, through the slot's prepared model.
     ///
-    /// When `interference` has the bits of the slot's last rating, that
-    /// rating is returned as it is. This is exact: a rating is a pure
-    /// function of the prepared model and the interference, and the model
-    /// is re-prepared, forgetting the rating, wherever its unit, version
+    /// When `interference` has the bits of one of the slot's last two
+    /// ratings, that rating is returned as it is and becomes the most
+    /// recent. This is exact: a rating is a pure function of the
+    /// prepared model and the interference, and the model is
+    /// re-prepared, forgetting both ratings, wherever its unit, version
     /// or grant changes ([`SimState::start_block`], the next unit in
     /// [`SimState::check_unit`], [`SimState::expand_conflicted`]). Debug
     /// builds check every rating, fresh or remembered, against a
@@ -781,10 +784,14 @@ impl<'a> SimState<'a> {
         ];
         let r = &mut self.running[slot];
         let exec = match r.last {
-            Some((last_under, exec)) if last_under == under => exec,
-            _ => {
+            [Some((bits, exec)), _] if bits == under => exec,
+            [recent, Some((bits, exec))] if bits == under => {
+                r.last = [Some((bits, exec)), recent];
+                exec
+            }
+            [recent, _] => {
                 let exec = r.model.execute(interference);
-                r.last = Some((under, exec));
+                r.last = [Some((under, exec)), recent];
                 exec
             }
         };
@@ -890,7 +897,7 @@ impl<'a> SimState<'a> {
                 active: false,
                 expansions: 0,
                 model: grant,
-                last: None,
+                last: [None; 2],
                 candidate: None,
                 changed: false,
             });
@@ -908,7 +915,7 @@ impl<'a> SimState<'a> {
         r.requested = requested;
         r.granted = granted;
         r.model = grant;
-        r.last = None;
+        r.last = [None; 2];
         let exec = self.rate_slot(slot, self.interference_for(slot));
         // Solo ratings for SLO attribution, recorded only while traced:
         // the same pure rating function under zero interference, for the
@@ -1115,10 +1122,10 @@ impl<'a> SimState<'a> {
     /// grant, so every unit rates through the model its slot prepared
     /// when one of those last changed (see [`Running`]). A rating is a
     /// pure function of that model and the interference, so a unit whose
-    /// interference has the bits of its last rating gets that rating back
-    /// without evaluating the model: a lone unit (every PREMA refresh),
-    /// and any unit none of whose co-runners took a new rating since its
-    /// last one.
+    /// interference has the bits of one of its last two ratings gets that
+    /// rating back without evaluating the model: a lone unit (every PREMA
+    /// refresh), any unit none of whose co-runners took a new rating
+    /// since its last one, and every unit of a period-2 limit cycle.
     pub fn refresh_conditions(&mut self) {
         for _ in 0..MAX_REFRESH_SWEEPS {
             let mut max_rel = 0.0_f64;

@@ -198,6 +198,25 @@ impl CoreTerms {
         Self { compute_s, l3_s }
     }
 
+    /// The terms of `kernel` on `cores` cores, read from `table` (a
+    /// prefix of the kernel's [`CoreTerms::table`] on `machine`) when it
+    /// covers the count, and computed otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
+    #[inline]
+    fn lookup(table: &[Self], kernel: &KernelProfile, cores: u32, machine: &MachineConfig) -> Self {
+        let p_eff = cores.min(kernel.parallel_chunks);
+        match p_eff
+            .checked_sub(1)
+            .and_then(|entry| table.get(entry as usize))
+        {
+            Some(&terms) => terms,
+            None => Self::compute(kernel, cores, machine),
+        }
+    }
+
     /// `kernel`'s terms on `machine` at `1..=min(machine.cores,
     /// parallel_chunks)` cores: entry `p - 1` holds `p` cores. Past
     /// `parallel_chunks` both terms keep the last entry's values.
@@ -231,7 +250,9 @@ fn waves(chunks: u32, p_eff: u32) -> f64 {
 /// [`execute`] is exactly `LatencyModel::new(..).execute(cores)`, and a
 /// [`GrantModel`] rates through the same formula, so every prepared
 /// rating, tabulated or live, per interference or per grant, is
-/// bit-identical to the one-shot one.
+/// bit-identical to the one-shot one. [`LatencyModel::add_latencies`]
+/// rates a run of core counts through that formula too, without a
+/// [`GrantModel`] per count.
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyModel<'a> {
     kernel: &'a KernelProfile,
@@ -318,15 +339,78 @@ impl<'a> LatencyModel<'a> {
         self.grant(cores).roofline(self.shares).latency_s
     }
 
-    /// Whether the rating has stopped depending on the core count at
-    /// `cores`: every parallel chunk has its own core, and co-runners,
-    /// not per-core bandwidth, cap the DRAM share. Every larger count then
-    /// rates bit-identically to `cores`.
+    /// Adds `self.latency_s(p) + extra_s` to `sums[i]` for the run of
+    /// core counts `p = first + i`, bit for bit the one-at-a-time
+    /// ratings.
+    ///
+    /// Below `parallel_chunks` every term moves with the core count, and
+    /// the loop reads the core terms from the table the model was
+    /// prepared over, one entry per count (computing them live past its
+    /// end). From `parallel_chunks` on, the terms the grant fixes (the
+    /// core terms, the footprint and the spilled traffic) no longer move:
+    /// they are evaluated once, and each count only divides the traffic
+    /// by the bandwidth its cores can draw. Once that reaches what
+    /// co-runners leave, the unit is saturated and every larger count
+    /// adds the same rating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first == 0` and `sums` is not empty.
     #[inline]
-    #[must_use]
-    pub fn is_saturated(&self, cores: u32) -> bool {
-        cores >= self.kernel.parallel_chunks
-            && f64::from(cores) * self.machine.per_core_bw >= self.shares.bw
+    pub fn add_latencies(&self, first: u32, extra_s: f64, sums: &mut [f64]) {
+        if sums.is_empty() {
+            return;
+        }
+        assert!(first > 0, "cannot execute a kernel on zero cores");
+        let (kernel, machine) = (self.kernel, self.machine);
+        let chunks = kernel.parallel_chunks;
+        let below = (chunks.saturating_sub(first) as usize).min(sums.len());
+        let (varying, fixed) = sums.split_at_mut(below);
+        let table = self.terms.get(first as usize - 1..).unwrap_or_default();
+        let (tabulated, live) = varying.split_at_mut(table.len().min(below));
+        for ((sum, &terms), p) in tabulated.iter_mut().zip(table).zip(first..) {
+            *sum += self.roofline_latency(terms, p) + extra_s;
+        }
+        for (sum, p) in live.iter_mut().zip(first + tabulated.len() as u32..) {
+            *sum += self.roofline_latency(CoreTerms::compute(kernel, p, machine), p) + extra_s;
+        }
+        if fixed.is_empty() {
+            return;
+        }
+        let first = first.max(chunks);
+        let terms = CoreTerms::lookup(self.terms, kernel, first, machine);
+        let traffic = self.traffic(first);
+        let mut counts = fixed.iter_mut().zip(first..);
+        while let Some((sum, p)) = counts.next() {
+            let core_bw = f64::from(p) * machine.per_core_bw;
+            let rated = latency(terms, traffic / self.shares.bw.min(core_bw)) + extra_s;
+            *sum += rated;
+            if core_bw >= self.shares.bw {
+                counts.for_each(|(sum, _)| *sum += rated);
+                return;
+            }
+        }
+    }
+
+    /// `self.latency_s(cores)` over the given core terms: the roofline a
+    /// [`GrantModel`] on `cores` would evaluate, without preparing one.
+    #[inline]
+    fn roofline_latency(&self, terms: CoreTerms, cores: u32) -> f64 {
+        let core_bw = f64::from(cores) * self.machine.per_core_bw;
+        latency(terms, self.traffic(cores) / self.shares.bw.min(core_bw))
+    }
+
+    /// The DRAM traffic of the kernel on `cores` cores under the cache
+    /// share co-runners leave.
+    #[inline]
+    fn traffic(&self, cores: u32) -> f64 {
+        let kernel = self.kernel;
+        spilled_traffic(
+            kernel.min_traffic_bytes,
+            kernel.spill_traffic_bytes,
+            kernel.footprint_bytes(cores),
+            self.shares.cache,
+        )
     }
 
     /// The full rating on `cores` cores: latency, counters and demand.
@@ -404,6 +488,18 @@ impl Shares {
     }
 }
 
+/// The one latency formula: the roofline over the core terms and the
+/// DRAM time, its terms overlapping imperfectly (`OVERLAP_RESIDUAL`).
+#[inline]
+fn latency(terms: CoreTerms, t_dram: f64) -> f64 {
+    let CoreTerms {
+        compute_s: t_comp,
+        l3_s: t_l3,
+    } = terms;
+    let serial = t_comp.max(t_dram).max(t_l3);
+    serial + OVERLAP_RESIDUAL * (t_comp + t_dram + t_l3 - serial)
+}
+
 /// The quantities one rating shares between its latency and its counters
 /// and demand.
 struct Roofline {
@@ -433,20 +529,13 @@ impl GrantModel {
             terms.len() <= machine.cores.min(kernel.parallel_chunks) as usize,
             "a core-terms table covers at most min(cores, parallel_chunks) entries"
         );
-        let p_eff = cores.min(kernel.parallel_chunks);
-        let tabulated = p_eff
-            .checked_sub(1)
-            .and_then(|entry| terms.get(entry as usize));
         // All L3-reaching references are a schedule property (the reuse
         // stream); how many of them miss depends on the cache share
         // actually obtained.
         let l3_accesses = (kernel.spill_traffic_bytes / LINE_BYTES).max(1.0);
         Self {
-            p_eff: f64::from(p_eff),
-            terms: match tabulated {
-                Some(&terms) => terms,
-                None => CoreTerms::compute(kernel, cores, machine),
-            },
+            p_eff: f64::from(cores.min(kernel.parallel_chunks)),
+            terms: CoreTerms::lookup(terms, kernel, cores, machine),
             footprint: kernel.footprint_bytes(cores),
             core_bw: f64::from(cores) * machine.per_core_bw,
             min_traffic: kernel.min_traffic_bytes,
@@ -473,21 +562,15 @@ impl GrantModel {
 
     #[inline]
     fn roofline(&self, shares: Shares) -> Roofline {
-        let CoreTerms {
-            compute_s: t_comp,
-            l3_s: t_l3,
-        } = self.terms;
         let traffic = spilled_traffic(
             self.min_traffic,
             self.spill_traffic,
             self.footprint,
             shares.cache,
         );
-        let t_dram = traffic / shares.bw.min(self.core_bw);
-        let serial = t_comp.max(t_dram).max(t_l3);
         Roofline {
             traffic,
-            latency_s: serial + OVERLAP_RESIDUAL * (t_comp + t_dram + t_l3 - serial),
+            latency_s: latency(self.terms, traffic / shares.bw.min(self.core_bw)),
         }
     }
 

@@ -237,6 +237,84 @@ fn grant_model_is_bit_identical_to_the_latency_model() {
     }
 }
 
+/// `add_latencies` adds, bit for bit, what one `latency_s` call per core
+/// count plus the extra term would add, for every start and length of
+/// run: runs that stay below `parallel_chunks`, cross it, cross the
+/// bandwidth saturation past it, and run past the machine and the table.
+#[test]
+fn range_ratings_are_bit_identical_to_one_at_a_time_ratings() {
+    let mut rng = StdRng::seed_from_u64(0x51b0a);
+    for machine in [
+        MachineConfig::threadripper_3990x(),
+        MachineConfig::desktop_8core(),
+        MachineConfig::threadripper_3990x().with_dvfs(0.2),
+    ] {
+        // Chunk counts at the edges, below the bandwidth saturation
+        // (`dram_bw / per_core_bw` cores with no co-runners), below and
+        // at the machine's core count and above it.
+        let chunks = [
+            1,
+            2,
+            rng.gen_range(1..=6),
+            rng.gen_range(1..machine.cores),
+            machine.cores,
+            rng.gen_range(machine.cores + 1..=machine.cores + 12),
+        ];
+        for chunks in chunks {
+            let p = KernelProfile {
+                parallel_chunks: chunks,
+                ..arb_profile(&mut rng)
+            };
+            let full = CoreTerms::table(&p, &machine);
+            let tables: [&[CoreTerms]; 3] = [&full, &full[..full.len().min(3)], &[]];
+            // Interference with each component at 0 and at 1, and a
+            // random pair.
+            let pressures = [
+                Interference::NONE,
+                Interference::level(1.0),
+                Interference {
+                    cache_frac: 1.0,
+                    bw_frac: 0.0,
+                },
+                Interference {
+                    cache_frac: 0.0,
+                    bw_frac: 1.0,
+                },
+                Interference {
+                    cache_frac: rng.gen_range(0.0f64..1.0),
+                    bw_frac: rng.gen_range(0.0f64..1.0),
+                },
+            ];
+            let last = chunks.max(machine.cores) + 2;
+            for terms in tables {
+                for pressure in pressures {
+                    let model = LatencyModel::with_terms(&p, terms, pressure, &machine);
+                    let extra_s = rng.gen_range(0.0f64..1e-4);
+                    let one_at_a_time: Vec<f64> =
+                        (1..=last).map(|c| model.latency_s(c) + extra_s).collect();
+                    for first in 1..=last {
+                        for len in 0..=(last - first + 1) as usize {
+                            let base: Vec<f64> = (0..len).map(|i| i as f64 * 1e-3).collect();
+                            let mut sums = base.clone();
+                            model.add_latencies(first, extra_s, &mut sums);
+                            for (i, (sum, start)) in sums.iter().zip(&base).enumerate() {
+                                let cores = first as usize + i;
+                                assert_eq!(
+                                    sum.to_bits(),
+                                    (start + one_at_a_time[cores - 1]).to_bits(),
+                                    "{chunks} chunks, {} table entries, {pressure:?}, \
+                                     run from {first} of {len}, {cores} cores",
+                                    terms.len()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "invalid kernel profile")]
 fn latency_model_validates_the_profile_once_up_front() {

@@ -1,9 +1,23 @@
 //! The coordinator-side collector: merges per-node trace buffers into one
 //! deterministic stream and keeps the metrics registry incrementally.
 
+use std::collections::BTreeMap;
+
 use crate::event::{TraceEvent, TraceEventKind};
 use crate::registry::{TelemetrySnapshot, FRONT_DOOR_CLASS};
 use crate::trace::TraceLog;
+
+/// The name an event's model or track reads under when it has none.
+const UNKNOWN: &str = "<unknown>";
+
+/// The value of `map` under `key`, inserted with its default the first
+/// time `key` appears: only that first lookup allocates the key.
+fn entry<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
+}
 
 /// Merges coordinator and per-node event streams deterministically and
 /// maintains the [`TelemetrySnapshot`] registry as events arrive.
@@ -84,15 +98,19 @@ impl Collector {
         }
     }
 
-    fn model_name(&self, model: u32) -> &str {
-        self.models
-            .get(model as usize)
-            .map_or("<unknown>", String::as_str)
-    }
-
+    /// Counts one event in the registry. Names are looked up by `&str`,
+    /// so a model or class allocates only the first time it appears.
     fn account(&mut self, track: u32, kind: &TraceEventKind) {
-        self.snapshot.events_recorded += 1;
-        let c = &mut self.snapshot.counts;
+        let Self {
+            models,
+            classes,
+            snapshot,
+            ..
+        } = self;
+        let model_name = |model: u32| models.get(model as usize).map_or(UNKNOWN, String::as_str);
+        let class = classes.get(track as usize).map_or(UNKNOWN, String::as_str);
+        snapshot.events_recorded += 1;
+        let c = &mut snapshot.counts;
         match kind {
             TraceEventKind::Submitted { .. } => c.submitted += 1,
             TraceEventKind::Routed { .. } => c.routed += 1,
@@ -110,54 +128,23 @@ impl Collector {
             TraceEventKind::ScaleIn { .. } => c.scale_in += 1,
             TraceEventKind::Shed { model, .. } => {
                 c.shed += 1;
-                let model = self.model_name(*model).to_string();
-                self.snapshot
-                    .violations
-                    .entry(FRONT_DOOR_CLASS.to_string())
-                    .or_default()
-                    .entry(model)
-                    .or_default()
-                    .shed += 1;
+                let row = entry(&mut snapshot.violations, FRONT_DOOR_CLASS);
+                entry(row, model_name(*model)).shed += 1;
             }
             TraceEventKind::Completed {
                 model, latency_s, ..
             } => {
                 c.completed += 1;
-                let model = self.model_name(*model).to_string();
-                self.snapshot.latency.record(*latency_s);
-                self.snapshot
-                    .per_model_latency
-                    .entry(model.clone())
-                    .or_default()
-                    .record(*latency_s);
-                let class = self
-                    .classes
-                    .get(track as usize)
-                    .cloned()
-                    .unwrap_or_else(|| "<unknown>".to_string());
-                self.snapshot
-                    .violations
-                    .entry(class)
-                    .or_default()
-                    .entry(model)
-                    .or_default()
-                    .completed += 1;
+                let model = model_name(*model);
+                snapshot.latency.record(*latency_s);
+                entry(&mut snapshot.per_model_latency, model).record(*latency_s);
+                let row = entry(&mut snapshot.violations, class);
+                entry(row, model).completed += 1;
             }
             TraceEventKind::Violated { model, .. } => {
                 c.violated += 1;
-                let model = self.model_name(*model).to_string();
-                let class = self
-                    .classes
-                    .get(track as usize)
-                    .cloned()
-                    .unwrap_or_else(|| "<unknown>".to_string());
-                self.snapshot
-                    .violations
-                    .entry(class)
-                    .or_default()
-                    .entry(model)
-                    .or_default()
-                    .violated += 1;
+                let row = entry(&mut snapshot.violations, class);
+                entry(row, model_name(*model)).violated += 1;
             }
         }
     }
