@@ -431,29 +431,41 @@ pub fn compile_model(
     // Model-granularity core requirement per bin: the smallest flat
     // allocation whose `CompiledModel::flat_latency_s` meets the margin.
     // The layers were just built on `machine`, so their profiles are
-    // validated and the ratings can read their core-terms tables.
+    // validated and the ratings can read their core-terms tables. Within
+    // the run of core counts of one core class every layer keeps its
+    // version, so each layer adds its ratings of the whole run in one
+    // `add_latencies` call, layers in order. The sums start at zero where
+    // `f64::sum` starts at -0.0; both add the first (positive) latency
+    // exactly, so every sum is the one `flat_latency_s` takes.
     let target_s = spec.qos_s() * QOS_PLAN_MARGIN;
     let mut model_cores = [machine.cores; NUM_INTERFERENCE_BINS];
+    let mut sums = Vec::with_capacity(machine.cores as usize);
     for (bi, &level) in interference_bins().iter().enumerate() {
-        let flat_latency_s = |cores: u32| -> f64 {
-            layers
-                .iter()
-                .map(|l| {
-                    let v = l.version_for(level, cores);
-                    LatencyModel::with_terms(
-                        &l.versions[v].profile,
-                        &l.core_terms[v],
-                        Interference::level(level),
-                        machine,
-                    )
-                    .latency_s(cores)
-                        + machine.dispatch_overhead_s
-                })
-                .sum()
-        };
-        model_cores[bi] = (1..=machine.cores)
-            .find(|&p| flat_latency_s(p) <= target_s)
-            .unwrap_or(machine.cores);
+        let interference = Interference::level(level);
+        for (ci, &first) in CORE_CLASSES.iter().enumerate() {
+            if first > machine.cores {
+                break;
+            }
+            let last = CORE_CLASSES
+                .get(ci + 1)
+                .map_or(machine.cores, |&next| (next - 1).min(machine.cores));
+            sums.clear();
+            sums.resize((last - first + 1) as usize, 0.0);
+            for l in &layers {
+                let v = l.version_for(level, first);
+                LatencyModel::with_terms(
+                    &l.versions[v].profile,
+                    &l.core_terms[v],
+                    interference,
+                    machine,
+                )
+                .add_latencies(first, machine.dispatch_overhead_s, &mut sums);
+            }
+            if let Some(i) = sums.iter().position(|&sum| sum <= target_s) {
+                model_cores[bi] = first + i as u32;
+                break;
+            }
+        }
     }
 
     CompiledModel {
@@ -573,16 +585,32 @@ mod tests {
 
     #[test]
     fn flat_latency_meets_qos_at_model_cores() {
-        let (m, machine) = compiled();
-        let c = m.model_core_requirement(0.0);
-        let target = m.qos_s * QOS_PLAN_MARGIN;
-        assert!(m.flat_latency_s(c, 0.0, &machine) <= target);
-        if c > 1 {
-            assert!(
-                m.flat_latency_s(c - 1, 0.0, &machine) > target,
-                "the flat allocation is not minimal"
-            );
+        // The model-granularity sweep against its definition, the first
+        // flat allocation whose `flat_latency_s` meets the margin, at every
+        // bin of every zoo model on both machines.
+        let mut met = 0;
+        for machine in [
+            MachineConfig::threadripper_3990x(),
+            MachineConfig::desktop_8core(),
+        ] {
+            for spec in veltair_models::all_models() {
+                let m = compile_model(&spec, &machine, &CompilerOptions::fast());
+                let target = m.qos_s * QOS_PLAN_MARGIN;
+                for (bi, &level) in interference_bins().iter().enumerate() {
+                    let first_fit = (1..=machine.cores)
+                        .find(|&p| m.flat_latency_s(p, level, &machine) <= target);
+                    met += usize::from(first_fit.is_some());
+                    assert_eq!(
+                        m.model_cores[bi],
+                        first_fit.unwrap_or(machine.cores),
+                        "{} at level {level} on {} cores",
+                        m.name,
+                        machine.cores
+                    );
+                }
+            }
         }
+        assert!(met > 0, "no model meets its margin at any flat allocation");
     }
 
     #[test]

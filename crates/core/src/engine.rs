@@ -123,6 +123,11 @@ impl ServingEngine {
         self.config.policy
     }
 
+    /// The configuration every run serves on, proxy included.
+    pub(crate) fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
     /// Serves a workload's query stream and returns the report.
     ///
     /// # Panics
