@@ -144,10 +144,11 @@ pub enum ClusterError {
     },
     /// A configuration cannot be simulated (see
     /// `SimError::InvalidConfig`): a machine fails
-    /// `MachineConfig::validate`, a projection weight is out of range, or
-    /// a registered model's QoS target is not positive and finite (the
-    /// reason then names the model). Checked when a node's driver opens
-    /// (the reason then names the node) or when a batch run starts.
+    /// `MachineConfig::validate`, a projection weight or a selector
+    /// parameter is out of range, or a registered model's QoS target is
+    /// not positive and finite (the reason then names the model). Checked
+    /// when a node's driver opens (the reason then names the node) or
+    /// when a batch run starts.
     InvalidConfig {
         /// The violated rule.
         reason: String,
@@ -480,8 +481,9 @@ impl<'a> Fleet<'a> {
     /// [`ClusterError::UnknownModel`] when some node's registry is
     /// missing a catalog model (every node must be able to serve every
     /// model the front door accepts), [`ClusterError::InvalidConfig`]
-    /// when a node's machine or projection weight cannot be simulated or
-    /// a model's QoS target is not positive and finite, and
+    /// when a node's machine, projection weight or selector parameters
+    /// cannot be simulated or a model's QoS target is not positive and
+    /// finite, and
     /// [`ClusterError::InvalidProfile`] when a node registry or the
     /// catalog carries an invalid compiled kernel profile (later joins
     /// open their drivers on the catalog).

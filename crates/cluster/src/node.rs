@@ -40,7 +40,8 @@ impl NodeSpec {
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidConfig`], naming the node, if the
-    /// machine or the projection weight cannot be simulated.
+    /// machine, the projection weight or the selector's parameters cannot
+    /// be simulated.
     pub fn validate(&self) -> Result<(), ClusterError> {
         self.config.validate().map_err(|e| self.driver_error(e))
     }

@@ -28,10 +28,10 @@
 //!   caching service that compiles each model *per machine*, keyed by
 //!   model name and matched on the exact (spec, machine), so
 //!   heterogeneous fleet nodes run code compiled for their own hardware;
-//! * [`selector`] — [`VersionSelector`], the pluggable runtime policy
-//!   that picks which retained version each unit runs under live
-//!   interference ([`StaticLevel`] pinning, [`HysteresisLadder`] EWMA
-//!   smoothing + switch hysteresis).
+//! * [`selector`] — [`HysteresisLadder`], the runtime policy that picks
+//!   which retained version each unit runs under live interference
+//!   (EWMA smoothing + switch hysteresis, configured by a
+//!   [`HysteresisConfig`]).
 //!
 //! # Example
 //!
@@ -66,10 +66,7 @@ pub use options::{
     QOS_PLAN_MARGIN,
 };
 pub use search::{search, Sample, SearchStats};
-pub use selector::{
-    EwmaSmoother, HysteresisConfig, HysteresisLadder, SelectionContext, SelectorKind, StaticLevel,
-    VersionSelector,
-};
+pub use selector::{EwmaSmoother, HysteresisConfig, HysteresisLadder};
 pub use service::CompilerService;
 pub use veltair_tensor::{tile_ladder, Schedule};
 pub use vendor::vendor_profile;

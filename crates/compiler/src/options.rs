@@ -59,11 +59,6 @@ pub enum CompilerError {
         /// The rejected margin.
         hysteresis: f64,
     },
-    /// A pinned interference level was not finite or outside `[0, 1]`.
-    InvalidStaticLevel {
-        /// The rejected level.
-        level: f64,
-    },
 }
 
 impl std::fmt::Display for CompilerError {
@@ -94,12 +89,6 @@ impl std::fmt::Display for CompilerError {
                 write!(
                     f,
                     "hysteresis margin must be finite and non-negative, got {hysteresis}"
-                )
-            }
-            CompilerError::InvalidStaticLevel { level } => {
-                write!(
-                    f,
-                    "pinned interference level must be finite and in [0, 1], got {level}"
                 )
             }
         }

@@ -1,31 +1,24 @@
-//! Pluggable runtime version selection: the policy that picks which
-//! compiled code version every scheduling unit runs under the *live*
-//! interference conditions.
+//! Runtime version selection: the policy that picks which compiled code
+//! version every scheduling unit runs under the *live* interference
+//! conditions.
 //!
 //! Multi-version compilation (Algorithm 1) stores the artifacts; the
 //! *selection policy* over them is where adaptive compilation wins or
-//! loses (GACER, arXiv:2304.11745). This module makes that policy a
-//! first-class, swappable abstraction instead of an inlined heuristic:
+//! loses (GACER, arXiv:2304.11745). The serving runtime has one:
 //!
-//! * [`VersionSelector`] — the trait the serving runtime consults at
-//!   every block-planning decision;
-//! * [`SelectorKind`] — declarative selection used by engine and node
-//!   builders, so configurations stay `Clone` and re-buildable (each
-//!   session gets a fresh selector with identical behaviour — the key to
-//!   bit-deterministic reruns);
-//! * [`StaticLevel`] — pins every layer to its best version for one
-//!   assumed interference level (level `0.0` is exactly the
-//!   static-compilation baseline);
-//! * [`HysteresisLadder`] — the calibrated Veltair-AC selector and the
-//!   default: EWMA-smoothed *projected* pressure (the runtime's
-//!   predictive monitor closes the planning-instant lag) plus switch
-//!   hysteresis against version flapping;
+//! * [`HysteresisLadder`] — the calibrated Veltair-AC selector, built
+//!   from its [`HysteresisConfig`]: EWMA-smoothed *projected* pressure
+//!   (the runtime's predictive monitor closes the planning-instant lag)
+//!   plus switch hysteresis against version flapping. The runtime owns
+//!   one ladder per driver and consults it at every block-planning
+//!   decision of an adaptive-compilation policy;
+//! * [`solo_versions`] — the static-compilation baseline every
+//!   non-adaptive policy runs;
 //! * [`EwmaSmoother`] — the shared smoothing primitive (also used by the
 //!   fleet's interference-aware router).
 
 use crate::compiled::CompiledModel;
 use crate::options::CompilerError;
-use veltair_sim::{Interference, MachineConfig};
 
 /// Chooses the code version for every unit of the model at an assumed
 /// interference level (`adaptive = false` pins the solo-optimal version,
@@ -59,80 +52,8 @@ pub fn solo_versions(model: &CompiledModel) -> Vec<usize> {
         .collect()
 }
 
-/// Everything the runtime knows at one version-selection decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SelectionContext {
-    /// Index of the model in the registry the runtime serves from. Stable
-    /// for the lifetime of a driver, so stateful selectors may keep
-    /// per-model state keyed by it.
-    pub model_index: usize,
-    /// The raw monitored co-runner pressure pair.
-    pub pressure: Interference,
-    /// The raw scalar pressure level (the mean of the pair).
-    pub level: f64,
-    /// The *projected* near-future pressure pair: the raw snapshot lifted
-    /// toward saturation by the runtime's predictive monitor when queued
-    /// work outruns the imminent drain. Equals [`pressure`](Self::pressure)
-    /// on an unbacklogged machine or when projection is disabled.
-    pub projected: Interference,
-    /// The projected scalar level. Predictive selectors (the default
-    /// [`HysteresisLadder`]) consult this instead of the raw
-    /// [`level`](Self::level).
-    pub projected_level: f64,
-    /// Simulation clock, seconds, for time-aware smoothing.
-    pub now_s: f64,
-    /// The core allocation the planned block is expected to receive,
-    /// judged at the raw level.
-    pub expected_cores: u32,
-}
-
-impl SelectionContext {
-    /// A context whose projection equals the instantaneous reading — the
-    /// common case for callers outside the serving runtime (tests,
-    /// offline what-if evaluation) that have no backlog to project from.
-    #[must_use]
-    pub fn instantaneous(
-        model_index: usize,
-        pressure: Interference,
-        level: f64,
-        now_s: f64,
-        expected_cores: u32,
-    ) -> Self {
-        Self {
-            model_index,
-            pressure,
-            level,
-            projected: pressure,
-            projected_level: level,
-            now_s,
-            expected_cores,
-        }
-    }
-}
-
-/// A runtime version-selection policy: given a compiled model and the
-/// live conditions, pick the code version for every unit.
-///
-/// Selectors may be stateful (smoothing, hysteresis); the runtime owns
-/// one selector per driver and calls it at every block-planning decision
-/// of an adaptive-compilation policy, in deterministic order — so a
-/// stateful selector is still a pure function of the decision sequence.
-pub trait VersionSelector: std::fmt::Debug + Send {
-    /// Display name used in diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Chooses the code version for every unit of `model` under the
-    /// observed conditions. The returned vector has exactly
-    /// `model.layers.len()` entries.
-    fn select(
-        &mut self,
-        model: &CompiledModel,
-        ctx: &SelectionContext,
-        machine: &MachineConfig,
-    ) -> Vec<usize>;
-}
-
-/// Validated parameters of the [`HysteresisLadder`].
+/// Parameters of the [`HysteresisLadder`], checked by
+/// [`HysteresisConfig::try_new`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HysteresisConfig {
     /// EWMA weight of the newest pressure observation, in `(0, 1]`.
@@ -177,116 +98,6 @@ impl Default for HysteresisConfig {
             alpha: 0.25,
             hysteresis: 0.1,
         }
-    }
-}
-
-/// Declarative selector choice, used by `SimConfig` and the engine/node
-/// builders. Building a kind yields a fresh selector with no accumulated
-/// state, which keeps sessions re-buildable and bit-deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SelectorKind {
-    /// Pin every layer to its best version for one assumed level.
-    StaticLevel {
-        /// The assumed interference level, in `[0, 1]`.
-        level: f64,
-    },
-    /// EWMA-smoothed projected pressure with switch hysteresis — the
-    /// calibrated Veltair-AC selector, and the default.
-    Hysteresis(HysteresisConfig),
-}
-
-impl Default for SelectorKind {
-    /// The calibrated [`HysteresisLadder`] at its tuned operating point.
-    fn default() -> Self {
-        SelectorKind::Hysteresis(HysteresisConfig::default())
-    }
-}
-
-impl SelectorKind {
-    /// Builds a fresh selector of this kind.
-    #[must_use]
-    pub fn build(self) -> Box<dyn VersionSelector> {
-        match self {
-            SelectorKind::StaticLevel { level } => Box::new(StaticLevel::new(level)),
-            SelectorKind::Hysteresis(cfg) => Box::new(HysteresisLadder::new(cfg)),
-        }
-    }
-
-    /// Display name (matches the built selector's
-    /// [`name`](VersionSelector::name)).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SelectorKind::StaticLevel { .. } => "static-level",
-            SelectorKind::Hysteresis(_) => "hysteresis-ladder",
-        }
-    }
-
-    /// Validated [`SelectorKind::StaticLevel`] construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompilerError::InvalidStaticLevel`] unless `level` is
-    /// finite and in `[0, 1]`.
-    pub fn try_static_level(level: f64) -> Result<Self, CompilerError> {
-        if !level.is_finite() || !(0.0..=1.0).contains(&level) {
-            return Err(CompilerError::InvalidStaticLevel { level });
-        }
-        Ok(SelectorKind::StaticLevel { level })
-    }
-}
-
-/// Pins every layer to its best version for one assumed interference
-/// level, judged at the compiler's reference core count. With level
-/// `0.0` this is exactly the static-compilation baseline every
-/// non-adaptive policy runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticLevel {
-    level: f64,
-}
-
-impl StaticLevel {
-    /// A selector pinned at `level` (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn new(level: f64) -> Self {
-        Self {
-            level: if level.is_finite() {
-                level.clamp(0.0, 1.0)
-            } else {
-                0.0
-            },
-        }
-    }
-
-    /// The solo-optimal (static compilation) pin.
-    #[must_use]
-    pub fn solo() -> Self {
-        Self::new(0.0)
-    }
-
-    /// The pinned level.
-    #[must_use]
-    pub fn level(&self) -> f64 {
-        self.level
-    }
-}
-
-impl VersionSelector for StaticLevel {
-    fn name(&self) -> &'static str {
-        "static-level"
-    }
-
-    fn select(
-        &mut self,
-        model: &CompiledModel,
-        _ctx: &SelectionContext,
-        _machine: &MachineConfig,
-    ) -> Vec<usize> {
-        model
-            .layers
-            .iter()
-            .map(|layer| layer.version_for_level(self.level))
-            .collect()
     }
 }
 
@@ -370,9 +181,9 @@ struct CommittedPlan {
 ///    Under sustained overload the planning-instant level averages
 ///    ≈ 0.32 while the versions that actually serve best are the ones
 ///    compiled for levels 0.55–0.7. The ladder consults the *projected*
-///    level ([`SelectionContext::projected_level`]): the runtime's
-///    predictive monitor lifts the snapshot toward saturation by the
-///    backlog that free cores plus the imminent drain cannot absorb.
+///    level: the runtime's predictive monitor lifts the snapshot toward
+///    saturation by the backlog that free cores plus the imminent drain
+///    cannot absorb.
 /// 3. **Flapping.** Near a version crossover, selection alternates
 ///    between two versions on successive decisions, so neither
 ///    version's locality assumptions ever hold. The ladder keeps a
@@ -380,7 +191,7 @@ struct CommittedPlan {
 ///    the `hysteresis` margin from the level it was selected at.
 ///
 /// Selection reads the compiled per-level best-version tables at the
-/// compiler's reference core class (like [`StaticLevel`], but with a
+/// compiler's reference core class (like [`solo_versions`], but at a
 /// live level) rather than re-ranking under the instantaneous pressure
 /// pair at the expected allocation: the expected-allocation estimate
 /// inherits the same lag as the level, and judging at the reference
@@ -419,32 +230,31 @@ impl HysteresisLadder {
     pub fn config(&self) -> HysteresisConfig {
         self.cfg
     }
-}
 
-impl Default for HysteresisLadder {
-    fn default() -> Self {
-        Self::new(HysteresisConfig::default())
-    }
-}
-
-impl VersionSelector for HysteresisLadder {
-    fn name(&self) -> &'static str {
-        "hysteresis-ladder"
-    }
-
-    fn select(
+    /// Chooses the code version for every unit of `model`, the model at
+    /// `model_index` of the registry the runtime serves, planning on the
+    /// runtime's projected pressure level. The returned vector has
+    /// exactly `model.layers.len()` entries.
+    ///
+    /// The ladder is stateful: every call advances its smoother, and
+    /// `model_index` keys the committed plans, so it must stay stable
+    /// for the ladder's lifetime. The runtime calls this at every
+    /// block-planning decision of an adaptive-compilation policy, in
+    /// deterministic order, so the choices are still a pure function of
+    /// the decision sequence.
+    pub fn select(
         &mut self,
         model: &CompiledModel,
-        ctx: &SelectionContext,
-        _machine: &MachineConfig,
+        model_index: usize,
+        projected_level: f64,
     ) -> Vec<usize> {
-        let smoothed = self.smoother.observe(ctx.projected_level);
+        let smoothed = self.smoother.observe(projected_level);
         let level = smoothed.clamp(0.0, 1.0);
 
-        if self.committed.len() <= ctx.model_index {
-            self.committed.resize_with(ctx.model_index + 1, || None);
+        if self.committed.len() <= model_index {
+            self.committed.resize_with(model_index + 1, || None);
         }
-        if let Some(plan) = &self.committed[ctx.model_index] {
+        if let Some(plan) = &self.committed[model_index] {
             if (level - plan.level).abs() < self.cfg.hysteresis
                 && plan.versions.len() == model.layers.len()
             {
@@ -456,11 +266,17 @@ impl VersionSelector for HysteresisLadder {
             .iter()
             .map(|layer| layer.version_for_level(level))
             .collect();
-        self.committed[ctx.model_index] = Some(CommittedPlan {
+        self.committed[model_index] = Some(CommittedPlan {
             level,
             versions: versions.clone(),
         });
         versions
+    }
+}
+
+impl Default for HysteresisLadder {
+    fn default() -> Self {
+        Self::new(HysteresisConfig::default())
     }
 }
 
@@ -469,40 +285,36 @@ mod tests {
     use super::*;
     use crate::compiled::compile_model;
     use crate::options::CompilerOptions;
+    use veltair_sim::MachineConfig;
 
-    fn compiled() -> (CompiledModel, MachineConfig) {
+    fn compiled() -> CompiledModel {
         let machine = MachineConfig::threadripper_3990x();
         let spec = veltair_models::mobilenet_v2();
-        (
-            compile_model(&spec, &machine, &CompilerOptions::fast()),
-            machine,
-        )
-    }
-
-    fn ctx(level: f64, expected_cores: u32) -> SelectionContext {
-        SelectionContext::instantaneous(0, Interference::level(level), level, 0.0, expected_cores)
+        compile_model(&spec, &machine, &CompilerOptions::fast())
     }
 
     #[test]
     fn static_level_zero_is_the_solo_baseline() {
-        let (m, machine) = compiled();
-        let mut sel = StaticLevel::solo();
-        assert_eq!(sel.select(&m, &ctx(0.7, 8), &machine), solo_versions(&m));
+        let m = compiled();
+        // Unsmoothed and without hysteresis, the ladder at zero pressure
+        // runs exactly the static-compilation baseline.
+        let mut sel = HysteresisLadder::try_new(1.0, 0.0).expect("valid params");
+        assert_eq!(sel.select(&m, 0, 0.0), solo_versions(&m));
         assert_eq!(solo_versions(&m), select_at_level(&m, 0.3, false));
     }
 
     #[test]
     fn hysteresis_holds_the_plan_through_noise() {
-        let (m, machine) = compiled();
+        let m = compiled();
         // No smoothing: isolate the hysteresis rule.
         let mut sel = HysteresisLadder::try_new(1.0, 0.2).expect("valid params");
-        let base = sel.select(&m, &ctx(0.5, 8), &machine);
+        let base = sel.select(&m, 0, 0.5);
         // Within the margin: the committed plan survives even though the
         // table may answer differently at 0.6.
-        let held = sel.select(&m, &ctx(0.6, 8), &machine);
+        let held = sel.select(&m, 0, 0.6);
         assert_eq!(base, held);
         // Beyond the margin: the plan is re-selected at the new level.
-        let moved = sel.select(&m, &ctx(0.9, 8), &machine);
+        let moved = sel.select(&m, 0, 0.9);
         let expected: Vec<usize> = m.layers.iter().map(|l| l.version_for_level(0.9)).collect();
         assert_eq!(moved, expected);
     }
@@ -542,34 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn selector_kinds_build_matching_names() {
-        for kind in [
-            SelectorKind::StaticLevel { level: 0.0 },
-            SelectorKind::Hysteresis(HysteresisConfig::default()),
-        ] {
-            assert_eq!(kind.build().name(), kind.name());
-        }
-        assert!(matches!(
-            SelectorKind::try_static_level(2.0),
-            Err(CompilerError::InvalidStaticLevel { .. })
-        ));
-        assert_eq!(
-            SelectorKind::default(),
-            SelectorKind::Hysteresis(HysteresisConfig::default()),
-            "the calibrated ladder is the default selector"
-        );
-    }
-
-    #[test]
     fn hysteresis_ladder_consults_the_projected_level() {
-        let (m, machine) = compiled();
+        let m = compiled();
         // No smoothing, no hysteresis: selection is a pure table walk at
-        // the context's projected level, not the raw one.
+        // the projected level it is given.
         let mut sel = HysteresisLadder::try_new(1.0, 0.0).expect("valid params");
-        let mut c = ctx(0.2, 8);
-        c.projected = Interference::level(0.7);
-        c.projected_level = 0.7;
-        let got = sel.select(&m, &c, &machine);
+        let got = sel.select(&m, 0, 0.7);
         let expected: Vec<usize> = m.layers.iter().map(|l| l.version_for_level(0.7)).collect();
         assert_eq!(got, expected);
     }

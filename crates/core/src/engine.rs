@@ -14,7 +14,7 @@
 //! included) without stopping the run.
 
 use veltair_cluster::{AdmissionKind, ClusterError, Fleet, NodeSpec, RouterKind};
-use veltair_compiler::{CompiledModel, SelectorKind};
+use veltair_compiler::{CompiledModel, HysteresisConfig};
 use veltair_proxy::InterferenceProxy;
 use veltair_sched::{simulate, Policy, ProjectionConfig, ServingReport, SimConfig, WorkloadSpec};
 use veltair_sim::MachineConfig;
@@ -81,9 +81,10 @@ impl ServingEngine {
         self.config.policy = policy;
     }
 
-    /// Changes the runtime version-selection policy. Affects subsequent
-    /// runs and sessions.
-    pub fn set_selector(&mut self, selector: SelectorKind) {
+    /// Changes the parameters of the runtime's version selector, the
+    /// [`HysteresisLadder`](veltair_compiler::HysteresisLadder). Affects
+    /// subsequent runs and sessions.
+    pub fn set_selector(&mut self, selector: HysteresisConfig) {
         self.config.selector = selector;
     }
 
@@ -99,9 +100,9 @@ impl ServingEngine {
         self.config.projection
     }
 
-    /// The engine's version-selection policy.
+    /// The parameters of the engine's version selector.
     #[must_use]
-    pub fn selector(&self) -> SelectorKind {
+    pub fn selector(&self) -> HysteresisConfig {
         self.config.selector
     }
 
@@ -146,9 +147,10 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownModel`] if the workload references
-    /// unregistered models, [`ClusterError::InvalidConfig`] if the machine
-    /// or the projection weight cannot be simulated or a registered
-    /// model's QoS target is not positive and finite,
+    /// unregistered models, [`ClusterError::InvalidConfig`] if the
+    /// machine, the projection weight or the selector's parameters cannot
+    /// be simulated or a registered model's QoS target is not positive
+    /// and finite,
     /// [`ClusterError::InvalidProfile`] if a registered model carries an
     /// invalid kernel profile,
     /// [`ClusterError::NonFiniteArrival`] if a stream rate makes an
@@ -175,10 +177,11 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns [`ClusterError::NoModels`] if no model is registered,
-    /// [`ClusterError::InvalidConfig`] if the machine or the projection
-    /// weight cannot be simulated or a registered model's QoS target is
-    /// not positive and finite, and [`ClusterError::InvalidProfile`] if a
-    /// registered model carries an invalid kernel profile.
+    /// [`ClusterError::InvalidConfig`] if the machine, the projection
+    /// weight or the selector's parameters cannot be simulated or a
+    /// registered model's QoS target is not positive and finite, and
+    /// [`ClusterError::InvalidProfile`] if a registered model carries an
+    /// invalid kernel profile.
     pub fn session(&self) -> Result<Fleet<'_>, ClusterError> {
         let node = NodeSpec {
             name: SESSION_NODE.to_string(),
@@ -268,8 +271,9 @@ mod tests {
             .expect("valid");
         assert_eq!(ok.total_queries(), 10);
 
-        // A machine or projection weight that cannot be simulated: a typed
-        // error, not a panic or a run that silently completes nothing.
+        // A machine, projection weight or selector that cannot be
+        // simulated: a typed error, not a panic, a run that silently
+        // completes nothing, or one that silently runs other parameters.
         let workload = WorkloadSpec::single("tiny_yolo_v2", 30.0, 20);
         let broken_machines: [fn(&mut MachineConfig); 5] = [
             |m| m.l3_bytes = f64::NAN,
@@ -293,15 +297,21 @@ mod tests {
             });
             broken.push(bad);
         }
+        for (alpha, hysteresis) in [(5.0, 0.1), (0.25, f64::NAN), (0.25, -0.1)] {
+            let mut bad = engine();
+            bad.set_selector(HysteresisConfig { alpha, hysteresis });
+            broken.push(bad);
+        }
         for bad in &broken {
             assert!(
                 matches!(
                     bad.try_run(&workload, 1),
                     Err(ClusterError::InvalidConfig { .. })
                 ),
-                "{:?} / {:?}",
+                "{:?} / {:?} / {:?}",
                 bad.machine(),
-                bad.projection()
+                bad.projection(),
+                bad.selector()
             );
             assert!(matches!(
                 bad.session().err(),

@@ -75,7 +75,8 @@ pub struct QpsResult {
 /// search probes 0.5 QPS, then 4, 8, 16, ... QPS until a probe misses the
 /// target, then bisects between the last passing and the first failing
 /// rate `cfg.iterations` times. The bracket stops growing at its ceiling
-/// of 131 072 QPS: a probe that passes there is bisected as if it failed.
+/// of 131 072 QPS, which is never probed: a pass at 65 536 QPS bisects up
+/// to the ceiling as if a probe there had failed.
 ///
 /// When the target is unreachable even at a vanishing rate (a policy can
 /// structurally miss QoS — e.g. a static minimum allocation on a heavy
@@ -113,8 +114,9 @@ pub fn max_qps_at_qos(
         return QpsResult::at(lo, lo_report);
     }
     let mut hi = 4.0;
-    // A pass at the ceiling (131 072 QPS) ends the climb as a miss would.
-    while let Some(report) = passing(hi).filter(|_| hi < 100_000.0) {
+    // The climb stops below its ceiling (131 072 QPS) without probing it.
+    while hi < 100_000.0 {
+        let Some(report) = passing(hi) else { break };
         lo = hi;
         lo_report = report;
         hi *= 2.0;
@@ -359,8 +361,9 @@ mod tests {
     fn search_matches_the_run_every_probe_reference() {
         // Target 1.5 fails at the floor, so its report is returned in
         // full. Target 0.0 passes every probe: the bracket climbs to its
-        // ceiling, which is bisected as if it failed. That is the
-        // costliest search, so it runs on one seed.
+        // ceiling, which is bisected as if it failed (the reference runs
+        // that probe, the search does not). That is the costliest search,
+        // so it runs on one seed.
         let cases: [(f64, &[u64]); 4] = [
             (0.90, &[1, 2, 3]),
             (0.95, &[1, 2, 3]),

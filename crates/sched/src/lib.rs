@@ -19,7 +19,12 @@
 //!   stepper with open-loop arrival injection, mid-run policy hot-swap,
 //!   and incremental report snapshots;
 //! * [`simulator`] — [`SimConfig`] and the batch entry point
-//!   [`simulate`], which runs a [`runtime::Driver`] to completion;
+//!   [`simulate`], which runs a [`runtime::Driver`] to completion. The
+//!   configuration's `selector` holds the [`HysteresisConfig`] of the
+//!   runtime's one version selector, the calibrated
+//!   [`HysteresisLadder`](veltair_compiler::HysteresisLadder) that
+//!   adaptive-compilation policies consult at every block-planning
+//!   decision;
 //! * [`report`] — per-model QoS satisfaction, latency (mean and p95/p99
 //!   tails), conflict and CPU usage statistics.
 //!
@@ -93,5 +98,5 @@ pub use simulator::{simulate, SimConfig};
 // Version choice is owned by the compilation layer; re-exported here
 // because `SimConfig::selector` is part of this crate's configuration
 // surface.
-pub use veltair_compiler::{SelectionContext, SelectorKind, VersionSelector};
+pub use veltair_compiler::HysteresisConfig;
 pub use workload::{QuerySpec, WorkloadError, WorkloadSpec};

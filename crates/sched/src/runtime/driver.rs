@@ -49,6 +49,8 @@ pub enum SimError {
     /// [`MachineConfig::validate`](veltair_sim::MachineConfig::validate)
     /// (e.g. zero cores or a NaN cache size), the projection weight is
     /// outside what [`ProjectionConfig::try_new`](crate::ProjectionConfig::try_new)
+    /// accepts, the selector's parameters are outside what
+    /// [`HysteresisConfig::try_new`](crate::HysteresisConfig::try_new)
     /// accepts, or a model's QoS target (`CompiledModel::qos_s`) is not
     /// positive and finite (the reason then names the model). Checked
     /// once, when the simulation is built, instead of panicking or
@@ -130,11 +132,12 @@ impl<'a> Driver<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::EmptyWorkload`] if `queries` is empty,
-    /// [`SimError::InvalidConfig`] if the machine or the projection weight
-    /// cannot be simulated or a model's QoS target is not positive and
-    /// finite, [`SimError::InvalidProfile`] if a compiled kernel profile
-    /// is invalid, and [`SimError::UnknownModel`] if any query targets a
-    /// model absent from `models`.
+    /// [`SimError::InvalidConfig`] if the machine, the projection weight
+    /// or the selector's parameters cannot be simulated or a model's QoS
+    /// target is not positive and finite, [`SimError::InvalidProfile`] if
+    /// a compiled kernel profile is invalid, and
+    /// [`SimError::UnknownModel`] if any query targets a model absent
+    /// from `models`.
     pub fn new(
         models: &'a [CompiledModel],
         queries: &[QuerySpec],
@@ -153,11 +156,11 @@ impl<'a> Driver<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if the machine or the
-    /// projection weight cannot be simulated or a model's QoS target is
-    /// not positive and finite, and [`SimError::InvalidProfile`] if a
-    /// compiled kernel profile is invalid (the two errors an empty
-    /// workload can still hit).
+    /// Returns [`SimError::InvalidConfig`] if the machine, the projection
+    /// weight or the selector's parameters cannot be simulated or a
+    /// model's QoS target is not positive and finite, and
+    /// [`SimError::InvalidProfile`] if a compiled kernel profile is
+    /// invalid (the two errors an empty workload can still hit).
     pub fn open(models: &'a [CompiledModel], cfg: SimConfig) -> Result<Self, SimError> {
         Self::start(models, &[], cfg)
     }
@@ -268,18 +271,6 @@ impl<'a> Driver<'a> {
     /// fleet-wide ids.
     pub fn drain_trace(&mut self, out: &mut Vec<(f64, veltair_telemetry::TraceEventKind)>) {
         self.state.drain_trace(out);
-    }
-
-    /// Installs a version selector, replacing the one built from
-    /// `cfg.selector` — the injection point for
-    /// [`VersionSelector`](veltair_compiler::selector::VersionSelector)
-    /// implementations outside the
-    /// [`SelectorKind`](veltair_compiler::SelectorKind) table. Takes
-    /// effect at the next planning decision; any state accumulated by the
-    /// previous selector is dropped. Only adaptive-compilation policies
-    /// consult it.
-    pub fn set_selector(&mut self, selector: Box<dyn veltair_compiler::selector::VersionSelector>) {
-        self.state.selector = selector;
     }
 
     // --- Stepping ---------------------------------------------------------

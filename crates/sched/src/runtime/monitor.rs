@@ -241,13 +241,12 @@ pub struct ProjectionInputs {
 /// One planning decision's pressure reading: the raw monitored co-runner
 /// snapshot plus the projected near-future pressure.
 ///
-/// Both travel together through
-/// [`SimState::plan_versions`](super::SimState::plan_versions) into the
-/// [`SelectionContext`](veltair_compiler::selector::SelectionContext):
-/// predictive
-/// selectors (the calibrated `HysteresisLadder`) read the projected pair,
-/// while the scheduling-side core math (block formation, dynamic
-/// thresholds) consumes the raw snapshot.
+/// Version selection reads the projected level: block planning passes it
+/// through [`SimState::plan_versions`](super::SimState::plan_versions) to
+/// the runtime's
+/// [`HysteresisLadder`](veltair_compiler::HysteresisLadder), while the
+/// scheduling-side core math (block formation, dynamic thresholds)
+/// consumes the raw snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PressureView {
     /// The raw monitored co-runner pressure pair.

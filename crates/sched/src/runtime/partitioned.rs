@@ -95,7 +95,7 @@ impl Dispatcher for PartitionedDispatcher {
             let request = parts[m].max(1);
             if used[m] + request <= parts[m] && request <= state.free_cores {
                 let n_units = state.models[m].layers.len();
-                state.plan_versions(m, crate::runtime::PressureView::ZERO, request);
+                state.plan_versions(m, 0.0);
                 state.free_cores -= request;
                 used[m] += request;
                 state.start_block(query, n_units, request, request);

@@ -91,8 +91,8 @@ fn mark_head_conflicted(state: &mut SimState<'_>, from_cont: bool) {
 /// on the state as the plan [`SimState::start_block`] runs.
 ///
 /// Takes the state mutably because version choice goes through the
-/// state's [`VersionSelector`](veltair_compiler::selector::VersionSelector)
-/// (via [`SimState::plan_versions`]), and selectors may be stateful.
+/// state's [`HysteresisLadder`](veltair_compiler::HysteresisLadder) (via
+/// [`SimState::plan_versions`]), which is stateful.
 pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32) {
     let model_index = state.queries[query].model;
     let begin = state.queries[query].next_unit;
@@ -107,14 +107,12 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
     } else {
         crate::runtime::PressureView::ZERO
     };
-    // Version *selection* sees both readings of the view (the default
-    // selector plans on the projection); every scheduling-side quantity
-    // below — core requirements, granularity pivots, dynamic thresholds —
-    // stays on the raw snapshot, so the projection reaches core
-    // allocation only through the versions it selects.
+    // Version *selection* plans on the projection; every scheduling-side
+    // quantity below — core requirements, granularity pivots, dynamic
+    // thresholds — stays on the raw snapshot, so the projection reaches
+    // core allocation only through the versions it selects.
     let (pressure, level) = (view.pair, view.level);
-    let expected = model.model_core_requirement(level).max(1);
-    state.plan_versions(model_index, view, expected);
+    state.plan_versions(model_index, view.projected_level);
     let versions = state.planned_versions();
     let tabulated = state.tabulated(model_index);
     let machine = &state.cfg.machine;

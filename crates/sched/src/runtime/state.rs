@@ -12,8 +12,8 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use veltair_compiler::selector::{solo_versions, SelectionContext, VersionSelector};
-use veltair_compiler::CompiledModel;
+use veltair_compiler::selector::solo_versions;
+use veltair_compiler::{CompiledModel, HysteresisLadder};
 use veltair_sim::{
     Execution, GrantModel, Interference, PerfCounters, PressureDemand, SimTime, SplitEventQueue,
     UnitProgress,
@@ -244,11 +244,11 @@ pub struct SimState<'a> {
     pub removed: usize,
     /// The interference monitor (oracle or trained counter proxy).
     pub monitor: Box<dyn Monitor>,
-    /// The runtime version-selection policy, built from
-    /// `cfg.selector`. Consulted (and advanced — selectors may be
-    /// stateful) at every block-planning decision of an
-    /// adaptive-compilation policy via [`SimState::plan_versions`].
-    pub selector: Box<dyn VersionSelector>,
+    /// The runtime version selector, built from `cfg.selector`.
+    /// Consulted (and advanced — the ladder is stateful) at every
+    /// block-planning decision of an adaptive-compilation policy via
+    /// [`SimState::plan_versions`].
+    selector: HysteresisLadder,
     /// The solo-optimal versions of every model, computed once: what
     /// every non-adaptive plan runs.
     solo_plans: Vec<Vec<usize>>,
@@ -293,10 +293,10 @@ impl<'a> SimState<'a> {
     /// every compiled kernel profile and that each query targets a
     /// compiled model.
     ///
-    /// The machine, the projection weight and every profile are checked
-    /// here, once, so the event loop rates prevalidated profiles and never
-    /// re-checks them. Which models rate through their compiled
-    /// core-terms tables is decided here too (see
+    /// The machine, the projection weight, the selector's parameters and
+    /// every profile are checked here, once, so the event loop rates
+    /// prevalidated profiles and never re-checks them. Which models rate
+    /// through their compiled core-terms tables is decided here too (see
     /// [`SimState::tabulated`]).
     ///
     /// An empty `queries` slice is accepted: a streaming
@@ -327,7 +327,7 @@ impl<'a> SimState<'a> {
             .collect();
         let free_cores = cfg.machine.cores;
         let monitor = monitor::for_config(&cfg);
-        let selector = cfg.selector.build();
+        let selector = HysteresisLadder::new(cfg.selector);
         let mut state = Self {
             cfg,
             models,
@@ -815,38 +815,26 @@ impl<'a> SimState<'a> {
     // --- Version selection --------------------------------------------------
 
     /// Chooses the code version for every unit of a model at a planning
-    /// decision: adaptive-compilation policies consult the configured
-    /// [`VersionSelector`] under the observed conditions, every other
-    /// policy runs the solo-optimal (static compilation) versions.
-    ///
-    /// `view` carries both the raw monitored snapshot and its predictive
-    /// projection (usually from [`SimState::projected`]); which reading a
-    /// selector consumes is its own affair — the default
-    /// `HysteresisLadder` plans on the projection.
+    /// decision: adaptive-compilation policies consult the runtime's
+    /// [`HysteresisLadder`] at the projected pressure level (usually
+    /// [`SimState::projected`]'s `projected_level`), every other policy
+    /// runs the solo-optimal (static compilation) versions.
     ///
     /// This is the single seam through which compiled-code choice enters
     /// the runtime — every dispatcher family plans through it, so
-    /// swapping `cfg.selector` swaps the adaptive-compilation behaviour
-    /// of the whole simulation.
+    /// `cfg.selector` tunes the adaptive-compilation behaviour of the
+    /// whole simulation.
     ///
     /// The plan stays on the state: [`SimState::planned_versions`] reads
     /// it, and [`SimState::start_block`] runs a block of it. Static plans
     /// are computed once per model, so they cost a copy, not a selection.
-    pub fn plan_versions(&mut self, model_index: usize, view: PressureView, expected_cores: u32) {
+    pub fn plan_versions(&mut self, model_index: usize, projected_level: f64) {
         let models = self.models;
-        let model = &models[model_index];
-        self.last_plan_level = view.projected_level;
+        self.last_plan_level = projected_level;
         if self.cfg.policy.adaptive_compilation() {
-            let ctx = SelectionContext {
-                model_index,
-                pressure: view.pair,
-                level: view.level,
-                projected: view.projected_pair,
-                projected_level: view.projected_level,
-                now_s: self.now.0,
-                expected_cores,
-            };
-            self.plan = self.selector.select(model, &ctx, &self.cfg.machine);
+            self.plan = self
+                .selector
+                .select(&models[model_index], model_index, projected_level);
         } else {
             self.plan.clear();
             self.plan.extend_from_slice(&self.solo_plans[model_index]);

@@ -114,7 +114,7 @@ impl Dispatcher for TemporalDispatcher {
         // Planning goes through the shared selector seam like every
         // dispatcher family. The temporal policies (PREMA, AI-MT) do not
         // compile adaptively, so this yields the static solo versions.
-        state.plan_versions(model_index, crate::runtime::PressureView::ZERO, cores);
+        state.plan_versions(model_index, 0.0);
         let end = if layer_granular { begin + 1 } else { n };
         state.free_cores = 0;
         state.start_block(query, end, cores, cores);

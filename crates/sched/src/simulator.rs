@@ -10,7 +10,7 @@
 //! and [`simulate`], which runs a closed workload on a [`Driver`] to
 //! completion.
 
-use veltair_compiler::{CompiledModel, SelectorKind};
+use veltair_compiler::{CompiledModel, HysteresisConfig};
 use veltair_proxy::InterferenceProxy;
 use veltair_sim::MachineConfig;
 
@@ -34,12 +34,14 @@ pub struct SimConfig {
     /// report's `avg_cores` and `peak_cores`, which accumulate either
     /// way.
     pub record_alloc_trace: bool,
-    /// The runtime version-selection policy consulted by
-    /// adaptive-compilation policies (`VeltairAc` / `VeltairFull`). The
-    /// default is the calibrated hysteresis ladder planning on the
-    /// *projected* pressure ([`SelectorKind::default`]). Non-adaptive
-    /// policies always run solo-optimal code and ignore this field.
-    pub selector: SelectorKind,
+    /// The parameters of the runtime's version selector, the
+    /// [`HysteresisLadder`](veltair_compiler::HysteresisLadder) that
+    /// adaptive-compilation policies (`VeltairAc` / `VeltairFull`)
+    /// consult, planning on the *projected* pressure. The default is its
+    /// calibrated operating point ([`HysteresisConfig::default`]).
+    /// Non-adaptive policies always run solo-optimal code and ignore
+    /// this field.
+    pub selector: HysteresisConfig,
     /// The predictive pressure projection applied at every planning
     /// decision (see [`ProjectionConfig`]): queued backlog beyond what
     /// free cores plus the imminent drain can absorb lifts the planning
@@ -58,7 +60,7 @@ impl SimConfig {
             policy,
             proxy: None,
             record_alloc_trace: false,
-            selector: SelectorKind::default(),
+            selector: HysteresisConfig::default(),
             projection: ProjectionConfig::default(),
         }
     }
@@ -70,11 +72,11 @@ impl SimConfig {
         self
     }
 
-    /// Installs a runtime version-selection policy (default: the
-    /// calibrated hysteresis ladder). Only consulted by
-    /// adaptive-compilation policies.
+    /// Overrides the version selector's parameters (default: the
+    /// calibrated [`HysteresisConfig::default`]). Only
+    /// adaptive-compilation policies consult the selector.
     #[must_use]
-    pub fn with_selector(mut self, selector: SelectorKind) -> Self {
+    pub fn with_selector(mut self, selector: HysteresisConfig) -> Self {
         self.selector = selector;
         self
     }
@@ -96,8 +98,10 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if the machine fails
-    /// [`MachineConfig::validate`] or the projection weight is outside
-    /// what [`ProjectionConfig::try_new`] accepts.
+    /// [`MachineConfig::validate`], the projection weight is outside
+    /// what [`ProjectionConfig::try_new`] accepts, or the selector's
+    /// parameters are outside what [`HysteresisConfig::try_new`]
+    /// accepts.
     pub fn validate(&self) -> Result<(), SimError> {
         self.machine
             .validate()
@@ -107,6 +111,11 @@ impl SimConfig {
         ProjectionConfig::try_new(self.projection.saturation_weight).map_err(|e| {
             SimError::InvalidConfig {
                 reason: e.to_string(),
+            }
+        })?;
+        HysteresisConfig::try_new(self.selector.alpha, self.selector.hysteresis).map_err(|e| {
+            SimError::InvalidConfig {
+                reason: format!("selector: {e}"),
             }
         })?;
         Ok(())
@@ -121,9 +130,9 @@ impl SimConfig {
 /// # Errors
 ///
 /// Returns [`SimError::EmptyWorkload`] if `queries` is empty,
-/// [`SimError::InvalidConfig`] if the machine or the projection weight
-/// cannot be simulated or a model's QoS target is not positive and
-/// finite,
+/// [`SimError::InvalidConfig`] if the machine, the projection weight or
+/// the selector's parameters cannot be simulated or a model's QoS target
+/// is not positive and finite,
 /// [`SimError::InvalidProfile`] if a compiled kernel profile is invalid,
 /// [`SimError::UnknownModel`] if a query references a model that was not
 /// compiled, and [`SimError::NonFiniteArrival`] if a query's arrival time

@@ -278,12 +278,14 @@ fn driver_construction_reports_typed_errors() {
         Err(SimError::UnknownModel { .. })
     ));
 
-    // A machine or projection weight that cannot be simulated is rejected
-    // up front: no panic deep in the event loop, and no silent empty run
-    // (zero cores would complete nothing yet report full satisfaction).
+    // A machine, projection weight or selector that cannot be simulated
+    // is rejected up front: no panic deep in the event loop, no silent
+    // empty run (zero cores would complete nothing yet report full
+    // satisfaction), and no run on other parameters (an alpha of 5 would
+    // be clamped to 1).
     let queries = WorkloadSpec::single("mobilenet_v2", 20.0, 20).generate(1);
     type Edit = fn(&mut SimConfig);
-    let broken: [(&str, Edit); 9] = [
+    let broken: [(&str, Edit); 12] = [
         ("NaN L3", |c| c.machine.l3_bytes = f64::NAN),
         ("zero DRAM bandwidth", |c| c.machine.dram_bw = 0.0),
         ("negative clock", |c| c.machine.freq_ghz = -1.0),
@@ -297,6 +299,9 @@ fn driver_construction_reports_typed_errors() {
         ("infinite weight", |c| {
             c.projection.saturation_weight = f64::INFINITY;
         }),
+        ("alpha 5", |c| c.selector.alpha = 5.0),
+        ("NaN hysteresis", |c| c.selector.hysteresis = f64::NAN),
+        ("negative hysteresis", |c| c.selector.hysteresis = -0.1),
     ];
     for (case, edit) in broken {
         let mut bad = cfg.clone();
@@ -315,12 +320,20 @@ fn driver_construction_reports_typed_errors() {
             "{case}: Driver::open"
         );
     }
-    let mut zero_cores = cfg;
+    let mut zero_cores = cfg.clone();
     zero_cores.machine.cores = 0;
     assert_eq!(
         simulate(&models, &queries, &zero_cores),
         Err(SimError::InvalidConfig {
             reason: "machine: a machine needs at least one core".into()
+        })
+    );
+    let mut unsmoothable = cfg;
+    unsmoothable.selector.alpha = 5.0;
+    assert_eq!(
+        simulate(&models, &queries, &unsmoothable),
+        Err(SimError::InvalidConfig {
+            reason: "selector: EWMA alpha must be finite and in (0, 1], got 5".into()
         })
     );
 }

@@ -77,8 +77,7 @@ pub mod prelude {
     };
     pub use veltair_compiler::{
         compile_model, CompiledModel, CompilerError, CompilerOptions, CompilerService,
-        EwmaSmoother, HysteresisConfig, HysteresisLadder, SearchStats, SelectionContext,
-        SelectorKind, StaticLevel, VersionSelector,
+        EwmaSmoother, HysteresisConfig, HysteresisLadder, SearchStats,
     };
     pub use veltair_core::{
         all_scenarios, max_qps_at_qos, train_proxy, Policy, QpsResult, QpsSearchConfig, Scenario,

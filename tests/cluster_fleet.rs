@@ -191,7 +191,7 @@ fn a_fleet_of_one_reproduces_the_single_machine_bit_for_bit() {
         model: "mobilenet_v2".into(),
         arrival: SimTime(f64::from(i) * 0.0005),
     }));
-    let selector = SelectorKind::Hysteresis(HysteresisConfig::try_new(0.5, 0.05).expect("valid"));
+    let selector = HysteresisConfig::try_new(0.5, 0.05).expect("valid");
     let projection = ProjectionConfig::try_new(0.4).expect("valid");
     let proxy = train_proxy(&models, &machine, 256, 0xF1EE7);
     for (p, policy) in POLICIES.into_iter().enumerate() {
@@ -893,11 +893,15 @@ fn invalid_joins_and_scale_templates_are_typed_errors() {
         )
         .expect("valid fleet")
     };
-    let broken: [fn(&mut MachineConfig); 2] = [|m| m.cores = 0, |m| m.l3_bytes = f64::NAN];
+    let broken: [fn(&mut SimConfig); 3] = [
+        |c| c.machine.cores = 0,
+        |c| c.machine.l3_bytes = f64::NAN,
+        |c| c.selector.hysteresis = f64::NAN,
+    ];
     let mut f = fleet();
     for edit in broken {
         let mut bad = NodeSpec::new("bad", MachineConfig::desktop_8core(), Policy::VeltairFull);
-        edit(&mut bad.config.machine);
+        edit(&mut bad.config);
         match f.add_node(&bad) {
             Err(ClusterError::InvalidConfig { reason }) => {
                 assert!(reason.starts_with("node bad: "), "{reason}");
@@ -1005,13 +1009,14 @@ fn opening_a_fleet_checks_every_input_with_a_typed_error() {
     );
     assert_eq!(open_error(&broken, shared.clone(), &specs), invalid);
 
-    // A node whose machine or projection weight cannot be simulated is
-    // an invalid configuration naming the node.
-    let broken_nodes: [fn(&mut NodeSpec); 4] = [
+    // A node whose machine, projection weight or selector cannot be
+    // simulated is an invalid configuration naming the node.
+    let broken_nodes: [fn(&mut NodeSpec); 5] = [
         |n| n.config.machine.cores = 0,
         |n| n.config.machine.l3_bytes = f64::NAN,
         |n| n.config.machine.dram_bw = 0.0,
         |n| n.config.projection.saturation_weight = f64::NAN,
+        |n| n.config.selector.alpha = 5.0,
     ];
     for edit in broken_nodes {
         let mut specs = specs.clone();
