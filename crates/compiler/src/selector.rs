@@ -233,8 +233,10 @@ impl HysteresisLadder {
 
     /// Chooses the code version for every unit of `model`, the model at
     /// `model_index` of the registry the runtime serves, planning on the
-    /// runtime's projected pressure level. The returned vector has
-    /// exactly `model.layers.len()` entries.
+    /// runtime's projected pressure level. Returns the model's committed
+    /// plan, which has exactly `model.layers.len()` entries; a held plan
+    /// is returned as it stands, and a re-selection overwrites it in
+    /// place, so no call allocates once the plan exists.
     ///
     /// The ladder is stateful: every call advances its smoother, and
     /// `model_index` keys the committed plans, so it must stay stable
@@ -247,30 +249,31 @@ impl HysteresisLadder {
         model: &CompiledModel,
         model_index: usize,
         projected_level: f64,
-    ) -> Vec<usize> {
+    ) -> &[usize] {
         let smoothed = self.smoother.observe(projected_level);
         let level = smoothed.clamp(0.0, 1.0);
 
         if self.committed.len() <= model_index {
             self.committed.resize_with(model_index + 1, || None);
         }
-        if let Some(plan) = &self.committed[model_index] {
-            if (level - plan.level).abs() < self.cfg.hysteresis
-                && plan.versions.len() == model.layers.len()
-            {
-                return plan.versions.clone();
-            }
-        }
-        let versions: Vec<usize> = model
-            .layers
-            .iter()
-            .map(|layer| layer.version_for_level(level))
-            .collect();
-        self.committed[model_index] = Some(CommittedPlan {
+        let hysteresis = self.cfg.hysteresis;
+        let plan = self.committed[model_index].get_or_insert_with(|| CommittedPlan {
             level,
-            versions: versions.clone(),
+            versions: Vec::new(),
         });
-        versions
+        let held =
+            (level - plan.level).abs() < hysteresis && plan.versions.len() == model.layers.len();
+        if !held {
+            plan.level = level;
+            plan.versions.clear();
+            plan.versions.extend(
+                model
+                    .layers
+                    .iter()
+                    .map(|layer| layer.version_for_level(level)),
+            );
+        }
+        &plan.versions
     }
 }
 
@@ -299,7 +302,7 @@ mod tests {
         // Unsmoothed and without hysteresis, the ladder at zero pressure
         // runs exactly the static-compilation baseline.
         let mut sel = HysteresisLadder::try_new(1.0, 0.0).expect("valid params");
-        assert_eq!(sel.select(&m, 0, 0.0), solo_versions(&m));
+        assert_eq!(sel.select(&m, 0, 0.0).to_vec(), solo_versions(&m));
         assert_eq!(solo_versions(&m), select_at_level(&m, 0.3, false));
     }
 
@@ -308,13 +311,13 @@ mod tests {
         let m = compiled();
         // No smoothing: isolate the hysteresis rule.
         let mut sel = HysteresisLadder::try_new(1.0, 0.2).expect("valid params");
-        let base = sel.select(&m, 0, 0.5);
+        let base = sel.select(&m, 0, 0.5).to_vec();
         // Within the margin: the committed plan survives even though the
         // table may answer differently at 0.6.
-        let held = sel.select(&m, 0, 0.6);
+        let held = sel.select(&m, 0, 0.6).to_vec();
         assert_eq!(base, held);
         // Beyond the margin: the plan is re-selected at the new level.
-        let moved = sel.select(&m, 0, 0.9);
+        let moved = sel.select(&m, 0, 0.9).to_vec();
         let expected: Vec<usize> = m.layers.iter().map(|l| l.version_for_level(0.9)).collect();
         assert_eq!(moved, expected);
     }
@@ -359,7 +362,7 @@ mod tests {
         // No smoothing, no hysteresis: selection is a pure table walk at
         // the projected level it is given.
         let mut sel = HysteresisLadder::try_new(1.0, 0.0).expect("valid params");
-        let got = sel.select(&m, 0, 0.7);
+        let got = sel.select(&m, 0, 0.7).to_vec();
         let expected: Vec<usize> = m.layers.iter().map(|l| l.version_for_level(0.7)).collect();
         assert_eq!(got, expected);
     }

@@ -57,7 +57,7 @@ pub fn run(ctx: &ExpContext) -> Ablations {
     .expect("valid workload");
     threshold_sweep.push((0, dynamic.overall_satisfaction(), dynamic.conflict_rate()));
 
-    // --- Monitor ablation under adaptive compilation --------------------
+    // --- Interference-monitor ablation under adaptive compilation -------
     let trained = train_proxy(&compiled, &ctx.machine, 384, 0xAB1B);
     let monitors: Vec<(String, Option<InterferenceProxy>)> = vec![
         ("oracle".into(), None),

@@ -10,12 +10,12 @@
 //!   fixed-layer-block baselines (Table 1's design space);
 //! * [`layer_block`] — Algorithm 2: dynamic-threshold layer-block
 //!   formation and block core-requirement calculation;
-//! * [`runtime`] — the scheduler-core runtime: a policy-agnostic
-//!   progress-based discrete-event loop over one [`runtime::Dispatcher`]
-//!   per policy family (spatial layer-block, temporal PREMA/AI-MT,
-//!   partitioned Parties), with the oracle and counter-proxy
-//!   interference paths unified behind [`runtime::Monitor`]. Its heart is
-//!   the resumable [`runtime::Driver`]: the event loop inverted into a
+//! * [`runtime`] — the scheduler-core runtime: one progress-based
+//!   discrete-event loop that dispatches by `match` on the [`Policy`] to
+//!   its family (spatial layer-block, temporal PREMA/AI-MT, partitioned
+//!   Parties), and reads one interference monitor, the oracle or the
+//!   trained counter proxy of [`SimConfig::proxy`]. Its heart is the
+//!   resumable [`runtime::Driver`]: the event loop inverted into a
 //!   stepper with open-loop arrival injection, mid-run policy hot-swap,
 //!   and incremental report snapshots;
 //! * [`simulator`] — [`SimConfig`] and the batch entry point
@@ -91,9 +91,7 @@ pub mod workload;
 pub use layer_block::{block_core_requirement, find_first_pivot, form_blocks, BlockPlan};
 pub use policy::{Granularity, Policy};
 pub use report::{ModelStats, ServingReport};
-pub use runtime::{
-    Dispatcher, Driver, Monitor, PressureView, ProjectionConfig, ProjectionError, SimError,
-};
+pub use runtime::{Driver, PressureView, ProjectionConfig, ProjectionError, SimError};
 pub use simulator::{simulate, SimConfig};
 // Version choice is owned by the compilation layer; re-exported here
 // because `SimConfig::selector` is part of this crate's configuration

@@ -1,19 +1,20 @@
 //! The resumable simulation driver: the serving event loop as a stepper
 //! that the caller owns.
 //!
-//! A [`Driver`] holds the complete simulation — [`SimState`] plus the
-//! policy's [`Dispatcher`] — and exposes the event loop one event at a
-//! time. Between steps the caller may [`inject`](Driver::inject) open-loop
-//! arrivals, [hot-swap the policy](Driver::set_policy) at a dispatch
-//! boundary, or take an incremental [`snapshot`](Driver::snapshot) of the
-//! accumulating report. [`simulate`](crate::simulate) is a driver run to
+//! A [`Driver`] holds the complete simulation in a [`SimState`] and
+//! exposes the event loop one event at a time, dispatching through one
+//! `match` on the active [`Policy`]. Between steps the caller may
+//! [`inject`](Driver::inject) open-loop arrivals, [hot-swap the
+//! policy](Driver::set_policy) at a dispatch boundary, or take an
+//! incremental [`snapshot`](Driver::snapshot) of the accumulating
+//! report. [`simulate`](crate::simulate) is a driver run to
 //! exhaustion, so stepping one by hand reproduces it bit for bit.
 
 use veltair_compiler::CompiledModel;
 use veltair_sim::SimTime;
 
-use super::dispatcher::{for_policy, Dispatcher};
 use super::state::{Event, SimState};
+use super::{partitioned, spatial, temporal};
 use crate::policy::Policy;
 use crate::report::ServingReport;
 use crate::simulator::SimConfig;
@@ -120,7 +121,6 @@ impl std::error::Error for SimError {}
 #[derive(Debug)]
 pub struct Driver<'a> {
     state: SimState<'a>,
-    dispatcher: Box<dyn Dispatcher>,
     /// Change counter for the driver's externally visible load state (see
     /// [`Driver::version`]).
     version: u64,
@@ -170,13 +170,8 @@ impl<'a> Driver<'a> {
         queries: &[QuerySpec],
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
-        let dispatcher = for_policy(cfg.policy);
         let state = SimState::try_new(models, queries, cfg)?;
-        Ok(Self {
-            state,
-            dispatcher,
-            version: 0,
-        })
+        Ok(Self { state, version: 0 })
     }
 
     // --- Streaming input --------------------------------------------------
@@ -214,16 +209,15 @@ impl<'a> Driver<'a> {
     }
 
     /// Swaps the scheduling policy at the current dispatch boundary. The
-    /// new policy's dispatcher is installed and immediately offered the
-    /// pending queues (a policy change is a material scheduling event:
-    /// work that the old policy left waiting may be dispatchable under the
-    /// new one). In-flight units keep their allocations until their next
-    /// natural boundary — allocations are never revoked retroactively.
+    /// new policy is immediately offered the pending queues (a policy
+    /// change is a material scheduling event: work that the old policy
+    /// left waiting may be dispatchable under the new one). In-flight
+    /// units keep their allocations until their next natural boundary —
+    /// allocations are never revoked retroactively.
     pub fn set_policy(&mut self, policy: Policy) {
         self.state.cfg.policy = policy;
-        self.dispatcher = for_policy(policy);
         self.state.expand_conflicted();
-        self.dispatcher.dispatch(&mut self.state);
+        self.dispatch();
         self.state.refresh_conditions();
         self.version = self.version.wrapping_add(1);
     }
@@ -307,16 +301,36 @@ impl<'a> Driver<'a> {
                     "slot {slot} had a check armed while idle"
                 );
                 self.state.advance_to(t);
-                self.state.check_unit(slot, self.dispatcher.as_ref())
+                self.state.check_unit(slot)
             }
         };
         if material {
             self.state.expand_conflicted();
-            self.dispatcher.dispatch(&mut self.state);
+            self.dispatch();
             self.state.refresh_conditions();
             self.version = self.version.wrapping_add(1);
         }
         Some(t)
+    }
+
+    /// Admits pending work to cores under the active policy's family.
+    /// Runs after every material event (an arrival, a unit transition or
+    /// a policy swap), once freed cores have been re-granted to
+    /// under-allocated units. This is the one place a policy is mapped to
+    /// its family: adding a policy means a `Policy` variant and an arm
+    /// here.
+    fn dispatch(&mut self) {
+        let state = &mut self.state;
+        match state.cfg.policy {
+            Policy::ModelFcfs
+            | Policy::Planaria
+            | Policy::FixedBlock(_)
+            | Policy::VeltairAs
+            | Policy::VeltairAc
+            | Policy::VeltairFull => spatial::dispatch(state),
+            Policy::Prema | Policy::AiMt => temporal::dispatch(state),
+            Policy::Parties => partitioned::dispatch(state),
+        }
     }
 
     /// Processes every event scheduled at or before `t`, then advances the

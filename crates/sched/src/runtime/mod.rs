@@ -1,5 +1,5 @@
-//! The scheduler-core runtime: a policy-agnostic progress-based
-//! discrete-event loop with pluggable [`Dispatcher`] families.
+//! The scheduler-core runtime: one progress-based discrete-event loop
+//! that dispatches by policy family.
 //!
 //! Every in-flight scheduling unit advances at a rate set by the machine
 //! model under the *current* co-location; whenever the tenant set changes,
@@ -11,40 +11,33 @@
 //!
 //! * [`state`] — the shared unit-state machine: queries, in-flight units,
 //!   pending queues, time advancement, unit lifecycle, fixed-point
-//!   re-rating, and report accumulation. Policy-free.
+//!   re-rating, and report accumulation.
 //! * [`driver`] — the resumable [`Driver`]: the event loop inverted into
 //!   a stepper with open-loop [`inject`](Driver::inject), mid-run
 //!   [`set_policy`](Driver::set_policy), and incremental
-//!   [`snapshot`](Driver::snapshot). The batch entry point,
+//!   [`snapshot`](Driver::snapshot). After every material event it
+//!   dispatches through one exhaustive `match` on the active
+//!   [`Policy`](crate::Policy). The batch entry point,
 //!   [`simulate`](crate::simulate), steps one to completion.
-//! * [`monitor`] — the [`Monitor`] abstraction unifying the oracle and
-//!   counter-proxy interference paths.
-//! * [`dispatcher`] — the [`Dispatcher`] trait and the policy→family map.
-//! * [`spatial`] — layer-block spatial sharing (FCFS, Planaria, fixed and
+//! * [`monitor`] — the interference monitor, which reads the oracle or
+//!   the trained counter proxy (`SimConfig::proxy`), and the predictive
+//!   [`project`]ion of its snapshot.
+//! * `spatial` — layer-block spatial sharing (FCFS, Planaria, fixed and
 //!   dynamic blocks, the VELTAIR policies) with Algorithm 2 planning.
-//! * [`temporal`] — PREMA token-priority and AI-MT round-robin
-//!   time-multiplexing.
-//! * [`partitioned`] — Parties per-tenant core partitioning.
+//! * `temporal` — PREMA token-priority and AI-MT round-robin
+//!   time-multiplexing, and the yield rule behind PREMA's preemption.
+//! * `partitioned` — Parties per-tenant core partitioning.
 //!
-//! Adding a policy means implementing [`Dispatcher`] and extending
-//! [`dispatcher::for_policy`]; the event loop in [`driver`] never
-//! changes.
+//! Adding a policy means one [`Policy`](crate::Policy) variant and one
+//! arm of the driver's dispatch `match`.
 
-pub mod dispatcher;
 pub mod driver;
 pub mod monitor;
-pub mod partitioned;
-pub mod spatial;
+mod partitioned;
+mod spatial;
 pub mod state;
-pub mod temporal;
+mod temporal;
 
-pub use dispatcher::{for_policy, Dispatcher};
 pub use driver::{Driver, SimError};
-pub use monitor::{
-    project, CounterProxyMonitor, Monitor, OracleMonitor, PressureView, ProjectionConfig,
-    ProjectionError, ProjectionInputs,
-};
-pub use partitioned::PartitionedDispatcher;
-pub use spatial::SpatialDispatcher;
-pub use state::{Corunners, Event, Pending, QueryState, Running, SimState};
-pub use temporal::{TemporalDispatcher, TemporalOrder};
+pub use monitor::{project, PressureView, ProjectionConfig, ProjectionError, ProjectionInputs};
+pub use state::{Event, Pending, QueryState, Running, SimState};

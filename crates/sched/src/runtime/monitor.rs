@@ -1,16 +1,18 @@
-//! The interference-monitor abstraction: how the runtime estimates the
-//! pressure a planning tenant will face from the units already in flight,
-//! and the *predictive projection* that turns that lagging snapshot into
-//! the near-future pressure the planned block will actually experience.
+//! The interference monitor: how the runtime estimates the pressure a
+//! planning tenant will face from the units already in flight, and the
+//! *predictive projection* that turns that lagging snapshot into the
+//! near-future pressure the planned block will actually experience.
 //!
-//! The paper deploys two monitors. The *oracle* reads the true aggregate
-//! cache/bandwidth demand of every co-runner — available in simulation,
-//! not on real hardware. The *counter proxy* is the deployable path: a
-//! PCA-selected linear model over hardware performance counters predicts a
-//! scalar interference level (counters cannot attribute pressure to a
-//! specific resource, so the pair is the symmetric expansion of the
-//! scalar). Both implement [`Monitor`], so dispatchers and block planning
-//! are oblivious to which one is installed.
+//! The paper deploys two monitors, and `observe` reads whichever one the
+//! configuration holds. The *oracle* (no
+//! [`SimConfig::proxy`](crate::SimConfig::proxy)) reads the true
+//! aggregate cache/bandwidth demand of every co-runner — available in
+//! simulation, not on real hardware. The *counter proxy* is the
+//! deployable path: a PCA-selected linear model over hardware
+//! performance counters predicts a scalar interference level (counters
+//! cannot attribute pressure to a specific resource, so the pair is the
+//! symmetric expansion of the scalar). Block planning is oblivious to
+//! which one is installed.
 //!
 //! Either monitor reports the pressure of co-runners *currently* in
 //! flight. That signal lags reality: it cannot see the queued work that
@@ -23,97 +25,48 @@
 //! consuming the raw snapshot.
 
 use veltair_proxy::{CounterWindow, InterferenceProxy};
-use veltair_sim::{Interference, MachineConfig};
+use veltair_sim::{Interference, MachineConfig, PerfCounters};
 
 use super::state::Corunners;
-use crate::simulator::SimConfig;
 
-/// Estimates co-runner pressure for admission and block planning.
+/// Observes `corunners` on `machine` through the configured monitor:
+/// the trained counter `proxy` when one is installed, the oracle
+/// otherwise. Returns the pressure pair plus the scalar level used to
+/// index the compiled lookup tables.
 ///
 /// `corunners` yields the current rating of every active, not
 /// soon-to-finish unit (and, for the mix ceiling of
-/// [`SimState::projected`](super::SimState::projected), the phantoms after
-/// them); the result is the full pressure pair plus the scalar level used
-/// to index the compiled lookup tables. Implementations sum the
-/// co-runners in the order they come.
-pub trait Monitor: std::fmt::Debug + Send + Sync {
-    /// Monitor name for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Observes the given co-runners on `machine`.
-    fn observe(&self, corunners: Corunners<'_>, machine: &MachineConfig) -> (Interference, f64);
-}
-
-/// Builds the monitor a configuration asks for: the trained counter proxy
-/// when one is installed, the oracle otherwise.
-#[must_use]
-pub fn for_config(cfg: &SimConfig) -> Box<dyn Monitor> {
-    match &cfg.proxy {
-        Some(p) => Box::new(CounterProxyMonitor::new(p.clone())),
-        None => Box::new(OracleMonitor),
+/// [`SimState::projected`](super::SimState::projected), the phantoms
+/// after them). Both monitors sum them in the order they come.
+pub(crate) fn observe(
+    proxy: Option<&InterferenceProxy>,
+    corunners: Corunners<'_>,
+    machine: &MachineConfig,
+) -> (Interference, f64) {
+    let mut corunners = corunners.peekable();
+    if corunners.peek().is_none() {
+        return (Interference::NONE, 0.0);
     }
-}
-
-/// The oracle monitor: reads the true aggregate co-runner demand.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OracleMonitor;
-
-impl Monitor for OracleMonitor {
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn observe(&self, corunners: Corunners<'_>, machine: &MachineConfig) -> (Interference, f64) {
-        let mut corunners = corunners.peekable();
-        if corunners.peek().is_none() {
-            return (Interference::NONE, 0.0);
-        }
+    let Some(proxy) = proxy else {
+        // The oracle: the true aggregate co-runner demand.
         let pair = Interference::from_corunners(corunners.map(|e| &e.demand), machine);
-        (pair, pair.scalar())
+        return (pair, pair.scalar());
+    };
+    // The counter proxy: counters rate-weighted by each unit's own
+    // duration, predicting only the scalar level.
+    let mut counters = PerfCounters::default();
+    for exec in corunners {
+        let scale = 1.0 / exec.latency_s.max(1e-12);
+        counters.l3_accesses += exec.counters.l3_accesses * scale;
+        counters.l3_misses += exec.counters.l3_misses * scale;
+        counters.instructions += exec.counters.instructions * scale;
+        counters.cycles += exec.counters.cycles * scale;
+        counters.flops += exec.counters.flops * scale;
     }
-}
-
-/// The deployed monitor: a trained linear proxy over rate-weighted
-/// performance counters, predicting only the scalar level.
-#[derive(Debug, Clone)]
-pub struct CounterProxyMonitor {
-    proxy: InterferenceProxy,
-}
-
-impl CounterProxyMonitor {
-    /// Wraps a trained proxy.
-    #[must_use]
-    pub fn new(proxy: InterferenceProxy) -> Self {
-        Self { proxy }
-    }
-}
-
-impl Monitor for CounterProxyMonitor {
-    fn name(&self) -> &'static str {
-        "counter-proxy"
-    }
-
-    fn observe(&self, corunners: Corunners<'_>, _machine: &MachineConfig) -> (Interference, f64) {
-        let mut corunners = corunners.peekable();
-        if corunners.peek().is_none() {
-            return (Interference::NONE, 0.0);
-        }
-        let mut counters = veltair_sim::PerfCounters::default();
-        for exec in corunners {
-            // Rate-weight the counters by each unit's own duration.
-            let scale = 1.0 / exec.latency_s.max(1e-12);
-            counters.l3_accesses += exec.counters.l3_accesses * scale;
-            counters.l3_misses += exec.counters.l3_misses * scale;
-            counters.instructions += exec.counters.instructions * scale;
-            counters.cycles += exec.counters.cycles * scale;
-            counters.flops += exec.counters.flops * scale;
-        }
-        let level = self
-            .proxy
-            .predict(&CounterWindow::from_counters(&counters, 1.0))
-            .clamp(0.0, 1.0);
-        (Interference::level(level), level)
-    }
+    let level = proxy
+        .predict(&CounterWindow::from_counters(&counters, 1.0))
+        .clamp(0.0, 1.0);
+    (Interference::level(level), level)
 }
 
 // --- Predictive pressure projection ----------------------------------------
@@ -253,8 +206,6 @@ pub struct PressureView {
     pub pair: Interference,
     /// The raw scalar level (mean of the pair).
     pub level: f64,
-    /// The projected near-future pressure pair.
-    pub projected_pair: Interference,
     /// The projected scalar level.
     pub projected_level: f64,
 }
@@ -265,7 +216,6 @@ impl PressureView {
     pub const ZERO: PressureView = PressureView {
         pair: Interference::NONE,
         level: 0.0,
-        projected_pair: Interference::NONE,
         projected_level: 0.0,
     };
 
@@ -276,18 +226,18 @@ impl PressureView {
         Self {
             pair,
             level,
-            projected_pair: pair,
             projected_level: level,
         }
     }
 }
 
-/// Projects near-future pressure from the instantaneous monitored
-/// snapshot, the queued backlog's core demand, and the *mix ceiling* —
-/// what the same monitor reads with the machine packed to capacity with
-/// the tenant mix currently in the system (running plus queued; the
-/// runtime computes it in `SimState::projected` by observing phantom
-/// executions through the installed monitor).
+/// Projects the near-future pressure level from the instantaneous
+/// monitored snapshot, the queued backlog's core demand, and the level of
+/// the *mix ceiling* — what the same monitor reads with the machine
+/// packed to capacity with the tenant mix currently in the system
+/// (running plus queued; the runtime computes it in
+/// `SimState::projected` by observing phantom executions through the
+/// installed monitor).
 ///
 /// The ceiling is what makes the projection mix-aware. Sustained demand
 /// says contention will *rise*; the ceiling says toward *what*. A
@@ -299,6 +249,10 @@ impl PressureView {
 /// (measured: targeting saturation there costs ~0.25 of diurnal-peak
 /// QoS satisfaction).
 ///
+/// Only the level is lifted: version selection reads the projected
+/// level alone, and the raw pair passes through for the scheduling-side
+/// core math.
+///
 /// Deterministic and allocation-free: a pure function of its arguments,
 /// so projected planning stays bit-identical across replays. Guarantees,
 /// pinned by `tests/projection_properties.rs`:
@@ -308,15 +262,11 @@ impl PressureView {
 ///   ceiling level;
 /// * with no demand (an idle machine) the projection *is* the
 ///   instantaneous reading — and likewise when the ceiling says packing
-///   the machine adds no pressure the snapshot doesn't already show;
-/// * both components of the pair move by the same saturation blend
-///   toward their ceiling components, so an asymmetric cache/bandwidth
-///   snapshot keeps its shape.
+///   the machine adds no pressure the snapshot doesn't already show.
 #[must_use]
 pub fn project(
     pair: Interference,
     level: f64,
-    ceiling: Interference,
     ceiling_level: f64,
     inputs: ProjectionInputs,
     cfg: &ProjectionConfig,
@@ -333,18 +283,11 @@ pub fn project(
     // sustains between them. The square root restores the sustained
     // signal; over-projection is bounded separately by the mix ceiling.
     let boost = cfg.saturation_weight * sustain.sqrt();
-    let lift = |x: f64, target: f64| {
-        let t = target.max(x);
-        (x + (t - x) * boost).clamp(0.0, 1.0)
-    };
+    let target = ceiling_level.max(level);
     PressureView {
         pair,
         level,
-        projected_pair: Interference {
-            cache_frac: lift(pair.cache_frac, ceiling.cache_frac),
-            bw_frac: lift(pair.bw_frac, ceiling.bw_frac),
-        },
-        projected_level: lift(level, ceiling_level),
+        projected_level: (level + (target - level) * boost).clamp(0.0, 1.0),
     }
 }
 
@@ -360,24 +303,16 @@ mod tests {
         }
     }
 
-    /// A heavy mix: packing the machine saturates the shared resources.
-    const SATURATING: Interference = Interference {
-        cache_frac: 1.0,
-        bw_frac: 1.0,
-    };
-
     #[test]
     fn no_backlog_projects_the_instantaneous_reading() {
         let v = project(
             Interference::level(0.4),
             0.4,
-            SATURATING,
             1.0,
             inputs(0, 0),
             &ProjectionConfig::default(),
         );
         assert_eq!(v.projected_level, v.level);
-        assert_eq!(v.projected_pair, v.pair);
     }
 
     #[test]
@@ -388,7 +323,6 @@ mod tests {
         let v = project(
             Interference::level(0.3),
             0.3,
-            Interference::level(0.35),
             0.35,
             inputs(512, 64),
             &ProjectionConfig::default(),
@@ -399,13 +333,11 @@ mod tests {
         let flat = project(
             Interference::level(0.3),
             0.3,
-            Interference::level(0.25),
             0.25,
             inputs(512, 64),
             &ProjectionConfig::default(),
         );
         assert_eq!(flat.projected_level, flat.level);
-        assert_eq!(flat.projected_pair, flat.pair);
     }
 
     #[test]
@@ -417,7 +349,6 @@ mod tests {
         let small = project(
             Interference::level(0.3),
             0.3,
-            SATURATING,
             1.0,
             inputs(16, 0),
             &ProjectionConfig::default(),
@@ -425,7 +356,6 @@ mod tests {
         let full = project(
             Interference::level(0.3),
             0.3,
-            SATURATING,
             1.0,
             inputs(64, 0),
             &ProjectionConfig::default(),
@@ -446,7 +376,6 @@ mod tests {
         let v = project(
             Interference::level(0.32),
             0.32,
-            SATURATING,
             1.0,
             inputs(8, 32),
             &ProjectionConfig::default(),
@@ -462,7 +391,6 @@ mod tests {
         let sat = project(
             Interference::level(0.32),
             0.32,
-            SATURATING,
             1.0,
             inputs(500, 2),
             &ProjectionConfig {
@@ -470,19 +398,6 @@ mod tests {
             },
         );
         assert!(sat.projected_level > 0.9);
-        // Saturated pair keeps its asymmetry direction.
-        let asym = project(
-            Interference {
-                cache_frac: 0.6,
-                bw_frac: 0.2,
-            },
-            0.4,
-            SATURATING,
-            1.0,
-            inputs(500, 2),
-            &ProjectionConfig::default(),
-        );
-        assert!(asym.projected_pair.cache_frac > asym.projected_pair.bw_frac);
     }
 
     #[test]
@@ -490,7 +405,6 @@ mod tests {
         let v = project(
             Interference::level(0.32),
             0.32,
-            SATURATING,
             1.0,
             inputs(500, 2),
             &ProjectionConfig::try_new(0.0).expect("valid weight"),
@@ -521,7 +435,6 @@ mod tests {
         let v = project(
             Interference::level(1.0),
             1.0,
-            SATURATING,
             1.0,
             inputs(10_000, 64),
             &ProjectionConfig {

@@ -1,4 +1,4 @@
-//! The partitioned dispatcher family: the Parties port. Cores are divided
+//! The partitioned policy family: the Parties port. Cores are divided
 //! into per-tenant partitions proportional to each tenant's flat core
 //! requirement, recomputed over the set of models that currently have
 //! work; each tenant runs its own queue FCFS inside its partition, so a
@@ -7,11 +7,6 @@
 use std::collections::VecDeque;
 
 use super::state::{Pending, SimState};
-use super::Dispatcher;
-
-/// Dispatcher for per-tenant core partitioning (Parties).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PartitionedDispatcher;
 
 /// Per-tenant core partitions proportional to each tenant's flat core
 /// requirement, over the models that currently have work. Every model
@@ -63,58 +58,42 @@ fn partitions(state: &SimState<'_>) -> Vec<u32> {
     parts
 }
 
-impl Dispatcher for PartitionedDispatcher {
-    fn name(&self) -> &'static str {
-        "partitioned"
+/// Parties dispatch: FCFS within each tenant's partition. A tenant
+/// whose head query does not fit its partition blocks only itself;
+/// other tenants keep dispatching into their own partitions.
+pub(crate) fn dispatch(state: &mut SimState<'_>) {
+    let parts = partitions(state);
+    let mut used = vec![0u32; state.models.len()];
+    for r in state.active_units() {
+        used[state.queries[r.query].model] += r.granted;
     }
+    let mut blocked = vec![false; state.models.len()];
+    let mut pending: Vec<Pending> = state.continuations.drain(..).collect();
+    pending.extend(state.arrivals.drain(..));
+    let mut kept: VecDeque<Pending> = VecDeque::new();
 
-    /// Parties dispatch: FCFS within each tenant's partition. A tenant
-    /// whose head query does not fit its partition blocks only itself;
-    /// other tenants keep dispatching into their own partitions.
-    fn dispatch(&mut self, state: &mut SimState<'_>) {
-        let parts = partitions(state);
-        let mut used = vec![0u32; state.models.len()];
-        for r in state.active_units() {
-            used[state.queries[r.query].model] += r.granted;
+    for mut p in pending {
+        let query = p.query;
+        let m = state.queries[query].model;
+        if blocked[m] {
+            kept.push_back(p);
+            continue;
         }
-        let mut blocked = vec![false; state.models.len()];
-        let mut pending: Vec<Pending> = state.continuations.drain(..).collect();
-        pending.extend(state.arrivals.drain(..));
-        let mut kept: VecDeque<Pending> = VecDeque::new();
-
-        for mut p in pending {
-            let query = p.query;
-            let m = state.queries[query].model;
-            if blocked[m] {
-                kept.push_back(p);
-                continue;
-            }
-            // Resource partitioning: the tenant owns its partition and runs
-            // its queue on all of it, one query at a time — cores are not
-            // returned to a shared pool between queries.
-            let request = parts[m].max(1);
-            if used[m] + request <= parts[m] && request <= state.free_cores {
-                let n_units = state.models[m].layers.len();
-                state.plan_versions(m, 0.0);
-                state.free_cores -= request;
-                used[m] += request;
-                state.start_block(query, n_units, request, request);
-            } else {
-                state.mark_conflicted(&mut p);
-                blocked[m] = true;
-                kept.push_back(p);
-            }
+        // Resource partitioning: the tenant owns its partition and runs
+        // its queue on all of it, one query at a time — cores are not
+        // returned to a shared pool between queries.
+        let request = parts[m].max(1);
+        if used[m] + request <= parts[m] && request <= state.free_cores {
+            let n_units = state.models[m].layers.len();
+            state.plan_versions(m, 0.0);
+            state.free_cores -= request;
+            used[m] += request;
+            state.start_block(query, n_units, request, request);
+        } else {
+            state.mark_conflicted(&mut p);
+            blocked[m] = true;
+            kept.push_back(p);
         }
-        state.continuations = kept;
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn partitioned_dispatcher_reports_its_name() {
-        assert_eq!(PartitionedDispatcher.name(), "partitioned");
-    }
+    state.continuations = kept;
 }

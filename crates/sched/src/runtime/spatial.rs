@@ -1,4 +1,4 @@
-//! The spatial layer-block dispatcher family: model-wise FCFS, Planaria's
+//! The spatial layer-block policy family: model-wise FCFS, Planaria's
 //! layer-wise port, fixed layer blocks, and the VELTAIR adaptive policies
 //! (Algorithm 3 dispatch with Algorithm 2 block planning).
 //!
@@ -10,61 +10,53 @@
 //! [`Policy::granularity`](crate::Policy::granularity), which is a
 //! property of the policy table, not of the event loop.
 
+use super::monitor::PressureView;
 use super::state::SimState;
-use super::Dispatcher;
 use crate::layer_block::{find_first_pivot, BlockSweep};
 use crate::policy::{Granularity, Policy};
 
-/// Dispatcher for all spatially shared policies.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpatialDispatcher;
-
-impl Dispatcher for SpatialDispatcher {
-    fn name(&self) -> &'static str {
-        "spatial"
-    }
-
-    fn dispatch(&mut self, state: &mut SimState<'_>) {
-        // Continuations first, then fresh arrivals, both FCFS.
-        loop {
-            let from_cont = !state.continuations.is_empty();
-            let Some(head) = (if from_cont {
-                state.continuations.front()
-            } else {
-                state.arrivals.front()
-            }) else {
-                break;
-            };
-            let query = head.query;
-            if state.free_cores == 0 {
-                // Head-of-line blocking without any cores: skip the (costly)
-                // block planning entirely and mark the conflict once.
-                mark_head_conflicted(state, from_cont);
-                break;
-            }
-            let (end, requested) = plan_block(state, query);
-
-            let fcfs_blocks = matches!(state.cfg.policy.granularity(), Granularity::Model);
-            if fcfs_blocks && state.free_cores < requested {
-                // Head-of-line blocking; mark the conflict once.
-                mark_head_conflicted(state, from_cont);
-                break;
-            }
-
-            let head = if from_cont {
-                state.continuations.pop_front()
-            } else {
-                state.arrivals.pop_front()
-            }
-            .expect("head exists");
-
-            let granted = requested.min(state.free_cores);
-            if granted < requested && !head.conflicted {
-                state.report.conflicts += 1;
-            }
-            state.free_cores -= granted;
-            state.start_block(query, end, requested, granted);
+/// Admits pending work to cores under a spatially shared policy:
+/// continuations first, then fresh arrivals, both FCFS, until the head
+/// of the queue blocks.
+pub(crate) fn dispatch(state: &mut SimState<'_>) {
+    loop {
+        let from_cont = !state.continuations.is_empty();
+        let Some(head) = (if from_cont {
+            state.continuations.front()
+        } else {
+            state.arrivals.front()
+        }) else {
+            break;
+        };
+        let query = head.query;
+        if state.free_cores == 0 {
+            // Head-of-line blocking without any cores: skip the (costly)
+            // block planning entirely and mark the conflict once.
+            mark_head_conflicted(state, from_cont);
+            break;
         }
+        let (end, requested) = plan_block(state, query);
+
+        let fcfs_blocks = matches!(state.cfg.policy.granularity(), Granularity::Model);
+        if fcfs_blocks && state.free_cores < requested {
+            // Head-of-line blocking; mark the conflict once.
+            mark_head_conflicted(state, from_cont);
+            break;
+        }
+
+        let head = if from_cont {
+            state.continuations.pop_front()
+        } else {
+            state.arrivals.pop_front()
+        }
+        .expect("head exists");
+
+        let granted = requested.min(state.free_cores);
+        if granted < requested && !head.conflicted {
+            state.report.conflicts += 1;
+        }
+        state.free_cores -= granted;
+        state.start_block(query, end, requested, granted);
     }
 }
 
@@ -105,7 +97,7 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
     let view = if aware {
         state.projected()
     } else {
-        crate::runtime::PressureView::ZERO
+        PressureView::ZERO
     };
     // Version *selection* plans on the projection; every scheduling-side
     // quantity below — core requirements, granularity pivots, dynamic
@@ -135,7 +127,7 @@ pub(super) fn plan_block(state: &mut SimState<'_>, query: usize) -> (usize, u32)
             (end, cores)
         }
         Granularity::FixedBlock(k) => {
-            let end = (begin + k.max(1)).min(n);
+            let end = begin.saturating_add(k.max(1)).min(n);
             let mut sweep =
                 BlockSweep::prevalidated(model, begin, end, versions, tabulated, pressure, machine);
             (end, sweep.core_requirement(None))
@@ -225,14 +217,4 @@ fn dynamic_threshold(state: &SimState<'_>, planning_query: usize, level: f64) ->
     }
     let share = (idle as f64 * f64::from(mine) / used as f64).floor();
     share as u32
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spatial_dispatcher_reports_its_name() {
-        assert_eq!(SpatialDispatcher.name(), "spatial");
-    }
 }

@@ -1,13 +1,13 @@
 //! Shared unit-state for the scheduler-core runtime: queries, in-flight
 //! units, pending queues, and the progress-based bookkeeping every
-//! [`Dispatcher`] implementation operates on.
+//! policy family's dispatch operates on.
 //!
-//! Nothing in this module consults [`Policy`](crate::Policy): the state
-//! machine (arrival intake, time advancement, unit lifecycle, re-rating)
-//! is identical for every scheduling discipline. Policy-specific decisions
-//! enter only through the dispatcher (who runs next, with how many cores)
-//! and, at one block-internal boundary, through
-//! [`Dispatcher::should_yield`].
+//! The state machine (arrival intake, time advancement, unit lifecycle,
+//! re-rating) is identical for every scheduling discipline.
+//! Policy-specific decisions enter only through the driver's dispatch
+//! (who runs next, with how many cores), through version planning
+//! ([`SimState::plan_versions`]) and, at one block-internal boundary,
+//! through the temporal policies' yield rule.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -21,8 +21,8 @@ use veltair_sim::{
 use veltair_telemetry::TraceEventKind;
 
 use super::driver::SimError;
-use super::monitor::{self, Monitor, PressureView, ProjectionInputs};
-use super::Dispatcher;
+use super::monitor::{self, PressureView, ProjectionInputs};
+use super::temporal;
 use crate::layer_block::{unit_model, unit_terms};
 use crate::report::{ModelStats, ServingReport};
 use crate::simulator::SimConfig;
@@ -133,13 +133,13 @@ impl Running {
     }
 }
 
-/// The ratings one [`Monitor`] observation reads, in the order it sums
+/// The ratings one monitor observation reads, in the order it sums
 /// them: the monitored units (active and not about to finish) in
 /// ascending slot order, then, for the mix ceiling of
 /// [`SimState::projected`], the phantoms in packing order. Everything is
 /// borrowed from the state, so an observation allocates nothing.
 #[derive(Debug, Clone)]
-pub struct Corunners<'s> {
+pub(crate) struct Corunners<'s> {
     running: &'s [Running],
     slots: std::slice::Iter<'s, usize>,
     phantoms: std::slice::Iter<'s, Execution>,
@@ -194,7 +194,8 @@ pub struct Pending {
 pub struct SimState<'a> {
     /// Simulation configuration (machine, policy, monitor settings).
     /// Owned so a [`Driver`](super::Driver) can hot-swap the policy while
-    /// the clock is running.
+    /// the clock is running. Its `proxy` is the interference monitor: the
+    /// trained counter proxy when set, the oracle otherwise.
     pub cfg: SimConfig,
     /// The compiled-model registry queries index into.
     pub models: &'a [CompiledModel],
@@ -242,8 +243,6 @@ pub struct SimState<'a> {
     /// [`SimState::extract_waiting`]/[`SimState::halt`]); subtracted from
     /// the outstanding-query signal.
     pub removed: usize,
-    /// The interference monitor (oracle or trained counter proxy).
-    pub monitor: Box<dyn Monitor>,
     /// The runtime version selector, built from `cfg.selector`.
     /// Consulted (and advanced — the ladder is stateful) at every
     /// block-planning decision of an adaptive-compilation policy via
@@ -282,7 +281,6 @@ impl std::fmt::Debug for SimState<'_> {
             .field("free_cores", &self.free_cores)
             .field("queries", &self.queries.len())
             .field("running", &self.running.len())
-            .field("monitor", &self.monitor)
             .field("selector", &self.selector)
             .finish_non_exhaustive()
     }
@@ -326,7 +324,6 @@ impl<'a> SimState<'a> {
             .map(|m| m.compiled_for() == &cfg.machine)
             .collect();
         let free_cores = cfg.machine.cores;
-        let monitor = monitor::for_config(&cfg);
         let selector = HysteresisLadder::new(cfg.selector);
         let mut state = Self {
             cfg,
@@ -348,7 +345,6 @@ impl<'a> SimState<'a> {
             alloc_trace: Vec::new(),
             completed: Vec::new(),
             removed: 0,
-            monitor,
             selector,
             solo_plans: models.iter().map(solo_versions).collect(),
             plan: Vec::new(),
@@ -556,7 +552,12 @@ impl<'a> SimState<'a> {
     /// soon-to-finish rule, §4.3), as estimated by the configured monitor.
     #[must_use]
     pub fn monitored(&self) -> (Interference, f64) {
-        self.monitor.observe(self.corunners(&[]), &self.cfg.machine)
+        self.observe(self.corunners(&[]))
+    }
+
+    /// Observes `corunners` through the configured monitor.
+    fn observe(&self, corunners: Corunners<'_>) -> (Interference, f64) {
+        monitor::observe(self.cfg.proxy.as_ref(), corunners, &self.cfg.machine)
     }
 
     /// The predictive pressure reading for a planning decision: the
@@ -591,8 +592,7 @@ impl<'a> SimState<'a> {
     /// nothing once the scratch has grown.
     #[must_use]
     pub fn projected(&self) -> PressureView {
-        let machine = &self.cfg.machine;
-        let total_cores = machine.cores;
+        let total_cores = self.cfg.machine.cores;
         let (pair, level) = self.monitored();
         let occupied_cores: u32 = self.monitored_units().map(|r| r.granted).sum();
         let backlog_cores: u64 = self
@@ -673,15 +673,14 @@ impl<'a> SimState<'a> {
                 i += 1;
             }
         }
-        let (ceiling, ceiling_level) = if execs.is_empty() {
-            (pair, level)
+        let ceiling_level = if execs.is_empty() {
+            level
         } else {
-            self.monitor.observe(self.corunners(execs), machine)
+            self.observe(self.corunners(execs)).1
         };
         monitor::project(
             pair,
             level,
-            ceiling,
             ceiling_level,
             ProjectionInputs {
                 backlog_cores,
@@ -826,19 +825,20 @@ impl<'a> SimState<'a> {
     /// whole simulation.
     ///
     /// The plan stays on the state: [`SimState::planned_versions`] reads
-    /// it, and [`SimState::start_block`] runs a block of it. Static plans
-    /// are computed once per model, so they cost a copy, not a selection.
+    /// it, and [`SimState::start_block`] runs a block of it. Either plan
+    /// is copied into the state's reused buffer: the ladder's committed
+    /// plan, or the static plan computed once per model.
     pub fn plan_versions(&mut self, model_index: usize, projected_level: f64) {
         let models = self.models;
         self.last_plan_level = projected_level;
-        if self.cfg.policy.adaptive_compilation() {
-            self.plan = self
-                .selector
-                .select(&models[model_index], model_index, projected_level);
+        let versions = if self.cfg.policy.adaptive_compilation() {
+            self.selector
+                .select(&models[model_index], model_index, projected_level)
         } else {
-            self.plan.clear();
-            self.plan.extend_from_slice(&self.solo_plans[model_index]);
-        }
+            &self.solo_plans[model_index]
+        };
+        self.plan.clear();
+        self.plan.extend_from_slice(versions);
     }
 
     /// The versions the last [`SimState::plan_versions`] call chose, one
@@ -973,10 +973,10 @@ impl<'a> SimState<'a> {
     /// material (the unit advanced or finished, changing the co-location)
     /// and `false` for a pure re-arm.
     ///
-    /// At block-internal unit boundaries the dispatcher is consulted via
-    /// [`Dispatcher::should_yield`]; a yielding unit releases its cores and
-    /// re-enters the continuation queue (temporal preemption).
-    pub fn check_unit(&mut self, slot: usize, dispatcher: &dyn Dispatcher) -> bool {
+    /// At block-internal unit boundaries a temporal policy may preempt
+    /// the unit (PREMA's token priority); a yielding unit releases its
+    /// cores and re-enters the continuation queue.
+    pub fn check_unit(&mut self, slot: usize) -> bool {
         if !self.running[slot].progress.is_done() {
             // Conditions changed since scheduling; re-arm at the new ETA.
             let r = &self.running[slot];
@@ -995,8 +995,8 @@ impl<'a> SimState<'a> {
         let block_end = self.running[slot].end;
         let model_len = self.models[self.queries[query].model].layers.len();
 
-        if next_unit < block_end && dispatcher.should_yield(self, slot) {
-            // The dispatcher preempts at this unit boundary: the running
+        if next_unit < block_end && temporal::should_yield(self, slot) {
+            // The policy preempts at this unit boundary: the running
             // query yields its cores and re-enters the pool as a
             // continuation (PREMA's token-priority preemption).
             self.release_slot(slot);
@@ -1276,19 +1276,17 @@ impl<'a> SimState<'a> {
 impl SimState<'_> {
     fn monitored_reference(&self) -> (Interference, f64) {
         let corunners: Vec<Execution> = self.monitored_units().map(|r| r.exec).collect();
-        self.monitor
-            .observe(Corunners::of(&corunners), &self.cfg.machine)
+        self.observe(Corunners::of(&corunners))
     }
 
     /// The projection, with how many phantoms it packed and the length
     /// of the blueprint they were drawn from (more phantoms than that
     /// means the blueprint cycled).
     fn projected_reference(&self) -> (PressureView, usize, usize) {
-        let machine = &self.cfg.machine;
-        let total_cores = machine.cores;
+        let total_cores = self.cfg.machine.cores;
         let monitored: Vec<&Running> = self.monitored_units().collect();
         let mut packed_set: Vec<Execution> = monitored.iter().map(|r| r.exec).collect();
-        let (pair, level) = self.monitor.observe(Corunners::of(&packed_set), machine);
+        let (pair, level) = self.observe(Corunners::of(&packed_set));
         let occupied_cores: u32 = monitored.iter().map(|r| r.granted).sum();
         let backlog_cores: u64 = self
             .continuations
@@ -1343,16 +1341,15 @@ impl SimState<'_> {
             packed += req;
             next += 1;
         }
-        let (ceiling, ceiling_level) = if phantoms.is_empty() {
-            (pair, level)
+        let ceiling_level = if phantoms.is_empty() {
+            level
         } else {
             packed_set.extend(phantoms.iter().map(|&(_, exec)| exec));
-            self.monitor.observe(Corunners::of(&packed_set), machine)
+            self.observe(Corunners::of(&packed_set)).1
         };
         let view = monitor::project(
             pair,
             level,
-            ceiling,
             ceiling_level,
             ProjectionInputs {
                 backlog_cores,
@@ -1457,13 +1454,11 @@ mod tests {
     }
 
     /// Every field of a view, bit for bit.
-    fn bits(view: PressureView) -> [u64; 6] {
+    fn bits(view: PressureView) -> [u64; 4] {
         [
             view.pair.cache_frac,
             view.pair.bw_frac,
             view.level,
-            view.projected_pair.cache_frac,
-            view.projected_pair.bw_frac,
             view.projected_level,
         ]
         .map(f64::to_bits)

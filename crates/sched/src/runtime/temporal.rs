@@ -1,4 +1,4 @@
-//! The temporal multiplexing dispatcher family: PREMA's token-priority
+//! The temporal multiplexing policies: PREMA's token-priority
 //! whole-model multitasking and AI-MT's fair layer-granular round-robin.
 //!
 //! Both time-multiplex the whole machine — exactly one tenant runs at a
@@ -8,38 +8,15 @@
 //! * **PREMA** dispatches whole models chosen by token priority (time
 //!   waited normalized by the QoS target, so tight-deadline tenants
 //!   accumulate tokens faster); a pending tenant with strictly more tokens
-//!   preempts at the next unit boundary via
-//!   [`Dispatcher::should_yield`].
+//!   preempts at the next unit boundary, which the state machine asks
+//!   `should_yield` about.
 //! * **AI-MT** dispatches one *layer* at a time, picking the query with the
 //!   least relative progress (arrival order breaks ties) — its finer
 //!   temporal multiplexing without the accelerator's compute/memory
 //!   overlap engine.
 
 use super::state::{Pending, SimState};
-use super::Dispatcher;
-
-/// Selection rule distinguishing the temporal baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TemporalOrder {
-    /// PREMA: highest token priority runs, whole model at a time.
-    TokenPriority,
-    /// AI-MT: least relative progress runs, one layer at a time.
-    LeastProgress,
-}
-
-/// Dispatcher for the temporally multiplexed baselines.
-#[derive(Debug, Clone, Copy)]
-pub struct TemporalDispatcher {
-    order: TemporalOrder,
-}
-
-impl TemporalDispatcher {
-    /// Builds a dispatcher with the given selection rule.
-    #[must_use]
-    pub fn new(order: TemporalOrder) -> Self {
-        Self { order }
-    }
-}
+use crate::policy::Policy;
 
 /// PREMA's token priority: time waited so far, normalized by the QoS
 /// target, so tight-deadline tenants accumulate tokens faster.
@@ -59,85 +36,65 @@ fn higher_priority_pending(state: &SimState<'_>, running: usize) -> bool {
         .any(|p| priority(state, p.query) > held)
 }
 
-impl Dispatcher for TemporalDispatcher {
-    fn name(&self) -> &'static str {
-        match self.order {
-            TemporalOrder::TokenPriority => "temporal-prema",
-            TemporalOrder::LeastProgress => "temporal-aimt",
-        }
+/// Hands the whole machine to one pending query once it is idle: under
+/// AI-MT the least-progressed query runs one layer, under PREMA the
+/// highest-priority query runs the rest of its model.
+pub(crate) fn dispatch(state: &mut SimState<'_>) {
+    if !state.active_slots().is_empty() {
+        return;
     }
-
-    fn dispatch(&mut self, state: &mut SimState<'_>) {
-        if !state.active_slots().is_empty() {
-            return;
-        }
-        let mut all: Vec<Pending> = state.continuations.drain(..).collect();
-        all.extend(state.arrivals.drain(..));
-        if all.is_empty() {
-            return;
-        }
-        let layer_granular = self.order == TemporalOrder::LeastProgress;
-        let best = match self.order {
-            TemporalOrder::LeastProgress => {
-                let progress = |q: usize| {
-                    let st = &state.queries[q];
-                    st.next_unit as f64 / state.models[st.model].layers.len() as f64
-                };
-                (0..all.len())
-                    .min_by(|&a, &b| {
-                        progress(all[a].query)
-                            .total_cmp(&progress(all[b].query))
-                            .then(
-                                state.queries[all[a].query]
-                                    .arrival
-                                    .cmp(&state.queries[all[b].query].arrival),
-                            )
-                    })
-                    .expect("non-empty")
-            }
-            TemporalOrder::TokenPriority => {
-                let prio = |q: usize| priority(state, q);
-                (0..all.len())
-                    .max_by(|&a, &b| prio(all[a].query).total_cmp(&prio(all[b].query)))
-                    .expect("non-empty")
-            }
+    let mut all: Vec<Pending> = state.continuations.drain(..).collect();
+    all.extend(state.arrivals.drain(..));
+    if all.is_empty() {
+        return;
+    }
+    let layer_granular = matches!(state.cfg.policy, Policy::AiMt);
+    let best = if layer_granular {
+        let progress = |q: usize| {
+            let st = &state.queries[q];
+            st.next_unit as f64 / state.models[st.model].layers.len() as f64
         };
-        let chosen = all.swap_remove(best);
-        for p in all {
-            state.continuations.push_back(p);
-        }
-        let query = chosen.query;
-        let model_index = state.queries[query].model;
-        let begin = state.queries[query].next_unit;
-        let n = state.models[model_index].layers.len();
-        let cores = state.cfg.machine.cores;
-        // Planning goes through the shared selector seam like every
-        // dispatcher family. The temporal policies (PREMA, AI-MT) do not
-        // compile adaptively, so this yields the static solo versions.
-        state.plan_versions(model_index, 0.0);
-        let end = if layer_granular { begin + 1 } else { n };
-        state.free_cores = 0;
-        state.start_block(query, end, cores, cores);
+        (0..all.len())
+            .min_by(|&a, &b| {
+                progress(all[a].query)
+                    .total_cmp(&progress(all[b].query))
+                    .then(
+                        state.queries[all[a].query]
+                            .arrival
+                            .cmp(&state.queries[all[b].query].arrival),
+                    )
+            })
+            .expect("non-empty")
+    } else {
+        let prio = |q: usize| priority(state, q);
+        (0..all.len())
+            .max_by(|&a, &b| prio(all[a].query).total_cmp(&prio(all[b].query)))
+            .expect("non-empty")
+    };
+    let chosen = all.swap_remove(best);
+    for p in all {
+        state.continuations.push_back(p);
     }
-
-    fn should_yield(&self, state: &SimState<'_>, slot: usize) -> bool {
-        // PREMA preemption: a pending tenant holds more priority tokens,
-        // so the running query yields the machine at this unit boundary.
-        // (AI-MT schedules single-layer blocks, so block-internal
-        // boundaries never occur; the check is harmlessly shared.)
-        higher_priority_pending(state, state.running[slot].query)
-    }
+    let query = chosen.query;
+    let model_index = state.queries[query].model;
+    let begin = state.queries[query].next_unit;
+    let n = state.models[model_index].layers.len();
+    let cores = state.cfg.machine.cores;
+    // Planning goes through the shared selector seam like every policy
+    // family. The temporal policies (PREMA, AI-MT) do not compile
+    // adaptively, so this yields the static solo versions.
+    state.plan_versions(model_index, 0.0);
+    let end = if layer_granular { begin + 1 } else { n };
+    state.free_cores = 0;
+    state.start_block(query, end, cores, cores);
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_distinguish_the_orders() {
-        assert_ne!(
-            TemporalDispatcher::new(TemporalOrder::TokenPriority).name(),
-            TemporalDispatcher::new(TemporalOrder::LeastProgress).name()
-        );
-    }
+/// Whether the unit in `slot`, having finished a block-internal layer,
+/// yields the machine at this boundary: under a temporal policy, when a
+/// pending tenant holds more priority tokens (PREMA preemption). AI-MT
+/// schedules single-layer blocks, so its blocks have no internal
+/// boundaries and the check is harmlessly shared. Spatial and
+/// partitioned policies never yield.
+pub(crate) fn should_yield(state: &SimState<'_>, slot: usize) -> bool {
+    state.cfg.policy.is_temporal() && higher_priority_pending(state, state.running[slot].query)
 }

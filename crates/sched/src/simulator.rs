@@ -2,13 +2,12 @@
 //! (Algorithm 3).
 //!
 //! The actual machinery lives in the [`runtime`](crate::runtime) module
-//! family: a policy-agnostic discrete-event loop over one
-//! [`Dispatcher`](crate::runtime::Dispatcher) per policy family — spatial
-//! layer-block sharing, temporal PREMA/AI-MT multiplexing, and Parties
-//! partitioning — with the oracle/proxy interference paths unified behind
-//! [`Monitor`](crate::runtime::Monitor). This module holds [`SimConfig`]
-//! and [`simulate`], which runs a closed workload on a [`Driver`] to
-//! completion.
+//! family: one discrete-event loop that dispatches by policy family —
+//! spatial layer-block sharing, temporal PREMA/AI-MT multiplexing, and
+//! Parties partitioning — and reads the oracle or the counter-proxy
+//! monitor that [`SimConfig::proxy`] selects. This module holds
+//! [`SimConfig`] and [`simulate`], which runs a closed workload on a
+//! [`Driver`] to completion.
 
 use veltair_compiler::{CompiledModel, HysteresisConfig};
 use veltair_proxy::InterferenceProxy;

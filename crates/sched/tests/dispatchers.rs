@@ -1,13 +1,13 @@
-//! Scenario coverage for the `Dispatcher` trait: every `Policy` variant is
-//! driven through the policy-agnostic runtime (the same path
-//! `ServingEngine::run` takes) and must be deterministic, complete all
-//! queries, and deliver non-trivial QoS satisfaction at a moderate load.
+//! Scenario coverage for the runtime's dispatch: every `Policy` variant is
+//! driven through the one event loop (the same path `ServingEngine::run`
+//! takes) and must be deterministic, complete all queries, and deliver
+//! non-trivial QoS satisfaction at a moderate load.
 
 use veltair_compiler::{compile_model, CompilerOptions};
-use veltair_sched::{runtime, simulate, Policy, SimConfig, WorkloadSpec};
+use veltair_sched::{simulate, Policy, SimConfig, WorkloadSpec};
 use veltair_sim::MachineConfig;
 
-/// Every policy in the table, covering all three dispatcher families.
+/// Every policy in the table, covering all three dispatch families.
 const ALL_POLICIES: [Policy; 9] = [
     Policy::ModelFcfs,
     Policy::Planaria,
@@ -59,28 +59,6 @@ fn every_policy_is_deterministic_and_satisfies_qos_through_the_runtime() {
             a.overall_satisfaction()
         );
         assert!(a.dispatches > 0 && a.makespan_s > 0.0);
-    }
-}
-
-#[test]
-fn dispatcher_families_split_the_policy_table() {
-    // The trait object's name reveals the family; all three families must
-    // be exercised by the policy table, and temporal policies must be the
-    // only yielding ones.
-    let families: Vec<&str> = ALL_POLICIES
-        .iter()
-        .map(|&p| runtime::for_policy(p).name())
-        .collect();
-    assert!(families.contains(&"spatial"));
-    assert!(families.iter().any(|f| f.starts_with("temporal")));
-    assert!(families.contains(&"partitioned"));
-    for (policy, family) in ALL_POLICIES.iter().zip(&families) {
-        assert_eq!(
-            family.starts_with("temporal"),
-            policy.is_temporal(),
-            "{} mapped to family {family}",
-            policy.name()
-        );
     }
 }
 

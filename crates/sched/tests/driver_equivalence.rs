@@ -243,6 +243,39 @@ fn set_policy_between_steps_changes_the_discipline() {
     );
 }
 
+/// A fixed block as large as `usize` allows plans continuations too:
+/// swapped in once queries are mid-model, each block runs to the end of
+/// its model instead of overflowing past it.
+#[test]
+fn a_maximal_fixed_block_plans_continuations() {
+    let machine = machine();
+    let models = [compile_model(
+        &veltair_models::resnet50(),
+        &machine,
+        &CompilerOptions::fast(),
+    )];
+    let queries = WorkloadSpec::single("resnet50", 400.0, 30).generate(5);
+    let cfg = SimConfig::new(machine, Policy::Planaria);
+    let mut driver = Driver::new(&models, &queries, cfg).expect("valid workload");
+    let mut last_now = SimTime::ZERO;
+    for _ in 0..200 {
+        driver.step();
+        check_invariants(&driver, &mut last_now);
+    }
+    assert!(
+        driver
+            .state()
+            .continuations
+            .iter()
+            .any(|p| driver.state().queries[p.query].next_unit > 0),
+        "no query waits mid-model at the swap"
+    );
+    driver.set_policy(Policy::FixedBlock(usize::MAX));
+    check_invariants(&driver, &mut last_now);
+    run_to_completion_checked(&mut driver, &mut last_now);
+    assert_eq!(driver.finish().0.total_queries(), queries.len());
+}
+
 #[test]
 fn driver_construction_reports_typed_errors() {
     let models = compiled_pair();

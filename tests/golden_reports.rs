@@ -343,6 +343,79 @@ fn every_policy_goes_idle_after_a_drain_at_its_recorded_slice() {
     );
 }
 
+/// The mid-run policy walk: one driver on the seed-17 trace starts under
+/// Veltair-FULL and swaps to each of these in turn, one every
+/// `WALK_EVERY_S`. It reaches every dispatch family from every other,
+/// including PREMA to AI-MT and back.
+const WALK: [Policy; 11] = [
+    Policy::ModelFcfs,
+    Policy::Planaria,
+    Policy::Prema,
+    Policy::AiMt,
+    Policy::Prema,
+    Policy::Parties,
+    Policy::FixedBlock(6),
+    Policy::VeltairAs,
+    Policy::VeltairAc,
+    Policy::AiMt,
+    Policy::VeltairFull,
+];
+const WALK_EVERY_S: f64 = 0.12;
+
+/// Recorded digest of the walk's report. Identical in debug and release
+/// builds.
+const WALK_GOLDEN: u64 = 0x2149_5946_5b9e_5362;
+
+#[test]
+fn a_mid_run_walk_through_every_policy_family_reproduces_its_recorded_digest() {
+    let (machine, models, traces) = overload_mix();
+    let queries = &traces[1];
+    let cfg = SimConfig::new(machine, Policy::VeltairFull);
+    let mut driver = Driver::new(&models, queries, cfg).expect("valid workload");
+    let check = |driver: &Driver<'_>| {
+        if let Err(rule) = driver.check_invariants() {
+            panic!("{} at {} s: {rule}", driver.policy().name(), driver.now().0);
+        }
+    };
+    for (i, &policy) in WALK.iter().enumerate() {
+        let at = SimTime(WALK_EVERY_S * (i + 1) as f64);
+        while driver
+            .state()
+            .events
+            .peek_time()
+            .is_some_and(|next| next <= at)
+        {
+            driver.step();
+            check(&driver);
+        }
+        driver.run_until(at).expect("finite target");
+        assert!(
+            !driver.is_idle(),
+            "the run ended before the swap to {}",
+            policy.name()
+        );
+        driver.set_policy(policy);
+        check(&driver);
+    }
+    while driver.step().is_some() {
+        check(&driver);
+    }
+    let (report, _) = driver.finish();
+    assert_eq!(
+        report.total_queries(),
+        queries.len(),
+        "every query completes"
+    );
+    assert!(report.preemptions > 0, "the walk never preempted");
+    let mut h = Fnv::new();
+    h.report(&report);
+    assert_eq!(
+        h.0, WALK_GOLDEN,
+        "the walk drifted: {:#018x}, recorded {WALK_GOLDEN:#018x}",
+        h.0
+    );
+}
+
 /// Recorded artifact digests: every model of `all_models()` in catalog
 /// order, compiled with `CompilerOptions::fast()` on the 3990X and then on
 /// the 8-core desktop. Identical in debug and release builds.
