@@ -407,7 +407,7 @@ pub struct Fleet<'a> {
     /// The autoscaling attachment, if any.
     scale: Option<ScaleState>,
     /// The flight recorder, when enabled: merges coordinator lifecycle
-    /// events with per-node buffer pulls and keeps the metrics registry.
+    /// events with per-node buffer pulls and keeps the violation table.
     /// `None` (the default) keeps the hot path telemetry-free — every
     /// emission site is behind one `Option` branch.
     telemetry: Option<Collector>,

@@ -107,6 +107,6 @@ pub use scaling::{AutoscalerConfig, HysteresisAutoscaler, ScaleDecision, ScalePo
 // The flight-recorder vocabulary (`Fleet::enable_telemetry`), re-exported
 // so fleet callers need not name the telemetry crate directly.
 pub use veltair_telemetry::{
-    Collector, EventCounts, LatencyHistogram, SloAttribution, TelemetrySnapshot, TraceEvent,
-    TraceEventKind, TraceLog, ViolationCell,
+    Collector, SloAttribution, TelemetrySnapshot, TraceEvent, TraceEventKind, TraceLog,
+    ViolationCell,
 };

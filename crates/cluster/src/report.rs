@@ -80,26 +80,24 @@ pub fn merge_reports(reports: &[ServingReport]) -> ServingReport {
 ///   churn happens at deterministic control instants.
 ///
 /// **Telemetry relations.** When the flight recorder is enabled
-/// (`Fleet::enable_telemetry`), these counters and the recorder's event
-/// counts (`veltair_telemetry::EventCounts`) describe the same run from
-/// two sides, and the following equalities hold exactly — they are
-/// pinned by the `cluster_fleet` integration tests:
+/// (`Fleet::enable_telemetry`), these counters and the event counts of
+/// the merged `TraceLog` (`Fleet::trace_log`, events counted by
+/// `TraceEventKind::name`) describe the same run from two sides, and the
+/// following equalities hold exactly — they are pinned by the
+/// `cluster_fleet` integration tests:
 ///
-/// * `routing_decisions == counts.routed` — every routing decision
-///   (including deferral re-offers) emits exactly one `Routed` event
-///   before its admission outcome.
-/// * `nodes_added + seed roster size == counts.node_joined` — every
-///   roster slot is announced exactly once (seed nodes at
+/// * `routing_decisions` equals the `Routed` events — every routing
+///   decision (including deferral re-offers) emits exactly one `Routed`
+///   event before its admission outcome.
+/// * `nodes_added` plus the seed roster size equals the `NodeJoined`
+///   events — every roster slot is announced exactly once (seed nodes at
 ///   enable time, later joins at their join instant).
-/// * `nodes_drained == counts.node_draining` and
-///   `nodes_killed == counts.node_killed` — one lifecycle event per
+/// * `nodes_drained` equals the `NodeDraining` events and
+///   `nodes_killed` the `NodeKilled` events — one lifecycle event per
 ///   applied transition, none for skipped plan events.
-/// * `FleetReport::deferrals == counts.deferred`,
-///   `FleetReport::shed == counts.shed`, and
-///   `FleetReport::rerouted == counts.requeued`.
-///
-/// The event counts live on the telemetry side precisely because they
-/// describe the simulated run, not the coordinator's bookkeeping.
+/// * `FleetReport::deferrals`, `FleetReport::shed` and
+///   `FleetReport::rerouted` equal the `Deferred`, `Shed` and
+///   `Requeued` events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoordinatorStats {
     /// Routing decisions made (one per offer, including deferral re-offers).
@@ -175,9 +173,10 @@ pub struct FleetReport {
     pub deferrals: u64,
     /// Coordinator work counters (see [`CoordinatorStats`]).
     pub coordinator: CoordinatorStats,
-    /// The metrics registry — latency histograms and the
-    /// per-(node-class, model) violation-frequency table — when the
-    /// flight recorder was enabled for the run.
+    /// The metrics registry — the per-(node-class, model)
+    /// violation-frequency table — when the flight recorder was enabled
+    /// for the run. Percentiles come exact from `merged`, event counts
+    /// from [`Fleet::trace_log`](crate::Fleet::trace_log).
     pub telemetry: Option<TelemetrySnapshot>,
 }
 

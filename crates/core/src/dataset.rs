@@ -66,12 +66,7 @@ pub fn co_location_dataset(
                 .map(|(_, d)| d);
             let interference = Interference::from_corunners(others, machine);
             let exec = execute(p, *c, interference, machine);
-            let scale = 1.0 / exec.latency_s.max(1e-12);
-            counters.l3_accesses += exec.counters.l3_accesses * scale;
-            counters.l3_misses += exec.counters.l3_misses * scale;
-            counters.instructions += exec.counters.instructions * scale;
-            counters.cycles += exec.counters.cycles * scale;
-            counters.flops += exec.counters.flops * scale;
+            counters.accumulate_rates(&exec.counters, exec.latency_s);
             demands.push(exec.demand);
         }
         let level = Interference::from_corunners(demands.iter(), machine).scalar();

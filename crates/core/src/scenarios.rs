@@ -4,10 +4,11 @@
 //! Each [`Scenario`] bundles everything a run needs — a fleet topology,
 //! a trace-shaped workload, a [`FailurePlan`] (empty when nothing fails),
 //! an optional [`ScalePolicy`], and a pinned seed — plus the
-//! [`SloExpectation`] the run is asserted against. [`Scenario::run_with`]
+//! [`SloExpectation`] the run is asserted against. [`Scenario::open`]
 //! opens the topology with [`Fleet::new`] behind least-outstanding
-//! routing and admit-all admission, and attaches the plan and the
-//! posture to it. The library serves three purposes:
+//! routing and admit-all admission, attaches the plan and the posture to
+//! it and submits the workload; [`Scenario::run_with`] finishes that
+//! fleet. The library serves three purposes:
 //!
 //! 1. **Regression pins.** Every scenario is bit-deterministic for its
 //!    seed, so CI can assert whole-report equality and SLO floors
@@ -96,6 +97,17 @@ impl Scenario {
     /// for [`check`](Scenario::check).
     #[must_use]
     pub fn run_with(&self, scale: Option<ScalePolicy>) -> FleetReport {
+        self.open(scale).finish()
+    }
+
+    /// Opens the scenario's fleet under an explicit autoscaling posture
+    /// (`None` = fixed fleet): the failure plan and the posture are
+    /// attached and the workload is submitted, but the clock has not
+    /// moved. Step it with [`Fleet::run_until`] to check it between
+    /// slices; [`Fleet::finish`] completes the same run
+    /// [`run_with`](Scenario::run_with) does.
+    #[must_use]
+    pub fn open(&self, scale: Option<ScalePolicy>) -> Fleet<'_> {
         let mut fleet = Fleet::new(
             &self.models,
             &self.nodes,
@@ -112,7 +124,7 @@ impl Scenario {
         fleet
             .submit_stream(&self.workload, self.seed)
             .expect("scenario workloads serve registered models");
-        fleet.finish()
+        fleet
     }
 
     /// Checks a report against the scenario's [`SloExpectation`],

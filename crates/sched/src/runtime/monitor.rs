@@ -56,12 +56,7 @@ pub(crate) fn observe(
     // duration, predicting only the scalar level.
     let mut counters = PerfCounters::default();
     for exec in corunners {
-        let scale = 1.0 / exec.latency_s.max(1e-12);
-        counters.l3_accesses += exec.counters.l3_accesses * scale;
-        counters.l3_misses += exec.counters.l3_misses * scale;
-        counters.instructions += exec.counters.instructions * scale;
-        counters.cycles += exec.counters.cycles * scale;
-        counters.flops += exec.counters.flops * scale;
+        counters.accumulate_rates(&exec.counters, exec.latency_s);
     }
     let level = proxy
         .predict(&CounterWindow::from_counters(&counters, 1.0))

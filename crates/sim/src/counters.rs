@@ -47,6 +47,19 @@ impl PerfCounters {
         self.flops += other.flops;
     }
 
+    /// Rate-weighted accumulation: adds `other`'s counts per second of a
+    /// unit that ran `duration_s` (floored at 1 ps) — the co-runner window
+    /// the interference proxy is both trained and queried on.
+    #[inline]
+    pub fn accumulate_rates(&mut self, other: &PerfCounters, duration_s: f64) {
+        let scale = 1.0 / duration_s.max(1e-12);
+        self.l3_accesses += other.l3_accesses * scale;
+        self.l3_misses += other.l3_misses * scale;
+        self.instructions += other.instructions * scale;
+        self.cycles += other.cycles * scale;
+        self.flops += other.flops * scale;
+    }
+
     /// The counter vector in the fixed feature order used by the proxy:
     /// `[miss_rate, accesses, ipc, flops]`.
     #[must_use]
@@ -103,6 +116,23 @@ mod tests {
         a.accumulate(&b);
         assert_eq!(a.l3_accesses, 2.0);
         assert_eq!(a.flops, 2.0);
+    }
+
+    #[test]
+    fn accumulate_rates_divides_by_the_floored_duration() {
+        let unit = PerfCounters {
+            flops: 10.0,
+            ..PerfCounters::default()
+        };
+        let rates = |durations: &[f64]| {
+            let mut window = PerfCounters::default();
+            durations
+                .iter()
+                .for_each(|&d| window.accumulate_rates(&unit, d));
+            window
+        };
+        assert_eq!(rates(&[2.0, 0.5]).flops, 5.0 + 20.0);
+        assert_eq!(rates(&[0.0]), rates(&[1e-12]));
     }
 
     #[test]

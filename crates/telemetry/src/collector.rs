@@ -1,5 +1,5 @@
 //! The coordinator-side collector: merges per-node trace buffers into one
-//! deterministic stream and keeps the metrics registry incrementally.
+//! deterministic stream and keeps the violation table incrementally.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +20,7 @@ fn entry<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut
 }
 
 /// Merges coordinator and per-node event streams deterministically and
-/// maintains the [`TelemetrySnapshot`] registry as events arrive.
+/// maintains the [`TelemetrySnapshot`] violation table as events arrive.
 ///
 /// Owned by the fleet coordinator. Node buffers are absorbed at
 /// deterministic virtual-time points in node-index order; the merged log
@@ -98,8 +98,9 @@ impl Collector {
         }
     }
 
-    /// Counts one event in the registry. Names are looked up by `&str`,
-    /// so a model or class allocates only the first time it appears.
+    /// Tabulates one outcome event in the violation table under the
+    /// class its track has now. Names are looked up by `&str`, so a
+    /// model or class allocates only the first time it appears.
     fn account(&mut self, track: u32, kind: &TraceEventKind) {
         let Self {
             models,
@@ -109,43 +110,18 @@ impl Collector {
         } = self;
         let model_name = |model: u32| models.get(model as usize).map_or(UNKNOWN, String::as_str);
         let class = classes.get(track as usize).map_or(UNKNOWN, String::as_str);
-        snapshot.events_recorded += 1;
-        let c = &mut snapshot.counts;
+        let table = &mut snapshot.violations;
         match kind {
-            TraceEventKind::Submitted { .. } => c.submitted += 1,
-            TraceEventKind::Routed { .. } => c.routed += 1,
-            TraceEventKind::Admitted { .. } => c.admitted += 1,
-            TraceEventKind::Deferred { .. } => c.deferred += 1,
-            TraceEventKind::Requeued { .. } => c.requeued += 1,
-            TraceEventKind::Dispatched { .. } => c.dispatched += 1,
-            TraceEventKind::NodeJoined { .. } => c.node_joined += 1,
-            TraceEventKind::NodeStalled { .. } => c.node_stalled += 1,
-            TraceEventKind::NodeRecovered { .. } => c.node_recovered += 1,
-            TraceEventKind::NodeDraining { .. } => c.node_draining += 1,
-            TraceEventKind::NodeKilled { .. } => c.node_killed += 1,
-            TraceEventKind::NodeRetired { .. } => c.node_retired += 1,
-            TraceEventKind::ScaleOut { .. } => c.scale_out += 1,
-            TraceEventKind::ScaleIn { .. } => c.scale_in += 1,
             TraceEventKind::Shed { model, .. } => {
-                c.shed += 1;
-                let row = entry(&mut snapshot.violations, FRONT_DOOR_CLASS);
-                entry(row, model_name(*model)).shed += 1;
+                entry(entry(table, FRONT_DOOR_CLASS), model_name(*model)).shed += 1;
             }
-            TraceEventKind::Completed {
-                model, latency_s, ..
-            } => {
-                c.completed += 1;
-                let model = model_name(*model);
-                snapshot.latency.record(*latency_s);
-                entry(&mut snapshot.per_model_latency, model).record(*latency_s);
-                let row = entry(&mut snapshot.violations, class);
-                entry(row, model).completed += 1;
+            TraceEventKind::Completed { model, .. } => {
+                entry(entry(table, class), model_name(*model)).completed += 1;
             }
             TraceEventKind::Violated { model, .. } => {
-                c.violated += 1;
-                let row = entry(&mut snapshot.violations, class);
-                entry(row, model_name(*model)).violated += 1;
+                entry(entry(table, class), model_name(*model)).violated += 1;
             }
+            _ => {}
         }
     }
 
@@ -203,10 +179,9 @@ mod tests {
         assert_eq!(log.events[1].track, 0);
         assert_eq!(log.events[2].track, n0);
         assert_eq!(log.events[2].kind.query(), Some(7));
+        // Only the outcome lands in the table; submissions do not.
         let snap = c.snapshot();
-        assert_eq!(snap.counts.submitted, 2);
-        assert_eq!(snap.counts.completed, 1);
-        assert_eq!(snap.latency.count(), 1);
         assert_eq!(snap.violations["8c/test"]["m"].completed, 1);
+        assert_eq!(snap.violation_rows().len(), 1);
     }
 }

@@ -1,6 +1,7 @@
 //! Deterministic flight recorder for the VELTAIR serving stack:
-//! query-lifecycle tracing, a metrics registry, and SLO-violation
-//! attribution across the per-node driver and the fleet coordinator.
+//! query-lifecycle tracing, the per-(node class, model) violation table,
+//! and SLO-violation attribution across the per-node driver and the
+//! fleet coordinator.
 //!
 //! The crate sits *below* the scheduler and the fleet in the dependency
 //! graph — drivers buffer their [`TraceEventKind`]s with virtual
@@ -32,12 +33,10 @@
 
 mod collector;
 mod event;
-mod histogram;
 mod registry;
 mod trace;
 
 pub use collector::Collector;
 pub use event::{TraceEvent, TraceEventKind};
-pub use histogram::LatencyHistogram;
-pub use registry::{EventCounts, TelemetrySnapshot, ViolationCell, FRONT_DOOR_CLASS};
+pub use registry::{TelemetrySnapshot, ViolationCell, FRONT_DOOR_CLASS};
 pub use trace::{QueryTerminal, SloAttribution, TraceLog};

@@ -1,59 +1,12 @@
-//! The metrics registry: event counters, latency histograms, and the
-//! per-(node-class, model) violation-frequency table that calibrated
-//! admission control trains on.
+//! The metrics registry: the per-(node-class, model) violation-frequency
+//! table that calibrated admission control trains on.
 
 use std::collections::BTreeMap;
-
-use crate::histogram::LatencyHistogram;
 
 /// Pseudo node-class under which front-door sheds are tabulated in the
 /// violation table: a shed query never reaches a node, so it has no real
 /// class, but admission calibration still needs its frequency per model.
 pub const FRONT_DOOR_CLASS: &str = "front-door";
-
-/// Monotone counters over every event kind the recorder has absorbed.
-///
-/// These are pure event counts — no coordinator op counts — so they are
-/// a function of the simulated run alone and safe to compare in
-/// whole-snapshot equality asserts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// `Submitted` events (== front-door submissions).
-    pub submitted: u64,
-    /// `Routed` events (== `CoordinatorStats::routing_decisions`).
-    pub routed: u64,
-    /// `Admitted` events (successful placements, reroutes included).
-    pub admitted: u64,
-    /// `Deferred` events (== `FleetReport::deferrals`).
-    pub deferred: u64,
-    /// `Shed` terminal events (== `FleetReport::shed`).
-    pub shed: u64,
-    /// `Requeued` events (== `FleetReport::rerouted`).
-    pub requeued: u64,
-    /// `Dispatched` events (core grants to layer blocks).
-    pub dispatched: u64,
-    /// `Completed` terminal events.
-    pub completed: u64,
-    /// `Violated` events (completions past their deadline).
-    pub violated: u64,
-    /// `NodeJoined` events (== `CoordinatorStats::nodes_added` plus the
-    /// seed roster).
-    pub node_joined: u64,
-    /// `NodeStalled` events.
-    pub node_stalled: u64,
-    /// `NodeRecovered` events.
-    pub node_recovered: u64,
-    /// `NodeDraining` events (== `CoordinatorStats::nodes_drained`).
-    pub node_draining: u64,
-    /// `NodeKilled` events (== `CoordinatorStats::nodes_killed`).
-    pub node_killed: u64,
-    /// `NodeRetired` events (drains that completed).
-    pub node_retired: u64,
-    /// `ScaleOut` autoscaler events.
-    pub scale_out: u64,
-    /// `ScaleIn` autoscaler events.
-    pub scale_in: u64,
-}
 
 /// One cell of the violation-frequency table: outcomes of every query of
 /// one model on one node class (or shed at the [`FRONT_DOOR_CLASS`]).
@@ -85,24 +38,16 @@ impl ViolationCell {
 /// A point-in-time copy of the metrics registry, surfaced on the
 /// `FleetReport` of a fleet snapshot or finish when telemetry is enabled.
 ///
-/// Deliberately contains *only* data about the simulated run (event
-/// counts, histograms, the violation table) — never coordinator op
-/// counts — so two runs of the same configuration and seed produce equal
-/// snapshots.
+/// It holds the one datum neither that report nor the merged
+/// [`TraceLog`](crate::TraceLog) can rebuild: each outcome under the
+/// class its node had when it served the query, across policy swaps.
+/// Two runs of the same configuration and seed produce equal snapshots.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// Counters over every absorbed event kind.
-    pub counts: EventCounts,
-    /// Log-bucketed end-to-end latency over all completions.
-    pub latency: LatencyHistogram,
-    /// The same histogram, per model name.
-    pub per_model_latency: BTreeMap<String, LatencyHistogram>,
     /// The violation-frequency table: node class → model name → cell.
     /// Node classes are `"{cores}c/{policy}"` labels plus
     /// [`FRONT_DOOR_CLASS`] for sheds.
     pub violations: BTreeMap<String, BTreeMap<String, ViolationCell>>,
-    /// Events absorbed into the merged stream so far.
-    pub events_recorded: u64,
 }
 
 impl TelemetrySnapshot {

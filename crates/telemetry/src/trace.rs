@@ -12,8 +12,8 @@ pub enum QueryTerminal {
     Completed,
     /// The query was shed at the front door.
     Shed,
-    /// The trace ended before the query did (bounded recorder, or the
-    /// run is still in flight).
+    /// The trace ended before the query did: the log was taken while
+    /// the query was still in flight.
     #[default]
     Open,
 }

@@ -13,9 +13,9 @@
 //!
 //! A flight-recorder pass follows the head-to-head: the same fleet and
 //! workload replayed with the deterministic trace collector attached,
-//! live registry metrics (event counts, latency percentiles, the
-//! per-(node-class, model) violation table) printed at periodic
-//! snapshots, the worst SLO miss attributed span by span, and — when
+//! live counts and the exact p99 from the fleet's snapshot report printed
+//! at periodic snapshots, then the per-(node-class, model) violation
+//! table, the worst SLO miss attributed span by span, and — when
 //! `VELTAIR_TRACE_OUT` is set — the merged trace exported as Chrome
 //! trace-event JSON for Perfetto / `chrome://tracing`.
 //!
@@ -142,8 +142,9 @@ fn slo_aware_fleet<'a>(
 
 /// The flight-recorder pass: interference-aware routing over the same
 /// fleet with the deterministic trace collector attached from the first
-/// arrival, registry metrics printed at periodic snapshots, the worst
-/// SLO miss attributed, and the merged trace exported as Chrome
+/// arrival, the snapshot report's counts and exact p99 printed at
+/// periodic snapshots, the violation table printed once drained, the
+/// worst SLO miss attributed, and the merged trace exported as Chrome
 /// trace-event JSON when `VELTAIR_TRACE_OUT` is set.
 fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload: &WorkloadSpec) {
     let mut session = slo_aware_fleet(compiled, nodes, RouterKind::InterferenceAware);
@@ -155,17 +156,22 @@ fn flight_recorder_demo(compiled: &[CompiledModel], nodes: &[NodeSpec], workload
     println!("\nflight recorder (interference-aware, same fleet and workload):");
     for t_ms in [250.0, 500.0, 1000.0] {
         session.run_until(t_ms / 1e3).expect("finite target");
-        let tm = session.snapshot().telemetry.expect("telemetry enabled");
+        let snap = session.snapshot();
+        let violated: usize = snap
+            .merged
+            .per_model
+            .values()
+            .map(|m| m.queries - m.satisfied)
+            .sum();
         println!(
-            "  t={t_ms:>5.0}ms  {:>5} events  routed {:>4}  deferred {:>3}  shed {:>3}  \
-             completed {:>4}  violated {:>3}  p99 {:>6.2}ms",
-            tm.events_recorded,
-            tm.counts.routed,
-            tm.counts.deferred,
-            tm.counts.shed,
-            tm.counts.completed,
-            tm.counts.violated,
-            tm.latency.percentile_s(99.0) * 1e3,
+            "  t={t_ms:>5.0}ms  routed {:>4}  deferred {:>3}  shed {:>3}  completed {:>4}  \
+             violated {:>3}  p99 {:>6.2}ms",
+            snap.coordinator.routing_decisions,
+            snap.deferrals,
+            snap.shed,
+            snap.merged.total_queries(),
+            violated,
+            snap.merged.overall_percentile_latency_s(99.0) * 1e3,
         );
     }
     // Drain the stragglers so the trace holds every terminal event.

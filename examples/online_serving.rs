@@ -2,10 +2,10 @@
 //! node): bursty open-loop arrivals, a mid-run policy hot-swap, and
 //! periodic incremental snapshots — the scenario the batch
 //! `run(workload, seed)` path cannot express. The session's flight
-//! recorder runs throughout: live registry
-//! metrics print with each snapshot, and setting `VELTAIR_TRACE_OUT`
-//! writes the merged lifecycle trace as Chrome trace-event JSON
-//! (loadable in Perfetto / `chrome://tracing`).
+//! recorder runs throughout: event counts from the merged trace and the
+//! violation table print with each snapshot, and setting
+//! `VELTAIR_TRACE_OUT` writes the merged lifecycle trace as Chrome
+//! trace-event JSON (loadable in Perfetto / `chrome://tracing`).
 //!
 //! ```text
 //! cargo run --release --example online_serving
@@ -14,15 +14,17 @@
 
 use veltair::prelude::*;
 
-fn print_telemetry(tm: &TelemetrySnapshot) {
+/// Prints the session's event counts, read off its merged trace, then
+/// its violation table.
+fn print_telemetry(session: &mut Fleet<'_>, tm: &TelemetrySnapshot) {
+    let log = session.trace_log().expect("telemetry enabled");
+    let count = |name: &str| log.events.iter().filter(|e| e.kind.name() == name).count();
     println!(
-        "    registry: {} events  dispatched {}  completed {}  violated {}  p95 {:>6.2}ms  p99 {:>6.2}ms",
-        tm.events_recorded,
-        tm.counts.dispatched,
-        tm.counts.completed,
-        tm.counts.violated,
-        tm.latency.percentile_s(95.0) * 1e3,
-        tm.latency.percentile_s(99.0) * 1e3,
+        "    trace: {} events  dispatched {}  completed {}  violated {}",
+        log.events.len(),
+        count("Dispatched"),
+        count("Completed"),
+        count("Violated"),
     );
     for (class, model, cell) in tm.violation_rows() {
         println!(
@@ -35,7 +37,7 @@ fn print_telemetry(tm: &TelemetrySnapshot) {
 }
 
 /// Prints the session's report so far, polls its completions, then
-/// prints its registry.
+/// prints its flight-recorder view.
 fn print_snapshot(policy: Policy, session: &mut Fleet<'_>) {
     let snap = session.snapshot();
     let load = &session.loads()[0];
@@ -61,7 +63,7 @@ fn print_snapshot(policy: Policy, session: &mut Fleet<'_>) {
     }
     println!("    poll: +{} completions", session.poll().len());
     if let Some(tm) = &snap.telemetry {
-        print_telemetry(tm);
+        print_telemetry(session, tm);
     }
 }
 

@@ -16,17 +16,17 @@
 //! * [`proxy`] — the PCA-selected, linear performance-counter interference
 //!   proxy;
 //! * [`sched`] — layer-block formation (Algorithm 2), the scheduler-core
-//!   runtime (Algorithm 3): a policy-agnostic event loop with one
-//!   dispatcher per policy family, plus the Planaria / PREMA / AI-MT /
-//!   Parties baselines;
+//!   runtime (Algorithm 3): one event loop that dispatches by a `match`
+//!   on the policy, plus the Planaria / PREMA / AI-MT / Parties
+//!   baselines;
 //! * [`cluster`] — the multi-machine fleet runtime: per-node serving
 //!   drivers behind pluggable SLO-aware routing (round-robin,
 //!   least-outstanding, power-of-two-choices, interference-aware) and
 //!   admission control;
 //! * [`telemetry`] — the deterministic flight recorder: query-lifecycle
-//!   tracing, the metrics registry (latency histograms, the
-//!   violation-frequency table), Chrome-trace export, and per-query SLO
-//!   attribution;
+//!   tracing, the per-(node class, model) violation-frequency table,
+//!   Chrome-trace export, and per-query SLO attribution (latency
+//!   percentiles come exact from [`cluster::FleetReport::merged`]);
 //! * [`core`] — the serving engine (whose session is a one-node
 //!   [`cluster::Fleet`]; a fleet of N opens with [`cluster::Fleet::new`]
 //!   or [`cluster::Fleet::with_node_registries`]), the pinned fleet
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use veltair_sched::{PressureView, ProjectionConfig, QuerySpec, SimConfig};
     pub use veltair_sim::{Interference, MachineConfig, SimTime};
     pub use veltair_telemetry::{
-        Collector, EventCounts, LatencyHistogram, SloAttribution, TelemetrySnapshot, TraceEvent,
-        TraceEventKind, TraceLog, ViolationCell,
+        Collector, SloAttribution, TelemetrySnapshot, TraceEvent, TraceEventKind, TraceLog,
+        ViolationCell,
     };
 }

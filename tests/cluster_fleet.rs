@@ -1073,9 +1073,9 @@ fn slo_admission_sheds_under_crushing_load() {
 }
 
 #[test]
-fn telemetry_counts_pin_the_coordinator_counting_contract() {
+fn trace_event_counts_pin_the_coordinator_counting_contract() {
     // The rustdoc'd relations on `CoordinatorStats` between the op
-    // counters and the flight recorder's event counts, pinned exactly:
+    // counters and the merged trace's event counts, pinned exactly:
     // a `Routed` event per routing decision, a node-lifecycle event per
     // roster transition, and the per-offer identity (each decision ends
     // in exactly one of Admitted / Deferred / Shed).
@@ -1105,34 +1105,36 @@ fn telemetry_counts_pin_the_coordinator_counting_contract() {
         ))
         .expect("valid node");
     fleet.run_to_completion();
+    let log = fleet.trace_log().expect("telemetry enabled");
     let report = fleet.finish();
-    let tm = report.telemetry.as_ref().expect("telemetry enabled");
-    let (c, n) = (report.coordinator, tm.counts);
+    let c = report.coordinator;
+    let n = |name: &str| log.events.iter().filter(|e| e.kind.name() == name).count() as u64;
 
     assert_eq!(
-        c.routing_decisions, n.routed,
+        c.routing_decisions,
+        n("Routed"),
         "one Routed event per decision"
     );
-    assert_eq!(c.nodes_added + seed_roster, n.node_joined);
-    assert_eq!(c.nodes_drained, n.node_draining);
-    assert_eq!(c.nodes_killed, n.node_killed);
-    assert_eq!(report.deferrals, n.deferred);
-    assert_eq!(report.shed, n.shed);
-    assert_eq!(report.rerouted, n.requeued);
-    assert_eq!(report.submitted, n.submitted);
+    assert_eq!(c.nodes_added + seed_roster, n("NodeJoined"));
+    assert_eq!(c.nodes_drained, n("NodeDraining"));
+    assert_eq!(c.nodes_killed, n("NodeKilled"));
+    assert_eq!(report.deferrals, n("Deferred"));
+    assert_eq!(report.shed, n("Shed"));
+    assert_eq!(report.rerouted, n("Requeued"));
+    assert_eq!(report.submitted, n("Submitted"));
     // Every routing decision resolves to exactly one admission outcome.
-    assert_eq!(n.routed, n.admitted + n.deferred + n.shed);
+    assert_eq!(n("Routed"), n("Admitted") + n("Deferred") + n("Shed"));
     // Every placement (original or reroute) that is not shed is admitted
     // exactly once.
-    assert_eq!(n.admitted, n.submitted - n.shed + n.requeued);
+    assert_eq!(n("Admitted"), n("Submitted") - n("Shed") + n("Requeued"));
     // The churn script really exercised every relation.
     assert!(
-        n.deferred > 0 && n.shed > 0 && n.requeued > 0,
+        n("Deferred") > 0 && n("Shed") > 0 && n("Requeued") > 0,
         "deferred {} shed {} requeued {}",
-        n.deferred,
-        n.shed,
-        n.requeued
+        n("Deferred"),
+        n("Shed"),
+        n("Requeued")
     );
-    assert_eq!(n.node_killed, 1);
-    assert_eq!(n.node_draining, 1);
+    assert_eq!(n("NodeKilled"), 1);
+    assert_eq!(n("NodeDraining"), 1);
 }

@@ -12,6 +12,9 @@
 //!    beats its fixed-fleet twin (same topology, crash, workload, and
 //!    seed) by a real satisfaction margin, while both resolve every
 //!    query.
+//! 4. **Checkpoints** — stepped in short slices, every scenario keeps
+//!    the fleet's invariants after each slice and serves exactly what an
+//!    unbroken run serves.
 
 use veltair::core::scenarios::{all_scenarios, failover};
 
@@ -46,6 +49,55 @@ fn scenarios_are_bit_deterministic_across_runs() {
             scenario.run(),
             reference,
             "{}: two runs diverged",
+            scenario.name
+        );
+    }
+}
+
+#[test]
+fn stepped_scenarios_keep_their_invariants_and_reports() {
+    // Slices of 0.05 s through each scenario under its pinned posture:
+    // the bookkeeping holds at every checkpoint, and slicing changes no
+    // served query. The roster may not match: a slice that reaches a
+    // join the autoscaler scheduled before the last arrival fires it,
+    // while an unbroken run drops control actions past the last arrival
+    // (flash-crowd's last slice ends on its t=2.5 s join). Such a late
+    // node serves nothing.
+    for scenario in all_scenarios() {
+        let mut fleet = scenario.open(scenario.scale.clone());
+        let mut slices = 0u32;
+        while !fleet.is_idle() {
+            slices += 1;
+            assert!(slices <= 2_000, "{}: not idle after 100 s", scenario.name);
+            let t_s = f64::from(slices) * 0.05;
+            fleet.run_until(t_s).expect("finite target");
+            if let Err(rule) = fleet.check_invariants() {
+                panic!("{} at t={t_s:.2} s: {rule}", scenario.name);
+            }
+        }
+        let stepped = fleet.finish();
+        let violations = scenario.check(&stepped);
+        assert!(
+            violations.is_empty(),
+            "{}: {}",
+            scenario.name,
+            violations.join("; ")
+        );
+        let whole = scenario.run();
+        assert_eq!(
+            stepped.merged, whole.merged,
+            "{}: stepping moved the pooled report",
+            scenario.name
+        );
+        let (served, late) = stepped.per_node.split_at(whole.per_node.len());
+        assert_eq!(
+            served, whole.per_node,
+            "{}: stepping moved a node's report",
+            scenario.name
+        );
+        assert!(
+            late.iter().all(|r| r.total_queries() == 0),
+            "{}: a node joined past the last arrival served queries",
             scenario.name
         );
     }

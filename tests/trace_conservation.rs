@@ -5,11 +5,10 @@
 //! * every `Submitted` trace id terminates in **exactly one** of
 //!   `Completed` or `Shed` — never both, never neither — across elastic
 //!   churn (joins, drains, crashes) and injected failures (stalls);
-//! * the registry's event counts reconcile with the final
-//!   `FleetReport` counters query for query;
-//! * the log-bucketed latency histograms agree with the exact
-//!   pooled-sample percentiles within one bucket width
-//!   ([`LatencyHistogram::relative_width`]), overall and per model.
+//! * the trace's event counts reconcile with the final `FleetReport`
+//!   counters query for query;
+//! * the latencies the `Completed` events record are, model by model,
+//!   exactly the samples the pooled report keeps.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,13 +74,18 @@ fn fleet_nodes(rng: &mut StdRng) -> Vec<NodeSpec> {
         .collect()
 }
 
+/// Events of the kind named `name` in `log`.
+fn count(log: &TraceLog, name: &str) -> u64 {
+    log.events.iter().filter(|e| e.kind.name() == name).count() as u64
+}
+
 /// Asserts the conservation law on a finished run's log: every submitted
 /// trace id has exactly one terminal event, and ids never appear out of
 /// thin air.
 fn assert_chains_conserve(log: &TraceLog, submitted: u64) {
     let mut submitted_ids = Vec::new();
     for e in &log.events {
-        if let veltair::telemetry::TraceEventKind::Submitted { query, .. } = e.kind {
+        if let TraceEventKind::Submitted { query, .. } = e.kind {
             submitted_ids.push(query);
         }
     }
@@ -99,11 +103,11 @@ fn assert_chains_conserve(log: &TraceLog, submitted: u64) {
         );
         let completed = span
             .iter()
-            .filter(|e| matches!(e.kind, veltair::telemetry::TraceEventKind::Completed { .. }))
+            .filter(|e| matches!(e.kind, TraceEventKind::Completed { .. }))
             .count();
         let shed = span
             .iter()
-            .filter(|e| matches!(e.kind, veltair::telemetry::TraceEventKind::Shed { .. }))
+            .filter(|e| matches!(e.kind, TraceEventKind::Shed { .. }))
             .count();
         assert_eq!(
             completed + shed,
@@ -128,7 +132,7 @@ fn assert_chains_conserve(log: &TraceLog, submitted: u64) {
 /// Randomized fleets and churn scripts under a randomized controller:
 /// the fleet's bookkeeping holds at every checkpoint
 /// (`Fleet::check_invariants`), the span-chain conservation law holds,
-/// and the registry counts reconcile with the report.
+/// and the trace's event counts reconcile with the report.
 #[test]
 fn every_submission_terminates_exactly_once_under_churn() {
     let models = compiled_models();
@@ -186,32 +190,29 @@ fn every_submission_terminates_exactly_once_under_churn() {
 
         let log = fleet.trace_log().expect("telemetry enabled");
         let report = fleet.finish();
-        let tm = report.telemetry.as_ref().expect("telemetry enabled");
 
         assert_chains_conserve(&log, report.submitted);
+        let n = |name: &str| count(&log, name);
         assert_eq!(
-            tm.counts.completed + tm.counts.shed,
+            n("Completed") + n("Shed"),
             report.submitted,
             "case {case}: terminal events must conserve submissions"
         );
         assert_eq!(
-            tm.counts.completed as usize,
+            n("Completed") as usize,
             report.merged.total_queries(),
             "case {case}: Completed events vs report"
         );
-        assert_eq!(tm.counts.shed, report.shed, "case {case}: Shed events");
+        assert_eq!(n("Shed"), report.shed, "case {case}: Shed events");
         assert_eq!(
-            tm.counts.submitted, report.submitted,
+            n("Submitted"),
+            report.submitted,
             "case {case}: Submitted events"
         );
         assert_eq!(
-            tm.counts.requeued, report.rerouted,
+            n("Requeued"),
+            report.rerouted,
             "case {case}: Requeued events vs the reroute counter"
-        );
-        assert_eq!(
-            tm.latency.count(),
-            tm.counts.completed,
-            "case {case}: one histogram sample per completion"
         );
     }
 }
@@ -219,7 +220,7 @@ fn every_submission_terminates_exactly_once_under_churn() {
 /// The same law under an injected failure plan — stalls (with recovery)
 /// and a crash — where `AdmitAll` makes the strongest form provable:
 /// every submission ends in `Completed`, nothing is shed, and the
-/// node-lifecycle events show up in the registry.
+/// node-lifecycle events show up in the trace.
 #[test]
 fn failure_plans_preserve_span_chains() {
     let models = compiled_models();
@@ -257,26 +258,26 @@ fn failure_plans_preserve_span_chains() {
 
     let log = fleet.trace_log().expect("telemetry enabled");
     let report = fleet.finish();
-    let tm = report.telemetry.as_ref().expect("telemetry enabled");
 
     assert_chains_conserve(&log, report.submitted);
-    assert_eq!(tm.counts.shed, 0, "AdmitAll never sheds");
-    assert_eq!(tm.counts.completed, report.submitted);
-    assert_eq!(tm.counts.node_stalled, 1);
-    assert_eq!(tm.counts.node_recovered, 1);
-    assert_eq!(tm.counts.node_killed, 1);
-    assert_eq!(tm.counts.node_draining, 1);
+    let n = |name: &str| count(&log, name);
+    assert_eq!(n("Shed"), 0, "AdmitAll never sheds");
+    assert_eq!(n("Completed"), report.submitted);
+    assert_eq!(n("NodeStalled"), 1);
+    assert_eq!(n("NodeRecovered"), 1);
+    assert_eq!(n("NodeKilled"), 1);
+    assert_eq!(n("NodeDraining"), 1);
     assert!(
-        tm.counts.requeued >= report.rerouted.min(1),
+        n("Requeued") >= report.rerouted.min(1),
         "the crash/drain should reroute at least the in-flight work it orphaned"
     );
 }
 
-/// The registry's log-bucketed histograms track the exact pooled-sample
-/// percentiles within one bucket width — overall and per model, at every
-/// commonly quoted percentile.
+/// The recorder and the report keep the same latencies: per model, the
+/// `Completed` events' `latency_s` are bit for bit the pooled report's
+/// samples, so the report's exact percentiles describe the trace too.
 #[test]
-fn histogram_percentiles_bracket_pooled_samples() {
+fn completed_events_carry_the_report_latency_samples() {
     let models = compiled_models();
     let big = MachineConfig::threadripper_3990x();
     let edge = MachineConfig::desktop_8core();
@@ -299,33 +300,28 @@ fn histogram_percentiles_bracket_pooled_samples() {
             91,
         )
         .expect("registered");
+    fleet.run_to_completion();
+    let log = fleet.trace_log().expect("telemetry enabled");
     let report = fleet.finish();
-    let tm = report.telemetry.as_ref().expect("telemetry enabled");
 
-    let width = LatencyHistogram::relative_width();
-    let check = |label: &str, approx: f64, exact: f64| {
-        assert!(
-            approx >= exact - 1e-12 && approx <= exact * width + 1e-12,
-            "{label}: histogram {approx:e} not within one bucket \
-             (x{width:.4}) of exact {exact:e}"
-        );
-    };
-    for p in [50.0, 90.0, 95.0, 99.0] {
-        check(
-            &format!("overall p{p}"),
-            tm.latency.percentile_s(p),
-            report.merged.overall_percentile_latency_s(p),
-        );
-    }
+    assert_eq!(report.merged.total_queries(), 120);
+    assert_eq!(count(&log, "Completed"), 120);
     for (model, stats) in &report.merged.per_model {
-        let hist = &tm.per_model_latency[model];
-        assert_eq!(hist.count() as usize, stats.queries);
-        for p in [50.0, 95.0, 99.0] {
-            check(
-                &format!("{model} p{p}"),
-                hist.percentile_s(p),
-                stats.percentile_latency_s(p),
-            );
-        }
+        let mut recorded: Vec<u64> = log
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Completed {
+                    model: m,
+                    latency_s,
+                    ..
+                } if log.models[m as usize] == *model => Some(latency_s.to_bits()),
+                _ => None,
+            })
+            .collect();
+        let mut pooled: Vec<u64> = stats.latencies_s.iter().map(|s| s.to_bits()).collect();
+        recorded.sort_unstable();
+        pooled.sort_unstable();
+        assert_eq!(recorded, pooled, "{model}: recorded vs pooled latencies");
     }
 }

@@ -112,8 +112,8 @@ fn merged_trace_matches_its_recorded_digests() {
             report.merged.total_queries() > 0,
             "seed {seed}: the run served nothing"
         );
-        let tm = report.telemetry.expect("telemetry enabled");
-        assert!(tm.counts.submitted > 0 && tm.counts.requeued > 0);
+        assert!(report.telemetry.is_some(), "telemetry enabled");
+        assert!(report.submitted > 0 && report.rerouted > 0);
         let got = fnv1a(json.as_bytes());
         assert_eq!(
             got, digest,
